@@ -3,36 +3,30 @@
 Merges near-coincident tile corners into shared vertices, splits tile sides
 at the vertices lying on them, and records incidence: which tiles meet at
 each vertex, which tiles border each edge, who is adjacent to whom.
+
+The work runs on one flat array of all tile corners, with per-tile offsets so
+polygons of different corner counts can mix; corner i opens side i. Corners
+within eps of each other, chains included, are the connected components of a
+cKDTree pair search, numbered by first corner occurrence. One neighbour query
+around the side midpoints finds the vertices lying inside sides. The stops
+along every side are ordered with one lexsort, and edges, their owners and
+all incidence sets come from sorted unique (key, value) rows. Only the final
+Patch fields are built as Python objects.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import interior_angles, point_segment_distance
+from .geometry import segment_distances
 from .tiling import PlacedTile
 
 SNAP_FACTOR = 1e-7           # vertex merge radius, relative to mean edge
 COMPLETE_ANGLE_TOL = 1e-6    # rad; full 360-degree surround test
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        self.parent[self.find(i)] = self.find(j)
 
 
 @dataclass(frozen=True)
@@ -103,86 +97,94 @@ class Patch:
     def from_tiles(cls, tiles: Sequence[PlacedTile], r: float | None = None,
                    center=None, snap_eps: float | None = None) -> "Patch":
         tiles = tuple(tiles)
-        polys = [np.asarray(t.polygon, dtype=float) for t in tiles]
-        if not polys:
+        center = tuple(center) if center is not None else None
+        if not tiles:
             return cls(tiles=(), vertices=(), edges=(), corner_vertices=(),
                        tile_vertices=(), adjacents=(), neighbors=(),
                        r=r, center=center)
-        side_lengths = np.concatenate(
-            [np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)
-             for p in polys])
+
+        # all corners in one flat array; corner i opens side i, which runs
+        # to corner nxt[i] of the same tile
+        polys = [np.asarray(t.polygon, dtype=float) for t in tiles]
+        sizes = np.array([len(p) for p in polys])
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        points = np.concatenate(polys)
+        owner = np.repeat(np.arange(len(tiles)), sizes)
+        nxt = np.arange(1, len(points) + 1)
+        nxt[offsets[1:] - 1] = offsets[:-1]
+        side = points[nxt] - points
+        side_lengths = np.linalg.norm(side, axis=1)
         eps = (snap_eps if snap_eps is not None
                else SNAP_FACTOR * float(side_lengths.mean()))
 
-        corner_vid, vertex_xy = _snap_corners(polys, eps)
-        angles = [interior_angles(p) for p in polys]
+        corner_vid, vertex_xy = _snap_corners(points, eps)
+        n_vertices = len(vertex_xy)
+        angles = _corner_angles(side, nxt)
 
         # vertices sitting inside a side split it; the tile counts as
         # incident there and contributes a straight angle
-        on_side, interior_hits = _side_interior_incidence(
-            polys, corner_vid, vertex_xy, eps)
+        hit_side, hit_vid, hit_param = _side_interior_incidence(
+            points, nxt, side_lengths, corner_vid, vertex_xy, eps)
+        split_vid, split_tile = _unique_rows(hit_vid, owner[hit_side])
 
-        tile_sets = [set() for _ in vertex_xy]
-        angle_sum = [0.0] * len(vertex_xy)
-        pseudo = [False] * len(vertex_xy)
-        for t, vids in enumerate(corner_vid):
-            for k, vid in enumerate(vids):
-                tile_sets[vid].add(t)
-                angle_sum[vid] += angles[t][k]
-        for vid, t in interior_hits:
-            tile_sets[vid].add(t)
-            angle_sum[vid] += math.pi
-            pseudo[vid] = True
+        angle_sum = (np.bincount(corner_vid, weights=angles,
+                                 minlength=n_vertices)
+                     + math.pi * np.bincount(split_vid, minlength=n_vertices))
+        pseudo = np.zeros(n_vertices, dtype=bool)
+        pseudo[split_vid] = True
+        complete = np.abs(angle_sum - 2 * math.pi) <= COMPLETE_ANGLE_TOL
 
-        edge_map: dict[tuple[int, int], set[int]] = defaultdict(set)
-        tile_edge_keys: list[set] = [set() for _ in tiles]
-        for t, poly in enumerate(polys):
-            nk = len(poly)
-            for k in range(nk):
-                va, vb = corner_vid[t][k], corner_vid[t][(k + 1) % nk]
-                stops = ([(0.0, va)] + sorted(on_side.get((t, k), []))
-                         + [(1.0, vb)])
-                for (_, v1), (_, v2) in zip(stops, stops[1:]):
-                    key = (v1, v2) if v1 < v2 else (v2, v1)
-                    edge_map[key].add(t)
-                    tile_edge_keys[t].add(key)
-
+        # one Python int per id, shared by every field that names it; a
+        # fresh int per mention grows a patch's memory by about a quarter
+        tile_id = np.arange(len(tiles)).astype(object)
+        vertex_id = np.arange(n_vertices).astype(object)
+        inc_vid, inc_tile = _unique_rows(
+            np.concatenate([corner_vid, split_vid]),
+            np.concatenate([owner, split_tile]))
+        tile_sets = _grouped_sets(inc_vid, tile_id[inc_tile], n_vertices)
         vertices = tuple(
-            PatchVertex(xy=(float(vertex_xy[vid][0]),
-                            float(vertex_xy[vid][1])),
-                        tiles=frozenset(tile_sets[vid]),
-                        valence=len(tile_sets[vid]),
-                        pseudo=pseudo[vid],
-                        complete=bool(abs(angle_sum[vid] - 2 * math.pi)
-                                      <= COMPLETE_ANGLE_TOL))
-            for vid in range(len(vertex_xy)))
-        edges = tuple(PatchEdge(vertices=key, tiles=frozenset(owners))
-                      for key, owners in sorted(edge_map.items()))
+            PatchVertex(xy=(x, y), tiles=ts, valence=len(ts), pseudo=ps,
+                        complete=cp)
+            for (x, y), ts, ps, cp in zip(vertex_xy.tolist(), tile_sets,
+                                          pseudo.tolist(), complete.tolist()))
 
-        adjacents = []
-        for t in range(len(tiles)):
-            touching = set()
-            for key in tile_edge_keys[t]:
-                touching.update(edge_map[key])
-            touching.discard(t)
-            adjacents.append(frozenset(touching))
-        vertex_lists = [list(vids) for vids in corner_vid]
-        for vid, t in interior_hits:
-            vertex_lists[t].append(vid)
-        tile_vertices = tuple(frozenset(vids) for vids in vertex_lists)
-        neighbors = []
-        for t in range(len(tiles)):
-            shared = set()
-            for vid in tile_vertices[t]:
-                shared.update(tile_sets[vid])
-            shared.discard(t)
-            neighbors.append(frozenset(shared))
+        # each side's stops in order: its start corner, the vertices inside
+        # it by parameter, its end corner; consecutive stops bound an edge
+        n_sides = len(points)
+        stop_side = np.concatenate([np.arange(n_sides), np.arange(n_sides),
+                                    hit_side])
+        stop_param = np.concatenate([np.full(n_sides, -np.inf),
+                                     np.full(n_sides, np.inf), hit_param])
+        stop_vid = np.concatenate([corner_vid, corner_vid[nxt], hit_vid])
+        order = np.lexsort((stop_vid, stop_param, stop_side))
+        stop_side, stop_vid = stop_side[order], stop_vid[order]
+        same = stop_side[:-1] == stop_side[1:]
+        v1, v2 = stop_vid[:-1][same], stop_vid[1:][same]
+        edge_lo, edge_hi, edge_tile = _unique_rows(
+            np.minimum(v1, v2), np.maximum(v1, v2),
+            owner[stop_side[:-1][same]])
+        new_edge = np.concatenate([[True], (edge_lo[1:] != edge_lo[:-1])
+                                   | (edge_hi[1:] != edge_hi[:-1])])
+        edge_id = np.cumsum(new_edge) - 1
+        edges = tuple(
+            PatchEdge(vertices=(lo, hi), tiles=owners)
+            for lo, hi, owners in zip(
+                vertex_id[edge_lo[new_edge]].tolist(),
+                vertex_id[edge_hi[new_edge]].tolist(),
+                _grouped_sets(edge_id, tile_id[edge_tile],
+                              int(new_edge.sum()))))
 
+        tile_vid, vid_tile = _unique_rows(inc_tile, inc_vid)
+        bounds = offsets.tolist()
+        vids = vertex_id[corner_vid].tolist()
         return cls(tiles=tiles, vertices=vertices, edges=edges,
-                   corner_vertices=tuple(tuple(v) for v in corner_vid),
-                   tile_vertices=tile_vertices,
-                   adjacents=tuple(adjacents), neighbors=tuple(neighbors),
-                   r=r, center=tuple(center) if center is not None else None)
+                   corner_vertices=tuple(tuple(vids[a:b]) for a, b
+                                         in zip(bounds, bounds[1:])),
+                   tile_vertices=_grouped_sets(tile_vid, vertex_id[vid_tile],
+                                               len(tiles)),
+                   adjacents=_sharing_sets(edge_id, edge_tile, tile_id),
+                   neighbors=_sharing_sets(inc_vid, inc_tile, tile_id),
+                   r=r, center=center)
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,68 +202,103 @@ class Patch:
         }
 
 
-def _snap_corners(polys, eps):
-    points = np.vstack(polys)
+def _snap_corners(points, eps):
+    """Merge corners lying within eps of each other, chains included.
+
+    Returns each corner's vertex id, numbered by first corner occurrence,
+    and each vertex's position, the mean of its corners.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = len(points)
-    uf = _UnionFind(n)
-    h = max(eps, 1e-300)
-    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i in range(n):
-        bx = math.floor(points[i, 0] / h)
-        by = math.floor(points[i, 1] / h)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in buckets.get((bx + dx, by + dy), ()):
-                    if np.hypot(*(points[i] - points[j])) <= eps:
-                        uf.union(i, j)
-        buckets[(bx, by)].append(i)
+    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, label = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(label, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    corner_vid = rank[inverse]
 
-    root_to_vid: dict[int, int] = {}
-    members: list[list[int]] = []
-    point_vid = [0] * n
-    for i in range(n):
-        root = uf.find(i)
-        vid = root_to_vid.get(root)
-        if vid is None:
-            vid = len(members)
-            root_to_vid[root] = vid
-            members.append([])
-        members[vid].append(i)
-        point_vid[i] = vid
-    vertex_xy = np.array([points[m].mean(axis=0) for m in members])
-
-    corner_vid = []
-    pos = 0
-    for p in polys:
-        corner_vid.append([point_vid[pos + k] for k in range(len(p))])
-        pos += len(p)
+    counts = np.bincount(corner_vid)
+    vertex_xy = np.column_stack([np.bincount(corner_vid, weights=points[:, k])
+                                 for k in (0, 1)]) / counts[:, None]
     return corner_vid, vertex_xy
 
 
-def _side_interior_incidence(polys, corner_vid, vertex_xy, eps):
+def _corner_angles(side, nxt):
+    """Interior angle at every corner of ccw polygons, via the turn from
+    the side coming in to the side going out; side i ends at corner nxt[i]."""
+    d_in = np.empty_like(side)
+    d_in[nxt] = side
+    cross = d_in[:, 0] * side[:, 1] - d_in[:, 1] * side[:, 0]
+    dot = np.sum(d_in * side, axis=1)
+    return math.pi - np.arctan2(cross, dot)
+
+
+def _side_interior_incidence(points, nxt, side_lengths, corner_vid,
+                             vertex_xy, eps):
     """Find vertices lying strictly inside a tile side.
 
-    Returns per-side split params and the (vertex, tile) incidence pairs.
+    Side i runs from corner i to corner nxt[i]. Returns the (side, vertex,
+    param) of each hit, param running from 0 at the side's start to 1 at
+    its end.
     """
-    tree = cKDTree(vertex_xy)
-    on_side: dict[tuple[int, int], list[tuple[float, int]]] = defaultdict(list)
-    interior_hits: set[tuple[int, int]] = set()
-    for t, poly in enumerate(polys):
-        nk = len(poly)
-        for k in range(nk):
-            a, b = poly[k], poly[(k + 1) % nk]
-            va, vb = corner_vid[t][k], corner_vid[t][(k + 1) % nk]
-            seg = b - a
-            half = np.linalg.norm(seg) / 2.0
-            for vid in tree.query_ball_point((a + b) / 2.0, half + 2 * eps):
-                if vid == va or vid == vb:
-                    continue
-                if point_segment_distance(vertex_xy[vid], a, b) <= eps:
-                    param = float(np.dot(vertex_xy[vid] - a, seg)
-                                  / np.dot(seg, seg))
-                    on_side[(t, k)].append((param, vid))
-                    interior_hits.add((vid, t))
-    return on_side, interior_hits
+    ends = points[nxt]
+    # candidates: vertices within half a side (plus slack) of its midpoint
+    reach = side_lengths / 2.0 + 2 * eps
+    near = cKDTree((points + ends) / 2.0).sparse_distance_matrix(
+        cKDTree(vertex_xy), float(reach.max()), output_type="ndarray")
+    sid, vid = near["i"], near["j"]
+    keep = ((near["v"] <= reach[sid]) & (vid != corner_vid[sid])
+            & (vid != corner_vid[nxt[sid]]))
+    vid, sid = vid[keep], sid[keep]
+    a, b, p = points[sid], ends[sid], vertex_xy[vid]
+    on = segment_distances(p, a, b) <= eps
+    vid, sid, a, b, p = vid[on], sid[on], a[on], b[on], p[on]
+    d = b - a
+    param = np.sum((p - a) * d, axis=1) / np.sum(d * d, axis=1)
+    return sid, vid, param
+
+
+def _unique_rows(*columns):
+    """Distinct rows of equal-length integer columns, sorted row-wise."""
+    order = np.lexsort(columns[::-1])
+    columns = [c[order] for c in columns]
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[:1] = True
+    for c in columns:
+        fresh[1:] |= c[1:] != c[:-1]
+    return tuple(c[fresh] for c in columns)
+
+
+def _grouped_sets(keys, values, n):
+    """One frozenset of values per key 0..n-1; keys must be sorted and
+    values is an object array of the same length."""
+    bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
+    values = values.tolist()
+    # copied from a set, a frozenset gets a table sized to its members; one
+    # filled from a list keeps the room a growing set would have
+    return tuple(frozenset(set(values[a:b]))
+                 for a, b in zip(bounds, bounds[1:]))
+
+
+def _sharing_sets(group, member, member_id):
+    """For each member, the other members sharing a group with it, as
+    member_id objects; rows (group, member) must be sorted by group."""
+    starts = np.flatnonzero(np.concatenate([[True], group[1:] != group[:-1]]))
+    sizes = np.diff(np.concatenate([starts, [len(group)]]))
+    # pair every row with every row of its group
+    reps = np.repeat(sizes, sizes)
+    left = np.repeat(np.arange(len(group)), reps)
+    right = (np.repeat(np.repeat(starts, sizes), reps) + np.arange(len(left))
+             - np.repeat(np.cumsum(reps) - reps, reps))
+    a, b = member[left], member[right]
+    keep = a != b
+    a, b = _unique_rows(a[keep], b[keep])
+    return _grouped_sets(a, member_id[b], len(member_id))
 
 
 def patch_from_json_dict(document: dict, snap_eps: float | None = None

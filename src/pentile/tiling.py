@@ -7,6 +7,7 @@ tiling generated by a disk.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .pentagon import Pentagon, pentagon_from_json_dict, pentagon_to_json
 LATTICE_TOL = 1e-12        # |u x v| below this (relative) means parallel
 CONGRUENCE_TOL = 1e-9
 PAIR_BLOCK = 512           # candidate pairs per vectorized touch test
+RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
 
 
 @dataclass(frozen=True)
@@ -252,12 +254,14 @@ _REGION_BUILDERS = {1: _type1_region, 2: _type2_region,
 BUILTIN_RECIPE_TYPES = tuple(sorted(_REGION_BUILDERS))
 
 
+@functools.lru_cache(maxsize=RECIPE_CACHE_SIZE)
 def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
     """Ready-made periodic tiling recipe for Types 1, 2, 4 and 5.
 
     The pentagon may be labeled any way round; it is relabeled to the
     canonical corner order of its Type first. The assembled recipe is checked
-    on a 3x3 window before it is returned.
+    on a 3x3 window before it is returned. Recipes are frozen, so a repeated
+    call hands back the one already checked.
     """
     from .catalog import get_type_spec
 
@@ -324,8 +328,8 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     """
     from .arrangement import Patch
 
-    if r <= 0:
-        raise ParseError(f"disk radius must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise ParseError(f"disk radius must be positive and finite, got {r}")
     center = np.asarray(M, dtype=float)
     diam = tile_diameter(recipe.pentagon)
     eps = 1e-7 * recipe.pentagon.mean_edge()

@@ -114,28 +114,28 @@ def check_coverage(patch, r_inner: float | None = None,
     check would be meaningless. That is InvalidInnerRadius.
 
     Two routes: exact circular-segment areas summed per tile, and an
-    independent grid sample at a quarter of the tile inradius.
+    independent grid sample at a quarter of the tile inradius. An inner
+    disk holding less area than one tile fails as vacuous.
     """
     if patch.r is None or patch.center is None:
         raise InvalidInnerRadius("patch carries no disk; nothing to cover")
     if not patch.tiles:
         raise InvalidInnerRadius("patch holds no tiles; nothing covers")
-    diam = max(
-        float(np.linalg.norm(a - b))
-        for t in patch.tiles for a in t.polygon for b in t.polygon
-    ) if patch.tiles else 0.0
+    polys = [t.polygon for t in patch.tiles]
+    diam = max(float(np.linalg.norm(p[:, None] - p[None], axis=-1).max())
+               for p in polys)
     # patch tiles are congruent; one circumradius bounds them all
-    circumradius = smallest_enclosing_circle(patch.tiles[0].polygon)[1]
+    circumradius = smallest_enclosing_circle(polys[0])[1]
     if r_inner is None:
         r_inner = patch.r - diam
-    if r_inner <= 0 or r_inner > patch.r - circumradius + 1e-12:
+    if not 0 < r_inner <= patch.r - circumradius + 1e-12:
         raise InvalidInnerRadius(
             f"inner radius {r_inner} not in (0, r - tile circumradius] "
             f"= (0, {patch.r - circumradius:.6g}]")
     center = np.asarray(patch.center)
     disk_area = math.pi * r_inner ** 2
+    tile_area = abs(polygon_area(polys[0]))
 
-    polys = [t.polygon for t in patch.tiles]
     covered_area = sum(polygon_disk_overlap_area(p, center, r_inner)
                        for p in polys)
     gap = disk_area - covered_area
@@ -153,7 +153,13 @@ def check_coverage(patch, r_inner: float | None = None,
         polys, in_disk, center - r_inner, center + r_inner, pitch, eps)
     ok_grid = missed == 0
 
+    # an inner disk smaller than one tile tests next to nothing
+    ok_size = disk_area >= tile_area
     violations = []
+    if not ok_size:
+        violations.append(
+            f"vacuous: inner disk r = {r_inner:.6g} holds area "
+            f"{disk_area:.6g}, less than one tile ({tile_area:.6g})")
     if not ok_area:
         violations.append(
             f"covered area misses disk area by {gap:.3e} "
@@ -163,7 +169,8 @@ def check_coverage(patch, r_inner: float | None = None,
             f"{missed} of {tested} sample points uncovered, "
             f"first at {example}")
     return CheckReport(
-        name="coverage", ok=ok_area and ok_grid, violations=violations,
+        name="coverage", ok=ok_size and ok_area and ok_grid,
+        violations=violations,
         metrics={"r_inner": r_inner, "area_gap": gap,
                  "area_gap_fraction": gap / disk_area,
                  "sample_points": tested, "sample_misses": missed})

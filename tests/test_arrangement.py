@@ -1,0 +1,180 @@
+"""The arrangement built on flat corner arrays, against a loop reference."""
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pentile
+from pentile.arrangement import SNAP_FACTOR, Patch
+from pentile.geometry import interior_angles, point_segment_distance
+from pentile.tiling import builtin_recipe, generate_patch
+
+DATA = Path(__file__).parent / "data"
+
+
+def square(x, y, size=1.0):
+    return np.array([(x, y), (x + size, y), (x + size, y + size),
+                     (x, y + size)], dtype=float)
+
+
+def reference_arrangement(polys, eps):
+    """Corner by corner and side by side: the arrangement from_tiles must
+    reproduce, field for field."""
+    points = np.concatenate(polys)
+    close = np.linalg.norm(points[:, None] - points[None], axis=-1) <= eps
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(close)):
+        parent[find(i)] = find(j)
+    vid_of_root, members = {}, []
+    for i in range(len(points)):
+        vid = vid_of_root.setdefault(find(i), len(members))
+        if vid == len(members):
+            members.append([])
+        members[vid].append(i)
+    point_vid = {i: v for v, m in enumerate(members) for i in m}
+    xy = [tuple(float(c) for c in points[m].mean(axis=0)) for m in members]
+
+    starts = np.cumsum([0] + [len(p) for p in polys])
+    corner_vertices = [[point_vid[s + k] for k in range(len(p))]
+                       for s, p in zip(starts, polys)]
+    tiles_at = [set() for _ in members]
+    angle_sum = [0.0] * len(members)
+    pseudo = [False] * len(members)
+    for t, p in enumerate(polys):
+        for k, angle in enumerate(interior_angles(p)):
+            tiles_at[corner_vertices[t][k]].add(t)
+            angle_sum[corner_vertices[t][k]] += angle
+    edge_tiles = {}
+    xy_array = np.array(xy)
+    for t, p in enumerate(polys):
+        for k in range(len(p)):
+            a, b = p[k], p[(k + 1) % len(p)]
+            va, vb = corner_vertices[t][k], corner_vertices[t][(k + 1) % len(p)]
+            near = np.linalg.norm(xy_array - (a + b) / 2, axis=1) <= (
+                np.linalg.norm(b - a) / 2 + eps)
+            inside = sorted(
+                (float((xy_array[v] - a) @ (b - a) / ((b - a) @ (b - a))), v)
+                for v in np.flatnonzero(near).tolist() if v not in (va, vb)
+                and point_segment_distance(xy_array[v], a, b) <= eps)
+            for _, v in inside:
+                if t not in tiles_at[v]:
+                    angle_sum[v] += math.pi
+                tiles_at[v].add(t)
+                pseudo[v] = True
+            stops = [va] + [v for _, v in inside] + [vb]
+            for v1, v2 in zip(stops, stops[1:]):
+                edge_tiles.setdefault((min(v1, v2), max(v1, v2)), set()).add(t)
+    tile_vertices = [frozenset(v for v in range(len(members))
+                               if t in tiles_at[v]) for t in range(len(polys))]
+    return {
+        "vertices": [(xy[v], frozenset(tiles_at[v]), pseudo[v],
+                      abs(angle_sum[v] - 2 * math.pi) <= 1e-6)
+                     for v in range(len(members))],
+        "edges": [(key, frozenset(owners))
+                  for key, owners in sorted(edge_tiles.items())],
+        "corner_vertices": [tuple(c) for c in corner_vertices],
+        "tile_vertices": tile_vertices,
+        "adjacents": [frozenset(o for key, owners in edge_tiles.items()
+                                if t in owners for o in owners) - {t}
+                      for t in range(len(polys))],
+        "neighbors": [frozenset(o for v in tile_vertices[t]
+                                for o in tiles_at[v]) - {t}
+                      for t in range(len(polys))],
+    }
+
+
+def patch_fields(patch):
+    return {
+        "vertices": [(v.xy, v.tiles, v.pseudo, v.complete)
+                     for v in patch.vertices],
+        "edges": [(e.vertices, e.tiles) for e in patch.edges],
+        "corner_vertices": list(patch.corner_vertices),
+        "tile_vertices": list(patch.tile_vertices),
+        "adjacents": list(patch.adjacents),
+        "neighbors": list(patch.neighbors),
+    }
+
+
+@pytest.mark.parametrize("type_id, center", [
+    (1, (0.0, 0.0)), (2, (0.37, -1.21)), (4, (0.0, 0.0)), (5, (0.37, -1.21))])
+def test_generated_patch_matches_loop_reference(type_id, center):
+    pentagon = (pentile.load_pentagon(DATA / "house.json") if type_id == 1
+                else pentile.representative(type_id).pentagon)
+    patch = generate_patch(builtin_recipe(type_id, pentagon), 5.0, center)
+    polys = [t.polygon for t in patch.tiles]
+    eps = SNAP_FACTOR * float(np.mean(np.concatenate(
+        [np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1) for p in polys])))
+    assert patch_fields(patch) == reference_arrangement(polys, eps)
+    assert all(v.valence == len(v.tiles) for v in patch.vertices)
+
+
+def test_chained_corners_merge_into_one_vertex_at_their_mean():
+    """Corners 0.6 eps apart chain together, although the outer two are
+    1.2 eps apart."""
+    eps = 1e-3
+    tips = [np.array([0.6 * eps * i, 0.0]) for i in range(3)]
+    triangles = []
+    for i, tip in enumerate(tips):
+        turn = 2 * math.pi * i / 3
+        far = [(math.cos(turn + a), math.sin(turn + a))
+               for a in (0.0, math.pi / 3)]
+        triangles.append(np.vstack([tip, far]))
+    patch = Patch.from_polygons(triangles, snap_eps=eps)
+    assert [c[0] for c in patch.corner_vertices] == [0, 0, 0]
+    assert patch.vertex_count == 1 + 2 * 3
+    assert patch.vertices[0].xy == pytest.approx(tuple(np.mean(tips, axis=0)),
+                                                 abs=1e-15)
+    assert patch.vertices[0].tiles == {0, 1, 2}
+
+
+def test_mixed_squares_and_pentagons():
+    pentagon = np.array([(1, 0), (2, 0), (2, 1), (1.5, 1.5), (1, 1)],
+                        dtype=float)
+    patch = Patch.from_polygons([square(0, 0), pentagon])
+    assert [len(c) for c in patch.corner_vertices] == [4, 5]
+    assert (patch.vertex_count, patch.edge_count) == (7, 8)
+    assert patch.euler_characteristic() == 1
+    assert patch.adjacents == (frozenset({1}), frozenset({0}))
+    shared = [e for e in patch.edges if e.tiles == {0, 1}]
+    assert [e.vertices for e in shared] == [(1, 2)]
+
+
+def test_side_with_two_inner_vertices_splits_in_parameter_order():
+    """The long bottom side of tile 0 carries (2, 0), numbered first, and
+    (1, 0); its edges must run (0,0)-(1,0)-(2,0)-(3,0), not by vertex id."""
+    slab = np.array([(0, 0), (3, 0), (3, 1), (0, 1)], dtype=float)
+    patch = Patch.from_polygons([slab, square(2, -1), square(1, -1),
+                                 square(0, -1)])
+    ids = {v.xy: i for i, v in enumerate(patch.vertices)}
+    stops = [ids[(float(x), 0.0)] for x in range(4)]
+    assert stops[2] < stops[1]
+    bottom = {e.vertices for e in patch.edges if 0 in e.tiles
+              and all(patch.vertices[v].xy[1] == 0.0 for v in e.vertices)}
+    assert bottom == {tuple(sorted(pair)) for pair in zip(stops, stops[1:])}
+    assert patch.vertices[stops[1]].pseudo and patch.vertices[stops[2]].pseudo
+    assert patch.adjacents[0] == {1, 2, 3}
+    assert {stops[1], stops[2]} <= patch.tile_vertices[0]
+
+
+def test_no_polygons_make_an_empty_patch():
+    patch = Patch.from_polygons([])
+    assert (patch.tile_count, patch.vertex_count, patch.edge_count) == (0, 0, 0)
+    assert patch.corner_vertices == patch.tile_vertices == ()
+    assert patch.adjacents == patch.neighbors == ()
+
+
+def test_vertex_ids_follow_first_corner_occurrence():
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    patch = generate_patch(recipe, 6.0)
+    assert patch.corner_vertices[0] == (0, 1, 2, 3, 4)
+    order = []
+    for vids in patch.corner_vertices:
+        order += [v for v in vids if v not in order]
+    assert order == list(range(patch.vertex_count))

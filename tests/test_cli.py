@@ -158,6 +158,28 @@ def test_sweep_rejects_unsorted_radii(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("radii", ["nan,20", "10,inf", "-inf,20"])
+def test_sweep_rejects_non_finite_radii(capsys, radii):
+    code, out, err = run(capsys, "sweep", "--type", "4", f"--radii={radii}")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+def test_tile_rejects_non_finite_radius(capsys, radius):
+    code, out, err = run(capsys, "tile", "--type", "4", f"--r={radius}")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_verify_fails_a_vacuous_coverage_pass(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "4", "--r", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert any("vacuous" in v for v in report["violations"])
+
+
 # --- render -----------------------------------------------------------------
 
 def test_render_polygon_count_matches_tiles(capsys, tmp_path):

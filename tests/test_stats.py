@@ -183,6 +183,13 @@ def test_limit_sweep_rejects_bad_radii(t1_recipe):
         limit_sweep(t1_recipe, [0.5, 10.0])
 
 
+@pytest.mark.parametrize("radii", [[math.nan, 20.0], [10.0, math.inf],
+                                   [-math.inf, 20.0]])
+def test_limit_sweep_rejects_non_finite_radii(t1_recipe, radii):
+    with pytest.raises(ParseError, match="finite"):
+        limit_sweep(t1_recipe, radii)
+
+
 def test_house_sweep_approaches_three_and_six(t1_recipe):
     limit = limit_sweep(t1_recipe, [5.0, 10.0, 20.0])
     assert limit.average_valence() == pytest.approx(3.0, abs=1e-6)

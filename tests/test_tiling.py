@@ -203,6 +203,31 @@ def test_generate_patch_rejects_nonpositive_radius():
         generate_patch(recipe, 0.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_generate_patch_rejects_non_finite_radius(r):
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    with pytest.raises(ParseError):
+        generate_patch(recipe, r)
+
+
+def test_builtin_recipe_is_checked_once_per_pentagon(monkeypatch):
+    import pentile.verifier
+
+    checked = []
+    check = pentile.verifier.check_periodicity
+
+    def counting(recipe, *args, **kwargs):
+        checked.append(recipe)
+        return check(recipe, *args, **kwargs)
+
+    monkeypatch.setattr(pentile.verifier, "check_periodicity", counting)
+    builtin_recipe.cache_clear()
+    pentagon = pentile.representative(4).pentagon
+    first = builtin_recipe(4, pentagon)
+    assert builtin_recipe(4, pentagon) is first
+    assert checked == [first]
+
+
 def test_patch_translation_maps_interior_tiles_into_patch():
     """Shifting an interior tile by a lattice vector lands on another tile."""
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)

@@ -87,6 +87,19 @@ def test_inner_radius_beyond_patch_rejected(t4_patch):
         check_coverage(t4_patch, r_inner=-1.0)
 
 
+def test_non_finite_inner_radius_rejected(t4_patch):
+    with pytest.raises(InvalidInnerRadius):
+        check_coverage(t4_patch, r_inner=math.nan)
+
+
+def test_inner_disk_smaller_than_a_tile_fails_as_vacuous():
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    report = check_coverage(generate_patch(recipe, 2.0))
+    assert not report.ok
+    assert report.metrics["sample_misses"] == 0
+    assert any("vacuous" in v for v in report.violations)
+
+
 def test_coverage_requires_a_disk():
     bare = Patch.from_polygons(
         [np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)])
