@@ -52,12 +52,9 @@ from .tiling import (
     tile_diameter,
 )
 from .arrangement import (
-    AdjacencyInfo,
     Patch,
     PatchEdge,
     PatchVertex,
-    classify_adjacency,
-    detect_vertices,
     patch_from_json_dict,
 )
 from .verifier import (

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .errors import ParseError, require_positive
 from .geometry import segment_distances
 from .tiling import PlacedTile
 
@@ -82,20 +83,17 @@ class Patch:
 
     @classmethod
     def from_polygons(cls, polygons: Iterable, r: float | None = None,
-                      center=None, zones: Sequence[str] | None = None,
-                      snap_eps: float | None = None) -> "Patch":
+                      center=None, snap_eps: float | None = None) -> "Patch":
         """Arrangement of raw polygons; convenience for hand-built patches."""
-        from .tiling import Isometry
-
-        polys = [np.asarray(p, dtype=float) for p in polygons]
-        zones = zones or [""] * len(polys)
-        tiles = [PlacedTile(iso=Isometry.identity(), cell=(0, 0),
-                            polygon=p, zone=z) for p, z in zip(polys, zones)]
+        tiles = [PlacedTile(cell=(0, 0), polygon=np.asarray(p, dtype=float))
+                 for p in polygons]
         return cls.from_tiles(tiles, r=r, center=center, snap_eps=snap_eps)
 
     @classmethod
     def from_tiles(cls, tiles: Sequence[PlacedTile], r: float | None = None,
                    center=None, snap_eps: float | None = None) -> "Patch":
+        if snap_eps is not None:
+            require_positive("snap_eps", snap_eps)
         tiles = tuple(tiles)
         center = tuple(center) if center is not None else None
         if not tiles:
@@ -303,17 +301,10 @@ def _sharing_sets(group, member, member_id):
 
 def patch_from_json_dict(document: dict, snap_eps: float | None = None
                          ) -> Patch:
-    """Rebuild a Patch from its JSON export.
-
-    Placement isometries are not stored, so loaded tiles carry identity
-    transforms; the arrangement is recomputed from the polygons.
-    """
-    from .errors import ParseError
-    from .tiling import Isometry
-
+    """Rebuild a Patch from its JSON export; the arrangement is recomputed
+    from the polygons."""
     try:
-        tiles = [PlacedTile(iso=Isometry.identity(),
-                            cell=tuple(rec.get("cell", (0, 0))),
+        tiles = [PlacedTile(cell=tuple(rec.get("cell", (0, 0))),
                             polygon=np.asarray(rec["polygon"], dtype=float),
                             zone=rec.get("zone", ""))
                  for rec in document["tiles"]]
@@ -326,21 +317,3 @@ def patch_from_json_dict(document: dict, snap_eps: float | None = None
         center=None if center is None else tuple(center),
         snap_eps=snap_eps)
 
-
-@dataclass(frozen=True)
-class AdjacencyInfo:
-    """Adjacency (shared edge) and neighborhood (any shared boundary point),
-    per tile index."""
-    adjacents: tuple[frozenset[int], ...]
-    neighbors: tuple[frozenset[int], ...]
-
-
-def classify_adjacency(patch: Patch) -> AdjacencyInfo:
-    """Adjacent tiles share an edge of positive length; neighbors share at
-    least a point. Adjacent implies neighbor."""
-    return AdjacencyInfo(adjacents=patch.adjacents, neighbors=patch.neighbors)
-
-
-def detect_vertices(patch: Patch) -> tuple[PatchVertex, ...]:
-    """All arrangement vertices with valence and the pseudo-vertex flag."""
-    return patch.vertices

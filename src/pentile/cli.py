@@ -45,15 +45,10 @@ def _round9(obj):
 
 
 def _emit(document, out_path: str | None) -> None:
-    text = json.dumps(_round9(document), sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_text(text: str, out_path: str | None) -> None:
+    """Write to out_path, or to stdout without one. Text goes out as it is;
+    anything else as strict JSON at nine significant digits."""
+    text = document if isinstance(document, str) else json.dumps(
+        _round9(document), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -89,9 +84,7 @@ def _resolve_recipe(args) -> tiling.TilingRecipe:
         return tiling.load_recipe(_load_json_file(args.recipe))
     if getattr(args, "type", None) is None:
         raise ParseError("give a recipe with --recipe FILE or --type ID")
-    pentagon = (_resolve_pentagon(args) if getattr(args, "pentagon", None)
-                else representative(args.type).pentagon)
-    return tiling.builtin_recipe(args.type, pentagon)
+    return tiling.builtin_recipe(args.type, _resolve_pentagon(args))
 
 
 def _resolve_patch(args) -> arrangement.Patch:
@@ -104,16 +97,18 @@ def _resolve_patch(args) -> arrangement.Patch:
     return tiling.generate_patch(recipe, args.r, snap_eps=args.snap_eps)
 
 
+def _equations(eqs) -> list[str]:
+    return [eq.text.replace(" ", "") for eq in eqs]
+
+
 def _spec_json(type_id: int) -> dict:
     spec = get_type_spec(type_id)
     rep = representative(type_id)
     return {
         "id": spec.id,
-        "angle_equations": [eq.text.replace(" ", "")
-                            for eq in spec.angle_eqs],
+        "angle_equations": _equations(spec.angle_eqs),
         "edge_classes": ["=".join(cls) for cls in spec.edge_classes],
-        "edge_equations": [eq.text.replace(" ", "")
-                           for eq in spec.edge_eqs],
+        "edge_equations": _equations(spec.edge_eqs),
         "degrees_of_freedom": spec.dof,
         "representative": {
             "angles_deg": [math.degrees(a) for a in rep.pentagon.angles],
@@ -127,11 +122,9 @@ def cmd_catalog(args) -> int:
     if args.action == "show" and args.id is None:
         raise ParseError("catalog show needs a Type id")
     if args.action == "list":
-        _emit([{"id": tid,
-                "angle_equations": [eq.text.replace(" ", "") for eq in
-                                    get_type_spec(tid).angle_eqs],
-                "degrees_of_freedom": get_type_spec(tid).dof}
-               for tid in TYPE_IDS], args.out)
+        specs = [get_type_spec(tid) for tid in TYPE_IDS]
+        _emit([{"id": spec.id, "angle_equations": _equations(spec.angle_eqs),
+                "degrees_of_freedom": spec.dof} for spec in specs], args.out)
         return 0
     _emit(_spec_json(args.id), args.out)
     return 0
@@ -156,7 +149,7 @@ def cmd_tile(args) -> int:
     document["recipe"] = recipe.to_json_dict()
     _emit(document, args.out)
     if args.svg:
-        _write_text(render.patch_to_svg(patch), args.svg)
+        _emit(render.patch_to_svg(patch), args.svg)
     return 0
 
 
@@ -209,13 +202,13 @@ def cmd_sweep(args) -> int:
 
         buffer = io.StringIO()
         stats.write_sweep_csv(limit, buffer)
-        _write_text(buffer.getvalue(), args.csv)
+        _emit(buffer.getvalue(), args.csv)
     return 0
 
 
 def cmd_render(args) -> int:
     patch = _resolve_patch(args)
-    _write_text(render.patch_to_svg(patch), args.out)
+    _emit(render.patch_to_svg(patch), args.out)
     return 0
 
 

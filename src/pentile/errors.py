@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input check that
+raises one."""
+import math
+
+import numpy as np
 
 
 class PentileError(Exception):
@@ -67,3 +71,10 @@ class EmptyModel(PentileError):
 
 class ParseError(PentileError):
     """Malformed input file or expression."""
+
+
+def require_positive(name: str, value) -> None:
+    """Raise ParseError unless value, a number or a sequence of numbers, is
+    finite and greater than zero throughout."""
+    if not all(math.isfinite(x) and x > 0 for x in np.ravel(value)):
+        raise ParseError(f"{name} must be positive and finite, got {value}")

@@ -214,6 +214,8 @@ def points_in_convex_polygon(pts: np.ndarray, poly: np.ndarray,
 
 
 def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Distance from one point to one segment; the scalar route that tests
+    hold segment_distances to."""
     d = b - a
     dd = float(d @ d)
     if dd < 1e-30:
@@ -233,31 +235,6 @@ def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray
     t = np.clip(np.sum(rel * d, axis=-1) / dd, 0.0, 1.0)
     gap = rel - t[..., None] * d
     return np.hypot(gap[..., 0], gap[..., 1])
-
-
-def collinear_overlap_length(a1, a2, b1, b2, eps: float) -> float:
-    """Length of the common segment of two collinear-ish segments.
-
-    Returns 0 when the segments are not parallel, not on the same carrier
-    line (within eps), or overlap in at most a point.
-    """
-    da = a2 - a1
-    la = math.hypot(*da)
-    db = b2 - b1
-    lb = math.hypot(*db)
-    if la < eps or lb < eps:
-        return 0.0
-    ua = da / la
-    cross = ua[0] * db[1] - ua[1] * db[0]
-    if abs(cross) > eps * max(1.0, lb):
-        return 0.0
-    off = b1 - a1
-    if abs(ua[0] * off[1] - ua[1] * off[0]) > eps:
-        return 0.0
-    t1 = float(off @ ua)
-    t2 = float((b2 - a1) @ ua)
-    lo, hi = max(0.0, min(t1, t2)), min(la, max(t1, t2))
-    return max(0.0, hi - lo)
 
 
 def polygon_distances(point: np.ndarray, polys: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .errors import (
     NonConvexAngles,
     ParseError,
     SingularClosure,
+    require_positive,
 )
 
 CORNERS = "ABCDE"
@@ -268,6 +269,7 @@ class RelationSet:
 def satisfied_relations(pentagon: Pentagon,
                         tol: float = DEFAULT_RELATION_TOL) -> RelationSet:
     """Evaluate all 35 relations against a pentagon's angles."""
+    require_positive("tol", tol)
     hits = tuple(r for r in enumerate_relations() if r.holds(pentagon, tol))
     return RelationSet(hits, tol)
 

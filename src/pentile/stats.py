@@ -9,7 +9,6 @@ the balance identity 1/(avg valence) + 1/(avg adjacents) = 1/2.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -21,6 +20,7 @@ from .errors import (
     EmptyPatch,
     ModeMismatch,
     ParseError,
+    require_positive,
 )
 
 FULL = "full"
@@ -215,8 +215,7 @@ def limit_sweep(recipe, radii: Sequence[float], M=(0.0, 0.0)
     from .tiling import generate_patch, tile_diameter
 
     radii = [float(r) for r in radii]
-    if not all(map(math.isfinite, radii)):
-        raise ParseError(f"radii must be finite, got {radii}")
+    require_positive("radii", radii)
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ParseError("radii must be a strictly increasing list")
     diam = tile_diameter(recipe.pentagon)

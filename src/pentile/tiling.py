@@ -15,7 +15,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ParseError, RecipeInvalid, TypeMismatch, UnknownType
+from .errors import (
+    ParseError,
+    RecipeInvalid,
+    TypeMismatch,
+    UnknownType,
+    require_positive,
+)
 from .geometry import (
     polygon_area,
     polygon_centroid,
@@ -54,10 +60,6 @@ class Isometry:
         return cls.rotation_about(math.pi, center)
 
     @classmethod
-    def translation_by(cls, vector) -> "Isometry":
-        return cls(translation=tuple(np.asarray(vector, dtype=float)))
-
-    @classmethod
     def match_segment(cls, p0, p1, q0, q1, reflect: bool = False) -> "Isometry":
         """The isometry sending segment p0-p1 onto segment q0-q1.
 
@@ -92,17 +94,6 @@ class Isometry:
         return Isometry(rotation=rotation,
                         translation=tuple(self.apply(other.translation)),
                         reflect=self.reflect ^ other.reflect)
-
-    def inverse(self) -> "Isometry":
-        t = np.asarray(self.translation)
-        if self.reflect:
-            rotation = self.rotation
-            m = rot_matrix(rotation) @ np.diag([1.0, -1.0])
-        else:
-            rotation = -self.rotation
-            m = rot_matrix(rotation)
-        return Isometry(rotation=rotation, translation=tuple(-(m @ t)),
-                        reflect=self.reflect)
 
     def to_json_dict(self) -> dict:
         return {"rot_deg": math.degrees(self.rotation),
@@ -176,7 +167,6 @@ def load_recipe(document) -> TilingRecipe:
 
 @dataclass(frozen=True)
 class PlacedTile:
-    iso: Isometry
     cell: tuple[int, int]
     polygon: np.ndarray        # counterclockwise, even for reflected tiles
     zone: str = ""             # F1, F2 or F3 once patch-classified
@@ -328,9 +318,10 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     """
     from .arrangement import Patch
 
-    if not (math.isfinite(r) and r > 0):
-        raise ParseError(f"disk radius must be positive and finite, got {r}")
+    require_positive("disk radius", r)
     center = np.asarray(M, dtype=float)
+    if not np.isfinite(center).all():
+        raise ParseError(f"disk centre must be finite, got {M}")
     diam = tile_diameter(recipe.pentagon)
     eps = 1e-7 * recipe.pentagon.mean_edge()
     reach = r + 4.0 * diam
@@ -360,9 +351,7 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], eps)]
 
     def placed(ids, zone):
-        return [PlacedTile(Isometry.translation_by(shifts[i]).compose(
-                               recipe.region[idx[i]]),
-                           (int(m[i]), int(n[i])), polys[i], zone)
+        return [PlacedTile((int(m[i]), int(n[i])), polys[i], zone)
                 for i in ids]
 
     tiles = (placed(np.nonzero(inner)[0], "F1") + placed(boundary, "F2")

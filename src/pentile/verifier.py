@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInnerRadius
+from .errors import InvalidInnerRadius, require_positive
 from .geometry import (
     convex_overlap_area,
     largest_inscribed_circle,
@@ -62,6 +62,7 @@ def _pairwise_overlap(polys):
 
 def check_no_overlap(patch, tol: float = AREA_TOL) -> CheckReport:
     """No two patch tiles may share interior area beyond tol x tile area."""
+    require_positive("tol", tol)
     polys = [t.polygon for t in patch.tiles]
     areas = [abs(polygon_area(p)) for p in polys]
     ref = min(areas) if areas else 1.0
@@ -117,6 +118,7 @@ def check_coverage(patch, r_inner: float | None = None,
     independent grid sample at a quarter of the tile inradius. An inner
     disk holding less area than one tile fails as vacuous.
     """
+    require_positive("tol", tol)
     if patch.r is None or patch.center is None:
         raise InvalidInnerRadius("patch carries no disk; nothing to cover")
     if not patch.tiles:
@@ -184,6 +186,7 @@ def check_periodicity(recipe, window: int = 3,
     cell area, no two placed tiles overlap, and the central cell
     parallelogram is covered exactly.
     """
+    require_positive("tol", tol)
     window = max(int(window), 3)
     base = recipe.region_polygons()
     u = np.asarray(recipe.u)

@@ -1,4 +1,5 @@
 """End-to-end command-line runs, exit codes, and output formats."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -172,6 +173,21 @@ def test_tile_rejects_non_finite_radius(capsys, radius):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("argv", [
+    "tile --type 4 --r 6 --snap-eps=0",
+    "tile --type 4 --r 6 --snap-eps=nan",
+    "tile --type 4 --r 6 --snap-eps=-1",
+    "tile --type 4 --r 6 --snap-eps=inf",
+    "stats --type 4 --r 6 --snap-eps=0",
+    "theorem1 --type 5 --tol-deg=nan",
+    "verify --type 4 --r 10 --area-tol=nan",
+])
+def test_non_finite_or_non_positive_tolerances_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_verify_fails_a_vacuous_coverage_pass(capsys):
     code, out, _ = run(capsys, "verify", "--type", "4", "--r", "2")
     assert code == 1
@@ -222,3 +238,33 @@ def test_missing_inputs_reported_as_errors(capsys):
                        "--pentagon", str(DATA / "house.json"))
     assert code == 2
     assert "--r" in json.loads(err)["message"]
+
+
+# sha256 of the stdout of fixed commands. A change meant to keep the output
+# leaves these as they are; one that changes it on purpose records new ones.
+GOLDEN_STDOUT = {
+    "tile --type 1 --r 6":
+        "c905bd5e6183700a4276978ffdc976cb6ae35f0d99d401cde8b514b10d2e0eef",
+    "tile --type 2 --r 6":
+        "fa313b6ae88f124886c19e40177eb5774143c48c99fa1c2d02e2c8dbcba801a2",
+    "tile --type 4 --r 6":
+        "e15f0cbd2a6ee253125e457675129a59185f341269a50fa1299524066c704aec",
+    "tile --type 5 --r 6":
+        "44e20c22de6b2b00b7ef27d56a3f81222cc33ea03119c16c680df476a5a302ca",
+    "verify --type 4 --r 10":
+        "f62de3061f5c3d7055022851fbbba845dfddfcae43c628a5fe814e7caba7a5ec",
+    "stats --type 4 --r 10 --mode interior":
+        "6b9fe74f3cff11748eb441887ed425644546ed92f9fa102ae87a5f6d4582fa9d",
+    "sweep --type 4 --radii 10,15,20":
+        "2ff0a23f071bb9803357da0bb729bb540cbe77a9e580868e0d59cba605d83b14",
+    "catalog list":
+        "8585a9e8f96ecc4feba11bb34e020dd0e7d4e6d88cf2c2ee7160f29e5a10de26",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_STDOUT)
+def test_stdout_matches_the_recorded_bytes(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0, command
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_STDOUT[command], f"stdout of {command!r} changed"
