@@ -302,18 +302,28 @@ def _sharing_sets(group, member, member_id):
 def patch_from_json_dict(document: dict, snap_eps: float | None = None
                          ) -> Patch:
     """Rebuild a Patch from its JSON export; the arrangement is recomputed
-    from the polygons."""
+    from the polygons. Raises ParseError unless r is positive, the centre is
+    two finite numbers and every polygon is at least 3 finite points."""
     try:
         tiles = [PlacedTile(cell=tuple(rec.get("cell", (0, 0))),
                             polygon=np.asarray(rec["polygon"], dtype=float),
                             zone=rec.get("zone", ""))
                  for rec in document["tiles"]]
-        r = document.get("r")
-        center = document.get("center")
-    except (KeyError, TypeError, ValueError) as exc:
+        r, center = document.get("r"), document.get("center")
+        r = None if r is None else float(r)
+        center = None if center is None else tuple(float(x) for x in center)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad patch document: {exc}") from None
-    return Patch.from_tiles(
-        tiles, r=None if r is None else float(r),
-        center=None if center is None else tuple(center),
-        snap_eps=snap_eps)
-
+    if r is not None:
+        require_positive("patch radius", r)
+    if center is not None and (len(center) != 2
+                               or not all(map(math.isfinite, center))):
+        raise ParseError(f"patch centre must be two finite numbers, "
+                         f"got {list(center)}")
+    for tile in tiles:
+        poly = tile.polygon
+        if (poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3
+                or not np.isfinite(poly).all()):
+            raise ParseError(f"tile polygon must be at least 3 finite "
+                             f"points, got {poly.tolist()}")
+    return Patch.from_tiles(tiles, r=r, center=center, snap_eps=snap_eps)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import arrangement, render, stats, tiling, verifier
 from .catalog import TYPE_IDS, get_type_spec, representative
-from .errors import ParseError, PentileError
+from .errors import ParseError
 from .pentagon import (
     Pentagon,
     pentagon_from_json_dict,
@@ -72,28 +72,30 @@ def _load_json_file(path: str):
 
 
 def _resolve_pentagon(args) -> Pentagon:
-    if getattr(args, "pentagon", None):
+    if args.pentagon:
         return pentagon_from_json_dict(_load_json_file(args.pentagon))
-    if getattr(args, "type", None) is not None:
+    if args.type is not None:
         return representative(args.type).pentagon
     raise ParseError("give a pentagon with --pentagon FILE or --type ID")
 
 
 def _resolve_recipe(args) -> tiling.TilingRecipe:
-    if getattr(args, "recipe", None):
+    if args.recipe:
         return tiling.load_recipe(_load_json_file(args.recipe))
-    if getattr(args, "type", None) is None:
+    if args.type is None:
         raise ParseError("give a recipe with --recipe FILE or --type ID")
     return tiling.builtin_recipe(args.type, _resolve_pentagon(args))
 
 
-def _resolve_patch(args) -> arrangement.Patch:
+def _resolve_patch(args, recipe=None) -> arrangement.Patch:
+    """The --patch file when given, else a patch generated on the --r disk
+    from `recipe` or the one the flags name."""
     if getattr(args, "patch", None):
         return arrangement.patch_from_json_dict(
             _load_json_file(args.patch), snap_eps=args.snap_eps)
-    recipe = _resolve_recipe(args)
+    recipe = recipe or _resolve_recipe(args)
     if args.r is None:
-        raise ParseError("give --r to generate a patch")
+        raise ParseError("give --r, the patch radius")
     return tiling.generate_patch(recipe, args.r, snap_eps=args.snap_eps)
 
 
@@ -142,9 +144,7 @@ def cmd_theorem1(args) -> int:
 
 def cmd_tile(args) -> int:
     recipe = _resolve_recipe(args)
-    if args.r is None:
-        raise ParseError("give --r, the patch radius")
-    patch = tiling.generate_patch(recipe, args.r, snap_eps=args.snap_eps)
+    patch = _resolve_patch(args, recipe)
     document = patch.to_json_dict()
     document["recipe"] = recipe.to_json_dict()
     _emit(document, args.out)
@@ -154,20 +154,14 @@ def cmd_tile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = []
     if args.patch:
-        patch = _resolve_patch(args)
-        reports.append(verifier.verify_patch(patch, tol=args.area_tol))
+        report = verifier.verify_patch(_resolve_patch(args), tol=args.area_tol)
     else:
         recipe = _resolve_recipe(args)
-        reports.append(verifier.check_periodicity(recipe, tol=args.area_tol))
+        report = verifier.check_periodicity(recipe, tol=args.area_tol)
         if args.r is not None:
-            patch = tiling.generate_patch(recipe, args.r,
-                                          snap_eps=args.snap_eps)
-            reports.append(verifier.verify_patch(patch, tol=args.area_tol))
-    report = reports[0]
-    for extra in reports[1:]:
-        report = report.merge(extra)
+            report = report.merge(verifier.verify_patch(
+                _resolve_patch(args, recipe), tol=args.area_tol))
     _emit(_report_json(report), args.out)
     return 0 if report.ok else 1
 
@@ -220,96 +214,76 @@ def _parse_radii(text: str) -> list[float]:
                          "expected comma-separated numbers") from None
 
 
-def _add_pentagon_args(sub, with_type=True):
-    if with_type:
-        sub.add_argument("--type", type=int, help="catalog Type id")
-    sub.add_argument("--pentagon", help="pentagon JSON file")
+# Flags by the input they give; each command names the groups it reads.
+INPUT_FLAGS = {
+    "pentagon": [("--type", dict(type=int, help="catalog Type id")),
+                 ("--pentagon", dict(help="pentagon JSON file"))],
+    "recipe": [("--recipe", dict(help="tiling recipe JSON file"))],
+    "patch": [("--patch", dict(help="patch JSON file"))],
+    "disk": [("--r", dict(type=float, help="patch disk radius")),
+             ("--snap-eps", dict(type=float,
+                                 help="vertex merge distance override"))],
+}
+
+# name, handler, help, input groups, the command's own flags
+COMMANDS = [
+    ("catalog", cmd_catalog, "list the 15 Types or show one", [],
+     [("action", dict(choices=["list", "show"])),
+      ("id", dict(type=int, nargs="?", help="Type id, required for show"))]),
+    ("theorem1", cmd_theorem1,
+     "which three-angle relations a pentagon satisfies", ["pentagon"],
+     [("--tol-deg", dict(type=float, default=DEFAULT_TOL_DEG))]),
+    ("tile", cmd_tile, "generate a patch as JSON",
+     ["pentagon", "recipe", "disk"], [("--svg", {})]),
+    ("verify", cmd_verify, "check recipe or patch health",
+     ["pentagon", "recipe", "patch", "disk"],
+     [("--area-tol", dict(type=float, default=verifier.AREA_TOL))]),
+    ("stats", cmd_stats, "count vertices, edges, tiles",
+     ["pentagon", "recipe", "patch", "disk"],
+     [("--mode", dict(choices=[stats.FULL, stats.INTERIOR],
+                      default=stats.FULL))]),
+    ("sweep", cmd_sweep, "limit statistics over growing radii",
+     ["pentagon", "recipe"],
+     [("--radii", dict(required=True,
+                       help="comma-separated increasing radii")),
+      ("--csv", {})]),
+    ("render", cmd_render, "patch to SVG",
+     ["pentagon", "recipe", "patch", "disk"], []),
+]
 
 
-def _add_patch_args(sub):
-    sub.add_argument("--recipe", help="tiling recipe JSON file")
-    sub.add_argument("--patch", help="patch JSON file")
-    sub.add_argument("--r", type=float, help="patch disk radius")
-    sub.add_argument("--snap-eps", type=float, default=None,
-                     help="vertex merge distance override")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they leave main like input errors."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pentile",
         description="Convex pentagon tilings: catalog, patches, statistics.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("catalog", help="list the 15 Types or show one")
-    sub.add_argument("action", choices=["list", "show"])
-    sub.add_argument("id", type=int, nargs="?",
-                     help="Type id, required for show")
-    sub.add_argument("--out")
-    sub.set_defaults(func=cmd_catalog)
-
-    sub = commands.add_parser(
-        "theorem1", help="which three-angle relations a pentagon satisfies")
-    _add_pentagon_args(sub)
-    sub.add_argument("--tol-deg", type=float, default=DEFAULT_TOL_DEG)
-    sub.add_argument("--out")
-    sub.set_defaults(func=cmd_theorem1)
-
-    sub = commands.add_parser("tile", help="generate a patch as JSON")
-    _add_pentagon_args(sub)
-    _add_patch_args(sub)
-    sub.add_argument("--out")
-    sub.add_argument("--svg")
-    sub.set_defaults(func=cmd_tile)
-
-    sub = commands.add_parser("verify", help="check recipe or patch health")
-    _add_pentagon_args(sub)
-    _add_patch_args(sub)
-    sub.add_argument("--area-tol", type=float, default=verifier.AREA_TOL)
-    sub.add_argument("--out")
-    sub.set_defaults(func=cmd_verify)
-
-    sub = commands.add_parser("stats", help="count vertices, edges, tiles")
-    _add_pentagon_args(sub)
-    _add_patch_args(sub)
-    sub.add_argument("--mode", choices=[stats.FULL, stats.INTERIOR],
-                     default=stats.FULL)
-    sub.add_argument("--out")
-    sub.set_defaults(func=cmd_stats)
-
-    sub = commands.add_parser(
-        "sweep", help="limit statistics over growing radii")
-    _add_pentagon_args(sub)
-    sub.add_argument("--recipe", help="tiling recipe JSON file")
-    sub.add_argument("--radii", required=True,
-                     help="comma-separated increasing radii")
-    sub.add_argument("--snap-eps", type=float, default=None)
-    sub.add_argument("--out")
-    sub.add_argument("--csv")
-    sub.set_defaults(func=cmd_sweep)
-
-    sub = commands.add_parser("render", help="patch to SVG")
-    _add_pentagon_args(sub)
-    _add_patch_args(sub)
-    sub.add_argument("--out")
-    sub.set_defaults(func=cmd_render)
-
+    for name, func, help_text, groups, own in COMMANDS:
+        sub = commands.add_parser(name, help=help_text)
+        for flag, options in [f for g in groups for f in INPUT_FLAGS[g]] + own:
+            sub.add_argument(flag, **options)
+        sub.add_argument("--out")
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. Every exception, usage errors included, ends in
+    exit 2 with a JSON error on stderr; a failed property is exit 1."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except PentileError as exc:
-        _error_json(exc)
+    except Exception as exc:
+        sys.stderr.write(json.dumps(
+            {"error": type(exc).__name__, "message": str(exc)},
+            sort_keys=True) + "\n")
         return 2
-
-
-def _error_json(exc: Exception) -> None:
-    sys.stderr.write(json.dumps(
-        {"error": type(exc).__name__, "message": str(exc)},
-        sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the input check that
-raises one."""
+"""Exception types shared across the package, and the input checks that
+raise one."""
 import math
 
 import numpy as np
@@ -71,6 +71,13 @@ class EmptyModel(PentileError):
 
 class ParseError(PentileError):
     """Malformed input file or expression."""
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ParseError unless value, a number or a sequence of numbers, is
+    finite throughout."""
+    if not all(math.isfinite(x) for x in np.ravel(value)):
+        raise ParseError(f"{name} must be finite, got {value}")
 
 
 def require_positive(name: str, value) -> None:

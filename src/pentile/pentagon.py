@@ -25,6 +25,7 @@ from .errors import (
     NonConvexAngles,
     ParseError,
     SingularClosure,
+    require_finite,
     require_positive,
 )
 
@@ -98,13 +99,16 @@ class Pentagon:
 def make_pentagon(angles, edges) -> Pentagon:
     """Validate angles/edges and return a Pentagon.
 
-    Raises AngleSumViolation, NonConvexAngles, NegativeLength or
+    Raises ParseError for a count other than five or a non-finite value,
+    then AngleSumViolation, NonConvexAngles, NegativeLength or
     ClosureViolation; the closure budget is 1e-9 of the mean edge.
     """
     ang = tuple(float(a) for a in angles)
     edg = tuple(float(e) for e in edges)
     if len(ang) != 5 or len(edg) != 5:
         raise ParseError("expected 5 angles and 5 edges")
+    require_finite("angles", ang)
+    require_finite("edges", edg)
     if abs(sum(ang) - ANGLE_SUM) > ANGLE_SUM_TOL:
         raise AngleSumViolation(
             f"interior angles sum to {sum(ang):.12f}, need 3*pi")

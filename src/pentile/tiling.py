@@ -20,6 +20,7 @@ from .errors import (
     RecipeInvalid,
     TypeMismatch,
     UnknownType,
+    require_finite,
     require_positive,
 )
 from .geometry import (
@@ -103,8 +104,10 @@ class Isometry:
     @classmethod
     def from_json_dict(cls, record: Mapping) -> "Isometry":
         try:
-            return cls(rotation=math.radians(float(record["rot_deg"])),
-                       translation=(float(record["tx"]), float(record["ty"])),
+            rot_deg, tx, ty = (float(record[k])
+                               for k in ("rot_deg", "tx", "ty"))
+            require_finite("isometry record", (rot_deg, tx, ty))
+            return cls(rotation=math.radians(rot_deg), translation=(tx, ty),
                        reflect=bool(record.get("reflect", False)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad isometry record: {exc}") from None
@@ -118,6 +121,7 @@ class TilingRecipe:
     v: tuple[float, float]
 
     def __post_init__(self):
+        require_finite("lattice vectors", (self.u, self.v))
         cross = self.u[0] * self.v[1] - self.u[1] * self.v[0]
         scale = self.pentagon.mean_edge() ** 2
         if abs(cross) <= LATTICE_TOL * max(scale, 1e-30):
@@ -320,8 +324,7 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
 
     require_positive("disk radius", r)
     center = np.asarray(M, dtype=float)
-    if not np.isfinite(center).all():
-        raise ParseError(f"disk centre must be finite, got {M}")
+    require_finite("disk centre", center)
     diam = tile_diameter(recipe.pentagon)
     eps = 1e-7 * recipe.pentagon.mean_edge()
     reach = r + 4.0 * diam

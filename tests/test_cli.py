@@ -1,10 +1,12 @@
 """End-to-end command-line runs, exit codes, and output formats."""
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from pentile import cli
 from pentile.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -186,6 +188,59 @@ def test_non_finite_or_non_positive_tolerances_rejected(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+# one valid patch document and, by name, the edits that break it
+TRIANGLE_PATCH = {"r": 1.0, "center": [0.0, 0.0],
+                  "tiles": [{"polygon": [[0, 0], [1, 0], [0, 1]]}]}
+BAD_PATCH_EDITS = {
+    "r-text": {"r": "abc"},
+    "r-nan": {"r": math.nan},
+    "centre-1d": {"center": [1.0]},
+    "polygon-nan": {"tiles": [{"polygon": [[math.nan, 0], [1, 0], [0, 1]]}]},
+    "polygon-2pt": {"tiles": [{"polygon": [[0, 0], [1, 0]]}]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    "tile --type 4 --r 5 --patch x.json",
+    "sweep --type 4 --radii 10,20 --snap-eps 1e-7",
+    "tile --type 4 --r abc",
+    "stats --patch r-text", "verify --patch r-text", "render --patch r-text",
+    "stats --patch r-nan", "render --patch r-nan",
+    "verify --patch centre-1d", "render --patch centre-1d",
+    "verify --patch polygon-nan", "verify --patch polygon-2pt",
+])
+def test_bad_flags_and_patch_documents_are_parse_errors(capsys, tmp_path,
+                                                        argv):
+    argv = argv.split()
+    if argv[-1] in BAD_PATCH_EDITS:
+        path = tmp_path / "patch.json"
+        path.write_text(json.dumps({**TRIANGLE_PATCH,
+                                    **BAD_PATCH_EDITS[argv[-1]]}))
+        argv[-1] = str(path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_stray_exception_exits_2_with_json(capsys, monkeypatch):
+    def fail(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_emit", fail)
+    code, out, err = run(capsys, "catalog", "list")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "RuntimeError", "message": "boom"}
+
+
+@pytest.mark.parametrize("command", ["catalog", "theorem1", "tile", "verify",
+                                     "stats", "sweep", "render"])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: pentile {command}")
 
 
 def test_verify_fails_a_vacuous_coverage_pass(capsys):

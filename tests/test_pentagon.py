@@ -216,5 +216,13 @@ class TestJson:
         npt.assert_allclose(q.edges, HOUSE.edges, atol=1e-12)
 
     def test_bad_record(self):
-        with pytest.raises(ParseError):
-            pentagon_from_json_dict({"angles_deg": [1, 2], "edges": []})
+        house = [60, 150, 90, 90, 150]
+        for record in ({"angles_deg": [1, 2], "edges": []},
+                       {"angles_deg": house, "edges": [1, 1, math.nan, 1, 1]},
+                       {"angles_deg": house, "edges": [1, 1, math.inf, 1, 1]},
+                       {"angles_deg": [108, math.nan, 108, 108, 108],
+                        "edges": [1] * 5},
+                       {"angles_deg": [108, -math.inf, 108, 108, 108],
+                        "edges": [1] * 5}):
+            with pytest.raises(ParseError):
+                pentagon_from_json_dict(record)

@@ -88,8 +88,11 @@ def test_isometry_json_round_trip():
 
 
 def test_isometry_bad_record():
-    with pytest.raises(ParseError):
-        Isometry.from_json_dict({"rot_deg": "spin"})
+    for record in ({"rot_deg": "spin"},
+                   {"rot_deg": math.nan, "tx": 0.0, "ty": 0.0},
+                   {"rot_deg": 0.0, "tx": 0.0, "ty": -math.inf}):
+        with pytest.raises(ParseError):
+            Isometry.from_json_dict(record)
 
 
 # --- recipes ----------------------------------------------------------------
@@ -122,6 +125,10 @@ def test_load_recipe_parse_errors():
         load_recipe({"pentagon": {}})
     with pytest.raises(ParseError):
         load_recipe(json.dumps([1, 2, 3]))
+    document = json.loads((DATA / "type5_recipe.json").read_text())
+    document["lattice"][0][0] = math.nan
+    with pytest.raises(ParseError):
+        load_recipe(document)
 
 
 def test_hand_encoded_type5_recipe_file():
