@@ -2,7 +2,13 @@
 
 Merges near-coincident tile corners into shared vertices, splits tile sides
 at the vertices lying on them, and records incidence: which tiles meet at
-each vertex, which tiles border each edge, who is adjacent to whom.
+each vertex, which tiles border each edge, which tiles share an edge.
+
+A Patch keeps the arrangement as arrays: vertex rows (vertex_xy, pseudo,
+complete), edge rows (edge_vertices) and each incidence relation as a Csr of
+ascending id rows, except corner_vertices, which keeps polygon order.
+Statistics count on the arrays; the vertices and edges records are built on
+first access.
 
 The work runs on one flat array of all tile corners, with per-tile offsets so
 polygons of different corner counts can mix; corner i opens side i. Corners
@@ -10,50 +16,68 @@ within eps of each other, chains included, are the connected components of a
 cKDTree pair search, numbered by first corner occurrence. One neighbour query
 around the side midpoints finds the vertices lying inside sides. The stops
 along every side are ordered with one lexsort, and edges, their owners and
-all incidence sets come from sorted unique (key, value) rows. Only the final
-Patch fields are built as Python objects.
+every incidence row come from sorted unique (key, value) rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_array
 from scipy.spatial import cKDTree
 
 from .errors import ParseError, require_positive
-from .geometry import segment_distances
+from .geometry import interior_angles, segment_distances
 from .tiling import PlacedTile
 
 SNAP_FACTOR = 1e-7           # vertex merge radius, relative to mean edge
 COMPLETE_ANGLE_TOL = 1e-6    # rad; full 360-degree surround test
 
 
-@dataclass(frozen=True)
-class PatchVertex:
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Compressed rows of ids: row i is indices[indptr[i]:indptr[i + 1]]."""
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def rows(self) -> list[tuple[int, ...]]:
+        bounds, ids = self.indptr.tolist(), self.indices.tolist()
+        return [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _csr(rows, ids, n_rows: int) -> Csr:
+    """Rows 0..n_rows-1 from (row, id) pairs sorted by row."""
+    return Csr(np.searchsorted(rows, np.arange(n_rows + 1)), ids)
+
+
+class PatchVertex(NamedTuple):
     xy: tuple[float, float]
-    tiles: frozenset[int]
+    tiles: tuple[int, ...]
     valence: int          # number of incident tiles
     pseudo: bool          # lies inside some incident tile's side
     complete: bool        # incident angles close up to a full turn
 
 
-@dataclass(frozen=True)
-class PatchEdge:
+class PatchEdge(NamedTuple):
     vertices: tuple[int, int]
-    tiles: frozenset[int]
+    tiles: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Patch:
     tiles: tuple[PlacedTile, ...]
-    vertices: tuple[PatchVertex, ...]
-    edges: tuple[PatchEdge, ...]
-    corner_vertices: tuple[tuple[int, ...], ...]
-    tile_vertices: tuple[frozenset[int], ...]
-    adjacents: tuple[frozenset[int], ...]
-    neighbors: tuple[frozenset[int], ...]
+    vertex_xy: np.ndarray        # (V, 2)
+    pseudo: np.ndarray           # (V,) lies inside some incident tile's side
+    complete: np.ndarray         # (V,) incident angles close up to a full turn
+    edge_vertices: np.ndarray    # (E, 2) vertex ids, lower first
+    corner_vertices: Csr         # tile -> corner vertex ids, polygon order
+    tile_vertices: Csr           # tile -> vertices on its boundary
+    tile_adjacents: Csr          # tile -> tiles sharing an edge with it
+    vertex_tiles: Csr            # vertex -> incident tiles
+    edge_tiles: Csr              # edge -> tiles it borders
     r: float | None = None
     center: tuple[float, float] | None = None
 
@@ -63,23 +87,39 @@ class Patch:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_xy)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_vertices)
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + self.tile_count
 
-    def interior_tile_ids(self) -> tuple[int, ...]:
+    def interior_tile_ids(self) -> np.ndarray:
         """Tiles whose whole boundary is surrounded by patch tiles."""
-        return tuple(t for t in range(len(self.tiles))
-                     if all(self.vertices[v].complete
-                            for v in self.tile_vertices[t]))
+        tv = self.tile_vertices    # no row is empty: a tile has corners
+        return np.flatnonzero(np.logical_and.reduceat(
+            self.complete[tv.indices], tv.indptr[:-1]))
 
-    def complete_vertex_ids(self) -> tuple[int, ...]:
-        return tuple(v for v, rec in enumerate(self.vertices) if rec.complete)
+    def tile_neighbors(self) -> Csr:
+        """Tiles sharing at least one vertex with each tile; built on
+        request from vertex_tiles."""
+        return _sharing(self.vertex_tiles, self.tile_count)
+
+    @cached_property
+    def vertices(self) -> tuple[PatchVertex, ...]:
+        """One record per vertex, built on first access."""
+        tiles = self.vertex_tiles.rows()
+        return tuple(map(PatchVertex, map(tuple, self.vertex_xy.tolist()),
+                         tiles, map(len, tiles), self.pseudo.tolist(),
+                         self.complete.tolist()))
+
+    @cached_property
+    def edges(self) -> tuple[PatchEdge, ...]:
+        """One record per edge, built on first access."""
+        return tuple(map(PatchEdge, map(tuple, self.edge_vertices.tolist()),
+                         self.edge_tiles.rows()))
 
     @classmethod
     def from_polygons(cls, polygons: Iterable, r: float | None = None,
@@ -97,9 +137,10 @@ class Patch:
         tiles = tuple(tiles)
         center = tuple(center) if center is not None else None
         if not tiles:
-            return cls(tiles=(), vertices=(), edges=(), corner_vertices=(),
-                       tile_vertices=(), adjacents=(), neighbors=(),
-                       r=r, center=center)
+            none = np.zeros(0, dtype=np.intp)
+            flags, rows = none.astype(bool), _csr(none, none, 0)
+            return cls((), np.zeros((0, 2)), flags, flags,
+                       none.reshape(0, 2), *[rows] * 5, r=r, center=center)
 
         # all corners in one flat array; corner i opens side i, which runs
         # to corner nxt[i] of the same tile
@@ -131,20 +172,10 @@ class Patch:
         pseudo = np.zeros(n_vertices, dtype=bool)
         pseudo[split_vid] = True
         complete = np.abs(angle_sum - 2 * math.pi) <= COMPLETE_ANGLE_TOL
-
-        # one Python int per id, shared by every field that names it; a
-        # fresh int per mention grows a patch's memory by about a quarter
-        tile_id = np.arange(len(tiles)).astype(object)
-        vertex_id = np.arange(n_vertices).astype(object)
         inc_vid, inc_tile = _unique_rows(
             np.concatenate([corner_vid, split_vid]),
             np.concatenate([owner, split_tile]))
-        tile_sets = _grouped_sets(inc_vid, tile_id[inc_tile], n_vertices)
-        vertices = tuple(
-            PatchVertex(xy=(x, y), tiles=ts, valence=len(ts), pseudo=ps,
-                        complete=cp)
-            for (x, y), ts, ps, cp in zip(vertex_xy.tolist(), tile_sets,
-                                          pseudo.tolist(), complete.tolist()))
+        tile_vid, vid_tile = _unique_rows(inc_tile, inc_vid)
 
         # each side's stops in order: its start corner, the vertices inside
         # it by parameter, its end corner; consecutive stops bound an edge
@@ -164,25 +195,16 @@ class Patch:
         new_edge = np.concatenate([[True], (edge_lo[1:] != edge_lo[:-1])
                                    | (edge_hi[1:] != edge_hi[:-1])])
         edge_id = np.cumsum(new_edge) - 1
-        edges = tuple(
-            PatchEdge(vertices=(lo, hi), tiles=owners)
-            for lo, hi, owners in zip(
-                vertex_id[edge_lo[new_edge]].tolist(),
-                vertex_id[edge_hi[new_edge]].tolist(),
-                _grouped_sets(edge_id, tile_id[edge_tile],
-                              int(new_edge.sum()))))
+        edge_tiles = _csr(edge_id, edge_tile, int(new_edge.sum()))
 
-        tile_vid, vid_tile = _unique_rows(inc_tile, inc_vid)
-        bounds = offsets.tolist()
-        vids = vertex_id[corner_vid].tolist()
-        return cls(tiles=tiles, vertices=vertices, edges=edges,
-                   corner_vertices=tuple(tuple(vids[a:b]) for a, b
-                                         in zip(bounds, bounds[1:])),
-                   tile_vertices=_grouped_sets(tile_vid, vertex_id[vid_tile],
-                                               len(tiles)),
-                   adjacents=_sharing_sets(edge_id, edge_tile, tile_id),
-                   neighbors=_sharing_sets(inc_vid, inc_tile, tile_id),
-                   r=r, center=center)
+        return cls(tiles=tiles, vertex_xy=vertex_xy, pseudo=pseudo,
+                   complete=complete,
+                   edge_vertices=np.column_stack([edge_lo, edge_hi])[new_edge],
+                   corner_vertices=Csr(offsets, corner_vid),
+                   tile_vertices=_csr(tile_vid, vid_tile, len(tiles)),
+                   tile_adjacents=_sharing(edge_tiles, len(tiles)),
+                   vertex_tiles=_csr(inc_vid, inc_tile, n_vertices),
+                   edge_tiles=edge_tiles, r=r, center=center)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,8 +217,8 @@ class Patch:
             "vertices": [{"xy": [v.xy[0], v.xy[1]], "valence": v.valence,
                           "pseudo": v.pseudo, "complete": v.complete}
                          for v in self.vertices],
-            "edges": [{"vertices": list(e.vertices),
-                       "tiles": sorted(e.tiles)} for e in self.edges],
+            "edges": [{"vertices": list(e.vertices), "tiles": list(e.tiles)}
+                      for e in self.edges],
         }
 
 
@@ -206,7 +228,6 @@ def _snap_corners(points, eps):
     Returns each corner's vertex id, numbered by first corner occurrence,
     and each vertex's position, the mean of its corners.
     """
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = len(points)
@@ -272,38 +293,23 @@ def _unique_rows(*columns):
     return tuple(c[fresh] for c in columns)
 
 
-def _grouped_sets(keys, values, n):
-    """One frozenset of values per key 0..n-1; keys must be sorted and
-    values is an object array of the same length."""
-    bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
-    values = values.tolist()
-    # copied from a set, a frozenset gets a table sized to its members; one
-    # filled from a list keeps the room a growing set would have
-    return tuple(frozenset(set(values[a:b]))
-                 for a, b in zip(bounds, bounds[1:]))
-
-
-def _sharing_sets(group, member, member_id):
-    """For each member, the other members sharing a group with it, as
-    member_id objects; rows (group, member) must be sorted by group."""
-    starts = np.flatnonzero(np.concatenate([[True], group[1:] != group[:-1]]))
-    sizes = np.diff(np.concatenate([starts, [len(group)]]))
-    # pair every row with every row of its group
-    reps = np.repeat(sizes, sizes)
-    left = np.repeat(np.arange(len(group)), reps)
-    right = (np.repeat(np.repeat(starts, sizes), reps) + np.arange(len(left))
-             - np.repeat(np.cumsum(reps) - reps, reps))
-    a, b = member[left], member[right]
-    keep = a != b
-    a, b = _unique_rows(a[keep], b[keep])
-    return _grouped_sets(a, member_id[b], len(member_id))
+def _sharing(rows: Csr, n: int) -> Csr:
+    """For each id 0..n-1, the other ids sharing some row of rows with it."""
+    incidence = csr_array((np.ones(len(rows.indices)), rows.indices,
+                           rows.indptr), shape=(len(rows.indptr) - 1, n))
+    shared = (incidence.T @ incidence).tocsr()
+    shared.setdiag(0)
+    shared.eliminate_zeros()
+    shared.sort_indices()
+    return Csr(shared.indptr, shared.indices)
 
 
 def patch_from_json_dict(document: dict, snap_eps: float | None = None
                          ) -> Patch:
     """Rebuild a Patch from its JSON export; the arrangement is recomputed
     from the polygons. Raises ParseError unless r is positive, the centre is
-    two finite numbers and every polygon is at least 3 finite points."""
+    two finite numbers and every polygon is at least 3 finite points that
+    turn strictly counter-clockwise at every corner, once around."""
     try:
         tiles = [PlacedTile(cell=tuple(rec.get("cell", (0, 0))),
                             polygon=np.asarray(rec["polygon"], dtype=float),
@@ -323,7 +329,16 @@ def patch_from_json_dict(document: dict, snap_eps: float | None = None
     for tile in tiles:
         poly = tile.polygon
         if (poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3
-                or not np.isfinite(poly).all()):
+                or not np.isfinite(poly).all() or not _convex_ccw(poly)):
             raise ParseError(f"tile polygon must be at least 3 finite "
-                             f"points, got {poly.tolist()}")
+                             f"points in convex counter-clockwise order, "
+                             f"got {poly.tolist()}")
     return Patch.from_tiles(tiles, r=r, center=center, snap_eps=snap_eps)
+
+
+def _convex_ccw(poly) -> bool:
+    """Every interior angle in (0, pi) and the corners wind once around,
+    as the arrangement's angles and the verifier's clipping assume."""
+    angles = interior_angles(poly)
+    return bool((angles > 0).all() and (angles < math.pi).all()
+                and angles.sum() > (len(poly) - 3) * math.pi)

@@ -123,6 +123,8 @@ def _spec_json(type_id: int) -> dict:
 def cmd_catalog(args) -> int:
     if args.action == "show" and args.id is None:
         raise ParseError("catalog show needs a Type id")
+    if args.action == "list" and args.id is not None:
+        raise ParseError("catalog list takes no Type id")
     if args.action == "list":
         specs = [get_type_spec(tid) for tid in TYPE_IDS]
         _emit([{"id": spec.id, "angle_equations": _equations(spec.angle_eqs),

@@ -49,31 +49,24 @@ def compute_stats(patch, mode: str = FULL) -> PatchStats:
     v - e + t = 1. interior mode keeps only tiles and vertices whose whole
     surroundings lie inside the patch, and edges between such vertices.
     """
+    tile_h = np.diff(patch.tile_adjacents.indptr)
+    vertex_j = np.diff(patch.vertex_tiles.indptr)
     if mode == FULL:
-        tile_ids = range(len(patch.tiles))
-        vertex_ids = range(len(patch.vertices))
-        edge_count = len(patch.edges)
+        edge_count = patch.edge_count
     elif mode == INTERIOR:
-        tile_ids = patch.interior_tile_ids()
-        vertex_ids = patch.complete_vertex_ids()
-        keep = set(vertex_ids)
-        edge_count = sum(1 for edge in patch.edges
-                         if edge.vertices[0] in keep
-                         and edge.vertices[1] in keep)
+        tile_h = tile_h[patch.interior_tile_ids()]
+        vertex_j = vertex_j[patch.complete]
+        edge_count = int(patch.complete[patch.edge_vertices].all(axis=1).sum())
     else:
         raise ModeMismatch(f"unknown counting mode {mode!r}")
-
-    t_h: dict[int, int] = {}
-    for t in tile_ids:
-        h = len(patch.adjacents[t])
-        t_h[h] = t_h.get(h, 0) + 1
-    v_j: dict[int, int] = {}
-    for vid in vertex_ids:
-        j = patch.vertices[vid].valence
-        v_j[j] = v_j.get(j, 0) + 1
-    return PatchStats(v=len(list(vertex_ids)), e=edge_count,
-                      t=len(list(tile_ids)), t_h=t_h, v_j=v_j,
+    return PatchStats(v=len(vertex_j), e=edge_count, t=len(tile_h),
+                      t_h=_histogram(tile_h), v_j=_histogram(vertex_j),
                       r=patch.r, mode=mode)
+
+
+def _histogram(values) -> dict[int, int]:
+    """How many times each value occurs, for the values that do."""
+    return {k: n for k, n in enumerate(np.bincount(values).tolist()) if n}
 
 
 def euler_residual(stats: PatchStats) -> int:

@@ -102,7 +102,7 @@ def _grid_cover_check(polys, region_mask, lo, hi, pitch, eps):
             continue
         covered[sub] = points_in_convex_polygon(pts[sub], poly, eps=eps)
     missed = int((~covered).sum())
-    example = tuple(pts[~covered][0]) if missed else None
+    example = tuple(pts[~covered][0].tolist()) if missed else None
     return len(pts), missed, example
 
 

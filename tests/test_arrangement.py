@@ -8,6 +8,7 @@ import pytest
 import pentile
 from pentile.arrangement import SNAP_FACTOR, Patch
 from pentile.geometry import interior_angles, point_segment_distance
+from pentile.stats import FULL, INTERIOR, PatchStats, compute_stats
 from pentile.tiling import builtin_recipe, generate_patch
 
 DATA = Path(__file__).parent / "data"
@@ -20,7 +21,7 @@ def square(x, y, size=1.0):
 
 def reference_arrangement(polys, eps):
     """Corner by corner and side by side: the arrangement from_tiles must
-    reproduce, field for field."""
+    reproduce, relation for relation, each row in ascending order."""
     points = np.concatenate(polys)
     close = np.linalg.norm(points[:, None] - points[None], axis=-1) <= eps
     parent = list(range(len(points)))
@@ -71,34 +72,58 @@ def reference_arrangement(polys, eps):
             stops = [va] + [v for _, v in inside] + [vb]
             for v1, v2 in zip(stops, stops[1:]):
                 edge_tiles.setdefault((min(v1, v2), max(v1, v2)), set()).add(t)
-    tile_vertices = [frozenset(v for v in range(len(members))
-                               if t in tiles_at[v]) for t in range(len(polys))]
+    tile_vertices = [{v for v in range(len(members)) if t in tiles_at[v]}
+                     for t in range(len(polys))]
     return {
-        "vertices": [(xy[v], frozenset(tiles_at[v]), pseudo[v],
+        "vertices": [(xy[v], tuple(sorted(tiles_at[v])), pseudo[v],
                       abs(angle_sum[v] - 2 * math.pi) <= 1e-6)
                      for v in range(len(members))],
-        "edges": [(key, frozenset(owners))
+        "edges": [(key, tuple(sorted(owners)))
                   for key, owners in sorted(edge_tiles.items())],
         "corner_vertices": [tuple(c) for c in corner_vertices],
-        "tile_vertices": tile_vertices,
-        "adjacents": [frozenset(o for key, owners in edge_tiles.items()
-                                if t in owners for o in owners) - {t}
+        "tile_vertices": [tuple(sorted(vs)) for vs in tile_vertices],
+        "adjacents": [tuple(sorted({o for owners in edge_tiles.values()
+                                    if t in owners for o in owners} - {t}))
                       for t in range(len(polys))],
-        "neighbors": [frozenset(o for v in tile_vertices[t]
-                                for o in tiles_at[v]) - {t}
+        "neighbors": [tuple(sorted({o for v in tile_vertices[t]
+                                    for o in tiles_at[v]} - {t}))
                       for t in range(len(polys))],
     }
 
 
+def reference_stats(ref, mode, r):
+    """compute_stats counted off the loop reference."""
+    vertices = range(len(ref["vertices"]))
+    tiles = range(len(ref["adjacents"]))
+    edges = ref["edges"]
+    if mode == INTERIOR:
+        vertices = {v for v in vertices if ref["vertices"][v][3]}
+        tiles = [t for t in tiles if vertices >= set(ref["tile_vertices"][t])]
+        edges = [e for e in edges if vertices >= set(e[0])]
+    t_h, v_j = {}, {}
+    for t in tiles:
+        h = len(ref["adjacents"][t])
+        t_h[h] = t_h.get(h, 0) + 1
+    for v in vertices:
+        j = len(ref["vertices"][v][1])
+        v_j[j] = v_j.get(j, 0) + 1
+    return PatchStats(v=len(vertices), e=len(edges), t=len(tiles), t_h=t_h,
+                      v_j=v_j, r=r, mode=mode)
+
+
 def patch_fields(patch):
+    """Every relation of the patch, read off its arrays."""
     return {
-        "vertices": [(v.xy, v.tiles, v.pseudo, v.complete)
-                     for v in patch.vertices],
-        "edges": [(e.vertices, e.tiles) for e in patch.edges],
-        "corner_vertices": list(patch.corner_vertices),
-        "tile_vertices": list(patch.tile_vertices),
-        "adjacents": list(patch.adjacents),
-        "neighbors": list(patch.neighbors),
+        "vertices": [(tuple(xy), tiles, pseudo, complete)
+                     for xy, tiles, pseudo, complete in zip(
+                         patch.vertex_xy.tolist(), patch.vertex_tiles.rows(),
+                         patch.pseudo.tolist(), patch.complete.tolist())],
+        "edges": [(tuple(ends), tiles) for ends, tiles in zip(
+            patch.edge_vertices.tolist(), patch.edge_tiles.rows())],
+        "corner_vertices": patch.corner_vertices.rows(),
+        "tile_vertices": patch.tile_vertices.rows(),
+        "adjacents": patch.tile_adjacents.rows(),
+        "neighbors": patch.tile_neighbors().rows(),
     }
 
 
@@ -111,8 +136,14 @@ def test_generated_patch_matches_loop_reference(type_id, center):
     polys = [t.polygon for t in patch.tiles]
     eps = SNAP_FACTOR * float(np.mean(np.concatenate(
         [np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1) for p in polys])))
-    assert patch_fields(patch) == reference_arrangement(polys, eps)
+    ref = reference_arrangement(polys, eps)
+    assert patch_fields(patch) == ref
+    assert [(v.xy, v.tiles, v.pseudo, v.complete)
+            for v in patch.vertices] == ref["vertices"]
+    assert [(e.vertices, e.tiles) for e in patch.edges] == ref["edges"]
     assert all(v.valence == len(v.tiles) for v in patch.vertices)
+    for mode in (FULL, INTERIOR):
+        assert compute_stats(patch, mode) == reference_stats(ref, mode, 5.0)
 
 
 def test_chained_corners_merge_into_one_vertex_at_their_mean():
@@ -127,22 +158,22 @@ def test_chained_corners_merge_into_one_vertex_at_their_mean():
                for a in (0.0, math.pi / 3)]
         triangles.append(np.vstack([tip, far]))
     patch = Patch.from_polygons(triangles, snap_eps=eps)
-    assert [c[0] for c in patch.corner_vertices] == [0, 0, 0]
+    assert [row[0] for row in patch.corner_vertices.rows()] == [0, 0, 0]
     assert patch.vertex_count == 1 + 2 * 3
     assert patch.vertices[0].xy == pytest.approx(tuple(np.mean(tips, axis=0)),
                                                  abs=1e-15)
-    assert patch.vertices[0].tiles == {0, 1, 2}
+    assert patch.vertices[0].tiles == (0, 1, 2)
 
 
 def test_mixed_squares_and_pentagons():
     pentagon = np.array([(1, 0), (2, 0), (2, 1), (1.5, 1.5), (1, 1)],
                         dtype=float)
     patch = Patch.from_polygons([square(0, 0), pentagon])
-    assert [len(c) for c in patch.corner_vertices] == [4, 5]
+    assert [len(c) for c in patch.corner_vertices.rows()] == [4, 5]
     assert (patch.vertex_count, patch.edge_count) == (7, 8)
     assert patch.euler_characteristic() == 1
-    assert patch.adjacents == (frozenset({1}), frozenset({0}))
-    shared = [e for e in patch.edges if e.tiles == {0, 1}]
+    assert patch.tile_adjacents.rows() == [(1,), (0,)]
+    shared = [e for e in patch.edges if e.tiles == (0, 1)]
     assert [e.vertices for e in shared] == [(1, 2)]
 
 
@@ -159,22 +190,32 @@ def test_side_with_two_inner_vertices_splits_in_parameter_order():
               and all(patch.vertices[v].xy[1] == 0.0 for v in e.vertices)}
     assert bottom == {tuple(sorted(pair)) for pair in zip(stops, stops[1:])}
     assert patch.vertices[stops[1]].pseudo and patch.vertices[stops[2]].pseudo
-    assert patch.adjacents[0] == {1, 2, 3}
-    assert {stops[1], stops[2]} <= patch.tile_vertices[0]
+    assert patch.tile_adjacents.rows()[0] == (1, 2, 3)
+    assert {stops[1], stops[2]} <= set(patch.tile_vertices.rows()[0])
 
 
 def test_no_polygons_make_an_empty_patch():
     patch = Patch.from_polygons([])
     assert (patch.tile_count, patch.vertex_count, patch.edge_count) == (0, 0, 0)
-    assert patch.corner_vertices == patch.tile_vertices == ()
-    assert patch.adjacents == patch.neighbors == ()
+    for rows in (patch.corner_vertices, patch.tile_vertices,
+                 patch.tile_adjacents, patch.tile_neighbors(),
+                 patch.vertex_tiles, patch.edge_tiles):
+        assert rows.rows() == []
+    assert (patch.vertices, patch.edges) == ((), ())
+    assert len(patch.interior_tile_ids()) == 0
 
 
 def test_vertex_ids_follow_first_corner_occurrence():
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)
     patch = generate_patch(recipe, 6.0)
-    assert patch.corner_vertices[0] == (0, 1, 2, 3, 4)
+    assert patch.corner_vertices.rows()[0] == (0, 1, 2, 3, 4)
     order = []
-    for vids in patch.corner_vertices:
+    for vids in patch.corner_vertices.rows():
         order += [v for v in vids if v not in order]
     assert order == list(range(patch.vertex_count))
+
+
+def test_tile_duplicated_in_place_crowds_its_shared_edge():
+    patch = Patch.from_polygons([square(0, 0), square(0, 0), square(1, 0)])
+    crowded = [e for e in patch.edges if len(e.tiles) == 3]
+    assert [e.tiles for e in crowded] == [(0, 1, 2)]

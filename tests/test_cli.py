@@ -199,6 +199,13 @@ BAD_PATCH_EDITS = {
     "centre-1d": {"center": [1.0]},
     "polygon-nan": {"tiles": [{"polygon": [[math.nan, 0], [1, 0], [0, 1]]}]},
     "polygon-2pt": {"tiles": [{"polygon": [[0, 0], [1, 0]]}]},
+    "polygon-cw": {"tiles": [{"polygon": [[0, 0], [0, 1], [1, 0]]}]},
+    "polygon-nonconvex": {"tiles": [{"polygon": [
+        [0, 0], [2, 0], [2, 2], [1, 1], [0, 2]]}]},
+    # a pentagram: every corner turns left, but it winds twice around
+    "polygon-star": {"tiles": [{"polygon": [
+        [0, 1], [-0.588, -0.809], [0.951, 0.309], [-0.951, 0.309],
+        [0.588, -0.809]]}]},
 }
 
 
@@ -210,6 +217,12 @@ BAD_PATCH_EDITS = {
     "stats --patch r-nan", "render --patch r-nan",
     "verify --patch centre-1d", "render --patch centre-1d",
     "verify --patch polygon-nan", "verify --patch polygon-2pt",
+    "stats --patch polygon-cw", "verify --patch polygon-cw",
+    "render --patch polygon-cw",
+    "stats --patch polygon-nonconvex", "verify --patch polygon-nonconvex",
+    "render --patch polygon-nonconvex",
+    "stats --patch polygon-star",
+    "catalog list 99",
 ])
 def test_bad_flags_and_patch_documents_are_parse_errors(capsys, tmp_path,
                                                         argv):
@@ -310,6 +323,12 @@ GOLDEN_STDOUT = {
         "f62de3061f5c3d7055022851fbbba845dfddfcae43c628a5fe814e7caba7a5ec",
     "stats --type 4 --r 10 --mode interior":
         "6b9fe74f3cff11748eb441887ed425644546ed92f9fa102ae87a5f6d4582fa9d",
+    "stats --type 4 --r 10":
+        "a65510e9cd1e9a033012ab40011c0c845e5cd7bc8920a0d4dc19c5cc9ef06dad",
+    "stats --type 5 --r 12 --mode interior":
+        "595e40180d657e0bb098513fd2162606c0d772d1d318c159a7a95faa9761772a",
+    "render --type 4 --r 6":
+        "be7205b33436dda568616975e5c65b115a7db5b85e587a41ce0f729b30bd2ea6",
     "sweep --type 4 --radii 10,15,20":
         "2ff0a23f071bb9803357da0bb729bb540cbe77a9e580868e0d59cba605d83b14",
     "catalog list":

@@ -282,10 +282,12 @@ def brick_wall_fixture() -> Patch:
 
 def test_brick_wall_adjacents_and_neighbors():
     patch = brick_wall_fixture()
-    assert patch.adjacents[0] == {1, 2, 3, 4, 5}
-    assert patch.neighbors[0] == {1, 2, 3, 4, 5, 6, 7}
+    adjacents = patch.tile_adjacents.rows()
+    neighbors = patch.tile_neighbors().rows()
+    assert adjacents[0] == (1, 2, 3, 4, 5)
+    assert neighbors[0] == (1, 2, 3, 4, 5, 6, 7)
     for t in range(patch.tile_count):
-        assert patch.adjacents[t] <= patch.neighbors[t]
+        assert set(adjacents[t]) <= set(neighbors[t])
 
 
 def test_brick_wall_vertex_valences_and_pseudo_flags():
@@ -305,22 +307,22 @@ def test_two_pentagons_sharing_a_side_are_adjacent():
     p = house()
     mirrored = p.vertices * np.array([1.0, -1.0])
     patch = Patch.from_polygons([p.vertices, mirrored[::-1]])
-    assert patch.adjacents[0] == {1}
-    assert patch.neighbors[0] == {1}
+    assert patch.tile_adjacents.rows()[0] == (1,)
+    assert patch.tile_neighbors().rows()[0] == (1,)
 
 
 def test_corner_contact_is_neighbor_not_adjacent():
     square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
     other = square + np.array([1.0, 1.0])
     patch = Patch.from_polygons([square, other])
-    assert patch.adjacents[0] == frozenset()
-    assert patch.neighbors[0] == {1}
+    assert patch.tile_adjacents.rows()[0] == ()
+    assert patch.tile_neighbors().rows()[0] == (1,)
 
 
 def test_type4_patch_is_edge_to_edge():
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)
     patch = generate_patch(recipe, 8.0)
-    complete = [patch.vertices[i] for i in patch.complete_vertex_ids()]
+    complete = [v for v in patch.vertices if v.complete]
     assert complete
     assert not any(v.pseudo for v in complete)
     assert all(v.valence >= 3 for v in complete)
@@ -329,7 +331,7 @@ def test_type4_patch_is_edge_to_edge():
 def test_type1_house_tiling_is_all_three_valent_with_pseudo_vertices():
     recipe = builtin_recipe(1, house())
     patch = generate_patch(recipe, 10.0)
-    complete = [patch.vertices[i] for i in patch.complete_vertex_ids()]
+    complete = [v for v in patch.vertices if v.complete]
     assert complete
     assert all(v.valence == 3 for v in complete)
     assert any(v.pseudo for v in complete)

@@ -78,6 +78,8 @@ def test_missing_interior_tile_fails_coverage(t4_patch):
     broken = Patch.from_tiles(tiles, r=t4_patch.r, center=t4_patch.center)
     report = check_coverage(broken)
     assert not report.ok
+    assert "uncovered, first at (" in report.violations[-1]
+    assert not any("np.float64" in v for v in report.violations)
 
 
 def test_inner_radius_beyond_patch_rejected(t4_patch):
