@@ -1,10 +1,12 @@
 """Low-level planar geometry helpers: areas, clipping, enclosing/inscribed circles.
 
 Everything works on (n, 2) float arrays of polygon vertices in counterclockwise
-order unless stated otherwise.
+order unless stated otherwise, and on numpy alone: the inscribed circle is in
+closed form, not a linear program.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -179,24 +181,22 @@ def smallest_enclosing_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def largest_inscribed_circle(poly: np.ndarray) -> tuple[np.ndarray, float]:
-    """Chebyshev center of a convex ccw polygon via a tiny linear program."""
-    from scipy.optimize import linprog
-
-    n = len(poly)
-    a_ub = np.zeros((n, 3))
-    b_ub = np.zeros(n)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        d = q - p
-        nrm = np.array([d[1], -d[0]]) / math.hypot(*d)  # outward for ccw
-        a_ub[i, :2] = nrm
-        a_ub[i, 2] = 1.0
-        b_ub[i] = nrm @ p
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None), (None, None), (0, None)], method="highs")
-    if not res.success:
-        raise RuntimeError("inscribed-circle LP failed: " + res.message)
-    return res.x[:2], float(res.x[2])
+    """Chebyshev center and radius of a strictly convex ccw polygon: of the
+    circles tangent to three side lines, the center deepest inside, with its
+    distance to the nearest side as radius (the optimum touches three sides;
+    Boyd & Vandenberghe, Convex Optimization, 2004, sec. 8.5.1). With
+    parallel sides the center is not unique; the radius is."""
+    d = np.roll(poly, -1, axis=0) - poly
+    length = np.hypot(d[:, 0], d[:, 1])[:, None]
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / length  # outward, ccw
+    offsets = np.sum(normals * poly, axis=1)
+    # each triple's center and radius solve n . x + r = n . p on its sides
+    triples = np.array(list(itertools.combinations(range(len(poly)), 3)))
+    lhs = np.dstack([normals[triples], np.ones(triples.shape)])
+    centers = np.linalg.solve(lhs, offsets[triples][..., None])[:, :2, 0]
+    depth = (offsets - centers @ normals.T).min(axis=1)
+    best = int(np.argmax(depth))
+    return centers[best], float(depth[best])
 
 
 def points_in_convex_polygon(pts: np.ndarray, poly: np.ndarray,

@@ -198,9 +198,8 @@ def _fit_limit(radii, values) -> float:
     return float(coef[0])
 
 
-def limit_sweep(recipe, radii: Sequence[float], M=(0.0, 0.0)
-                ) -> LimitEstimate:
-    """Generate patches at each radius and extrapolate interior ratios.
+def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
+    """Sweep origin-centered patches over radii; extrapolate interior ratios.
 
     Radii must increase and start above twice the tile diameter so every
     patch has an interior to count.
@@ -219,7 +218,7 @@ def limit_sweep(recipe, radii: Sequence[float], M=(0.0, 0.0)
 
     stats = []
     for r in radii:
-        patch = generate_patch(recipe, r, M)
+        patch = generate_patch(recipe, r)
         stats.append(compute_stats(patch, mode=INTERIOR))
 
     v_per_t = tuple(s.v / s.t for s in stats)

@@ -25,6 +25,7 @@ from .geometry import (
 
 AREA_TOL = 1e-9          # relative to a tile / disk / cell area
 SAMPLE_DIVISOR = 4.0     # grid pitch = tile inradius / SAMPLE_DIVISOR
+WINDOW = (-1, 0, 1)      # lattice offsets of the 3x3 periodicity window
 
 
 @dataclass
@@ -33,6 +34,9 @@ class CheckReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.ok = bool(self.ok)  # numpy comparisons give numpy.bool_
 
     def merge(self, other: "CheckReport") -> "CheckReport":
         return CheckReport(name=f"{self.name}+{other.name}",
@@ -45,14 +49,15 @@ def _pairwise_overlap(polys):
     """Worst pairwise overlap area among convex polygons, with its pair."""
     if len(polys) < 2:
         return 0.0, None
-    centroids = np.array([polygon_centroid(p) for p in polys])
+    # any center gives a true bounding circle; the corner mean is cheapest
+    centers = np.array([p.mean(axis=0) for p in polys])
     radii = np.array([np.linalg.norm(p - c, axis=1).max()
-                      for p, c in zip(polys, centroids)])
-    tree = cKDTree(centroids)
+                      for p, c in zip(polys, centers)])
+    tree = cKDTree(centers)
     worst, worst_pair = 0.0, None
     r_max = radii.max()
     for i, j in tree.query_pairs(2.0 * r_max):
-        if np.linalg.norm(centroids[i] - centroids[j]) > radii[i] + radii[j]:
+        if np.linalg.norm(centers[i] - centers[j]) > radii[i] + radii[j]:
             continue
         a = convex_overlap_area(polys[i], polys[j])
         if a > worst:
@@ -91,7 +96,7 @@ def _grid_cover_check(polys, region_mask, lo, hi, pitch, eps):
         return 0, 0, None
     tree = cKDTree(pts)
     for poly in polys:
-        c = polygon_centroid(poly)
+        c = poly.mean(axis=0)
         rad = np.linalg.norm(poly - c, axis=1).max()
         idx = tree.query_ball_point(c, rad + pitch)
         if not idx:
@@ -178,16 +183,14 @@ def check_coverage(patch, r_inner: float | None = None,
                  "sample_points": tested, "sample_misses": missed})
 
 
-def check_periodicity(recipe, window: int = 3,
-                      tol: float = AREA_TOL) -> CheckReport:
+def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
     """A recipe tiles the plane iff the region tiles one lattice cell.
 
-    Checks, on a window x window block of cells: the region area equals the
-    cell area, no two placed tiles overlap, and the central cell
-    parallelogram is covered exactly.
+    Checks, on a 3x3 block of cells: the region area equals the cell area,
+    no two placed tiles overlap, and the central cell parallelogram is
+    covered exactly.
     """
     require_positive("tol", tol)
-    window = max(int(window), 3)
     base = recipe.region_polygons()
     u = np.asarray(recipe.u)
     v = np.asarray(recipe.v)
@@ -195,12 +198,10 @@ def check_periodicity(recipe, window: int = 3,
     region_area = sum(abs(polygon_area(p)) for p in base)
     ok_area = abs(region_area - cell_area) <= tol * cell_area
 
-    half = window // 2
-    polys = [p + m * u + n * v
-             for m in range(-half, window - half)
-             for n in range(-half, window - half)
-             for p in base]
-    tile_area = min(abs(polygon_area(p)) for p in base)
+    polys = [p + m * u + n * v for m in WINDOW for n in WINDOW for p in base]
+    # region tiles are congruent copies of the pentagon; measure it once
+    tile = recipe.pentagon.vertices
+    tile_area = abs(polygon_area(tile))
     worst, pair = _pairwise_overlap(polys)
     ok_overlap = worst <= tol * tile_area
 
@@ -214,7 +215,7 @@ def check_periodicity(recipe, window: int = 3,
     clipped = sum(convex_overlap_area(p, cell) for p in polys)
     ok_cell = abs(clipped - cell_area) <= tol * cell_area
 
-    inradius = min(largest_inscribed_circle(p)[1] for p in base)
+    inradius = largest_inscribed_circle(tile)[1]
     pitch = inradius / SAMPLE_DIVISOR
     eps = 1e-9 * math.sqrt(cell_area)
     lo = cell.min(axis=0)

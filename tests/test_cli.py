@@ -2,6 +2,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -342,3 +345,19 @@ def test_stdout_matches_the_recorded_bytes(capsys, command):
     assert code == 0, command
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN_STDOUT[command], f"stdout of {command!r} changed"
+
+
+def test_verify_runs_without_scipy_optimize():
+    """The verifier measures tiles in closed form; a fresh interpreter that
+    runs a whole verify must never load scipy's optimizers."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "from pentile.cli import main\n"
+              "code = main(['verify', '--type', '4', '--r', '10'])\n"
+              "assert code == 0, code\n"
+              "assert 'scipy.optimize' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ import pytest
 import pentile
 from pentile.arrangement import Patch
 from pentile.errors import InvalidInnerRadius
+from pentile.geometry import largest_inscribed_circle
 from pentile.tiling import PlacedTile, builtin_recipe, generate_patch
 from pentile.verifier import (
     CheckReport,
@@ -78,6 +79,7 @@ def test_missing_interior_tile_fails_coverage(t4_patch):
     broken = Patch.from_tiles(tiles, r=t4_patch.r, center=t4_patch.center)
     report = check_coverage(broken)
     assert not report.ok
+    assert type(report.ok) is bool
     assert "uncovered, first at (" in report.violations[-1]
     assert not any("np.float64" in v for v in report.violations)
 
@@ -124,6 +126,7 @@ def test_stretched_lattice_fails_periodicity():
         recipe, u=(recipe.u[0] * 1.01, recipe.u[1] * 1.01))
     report = check_periodicity(stretched)
     assert not report.ok
+    assert type(report.ok) is bool
     assert report.violations
 
 
@@ -143,6 +146,9 @@ def test_regular_pentagon_circumradius():
     witness = normality_witness(regular)
     assert witness.circumradius == pytest.approx(
         1.0 / (2.0 * math.sin(math.pi / 5.0)), abs=1e-9)
+    # every triple of sides is tangent to the incircle here
+    assert witness.inradius == pytest.approx(
+        1.0 / (2.0 * math.tan(math.radians(36.0))), rel=1e-12)
     assert 0 < witness.inradius < witness.circumradius
 
 
@@ -172,6 +178,49 @@ def test_house_inradius_matches_brute_force_search():
                 best = max(best, rim)
     assert witness.inradius == pytest.approx(best, abs=5e-3)
     assert witness.inradius == pytest.approx(0.5, abs=1e-9)
+
+
+def test_square_and_equilateral_triangle_inradii():
+    square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+    assert largest_inscribed_circle(square)[1] == pytest.approx(0.5, rel=1e-12)
+    side = 3.0
+    triangle = side * np.array([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
+    assert largest_inscribed_circle(triangle)[1] == pytest.approx(
+        side / (2.0 * math.sqrt(3.0)), rel=1e-12)
+
+
+def linprog_inscribed_circle(poly):
+    """Independent reference: the Chebyshev center as a linear program,
+    maximize r subject to n . x + r <= n . p on every side."""
+    from scipy.optimize import linprog
+
+    n = len(poly)
+    a_ub = np.zeros((n, 3))
+    b_ub = np.zeros(n)
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        d = q - p
+        nrm = np.array([d[1], -d[0]]) / math.hypot(*d)  # outward for ccw
+        a_ub[i, :2] = nrm
+        a_ub[i, 2] = 1.0
+        b_ub[i] = nrm @ p
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None), (None, None), (0, None)], method="highs")
+    assert res.success, res.message
+    return res.x[:2], float(res.x[2])
+
+
+@pytest.mark.parametrize("type_id", range(1, 16))
+def test_closed_form_inradius_matches_linear_program(type_id):
+    poly = pentile.representative(type_id).pentagon.vertices
+    center, radius = largest_inscribed_circle(poly)
+    assert radius == pytest.approx(linprog_inscribed_circle(poly)[1],
+                                   rel=1e-12)
+    # the center lies inside, radius away from its nearest side line
+    d = np.roll(poly, -1, axis=0) - poly
+    depth = (d[:, 0] * (center[1] - poly[:, 1])
+             - d[:, 1] * (center[0] - poly[:, 0])) / np.hypot(d[:, 0], d[:, 1])
+    assert depth.min() == pytest.approx(radius, rel=1e-12)
 
 
 def test_witness_rigid_motion_invariance():
