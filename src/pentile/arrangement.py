@@ -35,6 +35,9 @@ from .tiling import PlacedTile
 
 SNAP_FACTOR = 1e-7           # vertex merge radius, relative to mean edge
 COMPLETE_ANGLE_TOL = 1e-6    # rad; full 360-degree surround test
+# largest magnitude of a patch document's coordinates, centre and radius:
+# the enclosing circle multiplies three coordinates, and stays finite
+COORD_LIMIT = 1e100
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +311,9 @@ def patch_from_json_dict(document: dict, snap_eps: float | None = None
                          ) -> Patch:
     """Rebuild a Patch from its JSON export; the arrangement is recomputed
     from the polygons. Raises ParseError unless r is positive, the centre is
-    two finite numbers and every polygon is at least 3 finite points that
-    turn strictly counter-clockwise at every corner, once around."""
+    two numbers and every polygon is at least 3 points that turn strictly
+    counter-clockwise at every corner, once around; every number is finite
+    and at most COORD_LIMIT in magnitude."""
     try:
         tiles = [PlacedTile(cell=tuple(rec.get("cell", (0, 0))),
                             polygon=np.asarray(rec["polygon"], dtype=float),
@@ -320,19 +324,23 @@ def patch_from_json_dict(document: dict, snap_eps: float | None = None
         center = None if center is None else tuple(float(x) for x in center)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad patch document: {exc}") from None
-    if r is not None:
-        require_positive("patch radius", r)
-    if center is not None and (len(center) != 2
-                               or not all(map(math.isfinite, center))):
-        raise ParseError(f"patch centre must be two finite numbers, "
+    if r is not None and not 0 < r <= COORD_LIMIT:
+        raise ParseError(f"patch radius must be in (0, {COORD_LIMIT:g}], "
+                         f"got {r}")
+    if center is not None and (len(center) != 2 or not (
+            np.abs(center) <= COORD_LIMIT).all()):
+        raise ParseError(f"patch centre must be two numbers in "
+                         f"[-{COORD_LIMIT:g}, {COORD_LIMIT:g}], "
                          f"got {list(center)}")
     for tile in tiles:
         poly = tile.polygon
         if (poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3
-                or not np.isfinite(poly).all() or not _convex_ccw(poly)):
-            raise ParseError(f"tile polygon must be at least 3 finite "
-                             f"points in convex counter-clockwise order, "
-                             f"got {poly.tolist()}")
+                or not (np.abs(poly) <= COORD_LIMIT).all()
+                or not _convex_ccw(poly)):
+            raise ParseError(f"tile polygon must be at least 3 points "
+                             f"with coordinates in [-{COORD_LIMIT:g}, "
+                             f"{COORD_LIMIT:g}], in convex counter-clockwise "
+                             f"order, got {poly.tolist()}")
     return Patch.from_tiles(tiles, r=r, center=center, snap_eps=snap_eps)
 
 

@@ -3,6 +3,14 @@
 Everything works on (n, 2) float arrays of polygon vertices in counterclockwise
 order unless stated otherwise, and on numpy alone: the inscribed circle is in
 closed form, not a linear program.
+
+The verifier's many-polygon work runs on stacks: stack_polygons puts N
+polygons of any corner counts in one (N, K, 2) array, and polygon_areas,
+convex_overlap_areas, polygon_disk_overlap_areas and points_in_convex_polygon
+take such stacks. Each gives, bit for bit, what its one-polygon loop gives:
+the same elementwise float operations in the same order, and sums added in
+the order np.sum or a left-to-right loop adds them. The verifier's reported
+rounding noise stays the same to the last digit.
 """
 from __future__ import annotations
 
@@ -48,43 +56,82 @@ def interior_angles(poly: np.ndarray) -> np.ndarray:
     return math.pi - turn
 
 
-def convex_clip(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against a convex ccw polygon.
+def stack_polygons(polys) -> tuple[np.ndarray, np.ndarray]:
+    """Polygons as one (N, K, 2) array and their (N,) corner counts. Each is
+    padded to K corners by repeating its last corner: the zero-length sides
+    this adds clip nothing, exclude no point and move no bounding circle."""
+    counts = np.array([len(p) for p in polys], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    corner = np.minimum(np.arange(counts.max(initial=0)), counts[:, None] - 1)
+    flat = np.concatenate([np.zeros((0, 2)), *polys])
+    return flat[starts[:, None] + corner], counts
 
-    Returns the clipped polygon as an (m, 2) array; m == 0 when empty.
+
+def _following(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """values[:, k + 1] beside each column k, wrapping at each row's count."""
+    k = np.arange(values.shape[1])
+    nxt = np.where(k + 1 < counts[:, None], k + 1, 0)
+    return np.take_along_axis(values, nxt, axis=1)
+
+
+def polygon_areas(stacked: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """polygon_area of each stacked polygon, bit for bit: the shoelace terms
+    of a c-corner polygon are added by np.sum over c-long rows, so in its
+    order (sequential below 8 terms, 8 accumulators from 8 up). Rows of
+    fewer than 3 corners have area 0."""
+    x, y = stacked[..., 0], stacked[..., 1]
+    terms = x * _following(y, counts) - _following(x, counts) * y
+    sums = np.zeros(len(counts))
+    for c in np.unique(counts[counts >= 3]):
+        rows = counts == c
+        sums[rows] = np.sum(terms[rows, :c], axis=1)
+    return 0.5 * sums
+
+
+def convex_overlap_areas(subjects: np.ndarray, counts: np.ndarray,
+                         clips: np.ndarray) -> np.ndarray:
+    """Area of each subject polygon clipped to the convex ccw polygon in the
+    same row of clips, both stacked as by stack_polygons.
+
+    Sutherland & Hodgman's clip (CACM 1974) on every row at once: each clip
+    side keeps, per row, the corners on its inner side and the crossings
+    into or out of it, in corner order. Every row sees the float operations
+    of a one-pair clip loop in the same order, so its area is bit for bit
+    that loop's.
     """
-    out = [tuple(p) for p in subject]
-    n = len(clip)
-    for i in range(n):
-        if not out:
-            break
-        a = clip[i]
-        b = clip[(i + 1) % n]
-        ex, ey = b[0] - a[0], b[1] - a[1]
+    pts, n = subjects, counts
+    width = clips.shape[1]
+    for i in range(width):
+        a = clips[:, i]
+        ex = (clips[:, (i + 1) % width, 0] - a[:, 0])[:, None]
+        ey = (clips[:, (i + 1) % width, 1] - a[:, 1])[:, None]
+        ax, ay = a[:, 0, None], a[:, 1, None]
+        x, y = pts[..., 0], pts[..., 1]
+        k = np.arange(x.shape[1])
+        live = k < n[:, None]
+        inside = ex * (y - ay) - ey * (x - ax) >= 0.0
+        prev = np.where(k == 0, n[:, None] - 1, k - 1)
+        px = np.take_along_axis(x, prev, axis=1)
+        py = np.take_along_axis(y, prev, axis=1)
+        dx, dy = x - px, y - py
+        denom = ex * dy - ey * dx
+        cut = (live & (inside != np.take_along_axis(inside, prev, axis=1))
+               & (np.abs(denom) > 1e-30))
+        keep = live & inside
+        # a crossing goes just before its corner, in the corner's place
+        emitted = cut.astype(np.intp) + keep
+        slot = np.cumsum(emitted, axis=1) - emitted
+        n = emitted.sum(axis=1)
+        out = np.zeros((len(pts), n.max(initial=0), 2))
+        r, c = np.nonzero(cut)
+        t = ((ex[r, 0] * (ay[r, 0] - py[r, c])
+              - ey[r, 0] * (ax[r, 0] - px[r, c])) / denom[r, c])
+        out[r, slot[r, c], 0] = px[r, c] + t * dx[r, c]
+        out[r, slot[r, c], 1] = py[r, c] + t * dy[r, c]
+        r, c = np.nonzero(keep)
+        out[r, slot[r, c] + cut[r, c]] = pts[r, c]
         pts = out
-        out = []
-        prev = pts[-1]
-        prev_in = ex * (prev[1] - a[1]) - ey * (prev[0] - a[0]) >= 0.0
-        for cur in pts:
-            cur_in = ex * (cur[1] - a[1]) - ey * (cur[0] - a[0]) >= 0.0
-            if cur_in != prev_in:
-                # line-segment intersection with the clip edge's carrier line
-                dx, dy = cur[0] - prev[0], cur[1] - prev[1]
-                denom = ex * dy - ey * dx
-                if abs(denom) > 1e-30:
-                    t = (ex * (a[1] - prev[1]) - ey * (a[0] - prev[0])) / denom
-                    out.append((prev[0] + t * dx, prev[1] + t * dy))
-            if cur_in:
-                out.append(cur)
-            prev, prev_in = cur, cur_in
-    return np.array(out).reshape(-1, 2)
-
-
-def convex_overlap_area(p: np.ndarray, q: np.ndarray) -> float:
-    clipped = convex_clip(p, q)
-    if len(clipped) < 3:
-        return 0.0
-    return abs(polygon_area(clipped))
+    return np.abs(polygon_areas(pts, n))
 
 
 def _disk_segment_term(a: np.ndarray, b: np.ndarray, r: float) -> float:
@@ -131,6 +178,28 @@ def polygon_disk_overlap_area(poly: np.ndarray, center: np.ndarray, r: float) ->
     n = len(rel)
     for i in range(n):
         total += _disk_segment_term(rel[i], rel[(i + 1) % n], r)
+    return total
+
+
+def polygon_disk_overlap_areas(stacked: np.ndarray, counts: np.ndarray,
+                               center: np.ndarray, r: float) -> np.ndarray:
+    """polygon_disk_overlap_area of each stacked polygon, bit for bit.
+
+    A polygon with every corner inside the disk has only whole triangle
+    terms; those are added on the stack, corner by corner. The rest go
+    through the scalar segment terms. np.hypot may round a corner's distance
+    differently from math.hypot, so "inside" keeps a relative margin that
+    no rounding crosses.
+    """
+    rel = stacked - np.asarray(center, dtype=float)
+    x, y = rel[..., 0], rel[..., 1]
+    inside = np.all(np.hypot(x, y) <= r * (1.0 - 1e-12), axis=1)
+    half = 0.5 * (x * _following(y, counts) - y * _following(x, counts))
+    total = np.zeros(len(stacked))
+    for k in range(stacked.shape[1]):
+        total = np.where(k < counts, total + half[:, k], total)
+    for i in np.flatnonzero(~inside):
+        total[i] = polygon_disk_overlap_area(stacked[i, :counts[i]], center, r)
     return total
 
 
@@ -201,15 +270,18 @@ def largest_inscribed_circle(poly: np.ndarray) -> tuple[np.ndarray, float]:
 
 def points_in_convex_polygon(pts: np.ndarray, poly: np.ndarray,
                              eps: float = 0.0) -> np.ndarray:
-    """Mask of points inside a convex ccw polygon, boundary band eps wide."""
+    """Mask of points inside a convex ccw polygon, boundary band eps wide.
+    Broadcasts: points (..., 2) against polygons (..., n, 2), as stacked by
+    stack_polygons."""
     pts = np.asarray(pts, dtype=float)
-    inside = np.ones(len(pts), dtype=bool)
-    n = len(poly)
+    px, py = pts[..., 0], pts[..., 1]
+    inside = True
+    n = poly.shape[-2]
     for k in range(n):
-        a = poly[k]
-        d = poly[(k + 1) % n] - a
-        cross = d[0] * (pts[:, 1] - a[1]) - d[1] * (pts[:, 0] - a[0])
-        inside &= cross >= -eps * np.hypot(d[0], d[1])
+        a = poly[..., k, :]
+        d = poly[..., (k + 1) % n, :] - a
+        cross = d[..., 0] * (py - a[..., 1]) - d[..., 1] * (px - a[..., 0])
+        inside = inside & (cross >= -eps * np.hypot(d[..., 0], d[..., 1]))
     return inside
 
 

@@ -6,6 +6,7 @@ in one route cannot silently pass the other.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -14,18 +15,21 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidInnerRadius, require_positive
 from .geometry import (
-    convex_overlap_area,
+    convex_overlap_areas,
     largest_inscribed_circle,
     points_in_convex_polygon,
     polygon_area,
+    polygon_areas,
     polygon_centroid,
-    polygon_disk_overlap_area,
+    polygon_disk_overlap_areas,
     smallest_enclosing_circle,
+    stack_polygons,
 )
 
 AREA_TOL = 1e-9          # relative to a tile / disk / cell area
 SAMPLE_DIVISOR = 4.0     # grid pitch = tile inradius / SAMPLE_DIVISOR
 WINDOW = (-1, 0, 1)      # lattice offsets of the 3x3 periodicity window
+CHUNK = 1024             # rows per stacked pass, to bound its scratch memory
 
 
 @dataclass
@@ -45,33 +49,50 @@ class CheckReport:
                            metrics={**self.metrics, **other.metrics})
 
 
-def _pairwise_overlap(polys):
-    """Worst pairwise overlap area among convex polygons, with its pair."""
-    if len(polys) < 2:
+def _bounding_circles(stacked, counts):
+    """A bounding circle per stacked polygon: any center gives one, and the
+    corner mean is cheapest."""
+    centers = np.empty((len(stacked), 2))
+    for c in np.unique(counts):
+        rows = counts == c
+        centers[rows] = stacked[rows, :c].mean(axis=1)
+    radii = np.linalg.norm(stacked - centers[:, None], axis=2).max(axis=1)
+    return centers, radii
+
+
+def _pairwise_overlap(stacked, counts):
+    """Worst pairwise overlap area among stacked convex polygons, with its
+    pair: the first maximum over the cKDTree pairs in their set's iteration
+    order, among the pairs whose bounding circles meet."""
+    if len(stacked) < 2:
         return 0.0, None
-    # any center gives a true bounding circle; the corner mean is cheapest
-    centers = np.array([p.mean(axis=0) for p in polys])
-    radii = np.array([np.linalg.norm(p - c, axis=1).max()
-                      for p, c in zip(polys, centers)])
-    tree = cKDTree(centers)
-    worst, worst_pair = 0.0, None
-    r_max = radii.max()
-    for i, j in tree.query_pairs(2.0 * r_max):
-        if np.linalg.norm(centers[i] - centers[j]) > radii[i] + radii[j]:
-            continue
-        a = convex_overlap_area(polys[i], polys[j])
-        if a > worst:
-            worst, worst_pair = a, (i, j)
-    return worst, worst_pair
+    centers, radii = _bounding_circles(stacked, counts)
+    pairs = cKDTree(centers).query_pairs(2.0 * radii.max())
+    i, j = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    gap = (centers[i] - centers[j])[:, None]
+    # np.linalg.norm's own dot product, which may round otherwise than
+    # x * x + y * y; touching circles are common in periodic tilings
+    dist = np.sqrt(np.matmul(gap, gap.transpose(0, 2, 1))[:, 0, 0])
+    meet = ~(dist > radii[i] + radii[j])
+    i, j = i[meet], j[meet]
+    areas = np.zeros(len(i))
+    for start in range(0, len(i), CHUNK):
+        a, b = i[start:start + CHUNK], j[start:start + CHUNK]
+        areas[start:start + CHUNK] = convex_overlap_areas(
+            stacked[a], counts[a], stacked[b])
+    k = int(np.argmax(areas)) if len(areas) else 0
+    if not len(areas) or not areas[k] > 0.0:
+        return 0.0, None
+    return float(areas[k]), (int(i[k]), int(j[k]))
 
 
 def check_no_overlap(patch, tol: float = AREA_TOL) -> CheckReport:
     """No two patch tiles may share interior area beyond tol x tile area."""
     require_positive("tol", tol)
-    polys = [t.polygon for t in patch.tiles]
-    areas = [abs(polygon_area(p)) for p in polys]
-    ref = min(areas) if areas else 1.0
-    worst, pair = _pairwise_overlap(polys)
+    stacked, counts = stack_polygons([t.polygon for t in patch.tiles])
+    areas = np.abs(polygon_areas(stacked, counts))
+    ref = float(areas.min()) if len(areas) else 1.0
+    worst, pair = _pairwise_overlap(stacked, counts)
     ok = worst <= tol * ref
     violations = []
     if not ok:
@@ -83,29 +104,37 @@ def check_no_overlap(patch, tol: float = AREA_TOL) -> CheckReport:
                                 "max_overlap_fraction": worst / ref})
 
 
-def _grid_cover_check(polys, region_mask, lo, hi, pitch, eps):
+def _grid_cover_check(stacked, counts, region_mask, lo, hi, pitch, eps):
     """Sampling route: every grid point passing region_mask must lie in a
-    tile. Returns (#tested, #missed, an example miss or None)."""
+    tile. Returns (#tested, #missed, an example miss or None).
+
+    A point is tested against the tile of its nearest center first; only
+    the points that tile leaves out are tested against every tile whose
+    bounding circle, widened by the pitch, reaches them. Either way a point
+    counts as covered when some tile holds it."""
     xs = np.arange(lo[0], hi[0] + pitch, pitch)
     ys = np.arange(lo[1], hi[1] + pitch, pitch)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     pts = pts[region_mask(pts)]
-    covered = np.zeros(len(pts), dtype=bool)
     if len(pts) == 0:
         return 0, 0, None
-    tree = cKDTree(pts)
-    for poly in polys:
-        c = poly.mean(axis=0)
-        rad = np.linalg.norm(poly - c, axis=1).max()
-        idx = tree.query_ball_point(c, rad + pitch)
-        if not idx:
-            continue
-        idx = np.asarray(idx)
-        sub = idx[~covered[idx]]
-        if len(sub) == 0:
-            continue
-        covered[sub] = points_in_convex_polygon(pts[sub], poly, eps=eps)
+    centers, radii = _bounding_circles(stacked, counts)
+    tree = cKDTree(centers)
+    covered = np.zeros(len(pts), dtype=bool)
+    for start in range(0, len(pts), CHUNK):
+        part = pts[start:start + CHUNK]
+        nearest = tree.query(part)[1]
+        covered[start:start + CHUNK] = points_in_convex_polygon(
+            part, stacked[nearest], eps=eps)
+    rest = np.flatnonzero(~covered)
+    for start in range(0, len(rest), CHUNK):
+        ids = rest[start:start + CHUNK]
+        reach = tree.query_ball_point(pts[ids], radii.max() + pitch)
+        point = np.repeat(ids, [len(tiles) for tiles in reach])
+        tile = np.fromiter(itertools.chain.from_iterable(reach),
+                           dtype=np.intp, count=len(point))
+        hit = points_in_convex_polygon(pts[point], stacked[tile], eps=eps)
+        covered[point[hit]] = True
     missed = int((~covered).sum())
     example = tuple(pts[~covered][0].tolist()) if missed else None
     return len(pts), missed, example
@@ -129,8 +158,9 @@ def check_coverage(patch, r_inner: float | None = None,
     if not patch.tiles:
         raise InvalidInnerRadius("patch holds no tiles; nothing covers")
     polys = [t.polygon for t in patch.tiles]
-    diam = max(float(np.linalg.norm(p[:, None] - p[None], axis=-1).max())
-               for p in polys)
+    stacked, counts = stack_polygons(polys)
+    diam = float(np.linalg.norm(stacked[:, :, None] - stacked[:, None],
+                                axis=-1).max())
     # patch tiles are congruent; one circumradius bounds them all
     circumradius = smallest_enclosing_circle(polys[0])[1]
     if r_inner is None:
@@ -143,8 +173,8 @@ def check_coverage(patch, r_inner: float | None = None,
     disk_area = math.pi * r_inner ** 2
     tile_area = abs(polygon_area(polys[0]))
 
-    covered_area = sum(polygon_disk_overlap_area(p, center, r_inner)
-                       for p in polys)
+    covered_area = sum(polygon_disk_overlap_areas(stacked, counts, center,
+                                                  r_inner))
     gap = disk_area - covered_area
     ok_area = abs(gap) <= tol * disk_area
 
@@ -157,7 +187,8 @@ def check_coverage(patch, r_inner: float | None = None,
         return np.linalg.norm(pts - center, axis=1) <= r_inner - eps
 
     tested, missed, example = _grid_cover_check(
-        polys, in_disk, center - r_inner, center + r_inner, pitch, eps)
+        stacked, counts, in_disk, center - r_inner, center + r_inner, pitch,
+        eps)
     ok_grid = missed == 0
 
     # an inner disk smaller than one tile tests next to nothing
@@ -198,11 +229,12 @@ def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
     region_area = sum(abs(polygon_area(p)) for p in base)
     ok_area = abs(region_area - cell_area) <= tol * cell_area
 
-    polys = [p + m * u + n * v for m in WINDOW for n in WINDOW for p in base]
+    stacked, counts = stack_polygons(
+        [p + m * u + n * v for m in WINDOW for n in WINDOW for p in base])
     # region tiles are congruent copies of the pentagon; measure it once
     tile = recipe.pentagon.vertices
     tile_area = abs(polygon_area(tile))
-    worst, pair = _pairwise_overlap(polys)
+    worst, pair = _pairwise_overlap(stacked, counts)
     ok_overlap = worst <= tol * tile_area
 
     # probe cell centered on the region itself; any lattice translate of
@@ -212,7 +244,8 @@ def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
     cell = np.array([p0, p0 + u, p0 + u + v, p0 + v])
     if polygon_area(cell) < 0:
         cell = cell[::-1]
-    clipped = sum(convex_overlap_area(p, cell) for p in polys)
+    clipped = sum(convex_overlap_areas(
+        stacked, counts, np.broadcast_to(cell, (len(stacked), 4, 2))).tolist())
     ok_cell = abs(clipped - cell_area) <= tol * cell_area
 
     inradius = largest_inscribed_circle(tile)[1]
@@ -225,7 +258,7 @@ def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
         return points_in_convex_polygon(pts, cell, eps=-eps)
 
     tested, missed, example = _grid_cover_check(
-        polys, in_cell, lo, hi, pitch, eps)
+        stacked, counts, in_cell, lo, hi, pitch, eps)
     ok_grid = missed == 0
 
     violations = []

@@ -209,6 +209,10 @@ BAD_PATCH_EDITS = {
     "polygon-star": {"tiles": [{"polygon": [
         [0, 1], [-0.588, -0.809], [0.951, 0.309], [-0.951, 0.309],
         [0.588, -0.809]]}]},
+    # finite, but squares and products of these overflow
+    "polygon-huge": {"tiles": [{"polygon": [[0, 0], [1e160, 0], [0, 1e160]]}]},
+    "centre-huge": {"center": [1e160, 0.0]},
+    "r-huge": {"r": 1e160},
 }
 
 
@@ -225,6 +229,8 @@ BAD_PATCH_EDITS = {
     "stats --patch polygon-nonconvex", "verify --patch polygon-nonconvex",
     "render --patch polygon-nonconvex",
     "stats --patch polygon-star",
+    "verify --patch polygon-huge", "stats --patch polygon-huge",
+    "verify --patch centre-huge", "verify --patch r-huge",
     "catalog list 99",
 ])
 def test_bad_flags_and_patch_documents_are_parse_errors(capsys, tmp_path,
@@ -238,6 +244,22 @@ def test_bad_flags_and_patch_documents_are_parse_errors(capsys, tmp_path,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_huge_coordinates_leave_one_json_line_on_stderr(tmp_path):
+    """Rejected before any numpy warning can reach stderr."""
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps({**TRIANGLE_PATCH,
+                                **BAD_PATCH_EDITS["polygon-huge"]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pentile.cli", "verify", "--patch", str(path)],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "ParseError"
 
 
 def test_stray_exception_exits_2_with_json(capsys, monkeypatch):

@@ -1,18 +1,33 @@
 """Overlap, coverage, periodicity, and normality witness checks."""
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import pentile
 from pentile.arrangement import Patch
 from pentile.errors import InvalidInnerRadius
-from pentile.geometry import largest_inscribed_circle
+from pentile.geometry import (
+    convex_overlap_areas,
+    largest_inscribed_circle,
+    points_in_convex_polygon,
+    polygon_area,
+    polygon_areas,
+    polygon_disk_overlap_area,
+    polygon_disk_overlap_areas,
+    stack_polygons,
+)
 from pentile.tiling import PlacedTile, builtin_recipe, generate_patch
 from pentile.verifier import (
     CheckReport,
+    _grid_cover_check,
+    _pairwise_overlap,
     check_coverage,
     check_no_overlap,
     check_periodicity,
@@ -58,6 +73,146 @@ def test_shared_edge_is_not_an_overlap():
     assert check_no_overlap(patch).ok
 
 
+def convex_clip(subject, clip):
+    """Independent reference: Sutherland-Hodgman clip of one polygon against
+    one convex ccw polygon, corner by corner; (m, 2), m == 0 when empty."""
+    out = [tuple(p) for p in subject]
+    n = len(clip)
+    for i in range(n):
+        if not out:
+            break
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        pts = out
+        out = []
+        prev = pts[-1]
+        prev_in = ex * (prev[1] - a[1]) - ey * (prev[0] - a[0]) >= 0.0
+        for cur in pts:
+            cur_in = ex * (cur[1] - a[1]) - ey * (cur[0] - a[0]) >= 0.0
+            if cur_in != prev_in:
+                dx, dy = cur[0] - prev[0], cur[1] - prev[1]
+                denom = ex * dy - ey * dx
+                if abs(denom) > 1e-30:
+                    t = (ex * (a[1] - prev[1]) - ey * (a[0] - prev[0])) / denom
+                    out.append((prev[0] + t * dx, prev[1] + t * dy))
+            if cur_in:
+                out.append(cur)
+            prev, prev_in = cur, cur_in
+    return np.array(out).reshape(-1, 2)
+
+
+def convex_overlap_area(p, q):
+    clipped = convex_clip(p, q)
+    if len(clipped) < 3:
+        return 0.0
+    return abs(polygon_area(clipped))
+
+
+def loop_pairwise_overlap(polys):
+    """Reference: the worst overlap, one pair at a time in the cKDTree
+    pairs' set order, and its pair."""
+    if len(polys) < 2:
+        return 0.0, None
+    centers = np.array([p.mean(axis=0) for p in polys])
+    radii = np.array([np.linalg.norm(p - c, axis=1).max()
+                      for p, c in zip(polys, centers)])
+    worst, worst_pair = 0.0, None
+    for i, j in cKDTree(centers).query_pairs(2.0 * radii.max()):
+        if np.linalg.norm(centers[i] - centers[j]) > radii[i] + radii[j]:
+            continue
+        a = convex_overlap_area(polys[i], polys[j])
+        if a > worst:
+            worst, worst_pair = a, (i, j)
+    return worst, worst_pair
+
+
+@st.composite
+def convex_polygons(draw):
+    """3 to 8 corners on an ellipse, counter-clockwise, no gap a half-turn."""
+    gaps = np.array(draw(st.lists(st.floats(1.0, 1.9), min_size=3,
+                                  max_size=8)))
+    turn = draw(st.floats(0.0, 2.0 * math.pi)) + np.cumsum(
+        2.0 * math.pi * gaps / gaps.sum())
+    rx, ry = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    cx, cy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    return np.column_stack([cx + rx * np.cos(turn), cy + ry * np.sin(turn)])
+
+
+@st.composite
+def polygon_pairs(draw):
+    """A polygon and one beside it: across a shared side or corner (half a
+    turn about its midpoint or the corner), nested, identical, far off, or
+    drawn on its own."""
+    p = draw(convex_polygons())
+    how = draw(st.sampled_from(
+        ["side", "corner", "nested", "identical", "disjoint", "free"]))
+    k = draw(st.integers(0, len(p) - 1))
+    k1 = (k + 1) % len(p)
+    if how == "side":
+        q = (p[k] + p[k1]) - p
+        q[k], q[k1] = p[k1], p[k]
+    elif how == "corner":
+        q = 2.0 * p[k] - p
+        q[k] = p[k]
+    elif how == "nested":
+        c = p.mean(axis=0)
+        q = c + draw(st.floats(0.1, 0.9)) * (p - c)
+    elif how == "identical":
+        q = p.copy()
+    elif how == "disjoint":
+        q = p + 2.0 * np.ptp(p, axis=0).max() + 1.0
+    else:
+        q = draw(convex_polygons())
+    return p, q
+
+
+@given(polygon_pairs())
+def test_stacked_clip_matches_scalar_clip_bit_for_bit(pair):
+    p, q = pair
+    stacked, counts = stack_polygons([p, q])
+    areas = convex_overlap_areas(stacked, counts, stacked[::-1])
+    assert areas.tolist() == [convex_overlap_area(p, q),
+                              convex_overlap_area(q, p)]
+    assert polygon_areas(stacked, counts).tolist() == [polygon_area(p),
+                                                       polygon_area(q)]
+
+
+@given(st.lists(polygon_pairs(), min_size=1, max_size=4))
+def test_stacked_worst_pair_matches_pair_loop(pairs):
+    polys = [poly for pair in pairs for poly in pair]
+    assert _pairwise_overlap(*stack_polygons(polys)) == \
+        loop_pairwise_overlap(polys)
+
+
+def test_mixed_corner_counts_report_the_planted_overlap():
+    triangle = np.array([(0, 0), (2, 0), (1, 1.5)])
+    square = np.array([(3, 0), (5, 0), (5, 2), (3, 2)])
+    pentagon = np.array([(6, 0), (8, 0), (8.5, 1.5), (7, 2.5), (5.5, 1.5)])
+    hexagon = np.array([(1, 3), (2, 2.5), (3, 3), (3, 4), (2, 4.5), (1, 4)])
+    # the hexagon pushed half a unit into the square
+    polys = [triangle, square, pentagon, hexagon + (2.0, -1.0)]
+    worst, pair = loop_pairwise_overlap(polys)
+    assert pair == (1, 3) and worst > 0.1
+    report = check_no_overlap(Patch.from_polygons(polys))
+    assert not report.ok
+    assert report.metrics["max_overlap_area"] == worst
+    assert report.violations[0].startswith("tiles 1 and 3 overlap by area")
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_verify_patch_raises_no_numpy_warnings(type_id):
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    patch = generate_patch(recipe, 10.0)
+    polys = [t.polygon for t in patch.tiles]
+    doubled = Patch.from_polygons(polys + [polys[0] + 0.1], r=patch.r,
+                                  center=patch.center)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_patch(patch).ok
+        assert not verify_patch(doubled).ok
+
+
 # --- coverage ---------------------------------------------------------------
 
 def test_house_patch_covers_inner_disk():
@@ -82,6 +237,69 @@ def test_missing_interior_tile_fails_coverage(t4_patch):
     assert type(report.ok) is bool
     assert "uncovered, first at (" in report.violations[-1]
     assert not any("np.float64" in v for v in report.violations)
+
+
+def loop_grid_cover_check(polys, region_mask, lo, hi, pitch, eps):
+    """Reference sampling route: each tile tests the uncovered grid points
+    within its bounding circle, widened by the pitch."""
+    xs = np.arange(lo[0], hi[0] + pitch, pitch)
+    ys = np.arange(lo[1], hi[1] + pitch, pitch)
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts = pts[region_mask(pts)]
+    covered = np.zeros(len(pts), dtype=bool)
+    tree = cKDTree(pts)
+    for poly in polys:
+        c = poly.mean(axis=0)
+        rad = np.linalg.norm(poly - c, axis=1).max()
+        idx = np.asarray(tree.query_ball_point(c, rad + pitch), dtype=int)
+        sub = idx[~covered[idx]]
+        covered[sub] = points_in_convex_polygon(pts[sub], poly, eps=eps)
+    missed = int((~covered).sum())
+    example = tuple(pts[~covered][0].tolist()) if missed else None
+    return len(pts), missed, example
+
+
+@pytest.mark.parametrize("drop", [0, 1, 3])
+def test_grid_route_matches_tile_by_tile_scan(t4_patch, drop):
+    """The same count, misses and first miss, with the drop innermost
+    tiles taken out."""
+    center, r_inner = np.asarray(t4_patch.center), 6.0
+    polys = sorted((t.polygon for t in t4_patch.tiles),
+                   key=lambda p: np.linalg.norm(p.mean(axis=0) - center))
+    polys = polys[drop:]
+
+    def in_disk(pts):
+        return np.linalg.norm(pts - center, axis=1) <= r_inner
+
+    args = (in_disk, center - r_inner, center + r_inner, 0.1, 1e-9)
+    found = _grid_cover_check(*stack_polygons(polys), *args)
+    assert found == loop_grid_cover_check(polys, *args)
+    assert (found[1] > 0) == (drop > 0)
+
+
+def test_disk_overlap_areas_match_polygon_by_polygon(t4_patch):
+    polys = [t.polygon for t in t4_patch.tiles]
+    stacked, counts = stack_polygons(polys)
+    center = np.asarray(t4_patch.center)
+    for r in (3.0, 6.5):
+        assert polygon_disk_overlap_areas(stacked, counts, center,
+                                          r).tolist() == [
+            polygon_disk_overlap_area(p, center, r) for p in polys]
+
+
+def test_disk_overlap_areas_keep_a_margin_at_the_rim():
+    """A circle through a corner that np.hypot puts on it and math.hypot
+    just outside: the segment terms then sum the triangle terms otherwise
+    in the last digits, so the corner must not count as inside."""
+    triangle = np.array([(-2.9792955998473385, 4.69855541589116),
+                         (0.7813765281878665, -3.2583758921782047),
+                         (1.6530258437848275, -0.4482291714813643)])
+    r = float(np.hypot(*triangle[0]))
+    stacked, counts = stack_polygons([triangle])
+    assert polygon_disk_overlap_areas(stacked, counts, (0.0, 0.0),
+                                      r).tolist() == [
+        polygon_disk_overlap_area(triangle, (0.0, 0.0), r)]
 
 
 def test_inner_radius_beyond_patch_rejected(t4_patch):
