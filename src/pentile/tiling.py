@@ -34,7 +34,6 @@ from .pentagon import Pentagon, pentagon_from_json_dict, pentagon_to_json
 
 LATTICE_TOL = 1e-12        # |u x v| below this (relative) means parallel
 CONGRUENCE_TOL = 1e-9
-PAIR_BLOCK = 512           # candidate pairs per vectorized touch test
 RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
 
 
@@ -319,6 +318,14 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     around the disk to tell enclosed tiles from open ones. A thinner window
     breaks the ring and invents F3 tiles (with r + 1 diameter, Type 1 at
     r = 20 gains 11).
+
+    Every candidate is a translate (m, n) of a region tile, so whether two
+    of them touch depends only on their region tiles and the difference of
+    their cells. The flood fill reads the touch graph off the recipe's touch
+    motif (`_touch_motif`), measured once per call on the region tiles, in
+    place of measuring distances for every candidate pair. The motif is
+    measured near the origin, so the graph is the lattice's touch relation
+    at any centre, however much translating the polygons rounds them.
     """
     from .arrangement import Patch
 
@@ -331,6 +338,7 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     lo, hi = _candidate_cells(recipe, center, reach)
     base_polys = np.array(recipe.region_polygons())
     base_centroids = np.array([polygon_centroid(p) for p in base_polys])
+    motif = _touch_motif(recipe, base_polys, base_centroids, eps)
 
     # every (cell, region tile) pair in (m, n, region index) order; a
     # translate's centroid is the region tile's centroid plus the shift
@@ -351,7 +359,9 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     meets = polygon_distances(center, polys[rest]) <= r + eps
     boundary = rest[meets]
     outer = rest[~meets]
-    f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], eps)]
+    cells = np.column_stack([m, n, idx])[outer]
+    f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], cells, motif,
+                               len(base_polys), eps)]
 
     def placed(ids, zone):
         return [PlacedTile((int(m[i]), int(n[i])), polys[i], zone)
@@ -367,7 +377,42 @@ def _ccw(poly: np.ndarray) -> np.ndarray:
     return poly if polygon_area(poly) >= 0 else poly[::-1]
 
 
-def _enclosed_tiles(polys: np.ndarray, centroids: np.ndarray, eps: float
+def _touch_motif(recipe: TilingRecipe, base_polys: np.ndarray,
+                 base_centroids: np.ndarray, eps: float):
+    """The touch relation of the tiling as data about one lattice cell.
+
+    Returns arrays (i, j, dm, dn), one row per region tile i and translate
+    of region tile j by dm·u + dn·v that touch (a corner of one within eps
+    of the other's boundary, `_polygons_touch`). By periodicity, tile i of
+    cell (m, n) then touches tile j of cell (m + dm, n + dn). Only
+    translates whose centroid lies within 2·radius + eps of tile i's are
+    measured; touching tiles always do.
+    """
+    radius = np.linalg.norm(base_polys - base_centroids[:, None],
+                            axis=2).max()
+    reach = 2.0 * radius + eps
+    span = np.linalg.norm(base_centroids[:, None] - base_centroids,
+                          axis=2).max()
+    # lattice steps of length up to reach + span have coefficients up to lim
+    inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
+    lim = np.ceil((reach + span) * np.abs(inv).sum(axis=1)).astype(int)
+    count = len(base_polys)
+    dm, dn, i, j = (a.ravel() for a in np.meshgrid(
+        np.arange(-lim[0], lim[0] + 1), np.arange(-lim[1], lim[1] + 1),
+        np.arange(count), np.arange(count), indexing="ij"))
+    shifts = (dm[:, None] * np.asarray(recipe.u)
+              + dn[:, None] * np.asarray(recipe.v))
+    apart = np.linalg.norm(base_centroids[j] + shifts - base_centroids[i],
+                           axis=1)
+    near = (apart <= reach) & ((i != j) | (dm != 0) | (dn != 0))
+    i, j, dm, dn, shifts = (a[near] for a in (i, j, dm, dn, shifts))
+    touch = _polygons_touch(base_polys[i], base_polys[j] + shifts[:, None],
+                            eps)
+    return i[touch], j[touch], dm[touch], dn[touch]
+
+
+def _enclosed_tiles(polys: np.ndarray, centroids: np.ndarray,
+                    cells: np.ndarray, motif, count: int, eps: float
                     ) -> np.ndarray:
     """Indices of the tiles outside the disk but unreachable from far away:
     the F3 set.
@@ -375,13 +420,13 @@ def _enclosed_tiles(polys: np.ndarray, centroids: np.ndarray, eps: float
     Flood fill across touching tiles of the outside candidates, seeded from
     the outermost ring; what the flood never reaches is enclosed by F2. The
     fill is the union of the touch graph's connected components that hold a
-    seed.
+    seed. cells holds each tile's (m, n, region index) out of count region
+    tiles; the touch graph is `_touch_pairs`.
     """
     if not len(polys):
         return np.zeros(0, dtype=int)
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
 
     radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
     reach = 2.0 * radius + eps
@@ -389,17 +434,34 @@ def _enclosed_tiles(polys: np.ndarray, centroids: np.ndarray, eps: float
     far = np.linalg.norm(centroids - origin, axis=1)
     seeds = far >= far.max() - reach
 
-    # pairs are tested in blocks so the (pairs, corners, sides) temporaries
-    # stay a few MB however large the disk
-    pairs = cKDTree(centroids).query_pairs(reach, output_type="ndarray")
-    blocks = np.split(pairs, range(PAIR_BLOCK, len(pairs), PAIR_BLOCK))
-    pairs = pairs[np.concatenate([
-        _polygons_touch(polys[b[:, 0]], polys[b[:, 1]], eps) for b in blocks])]
-    touching = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+    a, b = _touch_pairs(cells, motif, count)
+    touching = coo_matrix((np.ones(len(a)), (a, b)),
                           shape=(len(polys), len(polys)))
     _, component = connected_components(touching, directed=False)
     flooded = np.isin(component, component[seeds])
     return np.nonzero(~flooded)[0]
+
+
+def _touch_pairs(cells: np.ndarray, motif, count: int):
+    """The touching pairs (a, b) among placed tiles, each in both orders.
+
+    cells holds each tile's (m, n, region index) out of count region tiles.
+    Each motif row (i, j, dm, dn) joins every tile (m, n, i) to tile
+    (m + dm, n + dn, j) when that one is a tile too, found in a dense
+    (m, n, region index) array of tile rows.
+    """
+    i, j, dm, dn = motif
+    # pad the array by the motif's widest step, so every lookup is in range
+    pad = np.abs(np.concatenate([dm, dn])).max(initial=0)
+    lo = cells[:, :2].min(axis=0) - pad
+    size = cells[:, :2].max(axis=0) - lo + pad + 1
+    rows = np.full((*size, count), -1)
+    rows[cells[:, 0] - lo[0], cells[:, 1] - lo[1], cells[:, 2]] = np.arange(
+        len(cells))
+    a, k = np.nonzero(cells[:, 2, None] == i)
+    b = rows[cells[a, 0] - lo[0] + dm[k], cells[a, 1] - lo[1] + dn[k], j[k]]
+    found = b >= 0
+    return a[found], b[found]
 
 
 def _polygons_touch(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:

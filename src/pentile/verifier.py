@@ -150,7 +150,11 @@ def check_coverage(patch, r_inner: float | None = None,
 
     Two routes: exact circular-segment areas summed per tile, and an
     independent grid sample at a quarter of the tile inradius. An inner
-    disk holding less area than one tile fails as vacuous.
+    disk holding less area than one tile fails as vacuous. The first tile
+    sets the grid pitch; when as many copies of it as there are tiles hold
+    less area than the inner disk, the check fails without a grid sample.
+    So the grid holds at most about 20·n·A/ρ² points for n tiles and the
+    first tile's area A and inradius ρ.
     """
     require_positive("tol", tol)
     if patch.r is None or patch.center is None:
@@ -186,9 +190,15 @@ def check_coverage(patch, r_inner: float | None = None,
     def in_disk(pts):
         return np.linalg.norm(pts - center, axis=1) <= r_inner - eps
 
-    tested, missed, example = _grid_cover_check(
-        stacked, counts, in_disk, center - r_inner, center + r_inner, pitch,
-        eps)
+    # the first tile sets the pitch, so as many copies of it as there are
+    # tiles must hold the disk's area before the grid is sampled
+    tiles_area = len(polys) * tile_area
+    ok_tiles_area = tiles_area >= disk_area
+    tested, missed, example = 0, 0, None
+    if ok_tiles_area:
+        tested, missed, example = _grid_cover_check(
+            stacked, counts, in_disk, center - r_inner, center + r_inner,
+            pitch, eps)
     ok_grid = missed == 0
 
     # an inner disk smaller than one tile tests next to nothing
@@ -198,6 +208,11 @@ def check_coverage(patch, r_inner: float | None = None,
         violations.append(
             f"vacuous: inner disk r = {r_inner:.6g} holds area "
             f"{disk_area:.6g}, less than one tile ({tile_area:.6g})")
+    if not ok_tiles_area:
+        violations.append(
+            f"{len(polys)} tiles of the first tile's area hold "
+            f"{tiles_area:.6g}, less than the inner disk's {disk_area:.6g}; "
+            f"grid sample skipped")
     if not ok_area:
         violations.append(
             f"covered area misses disk area by {gap:.3e} "
@@ -207,7 +222,7 @@ def check_coverage(patch, r_inner: float | None = None,
             f"{missed} of {tested} sample points uncovered, "
             f"first at {example}")
     return CheckReport(
-        name="coverage", ok=ok_size and ok_area and ok_grid,
+        name="coverage", ok=ok_size and ok_tiles_area and ok_area and ok_grid,
         violations=violations,
         metrics={"r_inner": r_inner, "area_gap": gap,
                  "area_gap_fraction": gap / disk_area,

@@ -262,6 +262,36 @@ def test_huge_coordinates_leave_one_json_line_on_stderr(tmp_path):
     assert json.loads(line)["error"] == "ParseError"
 
 
+UNCOVERABLE_PATCHES = {
+    # two unit triangles: a grid over the inner disk needs about 1e201 points
+    "tiny-tiles": {"r": 1e100, "tiles": [
+        {"polygon": [[0, 0], [1, 0], [0, 1]]},
+        {"polygon": [[1, 0], [1, 1], [0, 1]]}]},
+    # the squares hold the disk's area, but the first tile sets the pitch,
+    # and at its pitch the grid needs about 1e19 points
+    "mixed-sizes": {"r": 1e6, "tiles": [
+        {"polygon": [[0, 0], [1e-3, 0], [0, 1e-3]]},
+        {"polygon": [[0, 0], [5e5, 0], [5e5, 5e5], [0, 5e5]]},
+        {"polygon": [[-5e5, -5e5], [0, -5e5], [0, 0], [-5e5, 0]]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCOVERABLE_PATCHES))
+def test_verify_fails_a_disk_the_tiles_cannot_cover(capsys, tmp_path, name):
+    """The report fails on area without sampling a grid."""
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps({**TRIANGLE_PATCH,
+                                **UNCOVERABLE_PATCHES[name]}))
+    code, out, err = run(capsys, "verify", "--patch", str(path))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["metrics"]["sample_points"] == 0
+    assert report["metrics"]["sample_misses"] == 0
+    assert any("grid sample skipped" in v for v in report["violations"])
+    assert "NaN" not in out
+
+
 def test_stray_exception_exits_2_with_json(capsys, monkeypatch):
     def fail(*_):
         raise RuntimeError("boom")

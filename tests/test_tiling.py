@@ -2,16 +2,24 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 import pentile
+from pentile import tiling
 from pentile.arrangement import Patch
+from pentile.catalog import get_type_spec, solve_instance
 from pentile.errors import ParseError, RecipeInvalid, TypeMismatch
 from pentile.geometry import polygon_centroid
+from pentile.pentagon import CORNERS
+from pentile.stats import compute_stats, euler_residual
 from pentile.tiling import (
     Isometry,
     TilingRecipe,
@@ -356,3 +364,143 @@ def test_every_edge_borders_at_most_two_tiles(r):
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)
     patch = generate_patch(recipe, r)
     assert all(len(e.tiles) <= 2 for e in patch.edges)
+
+
+# --- F3 flood fill: touch motif against the pairwise reference ---------------
+
+PAIR_BLOCK = 512  # candidate pairs per vectorized touch test
+
+
+def reference_touch_pairs(polys, centroids, eps):
+    """Every touching pair (a, b), a < b, found by measuring: cKDTree pairs
+    of centroids within two bounding radii, then `_polygons_touch` on each
+    pair. generate_patch built its touch graph this way before the motif."""
+    radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
+    reach = 2.0 * radius + eps
+    pairs = cKDTree(centroids).query_pairs(reach, output_type="ndarray")
+    blocks = np.split(pairs, range(PAIR_BLOCK, len(pairs), PAIR_BLOCK))
+    return pairs[np.concatenate([
+        tiling._polygons_touch(polys[b[:, 0]], polys[b[:, 1]], eps)
+        for b in blocks])]
+
+
+def reference_enclosed_tiles(polys, centroids, eps):
+    """The pairwise flood fill that the touch motif replaced."""
+    if not len(polys):
+        return np.zeros(0, dtype=int)
+    radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
+    reach = 2.0 * radius + eps
+    origin = centroids.mean(axis=0)
+    far = np.linalg.norm(centroids - origin, axis=1)
+    seeds = far >= far.max() - reach
+    pairs = reference_touch_pairs(polys, centroids, eps)
+    touching = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                          shape=(len(polys), len(polys)))
+    _, component = connected_components(touching, directed=False)
+    flooded = np.isin(component, component[seeds])
+    return np.nonzero(~flooded)[0]
+
+
+def unordered(a, b):
+    return {(min(x, y), max(x, y)) for x, y in zip(a.tolist(), b.tolist())}
+
+
+def tile_records(patch):
+    return [(t.cell, t.zone, t.polygon.tobytes()) for t in patch.tiles]
+
+
+def assert_flood_fill_matches_reference(recipe, r, M):
+    """The motif's touch graph, F3 set and tiles equal the pairwise
+    reference's, bit for bit. The graph is compared on its own because the
+    built-in tilings leave F3 empty in practice, so equal F3 sets alone
+    would say little about it."""
+    with mock.patch.object(tiling, "_enclosed_tiles",
+                           wraps=tiling._enclosed_tiles) as flood:
+        patch = generate_patch(recipe, r, M)
+    polys, centroids, cells, motif, count, eps = flood.call_args.args
+    if len(polys):
+        pairs = reference_touch_pairs(polys, centroids, eps)
+        assert (unordered(*tiling._touch_pairs(cells, motif, count))
+                == unordered(pairs[:, 0], pairs[:, 1]))
+    assert np.array_equal(tiling._enclosed_tiles(*flood.call_args.args),
+                          reference_enclosed_tiles(polys, centroids, eps))
+
+    def pairwise(polys, centroids, cells, motif, count, eps):
+        return reference_enclosed_tiles(polys, centroids, eps)
+
+    with mock.patch.object(tiling, "_enclosed_tiles", pairwise):
+        reference = generate_patch(recipe, r, M)
+    assert tile_records(patch) == tile_records(reference)
+
+
+BUILTIN_SWEEP_TYPES = (1, 2, 4, 5)
+sweep_centres = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+
+
+@st.composite
+def sweep_recipes(draw):
+    """Built-in recipes of Types 1, 2, 4 and 5 for pentagons whose free
+    angles lie within 8 degrees and free edges within 10 % of the catalog
+    defaults: the ranges of the benchmark's family-sweep workload."""
+    type_id = draw(st.sampled_from(BUILTIN_SWEEP_TYPES))
+    spec = get_type_spec(type_id)
+    params = {}
+    for name, value in sorted(spec.default_params.items()):
+        x = draw(st.floats(-1.0, 1.0))
+        params[name] = (value + math.radians(8.0 * x) if name in CORNERS
+                        else value * (1.0 + 0.1 * x))
+    return builtin_recipe(type_id, solve_instance(spec, params))
+
+
+@settings(max_examples=40)
+@given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres)
+def test_touch_motif_matches_pairwise_flood_fill(recipe, r, M):
+    assert_flood_fill_matches_reference(recipe, r, M)
+
+
+@settings(max_examples=40)
+@given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres)
+def test_sweep_patches_keep_euler_and_edge_invariants(recipe, r, M):
+    patch = generate_patch(recipe, r, M)
+    assert euler_residual(compute_stats(patch)) == 0
+    assert np.diff(patch.edge_tiles.indptr).max() <= 2
+
+
+def test_far_centre_touch_graph_is_the_near_origin_graph():
+    """At M = (1e9, -2e9) eps is about one unit in the last place, so
+    measuring the placed polygons there would lose touching pairs. The
+    motif's graph on those tiles equals the one measured on the same tiles
+    moved back to the origin by a lattice vector."""
+    recipe = builtin_recipe(5, pentile.representative(5).pentagon)
+    with mock.patch.object(tiling, "_enclosed_tiles",
+                           wraps=tiling._enclosed_tiles) as flood:
+        generate_patch(recipe, 6.0, (1e9, -2e9))
+    _, _, cells, motif, count, eps = flood.call_args.args
+    m, n, idx = (cells - [*cells[:, :2].min(axis=0), 0]).T
+    base = np.array(recipe.region_polygons())
+    shifts = (m[:, None] * np.asarray(recipe.u)
+              + n[:, None] * np.asarray(recipe.v))
+    polys = base[idx] + shifts[:, None, :]
+    centroids = np.array([polygon_centroid(p) for p in base])[idx] + shifts
+    pairs = reference_touch_pairs(polys, centroids, eps)
+    assert len(pairs)
+    assert (unordered(*tiling._touch_pairs(cells, motif, count))
+            == unordered(pairs[:, 0], pairs[:, 1]))
+
+
+def test_far_centre_invents_no_enclosed_tiles():
+    """Measured on the placed polygons, rounding at this centre cut touching
+    pairs and left 2 outer tiles enclosed; near the origin F3 is empty."""
+    recipe = builtin_recipe(1, pentile.representative(1).pentagon)
+    patch = generate_patch(recipe, 10.0, (1e9, 2e9))
+    assert not any(t.zone == "F3" for t in patch.tiles)
+
+
+def test_touch_pairs_need_not_hold_every_region_tile():
+    """Tiles of one region index only: the lookup array still has a row
+    for every region tile the motif names."""
+    motif = tuple(np.array(a) for a in ([1, 0], [0, 1], [1, -1], [0, 0]))
+    cells = np.array([[5, 7, 1], [6, 7, 1], [9, 9, 1]])
+    assert unordered(*tiling._touch_pairs(cells, motif, 2)) == set()
+    cells = np.array([[5, 7, 1], [6, 7, 0]])
+    assert unordered(*tiling._touch_pairs(cells, motif, 2)) == {(0, 1)}
