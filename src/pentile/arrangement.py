@@ -214,14 +214,17 @@ class Patch:
             "r": self.r,
             "center": list(self.center) if self.center else None,
             "tiles": [{"cell": list(t.cell), "zone": t.zone,
-                       "polygon": [[float(x), float(y)]
-                                   for x, y in t.polygon]}
+                       "polygon": np.asarray(t.polygon, dtype=float).tolist()}
                       for t in self.tiles],
-            "vertices": [{"xy": [v.xy[0], v.xy[1]], "valence": v.valence,
-                          "pseudo": v.pseudo, "complete": v.complete}
-                         for v in self.vertices],
-            "edges": [{"vertices": list(e.vertices), "tiles": list(e.tiles)}
-                      for e in self.edges],
+            "vertices": [{"xy": xy, "valence": valence, "pseudo": pseudo,
+                          "complete": complete}
+                         for xy, valence, pseudo, complete in zip(
+                             self.vertex_xy.tolist(),
+                             np.diff(self.vertex_tiles.indptr).tolist(),
+                             self.pseudo.tolist(), self.complete.tolist())],
+            "edges": [{"vertices": ends, "tiles": list(tiles)}
+                      for ends, tiles in zip(self.edge_vertices.tolist(),
+                                             self.edge_tiles.rows())],
         }
 
 

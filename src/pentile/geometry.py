@@ -1,8 +1,8 @@
 """Low-level planar geometry helpers: areas, clipping, enclosing/inscribed circles.
 
 Everything works on (n, 2) float arrays of polygon vertices in counterclockwise
-order unless stated otherwise, and on numpy alone: the inscribed circle is in
-closed form, not a linear program.
+order unless stated otherwise, and on numpy alone: both circles are in closed
+form, picked from a few candidates, not a linear program or a search.
 
 The verifier's many-polygon work runs on stacks: stack_polygons puts N
 polygons of any corner counts in one (N, K, 2) array, and polygon_areas,
@@ -203,50 +203,34 @@ def polygon_disk_overlap_areas(stacked: np.ndarray, counts: np.ndarray,
     return total
 
 
-def _circumcircle(p1, p2, p3):
-    ax, ay = p1
-    bx, by = p2
-    cx, cy = p3
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(d) < 1e-14:
-        return None
-    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-          + (cx * cx + cy * cy) * (ay - by)) / d
-    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-          + (cx * cx + cy * cy) * (bx - ax)) / d
-    c = np.array([ux, uy])
-    return c, math.hypot(ax - ux, ay - uy)
-
-
 def smallest_enclosing_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimal covering circle by exhaustive pair/triple candidates.
+    """Minimal covering circle of a few points, such as a polygon's corners.
 
-    Intended for small point sets (polygon corners), where O(n^4) is cheap.
+    Its center is the midpoint of two points or the circumcenter of three
+    (Welzl, "Smallest enclosing disks", 1991). Each such candidate center
+    takes the distance to its farthest point as radius, and the smallest
+    radius wins. Computed relative to the first point, so a far offset
+    costs no precision.
     """
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    best_c, best_r = None, math.inf
-    slack = 1e-12
-
-    def covers(c, r):
-        return np.all(np.linalg.norm(pts - c, axis=1) <= r * (1.0 + 1e-12) + slack)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = 0.5 * (pts[i] + pts[j])
-            r = 0.5 * math.hypot(*(pts[i] - pts[j]))
-            if r < best_r and covers(c, r):
-                best_c, best_r = c, r
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                res = _circumcircle(pts[i], pts[j], pts[k])
-                if res is None:
-                    continue
-                c, r = res
-                if r < best_r and covers(c, r):
-                    best_c, best_r = c, r
-    return best_c, best_r
+    rel = pts - pts[0]
+    pairs = np.array(list(itertools.combinations(range(len(pts)), 2)))
+    triples = np.array(list(itertools.combinations(range(len(pts)), 3)),
+                       dtype=np.intp).reshape(-1, 3)
+    a = rel[triples[:, 0]]
+    b, c = rel[triples[:, 1]] - a, rel[triples[:, 2]] - a
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    line = d == 0    # three points on a line have no circumcenter
+    a, b, c, d = a[~line], b[~line], c[~line], d[~line]
+    bb, cc = np.sum(b * b, axis=1), np.sum(c * c, axis=1)
+    circum = a + np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                                  b[:, 0] * cc - c[:, 0] * bb]) / d[:, None]
+    centers = np.concatenate([0.5 * (rel[pairs[:, 0]] + rel[pairs[:, 1]]),
+                              circum])
+    gap = rel[None] - centers[:, None]
+    radii = np.hypot(gap[..., 0], gap[..., 1]).max(axis=1)
+    best = int(np.argmin(radii))
+    return pts[0] + centers[best], float(radii[best])
 
 
 def largest_inscribed_circle(poly: np.ndarray) -> tuple[np.ndarray, float]:

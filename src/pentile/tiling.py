@@ -30,7 +30,7 @@ from .geometry import (
     rot_matrix,
     segment_distances,
 )
-from .pentagon import Pentagon, pentagon_from_json_dict, pentagon_to_json
+from .pentagon import Pentagon, pentagon_from_json_dict
 
 LATTICE_TOL = 1e-12        # |u x v| below this (relative) means parallel
 CONGRUENCE_TOL = 1e-9
@@ -138,7 +138,7 @@ class TilingRecipe:
         return abs(self.u[0] * self.v[1] - self.u[1] * self.v[0])
 
     def to_json_dict(self) -> dict:
-        return {"pentagon": json.loads(pentagon_to_json(self.pentagon)),
+        return {"pentagon": self.pentagon.to_json_dict(),
                 "region": [iso.to_json_dict() for iso in self.region],
                 "lattice": [list(self.u), list(self.v)]}
 

@@ -6,7 +6,6 @@ in one route cannot silently pass the other.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -106,38 +105,45 @@ def check_no_overlap(patch, tol: float = AREA_TOL) -> CheckReport:
 
 def _grid_cover_check(stacked, counts, region_mask, lo, hi, pitch, eps):
     """Sampling route: every grid point passing region_mask must lie in a
-    tile. Returns (#tested, #missed, an example miss or None).
+    tile. Returns (#tested, #missed, the first miss in row-major order or
+    None).
 
-    A point is tested against the tile of its nearest center first; only
-    the points that tile leaves out are tested against every tile whose
-    bounding circle, widened by the pitch, reaches them. Either way a point
-    counts as covered when some tile holds it."""
+    Each tile runs points_in_convex_polygon(..., eps) on the grid points of
+    its index box, one index wider than its corners each way (padding
+    repeats corners, so counts moves no box). The eps band reaches
+    eps / sin(theta / 2) past a corner of angle theta; with the checks'
+    eps, 1e-9 of the tile or cell size, that is far less than one index.
+    So the box holds every point the tile can, and the covered set is the
+    union of that test over all tiles."""
     xs = np.arange(lo[0], hi[0] + pitch, pitch)
     ys = np.arange(lo[1], hi[1] + pitch, pitch)
-    pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
-    pts = pts[region_mask(pts)]
-    if len(pts) == 0:
-        return 0, 0, None
-    centers, radii = _bounding_circles(stacked, counts)
-    tree = cKDTree(centers)
-    covered = np.zeros(len(pts), dtype=bool)
-    for start in range(0, len(pts), CHUNK):
-        part = pts[start:start + CHUNK]
-        nearest = tree.query(part)[1]
-        covered[start:start + CHUNK] = points_in_convex_polygon(
-            part, stacked[nearest], eps=eps)
-    rest = np.flatnonzero(~covered)
-    for start in range(0, len(rest), CHUNK):
-        ids = rest[start:start + CHUNK]
-        reach = tree.query_ball_point(pts[ids], radii.max() + pitch)
-        point = np.repeat(ids, [len(tiles) for tiles in reach])
-        tile = np.fromiter(itertools.chain.from_iterable(reach),
-                           dtype=np.intp, count=len(point))
-        hit = points_in_convex_polygon(pts[point], stacked[tile], eps=eps)
-        covered[point[hit]] = True
-    missed = int((~covered).sum())
-    example = tuple(pts[~covered][0].tolist()) if missed else None
-    return len(pts), missed, example
+    grid = np.stack(np.meshgrid(xs, ys), axis=-1)
+    wanted = region_mask(grid.reshape(-1, 2)).reshape(grid.shape[:2])
+    size = np.array([len(xs), len(ys)])
+    first = np.floor((stacked.min(axis=1) - lo) / pitch) - 1
+    last = np.floor((stacked.max(axis=1) - lo) / pitch) + 1
+    meets = np.all((last >= 0) & (first < size), axis=1)
+    polys = stacked[meets]
+    first = np.clip(first[meets], 0, size - 1).astype(np.intp)
+    last = np.clip(last[meets], 0, size - 1).astype(np.intp)
+    covered = np.zeros(grid.shape[:2], dtype=bool)
+    # boxes padded to the largest, whose padding retests grid points; a
+    # pass holds up to CHUNK box rows
+    wx, wy = (last - first).max(axis=0, initial=0) + 1
+    step = max(1, CHUNK // wy)
+    for start in range(0, len(polys), step):
+        box_lo = first[start:start + step]
+        ix = np.minimum(box_lo[:, None, :1] + np.arange(wx), size[0] - 1)
+        iy = np.minimum(box_lo[:, 1:, None] + np.arange(wy)[:, None],
+                        size[1] - 1)
+        hit = points_in_convex_polygon(
+            grid[iy, ix], polys[start:start + step, None, None], eps=eps)
+        covered[np.broadcast_to(iy, hit.shape)[hit],
+                np.broadcast_to(ix, hit.shape)[hit]] = True
+    miss = wanted & ~covered
+    missed = int(miss.sum())
+    example = tuple(grid[miss][0].tolist()) if missed else None
+    return int(wanted.sum()), missed, example
 
 
 def check_coverage(patch, r_inner: float | None = None,

@@ -1,4 +1,5 @@
 """The arrangement built on flat corner arrays, against a loop reference."""
+import json
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import pentile
 from pentile.arrangement import SNAP_FACTOR, Patch
 from pentile.geometry import interior_angles, point_segment_distance
+from pentile.pentagon import pentagon_to_json
 from pentile.stats import FULL, INTERIOR, PatchStats, compute_stats
 from pentile.tiling import builtin_recipe, generate_patch
 
@@ -219,3 +221,39 @@ def test_tile_duplicated_in_place_crowds_its_shared_edge():
     patch = Patch.from_polygons([square(0, 0), square(0, 0), square(1, 0)])
     crowded = [e for e in patch.edges if len(e.tiles) == 3]
     assert [e.tiles for e in crowded] == [(0, 1, 2)]
+
+
+def records_document(patch):
+    """Reference: the patch document built from the tile, vertex and edge
+    records."""
+    return {
+        "r": patch.r,
+        "center": list(patch.center) if patch.center else None,
+        "tiles": [{"cell": list(t.cell), "zone": t.zone,
+                   "polygon": [[float(x), float(y)] for x, y in t.polygon]}
+                  for t in patch.tiles],
+        "vertices": [{"xy": [v.xy[0], v.xy[1]], "valence": v.valence,
+                      "pseudo": v.pseudo, "complete": v.complete}
+                     for v in patch.vertices],
+        "edges": [{"vertices": list(e.vertices), "tiles": list(e.tiles)}
+                  for e in patch.edges],
+    }
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5, None])
+def test_document_is_read_off_the_arrays(type_id):
+    """The same bytes as the records give, without building the records;
+    None is a hand-built patch with pseudo-vertices and no disk."""
+    if type_id is None:
+        slab = np.array([(0, 0), (3, 0), (3, 1), (0, 1)], dtype=float)
+        patch = Patch.from_polygons([slab, square(2, -1), square(1, -1)])
+    else:
+        recipe = builtin_recipe(type_id,
+                                pentile.representative(type_id).pentagon)
+        patch = generate_patch(recipe, 6.0, (0.37, -1.21))
+        assert recipe.to_json_dict()["pentagon"] == json.loads(
+            pentagon_to_json(recipe.pentagon))
+    document = json.dumps(patch.to_json_dict())
+    assert "vertices" not in patch.__dict__
+    assert "edges" not in patch.__dict__
+    assert document == json.dumps(records_document(patch))

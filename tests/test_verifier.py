@@ -1,5 +1,6 @@
 """Overlap, coverage, periodicity, and normality witness checks."""
 import dataclasses
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -21,6 +22,7 @@ from pentile.geometry import (
     polygon_areas,
     polygon_disk_overlap_area,
     polygon_disk_overlap_areas,
+    smallest_enclosing_circle,
     stack_polygons,
 )
 from pentile.tiling import PlacedTile, builtin_recipe, generate_patch
@@ -278,6 +280,51 @@ def test_grid_route_matches_tile_by_tile_scan(t4_patch, drop):
     assert (found[1] > 0) == (drop > 0)
 
 
+@functools.lru_cache(maxsize=None)
+def small_patch_polygons(type_id):
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    return recipe, [t.polygon for t in generate_patch(recipe, 4.0).tiles]
+
+
+@st.composite
+def grid_cover_cases(draw):
+    """Tiles of a Type 1, 2, 4 or 5 patch with up to 3 dropped, a pitch from
+    a twentieth of a unit to two (boxes three indices wide, tiles larger
+    than the pitch), and a disk or, as check_periodicity samples, a lattice
+    cell, either of which may hang past the tiles."""
+    recipe, polys = small_patch_polygons(draw(st.sampled_from([1, 2, 4, 5])))
+    dropped = draw(st.sets(st.integers(0, len(polys) - 1), max_size=3))
+    polys = [p for i, p in enumerate(polys) if i not in dropped]
+    pitch = draw(st.floats(0.05, 2.0))
+    center = np.array(draw(st.tuples(st.floats(-3.0, 3.0),
+                                     st.floats(-3.0, 3.0))))
+    eps = 1e-9
+    if draw(st.booleans()):
+        radius = draw(st.floats(0.5, 6.0))
+
+        def in_disk(pts):
+            return np.linalg.norm(pts - center, axis=1) <= radius - eps
+
+        return polys, (in_disk, center - radius, center + radius, pitch, eps)
+    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
+    p0 = center - (u + v) / 2.0
+    cell = np.array([p0, p0 + u, p0 + u + v, p0 + v])
+    if polygon_area(cell) < 0:
+        cell = cell[::-1]
+
+    def in_cell(pts):
+        return points_in_convex_polygon(pts, cell, eps=-eps)
+
+    return polys, (in_cell, cell.min(axis=0), cell.max(axis=0), pitch, eps)
+
+
+@given(grid_cover_cases())
+def test_grid_route_matches_tile_by_tile_scan_anywhere(case):
+    polys, args = case
+    assert _grid_cover_check(*stack_polygons(polys), *args) == \
+        loop_grid_cover_check(polys, *args)
+
+
 def test_disk_overlap_areas_match_polygon_by_polygon(t4_patch):
     polys = [t.polygon for t in t4_patch.tiles]
     stacked, counts = stack_polygons(polys)
@@ -439,6 +486,29 @@ def test_closed_form_inradius_matches_linear_program(type_id):
     depth = (d[:, 0] * (center[1] - poly[:, 1])
              - d[:, 1] * (center[0] - poly[:, 0])) / np.hypot(d[:, 0], d[:, 1])
     assert depth.min() == pytest.approx(radius, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e4])
+def test_enclosing_circle_keeps_its_radius_far_from_the_origin(offset):
+    corners = house().vertices
+    center, radius = smallest_enclosing_circle(corners + (offset, 0.0))
+    assert radius == pytest.approx(1.0, abs=1e-12)
+    assert center - (offset, 0.0) == pytest.approx(
+        smallest_enclosing_circle(corners)[0], abs=1e-9)
+
+
+def test_enclosing_circle_of_two_or_collinear_points():
+    assert smallest_enclosing_circle(np.array([(0.0, 0.0), (1.0, 0.0)]))[1] \
+        == 0.5
+    center, radius = smallest_enclosing_circle(
+        np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))
+    assert (center.tolist(), radius) == ([1.0, 0.0], 1.0)
+
+
+def test_house_patch_far_from_the_origin_verifies():
+    patch = generate_patch(builtin_recipe(1, house()), 10.0, (1e4, 0.0))
+    report = verify_patch(patch)
+    assert report.ok, report.violations
 
 
 def test_witness_rigid_motion_invariance():
