@@ -30,7 +30,7 @@ from scipy.sparse import coo_matrix, csr_array
 from scipy.spatial import cKDTree
 
 from .errors import ParseError, require_positive
-from .geometry import interior_angles, segment_distances
+from .geometry import corner_angles, segment_distances
 from .tiling import PlacedTile
 
 SNAP_FACTOR = 1e-7           # vertex merge radius, relative to mean edge
@@ -145,15 +145,9 @@ class Patch:
             return cls((), np.zeros((0, 2)), flags, flags,
                        none.reshape(0, 2), *[rows] * 5, r=r, center=center)
 
-        # all corners in one flat array; corner i opens side i, which runs
-        # to corner nxt[i] of the same tile
-        polys = [np.asarray(t.polygon, dtype=float) for t in tiles]
-        sizes = np.array([len(p) for p in polys])
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        points = np.concatenate(polys)
-        owner = np.repeat(np.arange(len(tiles)), sizes)
-        nxt = np.arange(1, len(points) + 1)
-        nxt[offsets[1:] - 1] = offsets[:-1]
+        points, offsets, nxt = _flat_corners(
+            [np.asarray(t.polygon, dtype=float) for t in tiles])
+        owner = np.repeat(np.arange(len(tiles)), np.diff(offsets))
         side = points[nxt] - points
         side_lengths = np.linalg.norm(side, axis=1)
         eps = (snap_eps if snap_eps is not None
@@ -161,7 +155,7 @@ class Patch:
 
         corner_vid, vertex_xy = _snap_corners(points, eps)
         n_vertices = len(vertex_xy)
-        angles = _corner_angles(side, nxt)
+        angles = corner_angles(side, nxt)
 
         # vertices sitting inside a side split it; the tile counts as
         # incident there and contributes a straight angle
@@ -228,6 +222,16 @@ class Patch:
         }
 
 
+def _flat_corners(polys):
+    """All corners in one flat array, each polygon's offset into it plus the
+    end, and nxt: corner i opens side i, which runs to corner nxt[i]."""
+    offsets = np.concatenate([[0], np.cumsum([len(p) for p in polys])])
+    points = np.concatenate(polys)
+    nxt = np.arange(1, len(points) + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    return points, offsets, nxt
+
+
 def _snap_corners(points, eps):
     """Merge corners lying within eps of each other, chains included.
 
@@ -251,16 +255,6 @@ def _snap_corners(points, eps):
     vertex_xy = np.column_stack([np.bincount(corner_vid, weights=points[:, k])
                                  for k in (0, 1)]) / counts[:, None]
     return corner_vid, vertex_xy
-
-
-def _corner_angles(side, nxt):
-    """Interior angle at every corner of ccw polygons, via the turn from
-    the side coming in to the side going out; side i ends at corner nxt[i]."""
-    d_in = np.empty_like(side)
-    d_in[nxt] = side
-    cross = d_in[:, 0] * side[:, 1] - d_in[:, 1] * side[:, 0]
-    dot = np.sum(d_in * side, axis=1)
-    return math.pi - np.arctan2(cross, dot)
 
 
 def _side_interior_incidence(points, nxt, side_lengths, corner_vid,
@@ -335,21 +329,24 @@ def patch_from_json_dict(document: dict, snap_eps: float | None = None
         raise ParseError(f"patch centre must be two numbers in "
                          f"[-{COORD_LIMIT:g}, {COORD_LIMIT:g}], "
                          f"got {list(center)}")
-    for tile in tiles:
-        poly = tile.polygon
-        if (poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3
-                or not (np.abs(poly) <= COORD_LIMIT).all()
-                or not _convex_ccw(poly)):
-            raise ParseError(f"tile polygon must be at least 3 points "
-                             f"with coordinates in [-{COORD_LIMIT:g}, "
-                             f"{COORD_LIMIT:g}], in convex counter-clockwise "
-                             f"order, got {poly.tolist()}")
+    polys = [tile.polygon for tile in tiles]
+    bad = [p for p in polys if p.ndim != 2 or p.shape[1] != 2 or len(p) < 3]
+    if polys and not bad:
+        # every angle in (0, pi) and the corners wind once around, as the
+        # arrangement's angles and the verifier's clipping assume
+        points, offsets, nxt = _flat_corners(polys)
+        # corners past COORD_LIMIT may overflow here; the bound fails them
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = corner_angles(points[nxt] - points, nxt)
+        fit = ((np.abs(points) <= COORD_LIMIT).all(axis=1)
+               & (angles > 0) & (angles < math.pi))
+        fit = (np.logical_and.reduceat(fit, offsets[:-1])
+               & (np.add.reduceat(angles, offsets[:-1])
+                  > (np.diff(offsets) - 3) * math.pi))
+        bad = [p for p, ok in zip(polys, fit) if not ok]
+    if bad:
+        raise ParseError(f"tile polygon must be at least 3 points "
+                         f"with coordinates in [-{COORD_LIMIT:g}, "
+                         f"{COORD_LIMIT:g}], in convex counter-clockwise "
+                         f"order, got {bad[0].tolist()}")
     return Patch.from_tiles(tiles, r=r, center=center, snap_eps=snap_eps)
-
-
-def _convex_ccw(poly) -> bool:
-    """Every interior angle in (0, pi) and the corners wind once around,
-    as the arrangement's angles and the verifier's clipping assume."""
-    angles = interior_angles(poly)
-    return bool((angles > 0).all() and (angles < math.pi).all()
-                and angles.sum() > (len(poly) - 3) * math.pi)

@@ -351,8 +351,7 @@ def classify(pentagon: Pentagon, tol: float = CLASSIFY_TOL) -> list[int]:
     rotations, each with and without reflection) is tried, since Type
     membership is a property of the shape, not of the labeling.
     """
-    labelings = [pentagon.relabeled(rotation=r, reflect=refl)
-                 for refl in (False, True) for r in range(5)]
+    labelings = pentagon.labelings()
     hits = []
     for type_id in TYPE_IDS:
         spec = get_type_spec(type_id)

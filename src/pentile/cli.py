@@ -90,13 +90,14 @@ def _resolve_recipe(args) -> tiling.TilingRecipe:
 def _resolve_patch(args, recipe=None) -> arrangement.Patch:
     """The --patch file when given, else a patch generated on the --r disk
     from `recipe` or the one the flags name."""
+    snap_eps = getattr(args, "snap_eps", None)
     if getattr(args, "patch", None):
         return arrangement.patch_from_json_dict(
-            _load_json_file(args.patch), snap_eps=args.snap_eps)
+            _load_json_file(args.patch), snap_eps=snap_eps)
     recipe = recipe or _resolve_recipe(args)
     if args.r is None:
         raise ParseError("give --r, the patch radius")
-    return tiling.generate_patch(recipe, args.r, snap_eps=args.snap_eps)
+    return tiling.generate_patch(recipe, args.r, snap_eps=snap_eps)
 
 
 def _equations(eqs) -> list[str]:
@@ -222,8 +223,8 @@ INPUT_FLAGS = {
                  ("--pentagon", dict(help="pentagon JSON file"))],
     "recipe": [("--recipe", dict(help="tiling recipe JSON file"))],
     "patch": [("--patch", dict(help="patch JSON file"))],
-    "disk": [("--r", dict(type=float, help="patch disk radius")),
-             ("--snap-eps", dict(type=float,
+    "disk": [("--r", dict(type=float, help="patch disk radius"))],
+    "snap": [("--snap-eps", dict(type=float,
                                  help="vertex merge distance override"))],
 }
 
@@ -236,12 +237,12 @@ COMMANDS = [
      "which three-angle relations a pentagon satisfies", ["pentagon"],
      [("--tol-deg", dict(type=float, default=DEFAULT_TOL_DEG))]),
     ("tile", cmd_tile, "generate a patch as JSON",
-     ["pentagon", "recipe", "disk"], [("--svg", {})]),
+     ["pentagon", "recipe", "disk", "snap"], [("--svg", {})]),
     ("verify", cmd_verify, "check recipe or patch health",
      ["pentagon", "recipe", "patch", "disk"],
      [("--area-tol", dict(type=float, default=verifier.AREA_TOL))]),
     ("stats", cmd_stats, "count vertices, edges, tiles",
-     ["pentagon", "recipe", "patch", "disk"],
+     ["pentagon", "recipe", "patch", "disk", "snap"],
      [("--mode", dict(choices=[stats.FULL, stats.INTERIOR],
                       default=stats.FULL))]),
     ("sweep", cmd_sweep, "limit statistics over growing radii",

@@ -46,14 +46,21 @@ def polygon_edge_lengths(poly: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
 
 
+def corner_angles(side: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Interior angle at every corner of ccw polygons laid out flat: side i
+    runs from corner i to corner nxt[i]. Each angle is pi less the turn
+    from the side coming in to the side going out."""
+    d_in = np.empty_like(side)
+    d_in[nxt] = side
+    cross = d_in[:, 0] * side[:, 1] - d_in[:, 1] * side[:, 0]
+    dot = np.sum(d_in * side, axis=1)
+    return math.pi - np.arctan2(cross, dot)
+
+
 def interior_angles(poly: np.ndarray) -> np.ndarray:
     """Interior angles of a simple ccw polygon, via exterior turning angles."""
-    d = np.roll(poly, -1, axis=0) - poly
-    d_in = np.roll(d, 1, axis=0)
-    cross = d_in[:, 0] * d[:, 1] - d_in[:, 1] * d[:, 0]
-    dot = np.sum(d_in * d, axis=1)
-    turn = np.arctan2(cross, dot)
-    return math.pi - turn
+    nxt = np.roll(np.arange(len(poly)), -1)
+    return corner_angles(poly[nxt] - poly, nxt)
 
 
 def stack_polygons(polys) -> tuple[np.ndarray, np.ndarray]:
@@ -267,18 +274,6 @@ def points_in_convex_polygon(pts: np.ndarray, poly: np.ndarray,
         cross = d[..., 0] * (py - a[..., 1]) - d[..., 1] * (px - a[..., 0])
         inside = inside & (cross >= -eps * np.hypot(d[..., 0], d[..., 1]))
     return inside
-
-
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance from one point to one segment; the scalar route that tests
-    hold segment_distances to."""
-    d = b - a
-    dd = float(d @ d)
-    if dd < 1e-30:
-        return math.hypot(*(p - a))
-    t = float((p - a) @ d) / dd
-    t = min(1.0, max(0.0, t))
-    return math.hypot(*(p - (a + t * d)))
 
 
 def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray

@@ -91,6 +91,11 @@ class Pentagon:
         edg = edg[k:] + edg[:k]
         return make_pentagon(tuple(ang), tuple(edg))
 
+    def labelings(self) -> list["Pentagon"]:
+        """The ten relabelings: five rotations, then five mirrored."""
+        return [self.relabeled(rotation=r, reflect=refl)
+                for refl in (False, True) for r in range(5)]
+
     def to_json_dict(self) -> dict:
         return {"angles_deg": [math.degrees(a) for a in self.angles],
                 "edges": list(self.edges)}
@@ -109,12 +114,7 @@ def make_pentagon(angles, edges) -> Pentagon:
         raise ParseError("expected 5 angles and 5 edges")
     require_finite("angles", ang)
     require_finite("edges", edg)
-    if abs(sum(ang) - ANGLE_SUM) > ANGLE_SUM_TOL:
-        raise AngleSumViolation(
-            f"interior angles sum to {sum(ang):.12f}, need 3*pi")
-    for a in ang:
-        if not 0.0 < a < math.pi:
-            raise NonConvexAngles(f"angle {a:.12f} rad outside (0, pi)")
+    _check_angles(ang)
     for e in edg:
         if e <= 0.0:
             raise NegativeLength(f"edge length {e} must be positive")
@@ -124,6 +124,16 @@ def make_pentagon(angles, edges) -> Pentagon:
         raise ClosureViolation(
             f"edge loop misses start by {math.hypot(*gap):.3e}")
     return Pentagon(ang, edg)
+
+
+def _check_angles(ang) -> None:
+    """AngleSumViolation unless the sum is 3*pi, then NonConvexAngles."""
+    if abs(sum(ang) - ANGLE_SUM) > ANGLE_SUM_TOL:
+        raise AngleSumViolation(
+            f"interior angles sum to {sum(ang):.12f}, need 3*pi")
+    for a in ang:
+        if not 0.0 < a < math.pi:
+            raise NonConvexAngles(f"angle {a:.12f} rad outside (0, pi)")
 
 
 def _edge_index(key) -> int:
@@ -146,12 +156,7 @@ def solve_edges(angles, fixed: Mapping) -> Pentagon:
     a non-positive length.
     """
     ang = tuple(float(a) for a in angles)
-    if abs(sum(ang) - ANGLE_SUM) > ANGLE_SUM_TOL:
-        raise AngleSumViolation(
-            f"interior angles sum to {sum(ang):.12f}, need 3*pi")
-    for a in ang:
-        if not 0.0 < a < math.pi:
-            raise NonConvexAngles(f"angle {a:.12f} rad outside (0, pi)")
+    _check_angles(ang)
     if len(fixed) != 3:
         raise ParseError("exactly 3 edges must be fixed")
     known = {_edge_index(k): float(v) for k, v in fixed.items()}
@@ -280,8 +285,9 @@ def satisfied_relations(pentagon: Pentagon,
 
 def has_theorem1_property(pentagon: Pentagon,
                           tol: float = DEFAULT_RELATION_TOL) -> bool:
-    """True when at least one three-angle relation sums to a full turn."""
-    return any(r.holds(pentagon, tol) for r in enumerate_relations())
+    """True when at least one three-angle relation sums to a full turn;
+    ParseError unless tol is finite and positive."""
+    return bool(satisfied_relations(pentagon, tol))
 
 
 # --- file format ----------------------------------------------------------

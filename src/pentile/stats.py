@@ -51,14 +51,12 @@ def compute_stats(patch, mode: str = FULL) -> PatchStats:
     """
     tile_h = np.diff(patch.tile_adjacents.indptr)
     vertex_j = np.diff(patch.vertex_tiles.indptr)
-    if mode == FULL:
-        edge_count = patch.edge_count
-    elif mode == INTERIOR:
+    edge_count = patch.edge_count
+    if mode == INTERIOR:
         tile_h = tile_h[patch.interior_tile_ids()]
         vertex_j = vertex_j[patch.complete]
         edge_count = int(patch.complete[patch.edge_vertices].all(axis=1).sum())
-    else:
-        raise ModeMismatch(f"unknown counting mode {mode!r}")
+    # PatchStats rejects a mode other than FULL and INTERIOR
     return PatchStats(v=len(vertex_j), e=edge_count, t=len(tile_h),
                       t_h=_histogram(tile_h), v_j=_histogram(vertex_j),
                       r=patch.r, mode=mode)
@@ -78,16 +76,21 @@ def euler_residual(stats: PatchStats) -> int:
     return stats.v - stats.e + stats.t - 1
 
 
+def _histogram_mean(histogram: Mapping, empty: Exception) -> float:
+    """Mean of the values a histogram counts, summed in dict order."""
+    total = sum(histogram.values())
+    if total <= 0:
+        raise empty
+    return sum(k * n for k, n in histogram.items()) / total
+
+
 def average_valence(stats: PatchStats) -> float:
-    if stats.v <= 0:
-        raise EmptyPatch("no vertices to average over")
-    return sum(j * n for j, n in stats.v_j.items()) / stats.v
+    return _histogram_mean(stats.v_j,
+                           EmptyPatch("no vertices to average over"))
 
 
 def average_adjacents(stats: PatchStats) -> float:
-    if stats.t <= 0:
-        raise EmptyPatch("no tiles to average over")
-    return sum(h * n for h, n in stats.t_h.items()) / stats.t
+    return _histogram_mean(stats.t_h, EmptyPatch("no tiles to average over"))
 
 
 @dataclass(frozen=True)
@@ -112,16 +115,12 @@ class LimitEstimate:
         return {j: x / self.v_limit for j, x in self.v_j_limit.items()}
 
     def average_valence(self) -> float:
-        total = sum(self.v_j_limit.values())
-        if total <= 0:
-            raise DegenerateLimit("no vertices in the limit")
-        return sum(j * x for j, x in self.v_j_limit.items()) / total
+        return _histogram_mean(self.v_j_limit,
+                               DegenerateLimit("no vertices in the limit"))
 
     def average_adjacents(self) -> float:
-        total = sum(self.t_h_limit.values())
-        if total <= 0:
-            raise DegenerateLimit("no tiles in the limit")
-        return sum(h * x for h, x in self.t_h_limit.items()) / total
+        return _histogram_mean(self.t_h_limit,
+                               DegenerateLimit("no tiles in the limit"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,6 +153,11 @@ def synthetic_limit(w_j: Mapping[int, float],
         t_h_limit=dict(t_h), v_j_limit=dict(w_j))
 
 
+def _balance(av: float, ah: float) -> float:
+    """Distance of 1/av + 1/ah from 1/2."""
+    return abs(1.0 / av + 1.0 / ah - 0.5)
+
+
 def balance_residual(limit: LimitEstimate) -> float:
     """Distance from the strongly-balanced identity
     1/(avg valence) + 1/(avg adjacents) = 1/2."""
@@ -161,7 +165,7 @@ def balance_residual(limit: LimitEstimate) -> float:
     ah = limit.average_adjacents()
     if av <= 0 or ah <= 0:
         raise DegenerateLimit("averages must be positive")
-    return abs(1.0 / av + 1.0 / ah - 0.5)
+    return _balance(av, ah)
 
 
 def proposition1_check(limit: LimitEstimate, slack: float = 0.0):
@@ -243,12 +247,8 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
 
 def per_radius_balance_residuals(limit: LimitEstimate) -> list[float]:
     """Finite-radius balance residuals, one per sweep radius."""
-    out = []
-    for s in limit.stats:
-        av = average_valence(s)
-        ah = average_adjacents(s)
-        out.append(abs(1.0 / av + 1.0 / ah - 0.5))
-    return out
+    return [_balance(average_valence(s), average_adjacents(s))
+            for s in limit.stats]
 
 
 def write_sweep_csv(limit: LimitEstimate, stream: IO[str]) -> None:

@@ -46,18 +46,10 @@ class Isometry:
     reflect: bool = False
 
     @classmethod
-    def identity(cls) -> "Isometry":
-        return cls()
-
-    @classmethod
     def rotation_about(cls, angle: float, center) -> "Isometry":
         c = np.asarray(center, dtype=float)
         t = c - rot_matrix(angle) @ c
         return cls(rotation=angle, translation=tuple(t))
-
-    @classmethod
-    def half_turn(cls, center) -> "Isometry":
-        return cls.rotation_about(math.pi, center)
 
     @classmethod
     def match_segment(cls, p0, p1, q0, q1, reflect: bool = False) -> "Isometry":
@@ -121,9 +113,8 @@ class TilingRecipe:
 
     def __post_init__(self):
         require_finite("lattice vectors", (self.u, self.v))
-        cross = self.u[0] * self.v[1] - self.u[1] * self.v[0]
         scale = self.pentagon.mean_edge() ** 2
-        if abs(cross) <= LATTICE_TOL * max(scale, 1e-30):
+        if self.cell_area() <= LATTICE_TOL * max(scale, 1e-30):
             raise RecipeInvalid("lattice vectors u, v are parallel")
         if not self.region:
             raise RecipeInvalid("fundamental region holds no tiles")
@@ -133,6 +124,21 @@ class TilingRecipe:
         clockwise and are reversed)."""
         base = self.pentagon.vertices
         return [_ccw(iso.apply(base)) for iso in self.region]
+
+    @functools.cached_property
+    def region_corners(self) -> np.ndarray:
+        """region_polygons() as one (k, 5, 2) array, built once."""
+        return np.array(self.region_polygons())
+
+    @functools.cached_property
+    def region_centroids(self) -> np.ndarray:
+        """Centroid of each region tile, (k, 2)."""
+        return np.array([polygon_centroid(p) for p in self.region_corners])
+
+    @functools.cached_property
+    def touch_motif(self):
+        """The recipe's `_touch_motif`, measured once."""
+        return _touch_motif(self)
 
     def cell_area(self) -> float:
         return abs(self.u[0] * self.v[1] - self.u[1] * self.v[0])
@@ -193,12 +199,12 @@ def _type1_region(p: Pentagon):
     u = vv[2] - vv[0]
     candidates = []
     mid_b = (vv[1] + vv[2]) / 2.0
-    row_pair = (Isometry.identity(), Isometry.half_turn(mid_b))
+    row_pair = (Isometry(), Isometry.rotation_about(math.pi, mid_b))
     for slide in (0.25, 1.0 / 3.0):
         v = (vv[1] + vv[2] - 2.0 * vv[3]) + slide * u
         candidates.append((row_pair, u, v))
     mid_d = (vv[3] + vv[4]) / 2.0
-    hex_pair = (Isometry.identity(), Isometry.half_turn(mid_d))
+    hex_pair = (Isometry(), Isometry.rotation_about(math.pi, mid_d))
     candidates.append((hex_pair, u, (2.0 * mid_d - vv[1]) - vv[2]))
     return candidates
 
@@ -212,8 +218,9 @@ def _type2_region(p: Pentagon):
     flip = Isometry.match_segment(vv[0], vv[1], vv[3], vv[4], reflect=True)
     mid_pb = (vv[1] + vv[2]) / 2.0
     mid_qb = (flip.apply(vv[1]) + flip.apply(vv[2])) / 2.0
-    glide = Isometry.half_turn(mid_qb).compose(flip)
-    region = (Isometry.identity(), flip, glide, Isometry.half_turn(mid_pb))
+    glide = Isometry.rotation_about(math.pi, mid_qb).compose(flip)
+    half_b = Isometry.rotation_about(math.pi, mid_pb)
+    region = (Isometry(), flip, glide, half_b)
     u = 2.0 * (mid_pb - mid_qb)
     doubled = glide.compose(glide)
     v = np.asarray(doubled.translation)
@@ -263,9 +270,7 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
             f"no built-in recipe for Type {type_id!r}; "
             f"available: {BUILTIN_RECIPE_TYPES}")
     spec = get_type_spec(type_id)
-    labelings = [pentagon.relabeled(rotation=r, reflect=refl)
-                 for refl in (False, True) for r in range(5)]
-    fits = [q for q in labelings if spec.satisfied_by(q)]
+    fits = [q for q in pentagon.labelings() if spec.satisfied_by(q)]
     if not fits:
         raise TypeMismatch(
             f"pentagon does not satisfy the Type {type_id} constraints")
@@ -322,8 +327,8 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     Every candidate is a translate (m, n) of a region tile, so whether two
     of them touch depends only on their region tiles and the difference of
     their cells. The flood fill reads the touch graph off the recipe's touch
-    motif (`_touch_motif`), measured once per call on the region tiles, in
-    place of measuring distances for every candidate pair. The motif is
+    motif (`_touch_motif`), measured once per recipe on the region tiles,
+    in place of measuring distances for every candidate pair. The motif is
     measured near the origin, so the graph is the lattice's touch relation
     at any centre, however much translating the polygons rounds them.
     """
@@ -336,22 +341,19 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     eps = 1e-7 * recipe.pentagon.mean_edge()
     reach = r + 4.0 * diam
     lo, hi = _candidate_cells(recipe, center, reach)
-    base_polys = np.array(recipe.region_polygons())
-    base_centroids = np.array([polygon_centroid(p) for p in base_polys])
-    motif = _touch_motif(recipe, base_polys, base_centroids, eps)
 
     # every (cell, region tile) pair in (m, n, region index) order; a
     # translate's centroid is the region tile's centroid plus the shift
     m, n, idx = (a.ravel() for a in np.meshgrid(
         np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
-        np.arange(len(base_polys)), indexing="ij"))
+        np.arange(len(recipe.region)), indexing="ij"))
     shifts = (m[:, None] * np.asarray(recipe.u)
               + n[:, None] * np.asarray(recipe.v))
-    centroids = base_centroids[idx] + shifts
+    centroids = recipe.region_centroids[idx] + shifts
     near = np.linalg.norm(centroids - center, axis=1) <= reach + diam
     m, n, idx, shifts, centroids = (a[near] for a in
                                     (m, n, idx, shifts, centroids))
-    polys = base_polys[idx] + shifts[:, None, :]
+    polys = recipe.region_corners[idx] + shifts[:, None, :]
 
     d_max = np.linalg.norm(polys - center, axis=2).max(axis=1)
     inner = d_max <= r - eps
@@ -360,8 +362,8 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
     boundary = rest[meets]
     outer = rest[~meets]
     cells = np.column_stack([m, n, idx])[outer]
-    f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], cells, motif,
-                               len(base_polys), eps)]
+    f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], cells,
+                               recipe.touch_motif, len(recipe.region), eps)]
 
     def placed(ids, zone):
         return [PlacedTile((int(m[i]), int(n[i])), polys[i], zone)
@@ -377,8 +379,7 @@ def _ccw(poly: np.ndarray) -> np.ndarray:
     return poly if polygon_area(poly) >= 0 else poly[::-1]
 
 
-def _touch_motif(recipe: TilingRecipe, base_polys: np.ndarray,
-                 base_centroids: np.ndarray, eps: float):
+def _touch_motif(recipe: TilingRecipe):
     """The touch relation of the tiling as data about one lattice cell.
 
     Returns arrays (i, j, dm, dn), one row per region tile i and translate
@@ -386,8 +387,10 @@ def _touch_motif(recipe: TilingRecipe, base_polys: np.ndarray,
     of the other's boundary, `_polygons_touch`). By periodicity, tile i of
     cell (m, n) then touches tile j of cell (m + dm, n + dn). Only
     translates whose centroid lies within 2·radius + eps of tile i's are
-    measured; touching tiles always do.
+    measured; touching tiles always do. eps is generate_patch's.
     """
+    base_polys, base_centroids = recipe.region_corners, recipe.region_centroids
+    eps = 1e-7 * recipe.pentagon.mean_edge()
     radius = np.linalg.norm(base_polys - base_centroids[:, None],
                             axis=2).max()
     reach = 2.0 * radius + eps

@@ -19,7 +19,6 @@ from .geometry import (
     points_in_convex_polygon,
     polygon_area,
     polygon_areas,
-    polygon_centroid,
     polygon_disk_overlap_areas,
     smallest_enclosing_circle,
     stack_polygons,
@@ -103,14 +102,14 @@ def check_no_overlap(patch, tol: float = AREA_TOL) -> CheckReport:
                                 "max_overlap_fraction": worst / ref})
 
 
-def _grid_cover_check(stacked, counts, region_mask, lo, hi, pitch, eps):
+def _grid_cover_check(stacked, region_mask, lo, hi, pitch, eps):
     """Sampling route: every grid point passing region_mask must lie in a
     tile. Returns (#tested, #missed, the first miss in row-major order or
     None).
 
     Each tile runs points_in_convex_polygon(..., eps) on the grid points of
     its index box, one index wider than its corners each way (padding
-    repeats corners, so counts moves no box). The eps band reaches
+    repeats corners, so it moves no box). The eps band reaches
     eps / sin(theta / 2) past a corner of angle theta; with the checks'
     eps, 1e-9 of the tile or cell size, that is far less than one index.
     So the box holds every point the tile can, and the covered set is the
@@ -203,8 +202,7 @@ def check_coverage(patch, r_inner: float | None = None,
     tested, missed, example = 0, 0, None
     if ok_tiles_area:
         tested, missed, example = _grid_cover_check(
-            stacked, counts, in_disk, center - r_inner, center + r_inner,
-            pitch, eps)
+            stacked, in_disk, center - r_inner, center + r_inner, pitch, eps)
     ok_grid = missed == 0
 
     # an inner disk smaller than one tile tests next to nothing
@@ -243,7 +241,7 @@ def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
     covered exactly.
     """
     require_positive("tol", tol)
-    base = recipe.region_polygons()
+    base = recipe.region_corners
     u = np.asarray(recipe.u)
     v = np.asarray(recipe.v)
     cell_area = recipe.cell_area()
@@ -260,7 +258,7 @@ def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
 
     # probe cell centered on the region itself; any lattice translate of
     # the parallelogram is a fundamental domain
-    anchor = np.mean([polygon_centroid(p) for p in base], axis=0)
+    anchor = recipe.region_centroids.mean(axis=0)
     p0 = anchor - (u + v) / 2.0
     cell = np.array([p0, p0 + u, p0 + u + v, p0 + v])
     if polygon_area(cell) < 0:
@@ -279,7 +277,7 @@ def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
         return points_in_convex_polygon(pts, cell, eps=-eps)
 
     tested, missed, example = _grid_cover_check(
-        stacked, counts, in_cell, lo, hi, pitch, eps)
+        stacked, in_cell, lo, hi, pitch, eps)
     ok_grid = missed == 0
 
     violations = []

@@ -8,7 +8,7 @@ import pytest
 
 import pentile
 from pentile.arrangement import SNAP_FACTOR, Patch
-from pentile.geometry import interior_angles, point_segment_distance
+from pentile.geometry import interior_angles
 from pentile.pentagon import pentagon_to_json
 from pentile.stats import FULL, INTERIOR, PatchStats, compute_stats
 from pentile.tiling import builtin_recipe, generate_patch
@@ -19,6 +19,18 @@ DATA = Path(__file__).parent / "data"
 def square(x, y, size=1.0):
     return np.array([(x, y), (x + size, y), (x + size, y + size),
                      (x, y + size)], dtype=float)
+
+
+def point_segment_distance(p, a, b) -> float:
+    """Distance from one point to one segment, one at a time: the scalar
+    reference beside geometry.segment_distances."""
+    d = b - a
+    dd = float(d @ d)
+    if dd < 1e-30:
+        return math.hypot(*(p - a))
+    t = float((p - a) @ d) / dd
+    t = min(1.0, max(0.0, t))
+    return math.hypot(*(p - (a + t * d)))
 
 
 def reference_arrangement(polys, eps):

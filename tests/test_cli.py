@@ -219,6 +219,8 @@ BAD_PATCH_EDITS = {
 @pytest.mark.parametrize("argv", [
     "tile --type 4 --r 5 --patch x.json",
     "sweep --type 4 --radii 10,20 --snap-eps 1e-7",
+    "verify --type 4 --r 10 --snap-eps 1e-7",
+    "render --type 4 --r 6 --snap-eps 1e-7",
     "tile --type 4 --r abc",
     "stats --patch r-text", "verify --patch r-text", "render --patch r-text",
     "stats --patch r-nan", "render --patch r-nan",
@@ -244,6 +246,23 @@ def test_bad_flags_and_patch_documents_are_parse_errors(capsys, tmp_path,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_one_bad_tile_among_many_is_a_parse_error(capsys, tmp_path):
+    """The check over all corners at once finds the one clockwise tile in
+    the middle of the Type 4 r = 6 document, and names it."""
+    path = tmp_path / "patch.json"
+    assert main(["tile", "--type", "4", "--r", "6", "--out", str(path)]) == 0
+    document = json.loads(path.read_text())
+    tile = document["tiles"][len(document["tiles"]) // 2]
+    assert tile["zone"] == "F1"
+    tile["polygon"].reverse()
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "stats", "--patch", str(path))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].endswith(f"got {tile['polygon']}")
 
 
 def test_huge_coordinates_leave_one_json_line_on_stderr(tmp_path):

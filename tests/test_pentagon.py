@@ -160,6 +160,11 @@ class TestRelations:
         assert not has_theorem1_property(REGULAR)
         assert has_theorem1_property(HOUSE)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf])
+    def test_bad_tolerance_is_a_parse_error(self, tol):
+        with pytest.raises(ParseError):
+            has_theorem1_property(HOUSE, tol=tol)
+
     def test_tolerance_boundary(self):
         p = pent((60, 150, 90, 90, 150))
         loose = satisfied_relations(p, tol=1e-3)

@@ -36,6 +36,7 @@ from pentile.verifier import (
     normality_witness,
     verify_patch,
 )
+from test_arrangement import point_segment_distance
 
 DATA = Path(__file__).parent / "data"
 
@@ -275,7 +276,7 @@ def test_grid_route_matches_tile_by_tile_scan(t4_patch, drop):
         return np.linalg.norm(pts - center, axis=1) <= r_inner
 
     args = (in_disk, center - r_inner, center + r_inner, 0.1, 1e-9)
-    found = _grid_cover_check(*stack_polygons(polys), *args)
+    found = _grid_cover_check(stack_polygons(polys)[0], *args)
     assert found == loop_grid_cover_check(polys, *args)
     assert (found[1] > 0) == (drop > 0)
 
@@ -321,7 +322,7 @@ def grid_cover_cases(draw):
 @given(grid_cover_cases())
 def test_grid_route_matches_tile_by_tile_scan_anywhere(case):
     polys, args = case
-    assert _grid_cover_check(*stack_polygons(polys), *args) == \
+    assert _grid_cover_check(stack_polygons(polys)[0], *args) == \
         loop_grid_cover_check(polys, *args)
 
 
@@ -438,7 +439,7 @@ def test_house_inradius_matches_brute_force_search():
             q = np.array([x, y])
             if pentile.geometry.points_in_convex_polygon(
                     q[None, :], poly)[0]:
-                rim = min(pentile.geometry.point_segment_distance(q, a, b)
+                rim = min(point_segment_distance(q, a, b)
                           for a, b in sides)
                 best = max(best, rim)
     assert witness.inradius == pytest.approx(best, abs=5e-3)
