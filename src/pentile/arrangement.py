@@ -29,12 +29,16 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_array
 from scipy.spatial import cKDTree
 
-from .errors import ParseError, require_positive
+from .errors import ParseError
 from .geometry import corner_angles, segment_distances
 from .tiling import PlacedTile
 
 SNAP_FACTOR = 1e-7           # vertex merge radius, relative to mean edge
 COMPLETE_ANGLE_TOL = 1e-6    # rad; full 360-degree surround test
+# a patch document's corners have nine significant digits: two copies of
+# one corner differ by at most a unit in the ninth digit, 1e-8 |x|, per
+# axis, so by under 2e-8 of the largest coordinate
+DOCUMENT_PRECISION = 2e-8
 # largest magnitude of a patch document's coordinates, centre and radius:
 # the enclosing circle multiplies three coordinates, and stays finite
 COORD_LIMIT = 1e100
@@ -126,17 +130,17 @@ class Patch:
 
     @classmethod
     def from_polygons(cls, polygons: Iterable, r: float | None = None,
-                      center=None, snap_eps: float | None = None) -> "Patch":
+                      center=None) -> "Patch":
         """Arrangement of raw polygons; convenience for hand-built patches."""
         tiles = [PlacedTile(cell=(0, 0), polygon=np.asarray(p, dtype=float))
                  for p in polygons]
-        return cls.from_tiles(tiles, r=r, center=center, snap_eps=snap_eps)
+        return cls.from_tiles(tiles, r=r, center=center)
 
     @classmethod
     def from_tiles(cls, tiles: Sequence[PlacedTile], r: float | None = None,
-                   center=None, snap_eps: float | None = None) -> "Patch":
-        if snap_eps is not None:
-            require_positive("snap_eps", snap_eps)
+                   center=None, precision: float = 0.0) -> "Patch":
+        """precision: the corners' relative error (DOCUMENT_PRECISION for a
+        document's); the merge distance and full-turn test widen to match."""
         tiles = tuple(tiles)
         center = tuple(center) if center is not None else None
         if not tiles:
@@ -150,11 +154,17 @@ class Patch:
         owner = np.repeat(np.arange(len(tiles)), np.diff(offsets))
         side = points[nxt] - points
         side_lengths = np.linalg.norm(side, axis=1)
-        eps = (snap_eps if snap_eps is not None
-               else SNAP_FACTOR * float(side_lengths.mean()))
+        slack = precision * float(np.abs(points).max()) if precision else 0.0
+        eps = max(SNAP_FACTOR * float(side_lengths.mean()), slack)
 
         corner_vid, vertex_xy = _snap_corners(points, eps)
         n_vertices = len(vertex_xy)
+        # ends moved by slack / 2 turn a side by up to slack / length, and
+        # the corners at both its ends by as much
+        angle_tol = COMPLETE_ANGLE_TOL + (slack * np.bincount(
+            np.concatenate([corner_vid, corner_vid[nxt]]),
+            weights=np.tile(1.0 / side_lengths, 2), minlength=n_vertices)
+            if slack else 0.0)
         angles = corner_angles(side, nxt)
 
         # vertices sitting inside a side split it; the tile counts as
@@ -168,7 +178,7 @@ class Patch:
                      + math.pi * np.bincount(split_vid, minlength=n_vertices))
         pseudo = np.zeros(n_vertices, dtype=bool)
         pseudo[split_vid] = True
-        complete = np.abs(angle_sum - 2 * math.pi) <= COMPLETE_ANGLE_TOL
+        complete = np.abs(angle_sum - 2 * math.pi) <= angle_tol
         inc_vid, inc_tile = _unique_rows(
             np.concatenate([corner_vid, split_vid]),
             np.concatenate([owner, split_tile]))
@@ -304,8 +314,7 @@ def _sharing(rows: Csr, n: int) -> Csr:
     return Csr(shared.indptr, shared.indices)
 
 
-def patch_from_json_dict(document: dict, snap_eps: float | None = None
-                         ) -> Patch:
+def patch_from_json_dict(document: dict) -> Patch:
     """Rebuild a Patch from its JSON export; the arrangement is recomputed
     from the polygons. Raises ParseError unless r is positive, the centre is
     two numbers and every polygon is at least 3 points that turn strictly
@@ -349,4 +358,5 @@ def patch_from_json_dict(document: dict, snap_eps: float | None = None
                          f"with coordinates in [-{COORD_LIMIT:g}, "
                          f"{COORD_LIMIT:g}], in convex counter-clockwise "
                          f"order, got {bad[0].tolist()}")
-    return Patch.from_tiles(tiles, r=r, center=center, snap_eps=snap_eps)
+    return Patch.from_tiles(tiles, r=r, center=center,
+                            precision=DOCUMENT_PRECISION)

@@ -56,11 +56,6 @@ def _emit(document, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_json(report) -> dict:
-    return {"pass": report.ok, "violations": report.violations,
-            "metrics": report.metrics}
-
-
 def _load_json_file(path: str):
     try:
         with open(path) as fh:
@@ -90,14 +85,12 @@ def _resolve_recipe(args) -> tiling.TilingRecipe:
 def _resolve_patch(args, recipe=None) -> arrangement.Patch:
     """The --patch file when given, else a patch generated on the --r disk
     from `recipe` or the one the flags name."""
-    snap_eps = getattr(args, "snap_eps", None)
     if getattr(args, "patch", None):
-        return arrangement.patch_from_json_dict(
-            _load_json_file(args.patch), snap_eps=snap_eps)
+        return arrangement.patch_from_json_dict(_load_json_file(args.patch))
     recipe = recipe or _resolve_recipe(args)
     if args.r is None:
         raise ParseError("give --r, the patch radius")
-    return tiling.generate_patch(recipe, args.r, snap_eps=snap_eps)
+    return tiling.generate_patch(recipe, args.r)
 
 
 def _equations(eqs) -> list[str]:
@@ -158,14 +151,15 @@ def cmd_tile(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.patch:
-        report = verifier.verify_patch(_resolve_patch(args), tol=args.area_tol)
+        report = verifier.verify_patch(_resolve_patch(args))
     else:
         recipe = _resolve_recipe(args)
-        report = verifier.check_periodicity(recipe, tol=args.area_tol)
+        report = verifier.check_periodicity(recipe)
         if args.r is not None:
             report = report.merge(verifier.verify_patch(
-                _resolve_patch(args, recipe), tol=args.area_tol))
-    _emit(_report_json(report), args.out)
+                _resolve_patch(args, recipe)))
+    _emit({"pass": report.ok, "violations": report.violations,
+           "metrics": report.metrics}, args.out)
     return 0 if report.ok else 1
 
 
@@ -224,8 +218,6 @@ INPUT_FLAGS = {
     "recipe": [("--recipe", dict(help="tiling recipe JSON file"))],
     "patch": [("--patch", dict(help="patch JSON file"))],
     "disk": [("--r", dict(type=float, help="patch disk radius"))],
-    "snap": [("--snap-eps", dict(type=float,
-                                 help="vertex merge distance override"))],
 }
 
 # name, handler, help, input groups, the command's own flags
@@ -237,12 +229,11 @@ COMMANDS = [
      "which three-angle relations a pentagon satisfies", ["pentagon"],
      [("--tol-deg", dict(type=float, default=DEFAULT_TOL_DEG))]),
     ("tile", cmd_tile, "generate a patch as JSON",
-     ["pentagon", "recipe", "disk", "snap"], [("--svg", {})]),
+     ["pentagon", "recipe", "disk"], [("--svg", {})]),
     ("verify", cmd_verify, "check recipe or patch health",
-     ["pentagon", "recipe", "patch", "disk"],
-     [("--area-tol", dict(type=float, default=verifier.AREA_TOL))]),
+     ["pentagon", "recipe", "patch", "disk"], []),
     ("stats", cmd_stats, "count vertices, edges, tiles",
-     ["pentagon", "recipe", "patch", "disk", "snap"],
+     ["pentagon", "recipe", "patch", "disk"],
      [("--mode", dict(choices=[stats.FULL, stats.INTERIOR],
                       default=stats.FULL))]),
     ("sweep", cmd_sweep, "limit statistics over growing radii",

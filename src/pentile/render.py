@@ -7,13 +7,14 @@ TILE_FILL = "#ffffff"
 REGION_FILL = "#d8d8d8"     # pale gray for the cell (0,0) tiles
 STROKE = "#303030"
 DISK_STROKE = "#b02020"
+WIDTH = 720.0               # SVG viewBox width; the height keeps the aspect
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def patch_to_svg(patch, width: float = 720.0) -> str:
+def patch_to_svg(patch) -> str:
     """Render every tile as one <polygon>; cell-(0,0) tiles are tinted.
 
     Output is a pure function of the patch, so identical patches give
@@ -27,7 +28,7 @@ def patch_to_svg(patch, width: float = 720.0) -> str:
     hi = points.max(axis=0)
     span = hi - lo
     pad = 0.02 * max(span)
-    scale = width / (max(span) + 2 * pad)
+    scale = WIDTH / (max(span) + 2 * pad)
     height = (span[1] + 2 * pad) * scale
 
     def to_px(xy):
@@ -38,7 +39,7 @@ def patch_to_svg(patch, width: float = 720.0) -> str:
     stroke_w = _fmt(max(0.75, 0.012 * scale))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'viewBox="0 0 {_fmt(WIDTH)} {_fmt(height)}">',
         f'<g stroke="{STROKE}" stroke-width="{stroke_w}" '
         f'stroke-linejoin="round">',
     ]

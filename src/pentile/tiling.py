@@ -309,8 +309,7 @@ def tile_diameter(pentagon: Pentagon) -> float:
     return max(float(np.linalg.norm(a - b)) for a in vv for b in vv)
 
 
-def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
-                   snap_eps: float | None = None):
+def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     """The patch A(r, M): tiles inside the disk, tiles meeting its boundary,
     and tiles surrounded by those. Returns an arrangement-backed Patch.
 
@@ -371,8 +370,7 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0),
 
     tiles = (placed(np.nonzero(inner)[0], "F1") + placed(boundary, "F2")
              + placed(f3, "F3"))
-    return Patch.from_tiles(tiles, r=r, center=tuple(center),
-                            snap_eps=snap_eps)
+    return Patch.from_tiles(tiles, r=r, center=tuple(center))
 
 
 def _ccw(poly: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInnerRadius, require_positive
+from .errors import InvalidInnerRadius
 from .geometry import (
     convex_overlap_areas,
     largest_inscribed_circle,
@@ -84,14 +84,13 @@ def _pairwise_overlap(stacked, counts):
     return float(areas[k]), (int(i[k]), int(j[k]))
 
 
-def check_no_overlap(patch, tol: float = AREA_TOL) -> CheckReport:
-    """No two patch tiles may share interior area beyond tol x tile area."""
-    require_positive("tol", tol)
+def check_no_overlap(patch) -> CheckReport:
+    """No two patch tiles may share more than AREA_TOL of a tile's area."""
     stacked, counts = stack_polygons([t.polygon for t in patch.tiles])
     areas = np.abs(polygon_areas(stacked, counts))
     ref = float(areas.min()) if len(areas) else 1.0
     worst, pair = _pairwise_overlap(stacked, counts)
-    ok = worst <= tol * ref
+    ok = worst <= AREA_TOL * ref
     violations = []
     if not ok:
         violations.append(
@@ -145,8 +144,7 @@ def _grid_cover_check(stacked, region_mask, lo, hi, pitch, eps):
     return int(wanted.sum()), missed, example
 
 
-def check_coverage(patch, r_inner: float | None = None,
-                   tol: float = AREA_TOL) -> CheckReport:
+def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
     """The inner disk D(r_inner, M) must be covered by the patch tiles.
 
     r_inner has to stay at least one tile circumradius short of the patch
@@ -161,7 +159,6 @@ def check_coverage(patch, r_inner: float | None = None,
     So the grid holds at most about 20·n·A/ρ² points for n tiles and the
     first tile's area A and inradius ρ.
     """
-    require_positive("tol", tol)
     if patch.r is None or patch.center is None:
         raise InvalidInnerRadius("patch carries no disk; nothing to cover")
     if not patch.tiles:
@@ -185,7 +182,7 @@ def check_coverage(patch, r_inner: float | None = None,
     covered_area = sum(polygon_disk_overlap_areas(stacked, counts, center,
                                                   r_inner))
     gap = disk_area - covered_area
-    ok_area = abs(gap) <= tol * disk_area
+    ok_area = abs(gap) <= AREA_TOL * disk_area
 
     # patch tiles are congruent, so one inradius sets the sampling pitch
     inradius = largest_inscribed_circle(polys[0])[1]
@@ -233,20 +230,19 @@ def check_coverage(patch, r_inner: float | None = None,
                  "sample_points": tested, "sample_misses": missed})
 
 
-def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
+def check_periodicity(recipe) -> CheckReport:
     """A recipe tiles the plane iff the region tiles one lattice cell.
 
     Checks, on a 3x3 block of cells: the region area equals the cell area,
     no two placed tiles overlap, and the central cell parallelogram is
     covered exactly.
     """
-    require_positive("tol", tol)
     base = recipe.region_corners
     u = np.asarray(recipe.u)
     v = np.asarray(recipe.v)
     cell_area = recipe.cell_area()
     region_area = sum(abs(polygon_area(p)) for p in base)
-    ok_area = abs(region_area - cell_area) <= tol * cell_area
+    ok_area = abs(region_area - cell_area) <= AREA_TOL * cell_area
 
     stacked, counts = stack_polygons(
         [p + m * u + n * v for m in WINDOW for n in WINDOW for p in base])
@@ -254,7 +250,7 @@ def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
     tile = recipe.pentagon.vertices
     tile_area = abs(polygon_area(tile))
     worst, pair = _pairwise_overlap(stacked, counts)
-    ok_overlap = worst <= tol * tile_area
+    ok_overlap = worst <= AREA_TOL * tile_area
 
     # probe cell centered on the region itself; any lattice translate of
     # the parallelogram is a fundamental domain
@@ -265,7 +261,7 @@ def check_periodicity(recipe, tol: float = AREA_TOL) -> CheckReport:
         cell = cell[::-1]
     clipped = sum(convex_overlap_areas(
         stacked, counts, np.broadcast_to(cell, (len(stacked), 4, 2))).tolist())
-    ok_cell = abs(clipped - cell_area) <= tol * cell_area
+    ok_cell = abs(clipped - cell_area) <= AREA_TOL * cell_area
 
     inradius = largest_inscribed_circle(tile)[1]
     pitch = inradius / SAMPLE_DIVISOR
@@ -328,7 +324,6 @@ def normality_witness(pentagon) -> NormalityWitness:
                             circumcenter=tuple(out_center))
 
 
-def verify_patch(patch, tol: float = AREA_TOL) -> CheckReport:
+def verify_patch(patch) -> CheckReport:
     """Overlap plus coverage in one report; the standard patch health check."""
-    report = check_no_overlap(patch, tol=tol)
-    return report.merge(check_coverage(patch, tol=tol))
+    return check_no_overlap(patch).merge(check_coverage(patch))

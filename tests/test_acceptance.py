@@ -142,9 +142,9 @@ def test_c5_overlap_and_coverage_at_r20(recipes):
     worst = []
     for tid, recipe in recipes.items():
         patch = generate_patch(recipe, 20.0)
-        overlap = check_no_overlap(patch, tol=1e-9)
+        overlap = check_no_overlap(patch)
         big_u = normality_witness(recipe.pentagon).circumradius
-        coverage = check_coverage(patch, r_inner=20.0 - big_u, tol=1e-9)
+        coverage = check_coverage(patch, r_inner=20.0 - big_u)
         if not (overlap.ok and coverage.ok):
             worst.append((tid, overlap.violations + coverage.violations))
     verdict(not worst, "verifier at r=20",

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import pentile
-from pentile.arrangement import SNAP_FACTOR, Patch
+from pentile.arrangement import SNAP_FACTOR, Patch, patch_from_json_dict
+from pentile.cli import _round9
 from pentile.geometry import interior_angles
 from pentile.pentagon import pentagon_to_json
 from pentile.stats import FULL, INTERIOR, PatchStats, compute_stats
@@ -161,9 +162,10 @@ def test_generated_patch_matches_loop_reference(type_id, center):
 
 
 def test_chained_corners_merge_into_one_vertex_at_their_mean():
-    """Corners 0.6 eps apart chain together, although the outer two are
-    1.2 eps apart."""
-    eps = 1e-3
+    """Corners 0.6 of the merge distance apart chain together, although the
+    outer two are 1.2 of it apart. Every side is 1 long to within 2e-7, so
+    the merge distance is SNAP_FACTOR to within as little of itself."""
+    eps = SNAP_FACTOR
     tips = [np.array([0.6 * eps * i, 0.0]) for i in range(3)]
     triangles = []
     for i, tip in enumerate(tips):
@@ -171,7 +173,7 @@ def test_chained_corners_merge_into_one_vertex_at_their_mean():
         far = [(math.cos(turn + a), math.sin(turn + a))
                for a in (0.0, math.pi / 3)]
         triangles.append(np.vstack([tip, far]))
-    patch = Patch.from_polygons(triangles, snap_eps=eps)
+    patch = Patch.from_polygons(triangles)
     assert [row[0] for row in patch.corner_vertices.rows()] == [0, 0, 0]
     assert patch.vertex_count == 1 + 2 * 3
     assert patch.vertices[0].xy == pytest.approx(tuple(np.mean(tips, axis=0)),
@@ -269,3 +271,18 @@ def test_document_is_read_off_the_arrays(type_id):
     assert "vertices" not in patch.__dict__
     assert "edges" not in patch.__dict__
     assert document == json.dumps(records_document(patch))
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (150.0, 0.0), (1e4, 3e3),
+                                    (-2.5e3, 7.5e2), (2e4, -2e4), (-3e4, 0.0)],
+                         ids="{0[0]:g},{0[1]:g}".format)
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_nine_digit_document_gives_the_generated_stats(type_id, center):
+    """A patch document carries nine significant digits, so far from the
+    origin two copies of one corner differ by more than SNAP_FACTOR of a
+    side; reading it back must still merge them and close full turns."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    patch = generate_patch(recipe, 8.0, center)
+    document = patch_from_json_dict(_round9(patch.to_json_dict()))
+    for mode in (FULL, INTERIOR):
+        assert compute_stats(document, mode) == compute_stats(patch, mode)

@@ -1,4 +1,5 @@
 """End-to-end command-line runs, exit codes, and output formats."""
+import argparse
 import hashlib
 import json
 import math
@@ -179,13 +180,7 @@ def test_tile_rejects_non_finite_radius(capsys, radius):
 
 
 @pytest.mark.parametrize("argv", [
-    "tile --type 4 --r 6 --snap-eps=0",
-    "tile --type 4 --r 6 --snap-eps=nan",
-    "tile --type 4 --r 6 --snap-eps=-1",
-    "tile --type 4 --r 6 --snap-eps=inf",
-    "stats --type 4 --r 6 --snap-eps=0",
     "theorem1 --type 5 --tol-deg=nan",
-    "verify --type 4 --r 10 --area-tol=nan",
 ])
 def test_non_finite_or_non_positive_tolerances_rejected(capsys, argv):
     code, out, err = run(capsys, *argv.split())
@@ -218,6 +213,10 @@ BAD_PATCH_EDITS = {
 
 @pytest.mark.parametrize("argv", [
     "tile --type 4 --r 5 --patch x.json",
+    # the merge distance and the area tolerance are not options
+    "tile --type 4 --r 6 --snap-eps=0",
+    "stats --type 4 --r 6 --snap-eps=0",
+    "verify --type 4 --r 10 --area-tol=nan",
     "sweep --type 4 --radii 10,20 --snap-eps 1e-7",
     "verify --type 4 --r 10 --snap-eps 1e-7",
     "render --type 4 --r 6 --snap-eps 1e-7",
@@ -319,6 +318,28 @@ def test_stray_exception_exits_2_with_json(capsys, monkeypatch):
     code, out, err = run(capsys, "catalog", "list")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "RuntimeError", "message": "boom"}
+
+
+INPUTS = {"--type", "--pentagon", "--recipe"}
+OPTIONS = {
+    "catalog": {"action", "id", "--out"},
+    "theorem1": {"--type", "--pentagon", "--tol-deg", "--out"},
+    "tile": INPUTS | {"--r", "--svg", "--out"},
+    "verify": INPUTS | {"--patch", "--r", "--out"},
+    "stats": INPUTS | {"--patch", "--r", "--mode", "--out"},
+    "sweep": INPUTS | {"--radii", "--csv", "--out"},
+    "render": INPUTS | {"--patch", "--r", "--out"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    """Every value a user can set, by command: a new option shows here."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    taken = {name: {s for a in sub._actions if a.dest != "help"
+                    for s in a.option_strings or [a.dest]}
+             for name, sub in commands.items()}
+    assert taken == OPTIONS
 
 
 @pytest.mark.parametrize("command", ["catalog", "theorem1", "tile", "verify",
