@@ -11,12 +11,23 @@ Statistics count on the arrays; the vertices and edges records are built on
 first access.
 
 The work runs on one flat array of all tile corners, with per-tile offsets so
-polygons of different corner counts can mix; corner i opens side i. Corners
-within eps of each other, chains included, are the connected components of a
-cKDTree pair search, numbered by first corner occurrence. One neighbour query
-around the side midpoints finds the vertices lying inside sides. The stops
-along every side are ordered with one lexsort, and edges, their owners and
-every incidence row come from sorted unique (key, value) rows.
+polygons of different corner counts can mix; corner i opens side i. One of
+two finders says which vertex each corner is and which vertices lie inside
+each side; one assembly builds every array from that.
+
+- Snapping (`Patch.from_tiles`, for documents and hand-built polygons):
+  corners within eps of each other, chains included, are the connected
+  components of a cKDTree pair search, and one neighbour query around the
+  side midpoints finds the vertices lying inside sides.
+- Lookup (`Patch.from_cells`, for generated patches): the recipe's
+  CellArrangement, snapped once on one lattice cell's window, gives each
+  region corner's vertex orbit and each region side's inner vertices, so a
+  tile of cell (m, n) finds them by integer key, with no distance measured.
+
+Either way vertices are numbered by first corner occurrence and placed at
+the mean of their corners. The assembly orders the stops along every side
+with one lexsort, and edges, their owners and every incidence row come from
+sorted unique (key, value) rows.
 """
 from __future__ import annotations
 
@@ -139,8 +150,10 @@ class Patch:
     @classmethod
     def from_tiles(cls, tiles: Sequence[PlacedTile], r: float | None = None,
                    center=None, precision: float = 0.0) -> "Patch":
-        """precision: the corners' relative error (DOCUMENT_PRECISION for a
-        document's); the merge distance and full-turn test widen to match."""
+        """Snap the tiles' corners into vertices and find the vertices
+        inside their sides by distance. precision: the corners' relative
+        error (DOCUMENT_PRECISION for a document's); the merge distance and
+        full-turn test widen to match."""
         tiles = tuple(tiles)
         center = tuple(center) if center is not None else None
         if not tiles:
@@ -148,29 +161,39 @@ class Patch:
             flags, rows = none.astype(bool), _csr(none, none, 0)
             return cls((), np.zeros((0, 2)), flags, flags,
                        none.reshape(0, 2), *[rows] * 5, r=r, center=center)
-
         points, offsets, nxt = _flat_corners(
             [np.asarray(t.polygon, dtype=float) for t in tiles])
-        owner = np.repeat(np.arange(len(tiles)), np.diff(offsets))
-        side = points[nxt] - points
-        side_lengths = np.linalg.norm(side, axis=1)
-        slack = precision * float(np.abs(points).max()) if precision else 0.0
-        eps = max(SNAP_FACTOR * float(side_lengths.mean()), slack)
+        return cls._assembled(tiles, points, offsets, nxt,
+                              *_snapped_incidence(points, nxt, precision),
+                              r=r, center=center)
 
-        corner_vid, vertex_xy = _snap_corners(points, eps)
+    @classmethod
+    def from_cells(cls, tiles: Sequence[PlacedTile], corners: np.ndarray,
+                   cells: np.ndarray, cell: "CellArrangement",
+                   r: float | None = None, center=None) -> "Patch":
+        """The arrangement of lattice translates of a recipe's region tiles,
+        looked up in the recipe's cell arrangement: no snapping and no
+        distances. corners is the tiles' (N, K, 2) corner stack and cells
+        each tile's (m, n, region index); tiles holds at least one tile."""
+        points, offsets, nxt = _stacked_corners(corners)
+        return cls._assembled(tuple(tiles), points, offsets, nxt,
+                              *_looked_up_incidence(points, cells, cell),
+                              angle_tol=COMPLETE_ANGLE_TOL, r=r,
+                              center=None if center is None else tuple(center))
+
+    @classmethod
+    def _assembled(cls, tiles, points, offsets, nxt, corner_vid, vertex_xy,
+                   hits, angle_tol, r, center) -> "Patch":
+        """The patch from either incidence finder: each corner's vertex id
+        and each vertex's position, the (side, vertex, param) of every
+        vertex inside a side, and the full-turn tolerance per vertex."""
+        owner = np.repeat(np.arange(len(tiles)), np.diff(offsets))
         n_vertices = len(vertex_xy)
-        # ends moved by slack / 2 turn a side by up to slack / length, and
-        # the corners at both its ends by as much
-        angle_tol = COMPLETE_ANGLE_TOL + (slack * np.bincount(
-            np.concatenate([corner_vid, corner_vid[nxt]]),
-            weights=np.tile(1.0 / side_lengths, 2), minlength=n_vertices)
-            if slack else 0.0)
-        angles = corner_angles(side, nxt)
+        angles = corner_angles(points[nxt] - points, nxt)
 
         # vertices sitting inside a side split it; the tile counts as
         # incident there and contributes a straight angle
-        hit_side, hit_vid, hit_param = _side_interior_incidence(
-            points, nxt, side_lengths, corner_vid, vertex_xy, eps)
+        hit_side, hit_vid, hit_param = hits
         split_vid, split_tile = _unique_rows(hit_vid, owner[hit_side])
 
         angle_sum = (np.bincount(corner_vid, weights=angles,
@@ -236,10 +259,40 @@ def _flat_corners(polys):
     """All corners in one flat array, each polygon's offset into it plus the
     end, and nxt: corner i opens side i, which runs to corner nxt[i]."""
     offsets = np.concatenate([[0], np.cumsum([len(p) for p in polys])])
-    points = np.concatenate(polys)
-    nxt = np.arange(1, len(points) + 1)
+    return np.concatenate(polys), offsets, _next_corners(offsets)
+
+
+def _stacked_corners(corners):
+    """`_flat_corners` of an (N, K, 2) stack of polygons, without a copy."""
+    offsets = corners.shape[1] * np.arange(len(corners) + 1)
+    return corners.reshape(-1, 2), offsets, _next_corners(offsets)
+
+
+def _next_corners(offsets):
+    nxt = np.arange(1, offsets[-1] + 1)
     nxt[offsets[1:] - 1] = offsets[:-1]
-    return points, offsets, nxt
+    return nxt
+
+
+def _snapped_incidence(points, nxt, precision):
+    """The snapping finder: corners within eps of each other merge, and a
+    vertex within eps of a side, ends excluded, lies inside it. Returns
+    each corner's vertex id, each vertex's position, the (side, vertex,
+    param) hits and the full-turn tolerance per vertex."""
+    side = points[nxt] - points
+    side_lengths = np.linalg.norm(side, axis=1)
+    slack = precision * float(np.abs(points).max()) if precision else 0.0
+    eps = max(SNAP_FACTOR * float(side_lengths.mean()), slack)
+    corner_vid, vertex_xy = _snap_corners(points, eps)
+    # ends moved by slack / 2 turn a side by up to slack / length, and
+    # the corners at both its ends by as much
+    angle_tol = COMPLETE_ANGLE_TOL + (slack * np.bincount(
+        np.concatenate([corner_vid, corner_vid[nxt]]),
+        weights=np.tile(1.0 / side_lengths, 2), minlength=len(vertex_xy))
+        if slack else 0.0)
+    hits = _side_interior_incidence(points, nxt, side_lengths, corner_vid,
+                                    vertex_xy, eps)
+    return corner_vid, vertex_xy, hits, angle_tol
 
 
 def _snap_corners(points, eps):
@@ -255,8 +308,15 @@ def _snap_corners(points, eps):
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                        shape=(n, n))
     _, label = connected_components(graph, directed=False)
-    _, first, inverse = np.unique(label, return_index=True,
-                                  return_inverse=True)
+    return _vertices(label, points)[:2]
+
+
+def _vertices(label, points):
+    """Vertices from each corner's vertex label: each corner's vertex id,
+    numbered by first corner occurrence, each vertex's position, the mean
+    of its corners, and the sorted distinct labels with their vertex ids."""
+    labels, first, inverse = np.unique(label, return_index=True,
+                                       return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))
     corner_vid = rank[inverse]
@@ -264,7 +324,7 @@ def _snap_corners(points, eps):
     counts = np.bincount(corner_vid)
     vertex_xy = np.column_stack([np.bincount(corner_vid, weights=points[:, k])
                                  for k in (0, 1)]) / counts[:, None]
-    return corner_vid, vertex_xy
+    return corner_vid, vertex_xy, labels, rank
 
 
 def _side_interior_incidence(points, nxt, side_lengths, corner_vid,
@@ -290,6 +350,111 @@ def _side_interior_incidence(points, nxt, side_lengths, corner_vid,
     d = b - a
     param = np.sum((p - a) * d, axis=1) / np.sum(d * d, axis=1)
     return sid, vid, param
+
+
+class CellArrangement(NamedTuple):
+    """A periodic tiling's arrangement reduced to one lattice cell.
+
+    Vertex (m, n, o) is vertex orbit o moved by m·u + n·v. Corner c of
+    region tile i placed in cell (m, n) is vertex (m, n, 0) +
+    corner_vertex[i, c]. Rows hit_ptr[i]:hit_ptr[i + 1] of the hit arrays
+    are the vertices inside region tile i's sides: the side opened by
+    corner hit_corner holds vertex (m, n, 0) + hit_vertex at hit_param
+    along it.
+    """
+    orbits: int
+    corner_vertex: np.ndarray    # (k, K, 3)
+    hit_ptr: np.ndarray          # (k + 1,)
+    hit_corner: np.ndarray       # (H,)
+    hit_vertex: np.ndarray       # (H, 3)
+    hit_param: np.ndarray        # (H,)
+
+
+def cell_arrangement(recipe) -> CellArrangement:
+    """The recipe's cell arrangement, from the snapping finder run on a
+    window: the region tiles and every translate their touch motif names,
+    which are all the tiles meeting a region tile.
+
+    The lattice acts on the window's vertex ids: corner c of window tile
+    (m, n, j) is the vertex of region corner (j, c) moved by (m, n). The
+    orbits are the classes this relation joins, numbered by first region
+    corner, so no coordinate is rounded.
+    """
+    _, j, dm, dn = recipe.touch_motif
+    count = len(recipe.region)
+    region = np.arange(count)
+    window = np.unique(np.column_stack([
+        np.concatenate([0 * region, dm]), np.concatenate([0 * region, dn]),
+        np.concatenate([region, j])]), axis=0)
+    # the region tiles (0, 0, i) first, in order
+    window = window[np.argsort(window[:, :2].any(axis=1), kind="stable")]
+    m, n, idx = window.T
+    shifts = (m[:, None] * np.asarray(recipe.u)
+              + n[:, None] * np.asarray(recipe.v))
+    corners = recipe.region_corners[idx] + shifts[:, None, :]
+    points, _, nxt = _stacked_corners(corners)
+    corner_vid, vertex_xy, (side, hit_vid, param), _ = _snapped_incidence(
+        points, nxt, 0.0)
+    k = corners.shape[1]
+    vid = corner_vid.reshape(-1, k)
+
+    links, rows = [[] for _ in vertex_xy], vid.tolist()
+    for (sm, sn, i), row in zip(window.tolist(), rows):
+        for a, b in zip(rows[i], row):
+            links[a].append((b, sm, sn))
+            links[b].append((a, -sm, -sn))
+    place, orbits = {}, 0      # vertex id -> (dm, dn, orbit)
+    for root in vid[:count].ravel().tolist():
+        if root in place:
+            continue
+        place[root] = (0, 0, orbits)
+        todo = [root]
+        while todo:
+            x = todo.pop()
+            xm, xn, _ = place[x]
+            for y, sm, sn in links[x]:
+                if y not in place:
+                    place[y] = (xm + sm, xn + sn, orbits)
+                    todo.append(y)
+        orbits += 1
+    placed = np.array([place[v] for v in range(len(vertex_xy))],
+                      dtype=np.intp)
+
+    on_region = side < count * k
+    order = np.lexsort((param[on_region], side[on_region]))
+    side, hit_vid = side[on_region][order], hit_vid[on_region][order]
+    return CellArrangement(
+        orbits=orbits, corner_vertex=placed[vid[:count]],
+        hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
+        hit_corner=side % k, hit_vertex=placed[hit_vid],
+        hit_param=param[on_region][order])
+
+
+def _looked_up_incidence(points, cells, cell: CellArrangement):
+    """The lookup finder: each corner's vertex is an integer key (m, n,
+    orbit) read off the cell arrangement, and a cell hit counts when its
+    vertex is a corner of some tile too. Returns what the snapping finder
+    does but the tolerance, with vertices numbered and placed the same
+    way."""
+    idx = cells[:, 2]
+    per_tile = np.diff(cell.hit_ptr)[idx]
+    hit_tile = np.repeat(np.arange(len(cells)), per_tile)
+    row = np.arange(len(hit_tile)) + np.repeat(
+        cell.hit_ptr[idx] - np.cumsum(per_tile) + per_tile, per_tile)
+    at_cell = cells * [1, 1, 0]
+    corner_key = (at_cell[:, None] + cell.corner_vertex[idx]).reshape(-1, 3)
+    hit_key = at_cell[hit_tile] + cell.hit_vertex[row]
+    both = np.concatenate([corner_key, hit_key])
+    lo, dims = both.min(axis=0), np.ptp(both, axis=0) + 1
+    corner_vid, vertex_xy, labels, rank = _vertices(
+        np.ravel_multi_index((corner_key - lo).T, dims), points)
+    hit_label = np.ravel_multi_index((hit_key - lo).T, dims)
+    at = np.minimum(np.searchsorted(labels, hit_label), len(labels) - 1)
+    found = labels[at] == hit_label
+    row = row[found]
+    return corner_vid, vertex_xy, (
+        hit_tile[found] * cell.corner_vertex.shape[1] + cell.hit_corner[row],
+        rank[at[found]], cell.hit_param[row])
 
 
 def _unique_rows(*columns):

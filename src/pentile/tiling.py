@@ -140,6 +140,13 @@ class TilingRecipe:
         """The recipe's `_touch_motif`, measured once."""
         return _touch_motif(self)
 
+    @functools.cached_property
+    def cell_arrangement(self):
+        """The recipe's `arrangement.cell_arrangement`, built once."""
+        from .arrangement import cell_arrangement
+
+        return cell_arrangement(self)
+
     def cell_area(self) -> float:
         return abs(self.u[0] * self.v[1] - self.u[1] * self.v[0])
 
@@ -330,6 +337,13 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     in place of measuring distances for every candidate pair. The motif is
     measured near the origin, so the graph is the lattice's touch relation
     at any centre, however much translating the polygons rounds them.
+
+    The patch's arrangement is looked up the same way (`Patch.from_cells`):
+    the recipe's cell arrangement, built once, names the vertex of each
+    region corner and the vertices inside each region side as lattice
+    orbits, so every corner's vertex and every side split is an integer key
+    and nothing is snapped. Snapping the same tiles (`Patch.from_tiles`,
+    which patch documents need) gives the same arrays.
     """
     from .arrangement import Patch
 
@@ -360,17 +374,18 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     meets = polygon_distances(center, polys[rest]) <= r + eps
     boundary = rest[meets]
     outer = rest[~meets]
-    cells = np.column_stack([m, n, idx])[outer]
-    f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], cells,
+    cells = np.column_stack([m, n, idx])
+    f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], cells[outer],
                                recipe.touch_motif, len(recipe.region), eps)]
 
-    def placed(ids, zone):
-        return [PlacedTile((int(m[i]), int(n[i])), polys[i], zone)
-                for i in ids]
-
-    tiles = (placed(np.nonzero(inner)[0], "F1") + placed(boundary, "F2")
-             + placed(f3, "F3"))
-    return Patch.from_tiles(tiles, r=r, center=tuple(center))
+    order = np.concatenate([np.nonzero(inner)[0], boundary, f3])
+    zones = (["F1"] * int(inner.sum()) + ["F2"] * len(boundary)
+             + ["F3"] * len(f3))
+    corners = polys[order]
+    tiles = [PlacedTile((mi, ni), polygon, zone) for mi, ni, polygon, zone
+             in zip(m[order].tolist(), n[order].tolist(), corners, zones)]
+    return Patch.from_cells(tiles, corners, cells[order],
+                            recipe.cell_arrangement, r=r, center=tuple(center))
 
 
 def _ccw(poly: np.ndarray) -> np.ndarray:

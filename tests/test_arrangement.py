@@ -286,3 +286,29 @@ def test_nine_digit_document_gives_the_generated_stats(type_id, center):
     document = patch_from_json_dict(_round9(patch.to_json_dict()))
     for mode in (FULL, INTERIOR):
         assert compute_stats(document, mode) == compute_stats(patch, mode)
+
+
+@pytest.mark.parametrize("type_id, tve", [(1, (2, 4, 6)), (2, (4, 8, 12)),
+                                          (4, (4, 6, 10)), (5, (6, 9, 15))])
+def test_cell_arrangement_closes_on_the_torus(type_id, tve):
+    """One lattice cell of the tiling is a map on the torus: t region tiles,
+    v vertex orbits and e = (5t + side hits) / 2 edges, each edge bordering
+    two tiles, with v - e + t = 0. The corners of one orbit, moved back by
+    their shifts, are one point."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    cell = recipe.cell_arrangement
+    t = len(recipe.region)
+    e, odd = divmod(5 * t + len(cell.hit_vertex), 2)
+    assert odd == 0
+    assert (t, cell.orbits, e) == tve
+    assert cell.orbits - e + t == 0
+    assert cell.hit_ptr[-1] == len(cell.hit_vertex)
+
+    lattice = np.column_stack([recipe.u, recipe.v])
+    home = (recipe.region_corners
+            - cell.corner_vertex[..., :2] @ lattice.T).reshape(-1, 2)
+    orbit = cell.corner_vertex[..., 2].ravel()
+    assert sorted(set(orbit.tolist())) == list(range(cell.orbits))
+    for o in range(cell.orbits):
+        spread = home[orbit == o] - home[orbit == o][0]
+        assert np.abs(spread).max() <= 1e-9

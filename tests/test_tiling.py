@@ -13,13 +13,13 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile import tiling
+from pentile import arrangement, tiling
 from pentile.arrangement import Patch
 from pentile.catalog import get_type_spec, solve_instance
 from pentile.errors import ParseError, RecipeInvalid, TypeMismatch
 from pentile.geometry import polygon_centroid
 from pentile.pentagon import CORNERS
-from pentile.stats import compute_stats, euler_residual, limit_sweep
+from pentile.stats import INTERIOR, compute_stats, euler_residual, limit_sweep
 from pentile.tiling import (
     Isometry,
     TilingRecipe,
@@ -252,6 +252,32 @@ def test_sweep_measures_the_touch_motif_once_per_recipe():
                            wraps=tiling._touch_motif) as motif:
         limit_sweep(recipe, [5.0, 10.0, 20.0])
     assert motif.call_count == 1
+
+
+def test_sweep_builds_the_cell_arrangement_once_per_recipe():
+    """A fresh recipe, so no earlier call has built its cell."""
+    built = builtin_recipe(4, pentile.representative(4).pentagon)
+    recipe = TilingRecipe(built.pentagon, built.region, built.u, built.v)
+    with mock.patch.object(arrangement, "cell_arrangement",
+                           wraps=arrangement.cell_arrangement) as cell:
+        limit_sweep(recipe, [5.0, 10.0, 20.0])
+    assert cell.call_count == 1
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_generated_patch_snaps_no_corners(monkeypatch, type_id):
+    """Once the recipe's cell is built, a generated patch looks its
+    incidence up: no cKDTree and no snapping graph."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    recipe.cell_arrangement
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_patch measured corner distances")
+
+    monkeypatch.setattr(arrangement, "cKDTree", refuse)
+    monkeypatch.setattr(arrangement, "_snap_corners", refuse)
+    patch = generate_patch(recipe, 10.0, (0.37, -1.21))
+    assert euler_residual(compute_stats(patch)) == 0
 
 
 def test_patch_translation_maps_interior_tiles_into_patch():
@@ -520,3 +546,51 @@ def test_touch_pairs_need_not_hold_every_region_tile():
     assert unordered(*tiling._touch_pairs(cells, motif, 2)) == set()
     cells = np.array([[5, 7, 1], [6, 7, 0]])
     assert unordered(*tiling._touch_pairs(cells, motif, 2)) == {(0, 1)}
+
+
+PATCH_ARRAYS = ("vertex_xy", "pseudo", "complete", "edge_vertices")
+PATCH_CSRS = ("corner_vertices", "tile_vertices", "tile_adjacents",
+              "vertex_tiles", "edge_tiles")
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=40)
+@given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres)
+def test_looked_up_arrangement_matches_snapped_bit_for_bit(recipe, r, M):
+    """generate_patch reads its incidence off the recipe's cell; snapping
+    the same tiles with from_tiles is the oracle."""
+    patch = generate_patch(recipe, r, M)
+    snapped = Patch.from_tiles(patch.tiles, r=r, center=M)
+    for name in PATCH_ARRAYS:
+        assert same_bits(getattr(patch, name), getattr(snapped, name)), name
+    for name in PATCH_CSRS:
+        ours, theirs = getattr(patch, name), getattr(snapped, name)
+        assert same_bits(ours.indptr, theirs.indptr), name
+        assert same_bits(ours.indices, theirs.indices), name
+
+
+@settings(max_examples=60)
+@given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres,
+       st.integers(-20, 20), st.integers(-20, 20))
+def test_lattice_shift_keeps_interior_stats(recipe, r, M, k, l):
+    """Moving the disk centre by k·u + l·v moves the patch by a lattice
+    vector, so its interior counts and histograms stay put."""
+    shifted = (np.asarray(M) + k * np.asarray(recipe.u)
+               + l * np.asarray(recipe.v))
+    assert (compute_stats(generate_patch(recipe, r, shifted), INTERIOR)
+            == compute_stats(generate_patch(recipe, r, M), INTERIOR))
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_far_centre_patch_keeps_euler_and_edge_invariants(type_id):
+    """At M = (1e9, 2e9) the corners are a few units in the last place
+    apart from their lattice positions; snapping them lost merges and side
+    splits. Looked up in the cell, the incidence is the lattice's."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    patch = generate_patch(recipe, 8.0, (1e9, 2e9))
+    assert euler_residual(compute_stats(patch)) == 0
+    assert np.diff(patch.edge_tiles.indptr).max() <= 2
