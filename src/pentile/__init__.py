@@ -4,6 +4,7 @@ from .errors import (
     AngleSumViolation,
     ClosureViolation,
     DegenerateLimit,
+    DegenerateTile,
     EmptyModel,
     EmptyPatch,
     InfeasibleParams,

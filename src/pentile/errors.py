@@ -49,6 +49,10 @@ class RecipeInvalid(PentileError):
     """Recipe fails structural or window verification."""
 
 
+class DegenerateTile(PentileError):
+    """A tile encloses no area."""
+
+
 class InvalidInnerRadius(PentileError):
     """Coverage radius incompatible with the patch radius."""
 

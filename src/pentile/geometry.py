@@ -7,9 +7,12 @@ form, picked from a few candidates, not a linear program or a search.
 The verifier's many-polygon work runs on stacks: stack_polygons puts N
 polygons of any corner counts in one (N, K, 2) array, and polygon_areas,
 convex_overlap_areas, polygon_disk_overlap_areas and points_in_convex_polygon
-take such stacks. Each gives, bit for bit, what its one-polygon loop gives:
-the same elementwise float operations in the same order, and sums added in
-the order np.sum or a left-to-right loop adds them. The verifier's reported
+take such stacks. Each gives, bit for bit, what a loop over one polygon (or
+one side) at a time gives, kept in the tests as the reference: the same
+elementwise float operations in the same order, and sums added in the order
+np.sum or a left-to-right loop adds them. Where numpy rounds otherwise than
+the scalar call, the stack makes that call: a batched matmul for a 2-vector
+dot, and math.hypot and math.atan2 on lists. The verifier's reported
 rounding noise stays the same to the last digit.
 """
 from __future__ import annotations
@@ -141,72 +144,90 @@ def convex_overlap_areas(subjects: np.ndarray, counts: np.ndarray,
     return np.abs(polygon_areas(pts, n))
 
 
-def _disk_segment_term(a: np.ndarray, b: np.ndarray, r: float) -> float:
-    """Signed area of disk(0, r) intersected with triangle (0, a, b)."""
-    ra, rb = math.hypot(*a), math.hypot(*b)
-    cross = a[0] * b[1] - a[1] * b[0]
-    if ra <= r and rb <= r:
-        return 0.5 * cross
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """float(u[i] @ v[i]) for each row of two (P, 2) arrays, bit for bit: a
+    batched matmul calls the same BLAS dot as @ and np.linalg.norm, which
+    may round otherwise than x * x + y * y."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _sectors(u: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
+    """Signed area of the sector of disk(0, r) from each u[i] to v[i].
+    math.atan2 on each pair: np.arctan2 may round otherwise."""
+    cross = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    ang = [math.atan2(y, x)
+           for y, x in zip(cross.tolist(), row_dots(u, v).tolist())]
+    return 0.5 * r * r * np.array(ang, dtype=float)
+
+
+def _disk_segment_terms(a: np.ndarray, b: np.ndarray, ra: np.ndarray,
+                        rb: np.ndarray, r: float) -> np.ndarray:
+    """Signed area of disk(0, r) intersected with each triangle (0, a, b),
+    for (P, 2) corners a and b at math.hypot distances ra and rb.
+
+    The side p(t) = a + t (b - a) is clipped to the circle; what lies inside
+    is a triangle with the origin, what lies outside a sector. Masks send
+    each side down the branch a one-side rule takes (whole triangle, zero
+    length, chord line or chord missing the side, clipped chord plus
+    sectors), and sectors are computed only for the sides that need them.
+    Every float operation is that rule's, in its order, so every term is
+    its to the last bit.
+    """
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    whole = (ra <= r) & (rb <= r)
     d = b - a
-    dd = float(d @ d)
-    if dd < 1e-30:
-        return 0.0
-    # parametrize p(t) = a + t d and clip against |p| = r
-    t0 = -float(a @ d) / dd
-    p0 = a + t0 * d
-    h2 = r * r - float(p0 @ p0)
-
-    def sector(u, v):
-        ang = math.atan2(u[0] * v[1] - u[1] * v[0], float(u @ v))
-        return 0.5 * r * r * ang
-
-    if h2 <= 0.0:
-        # chord line misses the disk entirely: pure sector
-        return sector(a, b)
-    dt = math.sqrt(h2 / dd)
+    dd = row_dots(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = -row_dots(a, d) / dd
+        p0 = a + t0[:, None] * d
+        h2 = r * r - row_dots(p0, p0)
+        dt = np.sqrt(h2 / dd)
     t1, t2 = t0 - dt, t0 + dt
-    t1c, t2c = max(t1, 0.0), min(t2, 1.0)
-    if t1c >= t2c:
-        return sector(a, b)
-    p1 = a + t1c * d
-    p2 = a + t2c * d
-    area = 0.5 * (p1[0] * p2[1] - p1[1] * p2[0])
-    if t1c > 0.0:
-        area += sector(a, p1)
-    if t2c < 1.0:
-        area += sector(p2, b)
-    return area
-
-
-def polygon_disk_overlap_area(poly: np.ndarray, center: np.ndarray, r: float) -> float:
-    """Exact area of intersection between a simple ccw polygon and a disk."""
-    total = 0.0
-    rel = poly - np.asarray(center, dtype=float)
-    n = len(rel)
-    for i in range(n):
-        total += _disk_segment_term(rel[i], rel[(i + 1) % n], r)
-    return total
+    t1c = np.where(0.0 > t1, 0.0, t1)    # as max(t1, 0.0) and min(t2, 1.0)
+    t2c = np.where(t2 > 1.0, 1.0, t2)
+    live = ~whole & ~(dd < 1e-30)
+    arc = live & ((h2 <= 0.0) | (t1c >= t2c))  # the chord misses the side
+    chord = live & ~arc
+    p1 = a + t1c[:, None] * d
+    p2 = a + t2c[:, None] * d
+    terms = np.where(whole, 0.5 * cross, 0.0)
+    terms[arc] = _sectors(a[arc], b[arc], r)
+    area = 0.5 * (p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0])
+    enter = chord & (t1c > 0.0)
+    area[enter] += _sectors(a[enter], p1[enter], r)
+    leave = chord & (t2c < 1.0)
+    area[leave] += _sectors(p2[leave], b[leave], r)
+    terms[chord] = area[chord]
+    return terms
 
 
 def polygon_disk_overlap_areas(stacked: np.ndarray, counts: np.ndarray,
                                center: np.ndarray, r: float) -> np.ndarray:
-    """polygon_disk_overlap_area of each stacked polygon, bit for bit.
+    """Exact area of each stacked simple ccw polygon within disk(center, r):
+    the sum over its sides of the disk's share of the triangle from the
+    center to that side, added side by side.
 
     A polygon with every corner inside the disk has only whole triangle
-    terms; those are added on the stack, corner by corner. The rest go
-    through the scalar segment terms. np.hypot may round a corner's distance
-    differently from math.hypot, so "inside" keeps a relative margin that
-    no rounding crosses.
+    terms. np.hypot may round a corner's distance otherwise than math.hypot,
+    so that test keeps a relative margin no rounding crosses. The other
+    polygons, at the rim, take every side's term in one _disk_segment_terms
+    pass, with math.hypot distances.
     """
     rel = stacked - np.asarray(center, dtype=float)
     x, y = rel[..., 0], rel[..., 1]
     inside = np.all(np.hypot(x, y) <= r * (1.0 - 1e-12), axis=1)
-    half = 0.5 * (x * _following(y, counts) - y * _following(x, counts))
+    terms = 0.5 * (x * _following(y, counts) - y * _following(x, counts))
+    # the sides of the rim polygons, row by row
+    row, col = np.nonzero(np.arange(rel.shape[1]) < counts[~inside, None])
+    row = np.flatnonzero(~inside)[row]
+    nxt = np.where(col + 1 < counts[row], col + 1, 0)
+    a = rel[row, col]
+    ra = np.array([math.hypot(*p) for p in a.tolist()], dtype=float)
+    rb = ra[np.arange(len(col)) - col + nxt]
+    terms[row, col] = _disk_segment_terms(a, rel[row, nxt], ra, rb, r)
     total = np.zeros(len(stacked))
     for k in range(stacked.shape[1]):
-        total = np.where(k < counts, total + half[:, k], total)
-    for i in np.flatnonzero(~inside):
-        total[i] = polygon_disk_overlap_area(stacked[i, :counts[i]], center, r)
+        total = np.where(k < counts, total + terms[:, k], total)
     return total
 
 

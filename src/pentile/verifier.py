@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInnerRadius
+from .errors import DegenerateTile, InvalidInnerRadius
 from .geometry import (
     convex_overlap_areas,
     largest_inscribed_circle,
@@ -20,6 +20,7 @@ from .geometry import (
     polygon_area,
     polygon_areas,
     polygon_disk_overlap_areas,
+    row_dots,
     smallest_enclosing_circle,
     stack_polygons,
 )
@@ -67,10 +68,10 @@ def _pairwise_overlap(stacked, counts):
     centers, radii = _bounding_circles(stacked, counts)
     pairs = cKDTree(centers).query_pairs(2.0 * radii.max())
     i, j = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
-    gap = (centers[i] - centers[j])[:, None]
-    # np.linalg.norm's own dot product, which may round otherwise than
-    # x * x + y * y; touching circles are common in periodic tilings
-    dist = np.sqrt(np.matmul(gap, gap.transpose(0, 2, 1))[:, 0, 0])
+    gap = centers[i] - centers[j]
+    # np.linalg.norm's own dot product; touching circles are common in
+    # periodic tilings
+    dist = np.sqrt(row_dots(gap, gap))
     meet = ~(dist > radii[i] + radii[j])
     i, j = i[meet], j[meet]
     areas = np.zeros(len(i))
@@ -85,10 +86,19 @@ def _pairwise_overlap(stacked, counts):
 
 
 def check_no_overlap(patch) -> CheckReport:
-    """No two patch tiles may share more than AREA_TOL of a tile's area."""
+    """No two patch tiles may share more than AREA_TOL of a tile's area.
+
+    Areas and clips are taken relative to the disk center, when the patch
+    has one: their rounding then scales with the tiles, not with how far
+    the disk lies from the origin. A tile of zero area is DegenerateTile.
+    """
     stacked, counts = stack_polygons([t.polygon for t in patch.tiles])
+    if patch.center is not None:
+        stacked = stacked - np.asarray(patch.center, dtype=float)
     areas = np.abs(polygon_areas(stacked, counts))
     ref = float(areas.min()) if len(areas) else 1.0
+    if ref == 0.0:
+        raise DegenerateTile(f"tile {int(np.argmin(areas))} has zero area")
     worst, pair = _pairwise_overlap(stacked, counts)
     ok = worst <= AREA_TOL * ref
     violations = []

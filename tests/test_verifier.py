@@ -7,20 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import pentile
+from pentile import geometry
 from pentile.arrangement import Patch
-from pentile.errors import InvalidInnerRadius
+from pentile.errors import DegenerateTile, InvalidInnerRadius
 from pentile.geometry import (
     convex_overlap_areas,
     largest_inscribed_circle,
     points_in_convex_polygon,
     polygon_area,
     polygon_areas,
-    polygon_disk_overlap_area,
     polygon_disk_overlap_areas,
     smallest_enclosing_circle,
     stack_polygons,
@@ -74,6 +74,36 @@ def test_shared_edge_is_not_an_overlap():
     b = a + np.array([1.0, 0.0])
     patch = Patch.from_polygons([a, b])
     assert check_no_overlap(patch).ok
+
+
+@pytest.mark.parametrize("type_id, center", [
+    (1, (1e4, 3e3)), (2, (1e4, 3e3)), (4, (1e4, 3e3)), (5, (1e4, 3e3)),
+    (1, (1e6, 0.0))])
+def test_overlap_is_measured_about_the_disk_center(type_id, center):
+    """About the origin, areas and clips round at |x| |y| ulp(1): Type 4
+    at (1e4, 3e3) reported tiles 26 and 30 overlapping by 1.1e-9 of a tile.
+    About the disk center they round at the tiles' own size."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    report = check_no_overlap(generate_patch(recipe, 10.0, center))
+    assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_overlap_report_stays_finite_at_a_huge_center(type_id):
+    """At (1e9, 2e9) a corner is stored to 2.4e-7: a tile's area taken
+    about the origin rounds to 0, and the overlap fraction divided by it."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    report = check_no_overlap(generate_patch(recipe, 10.0, (1e9, 2e9)))
+    assert all(map(math.isfinite, report.metrics.values()))
+    assert report.metrics["max_overlap_fraction"] < 1e-6
+    assert report.ok or report.violations[0].startswith("tiles ")
+
+
+def test_zero_area_tile_is_named():
+    square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+    flat = np.array([(2, 0), (3, 0), (4, 0)], dtype=float)
+    with pytest.raises(DegenerateTile, match="tile 1 has zero area"):
+        check_no_overlap(Patch.from_polygons([square, flat]))
 
 
 def convex_clip(subject, clip):
@@ -131,10 +161,11 @@ def loop_pairwise_overlap(polys):
 
 
 @st.composite
-def convex_polygons(draw):
-    """3 to 8 corners on an ellipse, counter-clockwise, no gap a half-turn."""
+def convex_polygons(draw, max_corners=8):
+    """3 to max_corners corners on an ellipse, counter-clockwise, no gap a
+    half-turn."""
     gaps = np.array(draw(st.lists(st.floats(1.0, 1.9), min_size=3,
-                                  max_size=8)))
+                                  max_size=max_corners)))
     turn = draw(st.floats(0.0, 2.0 * math.pi)) + np.cumsum(
         2.0 * math.pi * gaps / gaps.sum())
     rx, ry = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
@@ -326,6 +357,55 @@ def test_grid_route_matches_tile_by_tile_scan_anywhere(case):
         loop_grid_cover_check(polys, *args)
 
 
+def disk_segment_term(a, b, r):
+    """Reference: signed area of disk(0, r) intersected with triangle
+    (0, a, b), for one side."""
+    ra, rb = math.hypot(*a), math.hypot(*b)
+    cross = a[0] * b[1] - a[1] * b[0]
+    if ra <= r and rb <= r:
+        return 0.5 * cross
+    d = b - a
+    dd = float(d @ d)
+    if dd < 1e-30:
+        return 0.0
+    # parametrize p(t) = a + t d and clip against |p| = r
+    t0 = -float(a @ d) / dd
+    p0 = a + t0 * d
+    h2 = r * r - float(p0 @ p0)
+
+    def sector(u, v):
+        ang = math.atan2(u[0] * v[1] - u[1] * v[0], float(u @ v))
+        return 0.5 * r * r * ang
+
+    if h2 <= 0.0:
+        # chord line misses the disk entirely: pure sector
+        return sector(a, b)
+    dt = math.sqrt(h2 / dd)
+    t1, t2 = t0 - dt, t0 + dt
+    t1c, t2c = max(t1, 0.0), min(t2, 1.0)
+    if t1c >= t2c:
+        return sector(a, b)
+    p1 = a + t1c * d
+    p2 = a + t2c * d
+    area = 0.5 * (p1[0] * p2[1] - p1[1] * p2[0])
+    if t1c > 0.0:
+        area += sector(a, p1)
+    if t2c < 1.0:
+        area += sector(p2, b)
+    return area
+
+
+def polygon_disk_overlap_area(poly, center, r):
+    """Reference: area of a simple ccw polygon within disk(center, r), one
+    side at a time."""
+    total = 0.0
+    rel = poly - np.asarray(center, dtype=float)
+    n = len(rel)
+    for i in range(n):
+        total += disk_segment_term(rel[i], rel[(i + 1) % n], r)
+    return total
+
+
 def test_disk_overlap_areas_match_polygon_by_polygon(t4_patch):
     polys = [t.polygon for t in t4_patch.tiles]
     stacked, counts = stack_polygons(polys)
@@ -348,6 +428,79 @@ def test_disk_overlap_areas_keep_a_margin_at_the_rim():
     assert polygon_disk_overlap_areas(stacked, counts, (0.0, 0.0),
                                       r).tolist() == [
         polygon_disk_overlap_area(triangle, (0.0, 0.0), r)]
+
+
+@st.composite
+def disk_overlap_cases(draw):
+    """Two to five convex polygons of 3 to 7 corners, each drawn free, moved
+    to hold the disk center, moved wholly off the disk, or with a corner
+    doubled (a zero-length side); and a radius below every corner, above
+    every corner, through a corner by math.hypot or by np.hypot, tangent to
+    a side's line, or free."""
+    center = np.array([draw(st.floats(-3.0, 3.0)),
+                       draw(st.floats(-3.0, 3.0))])
+    polys = []
+    for _ in range(draw(st.integers(2, 5))):
+        p = draw(convex_polygons(max_corners=7))
+        how = draw(st.sampled_from(["free", "around", "off", "doubled"]))
+        if how == "around":
+            p = p - p.mean(axis=0) + center
+        elif how == "off":
+            p = p + center + 12.0
+        elif how == "doubled" and len(p) < 7:
+            k = draw(st.integers(0, len(p) - 1))
+            p = np.insert(p, k, p[k], axis=0)
+        polys.append(p)
+    rel = np.concatenate(polys) - center
+    dist = [math.hypot(*q) for q in rel.tolist()]
+    k = draw(st.integers(0, len(rel) - 1))
+    how = draw(st.sampled_from(
+        ["below", "above", "math", "numpy", "tangent", "free"]))
+    if how == "below":
+        r = min(dist) * draw(st.floats(0.1, 0.999))
+    elif how == "above":
+        r = max(dist) * draw(st.floats(1.001, 2.0))
+    elif how == "math":
+        r = dist[k]
+    elif how == "numpy":
+        r = float(np.hypot(*rel[k]))
+    elif how == "tangent":
+        p = polys[draw(st.integers(0, len(polys) - 1))] - center
+        j = draw(st.integers(0, len(p) - 1))
+        a, d = p[j], p[(j + 1) % len(p)] - p[j]
+        foot = a - float(a @ d) / max(float(d @ d), 1e-300) * d
+        r = math.hypot(*foot)
+    else:
+        r = draw(st.floats(0.05, 10.0))
+    assume(r > 0.0)
+    return polys, center, r
+
+
+@given(disk_overlap_cases())
+def test_stacked_disk_areas_match_side_by_side_loop(case):
+    polys, center, r = case
+    stacked, counts = stack_polygons(polys)
+    assert polygon_disk_overlap_areas(stacked, counts, center, r).tolist() \
+        == [polygon_disk_overlap_area(p, center, r) for p in polys]
+
+
+def test_coverage_takes_its_rim_in_one_kernel_call(monkeypatch):
+    """check_coverage computes the disk terms of every rim side in one
+    stacked pass, and no one-polygon disk area is left to call."""
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    patch = generate_patch(recipe, 20.0)
+    kernel = geometry._disk_segment_terms
+    sides = []
+
+    def counted(a, *args):
+        sides.append(len(a))
+        return kernel(a, *args)
+
+    monkeypatch.setattr(geometry, "_disk_segment_terms", counted)
+    assert check_coverage(patch).ok
+    assert len(sides) == 1 and sides[0] > 0
+    assert not hasattr(geometry, "polygon_disk_overlap_area")
+    assert not hasattr(geometry, "_disk_segment_term")
 
 
 def test_inner_radius_beyond_patch_rejected(t4_patch):
