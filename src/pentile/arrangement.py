@@ -7,8 +7,9 @@ each vertex, which tiles border each edge, which tiles share an edge.
 A Patch keeps the arrangement as arrays: vertex rows (vertex_xy, pseudo,
 complete), edge rows (edge_vertices) and each incidence relation as a Csr of
 ascending id rows, except corner_vertices, which keeps polygon order.
-Statistics count on the arrays; the vertices and edges records are built on
-first access.
+Statistics count on the arrays; the vertices and edges records are built
+one at a time as they are read, so a large patch holds no object per
+vertex or edge for the garbage collector to walk.
 
 The work runs on one flat array of all tile corners, with per-tile offsets so
 polygons of different corner counts can mix; corner i opens side i. One of
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_array
@@ -62,8 +63,12 @@ class Csr:
     indices: np.ndarray
 
     def rows(self) -> list[tuple[int, ...]]:
+        return list(map(self.row_getter(), range(len(self.indptr) - 1)))
+
+    def row_getter(self) -> Callable[[int], tuple[int, ...]]:
+        """row(i) as a tuple, read off two lists made once."""
         bounds, ids = self.indptr.tolist(), self.indices.tolist()
-        return [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return lambda i: tuple(ids[bounds[i]:bounds[i + 1]])
 
 
 def _csr(rows, ids, n_rows: int) -> Csr:
@@ -82,6 +87,33 @@ class PatchVertex(NamedTuple):
 class PatchEdge(NamedTuple):
     vertices: tuple[int, int]
     tiles: tuple[int, ...]
+
+
+class Records(Sequence):
+    """A read-only sequence of records, each made by make(i) when read.
+
+    Compares equal to the tuple of its records.
+    """
+
+    def __init__(self, count: int, make: Callable[[int], tuple]):
+        self._count, self._make = count, make
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._make, range(*i.indices(self._count))))
+        k = range(self._count)[i]     # IndexError and TypeError as a tuple's
+        return self._make(k)
+
+    def __iter__(self):
+        return map(self._make, range(self._count))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, Records)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,18 +158,25 @@ class Patch:
         return _sharing(self.vertex_tiles, self.tile_count)
 
     @cached_property
-    def vertices(self) -> tuple[PatchVertex, ...]:
-        """One record per vertex, built on first access."""
-        tiles = self.vertex_tiles.rows()
-        return tuple(map(PatchVertex, map(tuple, self.vertex_xy.tolist()),
-                         tiles, map(len, tiles), self.pseudo.tolist(),
-                         self.complete.tolist()))
+    def vertices(self) -> Records:
+        """One PatchVertex per vertex, built when read."""
+        xy = self.vertex_xy.ravel().tolist()
+        row = self.vertex_tiles.row_getter()
+        pseudo, complete = self.pseudo.tolist(), self.complete.tolist()
+
+        def record(i):
+            tiles = row(i)
+            return PatchVertex((xy[2 * i], xy[2 * i + 1]), tiles, len(tiles),
+                               pseudo[i], complete[i])
+        return Records(len(pseudo), record)
 
     @cached_property
-    def edges(self) -> tuple[PatchEdge, ...]:
-        """One record per edge, built on first access."""
-        return tuple(map(PatchEdge, map(tuple, self.edge_vertices.tolist()),
-                         self.edge_tiles.rows()))
+    def edges(self) -> Records:
+        """One PatchEdge per edge, built when read."""
+        ends = self.edge_vertices.ravel().tolist()
+        row = self.edge_tiles.row_getter()
+        return Records(len(ends) // 2, lambda i: PatchEdge(
+            (ends[2 * i], ends[2 * i + 1]), row(i)))
 
     @classmethod
     def from_polygons(cls, polygons: Iterable, r: float | None = None,

@@ -1,4 +1,5 @@
 """The arrangement built on flat corner arrays, against a loop reference."""
+import gc
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import pentile
-from pentile.arrangement import SNAP_FACTOR, Patch, patch_from_json_dict
+from pentile.arrangement import (SNAP_FACTOR, Patch, PatchEdge, PatchVertex,
+                                 patch_from_json_dict)
 from pentile.cli import _round9
 from pentile.geometry import interior_angles
 from pentile.pentagon import pentagon_to_json
@@ -219,6 +221,45 @@ def test_no_polygons_make_an_empty_patch():
         assert rows.rows() == []
     assert (patch.vertices, patch.edges) == ((), ())
     assert len(patch.interior_tile_ids()) == 0
+
+
+def test_records_read_like_a_tuple_of_records():
+    """vertices and edges are read-only sequences equal to the tuples of
+    records made from the arrays in one pass."""
+    patch = generate_patch(builtin_recipe(4, pentile.representative(4).pentagon),
+                           5.0, (0.3, -0.2))
+    vertex_tiles = patch.vertex_tiles.rows()
+    vertices = tuple(map(PatchVertex, map(tuple, patch.vertex_xy.tolist()),
+                         vertex_tiles, map(len, vertex_tiles),
+                         patch.pseudo.tolist(), patch.complete.tolist()))
+    edges = tuple(map(PatchEdge, map(tuple, patch.edge_vertices.tolist()),
+                      patch.edge_tiles.rows()))
+    for records, ref in ((patch.vertices, vertices), (patch.edges, edges)):
+        assert records == ref and ref == records and tuple(records) == ref
+        assert records != ref[:-1] and records != list(ref)
+        assert len(records) == len(ref)
+        assert records[-1] == ref[-1] and records[3] == ref[3]
+        assert records[2:9:3] == ref[2:9:3] and records[::-1] == ref[::-1]
+        with pytest.raises(IndexError):
+            records[len(ref)]
+        with pytest.raises(TypeError):
+            records[1.0]
+        assert records.index(ref[5]) == 5 and ref[7] in records
+
+
+def test_reading_records_leaves_no_objects_behind():
+    """Records are made as they are read: walking every vertex and edge of
+    an r = 20 patch (1 317 and 2 136 of them) holds no object per
+    record afterwards."""
+    patch = generate_patch(builtin_recipe(4, pentile.representative(4).pentagon),
+                           20.0)
+    gc.collect()
+    before = len(gc.get_objects())
+    assert sum(1 for v in patch.vertices if v.pseudo) >= 0
+    assert sum(1 for e in patch.edges if len(e.tiles) > 2) == 0
+    gc.collect()
+    assert patch.edge_count > 2000
+    assert len(gc.get_objects()) - before < 50
 
 
 def test_vertex_ids_follow_first_corner_occurrence():
