@@ -18,8 +18,10 @@ each side; one assembly builds every array from that.
 
 - Snapping (`Patch.from_tiles`, for documents and hand-built polygons):
   corners within eps of each other, chains included, are the connected
-  components of a cKDTree pair search, and one neighbour query around the
-  side midpoints finds the vertices lying inside sides.
+  components (`geometry.component_labels`) of the close pairs a grid
+  neighbour search finds (`geometry.close_pairs`), and one more search,
+  from the side midpoints to the vertices, finds the vertices lying inside
+  sides.
 - Lookup (`Patch.from_cells`, for generated patches): the recipe's
   CellArrangement, snapped once on one lattice cell's window, gives each
   region corner's vertex orbit and each region side's inner vertices, so a
@@ -38,11 +40,14 @@ from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_array
-from scipy.spatial import cKDTree
 
 from .errors import ParseError
-from .geometry import corner_angles, segment_distances
+from .geometry import (
+    close_pairs,
+    component_labels,
+    corner_angles,
+    segment_distances,
+)
 from .tiling import PlacedTile
 
 SNAP_FACTOR = 1e-7           # vertex merge radius, relative to mean edge
@@ -340,13 +345,7 @@ def _snap_corners(points, eps):
     Returns each corner's vertex id, numbered by first corner occurrence,
     and each vertex's position, the mean of its corners.
     """
-    from scipy.sparse.csgraph import connected_components
-
-    n = len(points)
-    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                       shape=(n, n))
-    _, label = connected_components(graph, directed=False)
+    label = component_labels(len(points), *close_pairs(points, eps))
     return _vertices(label, points)[:2]
 
 
@@ -377,10 +376,12 @@ def _side_interior_incidence(points, nxt, side_lengths, corner_vid,
     ends = points[nxt]
     # candidates: vertices within half a side (plus slack) of its midpoint
     reach = side_lengths / 2.0 + 2 * eps
-    near = cKDTree((points + ends) / 2.0).sparse_distance_matrix(
-        cKDTree(vertex_xy), float(reach.max()), output_type="ndarray")
-    sid, vid = near["i"], near["j"]
-    keep = ((near["v"] <= reach[sid]) & (vid != corner_vid[sid])
+    mid = (points + ends) / 2.0
+    sid, vid = close_pairs(mid, float(reach.max()), vertex_xy)
+    # rounded as close_pairs and a k-d tree round it, not as np.hypot
+    gap = mid[sid] - vertex_xy[vid]
+    dist = np.sqrt(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1])
+    keep = ((dist <= reach[sid]) & (vid != corner_vid[sid])
             & (vid != corner_vid[nxt[sid]]))
     vid, sid = vid[keep], sid[keep]
     a, b, p = points[sid], ends[sid], vertex_xy[vid]
@@ -497,7 +498,28 @@ def _looked_up_incidence(points, cells, cell: CellArrangement):
 
 
 def _unique_rows(*columns):
-    """Distinct rows of equal-length integer columns, sorted row-wise."""
+    """Distinct rows of equal-length integer columns, sorted row-wise.
+
+    Each row is numbered by its place in the box of the columns' ranges,
+    and one np.sort of those numbers orders the rows: several times faster
+    than np.lexsort on the columns, which only a box too large for int64
+    falls back to.
+    """
+    if not len(columns[0]):
+        return columns
+    lo = [int(c.min()) for c in columns]
+    dims = [int(c.max()) - low + 1 for c, low in zip(columns, lo)]
+    if math.prod(dims) < 2 ** 62:
+        key = np.zeros(len(columns[0]), dtype=np.int64)
+        for c, low, dim in zip(columns, lo, dims):
+            key = key * dim + (c - low)
+        key = np.sort(key)
+        key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+        out = []
+        for low, dim in zip(lo[::-1], dims[::-1]):
+            key, place = np.divmod(key, dim)
+            out.append(place + low)
+        return tuple(out[::-1])
     order = np.lexsort(columns[::-1])
     columns = [c[order] for c in columns]
     fresh = np.zeros(len(order), dtype=bool)
@@ -508,14 +530,18 @@ def _unique_rows(*columns):
 
 
 def _sharing(rows: Csr, n: int) -> Csr:
-    """For each id 0..n-1, the other ids sharing some row of rows with it."""
-    incidence = csr_array((np.ones(len(rows.indices)), rows.indices,
-                           rows.indptr), shape=(len(rows.indptr) - 1, n))
-    shared = (incidence.T @ incidence).tocsr()
-    shared.setdiag(0)
-    shared.eliminate_zeros()
-    shared.sort_indices()
-    return Csr(shared.indptr, shared.indices)
+    """For each id 0..n-1, the other ids sharing some row of rows with it:
+    the ordered pairs of distinct ids in one row, made unique. Rows of one
+    length c give their c·(c - 1) pairs in one indexing step."""
+    length = np.diff(rows.indptr)
+    a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for c in np.unique(length[length > 1]).tolist():
+        ids = rows.indices[rows.indptr[:-1][length == c, None] + np.arange(c)]
+        x, y = np.nonzero(~np.eye(c, dtype=bool))
+        a.append(ids[:, x].ravel())
+        b.append(ids[:, y].ravel())
+    a, b = np.concatenate(a), np.concatenate(b)
+    return _csr(*_unique_rows(a[a != b], b[a != b]), n)
 
 
 def patch_from_json_dict(document: dict) -> Patch:

@@ -16,7 +16,6 @@ from importlib import resources
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import InfeasibleParams, NonConvergence, ParseError, UnknownType
 from .pentagon import (
@@ -226,6 +225,17 @@ def _full_residual(rows, x):
     return np.concatenate([linear, _closure(x)])
 
 
+def _kernel(matrix: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of matrix's null space, one column per vector:
+    the right singular vectors past its rank, the count of singular values
+    above eps · max(shape) of the largest (numpy.linalg.matrix_rank's rule).
+    """
+    _, sv, vt = np.linalg.svd(matrix)
+    rank = int(np.sum(sv > sv.max(initial=0.0)
+                      * (np.finfo(float).eps * max(matrix.shape))))
+    return vt[rank:].T
+
+
 def _initial_guess(rows, x_seed=None):
     """Stage the start point: angles from the linear angle rows, then edges.
 
@@ -240,7 +250,7 @@ def _initial_guess(rows, x_seed=None):
     anchor = np.full(5, ANGLE_SUM / 5.0)
     correction, *_ = np.linalg.lstsq(m_ang, b_ang - m_ang @ anchor, rcond=None)
     base = anchor + correction
-    kernel = null_space(m_ang)
+    kernel = _kernel(m_ang)
     if kernel.shape[1] == 1:
         ts = np.linspace(-2.5, 2.5, 101)
         candidates = [base + t * kernel[:, 0] for t in ts]

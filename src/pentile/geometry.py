@@ -14,6 +14,11 @@ np.sum or a left-to-right loop adds them. Where numpy rounds otherwise than
 the scalar call, the stack makes that call: a batched matmul for a 2-vector
 dot, and math.hypot and math.atan2 on lists. The verifier's reported
 rounding noise stays the same to the last digit.
+
+Two helpers serve the arrangement's snapping and side incidence, the
+overlap check and the F3 flood fill: close_pairs, a uniform-grid search for
+the pairs of points within a reach, and component_labels, the connected
+components of a graph given as an edge list.
 """
 from __future__ import annotations
 
@@ -320,3 +325,85 @@ def polygon_distances(point: np.ndarray, polys: np.ndarray) -> np.ndarray:
                     axis=1)
     dist = segment_distances(point, a, b).min(axis=1)
     return np.where(inside, 0.0, dist)
+
+
+def close_pairs(points: np.ndarray, reach: float, others=None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), sorted by (i, j), of points at most reach apart:
+    i < j within points, or point i and point j of others when given. A pair
+    counts when dx * dx + dy * dy <= reach * reach, the test a k-d tree's
+    pair search makes.
+
+    Points are binned on a uniform grid of cells a hair wider than reach
+    (and never finer than 2**-30 of the points' span, so cell numbers stay
+    small), so a close pair lies in one cell or in two neighbouring ones.
+    Cells are numbered column by column with a spare row between columns,
+    so the 3x3 block around a cell is three runs of cell numbers, found by
+    searchsorted in the sorted cell numbers of the other set.
+    """
+    a = np.asarray(points, dtype=float).reshape(-1, 2)
+    b = a if others is None else np.asarray(others, dtype=float).reshape(-1, 2)
+    none = np.zeros(0, dtype=np.intp)
+    if not len(a) or not len(b):
+        return none, none
+    # per-axis reductions on the columns: along axis 0 numpy strides slowly
+    lo = [min(a[:, k].min(), b[:, k].min()) for k in (0, 1)]
+    span = max(max(a[:, k].max(), b[:, k].max()) - lo[k] for k in (0, 1))
+    # the margin outgrows the rounding of (x - lo) / width, a few ulp of span
+    width = max(reach, span * 2.0 ** -30) + span * 2.0 ** -40 or 1.0
+
+    def cells(p):
+        return [np.floor((p[:, k] - lo[k]) / width).astype(np.intp)
+                for k in (0, 1)]
+
+    col_a, row_a = cells(a)
+    col_b, row_b = (col_a, row_a) if others is None else cells(b)
+    rows = int(max(row_a.max(), row_b.max())) + 2
+    key_b = col_b * rows + row_b
+    by_b = np.argsort(key_b)
+    keys = key_b[by_b]
+    # queries in ascending order, which searchsorted answers fastest
+    key_a = col_a * rows + row_a
+    by_a = np.argsort(key_a)
+    key_a = key_a[by_a]
+    start = np.column_stack([np.searchsorted(keys, key_a + step - 1)
+                             for step in (-rows, 0, rows)]).ravel()
+    count = np.column_stack([
+        np.searchsorted(keys, key_a + step + 1, side="right")
+        for step in (-rows, 0, rows)]).ravel() - start
+    i = np.repeat(by_a, count.reshape(-1, 3).sum(axis=1))
+    j = by_b[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count,
+                                           count)]
+    if others is None:
+        i, j = i[i < j], j[i < j]
+    dx, dy = a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]
+    near = dx * dx + dy * dy <= reach * reach
+    i, j = i[near], j[near]
+    order = np.argsort(i * len(b) + j)
+    return i[order], j[order]
+
+
+def component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each of n nodes' connected component under the edges (a[k], b[k]),
+    labelled by its smallest node.
+
+    Hook and shortcut: every edge between two labels hooks the larger
+    label's root under the smaller (np.minimum.at), then every node jumps
+    to its root; repeated on the edges still between two labels until none
+    is. A node's label never rises and is never above the node, so it ends
+    at its component's smallest node.
+    """
+    label = np.arange(n)
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            return label
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up

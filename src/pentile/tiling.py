@@ -24,6 +24,7 @@ from .errors import (
     require_positive,
 )
 from .geometry import (
+    component_labels,
     polygon_area,
     polygon_centroid,
     polygon_distances,
@@ -441,19 +442,14 @@ def _enclosed_tiles(polys: np.ndarray, centroids: np.ndarray,
     """
     if not len(polys):
         return np.zeros(0, dtype=int)
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
     reach = 2.0 * radius + eps
     origin = centroids.mean(axis=0)
     far = np.linalg.norm(centroids - origin, axis=1)
     seeds = far >= far.max() - reach
 
-    a, b = _touch_pairs(cells, motif, count)
-    touching = coo_matrix((np.ones(len(a)), (a, b)),
-                          shape=(len(polys), len(polys)))
-    _, component = connected_components(touching, directed=False)
+    component = component_labels(len(polys), *_touch_pairs(cells, motif,
+                                                           count))
     flooded = np.isin(component, component[seeds])
     return np.nonzero(~flooded)[0]
 

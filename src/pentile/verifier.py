@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateTile, InvalidInnerRadius
 from .geometry import (
+    close_pairs,
     convex_overlap_areas,
     largest_inscribed_circle,
     points_in_convex_polygon,
@@ -61,13 +61,12 @@ def _bounding_circles(stacked, counts):
 
 def _pairwise_overlap(stacked, counts):
     """Worst pairwise overlap area among stacked convex polygons, with its
-    pair: the first maximum over the cKDTree pairs in their set's iteration
-    order, among the pairs whose bounding circles meet."""
+    pair: the first maximum in (i, j) order among the pairs whose bounding
+    circles meet."""
     if len(stacked) < 2:
         return 0.0, None
     centers, radii = _bounding_circles(stacked, counts)
-    pairs = cKDTree(centers).query_pairs(2.0 * radii.max())
-    i, j = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    i, j = close_pairs(centers, 2.0 * radii.max())
     gap = centers[i] - centers[j]
     # np.linalg.norm's own dot product; touching circles are common in
     # periodic tilings
@@ -168,48 +167,55 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
     less area than the inner disk, the check fails without a grid sample.
     So the grid holds at most about 20·n·A/ρ² points for n tiles and the
     first tile's area A and inradius ρ.
+
+    Everything is measured relative to the disk center, as in
+    check_no_overlap, and the reported first miss is moved back.
     """
     if patch.r is None or patch.center is None:
         raise InvalidInnerRadius("patch carries no disk; nothing to cover")
     if not patch.tiles:
         raise InvalidInnerRadius("patch holds no tiles; nothing covers")
-    polys = [t.polygon for t in patch.tiles]
-    stacked, counts = stack_polygons(polys)
+    center = np.asarray(patch.center, dtype=float)
+    stacked, counts = stack_polygons([t.polygon for t in patch.tiles])
+    stacked = stacked - center
+    first = stacked[0, :counts[0]]
     diam = float(np.linalg.norm(stacked[:, :, None] - stacked[:, None],
                                 axis=-1).max())
     # patch tiles are congruent; one circumradius bounds them all
-    circumradius = smallest_enclosing_circle(polys[0])[1]
+    circumradius = smallest_enclosing_circle(first)[1]
     if r_inner is None:
         r_inner = patch.r - diam
     if not 0 < r_inner <= patch.r - circumradius + 1e-12:
         raise InvalidInnerRadius(
             f"inner radius {r_inner} not in (0, r - tile circumradius] "
             f"= (0, {patch.r - circumradius:.6g}]")
-    center = np.asarray(patch.center)
     disk_area = math.pi * r_inner ** 2
-    tile_area = abs(polygon_area(polys[0]))
+    tile_area = abs(polygon_area(first))
 
-    covered_area = sum(polygon_disk_overlap_areas(stacked, counts, center,
+    covered_area = sum(polygon_disk_overlap_areas(stacked, counts, (0.0, 0.0),
                                                   r_inner))
     gap = disk_area - covered_area
     ok_area = abs(gap) <= AREA_TOL * disk_area
 
     # patch tiles are congruent, so one inradius sets the sampling pitch
-    inradius = largest_inscribed_circle(polys[0])[1]
+    inradius = largest_inscribed_circle(first)[1]
     pitch = inradius / SAMPLE_DIVISOR
     eps = 1e-9 * diam
 
     def in_disk(pts):
-        return np.linalg.norm(pts - center, axis=1) <= r_inner - eps
+        return np.linalg.norm(pts, axis=1) <= r_inner - eps
 
     # the first tile sets the pitch, so as many copies of it as there are
     # tiles must hold the disk's area before the grid is sampled
-    tiles_area = len(polys) * tile_area
+    tiles_area = len(stacked) * tile_area
     ok_tiles_area = tiles_area >= disk_area
     tested, missed, example = 0, 0, None
     if ok_tiles_area:
         tested, missed, example = _grid_cover_check(
-            stacked, in_disk, center - r_inner, center + r_inner, pitch, eps)
+            stacked, in_disk, np.full(2, -r_inner), np.full(2, r_inner),
+            pitch, eps)
+    if example is not None:
+        example = tuple((center + example).tolist())
     ok_grid = missed == 0
 
     # an inner disk smaller than one tile tests next to nothing
@@ -221,7 +227,7 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
             f"{disk_area:.6g}, less than one tile ({tile_area:.6g})")
     if not ok_tiles_area:
         violations.append(
-            f"{len(polys)} tiles of the first tile's area hold "
+            f"{len(stacked)} tiles of the first tile's area hold "
             f"{tiles_area:.6g}, less than the inner disk's {disk_area:.6g}; "
             f"grid sample skipped")
     if not ok_area:

@@ -6,12 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 import pentile
 from pentile.arrangement import (SNAP_FACTOR, Patch, PatchEdge, PatchVertex,
-                                 patch_from_json_dict)
+                                 _unique_rows, patch_from_json_dict)
 from pentile.cli import _round9
-from pentile.geometry import interior_angles
+from pentile.geometry import close_pairs, component_labels, interior_angles
 from pentile.pentagon import pentagon_to_json
 from pentile.stats import FULL, INTERIOR, PatchStats, compute_stats
 from pentile.tiling import builtin_recipe, generate_patch
@@ -353,3 +358,76 @@ def test_cell_arrangement_closes_on_the_torus(type_id, tve):
     for o in range(cell.orbits):
         spread = home[orbit == o] - home[orbit == o][0]
         assert np.abs(spread).max() <= 1e-9
+
+
+# --- neighbour search and component labelling, against scipy ---------------
+
+@st.composite
+def clustered_points(draw, max_size=40):
+    """Points on a lattice of pitch 2**k, so many pairs lie exactly 1, 2, 3
+    or 5 pitches apart (3-4-5 triangles), with exact duplicates, chains
+    along rows, jittered copies and a common offset; and a reach of 0 to 6
+    pitches."""
+    pitch = 2.0 ** draw(st.integers(-6, 3))
+    grid = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    cells = draw(st.lists(grid, max_size=max_size))
+    cells += draw(st.lists(st.sampled_from(cells), max_size=10)) if cells \
+        else []
+    pts = pitch * np.array(cells, dtype=float).reshape(-1, 2)
+    jitter = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * len(pts),
+                           max_size=2 * len(pts)))
+    scale = draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-3, 0.5]))
+    pts = pts + scale * pitch * np.array(jitter).reshape(-1, 2)
+    offset = draw(st.sampled_from([0.0, 0.0, 3.7, -1e3, 1e9]))
+    reach = pitch * draw(st.sampled_from([0, 0.5, 1, 2, 2.5, 3, 5, 6]))
+    return pts + offset, reach
+
+
+def pair_list(i, j):
+    return list(zip(i.tolist(), j.tolist()))
+
+
+@given(clustered_points(), st.data())
+def test_close_pairs_are_the_kd_tree_pairs(case, data):
+    """Within one set: cKDTree.query_pairs' set. Across the set's first k
+    points and the rest: the entries of cKDTree.sparse_distance_matrix.
+    Both sorted by (i, j)."""
+    pts, reach = case
+    found = pair_list(*close_pairs(pts, reach))
+    assert found == sorted(cKDTree(pts).query_pairs(reach))
+    k = data.draw(st.integers(0, len(pts)))
+    found = pair_list(*close_pairs(pts[:k], reach, pts[k:]))
+    if 0 < k < len(pts):
+        near = cKDTree(pts[:k]).sparse_distance_matrix(
+            cKDTree(pts[k:]), reach, output_type="ndarray")
+        assert found == sorted(pair_list(near["i"], near["j"]))
+    else:
+        assert found == []
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))),
+                         max_size=3 * n if n else 0))))
+def test_component_labels_are_the_connected_components(graph):
+    """The partition of scipy's connected_components, each part labelled
+    by its smallest node."""
+    n, edges = graph
+    a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    label = component_labels(n, a, b)
+    _, component = connected_components(
+        coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n)), directed=False)
+    smallest = {}
+    for node, part in enumerate(component.tolist()):
+        smallest.setdefault(part, node)
+    assert label.tolist() == [smallest[part] for part in component.tolist()]
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 40])
+def test_unique_rows_are_sorted_and_distinct(scale):
+    """Columns whose box of ranges fits int64 sort one number per row; at
+    2**40 the box does not, and np.lexsort sorts the columns."""
+    a = scale * np.array([3, 0, 3, 5, 0, 3])
+    b = scale * np.array([1, 2, 1, 0, 2, -4])
+    rows = list(zip(*(c.tolist() for c in _unique_rows(a, b))))
+    assert rows == sorted(set(zip(a.tolist(), b.tolist())))

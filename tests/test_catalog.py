@@ -10,6 +10,7 @@ import random
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import null_space
 
 from pentile import (
     InfeasibleParams,
@@ -24,6 +25,7 @@ from pentile import (
     solve_edges,
     solve_instance,
 )
+from pentile import catalog
 from pentile.catalog import TYPE_IDS, LinearEquation, TypeSpec
 
 DEG = math.pi / 180.0
@@ -212,3 +214,23 @@ class TestClassify:
                         {"a": p.edges[0], "b": p.edges[1], "c": p.edges[2]}).edges)
         assert 14 not in classify(nudged, tol=1e-7)
         assert 14 in classify(nudged, tol=1e-3)
+
+
+def test_angle_kernel_is_scipy_null_space(monkeypatch):
+    """Every Type's angle rows, at its default parameters and jittered ones:
+    the numpy kernel is scipy.linalg.null_space's, bit for bit."""
+    kernel, seen = catalog._kernel, []
+    monkeypatch.setattr(catalog, "_kernel",
+                        lambda matrix: seen.append(matrix) or kernel(matrix))
+    rng = random.Random(15)
+    for tid in TYPE_IDS:
+        spec = get_type_spec(tid)
+        solve_instance(spec, dict(spec.default_params))
+        for _ in range(4):
+            solve_instance(spec, {k: v * rng.uniform(0.97, 1.03)
+                                  for k, v in spec.default_params.items()})
+    assert len(seen) == 5 * len(TYPE_IDS)
+    for matrix in seen:
+        ours, theirs = kernel(matrix), null_space(matrix)
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()

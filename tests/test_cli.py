@@ -439,17 +439,31 @@ def test_stdout_matches_the_recorded_bytes(capsys, command):
     assert digest == GOLDEN_STDOUT[command], f"stdout of {command!r} changed"
 
 
-def test_verify_runs_without_scipy_optimize():
-    """The verifier measures tiles in closed form; a fresh interpreter that
-    runs a whole verify must never load scipy's optimizers."""
+def test_every_command_runs_without_scipy(tmp_path):
+    """pentile needs numpy alone: in a fresh interpreter where importing
+    scipy fails, every command exits 0, snapped documents and recipe files
+    included, and no scipy module is loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = ("import sys\n"
+    patch = tmp_path / "patch.json"
+    commands = [["tile", "--type", "4", "--r", "6", "--out", str(patch)]] + [
+        [*argv, "--out", str(tmp_path / "out")] for argv in (
+            ["stats", "--type", "4", "--r", "6"],
+            ["stats", "--patch", str(patch)],
+            ["verify", "--type", "4", "--r", "6"],
+            ["verify", "--patch", str(patch)],
+            ["verify", "--recipe", str(DATA / "type5_recipe.json")],
+            ["render", "--patch", str(patch)],
+            ["sweep", "--type", "4", "--radii", "5,8"],
+            ["catalog", "list"])]
+    script = ("import json, sys\n"
+              "sys.modules['scipy'] = None\n"
               "from pentile.cli import main\n"
-              "code = main(['verify', '--type', '4', '--r', '10'])\n"
-              "assert code == 0, code\n"
-              "assert 'scipy.optimize' not in sys.modules\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True)
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n"
+              "assert not [m for m, module in sys.modules.items()\n"
+              "            if m.split('.')[0] == 'scipy' and module is not None]\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -267,14 +267,14 @@ def test_sweep_builds_the_cell_arrangement_once_per_recipe():
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
 def test_generated_patch_snaps_no_corners(monkeypatch, type_id):
     """Once the recipe's cell is built, a generated patch looks its
-    incidence up: no cKDTree and no snapping graph."""
+    incidence up: no neighbour search and no snapping graph."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     recipe.cell_arrangement
 
     def refuse(*args, **kwargs):
         raise AssertionError("generate_patch measured corner distances")
 
-    monkeypatch.setattr(arrangement, "cKDTree", refuse)
+    monkeypatch.setattr(arrangement, "close_pairs", refuse)
     monkeypatch.setattr(arrangement, "_snap_corners", refuse)
     patch = generate_patch(recipe, 10.0, (0.37, -1.21))
     assert euler_residual(compute_stats(patch)) == 0

@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from scipy.spatial import cKDTree
 
 import pentile
 from pentile import geometry
-from pentile.arrangement import Patch
+from pentile.arrangement import Patch, patch_from_json_dict
 from pentile.errors import DegenerateTile, InvalidInnerRadius
 from pentile.geometry import (
     convex_overlap_areas,
@@ -67,6 +68,14 @@ def test_duplicated_tile_is_reported(t4_patch):
     report = check_no_overlap(broken)
     assert not report.ok
     assert report.violations
+
+
+def test_coincident_copies_report_the_first_pair():
+    """Three copies of one tile overlap pairwise by the same area; the
+    report names the first pair in (i, j) order."""
+    tile = pentile.representative(4).pentagon.vertices
+    report = check_no_overlap(Patch.from_polygons([tile] * 3))
+    assert report.violations[0].startswith("tiles 0 and 1 overlap")
 
 
 def test_shared_edge_is_not_an_overlap():
@@ -143,15 +152,15 @@ def convex_overlap_area(p, q):
 
 
 def loop_pairwise_overlap(polys):
-    """Reference: the worst overlap, one pair at a time in the cKDTree
-    pairs' set order, and its pair."""
+    """Reference: the worst overlap, one pair at a time over the cKDTree
+    pairs in (i, j) order, and its first worst pair."""
     if len(polys) < 2:
         return 0.0, None
     centers = np.array([p.mean(axis=0) for p in polys])
     radii = np.array([np.linalg.norm(p - c, axis=1).max()
                       for p, c in zip(polys, centers)])
     worst, worst_pair = 0.0, None
-    for i, j in cKDTree(centers).query_pairs(2.0 * radii.max()):
+    for i, j in sorted(cKDTree(centers).query_pairs(2.0 * radii.max())):
         if np.linalg.norm(centers[i] - centers[j]) > radii[i] + radii[j]:
             continue
         a = convex_overlap_area(polys[i], polys[j])
@@ -657,6 +666,33 @@ def test_enclosing_circle_of_two_or_collinear_points():
     center, radius = smallest_enclosing_circle(
         np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))
     assert (center.tolist(), radius) == ([1.0, 0.0], 1.0)
+
+
+def test_coverage_is_measured_about_the_disk_center():
+    """A full-precision document about (1e9, 2e9): the first tile's area
+    taken about the origin rounded to 0, so the grid sample was skipped."""
+    recipe = builtin_recipe(1, pentile.representative(1).pentagon)
+    document = generate_patch(recipe, 5.0, (1e9, 2e9)).to_json_dict()
+    report = check_coverage(patch_from_json_dict(document))
+    assert not any("grid sample skipped" in v for v in report.violations)
+    assert report.metrics["sample_points"] > 0
+    assert report.metrics["sample_misses"] == 0
+
+
+def test_first_miss_is_reported_where_it_is():
+    """The grid is laid about the disk center; its first miss is reported
+    back in the patch's coordinates, inside the tile taken out."""
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    center = np.array([1e4, 3e3])
+    patch = generate_patch(recipe, 8.0, center)
+    victim = min(range(patch.tile_count), key=lambda i: np.linalg.norm(
+        patch.tiles[i].polygon.mean(axis=0) - center))
+    tiles = patch.tiles[:victim] + patch.tiles[victim + 1:]
+    report = check_coverage(Patch.from_tiles(tiles, r=8.0, center=center))
+    miss = re.search(r"first at \((.*), (.*)\)$", report.violations[-1])
+    point = np.array([float(miss[1]), float(miss[2])])
+    assert points_in_convex_polygon(point, patch.tiles[victim].polygon,
+                                    eps=1e-6)
 
 
 def test_house_patch_far_from_the_origin_verifies():
