@@ -498,28 +498,7 @@ def _looked_up_incidence(points, cells, cell: CellArrangement):
 
 
 def _unique_rows(*columns):
-    """Distinct rows of equal-length integer columns, sorted row-wise.
-
-    Each row is numbered by its place in the box of the columns' ranges,
-    and one np.sort of those numbers orders the rows: several times faster
-    than np.lexsort on the columns, which only a box too large for int64
-    falls back to.
-    """
-    if not len(columns[0]):
-        return columns
-    lo = [int(c.min()) for c in columns]
-    dims = [int(c.max()) - low + 1 for c, low in zip(columns, lo)]
-    if math.prod(dims) < 2 ** 62:
-        key = np.zeros(len(columns[0]), dtype=np.int64)
-        for c, low, dim in zip(columns, lo, dims):
-            key = key * dim + (c - low)
-        key = np.sort(key)
-        key = key[np.concatenate([[True], key[1:] != key[:-1]])]
-        out = []
-        for low, dim in zip(lo[::-1], dims[::-1]):
-            key, place = np.divmod(key, dim)
-            out.append(place + low)
-        return tuple(out[::-1])
+    """Distinct rows of equal-length integer columns, sorted row-wise."""
     order = np.lexsort(columns[::-1])
     columns = [c[order] for c in columns]
     fresh = np.zeros(len(order), dtype=bool)

@@ -425,8 +425,8 @@ def test_component_labels_are_the_connected_components(graph):
 
 @pytest.mark.parametrize("scale", [1, 2 ** 40])
 def test_unique_rows_are_sorted_and_distinct(scale):
-    """Columns whose box of ranges fits int64 sort one number per row; at
-    2**40 the box does not, and np.lexsort sorts the columns."""
+    """Rows come back distinct and in row-wise order, for small ids and
+    for ids of order 2**40."""
     a = scale * np.array([3, 0, 3, 5, 0, 3])
     b = scale * np.array([1, 2, 1, 0, 2, -4])
     rows = list(zip(*(c.tolist() for c in _unique_rows(a, b))))
