@@ -26,6 +26,8 @@ each side; one assembly builds every array from that.
   CellArrangement, snapped once on one lattice cell's window, gives each
   region corner's vertex orbit and each region side's inner vertices, so a
   tile of cell (m, n) finds them by integer key, with no distance measured.
+  The same snap gives the tiling's touch motif, the window tiles sharing a
+  vertex with a region tile, which generate_patch's flood fill reads.
 
 Either way vertices are numbered by first corner occurrence and placed at
 the mean of their corners. The assembly orders the stops along every side
@@ -400,7 +402,9 @@ class CellArrangement(NamedTuple):
     corner_vertex[i, c]. Rows hit_ptr[i]:hit_ptr[i + 1] of the hit arrays
     are the vertices inside region tile i's sides: the side opened by
     corner hit_corner holds vertex (m, n, 0) + hit_vertex at hit_param
-    along it.
+    along it. motif is the touch relation as arrays (i, j, dm, dn): region
+    tile i of cell (m, n) shares a vertex with region tile j of cell
+    (m + dm, n + dn).
     """
     orbits: int
     corner_vertex: np.ndarray    # (k, K, 3)
@@ -408,26 +412,25 @@ class CellArrangement(NamedTuple):
     hit_corner: np.ndarray       # (H,)
     hit_vertex: np.ndarray       # (H, 3)
     hit_param: np.ndarray        # (H,)
+    motif: tuple[np.ndarray, ...]
 
 
 def cell_arrangement(recipe) -> CellArrangement:
-    """The recipe's cell arrangement, from the snapping finder run on a
-    window: the region tiles and every translate their touch motif names,
-    which are all the tiles meeting a region tile.
+    """The recipe's cell arrangement and touch motif, from the snapping
+    finder run once on one window: the region tiles and every translate
+    (m, n, j) of a region tile whose centroid lies within two bounding
+    radii (plus the merge distance) of some region tile's centroid. Those
+    include all the tiles meeting a region tile.
 
-    The lattice acts on the window's vertex ids: corner c of window tile
-    (m, n, j) is the vertex of region corner (j, c) moved by (m, n). The
-    orbits are the classes this relation joins, numbered by first region
-    corner, so no coordinate is rounded.
+    The motif is the pairs of a region tile and a window tile that share
+    a vertex, as corner or side split. The lattice acts on the window's
+    vertex ids: corner c of window tile (m, n, j) is the vertex of region
+    corner (j, c) moved by (m, n). The orbits are the classes this
+    relation joins, numbered by first region corner, so no coordinate is
+    rounded.
     """
-    _, j, dm, dn = recipe.touch_motif
+    window = _cell_window(recipe)
     count = len(recipe.region)
-    region = np.arange(count)
-    window = np.unique(np.column_stack([
-        np.concatenate([0 * region, dm]), np.concatenate([0 * region, dn]),
-        np.concatenate([region, j])]), axis=0)
-    # the region tiles (0, 0, i) first, in order
-    window = window[np.argsort(window[:, :2].any(axis=1), kind="stable")]
     m, n, idx = window.T
     shifts = (m[:, None] * np.asarray(recipe.u)
               + n[:, None] * np.asarray(recipe.v))
@@ -437,6 +440,16 @@ def cell_arrangement(recipe) -> CellArrangement:
         points, nxt, 0.0)
     k = corners.shape[1]
     vid = corner_vid.reshape(-1, k)
+
+    # the window tiles at each vertex, as corner or side split; the region
+    # tiles' rows of the sharing relation come first
+    inc_vid, inc_tile = _unique_rows(
+        np.concatenate([corner_vid, hit_vid]),
+        np.concatenate([np.arange(len(points)) // k, side // k]))
+    near = _sharing(_csr(inc_vid, inc_tile, len(vertex_xy)), len(window))
+    touch = near.indices[:near.indptr[count]]
+    motif = (np.repeat(np.arange(count), np.diff(near.indptr[:count + 1])),
+             idx[touch], m[touch], n[touch])
 
     links, rows = [[] for _ in vertex_xy], vid.tolist()
     for (sm, sn, i), row in zip(window.tolist(), rows):
@@ -467,7 +480,29 @@ def cell_arrangement(recipe) -> CellArrangement:
         orbits=orbits, corner_vertex=placed[vid[:count]],
         hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
         hit_corner=side % k, hit_vertex=placed[hit_vid],
-        hit_param=param[on_region][order])
+        hit_param=param[on_region][order], motif=motif)
+
+
+def _cell_window(recipe) -> np.ndarray:
+    """The (m, n, j) rows of cell_arrangement's window: the region tiles
+    (0, 0, j) first, in order, then the other translates in (m, n, j)
+    order."""
+    polys, centroids = recipe.region_corners, recipe.region_centroids
+    radius = np.linalg.norm(polys - centroids[:, None], axis=2).max()
+    reach = 2.0 * radius + SNAP_FACTOR * recipe.pentagon.mean_edge()
+    span = np.linalg.norm(centroids[:, None] - centroids, axis=2).max()
+    # lattice steps of length up to reach + span have coefficients up to lim
+    inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
+    lim = np.ceil((reach + span) * np.abs(inv).sum(axis=1)).astype(int)
+    m, n, j = (a.ravel() for a in np.meshgrid(
+        np.arange(-lim[0], lim[0] + 1), np.arange(-lim[1], lim[1] + 1),
+        np.arange(len(polys)), indexing="ij"))
+    shifts = (m[:, None] * np.asarray(recipe.u)
+              + n[:, None] * np.asarray(recipe.v))
+    apart = np.linalg.norm((centroids[j] + shifts)[:, None] - centroids,
+                           axis=2)
+    window = np.column_stack([m, n, j])[(apart <= reach).any(axis=1)]
+    return window[np.argsort(window[:, :2].any(axis=1), kind="stable")]
 
 
 def _looked_up_incidence(points, cells, cell: CellArrangement):

@@ -29,7 +29,6 @@ from .geometry import (
     polygon_centroid,
     polygon_distances,
     rot_matrix,
-    segment_distances,
 )
 from .pentagon import Pentagon, pentagon_from_json_dict
 
@@ -137,13 +136,9 @@ class TilingRecipe:
         return np.array([polygon_centroid(p) for p in self.region_corners])
 
     @functools.cached_property
-    def touch_motif(self):
-        """The recipe's `_touch_motif`, measured once."""
-        return _touch_motif(self)
-
-    @functools.cached_property
     def cell_arrangement(self):
-        """The recipe's `arrangement.cell_arrangement`, built once."""
+        """The recipe's `arrangement.cell_arrangement`, with its touch
+        motif, built once."""
         from .arrangement import cell_arrangement
 
         return cell_arrangement(self)
@@ -287,15 +282,22 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
 
     failure = None
     for q in fits:
-        for region, u, v in _REGION_BUILDERS[type_id](q):
+        try:
+            candidates = _REGION_BUILDERS[type_id](q)
+        except ValueError as exc:
+            # the Type's equal sides are equal to CLASSIFY_TOL but not to
+            # the precision a glue isometry needs
+            failure = [str(exc)]
+            continue
+        for region, u, v in candidates:
             recipe = TilingRecipe(pentagon=q, region=region,
                                   u=tuple(u), v=tuple(v))
             report = check_periodicity(recipe)
             if report.ok:
                 return recipe
-            failure = report
+            failure = report.violations
     raise RecipeInvalid(
-        f"Type {type_id} recipe failed verification: {failure.violations}")
+        f"Type {type_id} recipe failed verification: {failure}")
 
 
 # --- patch generation -------------------------------------------------------
@@ -333,18 +335,18 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
 
     Every candidate is a translate (m, n) of a region tile, so whether two
     of them touch depends only on their region tiles and the difference of
-    their cells. The flood fill reads the touch graph off the recipe's touch
-    motif (`_touch_motif`), measured once per recipe on the region tiles,
-    in place of measuring distances for every candidate pair. The motif is
-    measured near the origin, so the graph is the lattice's touch relation
-    at any centre, however much translating the polygons rounds them.
-
-    The patch's arrangement is looked up the same way (`Patch.from_cells`):
-    the recipe's cell arrangement, built once, names the vertex of each
-    region corner and the vertices inside each region side as lattice
-    orbits, so every corner's vertex and every side split is an integer key
-    and nothing is snapped. Snapping the same tiles (`Patch.from_tiles`,
-    which patch documents need) gives the same arrays.
+    their cells. Both the touch graph and the arrangement are read off the
+    recipe's cell arrangement (`arrangement.cell_arrangement`), snapped once
+    per recipe on one window of translates near the origin, so they are
+    the lattice's relations at any centre, however much translating the
+    polygons rounds them, and no candidate pair is measured. The flood
+    fill's touch graph is the cell's touch motif: the region tiles and the
+    window tiles that share a vertex with them. The patch's arrangement
+    (`Patch.from_cells`) takes the vertex of each region corner and the
+    vertices inside each region side as lattice orbits, so every corner's
+    vertex and every side split is an integer key and nothing is snapped.
+    Snapping the same tiles (`Patch.from_tiles`, which patch documents
+    need) gives the same arrays.
     """
     from .arrangement import Patch
 
@@ -376,8 +378,9 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     boundary = rest[meets]
     outer = rest[~meets]
     cells = np.column_stack([m, n, idx])
+    cell = recipe.cell_arrangement
     f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], cells[outer],
-                               recipe.touch_motif, len(recipe.region), eps)]
+                               cell.motif, len(recipe.region), eps)]
 
     order = np.concatenate([np.nonzero(inner)[0], boundary, f3])
     zones = (["F1"] * int(inner.sum()) + ["F2"] * len(boundary)
@@ -385,47 +388,12 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     corners = polys[order]
     tiles = [PlacedTile((mi, ni), polygon, zone) for mi, ni, polygon, zone
              in zip(m[order].tolist(), n[order].tolist(), corners, zones)]
-    return Patch.from_cells(tiles, corners, cells[order],
-                            recipe.cell_arrangement, r=r, center=tuple(center))
+    return Patch.from_cells(tiles, corners, cells[order], cell, r=r,
+                            center=tuple(center))
 
 
 def _ccw(poly: np.ndarray) -> np.ndarray:
     return poly if polygon_area(poly) >= 0 else poly[::-1]
-
-
-def _touch_motif(recipe: TilingRecipe):
-    """The touch relation of the tiling as data about one lattice cell.
-
-    Returns arrays (i, j, dm, dn), one row per region tile i and translate
-    of region tile j by dm·u + dn·v that touch (a corner of one within eps
-    of the other's boundary, `_polygons_touch`). By periodicity, tile i of
-    cell (m, n) then touches tile j of cell (m + dm, n + dn). Only
-    translates whose centroid lies within 2·radius + eps of tile i's are
-    measured; touching tiles always do. eps is generate_patch's.
-    """
-    base_polys, base_centroids = recipe.region_corners, recipe.region_centroids
-    eps = 1e-7 * recipe.pentagon.mean_edge()
-    radius = np.linalg.norm(base_polys - base_centroids[:, None],
-                            axis=2).max()
-    reach = 2.0 * radius + eps
-    span = np.linalg.norm(base_centroids[:, None] - base_centroids,
-                          axis=2).max()
-    # lattice steps of length up to reach + span have coefficients up to lim
-    inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
-    lim = np.ceil((reach + span) * np.abs(inv).sum(axis=1)).astype(int)
-    count = len(base_polys)
-    dm, dn, i, j = (a.ravel() for a in np.meshgrid(
-        np.arange(-lim[0], lim[0] + 1), np.arange(-lim[1], lim[1] + 1),
-        np.arange(count), np.arange(count), indexing="ij"))
-    shifts = (dm[:, None] * np.asarray(recipe.u)
-              + dn[:, None] * np.asarray(recipe.v))
-    apart = np.linalg.norm(base_centroids[j] + shifts - base_centroids[i],
-                           axis=1)
-    near = (apart <= reach) & ((i != j) | (dm != 0) | (dn != 0))
-    i, j, dm, dn, shifts = (a[near] for a in (i, j, dm, dn, shifts))
-    touch = _polygons_touch(base_polys[i], base_polys[j] + shifts[:, None],
-                            eps)
-    return i[touch], j[touch], dm[touch], dn[touch]
 
 
 def _enclosed_tiles(polys: np.ndarray, centroids: np.ndarray,
@@ -438,7 +406,7 @@ def _enclosed_tiles(polys: np.ndarray, centroids: np.ndarray,
     the outermost ring; what the flood never reaches is enclosed by F2. The
     fill is the union of the touch graph's connected components that hold a
     seed. cells holds each tile's (m, n, region index) out of count region
-    tiles; the touch graph is `_touch_pairs`.
+    tiles; the touch graph is `_touch_pairs` of the cell's motif.
     """
     if not len(polys):
         return np.zeros(0, dtype=int)
@@ -474,17 +442,6 @@ def _touch_pairs(cells: np.ndarray, motif, count: int):
     b = rows[cells[a, 0] - lo[0] + dm[k], cells[a, 1] - lo[1] + dn[k], j[k]]
     found = b >= 0
     return a[found], b[found]
-
-
-def _polygons_touch(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
-    """For (N, n, 2) polygon stacks p and q, whether some corner of one
-    polygon lies within eps of the other's boundary."""
-    def corner_gap(a, b):
-        return segment_distances(a[:, :, None, :], b[:, None, :, :],
-                                 np.roll(b, -1, axis=1)[:, None, :, :]
-                                 ).min(axis=(1, 2))
-
-    return np.minimum(corner_gap(p, q), corner_gap(q, p)) <= eps
 
 
 def congruence_defect(tile: PlacedTile, pentagon: Pentagon) -> float:

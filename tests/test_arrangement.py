@@ -334,13 +334,17 @@ def test_nine_digit_document_gives_the_generated_stats(type_id, center):
         assert compute_stats(document, mode) == compute_stats(patch, mode)
 
 
+MOTIF_ROWS = {1: 12, 2: 24, 4: 28, 5: 48}
+
+
 @pytest.mark.parametrize("type_id, tve", [(1, (2, 4, 6)), (2, (4, 8, 12)),
                                           (4, (4, 6, 10)), (5, (6, 9, 15))])
 def test_cell_arrangement_closes_on_the_torus(type_id, tve):
     """One lattice cell of the tiling is a map on the torus: t region tiles,
     v vertex orbits and e = (5t + side hits) / 2 edges, each edge bordering
     two tiles, with v - e + t = 0. The corners of one orbit, moved back by
-    their shifts, are one point."""
+    their shifts, are one point. The touch motif has one row per touching
+    pair of a region tile and a translate: 12, 24, 28 and 48."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     cell = recipe.cell_arrangement
     t = len(recipe.region)
@@ -348,6 +352,8 @@ def test_cell_arrangement_closes_on_the_torus(type_id, tve):
     assert odd == 0
     assert (t, cell.orbits, e) == tve
     assert cell.orbits - e + t == 0
+    rows = set(zip(*(a.tolist() for a in cell.motif)))
+    assert len(rows) == len(cell.motif[0]) == MOTIF_ROWS[type_id]
     assert cell.hit_ptr[-1] == len(cell.hit_vertex)
 
     lattice = np.column_stack([recipe.u, recipe.v])

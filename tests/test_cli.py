@@ -118,6 +118,23 @@ def test_verify_builtin_recipe(capsys):
     assert "metrics" in record
 
 
+@pytest.mark.parametrize("command", [["tile", "--r", "3"], ["verify"]])
+def test_pentagon_equal_sides_only_to_classify_tolerance(capsys, tmp_path,
+                                                         command):
+    """Sides a and d one part in 1e8 apart: Type 2 to classify, but no
+    recipe glues them. A RecipeInvalid, not a stray ValueError."""
+    from test_tiling import type2_sides_a_and_d_one_part_in_1e8_apart
+
+    pentagon_file = tmp_path / "pentagon.json"
+    pentagon_file.write_text(json.dumps(
+        type2_sides_a_and_d_one_part_in_1e8_apart().to_json_dict()))
+    code, out, err = run(capsys, command[0], "--type", "2",
+                         "--pentagon", str(pentagon_file), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "RecipeInvalid"
+
+
 def test_verify_patch_with_radius(capsys):
     code, out, _ = run(capsys, "verify", "--type", "1",
                        "--pentagon", str(DATA / "house.json"), "--r", "8")

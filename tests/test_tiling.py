@@ -15,10 +15,10 @@ from scipy.spatial import cKDTree
 import pentile
 from pentile import arrangement, tiling
 from pentile.arrangement import Patch
-from pentile.catalog import get_type_spec, solve_instance
+from pentile.catalog import classify, get_type_spec, solve_instance
 from pentile.errors import ParseError, RecipeInvalid, TypeMismatch
-from pentile.geometry import polygon_centroid
-from pentile.pentagon import CORNERS
+from pentile.geometry import polygon_centroid, segment_distances
+from pentile.pentagon import CORNERS, solve_edges
 from pentile.stats import INTERIOR, compute_stats, euler_residual, limit_sweep
 from pentile.tiling import (
     Isometry,
@@ -154,6 +154,21 @@ def test_builtin_recipe_rejects_regular_pentagon():
         builtin_recipe(1, regular)
 
 
+def type2_sides_a_and_d_one_part_in_1e8_apart():
+    """A Type 2 pentagon whose sides a and d agree to CLASSIFY_TOL but not
+    to the 1e-9 a glue isometry needs."""
+    p = pentile.representative(2).pentagon
+    a, b, c = p.edges[:3]
+    return solve_edges(p.angles, {"a": a * (1 + 1e-8), "b": b, "c": c})
+
+
+def test_builtin_recipe_rejects_sides_equal_only_to_classify_tolerance():
+    pentagon = type2_sides_a_and_d_one_part_in_1e8_apart()
+    assert classify(pentagon) == [2]
+    with pytest.raises(RecipeInvalid, match="segment lengths differ"):
+        builtin_recipe(2, pentagon)
+
+
 def test_builtin_recipe_type1_house_has_two_tiles():
     recipe = builtin_recipe(1, house())
     assert len(recipe.region) == 2
@@ -244,24 +259,18 @@ def test_builtin_recipe_is_checked_once_per_pentagon(monkeypatch):
     assert checked == [first]
 
 
-def test_sweep_measures_the_touch_motif_once_per_recipe():
-    """A fresh recipe, so no earlier call has measured its motif."""
-    built = builtin_recipe(4, pentile.representative(4).pentagon)
-    recipe = TilingRecipe(built.pentagon, built.region, built.u, built.v)
-    with mock.patch.object(tiling, "_touch_motif",
-                           wraps=tiling._touch_motif) as motif:
-        limit_sweep(recipe, [5.0, 10.0, 20.0])
-    assert motif.call_count == 1
-
-
 def test_sweep_builds_the_cell_arrangement_once_per_recipe():
-    """A fresh recipe, so no earlier call has built its cell."""
+    """A fresh recipe, so no earlier call has built its cell. The cell and
+    its touch motif come from one snap."""
     built = builtin_recipe(4, pentile.representative(4).pentagon)
     recipe = TilingRecipe(built.pentagon, built.region, built.u, built.v)
     with mock.patch.object(arrangement, "cell_arrangement",
-                           wraps=arrangement.cell_arrangement) as cell:
+                           wraps=arrangement.cell_arrangement) as cell, \
+            mock.patch.object(arrangement, "_snapped_incidence",
+                              wraps=arrangement._snapped_incidence) as snap:
         limit_sweep(recipe, [5.0, 10.0, 20.0])
     assert cell.call_count == 1
+    assert snap.call_count == 1
 
 
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
@@ -408,16 +417,55 @@ def test_every_edge_borders_at_most_two_tiles(r):
 PAIR_BLOCK = 512  # candidate pairs per vectorized touch test
 
 
+def polygons_touch(p, q, eps):
+    """For (N, n, 2) polygon stacks p and q, whether some corner of one
+    polygon lies within eps of the other's boundary: touch by distance."""
+    def corner_gap(a, b):
+        return segment_distances(a[:, :, None, :], b[:, None, :, :],
+                                 np.roll(b, -1, axis=1)[:, None, :, :]
+                                 ).min(axis=(1, 2))
+
+    return np.minimum(corner_gap(p, q), corner_gap(q, p)) <= eps
+
+
+def measured_touch_motif(recipe):
+    """The motif by distance: rows (i, j, dm, dn) of each region tile i and
+    translate of region tile j by dm·u + dn·v, centroids within two
+    bounding radii plus eps, that `polygons_touch`."""
+    polys, centroids = recipe.region_corners, recipe.region_centroids
+    eps = 1e-7 * recipe.pentagon.mean_edge()
+    radius = np.linalg.norm(polys - centroids[:, None], axis=2).max()
+    reach = 2.0 * radius + eps
+    span = np.linalg.norm(centroids[:, None] - centroids, axis=2).max()
+    inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
+    lim = np.ceil((reach + span) * np.abs(inv).sum(axis=1)).astype(int)
+    count = len(polys)
+    dm, dn, i, j = (a.ravel() for a in np.meshgrid(
+        np.arange(-lim[0], lim[0] + 1), np.arange(-lim[1], lim[1] + 1),
+        np.arange(count), np.arange(count), indexing="ij"))
+    shifts = (dm[:, None] * np.asarray(recipe.u)
+              + dn[:, None] * np.asarray(recipe.v))
+    apart = np.linalg.norm(centroids[j] + shifts - centroids[i], axis=1)
+    near = (apart <= reach) & ((i != j) | (dm != 0) | (dn != 0))
+    i, j, dm, dn, shifts = (a[near] for a in (i, j, dm, dn, shifts))
+    touch = polygons_touch(polys[i], polys[j] + shifts[:, None], eps)
+    return i[touch], j[touch], dm[touch], dn[touch]
+
+
+def motif_rows(motif):
+    return set(zip(*(a.tolist() for a in motif)))
+
+
 def reference_touch_pairs(polys, centroids, eps):
     """Every touching pair (a, b), a < b, found by measuring: cKDTree pairs
-    of centroids within two bounding radii, then `_polygons_touch` on each
+    of centroids within two bounding radii, then `polygons_touch` on each
     pair. generate_patch built its touch graph this way before the motif."""
     radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
     reach = 2.0 * radius + eps
     pairs = cKDTree(centroids).query_pairs(reach, output_type="ndarray")
     blocks = np.split(pairs, range(PAIR_BLOCK, len(pairs), PAIR_BLOCK))
     return pairs[np.concatenate([
-        tiling._polygons_touch(polys[b[:, 0]], polys[b[:, 1]], eps)
+        polygons_touch(polys[b[:, 0]], polys[b[:, 1]], eps)
         for b in blocks])]
 
 
@@ -493,6 +541,15 @@ def sweep_recipes(draw):
 @given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres)
 def test_touch_motif_matches_pairwise_flood_fill(recipe, r, M):
     assert_flood_fill_matches_reference(recipe, r, M)
+
+
+@settings(max_examples=40)
+@given(sweep_recipes())
+def test_snapped_motif_is_the_measured_motif(recipe):
+    """The vertex-sharing pairs of the snapped cell window are the pairs
+    whose corners lie within eps of the other's boundary."""
+    motif = recipe.cell_arrangement.motif
+    assert motif_rows(motif) == motif_rows(measured_touch_motif(recipe))
 
 
 @settings(max_examples=40)

@@ -37,7 +37,6 @@ from pentile.verifier import (
     normality_witness,
     verify_patch,
 )
-from test_arrangement import point_segment_distance
 
 DATA = Path(__file__).parent / "data"
 
@@ -592,18 +591,17 @@ def test_house_inradius_matches_brute_force_search():
     witness = normality_witness(p)
     # independent route: dense interior grid, radius = min distance to rim
     poly = p.vertices
-    sides = list(zip(poly, np.roll(poly, -1, axis=0)))
     xs = np.linspace(poly[:, 0].min(), poly[:, 0].max(), 241)
     ys = np.linspace(poly[:, 1].min(), poly[:, 1].max(), 241)
-    best = 0.0
-    for x in xs:
-        for y in ys:
-            q = np.array([x, y])
-            if pentile.geometry.points_in_convex_polygon(
-                    q[None, :], poly)[0]:
-                rim = min(point_segment_distance(q, a, b)
-                          for a, b in sides)
-                best = max(best, rim)
+    grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    inside = grid[pentile.geometry.points_in_convex_polygon(grid, poly)]
+    # point_segment_distance's clamp and hypot, every point and side at once
+    a = poly
+    d = np.roll(poly, -1, axis=0) - a
+    t = np.clip(np.sum((inside[:, None] - a) * d, axis=2)
+                / np.sum(d * d, axis=1), 0.0, 1.0)
+    gap = inside[:, None] - (a + t[..., None] * d)
+    best = np.hypot(gap[..., 0], gap[..., 1]).min(axis=1).max()
     assert witness.inradius == pytest.approx(best, abs=5e-3)
     assert witness.inradius == pytest.approx(0.5, abs=1e-9)
 
