@@ -50,9 +50,8 @@ from .geometry import (
     corner_angles,
     segment_distances,
 )
-from .tiling import PlacedTile
+from .tiling import SNAP_FACTOR, PlacedTile, near_translates
 
-SNAP_FACTOR = 1e-7           # vertex merge radius, relative to mean edge
 COMPLETE_ANGLE_TOL = 1e-6    # rad; full 360-degree surround test
 # a patch document's corners have nine significant digits: two copies of
 # one corner differ by at most a unit in the ninth digit, 1e-8 |x|, per
@@ -418,9 +417,9 @@ class CellArrangement(NamedTuple):
 def cell_arrangement(recipe) -> CellArrangement:
     """The recipe's cell arrangement and touch motif, from the snapping
     finder run once on one window: the region tiles and every translate
-    (m, n, j) of a region tile whose centroid lies within two bounding
-    radii (plus the merge distance) of some region tile's centroid. Those
-    include all the tiles meeting a region tile.
+    (m, n, j) of a region tile whose centroid lies within the touch reach
+    (two bounding radii plus the merge distance) of some region tile's
+    centroid. Those include all the tiles meeting a region tile.
 
     The motif is the pairs of a region tile and a window tile that share
     a vertex, as corner or side split. The lattice acts on the window's
@@ -429,12 +428,14 @@ def cell_arrangement(recipe) -> CellArrangement:
     relation joins, numbered by first region corner, so no coordinate is
     rounded.
     """
-    window = _cell_window(recipe)
+    window, corners, _ = near_translates(recipe, recipe.region_centroids,
+                                         recipe.touch_reach)
+    # the region tiles (0, 0, j) first, in order, then the rest in
+    # (m, n, j) order
+    first = np.argsort(window[:, :2].any(axis=1), kind="stable")
+    window, corners = window[first], corners[first]
     count = len(recipe.region)
     m, n, idx = window.T
-    shifts = (m[:, None] * np.asarray(recipe.u)
-              + n[:, None] * np.asarray(recipe.v))
-    corners = recipe.region_corners[idx] + shifts[:, None, :]
     points, _, nxt = _stacked_corners(corners)
     corner_vid, vertex_xy, (side, hit_vid, param), _ = _snapped_incidence(
         points, nxt, 0.0)
@@ -481,28 +482,6 @@ def cell_arrangement(recipe) -> CellArrangement:
         hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
         hit_corner=side % k, hit_vertex=placed[hit_vid],
         hit_param=param[on_region][order], motif=motif)
-
-
-def _cell_window(recipe) -> np.ndarray:
-    """The (m, n, j) rows of cell_arrangement's window: the region tiles
-    (0, 0, j) first, in order, then the other translates in (m, n, j)
-    order."""
-    polys, centroids = recipe.region_corners, recipe.region_centroids
-    radius = np.linalg.norm(polys - centroids[:, None], axis=2).max()
-    reach = 2.0 * radius + SNAP_FACTOR * recipe.pentagon.mean_edge()
-    span = np.linalg.norm(centroids[:, None] - centroids, axis=2).max()
-    # lattice steps of length up to reach + span have coefficients up to lim
-    inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
-    lim = np.ceil((reach + span) * np.abs(inv).sum(axis=1)).astype(int)
-    m, n, j = (a.ravel() for a in np.meshgrid(
-        np.arange(-lim[0], lim[0] + 1), np.arange(-lim[1], lim[1] + 1),
-        np.arange(len(polys)), indexing="ij"))
-    shifts = (m[:, None] * np.asarray(recipe.u)
-              + n[:, None] * np.asarray(recipe.v))
-    apart = np.linalg.norm((centroids[j] + shifts)[:, None] - centroids,
-                           axis=2)
-    window = np.column_stack([m, n, j])[(apart <= reach).any(axis=1)]
-    return window[np.argsort(window[:, :2].any(axis=1), kind="stable")]
 
 
 def _looked_up_incidence(points, cells, cell: CellArrangement):

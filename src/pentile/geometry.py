@@ -41,6 +41,11 @@ def polygon_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def ccw(poly: np.ndarray) -> np.ndarray:
+    """The polygon, reversed if its corners run clockwise."""
+    return poly if polygon_area(poly) >= 0 else poly[::-1]
+
+
 def polygon_centroid(poly: np.ndarray) -> np.ndarray:
     x, y = poly[:, 0], poly[:, 1]
     cross = x * np.roll(y, -1) - np.roll(x, -1) * y

@@ -24,8 +24,8 @@ from .errors import (
     require_positive,
 )
 from .geometry import (
+    ccw,
     component_labels,
-    polygon_area,
     polygon_centroid,
     polygon_distances,
     rot_matrix,
@@ -34,6 +34,7 @@ from .pentagon import Pentagon, pentagon_from_json_dict
 
 LATTICE_TOL = 1e-12        # |u x v| below this (relative) means parallel
 CONGRUENCE_TOL = 1e-9
+SNAP_FACTOR = 1e-7         # vertex merge radius, relative to mean edge
 RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
 
 
@@ -123,7 +124,7 @@ class TilingRecipe:
         """Region tiles as ccw polygons (reflected placements come out
         clockwise and are reversed)."""
         base = self.pentagon.vertices
-        return [_ccw(iso.apply(base)) for iso in self.region]
+        return [ccw(iso.apply(base)) for iso in self.region]
 
     @functools.cached_property
     def region_corners(self) -> np.ndarray:
@@ -134,6 +135,20 @@ class TilingRecipe:
     def region_centroids(self) -> np.ndarray:
         """Centroid of each region tile, (k, 2)."""
         return np.array([polygon_centroid(p) for p in self.region_corners])
+
+    @property
+    def merge_distance(self) -> float:
+        """Corners closer than this are one vertex."""
+        return SNAP_FACTOR * self.pentagon.mean_edge()
+
+    @functools.cached_property
+    def touch_reach(self) -> float:
+        """Two bounding radii of a region tile about its centroid, plus the
+        merge distance: translates whose centroids lie farther apart cannot
+        touch."""
+        polys, centroids = self.region_corners, self.region_centroids
+        radius = np.linalg.norm(polys - centroids[:, None], axis=2).max()
+        return 2.0 * radius + self.merge_distance
 
     @functools.cached_property
     def cell_arrangement(self):
@@ -302,16 +317,30 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
 
 # --- patch generation -------------------------------------------------------
 
-def _candidate_cells(recipe: TilingRecipe, center, reach: float):
-    """Lattice index ranges whose cells can intersect the disk of r=reach."""
-    lattice = np.column_stack([recipe.u, recipe.v])
-    inv = np.linalg.inv(lattice)
-    corners = np.array(center) + reach * np.array(
-        [[1, 1], [1, -1], [-1, 1], [-1, -1], [1, 0], [-1, 0], [0, 1], [0, -1]])
-    coeffs = corners @ inv.T
-    lo = np.floor(coeffs.min(axis=0)).astype(int) - 2
-    hi = np.ceil(coeffs.max(axis=0)).astype(int) + 2
-    return lo, hi
+def near_translates(recipe: TilingRecipe, centers: np.ndarray,
+                    reach: float):
+    """The translates (m, n, j), region tile j moved by m·u + n·v, whose
+    centroid lies within reach of some centre: their (N, 3) rows in
+    (m, n, j) order, (N, K, 2) corners and (N, 2) centroids."""
+    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
+    inv = np.linalg.inv(np.column_stack([u, v]))
+    offsets = ((centers[:, None] - recipe.region_centroids).reshape(-1, 2)
+               @ inv.T)
+    # the (m, n) box: a disk of radius reach about a centre less a region
+    # centroid spans reach·|row k of inv| in lattice coefficient k
+    slack = reach * np.linalg.norm(inv, axis=1)
+    lo = np.floor(offsets.min(axis=0) - slack).astype(int)
+    hi = np.ceil(offsets.max(axis=0) + slack).astype(int)
+    m, n, j = (a.ravel() for a in np.meshgrid(
+        np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
+        np.arange(len(recipe.region)), indexing="ij"))
+    shifts = m[:, None] * u + n[:, None] * v
+    centroids = recipe.region_centroids[j] + shifts
+    near = (np.linalg.norm(centroids[:, None] - centers, axis=2)
+            <= reach).any(axis=1)
+    j, shifts = j[near], shifts[near]
+    return (np.column_stack([m[near], n[near], j]),
+            recipe.region_corners[j] + shifts[:, None, :], centroids[near])
 
 
 def tile_diameter(pentagon: Pentagon) -> float:
@@ -326,8 +355,9 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     Intended for disks larger than a single tile (r above one tile diameter);
     smaller disks still produce a patch but it may hold a tile or none.
 
-    Candidates are the lattice translates within reach = r + 4 tile
-    diameters of M. The window is that wide for the F3 flood fill: it starts
+    Candidates are the translates whose centroid lies within r + 5 tile
+    diameters of M (`near_translates`): every tile reaching within r + 4
+    diameters. The window is that wide for the F3 flood fill: it starts
     from the outermost candidates and needs a connected ring of outer tiles
     around the disk to tell enclosed tiles from open ones. A thinner window
     breaks the ring and invents F3 tiles (with r + 1 diameter, Type 1 at
@@ -335,18 +365,13 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
 
     Every candidate is a translate (m, n) of a region tile, so whether two
     of them touch depends only on their region tiles and the difference of
-    their cells. Both the touch graph and the arrangement are read off the
-    recipe's cell arrangement (`arrangement.cell_arrangement`), snapped once
-    per recipe on one window of translates near the origin, so they are
-    the lattice's relations at any centre, however much translating the
-    polygons rounds them, and no candidate pair is measured. The flood
-    fill's touch graph is the cell's touch motif: the region tiles and the
-    window tiles that share a vertex with them. The patch's arrangement
-    (`Patch.from_cells`) takes the vertex of each region corner and the
-    vertices inside each region side as lattice orbits, so every corner's
-    vertex and every side split is an integer key and nothing is snapped.
-    Snapping the same tiles (`Patch.from_tiles`, which patch documents
-    need) gives the same arrays.
+    their cells. The flood fill's touch graph (the cell's touch motif) and
+    the patch's arrangement (`Patch.from_cells`, by integer orbit keys)
+    are both read off the recipe's cell arrangement, snapped once per
+    recipe near the origin, so they are the lattice's relations at any
+    centre and no candidate pair is measured. Snapping the same tiles
+    (`Patch.from_tiles`, which patch documents need) gives the same
+    arrays.
     """
     from .arrangement import Patch
 
@@ -354,22 +379,10 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     center = np.asarray(M, dtype=float)
     require_finite("disk centre", center)
     diam = tile_diameter(recipe.pentagon)
-    eps = 1e-7 * recipe.pentagon.mean_edge()
+    eps = recipe.merge_distance
     reach = r + 4.0 * diam
-    lo, hi = _candidate_cells(recipe, center, reach)
-
-    # every (cell, region tile) pair in (m, n, region index) order; a
-    # translate's centroid is the region tile's centroid plus the shift
-    m, n, idx = (a.ravel() for a in np.meshgrid(
-        np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
-        np.arange(len(recipe.region)), indexing="ij"))
-    shifts = (m[:, None] * np.asarray(recipe.u)
-              + n[:, None] * np.asarray(recipe.v))
-    centroids = recipe.region_centroids[idx] + shifts
-    near = np.linalg.norm(centroids - center, axis=1) <= reach + diam
-    m, n, idx, shifts, centroids = (a[near] for a in
-                                    (m, n, idx, shifts, centroids))
-    polys = recipe.region_corners[idx] + shifts[:, None, :]
+    cells, polys, centroids = near_translates(recipe, center[None],
+                                              reach + diam)
 
     d_max = np.linalg.norm(polys - center, axis=2).max(axis=1)
     inner = d_max <= r - eps
@@ -377,47 +390,38 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     meets = polygon_distances(center, polys[rest]) <= r + eps
     boundary = rest[meets]
     outer = rest[~meets]
-    cells = np.column_stack([m, n, idx])
-    cell = recipe.cell_arrangement
-    f3 = outer[_enclosed_tiles(polys[outer], centroids[outer], cells[outer],
-                               cell.motif, len(recipe.region), eps)]
+    f3 = outer[_enclosed_tiles(centroids[outer], cells[outer], recipe)]
 
     order = np.concatenate([np.nonzero(inner)[0], boundary, f3])
     zones = (["F1"] * int(inner.sum()) + ["F2"] * len(boundary)
              + ["F3"] * len(f3))
     corners = polys[order]
-    tiles = [PlacedTile((mi, ni), polygon, zone) for mi, ni, polygon, zone
-             in zip(m[order].tolist(), n[order].tolist(), corners, zones)]
-    return Patch.from_cells(tiles, corners, cells[order], cell, r=r,
+    tiles = [PlacedTile((mi, ni), polygon, zone) for (mi, ni), polygon, zone
+             in zip(cells[order, :2].tolist(), corners, zones)]
+    return Patch.from_cells(tiles, corners, cells[order],
+                            recipe.cell_arrangement, r=r,
                             center=tuple(center))
 
 
-def _ccw(poly: np.ndarray) -> np.ndarray:
-    return poly if polygon_area(poly) >= 0 else poly[::-1]
-
-
-def _enclosed_tiles(polys: np.ndarray, centroids: np.ndarray,
-                    cells: np.ndarray, motif, count: int, eps: float
-                    ) -> np.ndarray:
+def _enclosed_tiles(centroids: np.ndarray, cells: np.ndarray,
+                    recipe: TilingRecipe) -> np.ndarray:
     """Indices of the tiles outside the disk but unreachable from far away:
     the F3 set.
 
     Flood fill across touching tiles of the outside candidates, seeded from
     the outermost ring; what the flood never reaches is enclosed by F2. The
     fill is the union of the touch graph's connected components that hold a
-    seed. cells holds each tile's (m, n, region index) out of count region
-    tiles; the touch graph is `_touch_pairs` of the cell's motif.
+    seed. cells holds each tile's (m, n, region index); the touch graph is
+    `_touch_pairs` of the recipe's motif.
     """
-    if not len(polys):
+    if not len(centroids):
         return np.zeros(0, dtype=int)
-    radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
-    reach = 2.0 * radius + eps
     origin = centroids.mean(axis=0)
     far = np.linalg.norm(centroids - origin, axis=1)
-    seeds = far >= far.max() - reach
+    seeds = far >= far.max() - recipe.touch_reach
 
-    component = component_labels(len(polys), *_touch_pairs(cells, motif,
-                                                           count))
+    component = component_labels(len(centroids), *_touch_pairs(
+        cells, recipe.cell_arrangement.motif, len(recipe.region)))
     flooded = np.isin(component, component[seeds])
     return np.nonzero(~flooded)[0]
 

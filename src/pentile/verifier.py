@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DegenerateTile, InvalidInnerRadius
 from .geometry import (
+    ccw,
     close_pairs,
     convex_overlap_areas,
     largest_inscribed_circle,
@@ -27,6 +28,7 @@ from .geometry import (
 
 AREA_TOL = 1e-9          # relative to a tile / disk / cell area
 SAMPLE_DIVISOR = 4.0     # grid pitch = tile inradius / SAMPLE_DIVISOR
+GRID_POINTS_PER_TILE = 1024  # coverage grid bound; past it the pitch widens
 WINDOW = (-1, 0, 1)      # lattice offsets of the 3x3 periodicity window
 CHUNK = 1024             # rows per stacked pass, to bound its scratch memory
 
@@ -165,8 +167,8 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
     disk holding less area than one tile fails as vacuous. The first tile
     sets the grid pitch; when as many copies of it as there are tiles hold
     less area than the inner disk, the check fails without a grid sample.
-    So the grid holds at most about 20·n·A/ρ² points for n tiles and the
-    first tile's area A and inradius ρ.
+    Where the grid would hold more than GRID_POINTS_PER_TILE points per
+    tile, as for long, thin tiles, its pitch widens to keep to that bound.
 
     Everything is measured relative to the disk center, as in
     check_no_overlap, and the reported first miss is moved back.
@@ -197,9 +199,14 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
     gap = disk_area - covered_area
     ok_area = abs(gap) <= AREA_TOL * disk_area
 
-    # patch tiles are congruent, so one inradius sets the sampling pitch
+    # patch tiles are congruent, so one inradius sets the sampling pitch;
+    # the grid, of at most (2·r_inner / pitch + 2)² points, keeps to its
+    # bound by a wider pitch
     inradius = largest_inscribed_circle(first)[1]
     pitch = inradius / SAMPLE_DIVISOR
+    side = math.sqrt(GRID_POINTS_PER_TILE * len(stacked))
+    if 2.0 * (r_inner + pitch) > side * pitch:
+        pitch = 2.0 * r_inner / (side - 2.0)
     eps = 1e-9 * diam
 
     def in_disk(pts):
@@ -272,9 +279,7 @@ def check_periodicity(recipe) -> CheckReport:
     # the parallelogram is a fundamental domain
     anchor = recipe.region_centroids.mean(axis=0)
     p0 = anchor - (u + v) / 2.0
-    cell = np.array([p0, p0 + u, p0 + u + v, p0 + v])
-    if polygon_area(cell) < 0:
-        cell = cell[::-1]
+    cell = ccw(np.array([p0, p0 + u, p0 + u + v, p0 + v]))
     clipped = sum(convex_overlap_areas(
         stacked, counts, np.broadcast_to(cell, (len(stacked), 4, 2))).tolist())
     ok_cell = abs(clipped - cell_area) <= AREA_TOL * cell_area

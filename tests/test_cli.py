@@ -327,6 +327,57 @@ def test_verify_fails_a_disk_the_tiles_cannot_cover(capsys, tmp_path, name):
     assert "NaN" not in out
 
 
+def test_verify_widens_the_grid_of_a_sliver(capsys, tmp_path):
+    """Three tiles of the sliver's unit area hold the disk's, but at the
+    sliver's pitch the grid would need about 2e8 points, over 3 GB. The
+    pitch widens to 1024 points a tile, and the area route fails."""
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps({**TRIANGLE_PATCH, "r": 2000 * math.sqrt(2) + 0.9,
+                                "tiles": [
+        {"polygon": [[0, 0], [1000, 0], [1000, 1e-3], [0, 1e-3]]},
+        {"polygon": [[1e4, 1e4], [1.2e4, 1e4], [1.2e4, 1.2e4], [1e4, 1.2e4]]},
+        {"polygon": [[-1.2e4, 1e4], [-1e4, 1e4], [-1e4, 1.2e4],
+                     [-1.2e4, 1.2e4]]}]}))
+    code, out, err = run(capsys, "verify", "--patch", str(path))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert 0 < report["metrics"]["sample_points"] <= 3 * 1024
+    assert report["metrics"]["area_gap_fraction"] > 0.5
+
+
+def test_verify_passes_a_patch_of_long_thin_pentagons(capsys, tmp_path):
+    """A Type 1 pentagon 60 units long and 1 wide (A+B+C = 360°): at a
+    quarter of its inradius 1/2 the grid over the inner disk would hold
+    more than 1024 points a tile, so the pitch widens and the patch
+    passes. The tiles far from the inner disk are left out to keep the
+    document small."""
+    side = math.sqrt(0.5)
+    pentagon = tmp_path / "long.json"
+    pentagon.write_text(json.dumps({"angles_deg": [90, 135, 90, 135, 90],
+                                    "edges": [60, side, side, 60, 1]}))
+    diam, r_inner = math.hypot(60.5, 0.5), 30.0
+    tiled = tmp_path / "tiled.json"
+    code, _, _ = run(capsys, "tile", "--type", "1", "--pentagon",
+                     str(pentagon), "--r", str(r_inner + diam),
+                     "--out", str(tiled))
+    assert code == 0
+    document = json.loads(tiled.read_text())
+    tiles = [t for t in document["tiles"]
+             if all(min(x) <= r_inner and max(x) >= -r_inner
+                    for x in zip(*t["polygon"]))]
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps({"r": document["r"],
+                                "center": document["center"],
+                                "tiles": tiles}))
+    code, out, _ = run(capsys, "verify", "--patch", str(path))
+    report = json.loads(out)
+    assert (code, report["pass"]) == (0, True)
+    assert report["metrics"]["r_inner"] == pytest.approx(r_inner)
+    bound = 1024 * len(tiles)
+    assert math.pi * (8 * r_inner) ** 2 > bound
+    assert 0 < report["metrics"]["sample_points"] <= bound
+
+
 def test_stray_exception_exits_2_with_json(capsys, monkeypatch):
     def fail(*_):
         raise RuntimeError("boom")

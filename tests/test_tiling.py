@@ -433,7 +433,7 @@ def measured_touch_motif(recipe):
     translate of region tile j by dm·u + dn·v, centroids within two
     bounding radii plus eps, that `polygons_touch`."""
     polys, centroids = recipe.region_corners, recipe.region_centroids
-    eps = 1e-7 * recipe.pentagon.mean_edge()
+    eps = recipe.merge_distance
     radius = np.linalg.norm(polys - centroids[:, None], axis=2).max()
     reach = 2.0 * radius + eps
     span = np.linalg.norm(centroids[:, None] - centroids, axis=2).max()
@@ -494,6 +494,15 @@ def tile_records(patch):
     return [(t.cell, t.zone, t.polygon.tobytes()) for t in patch.tiles]
 
 
+def placed_corners(recipe, cells):
+    """The corners of the translates (m, n, region index) in cells, placed
+    as generate_patch places them."""
+    m, n, idx = cells.T
+    shifts = (m[:, None] * np.asarray(recipe.u)
+              + n[:, None] * np.asarray(recipe.v))
+    return recipe.region_corners[idx] + shifts[:, None, :]
+
+
 def assert_flood_fill_matches_reference(recipe, r, M):
     """The motif's touch graph, F3 set and tiles equal the pairwise
     reference's, bit for bit. The graph is compared on its own because the
@@ -502,7 +511,10 @@ def assert_flood_fill_matches_reference(recipe, r, M):
     with mock.patch.object(tiling, "_enclosed_tiles",
                            wraps=tiling._enclosed_tiles) as flood:
         patch = generate_patch(recipe, r, M)
-    polys, centroids, cells, motif, count, eps = flood.call_args.args
+    centroids, cells, _ = flood.call_args.args
+    polys = placed_corners(recipe, cells)
+    motif, count = recipe.cell_arrangement.motif, len(recipe.region)
+    eps = recipe.merge_distance
     if len(polys):
         pairs = reference_touch_pairs(polys, centroids, eps)
         assert (unordered(*tiling._touch_pairs(cells, motif, count))
@@ -510,8 +522,9 @@ def assert_flood_fill_matches_reference(recipe, r, M):
     assert np.array_equal(tiling._enclosed_tiles(*flood.call_args.args),
                           reference_enclosed_tiles(polys, centroids, eps))
 
-    def pairwise(polys, centroids, cells, motif, count, eps):
-        return reference_enclosed_tiles(polys, centroids, eps)
+    def pairwise(centroids, cells, recipe):
+        return reference_enclosed_tiles(placed_corners(recipe, cells),
+                                        centroids, eps)
 
     with mock.patch.object(tiling, "_enclosed_tiles", pairwise):
         reference = generate_patch(recipe, r, M)
@@ -574,7 +587,9 @@ def test_far_centre_touch_graph_is_the_near_origin_graph():
     with mock.patch.object(tiling, "_enclosed_tiles",
                            wraps=tiling._enclosed_tiles) as flood:
         generate_patch(recipe, 6.0, (1e9, -2e9))
-    _, _, cells, motif, count, eps = flood.call_args.args
+    _, cells, _ = flood.call_args.args
+    motif, count = recipe.cell_arrangement.motif, len(recipe.region)
+    eps = recipe.merge_distance
     m, n, idx = (cells - [*cells[:, :2].min(axis=0), 0]).T
     base = np.array(recipe.region_polygons())
     shifts = (m[:, None] * np.asarray(recipe.u)
@@ -603,6 +618,50 @@ def test_touch_pairs_need_not_hold_every_region_tile():
     assert unordered(*tiling._touch_pairs(cells, motif, 2)) == set()
     cells = np.array([[5, 7, 1], [6, 7, 0]])
     assert unordered(*tiling._touch_pairs(cells, motif, 2)) == {(0, 1)}
+
+
+def scanned_translates(recipe, centers, reach):
+    """The translates near_translates should find, by the same distance
+    test over a box of (m, n) at least three cells wider each way than the
+    centres' lattice coefficients need."""
+    inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
+    mid = np.round(centers[0] @ inv.T).astype(int)
+    spread = (np.abs(centers - centers[0]).max()
+              + np.abs(recipe.region_centroids).max())
+    wide = np.ceil((reach + spread) * np.abs(inv).sum(axis=1)).astype(int) + 3
+    m, n, j = (a.ravel() for a in np.meshgrid(
+        np.arange(mid[0] - wide[0], mid[0] + wide[0] + 1),
+        np.arange(mid[1] - wide[1], mid[1] + wide[1] + 1),
+        np.arange(len(recipe.region)), indexing="ij"))
+    shifts = (m[:, None] * np.asarray(recipe.u)
+              + n[:, None] * np.asarray(recipe.v))
+    centroids = recipe.region_centroids[j] + shifts
+    near = np.zeros(len(m), dtype=bool)
+    for center in centers:
+        near |= np.linalg.norm(centroids - center, axis=1) <= reach
+    return np.column_stack([m, n, j])[near]
+
+
+@settings(max_examples=60)
+@given(sweep_recipes(),
+       st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+       st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                max_size=3),
+       st.floats(0.1, 12.0))
+def test_near_translates_is_the_brute_force_scan(recipe, M, offsets, cells):
+    """Every translate whose centroid lies within reach of a centre, in
+    (m, n, j) order, for centres out to 1e6 and a reach from a tenth of a
+    cell's side to a dozen sides."""
+    side = math.sqrt(recipe.cell_area())
+    centers = np.asarray(M) + side * np.array([(0.0, 0.0), *offsets])
+    reach = cells * side
+    rows, corners, centroids = tiling.near_translates(recipe, centers, reach)
+    assert np.array_equal(rows, scanned_translates(recipe, centers, reach))
+    m, n, j = rows.T
+    shifts = (m[:, None] * np.asarray(recipe.u)
+              + n[:, None] * np.asarray(recipe.v))
+    assert same_bits(centroids, recipe.region_centroids[j] + shifts)
+    assert same_bits(corners, placed_corners(recipe, rows))
 
 
 PATCH_ARRAYS = ("vertex_xy", "pseudo", "complete", "edge_vertices")
