@@ -26,8 +26,8 @@ each side; one assembly builds every array from that.
   CellArrangement, snapped once on one lattice cell's window, gives each
   region corner's vertex orbit and each region side's inner vertices, so a
   tile of cell (m, n) finds them by integer key, with no distance measured.
-  The same snap gives the tiling's touch motif, the window tiles sharing a
-  vertex with a region tile, which generate_patch's flood fill reads.
+  `vertex_labels` turns each key into one integer label; generate_patch's
+  flood fill joins the tiles that share a label.
 
 Either way vertices are numbered by first corner occurrence and placed at
 the mean of their corners. The assembly orders the stops along every side
@@ -401,9 +401,8 @@ class CellArrangement(NamedTuple):
     corner_vertex[i, c]. Rows hit_ptr[i]:hit_ptr[i + 1] of the hit arrays
     are the vertices inside region tile i's sides: the side opened by
     corner hit_corner holds vertex (m, n, 0) + hit_vertex at hit_param
-    along it. motif is the touch relation as arrays (i, j, dm, dn): region
-    tile i of cell (m, n) shares a vertex with region tile j of cell
-    (m + dm, n + dn).
+    along it. Two placed tiles touch exactly when they share a vertex,
+    as corner or side split.
     """
     orbits: int
     corner_vertex: np.ndarray    # (k, K, 3)
@@ -411,22 +410,20 @@ class CellArrangement(NamedTuple):
     hit_corner: np.ndarray       # (H,)
     hit_vertex: np.ndarray       # (H, 3)
     hit_param: np.ndarray        # (H,)
-    motif: tuple[np.ndarray, ...]
 
 
 def cell_arrangement(recipe) -> CellArrangement:
-    """The recipe's cell arrangement and touch motif, from the snapping
-    finder run once on one window: the region tiles and every translate
-    (m, n, j) of a region tile whose centroid lies within the touch reach
-    (two bounding radii plus the merge distance) of some region tile's
-    centroid. Those include all the tiles meeting a region tile.
+    """The recipe's cell arrangement, from the snapping finder run once on
+    one window: the region tiles and every translate (m, n, j) of a region
+    tile whose centroid lies within the touch reach (two bounding radii
+    plus the merge distance) of some region tile's centroid. Those include
+    all the tiles meeting a region tile, so every vertex of a region tile
+    and every vertex inside its sides is in the window.
 
-    The motif is the pairs of a region tile and a window tile that share
-    a vertex, as corner or side split. The lattice acts on the window's
-    vertex ids: corner c of window tile (m, n, j) is the vertex of region
-    corner (j, c) moved by (m, n). The orbits are the classes this
-    relation joins, numbered by first region corner, so no coordinate is
-    rounded.
+    The lattice acts on the window's vertex ids: corner c of window tile
+    (m, n, j) is the vertex of region corner (j, c) moved by (m, n). The
+    orbits are the classes this relation joins, numbered by first region
+    corner, so no coordinate is rounded.
     """
     window, corners, _ = near_translates(recipe, recipe.region_centroids,
                                          recipe.touch_reach)
@@ -435,22 +432,11 @@ def cell_arrangement(recipe) -> CellArrangement:
     first = np.argsort(window[:, :2].any(axis=1), kind="stable")
     window, corners = window[first], corners[first]
     count = len(recipe.region)
-    m, n, idx = window.T
     points, _, nxt = _stacked_corners(corners)
     corner_vid, vertex_xy, (side, hit_vid, param), _ = _snapped_incidence(
         points, nxt, 0.0)
     k = corners.shape[1]
     vid = corner_vid.reshape(-1, k)
-
-    # the window tiles at each vertex, as corner or side split; the region
-    # tiles' rows of the sharing relation come first
-    inc_vid, inc_tile = _unique_rows(
-        np.concatenate([corner_vid, hit_vid]),
-        np.concatenate([np.arange(len(points)) // k, side // k]))
-    near = _sharing(_csr(inc_vid, inc_tile, len(vertex_xy)), len(window))
-    touch = near.indices[:near.indptr[count]]
-    motif = (np.repeat(np.arange(count), np.diff(near.indptr[:count + 1])),
-             idx[touch], m[touch], n[touch])
 
     links, rows = [[] for _ in vertex_xy], vid.tolist()
     for (sm, sn, i), row in zip(window.tolist(), rows):
@@ -481,34 +467,53 @@ def cell_arrangement(recipe) -> CellArrangement:
         orbits=orbits, corner_vertex=placed[vid[:count]],
         hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
         hit_corner=side % k, hit_vertex=placed[hit_vid],
-        hit_param=param[on_region][order], motif=motif)
+        hit_param=param[on_region][order])
+
+
+def vertex_labels(cells: np.ndarray, cell: CellArrangement):
+    """One integer label per vertex key (m, n, orbit) of the translates in
+    cells, given as (m, n, region index) rows: the corner labels in tile
+    order, then the labels of the vertices inside their sides. Returns the
+    labels, each label's tile and each side hit's row in the cell's hit
+    arrays.
+
+    A label is ((m - lo_m)·width + n - lo_n)·orbits + orbit over the cells'
+    (m, n) box padded by the cell's largest step, so labels are
+    non-negative and two are equal exactly when their keys are."""
+    idx = cells[:, 2]
+    per_tile = np.diff(cell.hit_ptr)[idx]
+    tiles = np.arange(len(cells))
+    row = np.arange(per_tile.sum()) + np.repeat(
+        cell.hit_ptr[idx] - np.cumsum(per_tile) + per_tile, per_tile)
+    tile = np.concatenate([np.repeat(tiles, cell.corner_vertex.shape[1]),
+                           np.repeat(tiles, per_tile)])
+    key = np.concatenate([cell.corner_vertex[idx].reshape(-1, 3),
+                          cell.hit_vertex[row]])
+    pad = max(np.abs(cell.corner_vertex[..., :2]).max(),
+              np.abs(cell.hit_vertex[:, :2]).max(initial=0))
+    lo = cells[:, :2].min(axis=0) - pad
+    width = cells[:, 1].max() - lo[1] + pad + 1
+    m = cells[tile, 0] + key[:, 0] - lo[0]
+    n = cells[tile, 1] + key[:, 1] - lo[1]
+    return (m * width + n) * cell.orbits + key[:, 2], tile, row
 
 
 def _looked_up_incidence(points, cells, cell: CellArrangement):
-    """The lookup finder: each corner's vertex is an integer key (m, n,
-    orbit) read off the cell arrangement, and a cell hit counts when its
-    vertex is a corner of some tile too. Returns what the snapping finder
-    does but the tolerance, with vertices numbered and placed the same
-    way."""
-    idx = cells[:, 2]
-    per_tile = np.diff(cell.hit_ptr)[idx]
-    hit_tile = np.repeat(np.arange(len(cells)), per_tile)
-    row = np.arange(len(hit_tile)) + np.repeat(
-        cell.hit_ptr[idx] - np.cumsum(per_tile) + per_tile, per_tile)
-    at_cell = cells * [1, 1, 0]
-    corner_key = (at_cell[:, None] + cell.corner_vertex[idx]).reshape(-1, 3)
-    hit_key = at_cell[hit_tile] + cell.hit_vertex[row]
-    both = np.concatenate([corner_key, hit_key])
-    lo, dims = both.min(axis=0), np.ptp(both, axis=0) + 1
-    corner_vid, vertex_xy, labels, rank = _vertices(
-        np.ravel_multi_index((corner_key - lo).T, dims), points)
-    hit_label = np.ravel_multi_index((hit_key - lo).T, dims)
-    at = np.minimum(np.searchsorted(labels, hit_label), len(labels) - 1)
-    found = labels[at] == hit_label
+    """The lookup finder: each corner's vertex is a `vertex_labels` label
+    read off the cell arrangement, and a cell hit counts when its vertex is
+    a corner of some tile too. Returns what the snapping finder does but
+    the tolerance, with vertices numbered and placed the same way."""
+    labels, tile, row = vertex_labels(cells, cell)
+    n_corners = len(points)
+    corner_vid, vertex_xy, distinct, rank = _vertices(labels[:n_corners],
+                                                      points)
+    hit_label = labels[n_corners:]
+    at = np.minimum(np.searchsorted(distinct, hit_label), len(distinct) - 1)
+    found = distinct[at] == hit_label
     row = row[found]
     return corner_vid, vertex_xy, (
-        hit_tile[found] * cell.corner_vertex.shape[1] + cell.hit_corner[row],
-        rank[at[found]], cell.hit_param[row])
+        tile[n_corners:][found] * cell.corner_vertex.shape[1]
+        + cell.hit_corner[row], rank[at[found]], cell.hit_param[row])
 
 
 def _unique_rows(*columns):

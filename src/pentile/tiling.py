@@ -152,8 +152,7 @@ class TilingRecipe:
 
     @functools.cached_property
     def cell_arrangement(self):
-        """The recipe's `arrangement.cell_arrangement`, with its touch
-        motif, built once."""
+        """The recipe's `arrangement.cell_arrangement`, built once."""
         from .arrangement import cell_arrangement
 
         return cell_arrangement(self)
@@ -182,14 +181,14 @@ def load_recipe(document) -> TilingRecipe:
         raise ParseError("recipe document must be a JSON object")
     try:
         pentagon_doc = document["pentagon"]
-        region_docs = document["region"]
+        region_docs = list(document["region"])
         (ux, uy), (vx, vy) = document["lattice"]
+        u, v = (float(ux), float(uy)), (float(vx), float(vy))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"recipe is missing fields: {exc}") from None
+        raise ParseError(f"bad recipe document: {exc}") from None
     pentagon = pentagon_from_json_dict(pentagon_doc)
     region = tuple(Isometry.from_json_dict(r) for r in region_docs)
-    return TilingRecipe(pentagon=pentagon, region=region,
-                        u=(float(ux), float(uy)), v=(float(vx), float(vy)))
+    return TilingRecipe(pentagon=pentagon, region=region, u=u, v=v)
 
 
 @dataclass(frozen=True)
@@ -363,15 +362,14 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     breaks the ring and invents F3 tiles (with r + 1 diameter, Type 1 at
     r = 20 gains 11).
 
-    Every candidate is a translate (m, n) of a region tile, so whether two
-    of them touch depends only on their region tiles and the difference of
-    their cells. The flood fill's touch graph (the cell's touch motif) and
-    the patch's arrangement (`Patch.from_cells`, by integer orbit keys)
-    are both read off the recipe's cell arrangement, snapped once per
-    recipe near the origin, so they are the lattice's relations at any
-    centre and no candidate pair is measured. Snapping the same tiles
-    (`Patch.from_tiles`, which patch documents need) gives the same
-    arrays.
+    Every candidate is a translate (m, n) of a region tile, so its
+    vertices are integer keys (m, n, orbit) read off the recipe's cell
+    arrangement, snapped once per recipe near the origin. The flood fill's
+    touch graph (tiles sharing a vertex) and the patch's arrangement
+    (`Patch.from_cells`) both read these keys as `vertex_labels`, so they
+    are the lattice's relations at any centre and no candidate pair is
+    measured. Snapping the same tiles (`Patch.from_tiles`, which patch
+    documents need) gives the same arrays.
     """
     from .arrangement import Patch
 
@@ -411,41 +409,24 @@ def _enclosed_tiles(centroids: np.ndarray, cells: np.ndarray,
     Flood fill across touching tiles of the outside candidates, seeded from
     the outermost ring; what the flood never reaches is enclosed by F2. The
     fill is the union of the touch graph's connected components that hold a
-    seed. cells holds each tile's (m, n, region index); the touch graph is
-    `_touch_pairs` of the recipe's motif.
+    seed. cells holds each tile's (m, n, region index). Two tiles touch
+    when they share a vertex, as corner or side split: every tile joins one
+    hub tile at each of its `vertex_labels`.
     """
+    from .arrangement import vertex_labels
+
     if not len(centroids):
         return np.zeros(0, dtype=int)
     origin = centroids.mean(axis=0)
     far = np.linalg.norm(centroids - origin, axis=1)
     seeds = far >= far.max() - recipe.touch_reach
 
-    component = component_labels(len(centroids), *_touch_pairs(
-        cells, recipe.cell_arrangement.motif, len(recipe.region)))
+    labels, tile, _ = vertex_labels(cells, recipe.cell_arrangement)
+    hub = np.empty(labels.max() + 1, dtype=np.intp)
+    hub[labels] = tile
+    component = component_labels(len(centroids), tile, hub[labels])
     flooded = np.isin(component, component[seeds])
     return np.nonzero(~flooded)[0]
-
-
-def _touch_pairs(cells: np.ndarray, motif, count: int):
-    """The touching pairs (a, b) among placed tiles, each in both orders.
-
-    cells holds each tile's (m, n, region index) out of count region tiles.
-    Each motif row (i, j, dm, dn) joins every tile (m, n, i) to tile
-    (m + dm, n + dn, j) when that one is a tile too, found in a dense
-    (m, n, region index) array of tile rows.
-    """
-    i, j, dm, dn = motif
-    # pad the array by the motif's widest step, so every lookup is in range
-    pad = np.abs(np.concatenate([dm, dn])).max(initial=0)
-    lo = cells[:, :2].min(axis=0) - pad
-    size = cells[:, :2].max(axis=0) - lo + pad + 1
-    rows = np.full((*size, count), -1)
-    rows[cells[:, 0] - lo[0], cells[:, 1] - lo[1], cells[:, 2]] = np.arange(
-        len(cells))
-    a, k = np.nonzero(cells[:, 2, None] == i)
-    b = rows[cells[a, 0] - lo[0] + dm[k], cells[a, 1] - lo[1] + dn[k], j[k]]
-    found = b >= 0
-    return a[found], b[found]
 
 
 def congruence_defect(tile: PlacedTile, pentagon: Pentagon) -> float:

@@ -13,8 +13,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile.arrangement import (SNAP_FACTOR, Patch, PatchEdge, PatchVertex,
-                                 _unique_rows, patch_from_json_dict)
+from pentile.arrangement import (SNAP_FACTOR, CellArrangement, Patch,
+                                 PatchEdge, PatchVertex, _unique_rows,
+                                 patch_from_json_dict, vertex_labels)
 from pentile.cli import _round9
 from pentile.geometry import close_pairs, component_labels, interior_angles
 from pentile.pentagon import pentagon_to_json
@@ -334,17 +335,13 @@ def test_nine_digit_document_gives_the_generated_stats(type_id, center):
         assert compute_stats(document, mode) == compute_stats(patch, mode)
 
 
-MOTIF_ROWS = {1: 12, 2: 24, 4: 28, 5: 48}
-
-
 @pytest.mark.parametrize("type_id, tve", [(1, (2, 4, 6)), (2, (4, 8, 12)),
                                           (4, (4, 6, 10)), (5, (6, 9, 15))])
 def test_cell_arrangement_closes_on_the_torus(type_id, tve):
     """One lattice cell of the tiling is a map on the torus: t region tiles,
     v vertex orbits and e = (5t + side hits) / 2 edges, each edge bordering
     two tiles, with v - e + t = 0. The corners of one orbit, moved back by
-    their shifts, are one point. The touch motif has one row per touching
-    pair of a region tile and a translate: 12, 24, 28 and 48."""
+    their shifts, are one point."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     cell = recipe.cell_arrangement
     t = len(recipe.region)
@@ -352,8 +349,6 @@ def test_cell_arrangement_closes_on_the_torus(type_id, tve):
     assert odd == 0
     assert (t, cell.orbits, e) == tve
     assert cell.orbits - e + t == 0
-    rows = set(zip(*(a.tolist() for a in cell.motif)))
-    assert len(rows) == len(cell.motif[0]) == MOTIF_ROWS[type_id]
     assert cell.hit_ptr[-1] == len(cell.hit_vertex)
 
     lattice = np.column_stack([recipe.u, recipe.v])
@@ -364,6 +359,53 @@ def test_cell_arrangement_closes_on_the_torus(type_id, tve):
     for o in range(cell.orbits):
         spread = home[orbit == o] - home[orbit == o][0]
         assert np.abs(spread).max() <= 1e-9
+
+
+@st.composite
+def drawn_cells(draw):
+    """A CellArrangement of up to three region tiles of three corners and
+    up to two side hits each, every key a step in [-2, 2]² to one of up to
+    three orbits; and distinct translates (m, n, region index) of it."""
+    orbits, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    key = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                    st.integers(0, orbits - 1))
+    corner_vertex = np.array(draw(st.lists(key, min_size=3 * count,
+                                           max_size=3 * count)))
+    per_tile = draw(st.lists(st.integers(0, 2), min_size=count,
+                             max_size=count))
+    hits = sum(per_tile)
+    hit_vertex = np.array(draw(st.lists(key, min_size=hits, max_size=hits)),
+                          dtype=int).reshape(-1, 3)
+    cell = CellArrangement(
+        orbits, corner_vertex.reshape(count, 3, 3),
+        np.concatenate([[0], np.cumsum(per_tile)]),
+        np.zeros(hits, dtype=int), hit_vertex, np.full(hits, 0.5))
+    cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                    st.integers(0, count - 1)),
+                          min_size=1, unique=True))
+    return np.array(cells), cell
+
+
+@given(drawn_cells())
+def test_vertex_labels_are_equal_exactly_when_keys_are(drawn):
+    """Each tile's corner keys in order, then its side hits' rows; two
+    labels are equal exactly when their keys (m, n, orbit) are."""
+    cells, cell = drawn
+    labels, tile, row = vertex_labels(cells, cell)
+    corners = 3 * len(cells)
+    assert np.array_equal(tile[:corners], np.repeat(np.arange(len(cells)), 3))
+    hits = [np.arange(cell.hit_ptr[j], cell.hit_ptr[j + 1])
+            for j in cells[:, 2]]
+    assert np.array_equal(tile[corners:], np.repeat(
+        np.arange(len(cells)), [len(h) for h in hits]))
+    assert np.array_equal(row, np.concatenate(hits))
+    keys = np.concatenate([cell.corner_vertex[cells[:, 2]].reshape(-1, 3),
+                           cell.hit_vertex[row]])
+    keys[:, :2] += cells[tile, :2]
+    distinct = len(np.unique(keys, axis=0))
+    assert len(np.unique(labels)) == distinct
+    assert len(np.unique(np.column_stack([labels, keys]), axis=0)) == distinct
+    assert labels.min() >= 0
 
 
 # --- neighbour search and component labelling, against scipy ---------------

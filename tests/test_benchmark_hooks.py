@@ -1,28 +1,35 @@
-"""The benchmark's tracing hooks still fit the library.
+"""The benchmark's tracing hooks and output checks still fit the library.
 
 `perfbench/spans.py` wraps library functions by module and attribute name,
 and the benchmark builds patches and reads recipes through a few more. A
 renamed function would break the benchmark, not these tests' imports, so
-the hooks are loaded by path and resolved here.
+the hooks are loaded by path and resolved here. `perfbench/checks.py`
+reads patches, reports and recipes through their attributes, so its checks
+run here on the library's outputs.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 
-import pentile
-from pentile import tiling
+import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pentile
+from pentile import stats, tiling, verifier
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # read by perfbench's run.py, checks.py and test_checks.py
 ALSO_READ = (("arrangement", "Patch.from_polygons"),
              ("tiling", "TilingRecipe.region_polygons"))
+SWEEP_RADII = (5.0, 10.0, 20.0)   # the family-sweep workload's radii
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def owner_and_attribute(module, path):
@@ -47,7 +54,7 @@ def test_tracing_puts_every_attribute_back():
     for module, path in ALSO_READ:
         owner, attr = owner_and_attribute(module, path)
         assert callable(getattr(owner, attr)), (module, path)
-    spans = load_spans()
+    spans = load_perfbench("spans")
     originals = hooked_attributes(spans)
     recipe = tiling.builtin_recipe(4, pentile.representative(4).pentagon)
     with spans.Tracer().installed() as tracer:
@@ -57,3 +64,22 @@ def test_tracing_puts_every_attribute_back():
     assert "tiling.generate_patch" in {span.name for span in tracer.spans}
     restored = hooked_attributes(spans)
     assert all(restored[name] is originals[name] for name in originals)
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_benchmark_checks_pass_on_library_outputs(type_id):
+    """The checks the benchmark applies to each operation's result pass on
+    a representative's patch, verifier report, recipe and limit sweep."""
+    checks = load_perfbench("checks")
+    recipe = tiling.builtin_recipe(type_id,
+                                   pentile.representative(type_id).pentagon)
+    patch = tiling.generate_patch(recipe, 8.0)
+    assert checks.check_patch(patch, recipe.pentagon,
+                              stats.compute_stats(patch, stats.FULL),
+                              stats.compute_stats(patch, stats.INTERIOR)) == []
+    assert checks.check_honest_verify(verifier.verify_patch(patch),
+                                      patch) == []
+    assert checks.check_periodicity_report(
+        verifier.check_periodicity(recipe), recipe) == []
+    limit = stats.limit_sweep(recipe, SWEEP_RADII)
+    assert checks.check_limit(limit, stats.balance_residual(limit)) == []

@@ -149,6 +149,20 @@ def test_verify_recipe_file(capsys):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("field, value", [
+    ("region", 5), ("lattice", [[1, 0], [0, "x"]]),
+    ("lattice", [[1, 0], [0, None]])])
+def test_verify_rejects_malformed_recipe_fields(capsys, tmp_path, field,
+                                                value):
+    document = json.loads((DATA / "type5_recipe.json").read_text())
+    document[field] = value
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "verify", "--recipe", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_stats_interior_mode(capsys):
     code, out, _ = run(capsys, "stats", "--type", "4", "--r", "7",
                        "--mode", "interior")

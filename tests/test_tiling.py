@@ -1,4 +1,5 @@
 """Isometry algebra, recipes, patch generation, and the arrangement."""
+import itertools
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -16,8 +17,18 @@ import pentile
 from pentile import arrangement, tiling
 from pentile.arrangement import Patch
 from pentile.catalog import classify, get_type_spec, solve_instance
-from pentile.errors import ParseError, RecipeInvalid, TypeMismatch
-from pentile.geometry import polygon_centroid, segment_distances
+from pentile.errors import (
+    InfeasibleParams,
+    NonConvergence,
+    ParseError,
+    RecipeInvalid,
+    TypeMismatch,
+)
+from pentile.geometry import (
+    polygon_centroid,
+    polygon_distances,
+    segment_distances,
+)
 from pentile.pentagon import CORNERS, solve_edges
 from pentile.stats import INTERIOR, compute_stats, euler_residual, limit_sweep
 from pentile.tiling import (
@@ -260,8 +271,8 @@ def test_builtin_recipe_is_checked_once_per_pentagon(monkeypatch):
 
 
 def test_sweep_builds_the_cell_arrangement_once_per_recipe():
-    """A fresh recipe, so no earlier call has built its cell. The cell and
-    its touch motif come from one snap."""
+    """A fresh recipe, so no earlier call has built its cell. The flood
+    fill and the arrangement lookup read the cell of one snap."""
     built = builtin_recipe(4, pentile.representative(4).pentagon)
     recipe = TilingRecipe(built.pentagon, built.region, built.u, built.v)
     with mock.patch.object(arrangement, "cell_arrangement",
@@ -412,7 +423,7 @@ def test_every_edge_borders_at_most_two_tiles(r):
     assert all(len(e.tiles) <= 2 for e in patch.edges)
 
 
-# --- F3 flood fill: touch motif against the pairwise reference ---------------
+# --- F3 flood fill: the label touch graph against the pairwise reference ---
 
 PAIR_BLOCK = 512  # candidate pairs per vectorized touch test
 
@@ -428,38 +439,11 @@ def polygons_touch(p, q, eps):
     return np.minimum(corner_gap(p, q), corner_gap(q, p)) <= eps
 
 
-def measured_touch_motif(recipe):
-    """The motif by distance: rows (i, j, dm, dn) of each region tile i and
-    translate of region tile j by dm·u + dn·v, centroids within two
-    bounding radii plus eps, that `polygons_touch`."""
-    polys, centroids = recipe.region_corners, recipe.region_centroids
-    eps = recipe.merge_distance
-    radius = np.linalg.norm(polys - centroids[:, None], axis=2).max()
-    reach = 2.0 * radius + eps
-    span = np.linalg.norm(centroids[:, None] - centroids, axis=2).max()
-    inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
-    lim = np.ceil((reach + span) * np.abs(inv).sum(axis=1)).astype(int)
-    count = len(polys)
-    dm, dn, i, j = (a.ravel() for a in np.meshgrid(
-        np.arange(-lim[0], lim[0] + 1), np.arange(-lim[1], lim[1] + 1),
-        np.arange(count), np.arange(count), indexing="ij"))
-    shifts = (dm[:, None] * np.asarray(recipe.u)
-              + dn[:, None] * np.asarray(recipe.v))
-    apart = np.linalg.norm(centroids[j] + shifts - centroids[i], axis=1)
-    near = (apart <= reach) & ((i != j) | (dm != 0) | (dn != 0))
-    i, j, dm, dn, shifts = (a[near] for a in (i, j, dm, dn, shifts))
-    touch = polygons_touch(polys[i], polys[j] + shifts[:, None], eps)
-    return i[touch], j[touch], dm[touch], dn[touch]
-
-
-def motif_rows(motif):
-    return set(zip(*(a.tolist() for a in motif)))
-
-
 def reference_touch_pairs(polys, centroids, eps):
     """Every touching pair (a, b), a < b, found by measuring: cKDTree pairs
     of centroids within two bounding radii, then `polygons_touch` on each
-    pair. generate_patch built its touch graph this way before the motif."""
+    pair. generate_patch built its touch graph this way before it read the
+    recipe's cell."""
     radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
     reach = 2.0 * radius + eps
     pairs = cKDTree(centroids).query_pairs(reach, output_type="ndarray")
@@ -469,8 +453,9 @@ def reference_touch_pairs(polys, centroids, eps):
         for b in blocks])]
 
 
-def reference_enclosed_tiles(polys, centroids, eps):
-    """The pairwise flood fill that the touch motif replaced."""
+def reference_enclosed_tiles(polys, centroids, eps, pairs):
+    """The pairwise flood fill over pairs, the `reference_touch_pairs` of
+    the same tiles."""
     if not len(polys):
         return np.zeros(0, dtype=int)
     radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
@@ -478,12 +463,23 @@ def reference_enclosed_tiles(polys, centroids, eps):
     origin = centroids.mean(axis=0)
     far = np.linalg.norm(centroids - origin, axis=1)
     seeds = far >= far.max() - reach
-    pairs = reference_touch_pairs(polys, centroids, eps)
     touching = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                           shape=(len(polys), len(polys)))
     _, component = connected_components(touching, directed=False)
     flooded = np.isin(component, component[seeds])
     return np.nonzero(~flooded)[0]
+
+
+def label_touch_pairs(cells, recipe):
+    """The pairs (a, b), a < b, of the translates in cells that share a
+    `vertex_labels` label, as corner or side split."""
+    labels, tile, _ = arrangement.vertex_labels(cells,
+                                                recipe.cell_arrangement)
+    at = {}
+    for label, t in zip(labels.tolist(), tile.tolist()):
+        at.setdefault(label, set()).add(t)
+    return {pair for tiles in at.values()
+            for pair in itertools.combinations(sorted(tiles), 2)}
 
 
 def unordered(a, b):
@@ -504,27 +500,26 @@ def placed_corners(recipe, cells):
 
 
 def assert_flood_fill_matches_reference(recipe, r, M):
-    """The motif's touch graph, F3 set and tiles equal the pairwise
+    """The label touch graph, F3 set and tiles equal the pairwise
     reference's, bit for bit. The graph is compared on its own because the
     built-in tilings leave F3 empty in practice, so equal F3 sets alone
-    would say little about it."""
+    would say little about it. The pairs are measured once."""
     with mock.patch.object(tiling, "_enclosed_tiles",
                            wraps=tiling._enclosed_tiles) as flood:
         patch = generate_patch(recipe, r, M)
-    centroids, cells, _ = flood.call_args.args
-    polys = placed_corners(recipe, cells)
-    motif, count = recipe.cell_arrangement.motif, len(recipe.region)
-    eps = recipe.merge_distance
-    if len(polys):
-        pairs = reference_touch_pairs(polys, centroids, eps)
-        assert (unordered(*tiling._touch_pairs(cells, motif, count))
-                == unordered(pairs[:, 0], pairs[:, 1]))
+    centroids, outer, _ = flood.call_args.args
+    polys = placed_corners(recipe, outer)
+    pairs = reference_touch_pairs(polys, centroids, recipe.merge_distance)
+    assert label_touch_pairs(outer, recipe) == unordered(pairs[:, 0],
+                                                         pairs[:, 1])
+    enclosed = reference_enclosed_tiles(polys, centroids,
+                                        recipe.merge_distance, pairs)
     assert np.array_equal(tiling._enclosed_tiles(*flood.call_args.args),
-                          reference_enclosed_tiles(polys, centroids, eps))
+                          enclosed)
 
     def pairwise(centroids, cells, recipe):
-        return reference_enclosed_tiles(placed_corners(recipe, cells),
-                                        centroids, eps)
+        assert np.array_equal(cells, outer)
+        return enclosed
 
     with mock.patch.object(tiling, "_enclosed_tiles", pairwise):
         reference = generate_patch(recipe, r, M)
@@ -536,41 +531,29 @@ sweep_centres = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
 
 
 @st.composite
-def sweep_recipes(draw):
-    """Built-in recipes of Types 1, 2, 4 and 5 for pentagons whose free
-    angles lie within 8 degrees and free edges within 10 % of the catalog
-    defaults: the ranges of the benchmark's family-sweep workload."""
-    type_id = draw(st.sampled_from(BUILTIN_SWEEP_TYPES))
-    spec = get_type_spec(type_id)
+def type_params(draw, degrees, fraction):
+    """A Type of 1, 2, 4 and 5 and free parameters whose angles lie within
+    degrees and edges within fraction of the catalog defaults."""
+    spec = get_type_spec(draw(st.sampled_from(BUILTIN_SWEEP_TYPES)))
     params = {}
     for name, value in sorted(spec.default_params.items()):
         x = draw(st.floats(-1.0, 1.0))
-        params[name] = (value + math.radians(8.0 * x) if name in CORNERS
-                        else value * (1.0 + 0.1 * x))
-    return builtin_recipe(type_id, solve_instance(spec, params))
+        params[name] = (value + math.radians(degrees * x) if name in CORNERS
+                        else value * (1.0 + fraction * x))
+    return spec, params
 
 
-@settings(max_examples=40)
-@given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres)
-def test_touch_motif_matches_pairwise_flood_fill(recipe, r, M):
-    assert_flood_fill_matches_reference(recipe, r, M)
+def sweep_recipes():
+    """Built-in recipes within 8 degrees and 10 % of the catalog defaults:
+    the ranges of the benchmark's family-sweep workload."""
+    return type_params(8.0, 0.1).map(
+        lambda drawn: builtin_recipe(drawn[0].id, solve_instance(*drawn)))
 
 
-@settings(max_examples=40)
-@given(sweep_recipes())
-def test_snapped_motif_is_the_measured_motif(recipe):
-    """The vertex-sharing pairs of the snapped cell window are the pairs
-    whose corners lie within eps of the other's boundary."""
-    motif = recipe.cell_arrangement.motif
-    assert motif_rows(motif) == motif_rows(measured_touch_motif(recipe))
-
-
-@settings(max_examples=40)
-@given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres)
-def test_sweep_patches_keep_euler_and_edge_invariants(recipe, r, M):
-    """At the smallest radii a wide tile can leave an inner disk smaller
-    than one tile, which the coverage check reports as vacuous."""
-    patch = generate_patch(recipe, r, M)
+def assert_sound_patch(patch):
+    """Euler residual 0, at most two tiles per edge, and a verifier pass
+    or only vacuous failures: at the smallest radii a wide tile can leave
+    an inner disk smaller than one tile."""
     assert euler_residual(compute_stats(patch)) == 0
     assert np.diff(patch.edge_tiles.indptr).max() <= 2
     report = verify_patch(patch)
@@ -578,17 +561,72 @@ def test_sweep_patches_keep_euler_and_edge_invariants(recipe, r, M):
                             for v in report.violations), report.violations
 
 
+@settings(max_examples=40)
+@given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres)
+def test_label_touch_graph_matches_pairwise_flood_fill(recipe, r, M):
+    assert_flood_fill_matches_reference(recipe, r, M)
+
+
+@pytest.mark.parametrize("M", [(0.0, 0.0), (13.7, -4.2)],
+                         ids="{0[0]:g},{0[1]:g}".format)
+@pytest.mark.parametrize("r", [5.0, 12.0])
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_moat_encloses_the_tiles_the_pairwise_flood_fill_encloses(
+        type_id, r, M):
+    """Built-in patches leave F3 empty. Cutting an annulus two diameters
+    wide out of the candidates outside the disk, from 1.5 to 3.5 tile
+    diameters beyond r, cuts the tiles inside it off from the outer ring:
+    a non-empty F3, which must equal the pairwise flood fill's."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    diam = tile_diameter(recipe.pentagon)
+    eps = recipe.merge_distance
+    center = np.asarray(M)
+    cells, polys, centroids = tiling.near_translates(
+        recipe, center[None], r + 5.0 * diam)
+    beyond = np.linalg.norm(centroids - center, axis=1) - r
+    outer = ((polygon_distances(center, polys) > r + eps)
+             & ((beyond < 1.5 * diam) | (beyond > 3.5 * diam)))
+    cells, polys, centroids = cells[outer], polys[outer], centroids[outer]
+    enclosed = tiling._enclosed_tiles(centroids, cells, recipe)
+    assert len(enclosed)
+    pairs = reference_touch_pairs(polys, centroids, eps)
+    assert np.array_equal(
+        enclosed, reference_enclosed_tiles(polys, centroids, eps, pairs))
+
+
+@settings(max_examples=40)
+@given(sweep_recipes(), st.floats(3.0, 15.0), sweep_centres)
+def test_sweep_patches_keep_euler_and_edge_invariants(recipe, r, M):
+    assert_sound_patch(generate_patch(recipe, r, M))
+
+
+@settings(max_examples=60)
+@given(type_params(40.0, 0.6), st.floats(3.0, 10.0), sweep_centres)
+def test_wide_draws_give_a_checked_recipe_or_a_named_refusal(drawn, r, M):
+    """Draws five times wider than the sweep's: a pentagon the Type's
+    equations solve for gets a recipe or RecipeInvalid or TypeMismatch,
+    and a recipe's patch is sound."""
+    try:
+        pentagon = solve_instance(*drawn)
+    except (InfeasibleParams, NonConvergence):
+        reject()
+    try:
+        recipe = builtin_recipe(drawn[0].id, pentagon)
+    except (RecipeInvalid, TypeMismatch):
+        return
+    assert_sound_patch(generate_patch(recipe, r, M))
+
+
 def test_far_centre_touch_graph_is_the_near_origin_graph():
     """At M = (1e9, -2e9) eps is about one unit in the last place, so
     measuring the placed polygons there would lose touching pairs. The
-    motif's graph on those tiles equals the one measured on the same tiles
-    moved back to the origin by a lattice vector."""
+    label touch graph on those tiles equals the one measured on the same
+    tiles moved back to the origin by a lattice vector."""
     recipe = builtin_recipe(5, pentile.representative(5).pentagon)
     with mock.patch.object(tiling, "_enclosed_tiles",
                            wraps=tiling._enclosed_tiles) as flood:
         generate_patch(recipe, 6.0, (1e9, -2e9))
     _, cells, _ = flood.call_args.args
-    motif, count = recipe.cell_arrangement.motif, len(recipe.region)
     eps = recipe.merge_distance
     m, n, idx = (cells - [*cells[:, :2].min(axis=0), 0]).T
     base = np.array(recipe.region_polygons())
@@ -598,8 +636,8 @@ def test_far_centre_touch_graph_is_the_near_origin_graph():
     centroids = np.array([polygon_centroid(p) for p in base])[idx] + shifts
     pairs = reference_touch_pairs(polys, centroids, eps)
     assert len(pairs)
-    assert (unordered(*tiling._touch_pairs(cells, motif, count))
-            == unordered(pairs[:, 0], pairs[:, 1]))
+    assert label_touch_pairs(cells, recipe) == unordered(pairs[:, 0],
+                                                         pairs[:, 1])
 
 
 def test_far_centre_invents_no_enclosed_tiles():
@@ -608,16 +646,6 @@ def test_far_centre_invents_no_enclosed_tiles():
     recipe = builtin_recipe(1, pentile.representative(1).pentagon)
     patch = generate_patch(recipe, 10.0, (1e9, 2e9))
     assert not any(t.zone == "F3" for t in patch.tiles)
-
-
-def test_touch_pairs_need_not_hold_every_region_tile():
-    """Tiles of one region index only: the lookup array still has a row
-    for every region tile the motif names."""
-    motif = tuple(np.array(a) for a in ([1, 0], [0, 1], [1, -1], [0, 0]))
-    cells = np.array([[5, 7, 1], [6, 7, 1], [9, 9, 1]])
-    assert unordered(*tiling._touch_pairs(cells, motif, 2)) == set()
-    cells = np.array([[5, 7, 1], [6, 7, 0]])
-    assert unordered(*tiling._touch_pairs(cells, motif, 2)) == {(0, 1)}
 
 
 def scanned_translates(recipe, centers, reach):
