@@ -50,16 +50,13 @@ from .geometry import (
     corner_angles,
     segment_distances,
 )
-from .tiling import SNAP_FACTOR, PlacedTile, near_translates
+from .tiling import COORD_LIMIT, SNAP_FACTOR, PlacedTile, near_translates
 
 COMPLETE_ANGLE_TOL = 1e-6    # rad; full 360-degree surround test
 # a patch document's corners have nine significant digits: two copies of
 # one corner differ by at most a unit in the ninth digit, 1e-8 |x|, per
 # axis, so by under 2e-8 of the largest coordinate
 DOCUMENT_PRECISION = 2e-8
-# largest magnitude of a patch document's coordinates, centre and radius:
-# the enclosing circle multiplies three coordinates, and stays finite
-COORD_LIMIT = 1e100
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,8 +422,8 @@ def cell_arrangement(recipe) -> CellArrangement:
     orbits are the classes this relation joins, numbered by first region
     corner, so no coordinate is rounded.
     """
-    window, corners, _ = near_translates(recipe, recipe.region_centroids,
-                                         recipe.touch_reach)
+    window, corners = near_translates(recipe, recipe.region_centroids,
+                                      recipe.touch_reach)
     # the region tiles (0, 0, j) first, in order, then the rest in
     # (m, n, j) order
     first = np.argsort(window[:, :2].any(axis=1), kind="stable")
@@ -438,33 +435,29 @@ def cell_arrangement(recipe) -> CellArrangement:
     k = corners.shape[1]
     vid = corner_vid.reshape(-1, k)
 
-    links, rows = [[] for _ in vertex_xy], vid.tolist()
-    for (sm, sn, i), row in zip(window.tolist(), rows):
-        for a, b in zip(rows[i], row):
-            links[a].append((b, sm, sn))
-            links[b].append((a, -sm, -sn))
-    place, orbits = {}, 0      # vertex id -> (dm, dn, orbit)
-    for root in vid[:count].ravel().tolist():
-        if root in place:
-            continue
-        place[root] = (0, 0, orbits)
-        todo = [root]
-        while todo:
-            x = todo.pop()
-            xm, xn, _ = place[x]
-            for y, sm, sn in links[x]:
-                if y not in place:
-                    place[y] = (xm + sm, xn + sn, orbits)
-                    todo.append(y)
-        orbits += 1
-    placed = np.array([place[v] for v in range(len(vertex_xy))],
-                      dtype=np.intp)
+    # region corner (j, c) links to corner c of window tile (m, n, j), (m, n)
+    # away; an orbit's smallest vertex id is its first region corner's
+    a = np.concatenate([vid[window[:, 2]].ravel(), vid.ravel()])
+    b = np.concatenate([vid.ravel(), vid[window[:, 2]].ravel()])
+    step = np.repeat(window[:, :2], k, axis=0)
+    step = np.concatenate([step, -step])
+    roots, orbit = np.unique(component_labels(len(vertex_xy), a, b),
+                             return_inverse=True)
+    # walk out from each orbit's root, one link further per pass
+    shift = np.zeros((len(vertex_xy), 2), dtype=np.intp)
+    known = np.isin(np.arange(len(vertex_xy)), roots)
+    while not known.all():
+        ahead = known[a] & ~known[b]
+        new, at = np.unique(b[ahead], return_index=True)
+        shift[new] = shift[a[ahead][at]] + step[ahead][at]
+        known[new] = True
+    placed = np.column_stack([shift, orbit])
 
     on_region = side < count * k
     order = np.lexsort((param[on_region], side[on_region]))
     side, hit_vid = side[on_region][order], hit_vid[on_region][order]
     return CellArrangement(
-        orbits=orbits, corner_vertex=placed[vid[:count]],
+        orbits=len(roots), corner_vertex=placed[vid[:count]],
         hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
         hit_corner=side % k, hit_vertex=placed[hit_vid],
         hit_param=param[on_region][order])

@@ -27,8 +27,6 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 def rot_matrix(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)

@@ -33,8 +33,10 @@ from .geometry import (
 from .pentagon import Pentagon, pentagon_from_json_dict
 
 LATTICE_TOL = 1e-12        # |u x v| below this (relative) means parallel
-CONGRUENCE_TOL = 1e-9
 SNAP_FACTOR = 1e-7         # vertex merge radius, relative to mean edge
+# largest magnitude of a recipe's region translations and of a patch
+# document's numbers: the enclosing circle's product of three stays finite
+COORD_LIMIT = 1e100
 RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
 
 
@@ -99,8 +101,13 @@ class Isometry:
             rot_deg, tx, ty = (float(record[k])
                                for k in ("rot_deg", "tx", "ty"))
             require_finite("isometry record", (rot_deg, tx, ty))
+            if max(abs(tx), abs(ty)) > COORD_LIMIT:
+                raise ValueError(f"translation beyond {COORD_LIMIT:g}")
+            reflect = record.get("reflect", False)
+            if not isinstance(reflect, bool):
+                raise TypeError(f"reflect {reflect!r} is not true or false")
             return cls(rotation=math.radians(rot_deg), translation=(tx, ty),
-                       reflect=bool(record.get("reflect", False)))
+                       reflect=reflect)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad isometry record: {exc}") from None
 
@@ -113,12 +120,20 @@ class TilingRecipe:
     v: tuple[float, float]
 
     def __post_init__(self):
-        require_finite("lattice vectors", (self.u, self.v))
+        require_finite("lattice vectors and cell area",
+                       (*self.u, *self.v, self.cell_area()))
         scale = self.pentagon.mean_edge() ** 2
         if self.cell_area() <= LATTICE_TOL * max(scale, 1e-30):
             raise RecipeInvalid("lattice vectors u, v are parallel")
         if not self.region:
             raise RecipeInvalid("fundamental region holds no tiles")
+        # check_periodicity probes one cell about the region centroids' mean
+        c = self.region_centroids
+        far = np.abs((c - c.mean(axis=0)) @ np.linalg.inv(
+            np.column_stack([self.u, self.v])).T).max()
+        if not far <= 1.0:
+            raise RecipeInvalid(f"a region tile lies {far:.3g} cells from "
+                                f"the mean of the region centroids")
 
     def region_polygons(self) -> list[np.ndarray]:
         """Region tiles as ccw polygons (reflected placements come out
@@ -320,7 +335,7 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
                     reach: float):
     """The translates (m, n, j), region tile j moved by m·u + n·v, whose
     centroid lies within reach of some centre: their (N, 3) rows in
-    (m, n, j) order, (N, K, 2) corners and (N, 2) centroids."""
+    (m, n, j) order and their (N, K, 2) corners."""
     u, v = np.asarray(recipe.u), np.asarray(recipe.v)
     inv = np.linalg.inv(np.column_stack([u, v]))
     offsets = ((centers[:, None] - recipe.region_centroids).reshape(-1, 2)
@@ -339,7 +354,7 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
             <= reach).any(axis=1)
     j, shifts = j[near], shifts[near]
     return (np.column_stack([m[near], n[near], j]),
-            recipe.region_corners[j] + shifts[:, None, :], centroids[near])
+            recipe.region_corners[j] + shifts[:, None, :])
 
 
 def tile_diameter(pentagon: Pentagon) -> float:
@@ -354,13 +369,14 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     Intended for disks larger than a single tile (r above one tile diameter);
     smaller disks still produce a patch but it may hold a tile or none.
 
-    Candidates are the translates whose centroid lies within r + 5 tile
-    diameters of M (`near_translates`): every tile reaching within r + 4
-    diameters. The window is that wide for the F3 flood fill: it starts
-    from the outermost candidates and needs a connected ring of outer tiles
-    around the disk to tell enclosed tiles from open ones. A thinner window
-    breaks the ring and invents F3 tiles (with r + 1 diameter, Type 1 at
-    r = 20 gains 11).
+    F1 and F2 lie within r + eps + diam of M (eps the merge distance, diam
+    the tile diameter), and so does every tile they enclose. With
+    rho = r + diam + 2·eps, an outer tile with a corner beyond rho reaches
+    the exterior of that disk, connected and free of F1 and F2, so it is
+    open, and a touching chain out from any other open tile stays in the
+    disk until it meets such a tile. So the flood starts from those tiles
+    and needs only the tiles meeting that disk, which lie among the
+    translates whose centroid is within rho + diam of M (`near_translates`).
 
     Every candidate is a translate (m, n) of a region tile, so its
     vertices are integer keys (m, n, orbit) read off the recipe's cell
@@ -378,9 +394,8 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     require_finite("disk centre", center)
     diam = tile_diameter(recipe.pentagon)
     eps = recipe.merge_distance
-    reach = r + 4.0 * diam
-    cells, polys, centroids = near_translates(recipe, center[None],
-                                              reach + diam)
+    rho = r + diam + 2.0 * eps
+    cells, polys = near_translates(recipe, center[None], rho + diam)
 
     d_max = np.linalg.norm(polys - center, axis=2).max(axis=1)
     inner = d_max <= r - eps
@@ -388,7 +403,7 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     meets = polygon_distances(center, polys[rest]) <= r + eps
     boundary = rest[meets]
     outer = rest[~meets]
-    f3 = outer[_enclosed_tiles(centroids[outer], cells[outer], recipe)]
+    f3 = outer[_enclosed_tiles(cells[outer], d_max[outer] > rho, recipe)]
 
     order = np.concatenate([np.nonzero(inner)[0], boundary, f3])
     zones = (["F1"] * int(inner.sum()) + ["F2"] * len(boundary)
@@ -401,31 +416,24 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
                             center=tuple(center))
 
 
-def _enclosed_tiles(centroids: np.ndarray, cells: np.ndarray,
+def _enclosed_tiles(cells: np.ndarray, is_open: np.ndarray,
                     recipe: TilingRecipe) -> np.ndarray:
-    """Indices of the tiles outside the disk but unreachable from far away:
-    the F3 set.
-
-    Flood fill across touching tiles of the outside candidates, seeded from
-    the outermost ring; what the flood never reaches is enclosed by F2. The
-    fill is the union of the touch graph's connected components that hold a
-    seed. cells holds each tile's (m, n, region index). Two tiles touch
-    when they share a vertex, as corner or side split: every tile joins one
-    hub tile at each of its `vertex_labels`.
+    """The F3 set: indices of the outside tiles, each given by its cell
+    (m, n, region index), that no chain of touching tiles joins to a tile
+    is_open marks. Two tiles touch when they share a vertex, as corner or
+    side split: every tile joins one hub tile at each of its
+    `vertex_labels`, and the flood is the union of the touch graph's
+    connected components that hold an open tile.
     """
     from .arrangement import vertex_labels
 
-    if not len(centroids):
+    if not len(cells):
         return np.zeros(0, dtype=int)
-    origin = centroids.mean(axis=0)
-    far = np.linalg.norm(centroids - origin, axis=1)
-    seeds = far >= far.max() - recipe.touch_reach
-
     labels, tile, _ = vertex_labels(cells, recipe.cell_arrangement)
     hub = np.empty(labels.max() + 1, dtype=np.intp)
     hub[labels] = tile
-    component = component_labels(len(centroids), tile, hub[labels])
-    flooded = np.isin(component, component[seeds])
+    component = component_labels(len(cells), tile, hub[labels])
+    flooded = np.isin(component, component[is_open])
     return np.nonzero(~flooded)[0]
 
 

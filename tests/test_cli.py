@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,43 @@ def test_verify_rejects_malformed_recipe_fields(capsys, tmp_path, field,
     code, out, err = run(capsys, "verify", "--recipe", str(path))
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+def moved_three_cells(document):
+    (ux, uy), _ = document["lattice"]
+    tile = document["region"][1]
+    tile["tx"] += 3 * ux
+    tile["ty"] += 3 * uy
+
+
+# edits of the Type 5 recipe file, and the error each must end in
+MALFORMED_RECIPES = {
+    "reflect-string": (lambda d: d["region"][1].update(reflect="false"),
+                       "ParseError"),
+    "lattice-1e308": (lambda d: d.update(
+        lattice=[[1e308, 1e308], [1e308, -1e308]]), "ParseError"),
+    "tx-1e300": (lambda d: d["region"][1].update(tx=1e300), "ParseError"),
+    "tile-three-cells-out": (moved_three_cells, "RecipeInvalid"),
+}
+
+
+@pytest.mark.parametrize("command", [["verify"], ["tile", "--r", "3"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("name", sorted(MALFORMED_RECIPES))
+def test_malformed_recipe_exits_2_without_a_warning(capsys, tmp_path, name,
+                                                     command):
+    """Refused when loaded: any warning on the way is an error here."""
+    edit, error = MALFORMED_RECIPES[name]
+    document = json.loads((DATA / "type5_recipe.json").read_text())
+    edit(document)
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(document))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *command, "--recipe", str(path))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == error
 
 
 def test_stats_interior_mode(capsys):

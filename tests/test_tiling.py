@@ -110,9 +110,16 @@ def test_isometry_json_round_trip():
 def test_isometry_bad_record():
     for record in ({"rot_deg": "spin"},
                    {"rot_deg": math.nan, "tx": 0.0, "ty": 0.0},
-                   {"rot_deg": 0.0, "tx": 0.0, "ty": -math.inf}):
+                   {"rot_deg": 0.0, "tx": 0.0, "ty": -math.inf},
+                   {"rot_deg": 0.0, "tx": 0.0, "ty": 0.0, "reflect": "false"},
+                   {"rot_deg": 0.0, "tx": 0.0, "ty": 0.0, "reflect": 0}):
         with pytest.raises(ParseError):
             Isometry.from_json_dict(record)
+
+
+def test_isometry_reflect_defaults_to_false():
+    record = {"rot_deg": 0.0, "tx": 0.0, "ty": 0.0}
+    assert Isometry.from_json_dict(record).reflect is False
 
 
 # --- recipes ----------------------------------------------------------------
@@ -453,20 +460,14 @@ def reference_touch_pairs(polys, centroids, eps):
         for b in blocks])]
 
 
-def reference_enclosed_tiles(polys, centroids, eps, pairs):
+def reference_enclosed_tiles(is_open, pairs):
     """The pairwise flood fill over pairs, the `reference_touch_pairs` of
-    the same tiles."""
-    if not len(polys):
-        return np.zeros(0, dtype=int)
-    radius = np.linalg.norm(polys - centroids[:, None, :], axis=2).max()
-    reach = 2.0 * radius + eps
-    origin = centroids.mean(axis=0)
-    far = np.linalg.norm(centroids - origin, axis=1)
-    seeds = far >= far.max() - reach
+    the same tiles, from the tiles is_open marks."""
+    n = len(is_open)
     touching = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                          shape=(len(polys), len(polys)))
+                          shape=(n, n))
     _, component = connected_components(touching, directed=False)
-    flooded = np.isin(component, component[seeds])
+    flooded = np.isin(component, component[is_open])
     return np.nonzero(~flooded)[0]
 
 
@@ -490,13 +491,21 @@ def tile_records(patch):
     return [(t.cell, t.zone, t.polygon.tobytes()) for t in patch.tiles]
 
 
+def placed_shifts(recipe, cells):
+    m, n, _ = cells.T
+    return (m[:, None] * np.asarray(recipe.u)
+            + n[:, None] * np.asarray(recipe.v))
+
+
 def placed_corners(recipe, cells):
     """The corners of the translates (m, n, region index) in cells, placed
     as generate_patch places them."""
-    m, n, idx = cells.T
-    shifts = (m[:, None] * np.asarray(recipe.u)
-              + n[:, None] * np.asarray(recipe.v))
-    return recipe.region_corners[idx] + shifts[:, None, :]
+    return (recipe.region_corners[cells[:, 2]]
+            + placed_shifts(recipe, cells)[:, None, :])
+
+
+def placed_centroids(recipe, cells):
+    return recipe.region_centroids[cells[:, 2]] + placed_shifts(recipe, cells)
 
 
 def assert_flood_fill_matches_reference(recipe, r, M):
@@ -507,17 +516,17 @@ def assert_flood_fill_matches_reference(recipe, r, M):
     with mock.patch.object(tiling, "_enclosed_tiles",
                            wraps=tiling._enclosed_tiles) as flood:
         patch = generate_patch(recipe, r, M)
-    centroids, outer, _ = flood.call_args.args
-    polys = placed_corners(recipe, outer)
-    pairs = reference_touch_pairs(polys, centroids, recipe.merge_distance)
+    outer, is_open, _ = flood.call_args.args
+    pairs = reference_touch_pairs(placed_corners(recipe, outer),
+                                  placed_centroids(recipe, outer),
+                                  recipe.merge_distance)
     assert label_touch_pairs(outer, recipe) == unordered(pairs[:, 0],
                                                          pairs[:, 1])
-    enclosed = reference_enclosed_tiles(polys, centroids,
-                                        recipe.merge_distance, pairs)
+    enclosed = reference_enclosed_tiles(is_open, pairs)
     assert np.array_equal(tiling._enclosed_tiles(*flood.call_args.args),
                           enclosed)
 
-    def pairwise(centroids, cells, recipe):
+    def pairwise(cells, is_open, recipe):
         assert np.array_equal(cells, outer)
         return enclosed
 
@@ -575,23 +584,25 @@ def test_moat_encloses_the_tiles_the_pairwise_flood_fill_encloses(
         type_id, r, M):
     """Built-in patches leave F3 empty. Cutting an annulus two diameters
     wide out of the candidates outside the disk, from 1.5 to 3.5 tile
-    diameters beyond r, cuts the tiles inside it off from the outer ring:
-    a non-empty F3, which must equal the pairwise flood fill's."""
+    diameters beyond r, cuts the tiles inside it off from the open tiles
+    beyond it: a non-empty F3, which must equal the pairwise flood
+    fill's."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     diam = tile_diameter(recipe.pentagon)
     eps = recipe.merge_distance
     center = np.asarray(M)
-    cells, polys, centroids = tiling.near_translates(
-        recipe, center[None], r + 5.0 * diam)
+    cells, polys = tiling.near_translates(recipe, center[None],
+                                          r + 5.0 * diam)
+    centroids = placed_centroids(recipe, cells)
     beyond = np.linalg.norm(centroids - center, axis=1) - r
     outer = ((polygon_distances(center, polys) > r + eps)
              & ((beyond < 1.5 * diam) | (beyond > 3.5 * diam)))
     cells, polys, centroids = cells[outer], polys[outer], centroids[outer]
-    enclosed = tiling._enclosed_tiles(centroids, cells, recipe)
+    is_open = beyond[outer] > 3.5 * diam
+    enclosed = tiling._enclosed_tiles(cells, is_open, recipe)
     assert len(enclosed)
     pairs = reference_touch_pairs(polys, centroids, eps)
-    assert np.array_equal(
-        enclosed, reference_enclosed_tiles(polys, centroids, eps, pairs))
+    assert np.array_equal(enclosed, reference_enclosed_tiles(is_open, pairs))
 
 
 @settings(max_examples=40)
@@ -626,7 +637,7 @@ def test_far_centre_touch_graph_is_the_near_origin_graph():
     with mock.patch.object(tiling, "_enclosed_tiles",
                            wraps=tiling._enclosed_tiles) as flood:
         generate_patch(recipe, 6.0, (1e9, -2e9))
-    _, cells, _ = flood.call_args.args
+    cells, _, _ = flood.call_args.args
     eps = recipe.merge_distance
     m, n, idx = (cells - [*cells[:, :2].min(axis=0), 0]).T
     base = np.array(recipe.region_polygons())
@@ -683,13 +694,76 @@ def test_near_translates_is_the_brute_force_scan(recipe, M, offsets, cells):
     side = math.sqrt(recipe.cell_area())
     centers = np.asarray(M) + side * np.array([(0.0, 0.0), *offsets])
     reach = cells * side
-    rows, corners, centroids = tiling.near_translates(recipe, centers, reach)
+    rows, corners = tiling.near_translates(recipe, centers, reach)
     assert np.array_equal(rows, scanned_translates(recipe, centers, reach))
-    m, n, j = rows.T
-    shifts = (m[:, None] * np.asarray(recipe.u)
-              + n[:, None] * np.asarray(recipe.v))
-    assert same_bits(centroids, recipe.region_centroids[j] + shifts)
     assert same_bits(corners, placed_corners(recipe, rows))
+
+
+@st.composite
+def wide_recipes(draw):
+    """Built-in recipes of the wide draws' pentagons that have one."""
+    spec, params = draw(type_params(40.0, 0.6))
+    try:
+        return builtin_recipe(spec.id, solve_instance(spec, params))
+    except (InfeasibleParams, NonConvergence, RecipeInvalid, TypeMismatch):
+        reject()
+
+
+sweep_and_wide_recipes = st.one_of(sweep_recipes(), wide_recipes())
+
+
+def ring_seeded_tile_records(recipe, r, M):
+    """The tile records of A(r, M) by a wider, ring-seeded rule: the
+    candidates are the translates whose centroid lies within r + 5 tile
+    diameters, and the flood over `reference_touch_pairs` starts from the
+    outer tiles whose centroids lie within the touch reach of the farthest
+    from their mean, a ring the wide window closes about the disk."""
+    center = np.asarray(M, dtype=float)
+    eps = recipe.merge_distance
+    cells, polys = tiling.near_translates(
+        recipe, center[None], r + 5.0 * tile_diameter(recipe.pentagon))
+    inner = np.linalg.norm(polys - center, axis=2).max(axis=1) <= r - eps
+    rest = np.nonzero(~inner)[0]
+    meets = polygon_distances(center, polys[rest]) <= r + eps
+    outer = rest[~meets]
+    centroids = placed_centroids(recipe, cells[outer])
+    far = np.linalg.norm(centroids - centroids.mean(axis=0), axis=1)
+    seeds = far >= far.max() - recipe.touch_reach
+    pairs = reference_touch_pairs(polys[outer], centroids, eps)
+    f3 = outer[reference_enclosed_tiles(seeds, pairs)]
+    order = np.concatenate([np.nonzero(inner)[0], rest[meets], f3])
+    zones = (["F1"] * int(inner.sum()) + ["F2"] * int(meets.sum())
+             + ["F3"] * len(f3))
+    return [(tuple(cell), zone, polygon.tobytes()) for cell, polygon, zone
+            in zip(cells[order, :2].tolist(), polys[order], zones)]
+
+
+@settings(max_examples=40)
+@given(sweep_and_wide_recipes, st.floats(3.0, 10.0), sweep_centres)
+def test_bounded_flood_matches_the_ring_seeded_flood(recipe, r, M):
+    """Flooding only from the tiles with a corner beyond r + diam + 2·eps
+    gives the F3 set and tiles of the wider ring-seeded flood."""
+    assert (tile_records(generate_patch(recipe, r, M))
+            == ring_seeded_tile_records(recipe, r, M))
+
+
+@settings(max_examples=40)
+@given(sweep_and_wide_recipes, st.floats(0.1, 15.0), sweep_centres)
+def test_candidates_hold_every_tile_meeting_the_flood_disk(recipe, r, M):
+    """generate_patch's candidates hold every translate whose polygon meets
+    the closed disk of radius r + diam + 2·eps about M, found by measuring
+    the polygons of a wider scan."""
+    with mock.patch.object(tiling, "near_translates",
+                           wraps=tiling.near_translates) as near:
+        generate_patch(recipe, r, M)
+    candidates, _ = tiling.near_translates(*near.call_args.args)
+    center = np.asarray(M, dtype=float)
+    diam = tile_diameter(recipe.pentagon)
+    rho = r + diam + 2.0 * recipe.merge_distance
+    scanned = scanned_translates(recipe, center[None], rho + 2.0 * diam)
+    meets = polygon_distances(center, placed_corners(recipe, scanned)) <= rho
+    assert set(map(tuple, scanned[meets].tolist())) <= set(
+        map(tuple, candidates.tolist()))
 
 
 PATCH_ARRAYS = ("vertex_xy", "pseudo", "complete", "edge_vertices")
