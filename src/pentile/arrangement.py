@@ -5,11 +5,12 @@ at the vertices lying on them, and records incidence: which tiles meet at
 each vertex, which tiles border each edge, which tiles share an edge.
 
 A Patch keeps the arrangement as arrays: vertex rows (vertex_xy, pseudo,
-complete), edge rows (edge_vertices) and each incidence relation as a Csr of
+complete), edge rows (edge_vertices) and four incidence relations as Csrs of
 ascending id rows, except corner_vertices, which keeps polygon order.
-Statistics count on the arrays; the vertices and edges records are built
-one at a time as they are read, so a large patch holds no object per
-vertex or edge for the garbage collector to walk.
+vertex_tiles is the one tile-vertex incidence: a tile's vertices are the
+rows that list it. Statistics count on the arrays; the vertices and edges
+records are built one at a time as they are read, so a large patch holds no
+object per vertex or edge for the garbage collector to walk.
 
 The work runs on one flat array of all tile corners, with per-tile offsets so
 polygons of different corner counts can mix; corner i opens side i. One of
@@ -127,7 +128,6 @@ class Patch:
     complete: np.ndarray         # (V,) incident angles close up to a full turn
     edge_vertices: np.ndarray    # (E, 2) vertex ids, lower first
     corner_vertices: Csr         # tile -> corner vertex ids, polygon order
-    tile_vertices: Csr           # tile -> vertices on its boundary
     tile_adjacents: Csr          # tile -> tiles sharing an edge with it
     vertex_tiles: Csr            # vertex -> incident tiles
     edge_tiles: Csr              # edge -> tiles it borders
@@ -146,19 +146,13 @@ class Patch:
     def edge_count(self) -> int:
         return len(self.edge_vertices)
 
-    def euler_characteristic(self) -> int:
-        return self.vertex_count - self.edge_count + self.tile_count
-
     def interior_tile_ids(self) -> np.ndarray:
-        """Tiles whose whole boundary is surrounded by patch tiles."""
-        tv = self.tile_vertices    # no row is empty: a tile has corners
-        return np.flatnonzero(np.logical_and.reduceat(
-            self.complete[tv.indices], tv.indptr[:-1]))
-
-    def tile_neighbors(self) -> Csr:
-        """Tiles sharing at least one vertex with each tile; built on
-        request from vertex_tiles."""
-        return _sharing(self.vertex_tiles, self.tile_count)
+        """Tiles whose whole boundary is surrounded by patch tiles: those
+        that no incomplete vertex lists in vertex_tiles."""
+        vt = self.vertex_tiles
+        open_tiles = vt.indices[np.repeat(~self.complete, np.diff(vt.indptr))]
+        return np.flatnonzero(
+            np.bincount(open_tiles, minlength=self.tile_count) == 0)
 
     @cached_property
     def vertices(self) -> Records:
@@ -202,7 +196,7 @@ class Patch:
             none = np.zeros(0, dtype=np.intp)
             flags, rows = none.astype(bool), _csr(none, none, 0)
             return cls((), np.zeros((0, 2)), flags, flags,
-                       none.reshape(0, 2), *[rows] * 5, r=r, center=center)
+                       none.reshape(0, 2), *[rows] * 4, r=r, center=center)
         points, offsets, nxt = _flat_corners(
             [np.asarray(t.polygon, dtype=float) for t in tiles])
         return cls._assembled(tiles, points, offsets, nxt,
@@ -247,7 +241,6 @@ class Patch:
         inc_vid, inc_tile = _unique_rows(
             np.concatenate([corner_vid, split_vid]),
             np.concatenate([owner, split_tile]))
-        tile_vid, vid_tile = _unique_rows(inc_tile, inc_vid)
 
         # each side's stops in order: its start corner, the vertices inside
         # it by parameter, its end corner; consecutive stops bound an edge
@@ -273,7 +266,6 @@ class Patch:
                    complete=complete,
                    edge_vertices=np.column_stack([edge_lo, edge_hi])[new_edge],
                    corner_vertices=Csr(offsets, corner_vid),
-                   tile_vertices=_csr(tile_vid, vid_tile, len(tiles)),
                    tile_adjacents=_sharing(edge_tiles, len(tiles)),
                    vertex_tiles=_csr(inc_vid, inc_tile, n_vertices),
                    edge_tiles=edge_tiles, r=r, center=center)
@@ -317,15 +309,16 @@ def _next_corners(offsets):
 
 
 def _snapped_incidence(points, nxt, precision):
-    """The snapping finder: corners within eps of each other merge, and a
-    vertex within eps of a side, ends excluded, lies inside it. Returns
-    each corner's vertex id, each vertex's position, the (side, vertex,
-    param) hits and the full-turn tolerance per vertex."""
+    """The snapping finder: corners within eps of each other merge, chains
+    included, and a vertex within eps of a side, ends excluded, lies inside
+    it. Returns each corner's vertex id, each vertex's position, the
+    (side, vertex, param) hits and the full-turn tolerance per vertex."""
     side = points[nxt] - points
     side_lengths = np.linalg.norm(side, axis=1)
     slack = precision * float(np.abs(points).max()) if precision else 0.0
     eps = max(SNAP_FACTOR * float(side_lengths.mean()), slack)
-    corner_vid, vertex_xy = _snap_corners(points, eps)
+    corner_vid, vertex_xy = _vertices(
+        component_labels(len(points), *close_pairs(points, eps)), points)[:2]
     # ends moved by slack / 2 turn a side by up to slack / length, and
     # the corners at both its ends by as much
     angle_tol = COMPLETE_ANGLE_TOL + (slack * np.bincount(
@@ -335,16 +328,6 @@ def _snapped_incidence(points, nxt, precision):
     hits = _side_interior_incidence(points, nxt, side_lengths, corner_vid,
                                     vertex_xy, eps)
     return corner_vid, vertex_xy, hits, angle_tol
-
-
-def _snap_corners(points, eps):
-    """Merge corners lying within eps of each other, chains included.
-
-    Returns each corner's vertex id, numbered by first corner occurrence,
-    and each vertex's position, the mean of its corners.
-    """
-    label = component_labels(len(points), *close_pairs(points, eps))
-    return _vertices(label, points)[:2]
 
 
 def _vertices(label, points):
@@ -412,8 +395,8 @@ class CellArrangement(NamedTuple):
 def cell_arrangement(recipe) -> CellArrangement:
     """The recipe's cell arrangement, from the snapping finder run once on
     one window: the region tiles and every translate (m, n, j) of a region
-    tile whose centroid lies within the touch reach (two bounding radii
-    plus the merge distance) of some region tile's centroid. Those include
+    tile whose centroid lies within two tile radii (`TilingRecipe.radius`)
+    plus the merge distance of some region tile's centroid. Those include
     all the tiles meeting a region tile, so every vertex of a region tile
     and every vertex inside its sides is in the window.
 
@@ -422,8 +405,9 @@ def cell_arrangement(recipe) -> CellArrangement:
     orbits are the classes this relation joins, numbered by first region
     corner, so no coordinate is rounded.
     """
-    window, corners = near_translates(recipe, recipe.region_centroids,
-                                      recipe.touch_reach)
+    window, corners = near_translates(
+        recipe, recipe.region_centroids,
+        2.0 * recipe.radius + recipe.merge_distance)
     # the region tiles (0, 0, j) first, in order, then the rest in
     # (m, n, j) order
     first = np.argsort(window[:, :2].any(axis=1), kind="stable")

@@ -236,7 +236,7 @@ def _kernel(matrix: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def _initial_guess(rows, x_seed=None):
+def _initial_guess(rows):
     """Stage the start point: angles from the linear angle rows, then edges.
 
     When the angle rows leave a one-parameter family (Types whose remaining

@@ -127,8 +127,12 @@ class TilingRecipe:
             raise RecipeInvalid("lattice vectors u, v are parallel")
         if not self.region:
             raise RecipeInvalid("fundamental region holds no tiles")
+        # a translation far beyond the tile's size rounds its area to 0
+        with np.errstate(all="ignore"):
+            c = self.region_centroids
+        if not np.isfinite(c).all():
+            raise RecipeInvalid("a region tile has no finite centroid")
         # check_periodicity probes one cell about the region centroids' mean
-        c = self.region_centroids
         far = np.abs((c - c.mean(axis=0)) @ np.linalg.inv(
             np.column_stack([self.u, self.v])).T).max()
         if not far <= 1.0:
@@ -157,13 +161,11 @@ class TilingRecipe:
         return SNAP_FACTOR * self.pentagon.mean_edge()
 
     @functools.cached_property
-    def touch_reach(self) -> float:
-        """Two bounding radii of a region tile about its centroid, plus the
-        merge distance: translates whose centroids lie farther apart cannot
-        touch."""
+    def radius(self) -> float:
+        """How far a region tile reaches from its centroid: the largest
+        corner distance over the region tiles."""
         polys, centroids = self.region_corners, self.region_centroids
-        radius = np.linalg.norm(polys - centroids[:, None], axis=2).max()
-        return 2.0 * radius + self.merge_distance
+        return float(np.linalg.norm(polys - centroids[:, None], axis=2).max())
 
     @functools.cached_property
     def cell_arrangement(self):
@@ -375,8 +377,10 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     the exterior of that disk, connected and free of F1 and F2, so it is
     open, and a touching chain out from any other open tile stays in the
     disk until it meets such a tile. So the flood starts from those tiles
-    and needs only the tiles meeting that disk, which lie among the
-    translates whose centroid is within rho + diam of M (`near_translates`).
+    and needs only the tiles meeting that disk. A tile reaches at most
+    `recipe.radius` from its centroid, so those lie among the translates
+    whose centroid is within rho + radius of M (`near_translates`); the
+    extra eps keeps the float comparison from dropping one at the bound.
 
     Every candidate is a translate (m, n) of a region tile, so its
     vertices are integer keys (m, n, orbit) read off the recipe's cell
@@ -395,7 +399,8 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     diam = tile_diameter(recipe.pentagon)
     eps = recipe.merge_distance
     rho = r + diam + 2.0 * eps
-    cells, polys = near_translates(recipe, center[None], rho + diam)
+    cells, polys = near_translates(recipe, center[None],
+                                   rho + recipe.radius + eps)
 
     d_max = np.linalg.norm(polys - center, axis=2).max(axis=1)
     inner = d_max <= r - eps

@@ -19,7 +19,8 @@ from pentile.arrangement import (SNAP_FACTOR, CellArrangement, Patch,
 from pentile.cli import _round9
 from pentile.geometry import close_pairs, component_labels, interior_angles
 from pentile.pentagon import pentagon_to_json
-from pentile.stats import FULL, INTERIOR, PatchStats, compute_stats
+from pentile.stats import (FULL, INTERIOR, PatchStats, compute_stats,
+                           euler_residual)
 from pentile.tiling import builtin_recipe, generate_patch
 
 DATA = Path(__file__).parent / "data"
@@ -95,8 +96,6 @@ def reference_arrangement(polys, eps):
             stops = [va] + [v for _, v in inside] + [vb]
             for v1, v2 in zip(stops, stops[1:]):
                 edge_tiles.setdefault((min(v1, v2), max(v1, v2)), set()).add(t)
-    tile_vertices = [{v for v in range(len(members)) if t in tiles_at[v]}
-                     for t in range(len(polys))]
     return {
         "vertices": [(xy[v], tuple(sorted(tiles_at[v])), pseudo[v],
                       abs(angle_sum[v] - 2 * math.pi) <= 1e-6)
@@ -104,12 +103,8 @@ def reference_arrangement(polys, eps):
         "edges": [(key, tuple(sorted(owners)))
                   for key, owners in sorted(edge_tiles.items())],
         "corner_vertices": [tuple(c) for c in corner_vertices],
-        "tile_vertices": [tuple(sorted(vs)) for vs in tile_vertices],
         "adjacents": [tuple(sorted({o for owners in edge_tiles.values()
                                     if t in owners for o in owners} - {t}))
-                      for t in range(len(polys))],
-        "neighbors": [tuple(sorted({o for v in tile_vertices[t]
-                                    for o in tiles_at[v]} - {t}))
                       for t in range(len(polys))],
     }
 
@@ -121,7 +116,8 @@ def reference_stats(ref, mode, r):
     edges = ref["edges"]
     if mode == INTERIOR:
         vertices = {v for v in vertices if ref["vertices"][v][3]}
-        tiles = [t for t in tiles if vertices >= set(ref["tile_vertices"][t])]
+        tiles = [t for t in tiles if vertices >= {
+            v for v, record in enumerate(ref["vertices"]) if t in record[1]}]
         edges = [e for e in edges if vertices >= set(e[0])]
     t_h, v_j = {}, {}
     for t in tiles:
@@ -144,9 +140,7 @@ def patch_fields(patch):
         "edges": [(tuple(ends), tiles) for ends, tiles in zip(
             patch.edge_vertices.tolist(), patch.edge_tiles.rows())],
         "corner_vertices": patch.corner_vertices.rows(),
-        "tile_vertices": patch.tile_vertices.rows(),
         "adjacents": patch.tile_adjacents.rows(),
-        "neighbors": patch.tile_neighbors().rows(),
     }
 
 
@@ -195,7 +189,7 @@ def test_mixed_squares_and_pentagons():
     patch = Patch.from_polygons([square(0, 0), pentagon])
     assert [len(c) for c in patch.corner_vertices.rows()] == [4, 5]
     assert (patch.vertex_count, patch.edge_count) == (7, 8)
-    assert patch.euler_characteristic() == 1
+    assert euler_residual(compute_stats(patch)) == 0
     assert patch.tile_adjacents.rows() == [(1,), (0,)]
     shared = [e for e in patch.edges if e.tiles == (0, 1)]
     assert [e.vertices for e in shared] == [(1, 2)]
@@ -215,14 +209,33 @@ def test_side_with_two_inner_vertices_splits_in_parameter_order():
     assert bottom == {tuple(sorted(pair)) for pair in zip(stops, stops[1:])}
     assert patch.vertices[stops[1]].pseudo and patch.vertices[stops[2]].pseudo
     assert patch.tile_adjacents.rows()[0] == (1, 2, 3)
-    assert {stops[1], stops[2]} <= set(patch.tile_vertices.rows()[0])
+    vertex_tiles = patch.vertex_tiles.rows()
+    assert 0 in vertex_tiles[stops[1]] and 0 in vertex_tiles[stops[2]]
+
+
+@pytest.mark.parametrize("gap_filled", [False, True])
+def test_interior_tiles_need_every_boundary_vertex_complete(gap_filled):
+    """A slab [0, 3] x [0, 1] ringed by unit squares, but for the square
+    above its middle: its four corners close up to full turns, yet the
+    corners of the squares above split its top side at (1, 1) and (2, 1),
+    which the gap leaves open. So the slab is not interior, although a rule
+    over its corners alone would take it. Filling the gap makes it interior;
+    every ring square has an open outer corner."""
+    slab = np.array([(0, 0), (3, 0), (3, 1), (0, 1)], dtype=float)
+    ring = [(x, y) for x in range(-1, 4) for y in (-1, 1)
+            if gap_filled or (x, y) != (1, 1)] + [(-1, 0), (3, 0)]
+    patch = Patch.from_polygons([slab] + [square(x, y) for x, y in ring])
+    assert patch.complete[list(patch.corner_vertices.rows()[0])].all()
+    ids = {tuple(xy): i for i, xy in enumerate(patch.vertex_xy.tolist())}
+    assert patch.complete[[ids[(1.0, 1.0)], ids[(2.0, 1.0)]]].all() == (
+        gap_filled)
+    assert patch.interior_tile_ids().tolist() == ([0] if gap_filled else [])
 
 
 def test_no_polygons_make_an_empty_patch():
     patch = Patch.from_polygons([])
     assert (patch.tile_count, patch.vertex_count, patch.edge_count) == (0, 0, 0)
-    for rows in (patch.corner_vertices, patch.tile_vertices,
-                 patch.tile_adjacents, patch.tile_neighbors(),
+    for rows in (patch.corner_vertices, patch.tile_adjacents,
                  patch.vertex_tiles, patch.edge_tiles):
         assert rows.rows() == []
     assert (patch.vertices, patch.edges) == ((), ())

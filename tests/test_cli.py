@@ -164,6 +164,22 @@ def test_verify_rejects_malformed_recipe_fields(capsys, tmp_path, field,
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_verify_recipe_with_a_huge_lattice_fails_its_area(capsys, tmp_path):
+    """One tile in a cell of 1e12: the area test fails and the cell is not
+    grid-sampled, which would ask for hundreds of TiB."""
+    document = json.loads((DATA / "type5_recipe.json").read_text())
+    document.update(region=document["region"][:1],
+                    lattice=[[1e6, 0], [0, 1e6]])
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "verify", "--recipe", str(path))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["metrics"]["sample_points"] == 0
+    assert report["violations"][0].endswith("; grid sample skipped")
+
+
 def moved_three_cells(document):
     (ux, uy), _ = document["lattice"]
     tile = document["region"][1]
@@ -178,6 +194,9 @@ MALFORMED_RECIPES = {
     "lattice-1e308": (lambda d: d.update(
         lattice=[[1e308, 1e308], [1e308, -1e308]]), "ParseError"),
     "tx-1e300": (lambda d: d["region"][1].update(tx=1e300), "ParseError"),
+    # so far out that the tile's area, and with it its centroid, is lost
+    "one-tile-tx-1e50": (lambda d: d.update(
+        region=[dict(d["region"][0], tx=1e50)]), "RecipeInvalid"),
     "tile-three-cells-out": (moved_three_cells, "RecipeInvalid"),
 }
 

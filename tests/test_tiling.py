@@ -228,7 +228,7 @@ def test_small_radius_gives_single_f1_tile():
 def test_euler_characteristic_is_one(type_id):
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     patch = generate_patch(recipe, 8.0)
-    assert patch.euler_characteristic() == 1
+    assert euler_residual(compute_stats(patch)) == 0
 
 
 def test_doubling_radius_roughly_quadruples_tiles():
@@ -302,7 +302,6 @@ def test_generated_patch_snaps_no_corners(monkeypatch, type_id):
         raise AssertionError("generate_patch measured corner distances")
 
     monkeypatch.setattr(arrangement, "close_pairs", refuse)
-    monkeypatch.setattr(arrangement, "_snap_corners", refuse)
     patch = generate_patch(recipe, 10.0, (0.37, -1.21))
     assert euler_residual(compute_stats(patch)) == 0
 
@@ -328,6 +327,16 @@ def test_patch_translation_maps_interior_tiles_into_patch():
 
 
 # --- arrangement: adjacents, neighbors, pseudo-vertices ---------------------
+
+def neighbors(patch: Patch) -> list[tuple[int, ...]]:
+    """Tiles sharing at least one vertex with each tile, read off
+    vertex_tiles."""
+    shared = [set() for _ in range(patch.tile_count)]
+    for tiles in patch.vertex_tiles.rows():
+        for t in tiles:
+            shared[t].update(tiles)
+    return [tuple(sorted(s - {t})) for t, s in enumerate(shared)]
+
 
 def brick_wall_fixture() -> Patch:
     """Running-bond bricks: the classic adjacent-versus-neighbor picture.
@@ -355,11 +364,11 @@ def brick_wall_fixture() -> Patch:
 def test_brick_wall_adjacents_and_neighbors():
     patch = brick_wall_fixture()
     adjacents = patch.tile_adjacents.rows()
-    neighbors = patch.tile_neighbors().rows()
+    touching = neighbors(patch)
     assert adjacents[0] == (1, 2, 3, 4, 5)
-    assert neighbors[0] == (1, 2, 3, 4, 5, 6, 7)
+    assert touching[0] == (1, 2, 3, 4, 5, 6, 7)
     for t in range(patch.tile_count):
-        assert set(adjacents[t]) <= set(neighbors[t])
+        assert set(adjacents[t]) <= set(touching[t])
 
 
 def test_brick_wall_vertex_valences_and_pseudo_flags():
@@ -380,7 +389,7 @@ def test_two_pentagons_sharing_a_side_are_adjacent():
     mirrored = p.vertices * np.array([1.0, -1.0])
     patch = Patch.from_polygons([p.vertices, mirrored[::-1]])
     assert patch.tile_adjacents.rows()[0] == (1,)
-    assert patch.tile_neighbors().rows()[0] == (1,)
+    assert neighbors(patch)[0] == (1,)
 
 
 def test_corner_contact_is_neighbor_not_adjacent():
@@ -388,7 +397,9 @@ def test_corner_contact_is_neighbor_not_adjacent():
     other = square + np.array([1.0, 1.0])
     patch = Patch.from_polygons([square, other])
     assert patch.tile_adjacents.rows()[0] == ()
-    assert patch.tile_neighbors().rows()[0] == (1,)
+    [shared] = [v for v, tiles in enumerate(patch.vertex_tiles.rows())
+                if tiles == (0, 1)]
+    assert patch.vertex_xy[shared].tolist() == [1.0, 1.0]
 
 
 def test_type4_patch_is_edge_to_edge():
@@ -416,7 +427,7 @@ def test_patch_json_round_trip():
     assert back.tile_count == patch.tile_count
     assert back.vertex_count == patch.vertex_count
     assert back.edge_count == patch.edge_count
-    assert back.euler_characteristic() == 1
+    assert euler_residual(compute_stats(back)) == 0
     for tile, loaded in zip(patch.tiles, back.tiles, strict=True):
         assert (loaded.cell, loaded.zone) == (tile.cell, tile.zone)
         assert np.array_equal(loaded.polygon, tile.polygon)
@@ -716,8 +727,9 @@ def ring_seeded_tile_records(recipe, r, M):
     """The tile records of A(r, M) by a wider, ring-seeded rule: the
     candidates are the translates whose centroid lies within r + 5 tile
     diameters, and the flood over `reference_touch_pairs` starts from the
-    outer tiles whose centroids lie within the touch reach of the farthest
-    from their mean, a ring the wide window closes about the disk."""
+    outer tiles whose centroids lie within two tile radii plus the merge
+    distance of the farthest from their mean, a ring the wide window closes
+    about the disk."""
     center = np.asarray(M, dtype=float)
     eps = recipe.merge_distance
     cells, polys = tiling.near_translates(
@@ -728,7 +740,7 @@ def ring_seeded_tile_records(recipe, r, M):
     outer = rest[~meets]
     centroids = placed_centroids(recipe, cells[outer])
     far = np.linalg.norm(centroids - centroids.mean(axis=0), axis=1)
-    seeds = far >= far.max() - recipe.touch_reach
+    seeds = far >= far.max() - (2.0 * recipe.radius + eps)
     pairs = reference_touch_pairs(polys[outer], centroids, eps)
     f3 = outer[reference_enclosed_tiles(seeds, pairs)]
     order = np.concatenate([np.nonzero(inner)[0], rest[meets], f3])
@@ -766,9 +778,28 @@ def test_candidates_hold_every_tile_meeting_the_flood_disk(recipe, r, M):
         map(tuple, candidates.tolist()))
 
 
+@settings(max_examples=40)
+@given(sweep_and_wide_recipes, st.floats(0.1, 15.0), sweep_centres)
+def test_candidate_centroids_lie_within_one_tile_radius_of_the_flood_disk(
+        recipe, r, M):
+    """A tile meeting the disk of radius rho = r + diam + 2·eps has its
+    centroid within rho + radius of M; generate_patch takes no candidate
+    whose centroid lies beyond rho + radius + eps."""
+    with mock.patch.object(tiling, "near_translates",
+                           wraps=tiling.near_translates) as near:
+        generate_patch(recipe, r, M)
+    candidates, _ = tiling.near_translates(*near.call_args.args)
+    center = np.asarray(M, dtype=float)
+    eps = recipe.merge_distance
+    rho = r + tile_diameter(recipe.pentagon) + 2.0 * eps
+    far = np.linalg.norm(placed_centroids(recipe, candidates) - center,
+                         axis=1)
+    assert (far <= rho + recipe.radius + eps).all()
+
+
 PATCH_ARRAYS = ("vertex_xy", "pseudo", "complete", "edge_vertices")
-PATCH_CSRS = ("corner_vertices", "tile_vertices", "tile_adjacents",
-              "vertex_tiles", "edge_tiles")
+PATCH_CSRS = ("corner_vertices", "tile_adjacents", "vertex_tiles",
+              "edge_tiles")
 
 
 def same_bits(a, b):
