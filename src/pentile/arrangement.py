@@ -33,7 +33,9 @@ each side; one assembly builds every array from that.
 Either way vertices are numbered by first corner occurrence and placed at
 the mean of their corners. The assembly orders the stops along every side
 with one lexsort, and edges, their owners and every incidence row come from
-sorted unique (key, value) rows.
+sorted unique (key, value) rows. A vertex is complete, surrounded by tiles,
+when every edge at it borders two tiles: an integer test on edge_tiles,
+with no angle and no tolerance.
 """
 from __future__ import annotations
 
@@ -53,7 +55,6 @@ from .geometry import (
 )
 from .tiling import COORD_LIMIT, SNAP_FACTOR, PlacedTile, near_translates
 
-COMPLETE_ANGLE_TOL = 1e-6    # rad; full 360-degree surround test
 # a patch document's corners have nine significant digits: two copies of
 # one corner differ by at most a unit in the ninth digit, 1e-8 |x|, per
 # axis, so by under 2e-8 of the largest coordinate
@@ -85,7 +86,7 @@ class PatchVertex(NamedTuple):
     tiles: tuple[int, ...]
     valence: int          # number of incident tiles
     pseudo: bool          # lies inside some incident tile's side
-    complete: bool        # incident angles close up to a full turn
+    complete: bool        # every edge at it borders two tiles
 
 
 class PatchEdge(NamedTuple):
@@ -125,7 +126,7 @@ class Patch:
     tiles: tuple[PlacedTile, ...]
     vertex_xy: np.ndarray        # (V, 2)
     pseudo: np.ndarray           # (V,) lies inside some incident tile's side
-    complete: np.ndarray         # (V,) incident angles close up to a full turn
+    complete: np.ndarray         # (V,) every edge at it borders two tiles
     edge_vertices: np.ndarray    # (E, 2) vertex ids, lower first
     corner_vertices: Csr         # tile -> corner vertex ids, polygon order
     tile_adjacents: Csr          # tile -> tiles sharing an edge with it
@@ -188,8 +189,8 @@ class Patch:
                    center=None, precision: float = 0.0) -> "Patch":
         """Snap the tiles' corners into vertices and find the vertices
         inside their sides by distance. precision: the corners' relative
-        error (DOCUMENT_PRECISION for a document's); the merge distance and
-        full-turn test widen to match."""
+        error (DOCUMENT_PRECISION for a document's); the merge distance
+        widens to match."""
         tiles = tuple(tiles)
         center = tuple(center) if center is not None else None
         if not tiles:
@@ -213,31 +214,24 @@ class Patch:
         each tile's (m, n, region index); tiles holds at least one tile."""
         points, offsets, nxt = _stacked_corners(corners)
         return cls._assembled(tuple(tiles), points, offsets, nxt,
-                              *_looked_up_incidence(points, cells, cell),
-                              angle_tol=COMPLETE_ANGLE_TOL, r=r,
+                              *_looked_up_incidence(points, cells, cell), r=r,
                               center=None if center is None else tuple(center))
 
     @classmethod
     def _assembled(cls, tiles, points, offsets, nxt, corner_vid, vertex_xy,
-                   hits, angle_tol, r, center) -> "Patch":
+                   hits, r, center) -> "Patch":
         """The patch from either incidence finder: each corner's vertex id
-        and each vertex's position, the (side, vertex, param) of every
-        vertex inside a side, and the full-turn tolerance per vertex."""
+        and each vertex's position, and the (side, vertex, param) of every
+        vertex inside a side."""
         owner = np.repeat(np.arange(len(tiles)), np.diff(offsets))
         n_vertices = len(vertex_xy)
-        angles = corner_angles(points[nxt] - points, nxt)
 
         # vertices sitting inside a side split it; the tile counts as
-        # incident there and contributes a straight angle
+        # incident there
         hit_side, hit_vid, hit_param = hits
         split_vid, split_tile = _unique_rows(hit_vid, owner[hit_side])
-
-        angle_sum = (np.bincount(corner_vid, weights=angles,
-                                 minlength=n_vertices)
-                     + math.pi * np.bincount(split_vid, minlength=n_vertices))
         pseudo = np.zeros(n_vertices, dtype=bool)
         pseudo[split_vid] = True
-        complete = np.abs(angle_sum - 2 * math.pi) <= angle_tol
         inc_vid, inc_tile = _unique_rows(
             np.concatenate([corner_vid, split_vid]),
             np.concatenate([owner, split_tile]))
@@ -261,10 +255,15 @@ class Patch:
                                    | (edge_hi[1:] != edge_hi[:-1])])
         edge_id = np.cumsum(new_edge) - 1
         edge_tiles = _csr(edge_id, edge_tile, int(new_edge.sum()))
+        edge_vertices = np.column_stack([edge_lo, edge_hi])[new_edge]
+
+        # tiles surround a vertex exactly when its link closes: every edge
+        # at it borders two tiles
+        complete = np.ones(n_vertices, dtype=bool)
+        complete[edge_vertices[np.diff(edge_tiles.indptr) != 2]] = False
 
         return cls(tiles=tiles, vertex_xy=vertex_xy, pseudo=pseudo,
-                   complete=complete,
-                   edge_vertices=np.column_stack([edge_lo, edge_hi])[new_edge],
+                   complete=complete, edge_vertices=edge_vertices,
                    corner_vertices=Csr(offsets, corner_vid),
                    tile_adjacents=_sharing(edge_tiles, len(tiles)),
                    vertex_tiles=_csr(inc_vid, inc_tile, n_vertices),
@@ -311,23 +310,16 @@ def _next_corners(offsets):
 def _snapped_incidence(points, nxt, precision):
     """The snapping finder: corners within eps of each other merge, chains
     included, and a vertex within eps of a side, ends excluded, lies inside
-    it. Returns each corner's vertex id, each vertex's position, the
-    (side, vertex, param) hits and the full-turn tolerance per vertex."""
+    it. Returns each corner's vertex id, each vertex's position and the
+    (side, vertex, param) hits."""
     side = points[nxt] - points
     side_lengths = np.linalg.norm(side, axis=1)
     slack = precision * float(np.abs(points).max()) if precision else 0.0
     eps = max(SNAP_FACTOR * float(side_lengths.mean()), slack)
     corner_vid, vertex_xy = _vertices(
         component_labels(len(points), *close_pairs(points, eps)), points)[:2]
-    # ends moved by slack / 2 turn a side by up to slack / length, and
-    # the corners at both its ends by as much
-    angle_tol = COMPLETE_ANGLE_TOL + (slack * np.bincount(
-        np.concatenate([corner_vid, corner_vid[nxt]]),
-        weights=np.tile(1.0 / side_lengths, 2), minlength=len(vertex_xy))
-        if slack else 0.0)
-    hits = _side_interior_incidence(points, nxt, side_lengths, corner_vid,
-                                    vertex_xy, eps)
-    return corner_vid, vertex_xy, hits, angle_tol
+    return corner_vid, vertex_xy, _side_interior_incidence(
+        points, nxt, side_lengths, corner_vid, vertex_xy, eps)
 
 
 def _vertices(label, points):
@@ -414,7 +406,7 @@ def cell_arrangement(recipe) -> CellArrangement:
     window, corners = window[first], corners[first]
     count = len(recipe.region)
     points, _, nxt = _stacked_corners(corners)
-    corner_vid, vertex_xy, (side, hit_vid, param), _ = _snapped_incidence(
+    corner_vid, vertex_xy, (side, hit_vid, param) = _snapped_incidence(
         points, nxt, 0.0)
     k = corners.shape[1]
     vid = corner_vid.reshape(-1, k)
@@ -478,8 +470,8 @@ def vertex_labels(cells: np.ndarray, cell: CellArrangement):
 def _looked_up_incidence(points, cells, cell: CellArrangement):
     """The lookup finder: each corner's vertex is a `vertex_labels` label
     read off the cell arrangement, and a cell hit counts when its vertex is
-    a corner of some tile too. Returns what the snapping finder does but
-    the tolerance, with vertices numbered and placed the same way."""
+    a corner of some tile too. Returns what the snapping finder does, with
+    vertices numbered and placed the same way."""
     labels, tile, row = vertex_labels(cells, cell)
     n_corners = len(points)
     corner_vid, vertex_xy, distinct, rank = _vertices(labels[:n_corners],

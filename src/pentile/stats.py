@@ -206,7 +206,8 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
     """Sweep origin-centered patches over radii; extrapolate interior ratios.
 
     Radii must increase and start above twice the tile diameter so every
-    patch has an interior to count.
+    patch has an interior to count. The largest patch is generated first,
+    so a radius over `tiling.MAX_TRANSLATES` is refused before any is.
     """
     from .tiling import generate_patch, tile_diameter
 
@@ -220,10 +221,8 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
             f"smallest radius {radii[0]} must exceed twice the tile "
             f"diameter {diam:.6g}")
 
-    stats = []
-    for r in radii:
-        patch = generate_patch(recipe, r)
-        stats.append(compute_stats(patch, mode=INTERIOR))
+    stats = [compute_stats(generate_patch(recipe, r), mode=INTERIOR)
+             for r in radii[::-1]][::-1]
 
     v_per_t = tuple(s.v / s.t for s in stats)
     e_per_t = tuple(s.e / s.t for s in stats)

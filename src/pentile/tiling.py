@@ -38,6 +38,9 @@ SNAP_FACTOR = 1e-7         # vertex merge radius, relative to mean edge
 # document's numbers: the enclosing circle's product of three stays finite
 COORD_LIMIT = 1e100
 RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
+# most lattice translates near_translates scans: generating a patch peaks at
+# about 1 970 B per tile (Type 4 at r = 300), so this keeps it under 4 GiB
+MAX_TRANSLATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -337,16 +340,29 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
                     reach: float):
     """The translates (m, n, j), region tile j moved by m·u + n·v, whose
     centroid lies within reach of some centre: their (N, 3) rows in
-    (m, n, j) order and their (N, K, 2) corners."""
+    (m, n, j) order and their (N, K, 2) corners. Raises ParseError, before
+    anything is allocated, when the (m, n) box to scan does not fit int64
+    or holds more than MAX_TRANSLATES translates."""
     u, v = np.asarray(recipe.u), np.asarray(recipe.v)
     inv = np.linalg.inv(np.column_stack([u, v]))
-    offsets = ((centers[:, None] - recipe.region_centroids).reshape(-1, 2)
-               @ inv.T)
     # the (m, n) box: a disk of radius reach about a centre less a region
-    # centroid spans reach·|row k of inv| in lattice coefficient k
-    slack = reach * np.linalg.norm(inv, axis=1)
-    lo = np.floor(offsets.min(axis=0) - slack).astype(int)
-    hi = np.ceil(offsets.max(axis=0) + slack).astype(int)
+    # centroid spans reach·|row k of inv| in lattice coefficient k; bounded
+    # in float first, where an overflow is inf and fails the test below
+    with np.errstate(all="ignore"):
+        offsets = ((centers[:, None] - recipe.region_centroids)
+                   .reshape(-1, 2) @ inv.T)
+        slack = reach * np.linalg.norm(inv, axis=1)
+        lo = np.floor(offsets.min(axis=0) - slack)
+        hi = np.ceil(offsets.max(axis=0) + slack)
+    if not (np.abs([lo, hi]) < 2.0 ** 62).all():
+        raise ParseError(f"the lattice box within {reach:.6g} of the "
+                         f"centres does not fit int64")
+    count = float(np.prod(hi - lo + 1)) * len(recipe.region)
+    if count > MAX_TRANSLATES:
+        raise ParseError(f"the lattice box within {reach:.6g} of the "
+                         f"centres holds {count:.3g} translates, over "
+                         f"MAX_TRANSLATES = {MAX_TRANSLATES:,}")
+    lo, hi = lo.astype(int), hi.astype(int)
     m, n, j = (a.ravel() for a in np.meshgrid(
         np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
         np.arange(len(recipe.region)), indexing="ij"))
@@ -370,6 +386,8 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
 
     Intended for disks larger than a single tile (r above one tile diameter);
     smaller disks still produce a patch but it may hold a tile or none.
+    Raises ParseError, naming r, when the candidates' lattice box is over
+    MAX_TRANSLATES (`near_translates`).
 
     F1 and F2 lie within r + eps + diam of M (eps the merge distance, diam
     the tile diameter), and so does every tile they enclose. With
@@ -399,8 +417,11 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     diam = tile_diameter(recipe.pentagon)
     eps = recipe.merge_distance
     rho = r + diam + 2.0 * eps
-    cells, polys = near_translates(recipe, center[None],
-                                   rho + recipe.radius + eps)
+    try:
+        cells, polys = near_translates(recipe, center[None],
+                                       rho + recipe.radius + eps)
+    except ParseError as exc:
+        raise ParseError(f"disk radius {r:g}: {exc}") from None
 
     d_max = np.linalg.norm(polys - center, axis=2).max(axis=1)
     inner = d_max <= r - eps

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -265,6 +266,28 @@ def test_tile_rejects_non_finite_radius(capsys, radius):
     code, out, err = run(capsys, "tile", "--type", "4", f"--r={radius}")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"{command} --type 4 --r {r}" for command in ("stats", "tile")
+      for r in ("1e300", "1e17", "1e9")),
+    "sweep --type 4 --radii 1e5,1e6",
+])
+def test_huge_radii_are_refused_before_any_allocation(capsys, argv):
+    """A lattice box past int64 or MAX_TRANSLATES is a ParseError raised
+    before the box is allocated: no warning, and under 64 MiB traced."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv.split())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "ParseError"
+    assert peak < 64 << 20
 
 
 @pytest.mark.parametrize("argv", [

@@ -834,6 +834,31 @@ def test_lattice_shift_keeps_interior_stats(recipe, r, M, k, l):
             == compute_stats(generate_patch(recipe, r, M), INTERIOR))
 
 
+far_centres = st.tuples(st.floats(0.0, 12.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda drawn: (10.0 ** drawn[0] * math.cos(drawn[1]),
+                   10.0 ** drawn[0] * math.sin(drawn[1])))
+
+
+@settings(max_examples=40)
+@given(sweep_recipes(), st.floats(3.0, 15.0), far_centres)
+def test_far_centre_interior_stats_are_the_lattice_shifted_disks(recipe, r,
+                                                                  M):
+    """|M| log-uniform in [1, 1e12]: the patch holds the tiles of the disk
+    moved back by the nearest lattice vector k·u + l·v, moved out again,
+    and its interior counts are that disk's, however far out M rounds the
+    corners."""
+    lattice = np.column_stack([recipe.u, recipe.v])
+    k, l = np.round(np.linalg.solve(lattice, M)).astype(int)
+    near = np.asarray(M) - lattice @ (k, l)
+    patch, moved_back = generate_patch(recipe, r, M), generate_patch(
+        recipe, r, near)
+    assert ([((m - k, n - l), tile.zone) for tile in patch.tiles
+             for m, n in [tile.cell]]
+            == [(tile.cell, tile.zone) for tile in moved_back.tiles])
+    assert (compute_stats(patch, INTERIOR)
+            == compute_stats(moved_back, INTERIOR))
+
+
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
 def test_far_centre_patch_keeps_euler_and_edge_invariants(type_id):
     """At M = (1e9, 2e9) the corners are a few units in the last place
