@@ -15,9 +15,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import arrangement, render, stats, tiling, verifier
+from . import arrangement, jsontext, render, stats, tiling, verifier
 from .catalog import TYPE_IDS, get_type_spec, representative
 from .errors import ParseError
 from .pentagon import (
@@ -29,29 +27,18 @@ from .pentagon import (
 DEFAULT_TOL_DEG = 1e-4
 
 
-def _round9(obj):
-    """Round every float to 9 significant digits, recursively."""
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.9g}")
-    if isinstance(obj, dict):
-        return {k: _round9(x) for k, x in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round9(x) for x in obj]
-    return obj
-
-
 def _emit(document, out_path: str | None) -> None:
     """Write to out_path, or to stdout without one. Text goes out as it is;
-    anything else as strict JSON at nine significant digits."""
-    text = document if isinstance(document, str) else json.dumps(
-        _round9(document), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    anything else as strict JSON at nine significant digits, formatted in
+    full before out_path is opened. An unwritable path is a ParseError."""
+    text = document if isinstance(document, str) else (
+        jsontext.dumps(document) + "\n")
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -141,7 +128,7 @@ def cmd_theorem1(args) -> int:
 def cmd_tile(args) -> int:
     recipe = _resolve_recipe(args)
     patch = _resolve_patch(args, recipe)
-    document = patch.to_json_dict()
+    document = jsontext.patch_document(patch)
     document["recipe"] = recipe.to_json_dict()
     _emit(document, args.out)
     if args.svg:

@@ -16,8 +16,8 @@ import pentile
 from pentile.arrangement import (SNAP_FACTOR, CellArrangement, Patch,
                                  PatchEdge, PatchVertex, _unique_rows,
                                  patch_from_json_dict, vertex_labels)
-from pentile.cli import _round9
 from pentile.geometry import close_pairs, component_labels, interior_angles
+from pentile.jsontext import dumps, patch_document
 from pentile.pentagon import pentagon_to_json
 from pentile.stats import (FULL, INTERIOR, PatchStats, compute_stats,
                            euler_residual)
@@ -343,7 +343,7 @@ def test_nine_digit_document_gives_the_generated_stats(type_id, center):
     side; reading it back must still merge them and close full turns."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     patch = generate_patch(recipe, 8.0, center)
-    document = patch_from_json_dict(_round9(patch.to_json_dict()))
+    document = patch_from_json_dict(json.loads(dumps(patch_document(patch))))
     for mode in (FULL, INTERIOR):
         assert compute_stats(document, mode) == compute_stats(patch, mode)
 

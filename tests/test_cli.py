@@ -482,6 +482,35 @@ def test_stray_exception_exits_2_with_json(capsys, monkeypatch):
     assert json.loads(err) == {"error": "RuntimeError", "message": "boom"}
 
 
+@pytest.mark.parametrize("flag", ["--out", "--svg", "--csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_path_is_a_parse_error(capsys, tmp_path, flag,
+                                                 where):
+    path = (tmp_path / "nowhere" / "x" if where == "missing-directory"
+            else tmp_path)
+    argv = (["sweep", "--type", "4", "--radii", "5,8"] if flag == "--csv"
+            else ["tile", "--type", "4", "--r", "3"])
+    code, _, err = run(capsys, *argv, flag, str(path))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith(f"cannot write {path}: ")
+
+
+def test_non_finite_document_writes_nothing(capsys, tmp_path):
+    """Every number is formatted before the file opens: a NaN neither
+    creates nor truncates the --out file, nor prints to stdout."""
+    document = {"tiles": [[0.5, 1.5]] * 3, "r": math.nan}
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier run\n")
+    for out_path in (str(kept), str(fresh), None):
+        with pytest.raises(ValueError):
+            cli._emit(document, out_path)
+    assert kept.read_text() == "earlier run\n"
+    assert not fresh.exists()
+    assert capsys.readouterr().out == ""
+
+
 INPUTS = {"--type", "--pentagon", "--recipe"}
 OPTIONS = {
     "catalog": {"action", "id", "--out"},
@@ -576,6 +605,14 @@ GOLDEN_STDOUT = {
         "e15f0cbd2a6ee253125e457675129a59185f341269a50fa1299524066c704aec",
     "tile --type 5 --r 6":
         "44e20c22de6b2b00b7ef27d56a3f81222cc33ea03119c16c680df476a5a302ca",
+    "tile --type 1 --r 20":
+        "26cc8dbfdfc541c9880e55d57d43d79cb1a639e2173c4f9ef8dda11334dba7b9",
+    "tile --type 2 --r 20":
+        "df26fdeac273379d728ad01b5817ccec62de6dea59d6e108df9be97ee968b105",
+    "tile --type 4 --r 20":
+        "108e83bed5300a5cb81d99deea336a086570779dfced1e14c40cfad398ca8301",
+    "tile --type 5 --r 20":
+        "bfec4883ce1f5d7bd5ae89d44616d34ce43c712e774525e6f8ee33db5d62b960",
     "verify --type 4 --r 10":
         "f62de3061f5c3d7055022851fbbba845dfddfcae43c628a5fe814e7caba7a5ec",
     "stats --type 4 --r 10 --mode interior":
