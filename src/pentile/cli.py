@@ -11,6 +11,7 @@ Exit codes: 0 success (property holds), 1 a checked property fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -27,20 +28,37 @@ from .pentagon import (
 DEFAULT_TOL_DEG = 1e-4
 
 
-def _emit(document, out_path: str | None) -> None:
-    """Write to out_path, or to stdout without one. Text goes out as it is;
-    anything else as strict JSON at nine significant digits, formatted in
-    full before out_path is opened. An unwritable path is a ParseError."""
-    text = document if isinstance(document, str) else (
-        jsontext.dumps(document) + "\n")
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {out_path}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+def _emit(document, out_path: str | None, *files) -> None:
+    """Write document to out_path, or to stdout without one, and each
+    further (document, path) pair in files to its path. Text goes out as it
+    is; anything else as strict JSON at nine significant digits. Every
+    document is formatted, and every path opened, before anything is
+    written, so a path that cannot be opened leaves stdout empty. A path
+    that cannot be opened or written is a ParseError."""
+    outputs = [(document, out_path), *files]
+    texts = [doc if isinstance(doc, str) else jsontext.dumps(doc) + "\n"
+             for doc, _ in outputs]
+    with contextlib.ExitStack() as stack:
+        streams = [_opened(path, stack) for _, path in outputs]
+        for (_, path), stream, text in zip(outputs, streams, texts):
+            if not path:
+                stream.write(text)
+                continue
+            try:
+                with stream:
+                    stream.write(text)
+            except OSError as exc:
+                raise ParseError(f"cannot write {path}: {exc}") from None
+
+
+def _opened(path: str | None, stack: contextlib.ExitStack):
+    """path opened for writing and closed with stack; stdout without one."""
+    if not path:
+        return sys.stdout
+    try:
+        return stack.enter_context(open(path, "w"))
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _load_json_file(path: str):
@@ -130,9 +148,8 @@ def cmd_tile(args) -> int:
     patch = _resolve_patch(args, recipe)
     document = jsontext.patch_document(patch)
     document["recipe"] = recipe.to_json_dict()
-    _emit(document, args.out)
-    if args.svg:
-        _emit(render.patch_to_svg(patch), args.svg)
+    svg = [(render.patch_to_svg(patch), args.svg)] if args.svg else []
+    _emit(document, args.out, *svg)
     return 0
 
 
@@ -174,13 +191,14 @@ def cmd_sweep(args) -> int:
     document = limit.to_json_dict()
     document["per_radius_balance_residual"] = (
         stats.per_radius_balance_residuals(limit))
-    _emit(document, args.out)
+    csv = []
     if args.csv:
         import io
 
         buffer = io.StringIO()
         stats.write_sweep_csv(limit, buffer)
-        _emit(buffer.getvalue(), args.csv)
+        csv = [(buffer.getvalue(), args.csv)]
+    _emit(document, args.out, *csv)
     return 0
 
 

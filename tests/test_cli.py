@@ -497,6 +497,29 @@ def test_unwritable_output_path_is_a_parse_error(capsys, tmp_path, flag,
     assert error["message"].startswith(f"cannot write {path}: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--type", "4", "--radii", "5,8", "--csv"],
+    ["tile", "--type", "4", "--r", "3", "--svg"]], ids=["csv", "svg"])
+def test_unwritable_second_output_prints_nothing(capsys, tmp_path, argv):
+    """The second output path is opened before the document goes to
+    stdout: a missing directory there is exit 2 with nothing printed."""
+    code, out, err = run(capsys, *argv, str(tmp_path / "nowhere" / "x"))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that is always full")
+def test_full_device_is_a_parse_error(capsys):
+    """A path that opens but fails when written is refused as well."""
+    code, out, err = run(capsys, "tile", "--type", "4", "--r", "3",
+                         "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith("cannot write /dev/full: ")
+
+
 def test_non_finite_document_writes_nothing(capsys, tmp_path):
     """Every number is formatted before the file opens: a NaN neither
     creates nor truncates the --out file, nor prints to stdout."""
@@ -614,7 +637,7 @@ GOLDEN_STDOUT = {
     "tile --type 5 --r 20":
         "bfec4883ce1f5d7bd5ae89d44616d34ce43c712e774525e6f8ee33db5d62b960",
     "verify --type 4 --r 10":
-        "f62de3061f5c3d7055022851fbbba845dfddfcae43c628a5fe814e7caba7a5ec",
+        "93cbae44476cc5486d15f420593edede90aa9d20956ba0ab20bde3e002ca9f1d",
     "stats --type 4 --r 10 --mode interior":
         "6b9fe74f3cff11748eb441887ed425644546ed92f9fa102ae87a5f6d4582fa9d",
     "stats --type 4 --r 10":

@@ -14,7 +14,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile import arrangement, tiling
+from pentile import arrangement, tiling, verifier
 from pentile.arrangement import Patch
 from pentile.catalog import classify, get_type_spec, solve_instance
 from pentile.errors import (
@@ -25,6 +25,7 @@ from pentile.errors import (
     TypeMismatch,
 )
 from pentile.geometry import (
+    convex_overlap_areas,
     polygon_centroid,
     polygon_distances,
     segment_distances,
@@ -41,7 +42,7 @@ from pentile.tiling import (
     save_recipe,
     tile_diameter,
 )
-from pentile.verifier import verify_patch
+from pentile.verifier import check_periodicity, verify_patch
 
 DATA = Path(__file__).parent / "data"
 
@@ -568,6 +569,69 @@ def sweep_recipes():
     the ranges of the benchmark's family-sweep workload."""
     return type_params(8.0, 0.1).map(
         lambda drawn: builtin_recipe(drawn[0].id, solve_instance(*drawn)))
+
+
+def full_clip_pairwise_overlap(stacked, counts):
+    """Reference for _pairwise_overlap: every pair i < j clipped, and the
+    first worst in (i, j) order; no bounding circles, no certificate."""
+    i, j = np.triu_indices(len(stacked), 1)
+    areas = convex_overlap_areas(stacked[i], counts[i], stacked[j])
+    k = int(np.argmax(areas)) if len(areas) else 0
+    if not len(areas) or not areas[k] > 0.0:
+        return 0.0, None
+    return float(areas[k]), (int(i[k]), int(j[k]))
+
+
+def assert_candidates_match_full_clip(type_id, pentagon):
+    """Every candidate builtin_recipe tries gets, from check_periodicity,
+    the verdict and the violations it gets with every pair clipped.
+    Returns the verdicts and whether an overlap was reported."""
+    seen = []
+
+    def compared(recipe):
+        report = check_periodicity(recipe)
+        with mock.patch.object(verifier, "_pairwise_overlap",
+                               full_clip_pairwise_overlap):
+            reference = check_periodicity(recipe)
+        assert (report.ok, report.violations) == \
+            (reference.ok, reference.violations)
+        seen.append((report.ok, any("overlap" in v
+                                    for v in report.violations)))
+        return report
+
+    with mock.patch.object(verifier, "check_periodicity", compared):
+        try:
+            builtin_recipe.__wrapped__(type_id, pentagon)
+        except RecipeInvalid:
+            pass
+    return seen
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_builtin_recipe_tries_the_same_candidates(type_id):
+    seen = assert_candidates_match_full_clip(
+        type_id, pentile.representative(type_id).pentagon)
+    assert seen[-1] == (True, False)
+
+
+def test_failing_type1_row_pairs_report_the_full_clip_overlap():
+    """A Type 1 pentagon 4 degrees and 10 % off the default: both row-pair
+    candidates overlap and fail, and the hexagon pair is chosen."""
+    spec = get_type_spec(1)
+    params = dict(spec.default_params)
+    params["A"] += math.radians(-4.0)
+    params["a"] *= 0.9
+    seen = assert_candidates_match_full_clip(1,
+                                             solve_instance(spec, params))
+    assert seen == [(False, True), (False, True), (True, False)]
+
+
+@settings(max_examples=30)
+@given(type_params(8.0, 0.1))
+def test_sweep_candidates_match_full_clip(drawn):
+    """The pentagons of sweep_recipes(), each built afresh."""
+    assert assert_candidates_match_full_clip(drawn[0].id,
+                                             solve_instance(*drawn))
 
 
 def assert_sound_patch(patch):

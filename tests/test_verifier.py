@@ -1,6 +1,7 @@
 """Overlap, coverage, periodicity, and normality witness checks."""
 import dataclasses
 import functools
+import itertools
 import math
 import re
 import warnings
@@ -28,9 +29,13 @@ from pentile.geometry import (
 )
 from pentile.tiling import PlacedTile, builtin_recipe, generate_patch
 from pentile.verifier import (
+    AREA_TOL,
+    SLACK,
     CheckReport,
     _grid_cover_check,
     _pairwise_overlap,
+    _separated,
+    _side_lines,
     check_coverage,
     check_no_overlap,
     check_periodicity,
@@ -150,9 +155,9 @@ def convex_overlap_area(p, q):
     return abs(polygon_area(clipped))
 
 
-def loop_pairwise_overlap(polys):
+def loop_pairwise_overlap(polys, skip=()):
     """Reference: the worst overlap, one pair at a time over the cKDTree
-    pairs in (i, j) order, and its first worst pair."""
+    pairs in (i, j) order less those in skip, and its first worst pair."""
     if len(polys) < 2:
         return 0.0, None
     centers = np.array([p.mean(axis=0) for p in polys])
@@ -161,6 +166,8 @@ def loop_pairwise_overlap(polys):
     worst, worst_pair = 0.0, None
     for i, j in sorted(cKDTree(centers).query_pairs(2.0 * radii.max())):
         if np.linalg.norm(centers[i] - centers[j]) > radii[i] + radii[j]:
+            continue
+        if (i, j) in skip:
             continue
         a = convex_overlap_area(polys[i], polys[j])
         if a > worst:
@@ -184,16 +191,22 @@ def convex_polygons(draw, max_corners=8):
 @st.composite
 def polygon_pairs(draw):
     """A polygon and one beside it: across a shared side or corner (half a
-    turn about its midpoint or the corner), nested, identical, far off, or
-    drawn on its own."""
+    turn about its midpoint or the corner), across the side but pushed into
+    it, nested, identical, far off, or drawn on its own."""
     p = draw(convex_polygons())
     how = draw(st.sampled_from(
-        ["side", "corner", "nested", "identical", "disjoint", "free"]))
+        ["side", "pushed", "corner", "nested", "identical", "disjoint",
+         "free"]))
     k = draw(st.integers(0, len(p) - 1))
     k1 = (k + 1) % len(p)
-    if how == "side":
+    if how in ("side", "pushed"):
         q = (p[k] + p[k1]) - p
         q[k], q[k1] = p[k1], p[k]
+        if how == "pushed":
+            # into p, by 1e-15 to 1e-5 of the shared side
+            side = p[k1] - p[k]
+            q = q + 10.0 ** draw(st.floats(-15.0, -5.0)) * np.array(
+                [-side[1], side[0]])
     elif how == "corner":
         q = 2.0 * p[k] - p
         q[k] = p[k]
@@ -220,11 +233,46 @@ def test_stacked_clip_matches_scalar_clip_bit_for_bit(pair):
                                                        polygon_area(q)]
 
 
+def separation_bounds(polys):
+    """{(i, j): bound} for the pairs i < j that _separated certifies either
+    way round; the bound is SLACK × the mean side × the diameter of the
+    certifying polygon, the least when both certify."""
+    stacked, counts = stack_polygons(polys)
+    lines = _side_lines(stacked)
+    i, j = np.triu_indices(len(polys), 1)
+    by_i = _separated(stacked, lines, i, j)
+    by_j = _separated(stacked, lines, j, i)
+
+    def bound(p):
+        sides = [math.hypot(*(b - a)) for a, b in zip(p, np.roll(p, -1, 0))]
+        diam = max(math.hypot(*(b - a)) for a in p for b in p)
+        return SLACK * sum(sides) / len(p) * diam
+
+    bounds = {}
+    for a, b, x, y in zip(i.tolist(), j.tolist(), by_i, by_j):
+        if x or y:
+            bounds[a, b] = min(bound(polys[k]) for k, c in ((a, x), (b, y))
+                               if c)
+    return bounds
+
+
 @given(st.lists(polygon_pairs(), min_size=1, max_size=4))
 def test_stacked_worst_pair_matches_pair_loop(pairs):
+    """A certified pair shares at most SLACK · mean side · diameter of the
+    certifying polygon, and no pair sharing more than AREA_TOL of the
+    smaller polygon is certified. Over the pairs left, the worst pair and
+    its area are the scalar loop's, bit for bit."""
     polys = [poly for pair in pairs for poly in pair]
+    certified = separation_bounds(polys)
+    for (i, j), bound in certified.items():
+        assert convex_overlap_area(polys[i], polys[j]) <= bound
+    for i, j in itertools.combinations(range(len(polys)), 2):
+        smaller = min(abs(polygon_area(polys[i])),
+                      abs(polygon_area(polys[j])))
+        if convex_overlap_area(polys[i], polys[j]) > AREA_TOL * smaller:
+            assert (i, j) not in certified
     assert _pairwise_overlap(*stack_polygons(polys)) == \
-        loop_pairwise_overlap(polys)
+        loop_pairwise_overlap(polys, skip=certified)
 
 
 def test_mixed_corner_counts_report_the_planted_overlap():
@@ -240,6 +288,62 @@ def test_mixed_corner_counts_report_the_planted_overlap():
     assert not report.ok
     assert report.metrics["max_overlap_area"] == worst
     assert report.violations[0].startswith("tiles 1 and 3 overlap by area")
+
+
+def test_padded_sides_certify_no_pair():
+    """Triangles and squares stacked with hexagons are padded with sides
+    of zero length. Those sides have no line: every pair that overlaps is
+    left to the clip, and the worst is the scalar loop's."""
+    triangle = np.array([(0, 0), (2, 0), (1, 1.5)])
+    square = np.array([(0, 0), (2, 0), (2, 2), (0, 2)])
+    hexagon = np.array([(1, 0), (2, 0.5), (2, 1.5), (1, 2), (0, 1.5),
+                        (0, 0.5)])
+    polys = [triangle, square + (1.0, 0.5), hexagon + (2.5, 0.0),
+             triangle + (3.0, 1.0), square + (6.0, 0.0),
+             hexagon + (5.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked, counts = stack_polygons(polys)
+        normals, offsets, _ = _side_lines(stacked)
+        certified = separation_bounds(polys)
+        report = check_no_overlap(Patch.from_polygons(polys))
+    # side k runs from corner k to k + 1; the last closes the polygon
+    k = np.arange(6)
+    padding = (k >= counts[:, None] - 1) & (k < 5)
+    assert np.isinf(offsets[padding]).all()
+    assert np.isfinite(offsets[~padding]).all()
+    overlapping = [(i, j) for i, j in itertools.combinations(range(6), 2)
+                   if convex_overlap_area(polys[i], polys[j]) > 0.01]
+    assert len(overlapping) >= 4
+    assert not set(overlapping) & set(certified)
+    worst, pair = loop_pairwise_overlap(polys)
+    assert report.metrics["max_overlap_area"] == worst
+    assert report.violations[0].startswith(
+        f"tiles {pair[0]} and {pair[1]} overlap by area")
+
+
+def test_tile_pushed_into_its_neighbour_is_named(t4_patch):
+    """The tile nearest the centre moved 1e-6 of a side across the side it
+    shares with a neighbour: that pair is clipped and named."""
+    polys = [t.polygon for t in t4_patch.tiles]
+    center = np.asarray(t4_patch.center)
+    victim = min(range(len(polys)), key=lambda i: np.linalg.norm(
+        polys[i].mean(axis=0) - center))
+    a, b = polys[victim][0], polys[victim][1]
+    neighbour = next(
+        j for j, q in enumerate(polys) if j != victim
+        and min(np.linalg.norm(q - a, axis=1)) < 1e-9
+        and min(np.linalg.norm(q - b, axis=1)) < 1e-9)
+    side = b - a
+    polys[victim] = polys[victim] + 1e-6 * np.array([side[1], -side[0]])
+    report = check_no_overlap(Patch.from_polygons(
+        polys, r=t4_patch.r, center=t4_patch.center))
+    worst, pair = loop_pairwise_overlap(polys)
+    assert pair == tuple(sorted((victim, neighbour)))
+    assert not report.ok
+    assert report.metrics["max_overlap_area"] == worst
+    assert report.violations[0].startswith(
+        f"tiles {pair[0]} and {pair[1]} overlap by area")
 
 
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
