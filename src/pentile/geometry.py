@@ -288,13 +288,15 @@ def largest_inscribed_circle(poly: np.ndarray) -> tuple[np.ndarray, float]:
     return centers[best], float(depth[best])
 
 
-def points_in_convex_polygon(pts: np.ndarray, poly: np.ndarray,
-                             eps: float = 0.0) -> np.ndarray:
-    """Mask of points inside a convex ccw polygon, boundary band eps wide.
-    Broadcasts: points (..., 2) against polygons (..., n, 2), as stacked by
-    stack_polygons."""
-    pts = np.asarray(pts, dtype=float)
-    px, py = pts[..., 0], pts[..., 1]
+def points_in_convex_polygon(px: np.ndarray, py: np.ndarray,
+                             poly: np.ndarray, eps: float = 0.0
+                             ) -> np.ndarray:
+    """Mask of points (px, py) inside a convex ccw polygon, boundary band
+    eps wide. The coordinates broadcast against each other and against
+    polygons (..., n, 2), as stacked by stack_polygons: a row of x against
+    a column of y tests a grid, and each side's px - a_x and py - a_y are
+    then taken on the row and the column only."""
+    px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
     inside = True
     n = poly.shape[-2]
     for k in range(n):
@@ -321,12 +323,9 @@ def polygon_distances(point: np.ndarray, polys: np.ndarray) -> np.ndarray:
     """Distance from a point to each of many convex ccw polygons, given as an
     (N, n, 2) array; 0 for the polygons that contain it."""
     a = np.asarray(polys, dtype=float)
-    b = np.roll(a, -1, axis=1)
-    d = b - a
-    rel = np.asarray(point, dtype=float) - a
-    inside = np.all(d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0] >= 0,
-                    axis=1)
-    dist = segment_distances(point, a, b).min(axis=1)
+    x, y = np.asarray(point, dtype=float)
+    inside = points_in_convex_polygon(x, y, a)
+    dist = segment_distances(point, a, np.roll(a, -1, axis=1)).min(axis=1)
     return np.where(inside, 0.0, dist)
 
 

@@ -7,6 +7,7 @@ in one route cannot silently pass the other.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -175,17 +176,19 @@ def _grid_cover_check(stacked, region_mask, lo, hi, pitch, eps):
     tile. Returns (#tested, #missed, the first miss in row-major order or
     None).
 
-    Each tile runs points_in_convex_polygon(..., eps) on the grid points of
-    its index box, one index wider than its corners each way (padding
-    repeats corners, so it moves no box). The eps band reaches
+    The grid is held only as its axes xs and ys: region_mask(px, py) takes
+    the row xs (1, nx) against the column ys (ny, 1), and no point array is
+    built. Each tile runs points_in_convex_polygon(..., eps) on the grid
+    points of its index box, one index wider than its corners each way
+    (padding repeats corners, so it moves no box), as a column ys[iy]
+    (B, wy, 1) against a row xs[ix] (B, 1, wx). The eps band reaches
     eps / sin(theta / 2) past a corner of angle theta; with the checks'
     eps, 1e-9 of the tile or cell size, that is far less than one index.
     So the box holds every point the tile can, and the covered set is the
     union of that test over all tiles."""
     xs = np.arange(lo[0], hi[0] + pitch, pitch)
     ys = np.arange(lo[1], hi[1] + pitch, pitch)
-    grid = np.stack(np.meshgrid(xs, ys), axis=-1)
-    wanted = region_mask(grid.reshape(-1, 2)).reshape(grid.shape[:2])
+    wanted = region_mask(xs[None, :], ys[:, None])
     size = np.array([len(xs), len(ys)])
     first = np.floor((stacked.min(axis=1) - lo) / pitch) - 1
     last = np.floor((stacked.max(axis=1) - lo) / pitch) + 1
@@ -193,7 +196,7 @@ def _grid_cover_check(stacked, region_mask, lo, hi, pitch, eps):
     polys = stacked[meets]
     first = np.clip(first[meets], 0, size - 1).astype(np.intp)
     last = np.clip(last[meets], 0, size - 1).astype(np.intp)
-    covered = np.zeros(grid.shape[:2], dtype=bool)
+    covered = np.zeros(wanted.shape, dtype=bool)
     # boxes padded to the largest, whose padding retests grid points; a
     # pass holds up to CHUNK box rows
     wx, wy = (last - first).max(axis=0, initial=0) + 1
@@ -204,13 +207,21 @@ def _grid_cover_check(stacked, region_mask, lo, hi, pitch, eps):
         iy = np.minimum(box_lo[:, 1:, None] + np.arange(wy)[:, None],
                         size[1] - 1)
         hit = points_in_convex_polygon(
-            grid[iy, ix], polys[start:start + step, None, None], eps=eps)
+            xs[ix], ys[iy], polys[start:start + step, None, None], eps=eps)
         covered[np.broadcast_to(iy, hit.shape)[hit],
                 np.broadcast_to(ix, hit.shape)[hit]] = True
     miss = wanted & ~covered
-    missed = int(miss.sum())
-    example = tuple(grid[miss][0].tolist()) if missed else None
-    return int(wanted.sum()), missed, example
+    missed = int(np.count_nonzero(miss))
+    row, col = divmod(int(np.argmax(miss)), len(xs))
+    example = (float(xs[col]), float(ys[row])) if missed else None
+    return int(np.count_nonzero(wanted)), missed, example
+
+
+def _in_disk(px, py, radius):
+    """Bit for bit np.linalg.norm of the points (px, py), broadcast, <=
+    radius, with one array of the broadcast shape."""
+    norm = px * px + py * py
+    return np.sqrt(norm, out=norm) <= radius
 
 
 def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
@@ -239,8 +250,10 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
     stacked, counts = stack_polygons([t.polygon for t in patch.tiles])
     stacked = stacked - center
     first = stacked[0, :counts[0]]
-    diam = float(np.linalg.norm(stacked[:, :, None] - stacked[:, None],
-                                axis=-1).max())
+    # one pair of corner slots at a time, with no (N, K, K, 2) temporary
+    diam = float(functools.reduce(np.maximum, (
+        np.linalg.norm(stacked[:, k] - stacked[:, l], axis=-1)
+        for k, l in itertools.combinations(range(stacked.shape[1]), 2))).max())
     # patch tiles are congruent; one circumradius bounds them all
     circumradius = smallest_enclosing_circle(first)[1]
     if r_inner is None:
@@ -267,9 +280,6 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
         pitch = 2.0 * r_inner / (side - 2.0)
     eps = 1e-9 * diam
 
-    def in_disk(pts):
-        return np.linalg.norm(pts, axis=1) <= r_inner - eps
-
     # the first tile sets the pitch, so as many copies of it as there are
     # tiles must hold the disk's area before the grid is sampled
     tiles_area = len(stacked) * tile_area
@@ -277,8 +287,8 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
     tested, missed, example = 0, 0, None
     if ok_tiles_area:
         tested, missed, example = _grid_cover_check(
-            stacked, in_disk, np.full(2, -r_inner), np.full(2, r_inner),
-            pitch, eps)
+            stacked, functools.partial(_in_disk, radius=r_inner - eps),
+            np.full(2, -r_inner), np.full(2, r_inner), pitch, eps)
     if example is not None:
         example = tuple((center + example).tolist())
     ok_grid = missed == 0
@@ -349,8 +359,8 @@ def check_periodicity(recipe) -> CheckReport:
         pitch = largest_inscribed_circle(tile)[1] / SAMPLE_DIVISOR
         eps = 1e-9 * math.sqrt(cell_area)
 
-        def in_cell(pts):
-            return points_in_convex_polygon(pts, cell, eps=-eps)
+        def in_cell(px, py):
+            return points_in_convex_polygon(px, py, cell, eps=-eps)
 
         tested, missed, example = _grid_cover_check(
             stacked, in_cell, cell.min(axis=0), cell.max(axis=0), pitch, eps)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from pentile.verifier import (
     SLACK,
     CheckReport,
     _grid_cover_check,
+    _in_disk,
     _pairwise_overlap,
     _separated,
     _side_lines,
@@ -392,7 +394,7 @@ def loop_grid_cover_check(polys, region_mask, lo, hi, pitch, eps):
     ys = np.arange(lo[1], hi[1] + pitch, pitch)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    pts = pts[region_mask(pts)]
+    pts = pts[region_mask(pts[:, 0], pts[:, 1])]
     covered = np.zeros(len(pts), dtype=bool)
     tree = cKDTree(pts)
     for poly in polys:
@@ -400,7 +402,8 @@ def loop_grid_cover_check(polys, region_mask, lo, hi, pitch, eps):
         rad = np.linalg.norm(poly - c, axis=1).max()
         idx = np.asarray(tree.query_ball_point(c, rad + pitch), dtype=int)
         sub = idx[~covered[idx]]
-        covered[sub] = points_in_convex_polygon(pts[sub], poly, eps=eps)
+        covered[sub] = points_in_convex_polygon(pts[sub, 0], pts[sub, 1],
+                                                poly, eps=eps)
     missed = int((~covered).sum())
     example = tuple(pts[~covered][0].tolist()) if missed else None
     return len(pts), missed, example
@@ -415,8 +418,9 @@ def test_grid_route_matches_tile_by_tile_scan(t4_patch, drop):
                    key=lambda p: np.linalg.norm(p.mean(axis=0) - center))
     polys = polys[drop:]
 
-    def in_disk(pts):
-        return np.linalg.norm(pts - center, axis=1) <= r_inner
+    def in_disk(px, py):
+        dx, dy = px - center[0], py - center[1]
+        return np.sqrt(dx * dx + dy * dy) <= r_inner
 
     args = (in_disk, center - r_inner, center + r_inner, 0.1, 1e-9)
     found = _grid_cover_check(stack_polygons(polys)[0], *args)
@@ -446,8 +450,9 @@ def grid_cover_cases(draw):
     if draw(st.booleans()):
         radius = draw(st.floats(0.5, 6.0))
 
-        def in_disk(pts):
-            return np.linalg.norm(pts - center, axis=1) <= radius - eps
+        def in_disk(px, py):
+            dx, dy = px - center[0], py - center[1]
+            return np.sqrt(dx * dx + dy * dy) <= radius - eps
 
         return polys, (in_disk, center - radius, center + radius, pitch, eps)
     u, v = np.asarray(recipe.u), np.asarray(recipe.v)
@@ -456,8 +461,8 @@ def grid_cover_cases(draw):
     if polygon_area(cell) < 0:
         cell = cell[::-1]
 
-    def in_cell(pts):
-        return points_in_convex_polygon(pts, cell, eps=-eps)
+    def in_cell(px, py):
+        return points_in_convex_polygon(px, py, cell, eps=-eps)
 
     return polys, (in_cell, cell.min(axis=0), cell.max(axis=0), pitch, eps)
 
@@ -467,6 +472,68 @@ def test_grid_route_matches_tile_by_tile_scan_anywhere(case):
     polys, args = case
     assert _grid_cover_check(stack_polygons(polys)[0], *args) == \
         loop_grid_cover_check(polys, *args)
+
+
+# the largest subnormal and below, either sign
+subnormals = st.floats(-2.2250738585072009e-308, 2.2250738585072009e-308)
+axis_values = st.lists(st.one_of(st.floats(-1e6, 1e6), subnormals),
+                       min_size=1, max_size=8)
+
+
+@given(axis_values, axis_values, st.one_of(st.floats(0.0, 1.5e6), subnormals),
+       st.data())
+def test_axis_wise_disk_mask_is_the_norm_bit_for_bit(xs, ys, radius, data):
+    """A row of x against a column of y gives, point for point, the mask
+    np.linalg.norm of the (x, y) points gives: on a drawn radius, and on
+    the norm of a drawn grid point and the float just below it, where one
+    bit of difference in a norm would flip the mask."""
+    xs, ys = np.array(xs), np.array(ys)
+    pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    norms = np.linalg.norm(pts, axis=1)
+    tie = norms[data.draw(st.integers(0, len(norms) - 1))]
+    for r in (radius, tie, np.nextafter(tie, -np.inf)):
+        mask = _in_disk(xs[None, :], ys[:, None], r)
+        assert mask.shape == (len(ys), len(xs))
+        assert np.array_equal(mask.ravel(), norms <= r)
+
+
+def test_coverage_grid_is_held_as_its_axes():
+    """check_coverage's tracemalloc peak on the Type 4 r = 80 patch (12 496
+    tiles, 761 836 sample points) stays under 24 MiB. The grid as an
+    (ny, nx, 2) point array, with its two meshgrid halves and the region
+    mask's norms, peaks near 46 MiB here."""
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    patch = generate_patch(recipe, 80.0)
+    tracemalloc.start()
+    try:
+        report = check_coverage(patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.violations
+    assert report.metrics["sample_points"] == 761836
+    assert peak < 24 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (13.7, -4.2), (1e4, -3e3)])
+def test_default_inner_radius_is_r_less_the_widest_corner_pair(type_id,
+                                                               center):
+    """r_inner = r - diam, diam taken over every corner pair of every tile
+    at once, bit for bit. Every tile's corners are rolled by each shift in
+    turn, so the widest pair falls on every corner slot."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    patch = generate_patch(recipe, 8.0, center)
+    for shift in range(5):
+        tiles = tuple(
+            dataclasses.replace(t, polygon=np.roll(t.polygon, shift, axis=0))
+            for t in patch.tiles)
+        stacked = (stack_polygons([t.polygon for t in tiles])[0]
+                   - np.asarray(patch.center))
+        diam = np.linalg.norm(stacked[:, :, None] - stacked[:, None],
+                              axis=-1).max()
+        rolled = Patch.from_tiles(tiles, r=patch.r, center=patch.center)
+        assert check_coverage(rolled).metrics["r_inner"] == patch.r - diam
 
 
 def disk_segment_term(a, b, r):
@@ -698,7 +765,8 @@ def test_house_inradius_matches_brute_force_search():
     xs = np.linspace(poly[:, 0].min(), poly[:, 0].max(), 241)
     ys = np.linspace(poly[:, 1].min(), poly[:, 1].max(), 241)
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    inside = grid[pentile.geometry.points_in_convex_polygon(grid, poly)]
+    inside = grid[pentile.geometry.points_in_convex_polygon(
+        grid[:, 0], grid[:, 1], poly)]
     # point_segment_distance's clamp and hypot, every point and side at once
     a = poly
     d = np.roll(poly, -1, axis=0) - a
@@ -793,7 +861,7 @@ def test_first_miss_is_reported_where_it_is():
     report = check_coverage(Patch.from_tiles(tiles, r=8.0, center=center))
     miss = re.search(r"first at \((.*), (.*)\)$", report.violations[-1])
     point = np.array([float(miss[1]), float(miss[2])])
-    assert points_in_convex_polygon(point, patch.tiles[victim].polygon,
+    assert points_in_convex_polygon(*point, patch.tiles[victim].polygon,
                                     eps=1e-6)
 
 
