@@ -135,7 +135,9 @@ class TilingRecipe:
             c = self.region_centroids
         if not np.isfinite(c).all():
             raise RecipeInvalid("a region tile has no finite centroid")
-        # check_periodicity probes one cell about the region centroids' mean
+        # vertex labels pad their (m, n) box by the cell arrangement's
+        # largest step, which grows with the region's spread in cells, and
+        # _enclosed_tiles' dense hub array spans that box
         far = np.abs((c - c.mean(axis=0)) @ np.linalg.inv(
             np.column_stack([self.u, self.v])).T).max()
         if not far <= 1.0:
@@ -296,9 +298,9 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
     """Ready-made periodic tiling recipe for Types 1, 2, 4 and 5.
 
     The pentagon may be labeled any way round; it is relabeled to the
-    canonical corner order of its Type first. The assembled recipe is checked
-    on a 3x3 window before it is returned. Recipes are frozen, so a repeated
-    call hands back the one already checked.
+    canonical corner order of its Type first. Each assembled candidate must
+    pass `check_periodicity` before it is returned. Recipes are frozen, so a
+    repeated call hands back the one already checked.
     """
     from .catalog import get_type_spec
 

@@ -23,15 +23,14 @@ from .geometry import (
     polygon_area,
     polygon_areas,
     polygon_disk_overlap_areas,
-    row_dots,
     smallest_enclosing_circle,
     stack_polygons,
 )
+from .tiling import near_translates
 
 AREA_TOL = 1e-9          # relative to a tile / disk / cell area
 SAMPLE_DIVISOR = 4.0     # grid pitch = tile inradius / SAMPLE_DIVISOR
 GRID_POINTS_PER_TILE = 1024  # coverage grid bound; past it the pitch widens
-WINDOW = (-1, 0, 1)      # lattice offsets of the 3x3 periodicity window
 CHUNK = 1024             # rows per stacked pass, to bound its scratch memory
 SLACK = 1e-12            # separating-axis slack, per unit of a mean side
 
@@ -102,7 +101,7 @@ def _separated(stacked, lines, a, b):
 
 def _pairwise_overlap(stacked, counts):
     """Worst pairwise overlap area among stacked ccw convex polygons, with
-    its pair, among the pairs whose bounding circles meet.
+    its pair, among the close pairs of corner-mean centres.
 
     Each CHUNK of pairs first runs the separating-axis test, _separated:
     the side lines of i against the corners of j, then those of j against
@@ -118,12 +117,6 @@ def _pairwise_overlap(stacked, counts):
         return 0.0, None
     centers, radii = _bounding_circles(stacked, counts)
     i, j = close_pairs(centers, 2.0 * radii.max())
-    gap = centers[i] - centers[j]
-    # np.linalg.norm's own dot product; touching circles are common in
-    # periodic tilings
-    dist = np.sqrt(row_dots(gap, gap))
-    meet = ~(dist > radii[i] + radii[j])
-    i, j = i[meet], j[meet]
     lines = _side_lines(stacked)
     areas = np.zeros(len(i))
     for start in range(0, len(i), CHUNK):
@@ -324,53 +317,56 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
 def check_periodicity(recipe) -> CheckReport:
     """A recipe tiles the plane iff the region tiles one lattice cell.
 
-    Checks, on a 3x3 block of cells: the region area equals the cell area,
-    no two placed tiles overlap, and the central cell parallelogram is
-    covered exactly. The grid sample of the central cell runs only once
-    the areas agree.
+    The region area must equal the cell area; only then is the window built,
+    as a cell the region does not fill can need an unbounded one. The window
+    (`near_translates`) is every translate whose centroid lies within half
+    the probe cell's longer diagonal, plus `recipe.radius` and the merge
+    distance, of the cell's centre, the mean of the region centroids: every
+    translate meeting the cell, and so a translate of every overlapping
+    pair. A lattice box over MAX_TRANSLATES raises ParseError. The clips of
+    a complete window sum to the region area for any recipe, as
+    sum_t area((T + t) ∩ C) = area(T) over the lattice translations t, so
+    the cell clip checks that the window is complete, the grid sample that
+    the cell is covered, and the overlap check that no two tiles overlap.
     """
-    base = recipe.region_corners
-    u = np.asarray(recipe.u)
-    v = np.asarray(recipe.v)
     cell_area = recipe.cell_area()
-    region_area = sum(abs(polygon_area(p)) for p in base)
-    ok_area = abs(region_area - cell_area) <= AREA_TOL * cell_area
+    region_area = sum(abs(polygon_area(p)) for p in recipe.region_corners)
+    metrics = {"region_area": region_area, "cell_area": cell_area,
+               "max_overlap_area": 0.0, "central_cell_covered": 0.0,
+               "sample_points": 0, "sample_misses": 0}
+    if not abs(region_area - cell_area) <= AREA_TOL * cell_area:
+        return CheckReport(
+            name="periodicity", ok=False, metrics=metrics, violations=[
+                f"region area {region_area:.9g} != lattice cell area "
+                f"{cell_area:.9g}; window not checked"])
 
-    stacked, counts = stack_polygons(
-        [p + m * u + n * v for m in WINDOW for n in WINDOW for p in base])
-    # region tiles are congruent copies of the pentagon; measure it once
-    tile = recipe.pentagon.vertices
-    tile_area = abs(polygon_area(tile))
-    worst, pair = _pairwise_overlap(stacked, counts)
-    ok_overlap = worst <= AREA_TOL * tile_area
-
-    # probe cell centered on the region itself; any lattice translate of
-    # the parallelogram is a fundamental domain
+    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
     anchor = recipe.region_centroids.mean(axis=0)
     p0 = anchor - (u + v) / 2.0
     cell = ccw(np.array([p0, p0 + u, p0 + u + v, p0 + v]))
+    reach = (max(np.linalg.norm(u + v), np.linalg.norm(u - v)) / 2.0
+             + recipe.radius + recipe.merge_distance)
+    _, stacked = near_translates(recipe, anchor[None], reach)
+    counts = np.full(len(stacked), stacked.shape[1])
+
+    # region tiles are congruent copies of the pentagon; measure it once
+    tile = recipe.pentagon.vertices
+    worst, pair = _pairwise_overlap(stacked, counts)
+    ok_overlap = worst <= AREA_TOL * abs(polygon_area(tile))
     clipped = sum(convex_overlap_areas(
         stacked, counts, np.broadcast_to(cell, (len(stacked), 4, 2))).tolist())
     ok_cell = abs(clipped - cell_area) <= AREA_TOL * cell_area
 
-    # a cell the region does not fill may be far too large to sample
-    tested, missed, example = 0, 0, None
-    if ok_area:
-        pitch = largest_inscribed_circle(tile)[1] / SAMPLE_DIVISOR
-        eps = 1e-9 * math.sqrt(cell_area)
+    pitch = largest_inscribed_circle(tile)[1] / SAMPLE_DIVISOR
+    eps = 1e-9 * math.sqrt(cell_area)
 
-        def in_cell(px, py):
-            return points_in_convex_polygon(px, py, cell, eps=-eps)
+    def in_cell(px, py):
+        return points_in_convex_polygon(px, py, cell, eps=-eps)
 
-        tested, missed, example = _grid_cover_check(
-            stacked, in_cell, cell.min(axis=0), cell.max(axis=0), pitch, eps)
-    ok_grid = missed == 0
+    tested, missed, example = _grid_cover_check(
+        stacked, in_cell, cell.min(axis=0), cell.max(axis=0), pitch, eps)
 
     violations = []
-    if not ok_area:
-        violations.append(
-            f"region area {region_area:.9g} != lattice cell area "
-            f"{cell_area:.9g}; grid sample skipped")
     if not ok_overlap:
         violations.append(
             f"window tiles {pair[0]} and {pair[1]} overlap by {worst:.3e}")
@@ -378,17 +374,15 @@ def check_periodicity(recipe) -> CheckReport:
         violations.append(
             f"window covers {clipped:.9g} of the central cell, "
             f"expected {cell_area:.9g}")
-    if not ok_grid:
+    if missed:
         violations.append(
             f"{missed} of {tested} cell sample points uncovered, "
             f"first at {example}")
-    return CheckReport(
-        name="periodicity",
-        ok=ok_area and ok_overlap and ok_cell and ok_grid,
-        violations=violations,
-        metrics={"region_area": region_area, "cell_area": cell_area,
-                 "max_overlap_area": worst, "central_cell_covered": clipped,
-                 "sample_points": tested, "sample_misses": missed})
+    metrics.update(max_overlap_area=worst, central_cell_covered=clipped,
+                   sample_points=tested, sample_misses=missed)
+    return CheckReport(name="periodicity",
+                       ok=ok_overlap and ok_cell and not missed,
+                       violations=violations, metrics=metrics)
 
 
 @dataclass(frozen=True)

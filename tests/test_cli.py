@@ -178,7 +178,7 @@ def test_verify_recipe_with_a_huge_lattice_fails_its_area(capsys, tmp_path):
     report = json.loads(out)
     assert report["pass"] is False
     assert report["metrics"]["sample_points"] == 0
-    assert report["violations"][0].endswith("; grid sample skipped")
+    assert report["violations"][0].endswith("; window not checked")
 
 
 def moved_three_cells(document):

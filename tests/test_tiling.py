@@ -1,4 +1,5 @@
 """Isometry algebra, recipes, patch generation, and the arrangement."""
+import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +32,13 @@ from pentile.geometry import (
     segment_distances,
 )
 from pentile.pentagon import CORNERS, solve_edges
-from pentile.stats import INTERIOR, compute_stats, euler_residual, limit_sweep
+from pentile.stats import (
+    FULL,
+    INTERIOR,
+    compute_stats,
+    euler_residual,
+    limit_sweep,
+)
 from pentile.tiling import (
     Isometry,
     TilingRecipe,
@@ -616,14 +623,33 @@ def test_builtin_recipe_tries_the_same_candidates(type_id):
 
 def test_failing_type1_row_pairs_report_the_full_clip_overlap():
     """A Type 1 pentagon 4 degrees and 10 % off the default: both row-pair
-    candidates overlap and fail, and the hexagon pair is chosen."""
+    candidates fail by area alone, unclipped, and the hexagon pair is
+    chosen."""
     spec = get_type_spec(1)
     params = dict(spec.default_params)
     params["A"] += math.radians(-4.0)
     params["a"] *= 0.9
     seen = assert_candidates_match_full_clip(1,
                                              solve_instance(spec, params))
-    assert seen == [(False, True), (False, True), (True, False)]
+    assert seen == [(False, False), (False, False), (True, False)]
+
+
+def test_a_turned_region_tile_fails_by_the_full_clip_overlap():
+    """Type 4 with region tile 1 turned 1 degree about its centroid: the
+    areas still agree, so the window is built and clipped, and it reports
+    the overlap that every pair clipped gives."""
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    region = list(recipe.region)
+    region[1] = Isometry.rotation_about(
+        math.radians(1.0), recipe.region_centroids[1]).compose(region[1])
+    turned = dataclasses.replace(recipe, region=tuple(region))
+    report = check_periodicity(turned)
+    with mock.patch.object(verifier, "_pairwise_overlap",
+                           full_clip_pairwise_overlap):
+        reference = check_periodicity(turned)
+    assert not report.ok
+    assert report.violations == reference.violations == [
+        "window tiles 0 and 5 overlap by 3.523e-03"]
 
 
 @settings(max_examples=30)
@@ -632,6 +658,34 @@ def test_sweep_candidates_match_full_clip(drawn):
     """The pentagons of sweep_recipes(), each built afresh."""
     assert assert_candidates_match_full_clip(drawn[0].id,
                                              solve_instance(*drawn))
+
+
+def disk_stats(recipe):
+    patch = generate_patch(recipe, 8.0)
+    return compute_stats(patch, FULL), compute_stats(patch, INTERIOR)
+
+
+@settings(max_examples=20)
+@given(st.one_of(
+    st.sampled_from(BUILTIN_SWEEP_TYPES).map(
+        lambda t: builtin_recipe(t, pentile.representative(t).pentagon)),
+    sweep_recipes()))
+def test_sheared_bases_tile_alike(recipe):
+    """u + k·v and v + k·u, k in [-4, 4], span the recipe's lattice. Where
+    TilingRecipe takes the sheared basis, the recipe is periodic, and its
+    disk at r = 8 has the same FULL and INTERIOR statistics."""
+    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
+    expected = disk_stats(recipe)
+    for k in range(-4, 5):
+        for basis in ((u + k * v, v), (u, v + k * u)):
+            try:
+                sheared = dataclasses.replace(recipe, u=tuple(basis[0]),
+                                              v=tuple(basis[1]))
+            except RecipeInvalid:
+                continue    # a region tile a cell from the centroids' mean
+            report = check_periodicity(sheared)
+            assert report.ok, (k, basis, report.violations)
+            assert disk_stats(sheared) == expected, (k, basis)
 
 
 def assert_sound_patch(patch):

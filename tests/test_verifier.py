@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile import geometry
+from pentile import geometry, verifier
 from pentile.arrangement import Patch, patch_from_json_dict
 from pentile.errors import DegenerateTile, InvalidInnerRadius
 from pentile.geometry import (
@@ -726,6 +727,26 @@ def test_stretched_lattice_fails_periodicity():
     assert not report.ok
     assert type(report.ok) is bool
     assert report.violations
+
+
+@pytest.mark.parametrize("scale", [0.03, 0.01, 0.003])
+def test_a_cell_the_region_does_not_fill_builds_no_window(scale):
+    """One Type 5 tile in a shrunken cell: a window holding every translate
+    that meets the tile would grow as 1 / scale squared, and its pairs as
+    the fourth power, so the area fails alone and no window is built."""
+    recipe = builtin_recipe(5, pentile.representative(5).pentagon)
+    shrunk = dataclasses.replace(recipe, region=recipe.region[:1],
+                                 u=tuple(scale * np.asarray(recipe.u)),
+                                 v=tuple(scale * np.asarray(recipe.v)))
+    with mock.patch.object(verifier, "near_translates",
+                           side_effect=AssertionError("window built")):
+        report = check_periodicity(shrunk)
+    assert not report.ok
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith("region area ")
+    assert report.violations[0].endswith("; window not checked")
+    assert report.metrics["sample_points"] == 0
+    assert report.metrics["max_overlap_area"] == 0.0
 
 
 def test_periodicity_passing_recipe_verifies_at_several_radii():
