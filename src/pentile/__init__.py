@@ -31,13 +31,10 @@ from .catalog import (
 from .pentagon import (
     AngleRelation,
     Pentagon,
-    RelationSet,
     enumerate_relations,
     has_theorem1_property,
-    load_pentagon,
     make_pentagon,
     pentagon_from_json_dict,
-    pentagon_to_json,
     satisfied_relations,
     solve_edges,
 )
@@ -49,7 +46,6 @@ from .tiling import (
     congruence_defect,
     generate_patch,
     load_recipe,
-    save_recipe,
     tile_diameter,
 )
 from .arrangement import (

@@ -135,25 +135,13 @@ class Patch:
     r: float | None = None
     center: tuple[float, float] | None = None
 
-    @property
-    def tile_count(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertex_xy)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_vertices)
-
     def interior_tile_ids(self) -> np.ndarray:
         """Tiles whose whole boundary is surrounded by patch tiles: those
         that no incomplete vertex lists in vertex_tiles."""
         vt = self.vertex_tiles
         open_tiles = vt.indices[np.repeat(~self.complete, np.diff(vt.indptr))]
         return np.flatnonzero(
-            np.bincount(open_tiles, minlength=self.tile_count) == 0)
+            np.bincount(open_tiles, minlength=len(self.tiles)) == 0)
 
     @cached_property
     def vertices(self) -> Records:
@@ -525,7 +513,8 @@ def patch_from_json_dict(document: dict) -> Patch:
         r, center = document.get("r"), document.get("center")
         r = None if r is None else float(r)
         center = None if center is None else tuple(float(x) for x in center)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ParseError(f"bad patch document: {exc}") from None
     if r is not None and not 0 < r <= COORD_LIMIT:
         raise ParseError(f"patch radius must be in (0, {COORD_LIMIT:g}], "

@@ -40,43 +40,6 @@ CLASSIFY_TOL = 1e-6
 _TERM = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?([A-Ea-e])?$")
 
 
-def _parse_equation(text: str):
-    """Linear equation over corner letters A..E and edge letters a..e.
-
-    Returns (coeffs over the 10 variables, constant). Angle equations are
-    written in degrees in data files; the constant is converted to radians
-    here so every runtime quantity stays in radians.
-    """
-    if text.count("=") != 1:
-        raise ParseError(f"equation needs exactly one '=': {text!r}")
-    coeffs = np.zeros(10)
-    constant = 0.0
-    for side, sign in zip(text.split("="), (1.0, -1.0)):
-        compact = side.replace(" ", "")
-        if not compact:
-            raise ParseError(f"empty side in equation {text!r}")
-        for chunk in re.findall(r"[+-]?[^+-]+", compact):
-            m = _TERM.match(chunk)
-            if not m or (m.group(2) is None and m.group(3) is None):
-                raise ParseError(f"bad term {chunk!r} in equation {text!r}")
-            value = float(m.group(2)) if m.group(2) else 1.0
-            if m.group(1) == "-":
-                value = -value
-            if m.group(3):
-                coeffs[_VAR_INDEX[m.group(3)]] += sign * value
-            else:
-                constant -= sign * value
-    touches_angles = bool(coeffs[:5].any())
-    touches_edges = bool(coeffs[5:].any())
-    if touches_angles and touches_edges:
-        raise ParseError(f"equation mixes angles and edges: {text!r}")
-    if not touches_angles and not touches_edges:
-        raise ParseError(f"equation has no variables: {text!r}")
-    if touches_angles:
-        constant = math.radians(constant)
-    return tuple(coeffs), constant
-
-
 @dataclass(frozen=True)
 class LinearEquation:
     text: str
@@ -85,8 +48,40 @@ class LinearEquation:
 
     @classmethod
     def parse(cls, text: str) -> "LinearEquation":
-        coeffs, constant = _parse_equation(text)
-        return cls(text=text, coeffs=coeffs, constant=constant)
+        """Linear equation over corner letters A..E and edge letters a..e:
+        coeffs over the 10 variables and a constant. Angle equations are
+        written in degrees in data files; the constant is converted to
+        radians here so every runtime quantity stays in radians.
+        """
+        if text.count("=") != 1:
+            raise ParseError(f"equation needs exactly one '=': {text!r}")
+        coeffs = np.zeros(10)
+        constant = 0.0
+        for side, sign in zip(text.split("="), (1.0, -1.0)):
+            compact = side.replace(" ", "")
+            if not compact:
+                raise ParseError(f"empty side in equation {text!r}")
+            for chunk in re.findall(r"[+-]?[^+-]+", compact):
+                m = _TERM.match(chunk)
+                if not m or (m.group(2) is None and m.group(3) is None):
+                    raise ParseError(
+                        f"bad term {chunk!r} in equation {text!r}")
+                value = float(m.group(2)) if m.group(2) else 1.0
+                if m.group(1) == "-":
+                    value = -value
+                if m.group(3):
+                    coeffs[_VAR_INDEX[m.group(3)]] += sign * value
+                else:
+                    constant -= sign * value
+        touches_angles = bool(coeffs[:5].any())
+        touches_edges = bool(coeffs[5:].any())
+        if touches_angles and touches_edges:
+            raise ParseError(f"equation mixes angles and edges: {text!r}")
+        if not touches_angles and not touches_edges:
+            raise ParseError(f"equation has no variables: {text!r}")
+        if touches_angles:
+            constant = math.radians(constant)
+        return cls(text=text, coeffs=tuple(coeffs), constant=constant)
 
     @property
     def is_angle_equation(self) -> bool:

@@ -62,12 +62,14 @@ def _opened(path: str | None, stack: contextlib.ExitStack):
 
 
 def _load_json_file(path: str):
+    """The parsed JSON in the file at path, for the library's document
+    readers; ParseError when the file cannot be read or decoded."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # undecodable, too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -111,11 +113,7 @@ def _spec_json(type_id: int) -> dict:
         "edge_classes": ["=".join(cls) for cls in spec.edge_classes],
         "edge_equations": _equations(spec.edge_eqs),
         "degrees_of_freedom": spec.dof,
-        "representative": {
-            "angles_deg": [math.degrees(a) for a in rep.pentagon.angles],
-            "edges": list(rep.pentagon.edges),
-            "note": rep.note,
-        },
+        "representative": {**rep.pentagon.to_json_dict(), "note": rep.note},
     }
 
 

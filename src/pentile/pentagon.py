@@ -10,7 +10,6 @@ and CLI boundaries.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -220,9 +219,6 @@ class AngleRelation:
     def holds(self, pentagon: Pentagon, tol: float = DEFAULT_RELATION_TOL) -> bool:
         return abs(self.value(pentagon) - 2.0 * math.pi) <= tol
 
-    def __str__(self) -> str:
-        return self.name
-
 
 def _coeffs_for(indices) -> tuple[int, ...]:
     c = [0] * 5
@@ -252,35 +248,12 @@ def enumerate_relations() -> list[AngleRelation]:
     return rels
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """Relations a pentagon satisfies, with the tolerance used to decide."""
-
-    relations: tuple[AngleRelation, ...]
-    tol: float
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.relations)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, str):
-            return item in self.names
-        return item in self.relations
-
-    def __len__(self) -> int:
-        return len(self.relations)
-
-    def __iter__(self):
-        return iter(self.relations)
-
-
-def satisfied_relations(pentagon: Pentagon,
-                        tol: float = DEFAULT_RELATION_TOL) -> RelationSet:
-    """Evaluate all 35 relations against a pentagon's angles."""
+def satisfied_relations(pentagon: Pentagon, tol: float = DEFAULT_RELATION_TOL
+                        ) -> tuple[AngleRelation, ...]:
+    """The relations, of all 35 in canonical order, that the pentagon's
+    angles satisfy within tol."""
     require_positive("tol", tol)
-    hits = tuple(r for r in enumerate_relations() if r.holds(pentagon, tol))
-    return RelationSet(hits, tol)
+    return tuple(r for r in enumerate_relations() if r.holds(pentagon, tol))
 
 
 def has_theorem1_property(pentagon: Pentagon,
@@ -292,25 +265,12 @@ def has_theorem1_property(pentagon: Pentagon,
 
 # --- file format ----------------------------------------------------------
 
-def pentagon_to_json(pentagon: Pentagon) -> str:
-    return json.dumps(pentagon.to_json_dict(), sort_keys=True)
-
-
-def pentagon_from_json_dict(data: dict) -> Pentagon:
+def pentagon_from_json_dict(data) -> Pentagon:
+    """The pentagon of a parsed pentagon document, {"angles_deg": [...],
+    "edges": [...]}; ParseError when it is not one."""
     try:
         angles = [math.radians(float(x)) for x in data["angles_deg"]]
         edges = [float(x) for x in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pentagon record: {exc}") from exc
     return make_pentagon(angles, edges)
-
-
-def load_pentagon(path) -> Pentagon:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read pentagon file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"pentagon file {path} must hold a JSON object")
-    return pentagon_from_json_dict(data)

@@ -51,7 +51,7 @@ def compute_stats(patch, mode: str = FULL) -> PatchStats:
     """
     tile_h = np.diff(patch.tile_adjacents.indptr)
     vertex_j = np.diff(patch.vertex_tiles.indptr)
-    edge_count = patch.edge_count
+    edge_count = len(patch.edge_vertices)
     if mode == INTERIOR:
         tile_h = tile_h[patch.interior_tile_ids()]
         vertex_j = vertex_j[patch.complete]

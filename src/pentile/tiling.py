@@ -8,13 +8,13 @@ tiling generated by a disk.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
+from .catalog import get_type_spec
 from .errors import (
     ParseError,
     RecipeInvalid,
@@ -26,11 +26,19 @@ from .errors import (
 from .geometry import (
     ccw,
     component_labels,
+    interior_angles,
     polygon_centroid,
     polygon_distances,
+    polygon_edge_lengths,
     rot_matrix,
 )
 from .pentagon import Pentagon, pentagon_from_json_dict
+
+# builtin_recipe, generate_patch and stats.limit_sweep import
+# check_periodicity, Patch and generate_patch in their bodies: verifier and
+# arrangement import this module, and a name looked up at call time is the
+# one a tracer that replaces module attributes (perfbench/spans.py)
+# installed, so the calls made inside the library are traced too.
 
 LATTICE_TOL = 1e-12        # |u x v| below this (relative) means parallel
 SNAP_FACTOR = 1e-7         # vertex merge radius, relative to mean edge
@@ -38,8 +46,9 @@ SNAP_FACTOR = 1e-7         # vertex merge radius, relative to mean edge
 # document's numbers: the enclosing circle's product of three stays finite
 COORD_LIMIT = 1e100
 RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
-# most lattice translates near_translates scans: generating a patch peaks at
-# about 1 970 B per tile (Type 4 at r = 300), so this keeps it under 4 GiB
+# most lattice translates near_translates scans. It bounds the scan, not a
+# run's memory: a patch peaks at about 1 970 B per tile (Type 4 at r = 300),
+# and Type 4 at r = 600 passes this bound and needs more than 3 GiB
 MAX_TRANSLATES = 2_000_000
 
 
@@ -111,7 +120,7 @@ class Isometry:
                 raise TypeError(f"reflect {reflect!r} is not true or false")
             return cls(rotation=math.radians(rot_deg), translation=(tx, ty),
                        reflect=reflect)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ParseError(f"bad isometry record: {exc}") from None
 
 
@@ -188,17 +197,9 @@ class TilingRecipe:
                 "lattice": [list(self.u), list(self.v)]}
 
 
-def save_recipe(recipe: TilingRecipe) -> str:
-    return json.dumps(recipe.to_json_dict(), sort_keys=True, indent=2)
-
-
 def load_recipe(document) -> TilingRecipe:
-    """Build a recipe from a JSON string or an already-parsed mapping."""
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"recipe is not valid JSON: {exc}") from None
+    """The recipe of a parsed recipe document, as `to_json_dict` gives it;
+    ParseError when it is not one."""
     if not isinstance(document, Mapping):
         raise ParseError("recipe document must be a JSON object")
     try:
@@ -206,7 +207,7 @@ def load_recipe(document) -> TilingRecipe:
         region_docs = list(document["region"])
         (ux, uy), (vx, vy) = document["lattice"]
         u, v = (float(ux), float(uy)), (float(vx), float(vy))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad recipe document: {exc}") from None
     pentagon = pentagon_from_json_dict(pentagon_doc)
     region = tuple(Isometry.from_json_dict(r) for r in region_docs)
@@ -302,8 +303,6 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
     pass `check_periodicity` before it is returned. Recipes are frozen, so a
     repeated call hands back the one already checked.
     """
-    from .catalog import get_type_spec
-
     if type_id not in _REGION_BUILDERS:
         raise UnknownType(
             f"no built-in recipe for Type {type_id!r}; "
@@ -468,8 +467,6 @@ def _enclosed_tiles(cells: np.ndarray, is_open: np.ndarray,
 def congruence_defect(tile: PlacedTile, pentagon: Pentagon) -> float:
     """Largest deviation of the placed tile's edge lengths and angles from
     the recipe pentagon's, as multisets."""
-    from .geometry import interior_angles, polygon_edge_lengths
-
     edges = np.sort(polygon_edge_lengths(tile.polygon))
     angles = np.sort(interior_angles(tile.polygon))
     return max(float(np.max(np.abs(edges - np.sort(pentagon.edges)))),

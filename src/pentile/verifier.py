@@ -142,8 +142,8 @@ def check_no_overlap(patch) -> CheckReport:
     pair is certified. A certified pair shares at most δ · diam, far below
     the bound. Areas and clips are taken relative to the disk center, when
     the patch has one: their rounding then scales with the tiles, not with
-    how far the disk lies from the origin. A tile of zero area is
-    DegenerateTile.
+    how far the disk lies from the origin. A tile of zero area, or one so
+    small that the overlap over its area is not finite, is DegenerateTile.
     """
     stacked, counts = stack_polygons([t.polygon for t in patch.tiles])
     if patch.center is not None:
@@ -153,6 +153,10 @@ def check_no_overlap(patch) -> CheckReport:
     if ref == 0.0:
         raise DegenerateTile(f"tile {int(np.argmin(areas))} has zero area")
     worst, pair = _pairwise_overlap(stacked, counts)
+    if not math.isfinite(worst / ref):
+        raise DegenerateTile(
+            f"tile {int(np.argmin(areas))} has area {ref:.3e}, too small "
+            f"for the overlap {worst:.3e} to be a finite fraction of it")
     ok = worst <= AREA_TOL * ref
     violations = []
     if not ok:

@@ -5,6 +5,7 @@ and asserts the same condition, so `pytest -v` shows one verdict per
 criterion.
 """
 import itertools
+import json
 import math
 import time
 from pathlib import Path
@@ -38,7 +39,8 @@ def verdict(ok: bool, name: str, detail: str) -> None:
 
 
 def house():
-    return pentile.load_pentagon(DATA / "house.json")
+    return pentile.pentagon_from_json_dict(
+        json.loads((DATA / "house.json").read_text()))
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +99,7 @@ def test_c2_relation_list_matches_published_enumeration():
 def test_c3_house_pentagon_satisfied_set():
     p = house()
     tol = 1e-6
-    reported = set(pentile.satisfied_relations(p, tol=tol).names)
+    reported = {r.name for r in pentile.satisfied_relations(p, tol=tol)}
 
     # independent oracle: exhaustive sweep of all 35 three-corner sums
     oracle = set()

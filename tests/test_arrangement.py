@@ -18,7 +18,7 @@ from pentile.arrangement import (SNAP_FACTOR, CellArrangement, Patch,
                                  patch_from_json_dict, vertex_labels)
 from pentile.geometry import close_pairs, component_labels, interior_angles
 from pentile.jsontext import dumps, patch_document
-from pentile.pentagon import pentagon_to_json
+from pentile.pentagon import pentagon_from_json_dict
 from pentile.stats import (FULL, INTERIOR, PatchStats, compute_stats,
                            euler_residual)
 from pentile.tiling import builtin_recipe, generate_patch
@@ -147,7 +147,8 @@ def patch_fields(patch):
 @pytest.mark.parametrize("type_id, center", [
     (1, (0.0, 0.0)), (2, (0.37, -1.21)), (4, (0.0, 0.0)), (5, (0.37, -1.21))])
 def test_generated_patch_matches_loop_reference(type_id, center):
-    pentagon = (pentile.load_pentagon(DATA / "house.json") if type_id == 1
+    house = json.loads((DATA / "house.json").read_text())
+    pentagon = (pentagon_from_json_dict(house) if type_id == 1
                 else pentile.representative(type_id).pentagon)
     patch = generate_patch(builtin_recipe(type_id, pentagon), 5.0, center)
     polys = [t.polygon for t in patch.tiles]
@@ -177,7 +178,7 @@ def test_chained_corners_merge_into_one_vertex_at_their_mean():
         triangles.append(np.vstack([tip, far]))
     patch = Patch.from_polygons(triangles)
     assert [row[0] for row in patch.corner_vertices.rows()] == [0, 0, 0]
-    assert patch.vertex_count == 1 + 2 * 3
+    assert len(patch.vertex_xy) == 1 + 2 * 3
     assert patch.vertices[0].xy == pytest.approx(tuple(np.mean(tips, axis=0)),
                                                  abs=1e-15)
     assert patch.vertices[0].tiles == (0, 1, 2)
@@ -188,7 +189,7 @@ def test_mixed_squares_and_pentagons():
                         dtype=float)
     patch = Patch.from_polygons([square(0, 0), pentagon])
     assert [len(c) for c in patch.corner_vertices.rows()] == [4, 5]
-    assert (patch.vertex_count, patch.edge_count) == (7, 8)
+    assert (len(patch.vertex_xy), len(patch.edge_vertices)) == (7, 8)
     assert euler_residual(compute_stats(patch)) == 0
     assert patch.tile_adjacents.rows() == [(1,), (0,)]
     shared = [e for e in patch.edges if e.tiles == (0, 1)]
@@ -234,7 +235,8 @@ def test_interior_tiles_need_every_boundary_vertex_complete(gap_filled):
 
 def test_no_polygons_make_an_empty_patch():
     patch = Patch.from_polygons([])
-    assert (patch.tile_count, patch.vertex_count, patch.edge_count) == (0, 0, 0)
+    assert (len(patch.tiles), len(patch.vertex_xy),
+            len(patch.edge_vertices)) == (0, 0, 0)
     for rows in (patch.corner_vertices, patch.tile_adjacents,
                  patch.vertex_tiles, patch.edge_tiles):
         assert rows.rows() == []
@@ -277,7 +279,7 @@ def test_reading_records_leaves_no_objects_behind():
     assert sum(1 for v in patch.vertices if v.pseudo) >= 0
     assert sum(1 for e in patch.edges if len(e.tiles) > 2) == 0
     gc.collect()
-    assert patch.edge_count > 2000
+    assert len(patch.edge_vertices) > 2000
     assert len(gc.get_objects()) - before < 50
 
 
@@ -288,7 +290,7 @@ def test_vertex_ids_follow_first_corner_occurrence():
     order = []
     for vids in patch.corner_vertices.rows():
         order += [v for v in vids if v not in order]
-    assert order == list(range(patch.vertex_count))
+    assert order == list(range(len(patch.vertex_xy)))
 
 
 def test_tile_duplicated_in_place_crowds_its_shared_edge():
@@ -325,8 +327,8 @@ def test_document_is_read_off_the_arrays(type_id):
         recipe = builtin_recipe(type_id,
                                 pentile.representative(type_id).pentagon)
         patch = generate_patch(recipe, 6.0, (0.37, -1.21))
-        assert recipe.to_json_dict()["pentagon"] == json.loads(
-            pentagon_to_json(recipe.pentagon))
+        assert (recipe.to_json_dict()["pentagon"]
+                == recipe.pentagon.to_json_dict())
     document = json.dumps(patch.to_json_dict())
     assert "vertices" not in patch.__dict__
     assert "edges" not in patch.__dict__

@@ -66,6 +66,21 @@ def test_tracing_puts_every_attribute_back():
     assert all(restored[name] is originals[name] for name in originals)
 
 
+def test_calls_inside_the_library_are_traced():
+    """builtin_recipe and limit_sweep look check_periodicity and
+    generate_patch up when called, so the tracer's wrappers run beneath
+    theirs. The pentagon is scaled so that no cached recipe answers."""
+    spans = load_perfbench("spans")
+    pentagon = pentile.representative(4).pentagon.scaled(1.0 + 1.0 / 7919)
+    with spans.Tracer().installed() as tracer:
+        recipe = tiling.builtin_recipe(4, pentagon)
+        stats.limit_sweep(recipe, [5.0])
+    parents = {(span.name, tracer.spans[span.parent].name)
+               for span in tracer.spans if span.parent is not None}
+    assert ("verifier.check_periodicity", "tiling.builtin_recipe") in parents
+    assert ("tiling.generate_patch", "stats.limit_sweep") in parents
+
+
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
 def test_benchmark_checks_pass_on_library_outputs(type_id):
     """The checks the benchmark applies to each operation's result pass on

@@ -77,11 +77,39 @@ def test_theorem1_regular_pentagon_fails(capsys, tmp_path):
     assert record["satisfied"] == []
 
 
-def test_theorem1_bad_file(capsys, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{oops")
-    code, _, err = run(capsys, "theorem1", "--pentagon", str(path))
-    assert code == 2
+# file contents that are no pentagon, recipe or patch document; None is a
+# path that does not exist, and "" the directory the file would be in
+NOT_A_DOCUMENT = {
+    "not-json": "{oops",
+    "not-utf-8": b"\xff\xfe{",
+    "nested-too-deep": "[" * 100_000 + "]" * 100_000,
+    "list": "[1, 2, 3]",
+    "null": "null",
+    "string": '"house"',
+    "double-encoded-recipe": json.dumps(
+        (DATA / "type5_recipe.json").read_text()),
+    "missing": None,
+    "directory": "",
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("theorem1", "--pentagon"), ("verify", "--recipe"), ("verify", "--patch")])
+@pytest.mark.parametrize("name", sorted(NOT_A_DOCUMENT))
+def test_a_file_holding_no_document_is_a_parse_error(capsys, tmp_path,
+                                                     command, flag, name):
+    """The CLI reads every file the one way, and each document reader
+    refuses anything but its own JSON object, a string of one included."""
+    content = NOT_A_DOCUMENT[name]
+    path = tmp_path / "input.json"
+    if content == "":
+        path = tmp_path
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, command, flag, str(path))
+    assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
 
 
@@ -195,6 +223,10 @@ MALFORMED_RECIPES = {
     "lattice-1e308": (lambda d: d.update(
         lattice=[[1e308, 1e308], [1e308, -1e308]]), "ParseError"),
     "tx-1e300": (lambda d: d["region"][1].update(tx=1e300), "ParseError"),
+    "lattice-int-1e400": (lambda d: d.update(lattice=[[10**400, 0], [0, 1]]),
+                          "ParseError"),
+    "tx-int-1e400": (lambda d: d["region"][1].update(tx=10**400),
+                     "ParseError"),
     # so far out that the tile's area, and with it its centroid, is lost
     "one-tile-tx-1e50": (lambda d: d.update(
         region=[dict(d["region"][0], tx=1e50)]), "RecipeInvalid"),
@@ -319,6 +351,10 @@ BAD_PATCH_EDITS = {
     "polygon-huge": {"tiles": [{"polygon": [[0, 0], [1e160, 0], [0, 1e160]]}]},
     "centre-huge": {"center": [1e160, 0.0]},
     "r-huge": {"r": 1e160},
+    # integer literals no float holds
+    "polygon-int-1e400": {"tiles": [{"polygon": [[0, 0], [10**400, 0],
+                                                 [0, 1]]}]},
+    "r-int-1e400": {"r": 10**400},
 }
 
 
@@ -343,6 +379,7 @@ BAD_PATCH_EDITS = {
     "stats --patch polygon-star",
     "verify --patch polygon-huge", "stats --patch polygon-huge",
     "verify --patch centre-huge", "verify --patch r-huge",
+    "verify --patch polygon-int-1e400", "verify --patch r-int-1e400",
     "catalog list 99",
 ])
 def test_bad_flags_and_patch_documents_are_parse_errors(capsys, tmp_path,
@@ -419,6 +456,24 @@ def test_verify_fails_a_disk_the_tiles_cannot_cover(capsys, tmp_path, name):
     assert report["metrics"]["sample_misses"] == 0
     assert any("grid sample skipped" in v for v in report["violations"])
     assert "NaN" not in out
+
+
+def test_a_tile_too_small_to_weigh_an_overlap_against_is_degenerate(
+        capsys, tmp_path):
+    """Two squares overlap by area 2, and a third tile's area is 1e-320:
+    the overlap over it is not finite, so that tile is refused by name."""
+    tiny = [[-3e-160, -3e-160], [-2e-160, -3e-160], [-2e-160, -2e-160],
+            [-3e-160, -2e-160]]
+    path = tmp_path / "patch.json"
+    path.write_text(json.dumps({"r": 5, "center": [0, 0], "tiles": [
+        {"polygon": [[0, 0], [2, 0], [2, 2], [0, 2]]},
+        {"polygon": [[1, 0], [3, 0], [3, 2], [1, 2]]},
+        {"polygon": tiny}]}))
+    code, out, err = run(capsys, "verify", "--patch", str(path))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "DegenerateTile"
+    assert error["message"].startswith("tile 2 has area 1.000e-320")
 
 
 def test_verify_widens_the_grid_of_a_sliver(capsys, tmp_path):

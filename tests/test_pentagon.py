@@ -5,6 +5,7 @@ multisets of three corners directly, independent of the library's own
 relation enumeration.
 """
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,11 +25,11 @@ from pentile import (
     has_theorem1_property,
     make_pentagon,
     pentagon_from_json_dict,
-    pentagon_to_json,
     satisfied_relations,
     solve_edges,
 )
 from pentile.geometry import interior_angles, polygon_area, polygon_edge_lengths
+from pentile.jsontext import dumps
 
 DEG = math.pi / 180.0
 
@@ -45,6 +46,10 @@ def closed(angles_deg):
 
 HOUSE = pent((60, 150, 90, 90, 150))
 REGULAR = pent((108,) * 5)
+
+
+def names(relations):
+    return {r.name for r in relations}
 
 
 def oracle_satisfied(angles_deg, tol_deg=1e-4):
@@ -146,14 +151,14 @@ class TestRelations:
     def test_house_against_oracle(self):
         got = {r.coeffs for r in satisfied_relations(HOUSE)}
         assert got == oracle_satisfied((60, 150, 90, 90, 150))
-        assert set(satisfied_relations(HOUSE).names) == {"E+A+B", "2B+A", "2E+A"}
+        assert names(satisfied_relations(HOUSE)) == {"E+A+B", "2B+A", "2E+A"}
 
     def test_three_120_two_90_against_oracle(self):
         p = closed((120, 120, 120, 90, 90))
         got = satisfied_relations(p)
         assert {r.coeffs for r in got} == oracle_satisfied((120, 120, 120, 90, 90))
-        assert set(got.names) == {"A+B+C", "2A+B", "2A+C", "2B+A", "2B+C",
-                                  "2C+A", "2C+B", "3A", "3B", "3C"}
+        assert names(got) == {"A+B+C", "2A+B", "2A+C", "2B+A", "2B+C",
+                              "2C+A", "2C+B", "3A", "3B", "3C"}
 
     def test_regular_pentagon_has_none(self):
         assert len(satisfied_relations(REGULAR)) == 0
@@ -169,10 +174,10 @@ class TestRelations:
         p = pent((60, 150, 90, 90, 150))
         loose = satisfied_relations(p, tol=1e-3)
         tight = satisfied_relations(p, tol=1e-12)
-        assert set(tight.names) == set(loose.names) == {"E+A+B", "2B+A", "2E+A"}
+        assert names(tight) == names(loose) == {"E+A+B", "2B+A", "2E+A"}
         nudged = closed((60 + 2e-4, 150, 90, 90, 150 - 2e-4))
-        assert "E+A+B" in satisfied_relations(nudged, tol=1e-5).names
-        assert "2B+A" not in satisfied_relations(nudged, tol=1e-7).names
+        assert "E+A+B" in names(satisfied_relations(nudged, tol=1e-5))
+        assert "2B+A" not in names(satisfied_relations(nudged, tol=1e-7))
 
 
 # weights within [0.8, 1.2] keep every normalized angle strictly convex
@@ -197,7 +202,7 @@ class TestRelationProperties:
         except (SingularClosure, NegativeLength):
             assume(False)
         q = p.scaled(factor)
-        assert satisfied_relations(q).names == satisfied_relations(p).names
+        assert satisfied_relations(q) == satisfied_relations(p)
 
     @given(angles_strategy, st.integers(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -215,8 +220,7 @@ class TestRelationProperties:
 
 class TestJson:
     def test_round_trip(self):
-        blob = pentagon_to_json(HOUSE)
-        q = pentagon_from_json_dict(__import__("json").loads(blob))
+        q = pentagon_from_json_dict(json.loads(dumps(HOUSE.to_json_dict())))
         npt.assert_allclose(q.angles, HOUSE.angles, atol=1e-12)
         npt.assert_allclose(q.edges, HOUSE.edges, atol=1e-12)
 
@@ -228,6 +232,8 @@ class TestJson:
                        {"angles_deg": [108, math.nan, 108, 108, 108],
                         "edges": [1] * 5},
                        {"angles_deg": [108, -math.inf, 108, 108, 108],
+                        "edges": [1] * 5},
+                       {"angles_deg": [10**400, 108, 108, 108, 108],
                         "edges": [1] * 5}):
             with pytest.raises(ParseError):
                 pentagon_from_json_dict(record)

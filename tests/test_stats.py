@@ -1,6 +1,7 @@
 """Patch counting, balance identities, and limit extrapolation."""
 import dataclasses
 import io
+import json
 import math
 from pathlib import Path
 
@@ -38,7 +39,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def house():
-    return pentile.load_pentagon(DATA / "house.json")
+    return pentile.pentagon_from_json_dict(
+        json.loads((DATA / "house.json").read_text()))
 
 
 @pytest.fixture(scope="module")

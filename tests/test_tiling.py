@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile import arrangement, tiling, verifier
+from pentile import arrangement, jsontext, tiling, verifier
 from pentile.arrangement import Patch
 from pentile.catalog import classify, get_type_spec, solve_instance
 from pentile.errors import (
@@ -46,7 +46,6 @@ from pentile.tiling import (
     congruence_defect,
     generate_patch,
     load_recipe,
-    save_recipe,
     tile_diameter,
 )
 from pentile.verifier import check_periodicity, verify_patch
@@ -64,7 +63,8 @@ def isometries():
 
 
 def house():
-    return pentile.load_pentagon(DATA / "house.json")
+    return pentile.pentagon_from_json_dict(
+        json.loads((DATA / "house.json").read_text()))
 
 
 # --- isometry algebra -------------------------------------------------------
@@ -134,7 +134,7 @@ def test_isometry_reflect_defaults_to_false():
 
 def test_builtin_recipe_round_trips_through_json():
     recipe = builtin_recipe(1, house())
-    back = load_recipe(save_recipe(recipe))
+    back = load_recipe(json.loads(jsontext.dumps(recipe.to_json_dict())))
     assert len(back.region) == len(recipe.region)
     assert back.u == pytest.approx(recipe.u)
     assert back.v == pytest.approx(recipe.v)
@@ -155,11 +155,9 @@ def test_empty_region_rejected():
 
 def test_load_recipe_parse_errors():
     with pytest.raises(ParseError):
-        load_recipe("{not json")
-    with pytest.raises(ParseError):
         load_recipe({"pentagon": {}})
     with pytest.raises(ParseError):
-        load_recipe(json.dumps([1, 2, 3]))
+        load_recipe([1, 2, 3])
     document = json.loads((DATA / "type5_recipe.json").read_text())
     document["lattice"][0][0] = math.nan
     with pytest.raises(ParseError):
@@ -242,8 +240,8 @@ def test_euler_characteristic_is_one(type_id):
 def test_doubling_radius_roughly_quadruples_tiles():
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)
     r = 10.0 * tile_diameter(recipe.pentagon)
-    small = generate_patch(recipe, r).tile_count
-    big = generate_patch(recipe, 2 * r).tile_count
+    small = len(generate_patch(recipe, r).tiles)
+    big = len(generate_patch(recipe, 2 * r).tiles)
     assert 3.5 <= big / small <= 4.5
 
 
@@ -339,7 +337,7 @@ def test_patch_translation_maps_interior_tiles_into_patch():
 def neighbors(patch: Patch) -> list[tuple[int, ...]]:
     """Tiles sharing at least one vertex with each tile, read off
     vertex_tiles."""
-    shared = [set() for _ in range(patch.tile_count)]
+    shared = [set() for _ in patch.tiles]
     for tiles in patch.vertex_tiles.rows():
         for t in tiles:
             shared[t].update(tiles)
@@ -375,7 +373,7 @@ def test_brick_wall_adjacents_and_neighbors():
     touching = neighbors(patch)
     assert adjacents[0] == (1, 2, 3, 4, 5)
     assert touching[0] == (1, 2, 3, 4, 5, 6, 7)
-    for t in range(patch.tile_count):
+    for t in range(len(patch.tiles)):
         assert set(adjacents[t]) <= set(touching[t])
 
 
@@ -432,9 +430,9 @@ def test_patch_json_round_trip():
     recipe = builtin_recipe(1, house())
     patch = generate_patch(recipe, 6.0)
     back = pentile.patch_from_json_dict(patch.to_json_dict())
-    assert back.tile_count == patch.tile_count
-    assert back.vertex_count == patch.vertex_count
-    assert back.edge_count == patch.edge_count
+    assert len(back.tiles) == len(patch.tiles)
+    assert len(back.vertex_xy) == len(patch.vertex_xy)
+    assert len(back.edge_vertices) == len(patch.edge_vertices)
     assert euler_residual(compute_stats(back)) == 0
     for tile, loaded in zip(patch.tiles, back.tiles, strict=True):
         assert (loaded.cell, loaded.zone) == (tile.cell, tile.zone)

@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -50,7 +51,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def house():
-    return pentile.load_pentagon(DATA / "house.json")
+    return pentile.pentagon_from_json_dict(
+        json.loads((DATA / "house.json").read_text()))
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +378,7 @@ def test_house_patch_covers_inner_disk():
 def test_missing_interior_tile_fails_coverage(t4_patch):
     center = np.asarray(t4_patch.center)
     victim = min(
-        range(t4_patch.tile_count),
+        range(len(t4_patch.tiles)),
         key=lambda i: np.linalg.norm(
             t4_patch.tiles[i].polygon.mean(axis=0) - center))
     tiles = tuple(t for i, t in enumerate(t4_patch.tiles) if i != victim)
@@ -876,7 +878,7 @@ def test_first_miss_is_reported_where_it_is():
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)
     center = np.array([1e4, 3e3])
     patch = generate_patch(recipe, 8.0, center)
-    victim = min(range(patch.tile_count), key=lambda i: np.linalg.norm(
+    victim = min(range(len(patch.tiles)), key=lambda i: np.linalg.norm(
         patch.tiles[i].polygon.mean(axis=0) - center))
     tiles = patch.tiles[:victim] + patch.tiles[victim + 1:]
     report = check_coverage(Patch.from_tiles(tiles, r=8.0, center=center))
