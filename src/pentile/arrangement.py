@@ -46,7 +46,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, number
 from .geometry import (
     close_pairs,
     component_labels,
@@ -434,9 +434,9 @@ def vertex_labels(cells: np.ndarray, cell: CellArrangement):
     labels, each label's tile and each side hit's row in the cell's hit
     arrays.
 
-    A label is ((m - lo_m)·width + n - lo_n)·orbits + orbit over the cells'
-    (m, n) box padded by the cell's largest step, so labels are
-    non-negative and two are equal exactly when their keys are."""
+    A label is ((m - lo_m)·width + n - lo_n)·orbits + orbit over the keys'
+    own (m, n) box, so labels are non-negative and two are equal exactly
+    when their keys are."""
     idx = cells[:, 2]
     per_tile = np.diff(cell.hit_ptr)[idx]
     tiles = np.arange(len(cells))
@@ -446,13 +446,10 @@ def vertex_labels(cells: np.ndarray, cell: CellArrangement):
                            np.repeat(tiles, per_tile)])
     key = np.concatenate([cell.corner_vertex[idx].reshape(-1, 3),
                           cell.hit_vertex[row]])
-    pad = max(np.abs(cell.corner_vertex[..., :2]).max(),
-              np.abs(cell.hit_vertex[:, :2]).max(initial=0))
-    lo = cells[:, :2].min(axis=0) - pad
-    width = cells[:, 1].max() - lo[1] + pad + 1
-    m = cells[tile, 0] + key[:, 0] - lo[0]
-    n = cells[tile, 1] + key[:, 1] - lo[1]
-    return (m * width + n) * cell.orbits + key[:, 2], tile, row
+    m = cells[tile, 0] + key[:, 0]
+    n = cells[tile, 1] + key[:, 1]
+    m, n = m - m.min(), n - n.min()
+    return (m * (n.max() + 1) + n) * cell.orbits + key[:, 2], tile, row
 
 
 def _looked_up_incidence(points, cells, cell: CellArrangement):
@@ -507,12 +504,13 @@ def patch_from_json_dict(document: dict) -> Patch:
     and at most COORD_LIMIT in magnitude."""
     try:
         tiles = [PlacedTile(cell=tuple(rec.get("cell", (0, 0))),
-                            polygon=np.asarray(rec["polygon"], dtype=float),
+                            polygon=np.array([list(map(number, point))
+                                              for point in rec["polygon"]]),
                             zone=rec.get("zone", ""))
                  for rec in document["tiles"]]
         r, center = document.get("r"), document.get("center")
-        r = None if r is None else float(r)
-        center = None if center is None else tuple(float(x) for x in center)
+        r = None if r is None else number(r)
+        center = None if center is None else tuple(map(number, center))
     except (AttributeError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise ParseError(f"bad patch document: {exc}") from None

@@ -156,8 +156,8 @@ def cmd_verify(args) -> int:
         report = verifier.verify_patch(_resolve_patch(args))
     else:
         recipe = _resolve_recipe(args)
-        report = verifier.check_periodicity(recipe)
-        if args.r is not None:
+        report = recipe.periodicity
+        if args.r is not None and report.ok:
             report = report.merge(verifier.verify_patch(
                 _resolve_patch(args, recipe)))
     _emit({"pass": report.ok, "violations": report.violations,

@@ -77,6 +77,14 @@ class ParseError(PentileError):
     """Malformed input file or expression."""
 
 
+def number(value) -> float:
+    """float(value) for a document's number; TypeError, as float() gives a
+    non-number, for a boolean, which float() would read as 1 or 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def require_finite(name: str, value) -> None:
     """Raise ParseError unless value, a number or a sequence of numbers, is
     finite throughout."""

@@ -24,6 +24,7 @@ from .errors import (
     NonConvexAngles,
     ParseError,
     SingularClosure,
+    number,
     require_finite,
     require_positive,
 )
@@ -269,8 +270,8 @@ def pentagon_from_json_dict(data) -> Pentagon:
     """The pentagon of a parsed pentagon document, {"angles_deg": [...],
     "edges": [...]}; ParseError when it is not one."""
     try:
-        angles = [math.radians(float(x)) for x in data["angles_deg"]]
-        edges = [float(x) for x in data["edges"]]
+        angles = [math.radians(number(x)) for x in data["angles_deg"]]
+        edges = [number(x) for x in data["edges"]]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pentagon record: {exc}") from exc
     return make_pentagon(angles, edges)

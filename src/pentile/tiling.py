@@ -20,6 +20,7 @@ from .errors import (
     RecipeInvalid,
     TypeMismatch,
     UnknownType,
+    number,
     require_finite,
     require_positive,
 )
@@ -34,7 +35,7 @@ from .geometry import (
 )
 from .pentagon import Pentagon, pentagon_from_json_dict
 
-# builtin_recipe, generate_patch and stats.limit_sweep import
+# TilingRecipe.periodicity, generate_patch and stats.limit_sweep import
 # check_periodicity, Patch and generate_patch in their bodies: verifier and
 # arrangement import this module, and a name looked up at call time is the
 # one a tracer that replaces module attributes (perfbench/spans.py)
@@ -110,7 +111,7 @@ class Isometry:
     @classmethod
     def from_json_dict(cls, record: Mapping) -> "Isometry":
         try:
-            rot_deg, tx, ty = (float(record[k])
+            rot_deg, tx, ty = (number(record[k])
                                for k in ("rot_deg", "tx", "ty"))
             require_finite("isometry record", (rot_deg, tx, ty))
             if max(abs(tx), abs(ty)) > COORD_LIMIT:
@@ -144,14 +145,6 @@ class TilingRecipe:
             c = self.region_centroids
         if not np.isfinite(c).all():
             raise RecipeInvalid("a region tile has no finite centroid")
-        # vertex labels pad their (m, n) box by the cell arrangement's
-        # largest step, which grows with the region's spread in cells, and
-        # _enclosed_tiles' dense hub array spans that box
-        far = np.abs((c - c.mean(axis=0)) @ np.linalg.inv(
-            np.column_stack([self.u, self.v])).T).max()
-        if not far <= 1.0:
-            raise RecipeInvalid(f"a region tile lies {far:.3g} cells from "
-                                f"the mean of the region centroids")
 
     def region_polygons(self) -> list[np.ndarray]:
         """Region tiles as ccw polygons (reflected placements come out
@@ -182,10 +175,22 @@ class TilingRecipe:
         return float(np.linalg.norm(polys - centroids[:, None], axis=2).max())
 
     @functools.cached_property
+    def periodicity(self):
+        """`verifier.check_periodicity` of the recipe, run once: the one
+        rule for whether the recipe tiles."""
+        from .verifier import check_periodicity
+
+        return check_periodicity(self)
+
+    @functools.cached_property
     def cell_arrangement(self):
-        """The recipe's `arrangement.cell_arrangement`, built once."""
+        """The recipe's `arrangement.cell_arrangement`, built once;
+        RecipeInvalid when the recipe does not tile (`periodicity`)."""
         from .arrangement import cell_arrangement
 
+        if not self.periodicity.ok:
+            raise RecipeInvalid(f"recipe does not tile: "
+                                f"{self.periodicity.violations}")
         return cell_arrangement(self)
 
     def cell_area(self) -> float:
@@ -206,7 +211,7 @@ def load_recipe(document) -> TilingRecipe:
         pentagon_doc = document["pentagon"]
         region_docs = list(document["region"])
         (ux, uy), (vx, vy) = document["lattice"]
-        u, v = (float(ux), float(uy)), (float(vx), float(vy))
+        u, v = (number(ux), number(uy)), (number(vx), number(vy))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"bad recipe document: {exc}") from None
     pentagon = pentagon_from_json_dict(pentagon_doc)
@@ -299,9 +304,9 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
     """Ready-made periodic tiling recipe for Types 1, 2, 4 and 5.
 
     The pentagon may be labeled any way round; it is relabeled to the
-    canonical corner order of its Type first. Each assembled candidate must
-    pass `check_periodicity` before it is returned. Recipes are frozen, so a
-    repeated call hands back the one already checked.
+    canonical corner order of its Type first. Each candidate must pass its
+    `periodicity` check, kept on the recipe, before it is returned. Recipes
+    are frozen, so a repeated call hands back the one already checked.
     """
     if type_id not in _REGION_BUILDERS:
         raise UnknownType(
@@ -312,8 +317,6 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
     if not fits:
         raise TypeMismatch(
             f"pentagon does not satisfy the Type {type_id} constraints")
-
-    from .verifier import check_periodicity
 
     failure = None
     for q in fits:
@@ -327,10 +330,9 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
         for region, u, v in candidates:
             recipe = TilingRecipe(pentagon=q, region=region,
                                   u=tuple(u), v=tuple(v))
-            report = check_periodicity(recipe)
-            if report.ok:
+            if recipe.periodicity.ok:
                 return recipe
-            failure = report.violations
+            failure = recipe.periodicity.violations
     raise RecipeInvalid(
         f"Type {type_id} recipe failed verification: {failure}")
 
@@ -388,7 +390,8 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     Intended for disks larger than a single tile (r above one tile diameter);
     smaller disks still produce a patch but it may hold a tile or none.
     Raises ParseError, naming r, when the candidates' lattice box is over
-    MAX_TRANSLATES (`near_translates`).
+    MAX_TRANSLATES (`near_translates`), and RecipeInvalid when the recipe
+    does not tile (`TilingRecipe.cell_arrangement`).
 
     F1 and F2 lie within r + eps + diam of M (eps the merge distance, diam
     the tile diameter), and so does every tile they enclose. With
@@ -448,18 +451,19 @@ def _enclosed_tiles(cells: np.ndarray, is_open: np.ndarray,
     """The F3 set: indices of the outside tiles, each given by its cell
     (m, n, region index), that no chain of touching tiles joins to a tile
     is_open marks. Two tiles touch when they share a vertex, as corner or
-    side split: every tile joins one hub tile at each of its
-    `vertex_labels`, and the flood is the union of the touch graph's
-    connected components that hold an open tile.
+    side split: in sorted `vertex_labels` order each tile joins the next
+    with its label, so no array is sized by label values, and the flood is
+    the union of the touch graph's components that hold an open tile.
     """
     from .arrangement import vertex_labels
 
     if not len(cells):
         return np.zeros(0, dtype=int)
     labels, tile, _ = vertex_labels(cells, recipe.cell_arrangement)
-    hub = np.empty(labels.max() + 1, dtype=np.intp)
-    hub[labels] = tile
-    component = component_labels(len(cells), tile, hub[labels])
+    order = np.argsort(labels)
+    labels, tile = labels[order], tile[order]
+    same = labels[1:] == labels[:-1]
+    component = component_labels(len(cells), tile[:-1][same], tile[1:][same])
     flooded = np.isin(component, component[is_open])
     return np.nonzero(~flooded)[0]
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, exit codes, and output formats."""
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,10 +10,12 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from pentile import cli
+from pentile import cli, tiling, verifier
+from pentile.catalog import representative
 from pentile.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -209,13 +212,6 @@ def test_verify_recipe_with_a_huge_lattice_fails_its_area(capsys, tmp_path):
     assert report["violations"][0].endswith("; window not checked")
 
 
-def moved_three_cells(document):
-    (ux, uy), _ = document["lattice"]
-    tile = document["region"][1]
-    tile["tx"] += 3 * ux
-    tile["ty"] += 3 * uy
-
-
 # edits of the Type 5 recipe file, and the error each must end in
 MALFORMED_RECIPES = {
     "reflect-string": (lambda d: d["region"][1].update(reflect="false"),
@@ -230,7 +226,11 @@ MALFORMED_RECIPES = {
     # so far out that the tile's area, and with it its centroid, is lost
     "one-tile-tx-1e50": (lambda d: d.update(
         region=[dict(d["region"][0], tx=1e50)]), "RecipeInvalid"),
-    "tile-three-cells-out": (moved_three_cells, "RecipeInvalid"),
+    # JSON false is not the number 0
+    "tx-ty-false": (lambda d: d["region"][0].update(tx=False, ty=False),
+                    "ParseError"),
+    "lattice-true": (lambda d: d.update(lattice=[[True, 0], [0, 1]]),
+                     "ParseError"),
 }
 
 
@@ -251,6 +251,72 @@ def test_malformed_recipe_exits_2_without_a_warning(capsys, tmp_path, name,
     assert (code, out) == (2, "")
     [line] = err.splitlines()
     assert json.loads(line)["error"] == error
+
+
+def test_a_region_tile_moved_three_cells_tiles_alike(capsys, tmp_path):
+    """Region tile 1 of the Type 5 recipe file moved by 3·u names another
+    translate of the same tile: the recipe verifies, and its r = 8 stats
+    in both modes are the unmoved file's, byte for byte."""
+    document = json.loads((DATA / "type5_recipe.json").read_text())
+    (ux, uy), _ = document["lattice"]
+    tile = document["region"][1]
+    tile["tx"] += 3 * ux
+    tile["ty"] += 3 * uy
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "verify", "--recipe", str(path))
+    assert (code, err) == (0, "")
+    for mode in ("full", "interior"):
+        unmoved, moved = (run(capsys, "stats", "--recipe", str(p), "--r",
+                              "8", "--mode", mode)
+                          for p in (DATA / "type5_recipe.json", path))
+        assert unmoved[0] == 0
+        assert moved == unmoved
+
+
+def turned_recipe_file(tmp_path) -> str:
+    """The Type 4 recipe with region tile 1 turned 1 degree about its
+    centroid, which does not tile, written at full precision."""
+    recipe = tiling.builtin_recipe(4, representative(4).pentagon)
+    region = list(recipe.region)
+    region[1] = tiling.Isometry.rotation_about(
+        math.radians(1.0), recipe.region_centroids[1]).compose(region[1])
+    turned = dataclasses.replace(recipe, region=tuple(region))
+    path = tmp_path / "turned.json"
+    path.write_text(json.dumps(turned.to_json_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", ["tile --r 5", "stats --r 5",
+                                  "sweep --radii 5,10", "render --r 5"])
+def test_a_recipe_that_does_not_tile_generates_nothing(capsys, tmp_path,
+                                                       argv):
+    command, *flags = argv.split()
+    code, out, err = run(capsys, command, "--recipe",
+                         turned_recipe_file(tmp_path), *flags)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "RecipeInvalid"
+    assert "window tiles 0 and 5 overlap by 3.523e-03" in error["message"]
+
+
+def test_verify_reports_a_recipe_that_does_not_tile_without_a_patch(
+        capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--recipe",
+                         turned_recipe_file(tmp_path), "--r", "5")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["violations"] == [
+        "window tiles 0 and 5 overlap by 3.523e-03"]
+
+
+def test_verify_checks_periodicity_once(capsys):
+    """The recipe keeps the report builtin_recipe made; verify reads it."""
+    tiling.builtin_recipe.cache_clear()
+    with mock.patch.object(verifier, "check_periodicity",
+                           wraps=verifier.check_periodicity) as check:
+        code, _, _ = run(capsys, "verify", "--type", "4", "--r", "6")
+    assert code == 0
+    assert check.call_count == 1
 
 
 def test_stats_interior_mode(capsys):
@@ -355,6 +421,11 @@ BAD_PATCH_EDITS = {
     "polygon-int-1e400": {"tiles": [{"polygon": [[0, 0], [10**400, 0],
                                                  [0, 1]]}]},
     "r-int-1e400": {"r": 10**400},
+    # JSON true and false are not the numbers 1 and 0
+    "r-true": {"r": True},
+    "polygon-false": {"r": 5, "tiles": [{"polygon": [[0, 0], [1, False],
+                                                     [0, 1]]}]},
+    "centre-false": {"center": [0, False]},
 }
 
 
@@ -380,6 +451,8 @@ BAD_PATCH_EDITS = {
     "verify --patch polygon-huge", "stats --patch polygon-huge",
     "verify --patch centre-huge", "verify --patch r-huge",
     "verify --patch polygon-int-1e400", "verify --patch r-int-1e400",
+    "stats --patch r-true", "stats --patch polygon-false",
+    "verify --patch centre-false",
     "catalog list 99",
 ])
 def test_bad_flags_and_patch_documents_are_parse_errors(capsys, tmp_path,

@@ -234,6 +234,7 @@ class TestJson:
                        {"angles_deg": [108, -math.inf, 108, 108, 108],
                         "edges": [1] * 5},
                        {"angles_deg": [10**400, 108, 108, 108, 108],
-                        "edges": [1] * 5}):
+                        "edges": [1] * 5},
+                       {"angles_deg": house, "edges": [True] * 5}):
             with pytest.raises(ParseError):
                 pentagon_from_json_dict(record)

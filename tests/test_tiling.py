@@ -1,8 +1,10 @@
 """Isometry algebra, recipes, patch generation, and the arrangement."""
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -658,32 +660,92 @@ def test_sweep_candidates_match_full_clip(drawn):
                                              solve_instance(*drawn))
 
 
+@functools.lru_cache(maxsize=16)
 def disk_stats(recipe):
+    """FULL and INTERIOR statistics of the recipe's disk at r = 8, computed
+    once per recipe."""
     patch = generate_patch(recipe, 8.0)
     return compute_stats(patch, FULL), compute_stats(patch, INTERIOR)
 
 
+representative_recipes = st.sampled_from(BUILTIN_SWEEP_TYPES).map(
+    lambda t: builtin_recipe(t, pentile.representative(t).pentagon))
+
+
 @settings(max_examples=20)
-@given(st.one_of(
-    st.sampled_from(BUILTIN_SWEEP_TYPES).map(
-        lambda t: builtin_recipe(t, pentile.representative(t).pentagon)),
-    sweep_recipes()))
+@given(st.one_of(representative_recipes, sweep_recipes()))
 def test_sheared_bases_tile_alike(recipe):
-    """u + k·v and v + k·u, k in [-4, 4], span the recipe's lattice. Where
-    TilingRecipe takes the sheared basis, the recipe is periodic, and its
-    disk at r = 8 has the same FULL and INTERIOR statistics."""
+    """u + k·v and v + k·u, k in [-4, 4], span the recipe's lattice: with
+    either as the basis the recipe is periodic, and its disk at r = 8 has
+    the same FULL and INTERIOR statistics."""
     u, v = np.asarray(recipe.u), np.asarray(recipe.v)
     expected = disk_stats(recipe)
     for k in range(-4, 5):
         for basis in ((u + k * v, v), (u, v + k * u)):
-            try:
-                sheared = dataclasses.replace(recipe, u=tuple(basis[0]),
-                                              v=tuple(basis[1]))
-            except RecipeInvalid:
-                continue    # a region tile a cell from the centroids' mean
+            sheared = dataclasses.replace(recipe, u=tuple(basis[0]),
+                                          v=tuple(basis[1]))
             report = check_periodicity(sheared)
             assert report.ok, (k, basis, report.violations)
             assert disk_stats(sheared) == expected, (k, basis)
+
+
+def shifted(iso: Isometry, shift) -> Isometry:
+    """iso followed by the translation by shift."""
+    return dataclasses.replace(
+        iso, translation=tuple(np.add(iso.translation, shift)))
+
+
+@st.composite
+def relisted_recipes(draw):
+    """A recipe and the same tiling listed another way: u or v sheared by
+    k in [-20, 20], and each region tile after the first moved by m·u + n·v,
+    m and n in [-10, 10]."""
+    recipe = draw(st.one_of(representative_recipes, sweep_recipes()))
+    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
+    k = draw(st.integers(-20, 20))
+    basis = draw(st.sampled_from([(u + k * v, v), (u, v + k * u)]))
+    cells = st.tuples(st.integers(-10, 10), st.integers(-10, 10))
+    count = len(recipe.region) - 1
+    moves = draw(st.lists(cells, min_size=count, max_size=count))
+    region = recipe.region[:1] + tuple(
+        shifted(iso, m * u + n * v)
+        for iso, (m, n) in zip(recipe.region[1:], moves))
+    return recipe, TilingRecipe(pentagon=recipe.pentagon, region=region,
+                                u=tuple(basis[0]), v=tuple(basis[1]))
+
+
+@settings(max_examples=30)
+@given(relisted_recipes())
+def test_any_basis_and_region_placement_tiles_alike(pair):
+    """Periodicity belongs to the lattice, not to the basis a recipe names
+    or to the translate of each region tile it lists: the relisted recipe
+    loads, passes check_periodicity and gives the same FULL and INTERIOR
+    statistics at r = 8."""
+    recipe, relisted = pair
+    report = check_periodicity(relisted)
+    assert report.ok, report.violations
+    assert disk_stats(relisted) == disk_stats(recipe)
+
+
+def test_a_far_placed_region_tile_needs_no_more_memory():
+    """Type 5 with region tile 1 moved by 3000·u: once the recipe's cell
+    arrangement is built, generating the r = 8 disk stays under 64 MiB
+    traced, and its statistics are the unmoved recipe's. Nothing in the
+    flood is sized by the (m, n) span of the region."""
+    recipe = builtin_recipe(5, pentile.representative(5).pentagon)
+    region = list(recipe.region)
+    region[1] = shifted(region[1], 3000 * np.asarray(recipe.u))
+    far = dataclasses.replace(recipe, region=tuple(region))
+    assert far.cell_arrangement.orbits    # built, and checked, untraced
+    tracemalloc.start()
+    try:
+        patch = generate_patch(far, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert (compute_stats(patch, FULL), compute_stats(patch, INTERIOR)) == \
+        disk_stats(recipe)
 
 
 def assert_sound_patch(patch):
