@@ -4,13 +4,15 @@ Merges near-coincident tile corners into shared vertices, splits tile sides
 at the vertices lying on them, and records incidence: which tiles meet at
 each vertex, which tiles border each edge, which tiles share an edge.
 
-A Patch keeps the arrangement as arrays: vertex rows (vertex_xy, pseudo,
+A Patch keeps its tiles and their arrangement as arrays: the tiles stacked
+as polygons, counts, cells and zones; vertex rows (vertex_xy, pseudo,
 complete), edge rows (edge_vertices) and four incidence relations as Csrs of
 ascending id rows, except corner_vertices, which keeps polygon order.
 vertex_tiles is the one tile-vertex incidence: a tile's vertices are the
-rows that list it. Statistics count on the arrays; the vertices and edges
-records are built one at a time as they are read, so a large patch holds no
-object per vertex or edge for the garbage collector to walk.
+rows that list it. Statistics, the verifier, the writer and the renderer
+read the arrays; the tiles, vertices and edges records are built as they
+are read, so a large patch holds no object per tile, vertex or edge for the
+garbage collector to walk.
 
 The work runs on one flat array of all tile corners, with per-tile offsets so
 polygons of different corner counts can mix; corner i opens side i. One of
@@ -31,11 +33,12 @@ each side; one assembly builds every array from that.
   flood fill joins the tiles that share a label.
 
 Either way vertices are numbered by first corner occurrence and placed at
-the mean of their corners. The assembly orders the stops along every side
-with one lexsort, and edges, their owners and every incidence row come from
-sorted unique (key, value) rows. A vertex is complete, surrounded by tiles,
-when every edge at it borders two tiles: an integer test on edge_tiles,
-with no angle and no tolerance.
+the mean of their corners. The assembly sorts only the side hits, by
+(side, param, vertex), and places every side's stops around them in one
+pass; edges, their owners and every incidence row come from distinct rows,
+each row sorted as one int64 key (`_row_key`). A vertex is complete,
+surrounded by tiles, when every edge at it borders two tiles: an integer
+test on edge_tiles, with no angle and no tolerance.
 """
 from __future__ import annotations
 
@@ -52,6 +55,7 @@ from .geometry import (
     component_labels,
     corner_angles,
     segment_distances,
+    stack_polygons,
 )
 from .tiling import COORD_LIMIT, SNAP_FACTOR, PlacedTile, near_translates
 
@@ -59,6 +63,7 @@ from .tiling import COORD_LIMIT, SNAP_FACTOR, PlacedTile, near_translates
 # one corner differ by at most a unit in the ninth digit, 1e-8 |x|, per
 # axis, so by under 2e-8 of the largest coordinate
 DOCUMENT_PRECISION = 2e-8
+INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +128,18 @@ class Records(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class Patch:
-    tiles: tuple[PlacedTile, ...]
+    """Placed tiles and their arrangement, all as arrays.
+
+    The tiles are stacked in the `stack_polygons` layout, so tiles of
+    different corner counts mix: polygons[i, :counts[i]] are tile i's
+    corners, counter-clockwise, cells[i] its lattice cell and zones[i] its
+    zone (F1, F2, F3, or "" outside a generated patch). tiles, vertices and
+    edges give records made when read.
+    """
+    polygons: np.ndarray         # (N, K, 2), padded by each last corner
+    counts: np.ndarray           # (N,) corners of each tile
+    cells: np.ndarray            # (N, 2) int lattice cell (m, n)
+    zones: np.ndarray            # (N,) str
     vertex_xy: np.ndarray        # (V, 2)
     pseudo: np.ndarray           # (V,) lies inside some incident tile's side
     complete: np.ndarray         # (V,) every edge at it borders two tiles
@@ -141,7 +157,17 @@ class Patch:
         vt = self.vertex_tiles
         open_tiles = vt.indices[np.repeat(~self.complete, np.diff(vt.indptr))]
         return np.flatnonzero(
-            np.bincount(open_tiles, minlength=len(self.tiles)) == 0)
+            np.bincount(open_tiles, minlength=len(self.counts)) == 0)
+
+    @cached_property
+    def tiles(self) -> tuple[PlacedTile, ...]:
+        """One PlacedTile per tile, built when first read; each polygon is
+        a view of its row of polygons."""
+        return tuple(
+            PlacedTile(tuple(cell), polygon[:count], zone)
+            for cell, polygon, count, zone in zip(
+                self.cells.tolist(), self.polygons, self.counts.tolist(),
+                self.zones.tolist()))
 
     @cached_property
     def vertices(self) -> Records:
@@ -175,43 +201,51 @@ class Patch:
     @classmethod
     def from_tiles(cls, tiles: Sequence[PlacedTile], r: float | None = None,
                    center=None, precision: float = 0.0) -> "Patch":
-        """Snap the tiles' corners into vertices and find the vertices
-        inside their sides by distance. precision: the corners' relative
-        error (DOCUMENT_PRECISION for a document's); the merge distance
-        widens to match."""
+        """Stack the tiles, snap their corners into vertices and find the
+        vertices inside their sides by distance. precision: the corners'
+        relative error (DOCUMENT_PRECISION for a document's); the merge
+        distance widens to match."""
         tiles = tuple(tiles)
+        polygons, counts = stack_polygons(
+            [np.asarray(t.polygon, dtype=float) for t in tiles])
+        cells = np.array([t.cell for t in tiles], dtype=np.intp).reshape(-1, 2)
+        zones = np.array([t.zone for t in tiles], dtype=str)
         center = tuple(center) if center is not None else None
-        if not tiles:
+        if not len(counts):
             none = np.zeros(0, dtype=np.intp)
             flags, rows = none.astype(bool), _csr(none, none, 0)
-            return cls((), np.zeros((0, 2)), flags, flags,
-                       none.reshape(0, 2), *[rows] * 4, r=r, center=center)
-        points, offsets, nxt = _flat_corners(
-            [np.asarray(t.polygon, dtype=float) for t in tiles])
-        return cls._assembled(tiles, points, offsets, nxt,
+            return cls(polygons, counts, cells, zones, np.zeros((0, 2)),
+                       flags, flags, none.reshape(0, 2), *[rows] * 4, r=r,
+                       center=center)
+        points, offsets, nxt = _stacked_corners(polygons, counts)
+        return cls._assembled(polygons, counts, cells, zones, offsets, nxt,
                               *_snapped_incidence(points, nxt, precision),
                               r=r, center=center)
 
     @classmethod
-    def from_cells(cls, tiles: Sequence[PlacedTile], corners: np.ndarray,
-                   cells: np.ndarray, cell: "CellArrangement",
+    def from_cells(cls, corners: np.ndarray, cells: np.ndarray,
+                   zones: np.ndarray, cell: "CellArrangement",
                    r: float | None = None, center=None) -> "Patch":
         """The arrangement of lattice translates of a recipe's region tiles,
         looked up in the recipe's cell arrangement: no snapping and no
-        distances. corners is the tiles' (N, K, 2) corner stack and cells
-        each tile's (m, n, region index); tiles holds at least one tile."""
-        points, offsets, nxt = _stacked_corners(corners)
-        return cls._assembled(tuple(tiles), points, offsets, nxt,
-                              *_looked_up_incidence(points, cells, cell), r=r,
+        distances. corners is the tiles' (N, K, 2) corner stack, cells each
+        tile's (m, n, region index) and zones each tile's zone; N is at
+        least 1."""
+        counts = np.full(len(corners), corners.shape[1])
+        points, offsets, nxt = _stacked_corners(corners, counts)
+        return cls._assembled(corners, counts, cells[:, :2], zones, offsets,
+                              nxt, *_looked_up_incidence(points, cells, cell),
+                              r=r,
                               center=None if center is None else tuple(center))
 
     @classmethod
-    def _assembled(cls, tiles, points, offsets, nxt, corner_vid, vertex_xy,
-                   hits, r, center) -> "Patch":
+    def _assembled(cls, polygons, counts, cells, zones, offsets, nxt,
+                   corner_vid, vertex_xy, hits, r, center) -> "Patch":
         """The patch from either incidence finder: each corner's vertex id
         and each vertex's position, and the (side, vertex, param) of every
         vertex inside a side."""
-        owner = np.repeat(np.arange(len(tiles)), np.diff(offsets))
+        n_tiles = len(counts)
+        owner = np.repeat(np.arange(n_tiles), counts)
         n_vertices = len(vertex_xy)
 
         # vertices sitting inside a side split it; the tile counts as
@@ -225,20 +259,24 @@ class Patch:
             np.concatenate([owner, split_tile]))
 
         # each side's stops in order: its start corner, the vertices inside
-        # it by parameter, its end corner; consecutive stops bound an edge
-        n_sides = len(points)
-        stop_side = np.concatenate([np.arange(n_sides), np.arange(n_sides),
-                                    hit_side])
-        stop_param = np.concatenate([np.full(n_sides, -np.inf),
-                                     np.full(n_sides, np.inf), hit_param])
-        stop_vid = np.concatenate([corner_vid, corner_vid[nxt], hit_vid])
-        order = np.lexsort((stop_vid, stop_param, stop_side))
-        stop_side, stop_vid = stop_side[order], stop_vid[order]
-        same = stop_side[:-1] == stop_side[1:]
-        v1, v2 = stop_vid[:-1][same], stop_vid[1:][same]
+        # it by (param, vertex), its end corner; consecutive stops bound an
+        # edge. Hit k in (side, param, vertex) order, on side s, comes after
+        # the two corners of each side before s and s's start corner
+        order = np.lexsort((hit_vid, hit_param, hit_side))
+        hit_side, hit_vid = hit_side[order], hit_vid[order]
+        n_sides = len(nxt)
+        per_side = np.bincount(hit_side, minlength=n_sides) + 2
+        end = np.cumsum(per_side) - 1
+        stop_vid = np.empty(end[-1] + 1, dtype=corner_vid.dtype)
+        stop_vid[end - per_side + 1] = corner_vid
+        stop_vid[end] = corner_vid[nxt]
+        stop_vid[np.arange(len(hit_side)) + 2 * hit_side + 1] = hit_vid
+        opens = np.ones(len(stop_vid) - 1, dtype=bool)
+        opens[end[:-1]] = False
+        v1, v2 = stop_vid[:-1][opens], stop_vid[1:][opens]
         edge_lo, edge_hi, edge_tile = _unique_rows(
             np.minimum(v1, v2), np.maximum(v1, v2),
-            owner[stop_side[:-1][same]])
+            np.repeat(owner, per_side - 1))
         new_edge = np.concatenate([[True], (edge_lo[1:] != edge_lo[:-1])
                                    | (edge_hi[1:] != edge_hi[:-1])])
         edge_id = np.cumsum(new_edge) - 1
@@ -250,10 +288,11 @@ class Patch:
         complete = np.ones(n_vertices, dtype=bool)
         complete[edge_vertices[np.diff(edge_tiles.indptr) != 2]] = False
 
-        return cls(tiles=tiles, vertex_xy=vertex_xy, pseudo=pseudo,
+        return cls(polygons=polygons, counts=counts, cells=cells,
+                   zones=zones, vertex_xy=vertex_xy, pseudo=pseudo,
                    complete=complete, edge_vertices=edge_vertices,
                    corner_vertices=Csr(offsets, corner_vid),
-                   tile_adjacents=_sharing(edge_tiles, len(tiles)),
+                   tile_adjacents=_sharing(edge_tiles, n_tiles),
                    vertex_tiles=_csr(inc_vid, inc_tile, n_vertices),
                    edge_tiles=edge_tiles, r=r, center=center)
 
@@ -261,9 +300,11 @@ class Patch:
         return {
             "r": self.r,
             "center": list(self.center) if self.center else None,
-            "tiles": [{"cell": list(t.cell), "zone": t.zone,
-                       "polygon": np.asarray(t.polygon, dtype=float).tolist()}
-                      for t in self.tiles],
+            "tiles": [{"cell": cell, "zone": zone,
+                       "polygon": polygon[:count].tolist()}
+                      for cell, zone, polygon, count in zip(
+                          self.cells.tolist(), self.zones.tolist(),
+                          self.polygons, self.counts.tolist())],
             "vertices": [{"xy": xy, "valence": valence, "pseudo": pseudo,
                           "complete": complete}
                          for xy, valence, pseudo, complete in zip(
@@ -276,17 +317,15 @@ class Patch:
         }
 
 
-def _flat_corners(polys):
-    """All corners in one flat array, each polygon's offset into it plus the
-    end, and nxt: corner i opens side i, which runs to corner nxt[i]."""
-    offsets = np.concatenate([[0], np.cumsum([len(p) for p in polys])])
-    return np.concatenate(polys), offsets, _next_corners(offsets)
-
-
-def _stacked_corners(corners):
-    """`_flat_corners` of an (N, K, 2) stack of polygons, without a copy."""
-    offsets = corners.shape[1] * np.arange(len(corners) + 1)
-    return corners.reshape(-1, 2), offsets, _next_corners(offsets)
+def _stacked_corners(polygons, counts):
+    """All corners of a `stack_polygons` stack in one flat array (a view
+    when no polygon is padded), each polygon's offset into it plus the end,
+    and nxt: corner i opens side i, which runs to corner nxt[i]."""
+    k = polygons.shape[1]
+    points = (polygons.reshape(-1, 2) if (counts == k).all()
+              else polygons[np.arange(k) < counts[:, None]])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return points, offsets, _next_corners(offsets)
 
 
 def _next_corners(offsets):
@@ -314,11 +353,16 @@ def _vertices(label, points):
     """Vertices from each corner's vertex label: each corner's vertex id,
     numbered by first corner occurrence, each vertex's position, the mean
     of its corners, and the sorted distinct labels with their vertex ids."""
-    labels, first, inverse = np.unique(label, return_index=True,
-                                       return_inverse=True)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    corner_vid = rank[inverse]
+    order = np.argsort(label)
+    fresh = _fresh(label[order])
+    # a label's first corner is the least index among its sorted corners
+    first = np.minimum.reduceat(order, np.flatnonzero(fresh))
+    labels = label[first]
+    is_first = np.zeros(len(label), dtype=bool)
+    is_first[first] = True
+    rank = (np.cumsum(is_first) - 1)[first]
+    corner_vid = np.empty(len(label), dtype=np.intp)
+    corner_vid[order] = rank[np.cumsum(fresh) - 1]
 
     counts = np.bincount(corner_vid)
     vertex_xy = np.column_stack([np.bincount(corner_vid, weights=points[:, k])
@@ -393,7 +437,8 @@ def cell_arrangement(recipe) -> CellArrangement:
     first = np.argsort(window[:, :2].any(axis=1), kind="stable")
     window, corners = window[first], corners[first]
     count = len(recipe.region)
-    points, _, nxt = _stacked_corners(corners)
+    points, _, nxt = _stacked_corners(
+        corners, np.full(len(corners), corners.shape[1]))
     corner_vid, vertex_xy, (side, hit_vid, param) = _snapped_incidence(
         points, nxt, 0.0)
     k = corners.shape[1]
@@ -470,15 +515,39 @@ def _looked_up_incidence(points, cells, cell: CellArrangement):
         + cell.hit_corner[row], rank[at[found]], cell.hit_param[row])
 
 
+def _fresh(ordered):
+    """Mask of the entries of a sorted array that differ from the last."""
+    return np.concatenate([[True], ordered[1:] != ordered[:-1]])
+
+
 def _unique_rows(*columns):
-    """Distinct rows of equal-length integer columns, sorted row-wise."""
-    order = np.lexsort(columns[::-1])
-    columns = [c[order] for c in columns]
-    fresh = np.zeros(len(order), dtype=bool)
-    fresh[:1] = True
-    for c in columns:
-        fresh[1:] |= c[1:] != c[:-1]
-    return tuple(c[fresh] for c in columns)
+    """Distinct rows of equal-length integer columns, sorted row-wise: one
+    unstable argsort of `_row_key`, as distinct keys have one order."""
+    if not len(columns[0]):
+        return columns
+    key = _row_key(columns)
+    order = np.argsort(key)
+    keep = order[_fresh(key[order])]
+    return tuple(c[keep] for c in columns)
+
+
+def _row_key(columns):
+    """One int64 per row, ordered as the rows are row-wise: each column
+    less its minimum, scaled by the spans of the columns after it. Where
+    that product would pass int64, the key so far and the next column are
+    first replaced by their ranks among their distinct values, which keeps
+    the order and bounds each span by the row count."""
+    key, span = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for column in columns:
+        lo, hi = int(column.min()), int(column.max())
+        if span * (hi - lo + 1) > INT64_MAX:
+            key = np.unique(key, return_inverse=True)[1]
+            span = int(key.max()) + 1
+            column = np.unique(column, return_inverse=True)[1]
+            lo, hi = 0, int(column.max())
+        key = key * (hi - lo + 1) + (column - lo)
+        span *= hi - lo + 1
+    return key
 
 
 def _sharing(rows: Csr, n: int) -> Csr:
@@ -499,15 +568,12 @@ def _sharing(rows: Csr, n: int) -> Csr:
 def patch_from_json_dict(document: dict) -> Patch:
     """Rebuild a Patch from its JSON export; the arrangement is recomputed
     from the polygons. Raises ParseError unless r is positive, the centre is
-    two numbers and every polygon is at least 3 points that turn strictly
+    two numbers, every tile's cell and zone are as `_document_tile` says,
+    and every polygon is at least 3 points that turn strictly
     counter-clockwise at every corner, once around; every number is finite
     and at most COORD_LIMIT in magnitude."""
     try:
-        tiles = [PlacedTile(cell=tuple(rec.get("cell", (0, 0))),
-                            polygon=np.array([list(map(number, point))
-                                              for point in rec["polygon"]]),
-                            zone=rec.get("zone", ""))
-                 for rec in document["tiles"]]
+        tiles = [_document_tile(record) for record in document["tiles"]]
         r, center = document.get("r"), document.get("center")
         r = None if r is None else number(r)
         center = None if center is None else tuple(map(number, center))
@@ -527,7 +593,7 @@ def patch_from_json_dict(document: dict) -> Patch:
     if polys and not bad:
         # every angle in (0, pi) and the corners wind once around, as the
         # arrangement's angles and the verifier's clipping assume
-        points, offsets, nxt = _flat_corners(polys)
+        points, offsets, nxt = _stacked_corners(*stack_polygons(polys))
         # corners past COORD_LIMIT may overflow here; the bound fails them
         with np.errstate(over="ignore", invalid="ignore"):
             angles = corner_angles(points[nxt] - points, nxt)
@@ -544,3 +610,19 @@ def patch_from_json_dict(document: dict) -> Patch:
                          f"order, got {bad[0].tolist()}")
     return Patch.from_tiles(tiles, r=r, center=center,
                             precision=DOCUMENT_PRECISION)
+
+
+def _document_tile(record) -> PlacedTile:
+    """A patch document's tile record as a PlacedTile. TypeError unless its
+    cell is two JSON integers (a float or a boolean is none) that fit int64
+    and its zone a string; each defaults as in a hand-built tile."""
+    cell, zone = record.get("cell", [0, 0]), record.get("zone", "")
+    if not (isinstance(cell, list) and len(cell) == 2 and all(
+            type(k) is int and -INT64_MAX - 1 <= k <= INT64_MAX
+            for k in cell)):
+        raise TypeError(f"tile cell {cell!r} is not two int64 integers")
+    if not isinstance(zone, str):
+        raise TypeError(f"tile zone {zone!r} is not a string")
+    return PlacedTile(tuple(cell), np.array([list(map(number, point))
+                                             for point in record["polygon"]]),
+                      zone)

@@ -303,7 +303,9 @@ def points_in_convex_polygon(px: np.ndarray, py: np.ndarray,
         a = poly[..., k, :]
         d = poly[..., (k + 1) % n, :] - a
         cross = d[..., 0] * (py - a[..., 1]) - d[..., 1] * (px - a[..., 0])
-        inside = inside & (cross >= -eps * np.hypot(d[..., 0], d[..., 1]))
+        # with eps 0 the band is -0.0 wide, whatever the side's length
+        bound = -eps * np.hypot(d[..., 0], d[..., 1]) if eps else 0.0
+        inside = inside & (cross >= bound)
     return inside
 
 

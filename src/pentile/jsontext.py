@@ -76,7 +76,7 @@ def patch_document(patch) -> dict:
     values, the tiles, vertices and edges sections as Raw text."""
     return {"r": patch.r,
             "center": list(patch.center) if patch.center else None,
-            "tiles": _section(_tile_records(patch.tiles)),
+            "tiles": _section(_tile_records(patch)),
             "vertices": _section(_vertex_records(patch)),
             "edges": _section(_edge_records(patch))}
 
@@ -86,21 +86,22 @@ def _section(records: list[str]) -> Raw:
     return Raw(_block("[", records, "]", 1))
 
 
-def _tile_records(tiles) -> list[str]:
-    polygons = [np.asarray(t.polygon, dtype=float) for t in tiles]
-    coords = float_texts(np.concatenate(polygons)) if polygons else []
-    templates, records, at = {}, [], 0
-    for tile, polygon in zip(tiles, polygons):
-        shape = len(tile.cell), len(polygon)
-        if shape not in templates:
-            templates[shape] = _text({"cell": [SLOT] * shape[0],
-                                      "polygon": [[SLOT, SLOT]] * shape[1],
+def _tile_records(patch) -> list[str]:
+    """Tile i's corners are the first counts[i] of its row of the padded
+    stack, whose 2·K texts start at 2·K·i."""
+    row = 2 * patch.polygons.shape[1]
+    coords = float_texts(patch.polygons)
+    templates, records = {}, []
+    for i, ((m, n), count, zone) in enumerate(zip(
+            patch.cells.tolist(), patch.counts.tolist(),
+            patch.zones.tolist())):
+        if count not in templates:
+            templates[count] = _text({"cell": [SLOT, SLOT],
+                                      "polygon": [[SLOT, SLOT]] * count,
                                       "zone": SLOT}, 2)
-        end = at + 2 * shape[1]
-        records.append(templates[shape] % (
-            *(_text(m, 4) for m in tile.cell), *coords[at:end],
-            _text(tile.zone, 3)))
-        at = end
+        at = row * i
+        records.append(templates[count] % (
+            m, n, *coords[at:at + 2 * count], ascii_string(zone)))
     return records
 
 

@@ -20,10 +20,11 @@ def patch_to_svg(patch) -> str:
     Output is a pure function of the patch, so identical patches give
     identical bytes.
     """
-    if not patch.tiles:
+    if not len(patch.counts):
         return ('<svg xmlns="http://www.w3.org/2000/svg" '
                 'viewBox="0 0 1 1"></svg>\n')
-    points = np.vstack([t.polygon for t in patch.tiles])
+    # the stack's padding repeats corners, so it moves no bound
+    points = patch.polygons.reshape(-1, 2)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = hi - lo
@@ -43,10 +44,13 @@ def patch_to_svg(patch) -> str:
         f'<g stroke="{STROKE}" stroke-width="{stroke_w}" '
         f'stroke-linejoin="round">',
     ]
-    for tile in patch.tiles:
-        fill = REGION_FILL if tile.cell == (0, 0) else TILE_FILL
-        coords = " ".join("%s,%s" % tuple(map(_fmt, to_px(p)))
-                          for p in tile.polygon)
+    x, y = to_px(patch.polygons.transpose(2, 0, 1))
+    region = (patch.cells == 0).all(axis=1).tolist()
+    for xs, ys, count, tinted in zip(x.tolist(), y.tolist(),
+                                     patch.counts.tolist(), region):
+        coords = " ".join(f"{_fmt(px)},{_fmt(py)}"
+                          for px, py in zip(xs[:count], ys[:count]))
+        fill = REGION_FILL if tinted else TILE_FILL
         parts.append(f'<polygon points="{coords}" fill="{fill}"/>')
     parts.append("</g>")
     if patch.r is not None and patch.center is not None:

@@ -48,8 +48,9 @@ SNAP_FACTOR = 1e-7         # vertex merge radius, relative to mean edge
 COORD_LIMIT = 1e100
 RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
 # most lattice translates near_translates scans. It bounds the scan, not a
-# run's memory: a patch peaks at about 1 970 B per tile (Type 4 at r = 300),
-# and Type 4 at r = 600 passes this bound and needs more than 3 GiB
+# run's memory: generate_patch peaks at about 1 370 B per tile (tracemalloc,
+# Type 4 at r = 300), and writing the patch's document takes more, so a
+# disk this bound admits can still need more memory than a machine has
 MAX_TRANSLATES = 2_000_000
 
 
@@ -436,12 +437,9 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     f3 = outer[_enclosed_tiles(cells[outer], d_max[outer] > rho, recipe)]
 
     order = np.concatenate([np.nonzero(inner)[0], boundary, f3])
-    zones = (["F1"] * int(inner.sum()) + ["F2"] * len(boundary)
-             + ["F3"] * len(f3))
-    corners = polys[order]
-    tiles = [PlacedTile((mi, ni), polygon, zone) for (mi, ni), polygon, zone
-             in zip(cells[order, :2].tolist(), corners, zones)]
-    return Patch.from_cells(tiles, corners, cells[order],
+    zones = np.repeat(np.array(["F1", "F2", "F3"]),
+                      [np.count_nonzero(inner), len(boundary), len(f3)])
+    return Patch.from_cells(polys[order], cells[order], zones,
                             recipe.cell_arrangement, r=r,
                             center=tuple(center))
 

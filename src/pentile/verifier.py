@@ -24,7 +24,6 @@ from .geometry import (
     polygon_areas,
     polygon_disk_overlap_areas,
     smallest_enclosing_circle,
-    stack_polygons,
 )
 from .tiling import near_translates
 
@@ -145,7 +144,7 @@ def check_no_overlap(patch) -> CheckReport:
     how far the disk lies from the origin. A tile of zero area, or one so
     small that the overlap over its area is not finite, is DegenerateTile.
     """
-    stacked, counts = stack_polygons([t.polygon for t in patch.tiles])
+    stacked, counts = patch.polygons, patch.counts
     if patch.center is not None:
         stacked = stacked - np.asarray(patch.center, dtype=float)
     areas = np.abs(polygon_areas(stacked, counts))
@@ -241,11 +240,10 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
     """
     if patch.r is None or patch.center is None:
         raise InvalidInnerRadius("patch carries no disk; nothing to cover")
-    if not patch.tiles:
+    if not len(patch.counts):
         raise InvalidInnerRadius("patch holds no tiles; nothing covers")
     center = np.asarray(patch.center, dtype=float)
-    stacked, counts = stack_polygons([t.polygon for t in patch.tiles])
-    stacked = stacked - center
+    stacked, counts = patch.polygons - center, patch.counts
     first = stacked[0, :counts[0]]
     # one pair of corner slots at a time, with no (N, K, K, 2) temporary
     diam = float(functools.reduce(np.maximum, (

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from scipy.spatial import cKDTree
 
 import pentile
 from pentile.arrangement import (SNAP_FACTOR, CellArrangement, Patch,
-                                 PatchEdge, PatchVertex, _unique_rows,
-                                 patch_from_json_dict, vertex_labels)
+                                 PatchEdge, PatchVertex, _row_key,
+                                 _unique_rows, patch_from_json_dict,
+                                 vertex_labels)
 from pentile.geometry import close_pairs, component_labels, interior_angles
 from pentile.jsontext import dumps, patch_document
 from pentile.pentagon import pentagon_from_json_dict
@@ -486,6 +488,17 @@ def test_component_labels_are_the_connected_components(graph):
     assert label.tolist() == [smallest[part] for part in component.tolist()]
 
 
+def unique_rows_list(*columns):
+    columns = [np.array(c, dtype=np.int64) for c in columns]
+    found = _unique_rows(*columns)
+    assert [c.dtype for c in found] == [c.dtype for c in columns]
+    return list(zip(*(c.tolist() for c in found)))
+
+
+def rows_reference(*columns):
+    return sorted(set(zip(*columns)))
+
+
 @pytest.mark.parametrize("scale", [1, 2 ** 40])
 def test_unique_rows_are_sorted_and_distinct(scale):
     """Rows come back distinct and in row-wise order, for small ids and
@@ -494,3 +507,52 @@ def test_unique_rows_are_sorted_and_distinct(scale):
     b = scale * np.array([1, 2, 1, 0, 2, -4])
     rows = list(zip(*(c.tolist() for c in _unique_rows(a, b))))
     assert rows == sorted(set(zip(a.tolist(), b.tolist())))
+
+
+BIG = 2 ** 62
+UNIQUE_ROW_CASES = {
+    "three-columns": ([2, 0, 2, 1, 2, 0], [5, 5, 5, 4, 3, 5],
+                      [0, 1, 0, 0, 7, 0]),
+    "empty": ([], [], []),
+    "one-row": ([7], [-3]),
+    "mixed-sign": ([-3, 4, -3, 0, 4, -3], [2, -9, 2, 0, -9, -1]),
+    # each span fits int64, their product does not
+    "spans-pass-int64": ([0, 2 ** 40, 0, 5, 2 ** 40], [2 ** 30, 0, 2 ** 30,
+                                                       1, -2 ** 30],
+                         [2 ** 20, 0, 2 ** 20, 3, 0]),
+    # one column's span alone, max - min, passes int64
+    "one-span-passes-int64": ([-BIG, BIG, 0, BIG, -BIG], [1, 0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("columns", UNIQUE_ROW_CASES.values(),
+                         ids=UNIQUE_ROW_CASES)
+def test_unique_rows_match_the_sorted_set(columns):
+    assert unique_rows_list(*columns) == rows_reference(*columns)
+
+
+@pytest.mark.parametrize("case", [c for c in UNIQUE_ROW_CASES
+                                  if c != "empty"])
+def test_row_keys_are_taken_over_ranks_only_past_int64(case):
+    """The key is built over ranks (two np.unique calls) exactly where the
+    spans' product passes int64, and either way it keeps the rows' order."""
+    columns = [np.array(c, dtype=np.int64) for c in UNIQUE_ROW_CASES[case]]
+    with mock.patch.object(np, "unique", wraps=np.unique) as ranks:
+        key = _row_key(columns)
+    assert ranks.call_count == (2 if "int64" in case else 0)
+    rows = list(zip(*(c.tolist() for c in columns)))
+    assert sorted(range(len(rows)), key=lambda i: (rows[i], i)) == sorted(
+        range(len(rows)), key=lambda i: (key[i], i))
+
+
+big_ids = st.one_of(st.integers(-4, 4), st.integers(-BIG, BIG))
+
+
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.tuples(*[big_ids] * width), max_size=40)))
+def test_unique_rows_property(rows):
+    """Any rows, small ids beside ids up to ±2**62, come back as the sorted
+    set of rows."""
+    width = len(rows[0]) if rows else 2
+    columns = list(zip(*rows)) if rows else [()] * width
+    assert unique_rows_list(*columns) == rows_reference(*columns)

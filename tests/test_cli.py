@@ -426,6 +426,14 @@ BAD_PATCH_EDITS = {
     "polygon-false": {"r": 5, "tiles": [{"polygon": [[0, 0], [1, False],
                                                      [0, 1]]}]},
     "centre-false": {"center": [0, False]},
+    # a tile's cell is two JSON integers, and its zone a string
+    **{f"cell-{name}": {"tiles": [{"cell": cell, "polygon": [[0, 0], [1, 0],
+                                                              [0, 1]]}]}
+       for name, cell in [("text", "xyz"), ("short", [1]),
+                          ("long", [1, 2, 3]), ("float", [0.5, 0]),
+                          ("true", [True, 0]), ("int-1e400", [10**400, 0])]},
+    "zone-number": {"tiles": [{"zone": 1, "polygon": [[0, 0], [1, 0],
+                                                      [0, 1]]}]},
 }
 
 
@@ -453,6 +461,9 @@ BAD_PATCH_EDITS = {
     "verify --patch polygon-int-1e400", "verify --patch r-int-1e400",
     "stats --patch r-true", "stats --patch polygon-false",
     "verify --patch centre-false",
+    *[f"{command} --patch cell-{name}" for command in ("stats", "render")
+      for name in ("text", "short", "long", "float", "true", "int-1e400")],
+    "stats --patch zone-number",
     "catalog list 99",
 ])
 def test_bad_flags_and_patch_documents_are_parse_errors(capsys, tmp_path,

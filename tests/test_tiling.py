@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile import arrangement, jsontext, tiling, verifier
+from pentile import arrangement, jsontext, render, tiling, verifier
 from pentile.arrangement import Patch
 from pentile.catalog import classify, get_type_spec, solve_instance
 from pentile.errors import (
@@ -926,6 +926,34 @@ def ring_seeded_tile_records(recipe, r, M):
              + ["F3"] * len(f3))
     return [(tuple(cell), zone, polygon.tobytes()) for cell, polygon, zone
             in zip(cells[order, :2].tolist(), polys[order], zones)]
+
+
+@pytest.mark.parametrize("type_id", BUILTIN_SWEEP_TYPES)
+def test_the_generated_path_builds_no_placed_tile(type_id, monkeypatch):
+    """Generating a patch, its stats in both modes, its verification, its
+    document and its SVG read the tile arrays and make no PlacedTile.
+    tiles, read afterwards, makes one per tile, as the ring-seeded
+    reference places them."""
+    made = []
+
+    class Counted(tiling.PlacedTile):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    for module in (tiling, arrangement):
+        monkeypatch.setattr(module, "PlacedTile", Counted)
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    r, M = 10.0, (0.37, -1.21)
+    patch = generate_patch(recipe, r, M)
+    compute_stats(patch, FULL)
+    compute_stats(patch, INTERIOR)
+    assert verify_patch(patch).ok
+    jsontext.dumps(jsontext.patch_document(patch))
+    render.patch_to_svg(patch)
+    assert made == []
+    assert tile_records(patch) == ring_seeded_tile_records(recipe, r, M)
+    assert len(made) == len(patch.counts)
 
 
 @settings(max_examples=40)
