@@ -46,7 +46,6 @@ from .tiling import (
     congruence_defect,
     generate_patch,
     load_recipe,
-    tile_diameter,
 )
 from .arrangement import (
     Patch,

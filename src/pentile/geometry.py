@@ -295,17 +295,19 @@ def points_in_convex_polygon(px: np.ndarray, py: np.ndarray,
     eps wide. The coordinates broadcast against each other and against
     polygons (..., n, 2), as stacked by stack_polygons: a row of x against
     a column of y tests a grid, and each side's px - a_x and py - a_y are
-    then taken on the row and the column only."""
+    then taken on the row and the column only. Every side's difference,
+    its two products and its band are taken in one array each before the
+    side loop, which only subtracts, compares and ands."""
     px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
-    inside = True
     n = poly.shape[-2]
-    for k in range(n):
-        a = poly[..., k, :]
-        d = poly[..., (k + 1) % n, :] - a
-        cross = d[..., 0] * (py - a[..., 1]) - d[..., 1] * (px - a[..., 0])
-        # with eps 0 the band is -0.0 wide, whatever the side's length
-        bound = -eps * np.hypot(d[..., 0], d[..., 1]) if eps else 0.0
-        inside = inside & (cross >= bound)
+    d = poly.take((np.arange(n) + 1) % n, axis=-2) - poly
+    rise = d[..., 0] * (py[..., None] - poly[..., 1])
+    run = d[..., 1] * (px[..., None] - poly[..., 0])
+    # with eps 0 the band is zero wide, whatever the side's length
+    bound = -eps * np.hypot(d[..., 0], d[..., 1]) if eps else np.zeros(n)
+    inside = rise[..., 0] - run[..., 0] >= bound[..., 0]
+    for k in range(1, n):
+        inside &= rise[..., k] - run[..., k] >= bound[..., k]
     return inside
 
 
@@ -345,19 +347,21 @@ def close_pairs(points: np.ndarray, reach: float, others=None
     so the 3x3 block around a cell is three runs of cell numbers, found by
     searchsorted in the sorted cell numbers of the other set.
     """
-    a = np.asarray(points, dtype=float).reshape(-1, 2)
-    b = a if others is None else np.asarray(others, dtype=float).reshape(-1, 2)
+    # x and y as contiguous rows: reductions and gathers stride slowly down
+    # the columns of an (n, 2) array
+    a = np.ascontiguousarray(np.asarray(points, dtype=float).reshape(-1, 2).T)
+    b = a if others is None else np.ascontiguousarray(
+        np.asarray(others, dtype=float).reshape(-1, 2).T)
     none = np.zeros(0, dtype=np.intp)
-    if not len(a) or not len(b):
+    if not a.shape[1] or not b.shape[1]:
         return none, none
-    # per-axis reductions on the columns: along axis 0 numpy strides slowly
-    lo = [min(a[:, k].min(), b[:, k].min()) for k in (0, 1)]
-    span = max(max(a[:, k].max(), b[:, k].max()) - lo[k] for k in (0, 1))
+    lo = [min(a[k].min(), b[k].min()) for k in (0, 1)]
+    span = max(max(a[k].max(), b[k].max()) - lo[k] for k in (0, 1))
     # the margin outgrows the rounding of (x - lo) / width, a few ulp of span
     width = max(reach, span * 2.0 ** -30) + span * 2.0 ** -40 or 1.0
 
     def cells(p):
-        return [np.floor((p[:, k] - lo[k]) / width).astype(np.intp)
+        return [np.floor((p[k] - lo[k]) / width).astype(np.intp)
                 for k in (0, 1)]
 
     col_a, row_a = cells(a)
@@ -379,11 +383,13 @@ def close_pairs(points: np.ndarray, reach: float, others=None
     j = by_b[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count,
                                            count)]
     if others is None:
-        i, j = i[i < j], j[i < j]
-    dx, dy = a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]
+        keep = i < j
+        i, j = i[keep], j[keep]
+    (ax, ay), (bx, by) = a, b
+    dx, dy = ax[i] - bx[j], ay[i] - by[j]
     near = dx * dx + dy * dy <= reach * reach
     i, j = i[near], j[near]
-    order = np.argsort(i * len(b) + j)
+    order = np.argsort(i * b.shape[1] + j)
     return i[order], j[order]
 
 

@@ -69,6 +69,12 @@ class Pentagon:
     def vertices(self) -> np.ndarray:
         return vertices_from(self.angles, self.edges)
 
+    @cached_property
+    def diameter(self) -> float:
+        """The widest corner pair, measured once per pentagon."""
+        vv = self.vertices
+        return max(float(np.linalg.norm(a - b)) for a in vv for b in vv)
+
     @property
     def angles_deg(self) -> tuple[float, ...]:
         return tuple(math.degrees(a) for a in self.angles)

@@ -209,13 +209,13 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
     patch has an interior to count. The largest patch is generated first,
     so a radius over `tiling.MAX_TRANSLATES` is refused before any is.
     """
-    from .tiling import generate_patch, tile_diameter
+    from .tiling import generate_patch
 
     radii = [float(r) for r in radii]
     require_positive("radii", radii)
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ParseError("radii must be a strictly increasing list")
-    diam = tile_diameter(recipe.pentagon)
+    diam = recipe.pentagon.diameter
     if radii[0] <= 2.0 * diam:
         raise ParseError(
             f"smallest radius {radii[0]} must exceed twice the tile "

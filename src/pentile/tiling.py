@@ -379,11 +379,6 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
             recipe.region_corners[j] + shifts[:, None, :])
 
 
-def tile_diameter(pentagon: Pentagon) -> float:
-    vv = pentagon.vertices
-    return max(float(np.linalg.norm(a - b)) for a in vv for b in vv)
-
-
 def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     """The patch A(r, M): tiles inside the disk, tiles meeting its boundary,
     and tiles surrounded by those. Returns an arrangement-backed Patch.
@@ -419,7 +414,7 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     require_positive("disk radius", r)
     center = np.asarray(M, dtype=float)
     require_finite("disk centre", center)
-    diam = tile_diameter(recipe.pentagon)
+    diam = recipe.pentagon.diameter
     eps = recipe.merge_distance
     rho = r + diam + 2.0 * eps
     try:

@@ -55,7 +55,7 @@ def _bounding_circles(stacked, counts):
     """A bounding circle per stacked polygon: any center gives one, and the
     corner mean is cheapest."""
     centers = np.empty((len(stacked), 2))
-    for c in np.unique(counts):
+    for c in np.flatnonzero(np.bincount(counts)):
         rows = counts == c
         centers[rows] = stacked[rows, :c].mean(axis=1)
     radii = np.linalg.norm(stacked - centers[:, None], axis=2).max(axis=1)
@@ -175,28 +175,29 @@ def _grid_cover_check(stacked, region_mask, lo, hi, pitch, eps):
     The grid is held only as its axes xs and ys: region_mask(px, py) takes
     the row xs (1, nx) against the column ys (ny, 1), and no point array is
     built. Each tile runs points_in_convex_polygon(..., eps) on the grid
-    points of its index box, one index wider than its corners each way
-    (padding repeats corners, so it moves no box), as a column ys[iy]
-    (B, wy, 1) against a row xs[ix] (B, 1, wx). The eps band reaches
-    eps / sin(theta / 2) past a corner of angle theta; with the checks'
-    eps, 1e-9 of the tile or cell size, that is far less than one index.
-    So the box holds every point the tile can, and the covered set is the
-    union of that test over all tiles."""
+    points of its index box, as a column ys[iy] (B, wy, 1) against a row
+    xs[ix] (B, 1, wx). The box runs from ceil(min' - 1/2) to
+    floor(max' + 1/2), min' and max' being the corners' extremes in
+    indices (padding repeats corners, so it moves no box). The eps band
+    reaches eps / sin(theta / 2) past a corner of angle theta; with the
+    checks' eps, 1e-9 of the tile or cell size, that is far less than half
+    an index. So the box holds every point the tile can, and the covered
+    set is the union of that test over all tiles. Hits are scattered by
+    flat index iy * nx + ix, and a pass holds about 64 K box points."""
     xs = np.arange(lo[0], hi[0] + pitch, pitch)
     ys = np.arange(lo[1], hi[1] + pitch, pitch)
     wanted = region_mask(xs[None, :], ys[:, None])
     size = np.array([len(xs), len(ys)])
-    first = np.floor((stacked.min(axis=1) - lo) / pitch) - 1
-    last = np.floor((stacked.max(axis=1) - lo) / pitch) + 1
+    first = np.ceil((stacked.min(axis=1) - lo) / pitch - 0.5)
+    last = np.floor((stacked.max(axis=1) - lo) / pitch + 0.5)
     meets = np.all((last >= 0) & (first < size), axis=1)
     polys = stacked[meets]
     first = np.clip(first[meets], 0, size - 1).astype(np.intp)
     last = np.clip(last[meets], 0, size - 1).astype(np.intp)
-    covered = np.zeros(wanted.shape, dtype=bool)
-    # boxes padded to the largest, whose padding retests grid points; a
-    # pass holds up to CHUNK box rows
+    covered = np.zeros(wanted.size, dtype=bool)
+    # boxes padded to the largest, whose padding retests grid points
     wx, wy = (last - first).max(axis=0, initial=0) + 1
-    step = max(1, CHUNK // wy)
+    step = max(1, 64 * CHUNK // (wx * wy))
     for start in range(0, len(polys), step):
         box_lo = first[start:start + step]
         ix = np.minimum(box_lo[:, None, :1] + np.arange(wx), size[0] - 1)
@@ -204,9 +205,8 @@ def _grid_cover_check(stacked, region_mask, lo, hi, pitch, eps):
                         size[1] - 1)
         hit = points_in_convex_polygon(
             xs[ix], ys[iy], polys[start:start + step, None, None], eps=eps)
-        covered[np.broadcast_to(iy, hit.shape)[hit],
-                np.broadcast_to(ix, hit.shape)[hit]] = True
-    miss = wanted & ~covered
+        covered[(iy * len(xs) + ix)[hit]] = True
+    miss = wanted & ~covered.reshape(wanted.shape)
     missed = int(np.count_nonzero(miss))
     row, col = divmod(int(np.argmax(miss)), len(xs))
     example = (float(xs[col]), float(ys[row])) if missed else None

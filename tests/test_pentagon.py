@@ -92,6 +92,18 @@ class TestConstruction:
         with pytest.raises(ClosureViolation):
             pent((60, 150, 90, 90, 150), (1, 1, 1, 1, 2))
 
+    def test_diameter_is_the_widest_corner_pair_measured_once(self):
+        """The pair-by-pair norm maximum, bit for bit, over every
+        relabeling, kept on the pentagon after the first read."""
+        for p in (HOUSE, REGULAR, closed((120, 120, 120, 90, 90))):
+            for q in p.labelings():
+                vv = q.vertices
+                widest = max(float(np.linalg.norm(vv[i] - vv[j]))
+                             for i in range(5) for j in range(5))
+                assert "diameter" not in vars(q)
+                assert q.diameter == widest
+                assert vars(q)["diameter"] == widest
+
     def test_relabel_round_trip(self):
         q = HOUSE.relabeled(rotation=2)
         assert q.angles[0] == HOUSE.angles[2]

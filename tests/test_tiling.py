@@ -48,7 +48,6 @@ from pentile.tiling import (
     congruence_defect,
     generate_patch,
     load_recipe,
-    tile_diameter,
 )
 from pentile.verifier import check_periodicity, verify_patch
 
@@ -241,7 +240,7 @@ def test_euler_characteristic_is_one(type_id):
 
 def test_doubling_radius_roughly_quadruples_tiles():
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)
-    r = 10.0 * tile_diameter(recipe.pentagon)
+    r = 10.0 * recipe.pentagon.diameter
     small = len(generate_patch(recipe, r).tiles)
     big = len(generate_patch(recipe, 2 * r).tiles)
     assert 3.5 <= big / small <= 4.5
@@ -777,7 +776,7 @@ def test_moat_encloses_the_tiles_the_pairwise_flood_fill_encloses(
     beyond it: a non-empty F3, which must equal the pairwise flood
     fill's."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
-    diam = tile_diameter(recipe.pentagon)
+    diam = recipe.pentagon.diameter
     eps = recipe.merge_distance
     center = np.asarray(M)
     cells, polys = tiling.near_translates(recipe, center[None],
@@ -911,7 +910,7 @@ def ring_seeded_tile_records(recipe, r, M):
     center = np.asarray(M, dtype=float)
     eps = recipe.merge_distance
     cells, polys = tiling.near_translates(
-        recipe, center[None], r + 5.0 * tile_diameter(recipe.pentagon))
+        recipe, center[None], r + 5.0 * recipe.pentagon.diameter)
     inner = np.linalg.norm(polys - center, axis=2).max(axis=1) <= r - eps
     rest = np.nonzero(~inner)[0]
     meets = polygon_distances(center, polys[rest]) <= r + eps
@@ -976,7 +975,7 @@ def test_candidates_hold_every_tile_meeting_the_flood_disk(recipe, r, M):
         generate_patch(recipe, r, M)
     candidates, _ = tiling.near_translates(*near.call_args.args)
     center = np.asarray(M, dtype=float)
-    diam = tile_diameter(recipe.pentagon)
+    diam = recipe.pentagon.diameter
     rho = r + diam + 2.0 * recipe.merge_distance
     scanned = scanned_translates(recipe, center[None], rho + 2.0 * diam)
     meets = polygon_distances(center, placed_corners(recipe, scanned)) <= rho
@@ -997,7 +996,7 @@ def test_candidate_centroids_lie_within_one_tile_radius_of_the_flood_disk(
     candidates, _ = tiling.near_translates(*near.call_args.args)
     center = np.asarray(M, dtype=float)
     eps = recipe.merge_distance
-    rho = r + tile_diameter(recipe.pentagon) + 2.0 * eps
+    rho = r + recipe.pentagon.diameter + 2.0 * eps
     far = np.linalg.norm(placed_centroids(recipe, candidates) - center,
                          axis=1)
     assert (far <= rho + recipe.radius + eps).all()

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -437,12 +437,23 @@ def small_patch_polygons(type_id):
     return recipe, [t.polygon for t in generate_patch(recipe, 4.0).tiles]
 
 
+def disk_case(polys, center, radius, pitch, eps=1e-9):
+    """A grid_cover_cases case sampling the disk about center."""
+    center = np.asarray(center, dtype=float)
+
+    def in_disk(px, py):
+        dx, dy = px - center[0], py - center[1]
+        return np.sqrt(dx * dx + dy * dy) <= radius - eps
+
+    return polys, (in_disk, center - radius, center + radius, pitch, eps)
+
+
 @st.composite
 def grid_cover_cases(draw):
     """Tiles of a Type 1, 2, 4 or 5 patch with up to 3 dropped, a pitch from
-    a twentieth of a unit to two (boxes three indices wide, tiles larger
-    than the pitch), and a disk or, as check_periodicity samples, a lattice
-    cell, either of which may hang past the tiles."""
+    a twentieth of a unit to two (tiles 1.3 to 1.9 wide, so boxes down to
+    one or two indices a side), and a disk or, as check_periodicity
+    samples, a lattice cell, either of which may hang past the tiles."""
     recipe, polys = small_patch_polygons(draw(st.sampled_from([1, 2, 4, 5])))
     dropped = draw(st.sets(st.integers(0, len(polys) - 1), max_size=3))
     polys = [p for i, p in enumerate(polys) if i not in dropped]
@@ -451,13 +462,7 @@ def grid_cover_cases(draw):
                                      st.floats(-3.0, 3.0))))
     eps = 1e-9
     if draw(st.booleans()):
-        radius = draw(st.floats(0.5, 6.0))
-
-        def in_disk(px, py):
-            dx, dy = px - center[0], py - center[1]
-            return np.sqrt(dx * dx + dy * dy) <= radius - eps
-
-        return polys, (in_disk, center - radius, center + radius, pitch, eps)
+        return disk_case(polys, center, draw(st.floats(0.5, 6.0)), pitch, eps)
     u, v = np.asarray(recipe.u), np.asarray(recipe.v)
     p0 = center - (u + v) / 2.0
     cell = np.array([p0, p0 + u, p0 + u + v, p0 + v])
@@ -470,11 +475,85 @@ def grid_cover_cases(draw):
     return polys, (in_cell, cell.min(axis=0), cell.max(axis=0), pitch, eps)
 
 
+# a house whose corners lie on grid columns and rows: the grid about (1, 1),
+# radius 2 and pitch 1/2 runs from -1 in exact halves
+GRID_HOUSE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 2.0],
+                       [0.0, 1.0]])
+
+
 @given(grid_cover_cases())
+@example(case=disk_case([GRID_HOUSE], (1.0, 1.0), 2.0, 0.5))
+@example(case=disk_case([GRID_HOUSE + 0.5e-12], (1.0, 1.0), 2.0, 0.5))
+@example(case=disk_case([GRID_HOUSE - 0.5e-12], (1.0, 1.0), 2.0, 0.5))
+@example(case=disk_case([GRID_HOUSE, 0.1 * GRID_HOUSE + (2.1, 0.1)],
+                        (1.0, 1.0), 2.0, 0.5))
 def test_grid_route_matches_tile_by_tile_scan_anywhere(case):
+    """Drawn cases, and four at the box edges: a tile whose corners lie on
+    grid points; the same tile moved by 1e-12 of a pitch up and down, which
+    leaves those points in its eps band, where a box edge without its
+    half-index margin would drop a corner's column or row; and beside it a
+    tile a fifth of a pitch wide between two columns and two rows, whose
+    box holds grid points and covers none. The reference finds its points
+    by k-d tree radius, not by boxes."""
     polys, args = case
     assert _grid_cover_check(stack_polygons(polys)[0], *args) == \
         loop_grid_cover_check(polys, *args)
+
+
+def scalar_points_in_convex_polygon(x, y, poly, eps):
+    """One point against one polygon, one side at a time, in the kernel's
+    float expression."""
+    for k in range(len(poly)):
+        ax, ay = poly[k]
+        dx, dy = poly[(k + 1) % len(poly)] - poly[k]
+        bound = -eps * np.hypot(dx, dy) if eps else 0.0
+        if not dx * (y - ay) - dy * (x - ax) >= bound:
+            return False
+    return True
+
+
+@st.composite
+def kernel_cases(draw):
+    """One to three convex polygons of 3 to 8 corners; x and y values drawn freely or from the polygons' corners and
+    side midpoints, so that points fall on sides and at corners; and a
+    band eps of 0, of either sign (check_periodicity's cell mask takes a
+    negative one), or 0.1 wide."""
+    polys = draw(st.lists(convex_polygons(), min_size=1, max_size=3))
+    marks = np.concatenate(
+        [np.concatenate([p, (p + np.roll(p, -1, axis=0)) / 2.0])
+         for p in polys])
+    mark = st.integers(0, len(marks) - 1)
+    xs = draw(st.lists(st.one_of(st.floats(-9.0, 9.0), mark.map(
+        lambda i: marks[i, 0])), min_size=1, max_size=6))
+    ys = draw(st.lists(st.one_of(st.floats(-9.0, 9.0), mark.map(
+        lambda i: marks[i, 1])), min_size=1, max_size=6))
+    # one mark's own x and y, so the grid holds a corner or a midpoint
+    m = draw(mark)
+    xs.append(marks[m, 0])
+    ys.append(marks[m, 1])
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-2),
+                         st.floats(-1e-2, -1e-12), st.just(0.1)))
+    return polys, np.array(xs), np.array(ys), eps
+
+
+@given(kernel_cases())
+def test_kernel_matches_a_point_by_point_side_by_side_loop(case):
+    """points_in_convex_polygon equals, bit for bit, a scalar loop over
+    points and sides: on one point, on a row of x against a column of y,
+    and on stacked polygons with padded corners against that grid."""
+    polys, xs, ys, eps = case
+    # every polygon gets at least one padded corner
+    stacked = stack_polygons([np.concatenate([p, p[-1:]]) for p in polys])[0]
+    grid = np.array([[[scalar_points_in_convex_polygon(x, y, p, eps)
+                       for x in xs] for y in ys] for p in stacked])
+    for p, expect in zip(stacked, grid):
+        one = points_in_convex_polygon(xs[-1], ys[-1], p, eps=eps)
+        assert np.shape(one) == () and one == expect[-1, -1]
+        found = points_in_convex_polygon(xs[None, :], ys[:, None], p, eps=eps)
+        assert found.dtype == bool and np.array_equal(found, expect)
+    found = points_in_convex_polygon(xs[None, :], ys[:, None],
+                                     stacked[:, None, None], eps=eps)
+    assert found.shape == grid.shape and np.array_equal(found, grid)
 
 
 # the largest subnormal and below, either sign
