@@ -17,11 +17,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleParams, NonConvergence, ParseError, UnknownType
+from .errors import (
+    InfeasibleParams,
+    NonConvergence,
+    ParseError,
+    UnknownType,
+    require_positive,
+)
 from .pentagon import (
     ANGLE_SUM,
     CORNERS,
     EDGES,
+    LABELINGS,
     Pentagon,
     edge_directions,
     make_pentagon,
@@ -117,19 +124,66 @@ class TypeSpec:
         rows.extend(self.edge_eqs)
         return tuple(rows)
 
+    @functools.cached_property
+    def table(self) -> "ConstraintTable":
+        """This Type's rows as a ConstraintTable."""
+        return ConstraintTable.of([self])
+
     def residuals(self, pentagon: Pentagon) -> np.ndarray:
-        x = np.concatenate([pentagon.angles, pentagon.edges])
-        return np.array([eq.residual(x) for eq in self.constraint_rows])
+        return self.table.residuals(pentagon, LABELINGS[:1])[0]
 
     def satisfied_by(self, pentagon: Pentagon, tol: float = CLASSIFY_TOL) -> bool:
-        """True when every constraint row holds, edge rows relative to scale."""
-        x = np.concatenate([pentagon.angles, pentagon.edges])
-        scale = pentagon.mean_edge()
-        for eq in self.constraint_rows:
-            bound = tol if eq.is_angle_equation else tol * scale
-            if abs(eq.residual(x)) > bound:
-                return False
-        return True
+        """True when every constraint row holds, edge rows relative to scale;
+        ParseError unless tol is finite and positive."""
+        return bool(self.table.fits(pentagon, tol, LABELINGS[:1])[0, 0])
+
+
+@dataclass(frozen=True)
+class ConstraintTable:
+    """The constraint rows of some Types stacked: coefficients (R, 10),
+    constants (R,), which rows are angle rows, and each row's Type, with
+    the Types' ids in the order of their rows."""
+
+    coeffs: np.ndarray
+    constants: np.ndarray
+    angle_rows: np.ndarray
+    types: np.ndarray
+    ids: tuple[int, ...]
+
+    @classmethod
+    def of(cls, specs: Sequence[TypeSpec]) -> "ConstraintTable":
+        rows = [(spec.id, eq) for spec in specs for eq in spec.constraint_rows]
+        return cls(coeffs=np.array([eq.coeffs for _, eq in rows]).reshape(-1, 10),
+                   constants=np.array([eq.constant for _, eq in rows]),
+                   angle_rows=np.array([eq.is_angle_equation for _, eq in rows],
+                                       dtype=bool),
+                   types=np.array([tid for tid, _ in rows], dtype=int),
+                   ids=tuple(spec.id for spec in specs))
+
+    def residuals(self, pentagon: Pentagon,
+                  labelings: np.ndarray = LABELINGS) -> np.ndarray:
+        """Each row's residual under each labeling (rows of LABELINGS),
+        (L, R): bit for bit LinearEquation.residual, as a batched matmul of
+        1 x 10 by 10 x 1 calls the dot np.dot calls."""
+        x = np.concatenate([np.asarray(pentagon.angles)[labelings[:, 0]],
+                            np.asarray(pentagon.edges)[labelings[:, 1]]],
+                           axis=1)
+        dots = np.matmul(self.coeffs[:, None, :], x[:, None, :, None])
+        return dots[..., 0, 0] - self.constants
+
+    def fits(self, pentagon: Pentagon, tol: float = CLASSIFY_TOL,
+             labelings: np.ndarray = LABELINGS) -> np.ndarray:
+        """(L, T): whether labeling l satisfies every row of Type ids[t],
+        each angle row to tol and each edge row to tol times the labeling's
+        mean edge, its edges summed in its own order as mean_edge sums them.
+        ParseError unless tol is finite and positive."""
+        require_positive("tol", tol)
+        edges = np.asarray(pentagon.edges)[labelings[:, 1]]
+        scale = (edges[:, 0] + edges[:, 1] + edges[:, 2] + edges[:, 3]
+                 + edges[:, 4]) / 5.0
+        bound = np.where(self.angle_rows, tol, tol * scale[:, None])
+        broken = np.abs(self.residuals(pentagon, labelings)) > bound
+        return ~(broken @ (self.types[:, None] == self.ids))
 
 
 @dataclass(frozen=True)
@@ -161,6 +215,12 @@ def _load_catalog() -> dict[int, TypeSpec]:
         )
         catalog[spec.id] = spec
     return catalog
+
+
+@functools.lru_cache(maxsize=1)
+def _catalog_table() -> ConstraintTable:
+    """Every Type's rows in one table, in TYPE_IDS order."""
+    return ConstraintTable.of([get_type_spec(tid) for tid in TYPE_IDS])
 
 
 def get_type_spec(type_id: int) -> TypeSpec:
@@ -354,12 +414,11 @@ def classify(pentagon: Pentagon, tol: float = CLASSIFY_TOL) -> list[int]:
     Families overlap, so the result may hold several ids; a pentagon that
     tiles in no known way gives an empty list. Every corner relabeling (five
     rotations, each with and without reflection) is tried, since Type
-    membership is a property of the shape, not of the labeling.
+    membership is a property of the shape, not of the labeling: one test of
+    the catalog's stacked rows (`ConstraintTable.fits`) under all ten index
+    permutations, with no relabeled Pentagon built. ParseError unless tol is
+    finite and positive.
     """
-    labelings = pentagon.labelings()
-    hits = []
-    for type_id in TYPE_IDS:
-        spec = get_type_spec(type_id)
-        if any(spec.satisfied_by(q, tol) for q in labelings):
-            hits.append(type_id)
-    return hits
+    table = _catalog_table()
+    hits = table.fits(pentagon, tol).any(axis=0)
+    return [tid for tid, hit in zip(table.ids, hits) if hit]

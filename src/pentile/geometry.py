@@ -44,13 +44,16 @@ def ccw(poly: np.ndarray) -> np.ndarray:
     return poly if polygon_area(poly) >= 0 else poly[::-1]
 
 
-def polygon_centroid(poly: np.ndarray) -> np.ndarray:
-    x, y = poly[:, 0], poly[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    a = 0.5 * np.sum(cross)
-    cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
-    cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+def polygon_centroids(stacked: np.ndarray) -> np.ndarray:
+    """Centroid of each of N polygons of K corners, (N, K, 2) -> (N, 2), by
+    the shoelace formula: each row's terms are added by np.sum over K-long
+    rows, so as np.sum adds one polygon's."""
+    x, y = stacked[..., 0], stacked[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cross = x * yn - xn * y
+    six_area = (6.0 * (0.5 * np.sum(cross, axis=-1)))[:, None]
+    return np.column_stack([np.sum((x + xn) * cross, axis=-1),
+                            np.sum((y + yn) * cross, axis=-1)]) / six_area
 
 
 def polygon_edge_lengths(poly: np.ndarray) -> np.ndarray:
@@ -344,8 +347,11 @@ def close_pairs(points: np.ndarray, reach: float, others=None
     (and never finer than 2**-30 of the points' span, so cell numbers stay
     small), so a close pair lies in one cell or in two neighbouring ones.
     Cells are numbered column by column with a spare row between columns,
-    so the 3x3 block around a cell is three runs of cell numbers, found by
-    searchsorted in the sorted cell numbers of the other set.
+    so a run of neighbouring cells is a run of cell numbers, found by
+    searchsorted in the sorted cell numbers of the other set: the 3x3 block
+    around a cell is three runs. Within points, each pair is found once
+    from its lower-numbered cell, searching the cell itself and its four
+    forward neighbours, above it and in the next column: two runs.
     """
     # x and y as contiguous rows: reductions and gathers stride slowly down
     # the columns of an (n, 2) array
@@ -374,17 +380,21 @@ def close_pairs(points: np.ndarray, reach: float, others=None
     key_a = col_a * rows + row_a
     by_a = np.argsort(key_a)
     key_a = key_a[by_a]
-    start = np.column_stack([np.searchsorted(keys, key_a + step - 1)
-                             for step in (-rows, 0, rows)]).ravel()
+    # each run of cell numbers as its first and last offset from the cell's
+    runs = (((0, 1), (rows - 1, rows + 1)) if others is None else
+            ((-rows - 1, -rows + 1), (-1, 1), (rows - 1, rows + 1)))
+    start = np.column_stack([np.searchsorted(keys, key_a + first)
+                             for first, _ in runs]).ravel()
     count = np.column_stack([
-        np.searchsorted(keys, key_a + step + 1, side="right")
-        for step in (-rows, 0, rows)]).ravel() - start
-    i = np.repeat(by_a, count.reshape(-1, 3).sum(axis=1))
+        np.searchsorted(keys, key_a + last, side="right")
+        for _, last in runs]).ravel() - start
+    i = np.repeat(by_a, count.reshape(-1, len(runs)).sum(axis=1))
     j = by_b[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count,
                                            count)]
     if others is None:
-        keep = i < j
-        i, j = i[keep], j[keep]
+        # a pair within one cell is found both ways round
+        keep = (i < j) | (key_b[i] != key_b[j])
+        i, j = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
     (ax, ay), (bx, by) = a, b
     dx, dy = ax[i] - bx[j], ay[i] - by[j]
     near = dx * dx + dy * dy <= reach * reach

@@ -58,6 +58,24 @@ def vertices_from(angles, edges) -> np.ndarray:
     return verts
 
 
+def labeling_order(rotation: int, reflect: bool
+                   ) -> tuple[list[int], list[int]]:
+    """The corner and the edge each label of a relabeling names: rotated by
+    k, label i is corner and edge i + k; mirrored first, it is corner
+    -(i + k) and edge 4 - (i + k), all mod 5."""
+    k = rotation % 5
+    if reflect:
+        return ([-(i + k) % 5 for i in range(5)],
+                [(4 - i - k) % 5 for i in range(5)])
+    return [(i + k) % 5 for i in range(5)], [(i + k) % 5 for i in range(5)]
+
+
+# the ten relabelings, five rotations then five mirrored, as index
+# permutations: LABELINGS[l, 0] orders the angles, LABELINGS[l, 1] the edges
+LABELINGS = np.array([labeling_order(k, reflect)
+                      for reflect in (False, True) for k in range(5)])
+
+
 @dataclass(frozen=True)
 class Pentagon:
     """A validated convex pentagon. Build through make_pentagon or solve_edges."""
@@ -87,20 +105,14 @@ class Pentagon:
 
     def relabeled(self, rotation: int = 0, reflect: bool = False) -> "Pentagon":
         """Same shape with corner labels rotated and/or mirror-reversed."""
-        ang = list(self.angles)
-        edg = list(self.edges)
-        if reflect:
-            ang = [ang[(-i) % 5] for i in range(5)]
-            edg = [edg[(4 - i) % 5] for i in range(5)]
-        k = rotation % 5
-        ang = ang[k:] + ang[:k]
-        edg = edg[k:] + edg[:k]
-        return make_pentagon(tuple(ang), tuple(edg))
+        corners, edges = labeling_order(rotation, reflect)
+        return make_pentagon(tuple(self.angles[i] for i in corners),
+                             tuple(self.edges[i] for i in edges))
 
     def labelings(self) -> list["Pentagon"]:
-        """The ten relabelings: five rotations, then five mirrored."""
-        return [self.relabeled(rotation=r, reflect=refl)
-                for refl in (False, True) for r in range(5)]
+        """The ten relabelings, in LABELINGS order."""
+        return [self.relabeled(rotation=k % 5, reflect=k >= 5)
+                for k in range(len(LABELINGS))]
 
     def to_json_dict(self) -> dict:
         return {"angles_deg": [math.degrees(a) for a in self.angles],

@@ -206,10 +206,13 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
     """Sweep origin-centered patches over radii; extrapolate interior ratios.
 
     Radii must increase and start above twice the tile diameter so every
-    patch has an interior to count. The largest patch is generated first,
-    so a radius over `tiling.MAX_TRANSLATES` is refused before any is.
+    patch has an interior to count. The candidates are scanned and measured
+    once, for the largest radius (`tiling.candidate_window`), and each
+    radius' patch takes the rows within its own reach from that window, so
+    a radius over `tiling.MAX_TRANSLATES` is refused before any patch is
+    built.
     """
-    from .tiling import generate_patch
+    from .tiling import candidate_window, generate_patch
 
     radii = [float(r) for r in radii]
     require_positive("radii", radii)
@@ -221,8 +224,9 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
             f"smallest radius {radii[0]} must exceed twice the tile "
             f"diameter {diam:.6g}")
 
-    stats = [compute_stats(generate_patch(recipe, r), mode=INTERIOR)
-             for r in radii[::-1]][::-1]
+    window = candidate_window(recipe, radii[-1])
+    stats = [compute_stats(generate_patch(recipe, r, window=window),
+                           mode=INTERIOR) for r in radii]
 
     v_per_t = tuple(s.v / s.t for s in stats)
     e_per_t = tuple(s.e / s.t for s in stats)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,10 +25,10 @@ from .errors import (
     require_positive,
 )
 from .geometry import (
-    ccw,
     component_labels,
     interior_angles,
-    polygon_centroid,
+    polygon_areas,
+    polygon_centroids,
     polygon_distances,
     polygon_edge_lengths,
     rot_matrix,
@@ -148,20 +148,27 @@ class TilingRecipe:
             raise RecipeInvalid("a region tile has no finite centroid")
 
     def region_polygons(self) -> list[np.ndarray]:
-        """Region tiles as ccw polygons (reflected placements come out
-        clockwise and are reversed)."""
-        base = self.pentagon.vertices
-        return [ccw(iso.apply(base)) for iso in self.region]
+        """Region tiles as ccw polygons: the rows of region_corners."""
+        return list(self.region_corners)
 
     @functools.cached_property
     def region_corners(self) -> np.ndarray:
-        """region_polygons() as one (k, 5, 2) array, built once."""
-        return np.array(self.region_polygons())
+        """The region tiles as one (k, 5, 2) stack of ccw polygons: the
+        pentagon times every isometry's transposed matrix in one matmul,
+        plus the translations. Reflected placements come out clockwise and
+        are reversed, as `ccw` reverses them."""
+        turns = np.array([iso.matrix() for iso in self.region])
+        shifts = np.array([iso.translation for iso in self.region])
+        placed = (np.matmul(self.pentagon.vertices, turns.transpose(0, 2, 1))
+                  + shifts[:, None])
+        flip = ~(polygon_areas(placed, np.full(len(placed), 5)) >= 0)
+        placed[flip] = placed[flip, ::-1]
+        return placed
 
     @functools.cached_property
     def region_centroids(self) -> np.ndarray:
         """Centroid of each region tile, (k, 2)."""
-        return np.array([polygon_centroid(p) for p in self.region_corners])
+        return polygon_centroids(self.region_corners)
 
     @property
     def merge_distance(self) -> float:
@@ -313,8 +320,9 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
         raise UnknownType(
             f"no built-in recipe for Type {type_id!r}; "
             f"available: {BUILTIN_RECIPE_TYPES}")
-    spec = get_type_spec(type_id)
-    fits = [q for q in pentagon.labelings() if spec.satisfied_by(q)]
+    fitting = np.flatnonzero(get_type_spec(type_id).table.fits(pentagon)[:, 0])
+    fits = [pentagon.relabeled(rotation=k % 5, reflect=k >= 5)
+            for k in fitting.tolist()]
     if not fits:
         raise TypeMismatch(
             f"pentagon does not satisfy the Type {type_id} constraints")
@@ -379,7 +387,74 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
             recipe.region_corners[j] + shifts[:, None, :])
 
 
-def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
+class CandidateWindow(NamedTuple):
+    """generate_patch's candidates for one disk (`candidate_window`): the
+    centre, the reach, near_translates' rows and corners, and each row's
+    farthest corner distance and centroid distance from the centre."""
+    center: tuple[float, float]
+    reach: float
+    cells: np.ndarray
+    polys: np.ndarray
+    d_max: np.ndarray
+    gap: np.ndarray
+
+    def within(self, center: np.ndarray, reach: float):
+        """The rows, corners and farthest corner distances of the
+        translates whose centroid lies within reach of the centre: those
+        near_translates gives at that reach, in its (m, n, j) order, as the
+        distance is the one it measures and its (m, n) box at a smaller
+        reach lies inside the larger one and, rounded outwards to whole
+        cells, holds every translate within that reach. ValueError for
+        another centre or a larger reach."""
+        if tuple(center.tolist()) != self.center or not reach <= self.reach:
+            raise ValueError(
+                f"the window holds the candidates within {self.reach:.6g} "
+                f"of {self.center}, not within {reach:.6g} of "
+                f"{tuple(center.tolist())}")
+        keep = self.gap <= reach
+        return self.cells[keep], self.polys[keep], self.d_max[keep]
+
+
+def _flood_reach(recipe: TilingRecipe, r: float) -> tuple[float, float]:
+    """rho = r + diam + 2·eps, beyond which a tile's corner makes it open,
+    and rho + radius + eps, how far the centroids of the tiles meeting the
+    disk of radius rho lie from its centre (`generate_patch`)."""
+    eps = recipe.merge_distance
+    rho = r + recipe.pentagon.diameter + 2.0 * eps
+    return rho, rho + recipe.radius + eps
+
+
+def _candidates(recipe: TilingRecipe, r: float, center: np.ndarray,
+                reach: float):
+    """near_translates' rows and corners within reach of the centre, and
+    each one's farthest corner distance from it; ParseError naming r when
+    the lattice box is over MAX_TRANSLATES."""
+    try:
+        cells, polys = near_translates(recipe, center[None], reach)
+    except ParseError as exc:
+        raise ParseError(f"disk radius {r:g}: {exc}") from None
+    return cells, polys, np.linalg.norm(polys - center, axis=2).max(axis=1)
+
+
+def candidate_window(recipe: TilingRecipe, r: float,
+                     M=(0.0, 0.0)) -> CandidateWindow:
+    """generate_patch's candidates for the disk of radius r about M, as the
+    window that the patch of any disk of radius up to r about M cuts its
+    candidates from (`generate_patch`'s `window`). Raises ParseError,
+    naming r, as generate_patch does, before any patch is built."""
+    center = np.asarray(M, dtype=float)
+    _, reach = _flood_reach(recipe, r)
+    cells, polys, d_max = _candidates(recipe, r, center, reach)
+    shifts = (cells[:, :1] * np.asarray(recipe.u)
+              + cells[:, 1:2] * np.asarray(recipe.v))
+    gap = np.linalg.norm(recipe.region_centroids[cells[:, 2]] + shifts
+                         - center, axis=1)
+    return CandidateWindow(tuple(center.tolist()), reach, cells, polys,
+                           d_max, gap)
+
+
+def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0), *,
+                   window: CandidateWindow | None = None):
     """The patch A(r, M): tiles inside the disk, tiles meeting its boundary,
     and tiles surrounded by those. Returns an arrangement-backed Patch.
 
@@ -400,6 +475,12 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     whose centroid is within rho + radius of M (`near_translates`); the
     extra eps keeps the float comparison from dropping one at the bound.
 
+    A `window` from `candidate_window` for a radius of at least r about M
+    replaces that scan: the candidates are its rows within this disk's
+    reach (`CandidateWindow.within`), the same arrays the scan gives, so
+    a sweep over several radii scans and measures once. Without one, the
+    call scans for its own disk alone.
+
     Every candidate is a translate (m, n) of a region tile, so its
     vertices are integer keys (m, n, orbit) read off the recipe's cell
     arrangement, snapped once per recipe near the origin. The flood fill's
@@ -414,16 +495,13 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     require_positive("disk radius", r)
     center = np.asarray(M, dtype=float)
     require_finite("disk centre", center)
-    diam = recipe.pentagon.diameter
     eps = recipe.merge_distance
-    rho = r + diam + 2.0 * eps
-    try:
-        cells, polys = near_translates(recipe, center[None],
-                                       rho + recipe.radius + eps)
-    except ParseError as exc:
-        raise ParseError(f"disk radius {r:g}: {exc}") from None
+    rho, reach = _flood_reach(recipe, r)
+    if window is None:
+        cells, polys, d_max = _candidates(recipe, r, center, reach)
+    else:
+        cells, polys, d_max = window.within(center, reach)
 
-    d_max = np.linalg.norm(polys - center, axis=2).max(axis=1)
     inner = d_max <= r - eps
     rest = np.nonzero(~inner)[0]
     meets = polygon_distances(center, polys[rest]) <= r + eps

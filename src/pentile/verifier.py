@@ -332,7 +332,9 @@ def check_periodicity(recipe) -> CheckReport:
     the cell is covered, and the overlap check that no two tiles overlap.
     """
     cell_area = recipe.cell_area()
-    region_area = sum(abs(polygon_area(p)) for p in recipe.region_corners)
+    corners = recipe.region_corners
+    region_area = sum(np.abs(polygon_areas(
+        corners, np.full(len(corners), corners.shape[1]))).tolist())
     metrics = {"region_area": region_area, "cell_area": cell_area,
                "max_overlap_area": 0.0, "central_cell_covered": 0.0,
                "sample_points": 0, "sample_misses": 0}

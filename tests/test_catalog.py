@@ -10,11 +10,15 @@ import random
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from pentile import (
     InfeasibleParams,
+    NonConvergence,
     ParseError,
+    PentileError,
     UnknownType,
     classify,
     get_type_spec,
@@ -26,7 +30,8 @@ from pentile import (
     solve_instance,
 )
 from pentile import catalog
-from pentile.catalog import TYPE_IDS, LinearEquation, TypeSpec
+from pentile.catalog import CLASSIFY_TOL, TYPE_IDS, LinearEquation, TypeSpec
+from pentile.pentagon import CORNERS
 
 DEG = math.pi / 180.0
 
@@ -234,3 +239,98 @@ def test_angle_kernel_is_scipy_null_space(monkeypatch):
         ours, theirs = kernel(matrix), null_space(matrix)
         assert ours.shape == theirs.shape
         assert ours.tobytes() == theirs.tobytes()
+
+
+# --- the stacked constraint table --------------------------------------------
+
+def scalar_satisfied(spec, pentagon, tol):
+    """satisfied_by one row at a time: each angle row to tol, each edge row
+    to tol times the mean edge."""
+    x = np.concatenate([pentagon.angles, pentagon.edges])
+    scale = pentagon.mean_edge()
+    return not any(
+        abs(eq.residual(x)) > (tol if eq.is_angle_equation else tol * scale)
+        for eq in spec.constraint_rows)
+
+
+def scalar_classify(pentagon, tol=CLASSIFY_TOL):
+    """classify as a loop over the Types and the ten relabeled Pentagons."""
+    labelings = pentagon.labelings()
+    return [tid for tid in TYPE_IDS
+            if any(scalar_satisfied(get_type_spec(tid), q, tol)
+                   for q in labelings)]
+
+
+def assert_table_is_the_scalar_rows(pentagon):
+    """Every Type's residuals under every labeling bit for bit, and classify
+    and satisfied_by as the row loops give them, at three tolerances."""
+    table = catalog._catalog_table()
+    stacked = table.residuals(pentagon)
+    for k, q in enumerate(pentagon.labelings()):
+        x = np.concatenate([q.angles, q.edges])
+        for tid in TYPE_IDS:
+            spec = get_type_spec(tid)
+            scalar = np.array([eq.residual(x) for eq in spec.constraint_rows])
+            assert stacked[k, table.types == tid].tobytes() == scalar.tobytes()
+            assert spec.residuals(q).tobytes() == scalar.tobytes()
+            assert spec.satisfied_by(q) == scalar_satisfied(spec, q,
+                                                            CLASSIFY_TOL)
+    for tol in (CLASSIFY_TOL, 1e-9, 1e-3):
+        assert classify(pentagon, tol) == scalar_classify(pentagon, tol)
+
+
+@st.composite
+def drawn_instances(draw, degrees=8.0, fraction=0.1):
+    """A Type's instance with free parameters within degrees and fraction of
+    its defaults, as the benchmark's family sweep draws them, relabeled."""
+    spec = get_type_spec(draw(st.sampled_from(TYPE_IDS)))
+    params = {}
+    for name, value in sorted(spec.default_params.items()):
+        x = draw(st.floats(-1.0, 1.0))
+        params[name] = (value + math.radians(degrees * x) if name in CORNERS
+                        else value * (1.0 + fraction * x))
+    try:
+        pentagon = solve_instance(spec, params)
+    except (InfeasibleParams, NonConvergence):
+        reject()
+    return pentagon.relabeled(rotation=draw(st.integers(0, 4)),
+                              reflect=draw(st.booleans()))
+
+
+def test_table_is_the_scalar_rows_on_the_representatives():
+    for tid in TYPE_IDS:
+        assert_table_is_the_scalar_rows(representative(tid).pentagon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_instances())
+def test_table_is_the_scalar_rows_on_drawn_instances(pentagon):
+    assert_table_is_the_scalar_rows(pentagon)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TYPE_IDS), st.floats(-3e-6, 3e-6),
+       st.floats(-3e-6, 3e-6), st.floats(0.01, 100.0))
+def test_classify_is_the_scalar_loop_near_the_tolerance(tid, turn, stretch,
+                                                        size):
+    """A representative with two angles moved by about CLASSIFY_TOL and one
+    edge stretched by about as much, then scaled: residuals on both sides
+    of the bound, which grows with the edges for edge rows."""
+    p = representative(tid).pentagon
+    angles = (p.angles[0] + turn, p.angles[1] - turn, *p.angles[2:])
+    edges = [size * e for e in p.edges]
+    try:
+        nudged = solve_edges(angles, {"a": edges[0] * (1.0 + stretch),
+                                      "b": edges[1], "c": edges[2]})
+    except PentileError:
+        reject()
+    assert classify(nudged) == scalar_classify(nudged)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_classify_and_satisfied_by_refuse_a_bad_tolerance(tol):
+    p = representative(4).pentagon
+    with pytest.raises(ParseError):
+        classify(p, tol=tol)
+    with pytest.raises(ParseError):
+        get_type_spec(4).satisfied_by(p, tol)

@@ -787,6 +787,12 @@ GOLDEN_STDOUT = {
         "be7205b33436dda568616975e5c65b115a7db5b85e587a41ce0f729b30bd2ea6",
     "sweep --type 4 --radii 10,15,20":
         "2ff0a23f071bb9803357da0bb729bb540cbe77a9e580868e0d59cba605d83b14",
+    "sweep --type 1 --radii 5,10,20":
+        "3158bf0f2779bd68816f8847ebdac210373298524d526c50922a29914c99f61c",
+    "sweep --type 2 --radii 5,10,20":
+        "af6b22a1b9b56633bcc221491a22d9966ff3be323c00c0a4566b515019c19202",
+    "sweep --type 5 --radii 5,10,20":
+        "4932f39e6cf33539d019cb765eb6123fe62052fb794053b98fa4aa33aa8377e8",
     "catalog list":
         "8585a9e8f96ecc4feba11bb34e020dd0e7d4e6d88cf2c2ee7160f29e5a10de26",
 }

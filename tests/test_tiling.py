@@ -28,8 +28,9 @@ from pentile.errors import (
     TypeMismatch,
 )
 from pentile.geometry import (
+    ccw,
     convex_overlap_areas,
-    polygon_centroid,
+    polygon_area,
     polygon_distances,
     segment_distances,
 )
@@ -66,6 +67,17 @@ def isometries():
 def house():
     return pentile.pentagon_from_json_dict(
         json.loads((DATA / "house.json").read_text()))
+
+
+def polygon_centroid(poly):
+    """One polygon's shoelace centroid: the reference for the stacked
+    `geometry.polygon_centroids`."""
+    x, y = poly[:, 0], poly[:, 1]
+    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    a = 0.5 * np.sum(cross)
+    cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
+    cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * a)
+    return np.array([cx, cy])
 
 
 # --- isometry algebra -------------------------------------------------------
@@ -1073,3 +1085,110 @@ def test_far_centre_patch_keeps_euler_and_edge_invariants(type_id):
     patch = generate_patch(recipe, 8.0, (1e9, 2e9))
     assert euler_residual(compute_stats(patch)) == 0
     assert np.diff(patch.edge_tiles.indptr).max() <= 2
+
+
+# --- one stacked region, one sweep window -----------------------------------
+
+def assert_region_stack_is_per_isometry(recipe):
+    """region_corners, region_centroids and the periodicity check's region
+    area, bit for bit as one isometry at a time builds and measures them."""
+    base = recipe.pentagon.vertices
+    polys = np.array([ccw(iso.apply(base)) for iso in recipe.region])
+    assert same_bits(recipe.region_corners, polys)
+    assert same_bits(recipe.region_centroids,
+                     np.array([polygon_centroid(p) for p in polys]))
+    assert all(same_bits(a, b)
+               for a, b in zip(recipe.region_polygons(), polys))
+    area = sum(abs(polygon_area(p)) for p in polys)
+    assert check_periodicity(recipe).metrics["region_area"] == area
+
+
+@settings(max_examples=40)
+@given(type_params(8.0, 0.1))
+def test_region_stack_is_the_per_isometry_construction(drawn):
+    """Every candidate region a built-in builder offers, the ones that do
+    not tile and Type 2's reflected placements included."""
+    spec, params = drawn
+    pentagon = builtin_recipe(spec.id, solve_instance(spec, params)).pentagon
+    for region, u, v in tiling._REGION_BUILDERS[spec.id](pentagon):
+        assert_region_stack_is_per_isometry(
+            TilingRecipe(pentagon, region, tuple(u), tuple(v)))
+
+
+def test_region_stack_reverses_the_reflected_placements():
+    recipe = builtin_recipe(2, pentile.representative(2).pentagon)
+    assert [iso.reflect for iso in recipe.region] == [False, True, True,
+                                                       False]
+    assert_region_stack_is_per_isometry(recipe)
+
+
+def assert_same_patch(ours, theirs):
+    for name in ("polygons", "counts", "cells", "zones", *PATCH_ARRAYS):
+        assert same_bits(getattr(ours, name), getattr(theirs, name)), name
+    for name in PATCH_CSRS:
+        mine, other = getattr(ours, name), getattr(theirs, name)
+        assert same_bits(mine.indptr, other.indptr), name
+        assert same_bits(mine.indices, other.indices), name
+
+
+@settings(max_examples=40)
+@given(sweep_recipes(),
+       st.lists(st.floats(3.0, 15.0), min_size=1, max_size=4, unique=True),
+       sweep_centres)
+def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
+                                                               M):
+    """Every disk up to the window's radius about its centre cuts from it
+    the rows and corners near_translates gives at that disk's reach, and
+    the arrays a window-free generate_patch builds, at any radii."""
+    window = tiling.candidate_window(recipe, max(radii), M)
+    center = np.asarray(M, dtype=float)
+    for r in radii:
+        reach = tiling._flood_reach(recipe, r)[1]
+        cells, polys, _ = window.within(center, reach)
+        scanned, corners = tiling.near_translates(recipe, center[None], reach)
+        assert same_bits(cells, scanned) and same_bits(polys, corners)
+        assert_same_patch(generate_patch(recipe, r, M, window=window),
+                          generate_patch(recipe, r, M))
+
+
+@pytest.mark.parametrize("radii", [(5.0, 5.5, 12.0), (5.0, 10.0, 20.0)],
+                         ids=str)
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_sweep_patches_are_the_window_free_patches(type_id, radii):
+    """limit_sweep scans the lattice once, for its largest radius, and each
+    radius' patch equals generate_patch(recipe, r) without a window."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    recipe.cell_arrangement     # built, so its own window scans no more
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(generate_patch(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(tiling, "generate_patch", recorded), \
+            mock.patch.object(tiling, "near_translates",
+                              wraps=tiling.near_translates) as near:
+        limit_sweep(recipe, radii)
+    assert near.call_count == 1
+    assert near.call_args.args[2] == tiling._flood_reach(recipe, radii[-1])[1]
+    assert [patch.r for patch in made] == list(radii)
+    for patch, r in zip(made, radii):
+        assert_same_patch(patch, generate_patch(recipe, r))
+
+
+def test_window_refuses_a_wider_disk_or_another_centre():
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    window = tiling.candidate_window(recipe, 6.0)
+    generate_patch(recipe, 6.0, window=window)
+    with pytest.raises(ValueError):
+        generate_patch(recipe, 6.5, window=window)
+    with pytest.raises(ValueError):
+        generate_patch(recipe, 5.0, (0.5, 0.0), window=window)
+
+
+def test_sweep_refuses_an_over_limit_radius_by_name_before_any_patch():
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    with mock.patch.object(tiling, "generate_patch") as made, \
+            pytest.raises(ParseError, match=r"^disk radius 1e\+06: "):
+        limit_sweep(recipe, [5.0, 1e6])
+    assert made.call_count == 0
