@@ -29,9 +29,8 @@ from .catalog import (
     solve_instance,
 )
 from .pentagon import (
-    AngleRelation,
+    RELATION_NAMES,
     Pentagon,
-    enumerate_relations,
     has_theorem1_property,
     make_pentagon,
     pentagon_from_json_dict,

@@ -1,17 +1,17 @@
 """The catalog of the 15 known convex pentagon tile families.
 
 Each family ("Type") is a system of linear angle equations plus edge
-equalities, shipped as a data file. Solving a system for concrete coordinates
-is a small nonlinear least-squares problem because the closure condition
-couples angles and edge lengths.
+equalities, shipped as a data file and held as a pentagon.ConstraintTable
+with one group per Type. Solving a system for concrete coordinates is a
+small nonlinear least-squares problem because the closure condition couples
+angles and edge lengths; the solver's linear rows are one more table.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -22,80 +22,27 @@ from .errors import (
     NonConvergence,
     ParseError,
     UnknownType,
-    require_positive,
+    require_finite,
 )
 from .pentagon import (
     ANGLE_SUM,
     CORNERS,
     EDGES,
+    FIT_TOL,
     LABELINGS,
+    VARIABLES,
+    ConstraintTable,
+    LinearEquation,
     Pentagon,
     edge_directions,
     make_pentagon,
 )
-
-VARIABLES = CORNERS + EDGES
-_VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 TYPE_IDS = tuple(range(1, 16))
 
 CONSTRAINT_TOL = 1e-9       # accepted residual for a solved instance
 TARGET_RESIDUAL = 1e-12     # Newton aims lower than the acceptance bound
 MAX_ITERATIONS = 100
-CLASSIFY_TOL = 1e-6
-
-_TERM = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?([A-Ea-e])?$")
-
-
-@dataclass(frozen=True)
-class LinearEquation:
-    text: str
-    coeffs: tuple[float, ...]
-    constant: float
-
-    @classmethod
-    def parse(cls, text: str) -> "LinearEquation":
-        """Linear equation over corner letters A..E and edge letters a..e:
-        coeffs over the 10 variables and a constant. Angle equations are
-        written in degrees in data files; the constant is converted to
-        radians here so every runtime quantity stays in radians.
-        """
-        if text.count("=") != 1:
-            raise ParseError(f"equation needs exactly one '=': {text!r}")
-        coeffs = np.zeros(10)
-        constant = 0.0
-        for side, sign in zip(text.split("="), (1.0, -1.0)):
-            compact = side.replace(" ", "")
-            if not compact:
-                raise ParseError(f"empty side in equation {text!r}")
-            for chunk in re.findall(r"[+-]?[^+-]+", compact):
-                m = _TERM.match(chunk)
-                if not m or (m.group(2) is None and m.group(3) is None):
-                    raise ParseError(
-                        f"bad term {chunk!r} in equation {text!r}")
-                value = float(m.group(2)) if m.group(2) else 1.0
-                if m.group(1) == "-":
-                    value = -value
-                if m.group(3):
-                    coeffs[_VAR_INDEX[m.group(3)]] += sign * value
-                else:
-                    constant -= sign * value
-        touches_angles = bool(coeffs[:5].any())
-        touches_edges = bool(coeffs[5:].any())
-        if touches_angles and touches_edges:
-            raise ParseError(f"equation mixes angles and edges: {text!r}")
-        if not touches_angles and not touches_edges:
-            raise ParseError(f"equation has no variables: {text!r}")
-        if touches_angles:
-            constant = math.radians(constant)
-        return cls(text=text, coeffs=tuple(coeffs), constant=constant)
-
-    @property
-    def is_angle_equation(self) -> bool:
-        return any(self.coeffs[:5])
-
-    def residual(self, values: Sequence[float]) -> float:
-        return float(np.dot(self.coeffs, values) - self.constant)
 
 
 def _class_equations(edge_class: Sequence[str]):
@@ -125,65 +72,19 @@ class TypeSpec:
         return tuple(rows)
 
     @functools.cached_property
-    def table(self) -> "ConstraintTable":
-        """This Type's rows as a ConstraintTable."""
-        return ConstraintTable.of([self])
+    def table(self) -> ConstraintTable:
+        """This Type's rows as a ConstraintTable of one group."""
+        return ConstraintTable.of(self.constraint_rows,
+                                  [self.id] * len(self.constraint_rows))
 
     def residuals(self, pentagon: Pentagon) -> np.ndarray:
-        return self.table.residuals(pentagon, LABELINGS[:1])[0]
+        values = np.concatenate([pentagon.angles, pentagon.edges])
+        return self.table.residuals(values[None])[0]
 
-    def satisfied_by(self, pentagon: Pentagon, tol: float = CLASSIFY_TOL) -> bool:
+    def satisfied_by(self, pentagon: Pentagon, tol: float = FIT_TOL) -> bool:
         """True when every constraint row holds, edge rows relative to scale;
         ParseError unless tol is finite and positive."""
         return bool(self.table.fits(pentagon, tol, LABELINGS[:1])[0, 0])
-
-
-@dataclass(frozen=True)
-class ConstraintTable:
-    """The constraint rows of some Types stacked: coefficients (R, 10),
-    constants (R,), which rows are angle rows, and each row's Type, with
-    the Types' ids in the order of their rows."""
-
-    coeffs: np.ndarray
-    constants: np.ndarray
-    angle_rows: np.ndarray
-    types: np.ndarray
-    ids: tuple[int, ...]
-
-    @classmethod
-    def of(cls, specs: Sequence[TypeSpec]) -> "ConstraintTable":
-        rows = [(spec.id, eq) for spec in specs for eq in spec.constraint_rows]
-        return cls(coeffs=np.array([eq.coeffs for _, eq in rows]).reshape(-1, 10),
-                   constants=np.array([eq.constant for _, eq in rows]),
-                   angle_rows=np.array([eq.is_angle_equation for _, eq in rows],
-                                       dtype=bool),
-                   types=np.array([tid for tid, _ in rows], dtype=int),
-                   ids=tuple(spec.id for spec in specs))
-
-    def residuals(self, pentagon: Pentagon,
-                  labelings: np.ndarray = LABELINGS) -> np.ndarray:
-        """Each row's residual under each labeling (rows of LABELINGS),
-        (L, R): bit for bit LinearEquation.residual, as a batched matmul of
-        1 x 10 by 10 x 1 calls the dot np.dot calls."""
-        x = np.concatenate([np.asarray(pentagon.angles)[labelings[:, 0]],
-                            np.asarray(pentagon.edges)[labelings[:, 1]]],
-                           axis=1)
-        dots = np.matmul(self.coeffs[:, None, :], x[:, None, :, None])
-        return dots[..., 0, 0] - self.constants
-
-    def fits(self, pentagon: Pentagon, tol: float = CLASSIFY_TOL,
-             labelings: np.ndarray = LABELINGS) -> np.ndarray:
-        """(L, T): whether labeling l satisfies every row of Type ids[t],
-        each angle row to tol and each edge row to tol times the labeling's
-        mean edge, its edges summed in its own order as mean_edge sums them.
-        ParseError unless tol is finite and positive."""
-        require_positive("tol", tol)
-        edges = np.asarray(pentagon.edges)[labelings[:, 1]]
-        scale = (edges[:, 0] + edges[:, 1] + edges[:, 2] + edges[:, 3]
-                 + edges[:, 4]) / 5.0
-        bound = np.where(self.angle_rows, tol, tol * scale[:, None])
-        broken = np.abs(self.residuals(pentagon, labelings)) > bound
-        return ~(broken @ (self.types[:, None] == self.ids))
 
 
 @dataclass(frozen=True)
@@ -201,7 +102,7 @@ def _load_catalog() -> dict[int, TypeSpec]:
     for entry in raw:
         params = {}
         for name, value in entry.get("default_params", {}).items():
-            if name not in _VAR_INDEX:
+            if name not in VARIABLES:
                 raise ParseError(f"unknown parameter {name!r} in type data")
             params[name] = math.radians(value) if name in CORNERS else float(value)
         spec = TypeSpec(
@@ -219,8 +120,11 @@ def _load_catalog() -> dict[int, TypeSpec]:
 
 @functools.lru_cache(maxsize=1)
 def _catalog_table() -> ConstraintTable:
-    """Every Type's rows in one table, in TYPE_IDS order."""
-    return ConstraintTable.of([get_type_spec(tid) for tid in TYPE_IDS])
+    """Every Type's rows in one table, grouped by Type in TYPE_IDS order."""
+    specs = [get_type_spec(tid) for tid in TYPE_IDS]
+    return ConstraintTable.of(
+        [eq for spec in specs for eq in spec.constraint_rows],
+        [spec.id for spec in specs for _ in spec.constraint_rows])
 
 
 def get_type_spec(type_id: int) -> TypeSpec:
@@ -233,22 +137,14 @@ def get_type_spec(type_id: int) -> TypeSpec:
 
 # --- instance solving -------------------------------------------------------
 
-_ANGLE_SUM_ROW = LinearEquation(
-    text="A + B + C + D + E = 540",
-    coeffs=(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    constant=ANGLE_SUM,
-)
+_ANGLE_SUM_ROW = LinearEquation.parse("A + B + C + D + E = 540")
 # mean edge length pinned to 1 so instances come out at a canonical scale
-_SCALE_ROW = LinearEquation(
-    text="mean edge = 1",
-    coeffs=(0.0,) * 5 + (0.2,) * 5,
-    constant=1.0,
-)
+_SCALE_ROW = LinearEquation.parse("0.2a + 0.2b + 0.2c + 0.2d + 0.2e = 1")
 
 
 def _pin_row(name: str, value: float) -> LinearEquation:
     coeffs = [0.0] * 10
-    coeffs[_VAR_INDEX[name]] = 1.0
+    coeffs[VARIABLES.index(name)] = 1.0
     return LinearEquation(text=f"{name} = {value:g}", coeffs=tuple(coeffs),
                           constant=float(value))
 
@@ -269,15 +165,17 @@ def _closure_jacobian(x: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _system_rows(spec: TypeSpec, free_params: Mapping[str, float]):
+def _system_table(spec: TypeSpec, free_params: Mapping[str, float]
+                  ) -> ConstraintTable:
+    """The solver's linear rows: the angle sum, the Type's rows, the scale
+    and one pin per free parameter."""
     rows = [_ANGLE_SUM_ROW, *spec.constraint_rows, _SCALE_ROW]
     rows.extend(_pin_row(name, value) for name, value in sorted(free_params.items()))
-    return rows
+    return ConstraintTable.of(rows, [spec.id] * len(rows))
 
 
-def _full_residual(rows, x):
-    linear = np.array([eq.residual(x) for eq in rows])
-    return np.concatenate([linear, _closure(x)])
+def _full_residual(table: ConstraintTable, x: np.ndarray) -> np.ndarray:
+    return np.concatenate([table.residuals(x[None])[0], _closure(x)])
 
 
 def _kernel(matrix: np.ndarray) -> np.ndarray:
@@ -291,17 +189,16 @@ def _kernel(matrix: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def _initial_guess(rows):
+def _initial_guess(table: ConstraintTable) -> np.ndarray:
     """Stage the start point: angles from the linear angle rows, then edges.
 
     When the angle rows leave a one-parameter family (Types whose remaining
     angle is pinned only through closure), scan along the family for the
     smallest full residual instead of guessing.
     """
-    matrix = np.array([eq.coeffs for eq in rows])
-    rhs = np.array([eq.constant for eq in rows])
-    angle_sel = matrix[:, 5:].any(axis=1) == False  # noqa: E712 (boolean mask)
-    m_ang, b_ang = matrix[angle_sel][:, :5], rhs[angle_sel]
+    angle_rows = table.angle_rows
+    m_ang = table.coeffs[angle_rows, :5]
+    b_ang = table.constants[angle_rows]
     anchor = np.full(5, ANGLE_SUM / 5.0)
     correction, *_ = np.linalg.lstsq(m_ang, b_ang - m_ang @ anchor, rcond=None)
     base = anchor + correction
@@ -312,19 +209,18 @@ def _initial_guess(rows):
     else:
         candidates = [base]
 
-    edge_sel = ~angle_sel
+    m_len = table.coeffs[~angle_rows, 5:]
+    b_edge = np.concatenate([table.constants[~angle_rows], np.zeros(2)])
     best = None
     for ang in candidates:
         if np.any(ang < 0.02) or np.any(ang > math.pi - 0.02):
             continue
         ang = ang * (ANGLE_SUM / ang.sum())
-        dirs = edge_directions(ang)
-        m_edge = np.vstack([matrix[edge_sel][:, 5:], dirs.T])
-        b_edge = np.concatenate([rhs[edge_sel], np.zeros(2)])
+        m_edge = np.vstack([m_len, edge_directions(ang).T])
         lengths, *_ = np.linalg.lstsq(m_edge, b_edge, rcond=None)
         lengths = np.maximum(lengths, 0.05)
         x = np.concatenate([ang, lengths])
-        score = np.max(np.abs(_full_residual(rows, x)))
+        score = np.max(np.abs(_full_residual(table, x)))
         if best is None or score < best[0]:
             best = (score, x)
     if best is None:
@@ -340,6 +236,7 @@ def solve_instance(spec: TypeSpec, free_params: Mapping[str, float]) -> Pentagon
     the closure condition, and the mean-edge-1 scale convention. Damped
     Gauss-Newton, damping 0.5 on residual increase, at most 100 iterations;
     the result must reach max residual 1e-9 or NonConvergence is raised.
+    A NaN or infinite free parameter is a ParseError.
     """
     unknown = set(free_params) - set(VARIABLES)
     if unknown:
@@ -348,6 +245,7 @@ def solve_instance(spec: TypeSpec, free_params: Mapping[str, float]) -> Pentagon
         raise ParseError(
             f"Type {spec.id} needs exactly {spec.dof} free parameters, "
             f"got {len(free_params)}")
+    require_finite("free parameters", list(free_params.values()))
     for name, value in free_params.items():
         if name in CORNERS and not 0.0 < value < math.pi:
             raise InfeasibleParams(
@@ -355,20 +253,19 @@ def solve_instance(spec: TypeSpec, free_params: Mapping[str, float]) -> Pentagon
         if name in EDGES and value <= 0.0:
             raise InfeasibleParams(f"edge {name}={value:.6g} must be positive")
 
-    rows = _system_rows(spec, free_params)
-    x = _initial_guess(rows)
-    residual = _full_residual(rows, x)
+    table = _system_table(spec, free_params)
+    x = _initial_guess(table)
+    residual = _full_residual(table, x)
     norm = np.max(np.abs(residual))
-    linear_jac = np.array([eq.coeffs for eq in rows])
     for _ in range(MAX_ITERATIONS):
         if norm < TARGET_RESIDUAL:
             break
-        jac = np.vstack([linear_jac, _closure_jacobian(x)])
+        jac = np.vstack([table.coeffs, _closure_jacobian(x)])
         step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
         scale = 1.0
         while scale > 1e-6:
             trial = x + scale * step
-            trial_residual = _full_residual(rows, trial)
+            trial_residual = _full_residual(table, trial)
             trial_norm = np.max(np.abs(trial_residual))
             if trial_norm < norm:
                 break
@@ -408,7 +305,7 @@ def representative(type_id: int) -> RepresentativeInstance:
     return RepresentativeInstance(type_id=spec.id, pentagon=pentagon, note=note)
 
 
-def classify(pentagon: Pentagon, tol: float = CLASSIFY_TOL) -> list[int]:
+def classify(pentagon: Pentagon, tol: float = FIT_TOL) -> list[int]:
     """All Type ids whose full constraint system the pentagon satisfies.
 
     Families overlap, so the result may hold several ids; a pentagon that

@@ -135,7 +135,7 @@ def cmd_theorem1(args) -> int:
     pentagon = _resolve_pentagon(args)
     tol = math.radians(args.tol_deg)
     hits = satisfied_relations(pentagon, tol=tol)
-    _emit({"satisfied": [rel.name for rel in hits],
+    _emit({"satisfied": list(hits),
            "holds": bool(hits),
            "tol_deg": args.tol_deg}, args.out)
     return 0 if hits else 1

@@ -1,9 +1,15 @@
-"""Convex pentagons and their three-angle relations.
+"""Convex pentagons, linear relations over their angles and edges, and the
+three-angle relations.
 
 A pentagon is stored as five interior angles (radians, counterclockwise corner
 order A..E) and five edge lengths a..e, where edge k runs from corner k to
 corner k+1. Corner A sits at the origin with edge a along +x, so vertex
 coordinates are derived, not stored inputs.
+
+A linear relation over the ten letters A..E, a..e is parsed once into a
+LinearEquation and read only as a row of a ConstraintTable, the one
+evaluator: the catalog's Type systems, the solver's system and the 35
+three-angle relations (A+B+C = 360 and its kin) are all such tables.
 
 Angles are radians everywhere inside the library; degrees appear only at file
 and CLI boundaries.
@@ -11,9 +17,10 @@ and CLI boundaries.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from functools import cached_property, lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +42,6 @@ EDGES = "abcde"
 ANGLE_SUM = 3.0 * math.pi
 ANGLE_SUM_TOL = 1e-9
 CLOSURE_TOL = 1e-9
-DEFAULT_RELATION_TOL = 1e-6
 
 
 def edge_directions(angles: Iterable[float]) -> np.ndarray:
@@ -205,78 +211,145 @@ def solve_edges(angles, fixed: Mapping) -> Pentagon:
     return make_pentagon(ang, tuple(edges))
 
 
-# --- three-angle relations ------------------------------------------------
+# --- linear rows -----------------------------------------------------------
+
+VARIABLES = tuple(CORNERS + EDGES)
+
+# default tolerance of ConstraintTable.fits, for the Type test and the
+# three-angle relations alike
+FIT_TOL = 1e-6
+
+_TERM = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?([A-Ea-e])?$")
+
 
 @dataclass(frozen=True)
-class AngleRelation:
-    """A relation asserting that a multiset of three corner angles sums to
-    a full turn. coeffs[i] is the multiplicity of corner i; sum is 3."""
+class LinearEquation:
+    text: str
+    coeffs: tuple[float, ...]
+    constant: float
 
-    coeffs: tuple[int, int, int, int, int]
+    @classmethod
+    def parse(cls, text: str) -> "LinearEquation":
+        """Linear equation over corner letters A..E and edge letters a..e:
+        coeffs over the 10 variables and a constant. Angle equations are
+        written in degrees in data files; the constant is converted to
+        radians here so every runtime quantity stays in radians.
+        """
+        if text.count("=") != 1:
+            raise ParseError(f"equation needs exactly one '=': {text!r}")
+        coeffs = np.zeros(10)
+        constant = 0.0
+        for side, sign in zip(text.split("="), (1.0, -1.0)):
+            compact = side.replace(" ", "")
+            if not compact:
+                raise ParseError(f"empty side in equation {text!r}")
+            for chunk in re.findall(r"[+-]?[^+-]+", compact):
+                m = _TERM.match(chunk)
+                if not m or (m.group(2) is None and m.group(3) is None):
+                    raise ParseError(
+                        f"bad term {chunk!r} in equation {text!r}")
+                value = float(m.group(2)) if m.group(2) else 1.0
+                if m.group(1) == "-":
+                    value = -value
+                if m.group(3):
+                    coeffs[VARIABLES.index(m.group(3))] += sign * value
+                else:
+                    constant -= sign * value
+        touches_angles = bool(coeffs[:5].any())
+        touches_edges = bool(coeffs[5:].any())
+        if touches_angles and touches_edges:
+            raise ParseError(f"equation mixes angles and edges: {text!r}")
+        if not touches_angles and not touches_edges:
+            raise ParseError(f"equation has no variables: {text!r}")
+        if touches_angles:
+            constant = math.radians(constant)
+        return cls(text=text, coeffs=tuple(coeffs), constant=constant)
 
     @property
-    def name(self) -> str:
-        twos = [i for i, c in enumerate(self.coeffs) if c == 2]
-        threes = [i for i, c in enumerate(self.coeffs) if c == 3]
-        if threes:
-            return "3" + CORNERS[threes[0]]
-        if twos:
-            x = twos[0]
-            y = self.coeffs.index(1)
-            return f"2{CORNERS[x]}+{CORNERS[y]}"
-        ones = {i for i, c in enumerate(self.coeffs) if c == 1}
-        for x in range(5):
-            for gap in (2, 3):
-                if {x, (x + 1) % 5, (x + gap) % 5} == ones:
-                    return "+".join(CORNERS[i] for i in
-                                    (x, (x + 1) % 5, (x + gap) % 5))
-        raise ValueError(f"unnameable coefficients {self.coeffs}")
-
-    def value(self, pentagon: Pentagon) -> float:
-        return float(sum(c * a for c, a in zip(self.coeffs, pentagon.angles)))
-
-    def holds(self, pentagon: Pentagon, tol: float = DEFAULT_RELATION_TOL) -> bool:
-        return abs(self.value(pentagon) - 2.0 * math.pi) <= tol
+    def is_angle_equation(self) -> bool:
+        return any(self.coeffs[:5])
 
 
-def _coeffs_for(indices) -> tuple[int, ...]:
-    c = [0] * 5
-    for i in indices:
-        c[i] += 1
-    return tuple(c)
+@dataclass(frozen=True)
+class ConstraintTable:
+    """Linear rows stacked: coefficients (R, 10) over VARIABLES, constants
+    (R,), which rows are angle rows, and each row's group, with the groups
+    in the order of their first rows."""
+
+    coeffs: np.ndarray
+    constants: np.ndarray
+    angle_rows: np.ndarray
+    groups: np.ndarray
+    ids: tuple[int, ...]
+
+    @classmethod
+    def of(cls, rows: Sequence[LinearEquation],
+           groups: Sequence[int]) -> "ConstraintTable":
+        return cls(coeffs=np.array([eq.coeffs for eq in rows]).reshape(-1, 10),
+                   constants=np.array([eq.constant for eq in rows]),
+                   angle_rows=np.array([eq.is_angle_equation for eq in rows],
+                                       dtype=bool),
+                   groups=np.array(groups, dtype=int),
+                   ids=tuple(dict.fromkeys(groups)))
+
+    def residuals(self, values: np.ndarray) -> np.ndarray:
+        """Each row's residual at each of the stacked values (L, 10), as
+        (L, R): a batched matmul of 1 x 10 by 10 x 1, so bit for bit the
+        np.dot of the row and the values, minus the row's constant."""
+        dots = np.matmul(self.coeffs[:, None, :], values[:, None, :, None])
+        return dots[..., 0, 0] - self.constants
+
+    def fits(self, pentagon: Pentagon, tol: float = FIT_TOL,
+             labelings: np.ndarray = LABELINGS) -> np.ndarray:
+        """(L, G): whether labeling l (a row of LABELINGS) satisfies every
+        row of group ids[g], each angle row to tol and each edge row to tol
+        times the labeling's mean edge, its edges summed in its own order
+        as mean_edge sums them. ParseError unless tol is finite and
+        positive."""
+        require_positive("tol", tol)
+        edges = np.asarray(pentagon.edges)[labelings[:, 1]]
+        values = np.concatenate(
+            [np.asarray(pentagon.angles)[labelings[:, 0]], edges], axis=1)
+        scale = (edges[:, 0] + edges[:, 1] + edges[:, 2] + edges[:, 3]
+                 + edges[:, 4]) / 5.0
+        bound = np.where(self.angle_rows, tol, tol * scale[:, None])
+        broken = np.abs(self.residuals(values)) > bound
+        return ~(broken @ (self.groups[:, None] == self.ids))
 
 
-def enumerate_relations() -> list[AngleRelation]:
-    """All 35 three-angle relations in canonical order.
+# --- three-angle relations ------------------------------------------------
 
-    Order: the 10 distinct triples (five runs of consecutive corners, then
-    five of a consecutive pair plus a separated corner), the 20 doubled-pair
-    forms 2X+Y in (X, Y) order, and the 5 tripled-single forms 3X.
-    """
-    rels: list[AngleRelation] = []
-    for x in range(5):
-        rels.append(AngleRelation(_coeffs_for((x, (x + 1) % 5, (x + 2) % 5))))
-    for x in range(5):
-        rels.append(AngleRelation(_coeffs_for((x, (x + 1) % 5, (x + 3) % 5))))
-    for x in range(5):
-        for y in range(5):
-            if y != x:
-                rels.append(AngleRelation(_coeffs_for((x, x, y))))
-    for x in range(5):
-        rels.append(AngleRelation(_coeffs_for((x, x, x))))
-    return rels
+# All 35 multisets of three corners, by name, in canonical order: the 10
+# distinct triples (five runs of consecutive corners, then five of a
+# consecutive pair plus a separated corner), the 20 doubled-pair forms 2X+Y
+# in (X, Y) order, and the 5 tripled-single forms 3X. Each names the relation
+# that its angles sum to a full turn.
+RELATION_NAMES = (
+    *("+".join(CORNERS[(x + k) % 5] for k in gaps)
+      for gaps in ((0, 1, 2), (0, 1, 3)) for x in range(5)),
+    *(f"2{x}+{y}" for x in CORNERS for y in CORNERS if y != x),
+    *(f"3{x}" for x in CORNERS),
+)
 
 
-def satisfied_relations(pentagon: Pentagon, tol: float = DEFAULT_RELATION_TOL
-                        ) -> tuple[AngleRelation, ...]:
-    """The relations, of all 35 in canonical order, that the pentagon's
-    angles satisfy within tol."""
-    require_positive("tol", tol)
-    return tuple(r for r in enumerate_relations() if r.holds(pentagon, tol))
+@lru_cache(maxsize=1)
+def _relation_table() -> ConstraintTable:
+    """The relations as rows NAME = 360, one group each."""
+    return ConstraintTable.of(
+        [LinearEquation.parse(name + "=360") for name in RELATION_NAMES],
+        range(len(RELATION_NAMES)))
 
 
-def has_theorem1_property(pentagon: Pentagon,
-                          tol: float = DEFAULT_RELATION_TOL) -> bool:
+def satisfied_relations(pentagon: Pentagon, tol: float = FIT_TOL
+                        ) -> tuple[str, ...]:
+    """The names, in RELATION_NAMES order, of the relations that the
+    pentagon's angles satisfy within tol; ParseError unless tol is finite
+    and positive."""
+    hits = _relation_table().fits(pentagon, tol, LABELINGS[:1])[0]
+    return tuple(name for name, hit in zip(RELATION_NAMES, hits) if hit)
+
+
+def has_theorem1_property(pentagon: Pentagon, tol: float = FIT_TOL) -> bool:
     """True when at least one three-angle relation sums to a full turn;
     ParseError unless tol is finite and positive."""
     return bool(satisfied_relations(pentagon, tol))

@@ -332,7 +332,7 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
         try:
             candidates = _REGION_BUILDERS[type_id](q)
         except ValueError as exc:
-            # the Type's equal sides are equal to CLASSIFY_TOL but not to
+            # the Type's equal sides are equal to FIT_TOL but not to
             # the precision a glue isometry needs
             failure = [str(exc)]
             continue

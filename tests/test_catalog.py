@@ -4,6 +4,7 @@ Anchor values checked against closed forms computed independently in the
 tests: the Type 14 angle C = arccos((3*sqrt(57)-17)/16) and the Type 15
 edge ratio (sqrt(6)+sqrt(2))/2.
 """
+import hashlib
 import math
 import random
 
@@ -30,8 +31,8 @@ from pentile import (
     solve_instance,
 )
 from pentile import catalog
-from pentile.catalog import CLASSIFY_TOL, TYPE_IDS, LinearEquation, TypeSpec
-from pentile.pentagon import CORNERS
+from pentile.catalog import TYPE_IDS, TypeSpec
+from pentile.pentagon import CORNERS, FIT_TOL, LinearEquation
 
 DEG = math.pi / 180.0
 
@@ -243,17 +244,23 @@ def test_angle_kernel_is_scipy_null_space(monkeypatch):
 
 # --- the stacked constraint table --------------------------------------------
 
+def row_residual(eq, x):
+    """One row's residual as a scalar dot product: the reference the table's
+    batched residuals are held to bit for bit."""
+    return float(np.dot(eq.coeffs, x) - eq.constant)
+
+
 def scalar_satisfied(spec, pentagon, tol):
     """satisfied_by one row at a time: each angle row to tol, each edge row
     to tol times the mean edge."""
     x = np.concatenate([pentagon.angles, pentagon.edges])
     scale = pentagon.mean_edge()
     return not any(
-        abs(eq.residual(x)) > (tol if eq.is_angle_equation else tol * scale)
+        abs(row_residual(eq, x)) > (tol if eq.is_angle_equation else tol * scale)
         for eq in spec.constraint_rows)
 
 
-def scalar_classify(pentagon, tol=CLASSIFY_TOL):
+def scalar_classify(pentagon, tol=FIT_TOL):
     """classify as a loop over the Types and the ten relabeled Pentagons."""
     labelings = pentagon.labelings()
     return [tid for tid in TYPE_IDS
@@ -265,17 +272,20 @@ def assert_table_is_the_scalar_rows(pentagon):
     """Every Type's residuals under every labeling bit for bit, and classify
     and satisfied_by as the row loops give them, at three tolerances."""
     table = catalog._catalog_table()
-    stacked = table.residuals(pentagon)
+    values = np.array([np.concatenate([q.angles, q.edges])
+                       for q in pentagon.labelings()])
+    stacked = table.residuals(values)
     for k, q in enumerate(pentagon.labelings()):
-        x = np.concatenate([q.angles, q.edges])
+        x = values[k]
         for tid in TYPE_IDS:
             spec = get_type_spec(tid)
-            scalar = np.array([eq.residual(x) for eq in spec.constraint_rows])
-            assert stacked[k, table.types == tid].tobytes() == scalar.tobytes()
+            scalar = np.array([row_residual(eq, x)
+                               for eq in spec.constraint_rows])
+            assert stacked[k, table.groups == tid].tobytes() == scalar.tobytes()
             assert spec.residuals(q).tobytes() == scalar.tobytes()
             assert spec.satisfied_by(q) == scalar_satisfied(spec, q,
-                                                            CLASSIFY_TOL)
-    for tol in (CLASSIFY_TOL, 1e-9, 1e-3):
+                                                            FIT_TOL)
+    for tol in (FIT_TOL, 1e-9, 1e-3):
         assert classify(pentagon, tol) == scalar_classify(pentagon, tol)
 
 
@@ -313,7 +323,7 @@ def test_table_is_the_scalar_rows_on_drawn_instances(pentagon):
        st.floats(-3e-6, 3e-6), st.floats(0.01, 100.0))
 def test_classify_is_the_scalar_loop_near_the_tolerance(tid, turn, stretch,
                                                         size):
-    """A representative with two angles moved by about CLASSIFY_TOL and one
+    """A representative with two angles moved by about FIT_TOL and one
     edge stretched by about as much, then scaled: residuals on both sides
     of the bound, which grows with the edges for edge rows."""
     p = representative(tid).pentagon
@@ -334,3 +344,59 @@ def test_classify_and_satisfied_by_refuse_a_bad_tolerance(tol):
         classify(p, tol=tol)
     with pytest.raises(ParseError):
         get_type_spec(4).satisfied_by(p, tol)
+
+
+# sha256 of the repr((angles, edges)) of each solved instance, or of the
+# error's class name, on a seeded draw of twelve parameter sets per Type
+# within 8 degrees and 10 % of its defaults. A change meant to keep the
+# solver's output leaves these as they are.
+GOLDEN_SOLVES = {
+    1: "24e77b1cdf3410809ece07b02957ccfa3dc72cec9135a19e1ff9d207ed1b3196",
+    2: "76b1200205ef928b94e12a962691db1d6de399f6bbbb224c946d47685a26960c",
+    3: "65a2f2c7fe576a800beeecaa2b707e04d3103ad9c5ac196d5634e920e1344b56",
+    4: "c137cf12cc4bbfeb6d98636dbc5908ef5999a4468e77739520ff6a2053d687a5",
+    5: "a1ec24353f6202138297458e4ce5b5f1bd801bcf9e29476a435d6ce134067dc0",
+    6: "8917bd46ed5db8520d987be046c32a03e5e9e47025acaeac2ab246c5c559bff1",
+    7: "613a2e42f5ca27d4163c21e8b74e74ac726f7c65e80c1f6035ce1e439cb843a3",
+    8: "6d6b6be37a5163429b36f09394d17d7297fdcd49c071c343a770098b235316a8",
+    9: "2bc96a1d6149b09cf10b6993fec4bb01ce6f335a26012820526a614d719bd5aa",
+    10: "a2a0c6b3f6f6d2fd07c0d63b568e979e4d6ab0677abc7e5d565433141e912d1c",
+    11: "3111723b572b81c58406234a204f7186cdd2d6672c981373e6a59ccc172cfcf2",
+    12: "a3638de7bb0893597ee15d1e7b21fff761be6d0f36a09e89eda9695ab6ee1df9",
+    13: "504ffb72186ee5d9b89034e5273f7c9ebc9c9d6809ab34e7264a09e79d38b9c7",
+    14: "b0a9555864b4cb11e177a724c89d60da479b9ad282dc122bb735053a87864905",
+    15: "49d97cd8cae213cbcc388dd1c95dca0c75e4bfa1c4304cc3328e38cb60f028e8",
+}
+
+
+@pytest.mark.parametrize("tid", TYPE_IDS)
+def test_solved_instances_match_the_recorded_bytes(tid):
+    spec = get_type_spec(tid)
+    rng = random.Random(tid)
+    out = []
+    for _ in range(12):
+        params = {}
+        for name, value in sorted(spec.default_params.items()):
+            x = rng.uniform(-1.0, 1.0)
+            params[name] = (value + math.radians(8.0 * x) if name in CORNERS
+                            else value * (1.0 + 0.1 * x))
+        try:
+            p = solve_instance(spec, params)
+        except PentileError as exc:
+            out.append(type(exc).__name__)
+        else:
+            out.append(repr((p.angles, p.edges)))
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == GOLDEN_SOLVES[tid], f"Type {tid} solves changed"
+
+
+@pytest.mark.parametrize("tid", [1, 4, 5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_free_parameter_is_a_parse_error(capfd, tid, bad):
+    """Each free parameter in turn set to NaN or an infinity: ParseError
+    before any range test or solve, and nothing written to stderr."""
+    spec = get_type_spec(tid)
+    for name in spec.default_params:
+        with pytest.raises(ParseError):
+            solve_instance(spec, {**spec.default_params, name: bad})
+    assert capfd.readouterr().err == ""

@@ -795,6 +795,66 @@ GOLDEN_STDOUT = {
         "4932f39e6cf33539d019cb765eb6123fe62052fb794053b98fa4aa33aa8377e8",
     "catalog list":
         "8585a9e8f96ecc4feba11bb34e020dd0e7d4e6d88cf2c2ee7160f29e5a10de26",
+    "theorem1 --type 1":
+        "8b2b3f4872bb9577cc4eb4b703959f282adadaf91d378345e7a65fec5348b1d1",
+    "theorem1 --type 2":
+        "b620cf0e93d7a0df3870e3b33c6417e708d4284b0acbcfec595eb207bf95f5d2",
+    "theorem1 --type 3":
+        "c9b7ae0341aa664f07413be4e79c6065d63182babb309ed3b75c4857e976cb1a",
+    "theorem1 --type 4":
+        "636323e929fce1371a44b615f3fa7ddd737dea504ce4e4340a3c121ea9b0960f",
+    "theorem1 --type 5":
+        "a7196316ade957db23d939853741494d701a7ffc1c94800b6e28f0ba78d523ae",
+    "theorem1 --type 6":
+        "0832d75b32c803c55c211994d5767b70ccf500d31f7c6607d8d74b5b3d19f21b",
+    "theorem1 --type 7":
+        "650b2d8e4010bc503197dae116e86a34d8081c35f16a163f17d85ef46359aabb",
+    "theorem1 --type 8":
+        "887f9895d5d5e6226c88ddbcc581ea60a38d0c6e3e8f8199a1f3e0879a9b946f",
+    "theorem1 --type 9":
+        "b9a89c3ed00c24fe3101ce801a7ac6582cb32616eaf87ef2b60c56fcd3b62549",
+    "theorem1 --type 10":
+        "6b56251c3a662650342162b776fb4b6029f1bfb53a7e58e5d80d0a0c9e8224fc",
+    "theorem1 --type 11":
+        "f1632396845cfa3dd8c47c750f290a51c68a27213836526ac4eb8bbb306558fc",
+    "theorem1 --type 12":
+        "fdeb6732049317646919b55cee6e9cb59443cdde52d87a49cc06b5953217f4fd",
+    "theorem1 --type 13":
+        "2a20adf6cf478212e2677300858c7b926b50b0ea6bb853dbef5e2076382f7790",
+    "theorem1 --type 14":
+        "f1632396845cfa3dd8c47c750f290a51c68a27213836526ac4eb8bbb306558fc",
+    "theorem1 --type 15":
+        "7b1427146e4c385b9144eb0b2894af208c14783b62539ff2e7052df9a4799427",
+    "catalog show 1":
+        "a871529c51e731bec4904646eef32be4ba474b440608361e390da63bb7533974",
+    "catalog show 2":
+        "00fb649a919a3137cbf9807a933c0eb537ce04ce2f6f371a2fff41ffcef29c9f",
+    "catalog show 3":
+        "f8aa0b11dca33c10a81ed817800e2e01f96b0e40c10831ee6d85d3f3bbca52fe",
+    "catalog show 4":
+        "d641ec96b08f40b8f0d908dc5f9b3229cad01d98368547464ecd46f7209e6eac",
+    "catalog show 5":
+        "b953ba17776e08e0d9319e0081f3fc332972f58ddcd7cbead7046872c2b20928",
+    "catalog show 6":
+        "44a331a666e5703b17428e1039c426ff70e7b5468527f95478e260a21a136ef7",
+    "catalog show 7":
+        "b4a7bc4055bc93bc92627417445f215ef36332d9c647831f9b6b7eabefce66af",
+    "catalog show 8":
+        "3a659bcadd31cdc01e6e30efeeed62ee0cf1e19bffca34ef3cda13e835e90f2c",
+    "catalog show 9":
+        "4b051201b32e4f4a750cedff05afacb68a9f063ba09867f63f45553d073f0976",
+    "catalog show 10":
+        "8410228d3db6d780e36e8548f8cbc79358cdd7352c7d86d0ec2ec9d3f51782dc",
+    "catalog show 11":
+        "4684f73672ecb1ae8acfb7eab35888c8279df522529a59cdff8b4856172628fd",
+    "catalog show 12":
+        "0569f4af49a7f5028d38fd9e870ee9297510acfde95250a0ce70d3bef87706b2",
+    "catalog show 13":
+        "468ae9314509988d95eb43dbb005fc75aae22104bbc829db34a97c0b6243c45c",
+    "catalog show 14":
+        "6ed7011418d30c98e4b6be04e41ed49d75a65076279f534d5f48834d7c9dc88e",
+    "catalog show 15":
+        "4e78f2d91c0ca25193f66c516947bf49f11aa9767940b280862d846b6fdb872c",
 }
 
 
@@ -823,7 +883,9 @@ def test_every_command_runs_without_scipy(tmp_path):
             ["verify", "--recipe", str(DATA / "type5_recipe.json")],
             ["render", "--patch", str(patch)],
             ["sweep", "--type", "4", "--radii", "5,8"],
-            ["catalog", "list"])]
+            ["catalog", "list"],
+            ["catalog", "show", "14"],
+            ["theorem1", "--type", "5"])]
     script = ("import json, sys\n"
               "sys.modules['scipy'] = None\n"
               "from pentile.cli import main\n"

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pentile import (
@@ -19,9 +19,9 @@ from pentile import (
     ClosureViolation,
     NegativeLength,
     NonConvexAngles,
+    RELATION_NAMES,
     ParseError,
     SingularClosure,
-    enumerate_relations,
     has_theorem1_property,
     make_pentagon,
     pentagon_from_json_dict,
@@ -30,6 +30,7 @@ from pentile import (
 )
 from pentile.geometry import interior_angles, polygon_area, polygon_edge_lengths
 from pentile.jsontext import dumps
+from pentile.pentagon import _relation_table
 
 DEG = math.pi / 180.0
 
@@ -48,8 +49,13 @@ HOUSE = pent((60, 150, 90, 90, 150))
 REGULAR = pent((108,) * 5)
 
 
-def names(relations):
-    return {r.name for r in relations}
+def multiset(name):
+    """A relation's corner multiplicities, read off its name ("2B+A" is
+    (1, 2, 0, 0, 0)) without library code."""
+    counts = [0] * 5
+    for term in name.split("+"):
+        counts["ABCDE".index(term[-1])] += int(term[:-1] or 1)
+    return tuple(counts)
 
 
 def oracle_satisfied(angles_deg, tol_deg=1e-4):
@@ -144,33 +150,46 @@ class TestSolveEdges:
 
 class TestRelations:
     def test_exactly_35_in_canonical_groups(self):
-        rels = enumerate_relations()
-        assert len(rels) == 35
-        names = [r.name for r in rels]
+        names = list(RELATION_NAMES)
+        assert len(names) == 35
         assert len(set(names)) == 35
         assert names[:10] == ["A+B+C", "B+C+D", "C+D+E", "D+E+A", "E+A+B",
                               "A+B+D", "B+C+E", "C+D+A", "D+E+B", "E+A+C"]
         assert names[10] == "2A+B" and names[29] == "2E+D"
         assert names[30:] == ["3A", "3B", "3C", "3D", "3E"]
-        for r in rels:
-            assert sum(r.coeffs) == 3
+        for name in names:
+            assert sum(multiset(name)) == 3
+
+    def test_table_rows_are_the_named_multisets(self):
+        """Row k of the relation table is relation k: its name's corner
+        multiplicities, no edge term, a full turn, an angle row and a
+        group of its own."""
+        table = _relation_table()
+        assert [tuple(row) for row in table.coeffs[:, :5]] == [
+            multiset(name) for name in RELATION_NAMES]
+        assert not table.coeffs[:, 5:].any()
+        assert (table.constants == 2 * math.pi).all()
+        assert table.angle_rows.all()
+        assert table.ids == tuple(range(35))
+        assert table.groups.tolist() == list(range(35))
 
     def test_multisets_match_exhaustive_oracle(self):
         expected = {tuple(c.count(i) for i in range(5))
                     for c in itertools.combinations_with_replacement(range(5), 3)}
-        assert {r.coeffs for r in enumerate_relations()} == expected
+        assert {multiset(name) for name in RELATION_NAMES} == expected
 
     def test_house_against_oracle(self):
-        got = {r.coeffs for r in satisfied_relations(HOUSE)}
+        got = {multiset(name) for name in satisfied_relations(HOUSE)}
         assert got == oracle_satisfied((60, 150, 90, 90, 150))
-        assert names(satisfied_relations(HOUSE)) == {"E+A+B", "2B+A", "2E+A"}
+        assert set(satisfied_relations(HOUSE)) == {"E+A+B", "2B+A", "2E+A"}
 
     def test_three_120_two_90_against_oracle(self):
         p = closed((120, 120, 120, 90, 90))
         got = satisfied_relations(p)
-        assert {r.coeffs for r in got} == oracle_satisfied((120, 120, 120, 90, 90))
-        assert names(got) == {"A+B+C", "2A+B", "2A+C", "2B+A", "2B+C",
-                              "2C+A", "2C+B", "3A", "3B", "3C"}
+        assert ({multiset(name) for name in got}
+                == oracle_satisfied((120, 120, 120, 90, 90)))
+        assert set(got) == {"A+B+C", "2A+B", "2A+C", "2B+A", "2B+C",
+                            "2C+A", "2C+B", "3A", "3B", "3C"}
 
     def test_regular_pentagon_has_none(self):
         assert len(satisfied_relations(REGULAR)) == 0
@@ -186,10 +205,10 @@ class TestRelations:
         p = pent((60, 150, 90, 90, 150))
         loose = satisfied_relations(p, tol=1e-3)
         tight = satisfied_relations(p, tol=1e-12)
-        assert names(tight) == names(loose) == {"E+A+B", "2B+A", "2E+A"}
+        assert set(tight) == set(loose) == {"E+A+B", "2B+A", "2E+A"}
         nudged = closed((60 + 2e-4, 150, 90, 90, 150 - 2e-4))
-        assert "E+A+B" in names(satisfied_relations(nudged, tol=1e-5))
-        assert "2B+A" not in names(satisfied_relations(nudged, tol=1e-7))
+        assert "E+A+B" in satisfied_relations(nudged, tol=1e-5)
+        assert "2B+A" not in satisfied_relations(nudged, tol=1e-7)
 
 
 # weights within [0.8, 1.2] keep every normalized angle strictly convex
@@ -203,7 +222,55 @@ def _angles_from_weights(weights):
     return [w / total * 3.0 * math.pi for w in weights]
 
 
+def scalar_relation_value(name, pentagon):
+    """A relation's angle sum as a left-to-right scalar sum of corner
+    multiplicity times angle: the reference the relation table is held to."""
+    return float(sum(c * a for c, a in zip(multiset(name), pentagon.angles)))
+
+
+# a re-ordered sum of three corner angles near a full turn rounds to within
+# a few ulps of 2*pi of the left-to-right one
+SUM_ORDER_SLACK = 4 * math.ulp(2 * math.pi)
+
+
+@st.composite
+def relation_pentagons(draw):
+    """A pentagon from angles_strategy, its angles then, in half the draws,
+    moved along a direction that keeps their sum so that a drawn relation
+    misses a full turn by a drawn offset of at most 1e-2 rad."""
+    ang = np.array(_angles_from_weights(draw(angles_strategy)))
+    if draw(st.booleans()):
+        counts = np.array(multiset(draw(st.sampled_from(RELATION_NAMES))),
+                          dtype=float)
+        move = counts - 0.6
+        offset = draw(st.floats(min_value=-1e-2, max_value=1e-2))
+        ang = ang + (2 * math.pi + offset - counts @ ang) / (counts @ move) * move
+    assume(all(0.05 < a < math.pi - 0.05 for a in ang))
+    try:
+        return solve_edges(ang.tolist(), {"a": 1.0, "b": 1.0, "c": 1.0})
+    except (SingularClosure, NegativeLength):
+        assume(False)
+
+
 class TestRelationProperties:
+    @given(relation_pentagons(), st.floats(min_value=-12.0, max_value=-2.0))
+    @example(HOUSE, -6.0)
+    @example(HOUSE, -12.0)
+    @example(closed((120, 120, 120, 90, 90)), -6.0)
+    @example(closed((120, 120, 120, 90, 90)), -12.0)
+    @settings(max_examples=200, deadline=None)
+    def test_table_verdicts_are_the_scalar_sums(self, p, log_tol):
+        """satisfied_relations names exactly the relations whose scalar sum
+        lies within tol of a full turn, tol from 1e-12 to 1e-2; a draw with
+        some sum within SUM_ORDER_SLACK of the bound is skipped."""
+        tol = 10.0 ** log_tol
+        misses = [abs(scalar_relation_value(name, p) - 2 * math.pi)
+                  for name in RELATION_NAMES]
+        assume(all(abs(miss - tol) > SUM_ORDER_SLACK for miss in misses))
+        expected = tuple(name for name, miss in zip(RELATION_NAMES, misses)
+                         if miss <= tol)
+        assert satisfied_relations(p, tol) == expected
+
     @given(angles_strategy, st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_scale_invariance(self, weights, factor):
@@ -226,8 +293,9 @@ class TestRelationProperties:
         except (SingularClosure, NegativeLength):
             assume(False)
         q = p.relabeled(rotation=k)
-        rolled = {tuple(np.roll(r.coeffs, -k)) for r in satisfied_relations(p)}
-        assert {r.coeffs for r in satisfied_relations(q)} == rolled
+        rolled = {tuple(np.roll(multiset(name), -k))
+                  for name in satisfied_relations(p)}
+        assert {multiset(name) for name in satisfied_relations(q)} == rolled
 
 
 class TestJson:
