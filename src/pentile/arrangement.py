@@ -32,6 +32,11 @@ each side; one assembly builds every array from that.
   `vertex_labels` turns each key into one integer label; generate_patch's
   flood fill joins the tiles that share a label.
 
+The same CellArrangement, read per vertex orbit and per region tile, is the
+tiling's `orbit_star`: each region tile's boundary stops, the tiles meeting
+each orbit and each region tile's edge neighbours. stats.limit_sweep counts
+a patch's interior on it, with no Patch built.
+
 Either way vertices are numbered by first corner occurrence and placed at
 the mean of their corners. The assembly sorts only the side hits, by
 (side, param, vertex), and places every side's stops around them in one
@@ -472,6 +477,79 @@ def cell_arrangement(recipe) -> CellArrangement:
         hit_param=param[on_region][order])
 
 
+class OrbitStar(NamedTuple):
+    """A periodic tiling's incidence per vertex orbit and per region tile,
+    read off its CellArrangement (`orbit_star`).
+
+    A stop is a vertex key (Δm, Δn, orbit) on a region tile's boundary,
+    from the tile's own cell. Rows stop_ptr[j]:stop_ptr[j + 1] are region
+    tile j's stops in boundary order: corner c, then the vertices inside
+    the side it opens by hit_param. A stop and next_stop of it bound an
+    edge. Row o of star lists the stops at orbit o: vertex (0, 0, o) is met
+    by each of their region tiles moved by minus its (Δm, Δn), so a row's
+    length is the orbit's valence. neighbours[j] counts the tiles sharing
+    an edge with region tile j. No stop is more than reach cells away in m
+    or in n.
+    """
+    stop_ptr: np.ndarray         # (k + 1,)
+    stop_tile: np.ndarray        # (S,) region tile of each stop
+    stop_vertex: np.ndarray      # (S, 3) vertex key (Δm, Δn, orbit)
+    next_stop: np.ndarray        # (S,)
+    star: Csr                    # orbit -> stop rows
+    neighbours: np.ndarray       # (k,)
+    reach: int
+
+
+def orbit_star(cell: CellArrangement) -> OrbitStar:
+    """The cell's stops, its star and each region tile's edge neighbours.
+
+    The hits are sorted by side, then param, so the h-th hit, on side g,
+    follows g + 1 corners and h hits. Two tiles share an edge exactly when
+    their stops run along it in turn: a step p -> q of one tile and, moved
+    by some (Δm, Δn), a step q -> p of another. Keyed by (orbit of p, orbit
+    of q, Δq - Δp) as `_row_key` rows, the steps and the same steps
+    reversed join in one sort, so the cost grows with the stops, not with
+    their pairs.
+    """
+    k, corners = cell.corner_vertex.shape[:2]
+    per_tile = np.diff(cell.hit_ptr)
+    hit_side = (np.repeat(np.arange(k), per_tile) * corners
+                + cell.hit_corner)
+    sides = np.arange(k * corners)
+    stop_vertex = np.empty((len(sides) + len(hit_side), 3), dtype=np.intp)
+    stop_vertex[sides + np.searchsorted(hit_side, sides)] = \
+        cell.corner_vertex.reshape(-1, 3)
+    stop_vertex[hit_side + np.arange(len(hit_side)) + 1] = cell.hit_vertex
+    stop_ptr = np.arange(k + 1) * corners + cell.hit_ptr
+    stop_tile = np.repeat(np.arange(k), corners + per_tile)
+    next_stop = _next_corners(stop_ptr)
+    orbit = stop_vertex[:, 2]
+    at_orbit = np.argsort(orbit, kind="stable")
+
+    p, q = stop_vertex, stop_vertex[next_stop]
+    d = q[:, :2] - p[:, :2]
+    key = _row_key([np.concatenate(pair) for pair in (
+        (p[:, 2], q[:, 2]), (q[:, 2], p[:, 2]), (d[:, 0], -d[:, 0]),
+        (d[:, 1], -d[:, 1]))])
+    ahead, back = key[:len(p)], key[len(p):]
+    by_back = np.argsort(back, kind="stable")
+    lo = np.searchsorted(back[by_back], ahead, "left")
+    found = np.searchsorted(back[by_back], ahead, "right") - lo
+    # step s meets the reversed steps by_back[lo[s]:lo[s] + found[s]]
+    s = np.repeat(np.arange(len(p)), found)
+    t = by_back[np.arange(len(s))
+                + np.repeat(lo - np.cumsum(found) + found, found)]
+    shift = p[s, :2] - q[t, :2]
+    tile = _unique_rows(stop_tile[s], shift[:, 0], shift[:, 1],
+                        stop_tile[t])[0]
+    return OrbitStar(
+        stop_ptr=stop_ptr, stop_tile=stop_tile, stop_vertex=stop_vertex,
+        next_stop=next_stop,
+        star=_csr(orbit[at_orbit], at_orbit, cell.orbits),
+        neighbours=np.bincount(tile, minlength=k),
+        reach=int(np.abs(stop_vertex[:, :2]).max()))
+
+
 def vertex_labels(cells: np.ndarray, cell: CellArrangement):
     """One integer label per vertex key (m, n, orbit) of the translates in
     cells, given as (m, n, region index) rows: the corner labels in tile
@@ -556,7 +634,7 @@ def _sharing(rows: Csr, n: int) -> Csr:
     length c give their c·(c - 1) pairs in one indexing step."""
     length = np.diff(rows.indptr)
     a, b = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for c in np.unique(length[length > 1]).tolist():
+    for c in np.flatnonzero(np.bincount(length[length > 1])).tolist():
         ids = rows.indices[rows.indptr[:-1][length == c, None] + np.arange(c)]
         x, y = np.nonzero(~np.eye(c, dtype=bool))
         a.append(ids[:, x].ravel())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
@@ -236,7 +237,8 @@ def solve_instance(spec: TypeSpec, free_params: Mapping[str, float]) -> Pentagon
     the closure condition, and the mean-edge-1 scale convention. Damped
     Gauss-Newton, damping 0.5 on residual increase, at most 100 iterations;
     the result must reach max residual 1e-9 or NonConvergence is raised.
-    A NaN or infinite free parameter is a ParseError.
+    A free parameter that is not a finite real number is a ParseError: a
+    string, even a numeric one, None, a boolean and numpy's bool included.
     """
     unknown = set(free_params) - set(VARIABLES)
     if unknown:
@@ -245,6 +247,16 @@ def solve_instance(spec: TypeSpec, free_params: Mapping[str, float]) -> Pentagon
         raise ParseError(
             f"Type {spec.id} needs exactly {spec.dof} free parameters, "
             f"got {len(free_params)}")
+    bad = sorted(name for name, value in free_params.items()
+                 if isinstance(value, bool)
+                 or not isinstance(value, numbers.Real))
+    if bad:
+        raise ParseError(f"free parameters {bad} must be real numbers")
+    try:
+        free_params = {name: float(value)
+                       for name, value in free_params.items()}
+    except OverflowError as exc:
+        raise ParseError(f"free parameters: {exc}") from None
     require_finite("free parameters", list(free_params.values()))
     for name, value in free_params.items():
         if name in CORNERS and not 0.0 < value < math.pi:

@@ -103,7 +103,7 @@ def polygon_areas(stacked: np.ndarray, counts: np.ndarray) -> np.ndarray:
     x, y = stacked[..., 0], stacked[..., 1]
     terms = x * _following(y, counts) - _following(x, counts) * y
     sums = np.zeros(len(counts))
-    for c in np.unique(counts[counts >= 3]):
+    for c in np.flatnonzero(np.bincount(counts[counts >= 3])):
         rows = counts == c
         sums[rows] = np.sum(terms[rows, :c], axis=1)
     return 0.5 * sums

@@ -3,8 +3,9 @@
 Counts vertices, edges and tiles, with valence and adjacency histograms, in
 two modes: the full patch for the exact Euler identity, and interior-only
 for ratio estimators that converge as the patch grows. A sweep over
-increasing radii extrapolates the ratios to the infinite tiling and checks
-the balance identity 1/(avg valence) + 1/(avg adjacents) = 1/2.
+increasing radii counts each radius' interior on the lattice, from the
+recipe's orbit star, extrapolates the ratios to the infinite tiling and
+checks the balance identity 1/(avg valence) + 1/(avg adjacents) = 1/2.
 """
 from __future__ import annotations
 
@@ -208,11 +209,28 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
     Radii must increase and start above twice the tile diameter so every
     patch has an interior to count. The candidates are scanned and measured
     once, for the largest radius (`tiling.candidate_window`), and each
-    radius' patch takes the rows within its own reach from that window, so
-    a radius over `tiling.MAX_TRANSLATES` is refused before any patch is
-    built.
+    radius keeps the rows that generate_patch's patch holds
+    (`tiling.patch_rows`), so a radius over `tiling.MAX_TRANSLATES` is
+    refused before any radius is counted.
+
+    Each radius is counted on the lattice (`_lattice_stats`), from the
+    recipe's orbit star, with no patch built; the counts are
+    compute_stats(generate_patch(recipe, r), INTERIOR)'s. A patch's
+    vertices are its tiles' corners, and a vertex is complete when every
+    edge at it borders two patch tiles. That holds exactly when every tile
+    of its star is present: a missing one leaves an edge at the vertex
+    with one tile, and when none is missing, the next vertex along each
+    side from it is a corner of one of the side's two tiles, both in the
+    star, so each edge at it is a tiling edge and borders both. Walking
+    each side of a tile from its start corner this way shows that its
+    patch vertices are all complete exactly when all its stops are, every
+    stop then being a corner of a present tile; the tile is then interior,
+    and its edges are tiling edges, so it has its region tile's count of
+    edge neighbours. An edge between complete vertices is a tiling edge,
+    one segment of each of its two present tiles, so e is half the
+    segments of present tiles whose two ends are complete.
     """
-    from .tiling import candidate_window, generate_patch
+    from .tiling import candidate_window, patch_rows
 
     radii = [float(r) for r in radii]
     require_positive("radii", radii)
@@ -225,8 +243,9 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
             f"diameter {diam:.6g}")
 
     window = candidate_window(recipe, radii[-1])
-    stats = [compute_stats(generate_patch(recipe, r, window=window),
-                           mode=INTERIOR) for r in radii]
+    center, star = np.asarray(window.center), recipe.orbit_star
+    stats = [_lattice_stats(star, patch_rows(recipe, r, center, window)[0],
+                            r) for r in radii]
 
     v_per_t = tuple(s.v / s.t for s in stats)
     e_per_t = tuple(s.e / s.t for s in stats)
@@ -246,6 +265,53 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
         v_limit=_fit_limit(radii, v_per_t),
         e_limit=_fit_limit(radii, e_per_t),
         t_h_limit=t_h_limit, v_j_limit=v_j_limit)
+
+
+def _lattice_stats(star, cells: np.ndarray, r: float) -> PatchStats:
+    """INTERIOR statistics of the patch whose tiles are the translates in
+    cells, (m, n, j) rows, counted on the lattice from the recipe's orbit
+    star (`limit_sweep` gives the argument).
+
+    present holds one flag per translate (m, n, j) of the cells' (m, n) box
+    widened by twice the star's reach, flat, j·size + (m - m0)·width +
+    n - n0, so a step (Δm, Δn) is the one offset Δm·width + Δn. Vertex
+    (m, n, o) is complete when every tile of o's star is present: a vertex
+    nearer the box's edge than the reach reads a padding flag or, stepping
+    off its row, one of the next row's, and is left incomplete. A complete
+    stop's star holds its tile, so a tile with one is present.
+    """
+    pad = star.reach
+    lo = cells[:, :2].min(axis=0) - 2 * pad
+    height, width = (cells[:, :2].max(axis=0) - lo + 1 + 2 * pad).tolist()
+    size = height * width
+    present = np.zeros(len(star.neighbours) * size, dtype=bool)
+    present[(cells[:, 2] * height + cells[:, 0] - lo[0]) * width
+            + cells[:, 1] - lo[1]] = True
+    step = star.stop_vertex[:, 0] * width + star.stop_vertex[:, 1]
+
+    orbits = len(star.star.indptr) - 1
+    complete = np.zeros((orbits, size), dtype=bool)
+    q = np.arange(pad * (width + 1), size - pad * (width + 1))
+    entry = star.star.indices
+    complete[:, q] = np.logical_and.reduceat(
+        present[(star.stop_tile[entry] * size - step[entry])[:, None] + q],
+        star.star.indptr[:-1], axis=0)
+    # whether each stop of each tile in the rows that may hold one is
+    # complete
+    p = np.arange(2 * pad * width, size - 2 * pad * width)
+    at_stop = complete.ravel()[
+        (star.stop_vertex[:, 2] * size + step)[:, None] + p]
+    interior = np.logical_and.reduceat(at_stop, star.stop_ptr[:-1], axis=0)
+
+    per_orbit = np.count_nonzero(complete, axis=1)
+    per_tile = np.count_nonzero(interior, axis=1)
+    return PatchStats(
+        v=int(per_orbit.sum()),
+        e=np.count_nonzero(at_stop & at_stop[star.next_stop]) // 2,
+        t=int(per_tile.sum()),
+        t_h=_histogram(np.repeat(star.neighbours, per_tile)),
+        v_j=_histogram(np.repeat(np.diff(star.star.indptr), per_orbit)),
+        r=r, mode=INTERIOR)
 
 
 def per_radius_balance_residuals(limit: LimitEstimate) -> list[float]:

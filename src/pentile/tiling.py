@@ -35,11 +35,11 @@ from .geometry import (
 )
 from .pentagon import Pentagon, pentagon_from_json_dict
 
-# TilingRecipe.periodicity, generate_patch and stats.limit_sweep import
-# check_periodicity, Patch and generate_patch in their bodies: verifier and
-# arrangement import this module, and a name looked up at call time is the
-# one a tracer that replaces module attributes (perfbench/spans.py)
-# installed, so the calls made inside the library are traced too.
+# TilingRecipe.periodicity and generate_patch import check_periodicity and
+# Patch in their bodies: verifier and arrangement import this module, and a
+# name looked up at call time is the one a tracer that replaces module
+# attributes (perfbench/spans.py) installed, so the calls made inside the
+# library are traced too.
 
 LATTICE_TOL = 1e-12        # |u x v| below this (relative) means parallel
 SNAP_FACTOR = 1e-7         # vertex merge radius, relative to mean edge
@@ -200,6 +200,14 @@ class TilingRecipe:
             raise RecipeInvalid(f"recipe does not tile: "
                                 f"{self.periodicity.violations}")
         return cell_arrangement(self)
+
+    @functools.cached_property
+    def orbit_star(self):
+        """The `arrangement.orbit_star` of the recipe's cell arrangement,
+        built once."""
+        from .arrangement import orbit_star
+
+        return orbit_star(self.cell_arrangement)
 
     def cell_area(self) -> float:
         return abs(self.u[0] * self.v[1] - self.u[1] * self.v[0])
@@ -440,8 +448,8 @@ def candidate_window(recipe: TilingRecipe, r: float,
                      M=(0.0, 0.0)) -> CandidateWindow:
     """generate_patch's candidates for the disk of radius r about M, as the
     window that the patch of any disk of radius up to r about M cuts its
-    candidates from (`generate_patch`'s `window`). Raises ParseError,
-    naming r, as generate_patch does, before any patch is built."""
+    candidates from (`patch_rows`' `window`). Raises ParseError, naming r,
+    as generate_patch does, before any patch is built."""
     center = np.asarray(M, dtype=float)
     _, reach = _flood_reach(recipe, r)
     cells, polys, d_max = _candidates(recipe, r, center, reach)
@@ -453,8 +461,7 @@ def candidate_window(recipe: TilingRecipe, r: float,
                            d_max, gap)
 
 
-def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0), *,
-                   window: CandidateWindow | None = None):
+def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     """The patch A(r, M): tiles inside the disk, tiles meeting its boundary,
     and tiles surrounded by those. Returns an arrangement-backed Patch.
 
@@ -474,12 +481,7 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0), *,
     `recipe.radius` from its centroid, so those lie among the translates
     whose centroid is within rho + radius of M (`near_translates`); the
     extra eps keeps the float comparison from dropping one at the bound.
-
-    A `window` from `candidate_window` for a radius of at least r about M
-    replaces that scan: the candidates are its rows within this disk's
-    reach (`CandidateWindow.within`), the same arrays the scan gives, so
-    a sweep over several radii scans and measures once. Without one, the
-    call scans for its own disk alone.
+    `patch_rows` picks the tiles.
 
     Every candidate is a translate (m, n) of a region tile, so its
     vertices are integer keys (m, n, orbit) read off the recipe's cell
@@ -495,6 +497,21 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0), *,
     require_positive("disk radius", r)
     center = np.asarray(M, dtype=float)
     require_finite("disk centre", center)
+    cells, polys, sizes = patch_rows(recipe, r, center)
+    zones = np.repeat(np.array(["F1", "F2", "F3"]), sizes)
+    return Patch.from_cells(polys, cells, zones, recipe.cell_arrangement,
+                            r=r, center=tuple(center))
+
+
+def patch_rows(recipe: TilingRecipe, r: float, center: np.ndarray,
+               window: CandidateWindow | None = None):
+    """The tiles of generate_patch's patch A(r, center), as near_translates
+    gives them: their (m, n, j) rows and corners, F1 first, then F2, then
+    F3, and the three zone sizes. A `window` from `candidate_window` for a
+    radius of at least r about center replaces the scan for this disk
+    alone: the candidates are its rows within this disk's reach
+    (`CandidateWindow.within`), the same arrays the scan gives, so several
+    radii about one centre scan and measure once."""
     eps = recipe.merge_distance
     rho, reach = _flood_reach(recipe, r)
     if window is None:
@@ -508,13 +525,9 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0), *,
     boundary = rest[meets]
     outer = rest[~meets]
     f3 = outer[_enclosed_tiles(cells[outer], d_max[outer] > rho, recipe)]
-
     order = np.concatenate([np.nonzero(inner)[0], boundary, f3])
-    zones = np.repeat(np.array(["F1", "F2", "F3"]),
-                      [np.count_nonzero(inner), len(boundary), len(f3)])
-    return Patch.from_cells(polys[order], cells[order], zones,
-                            recipe.cell_arrangement, r=r,
-                            center=tuple(center))
+    return cells[order], polys[order], (np.count_nonzero(inner),
+                                        len(boundary), len(f3))
 
 
 def _enclosed_tiles(cells: np.ndarray, is_open: np.ndarray,

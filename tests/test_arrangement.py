@@ -2,6 +2,7 @@
 import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,14 +17,15 @@ from scipy.spatial import cKDTree
 import pentile
 from pentile.arrangement import (SNAP_FACTOR, CellArrangement, Patch,
                                  PatchEdge, PatchVertex, _row_key,
-                                 _unique_rows, patch_from_json_dict,
-                                 vertex_labels)
+                                 _unique_rows, orbit_star,
+                                 patch_from_json_dict, vertex_labels)
 from pentile.geometry import close_pairs, component_labels, interior_angles
 from pentile.jsontext import dumps, patch_document
 from pentile.pentagon import pentagon_from_json_dict
 from pentile.stats import (FULL, INTERIOR, PatchStats, compute_stats,
-                           euler_residual)
-from pentile.tiling import builtin_recipe, generate_patch
+                           euler_residual, limit_sweep)
+from pentile.tiling import (Isometry, TilingRecipe, builtin_recipe,
+                            generate_patch, patch_rows)
 
 DATA = Path(__file__).parent / "data"
 
@@ -377,6 +379,81 @@ def test_cell_arrangement_closes_on_the_torus(type_id, tve):
         spread = home[orbit == o] - home[orbit == o][0]
         assert np.abs(spread).max() <= 1e-9
 
+
+@pytest.mark.parametrize("type_id, ve", [(1, (4, 6)), (2, (8, 12)),
+                                         (4, (6, 10)), (5, (9, 15))])
+def test_orbit_star_closes_on_the_torus(type_id, ve):
+    """The star's rows are the orbits and hold 5k + side hits stops in
+    all, so v orbits, e = (5k + hits) / 2 edges and the k region tiles give
+    v - e + t = 0, with (v, e) as the one-cell limits. Each region tile's
+    stops lie on its boundary and walk it once round, and each edge has a
+    neighbour on its other side."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    cell, star = recipe.cell_arrangement, recipe.orbit_star
+    k = len(recipe.region)
+    sizes = np.diff(star.star.indptr)
+    assert len(sizes) == cell.orbits
+    assert sizes.sum() == 5 * k + len(cell.hit_vertex)
+    e, odd = divmod(int(sizes.sum()), 2)
+    assert odd == 0
+    assert (cell.orbits, e) == ve
+    assert cell.orbits - e + k == 0
+    assert np.array_equal(star.stop_vertex[star.star.indices, 2],
+                          np.repeat(np.arange(cell.orbits), sizes))
+    assert star.neighbours.sum() == 2 * e
+    assert star.reach == np.abs(star.stop_vertex[:, :2]).max()
+
+    lattice = np.column_stack([recipe.u, recipe.v])
+    home = np.empty((cell.orbits, 2))
+    home[cell.corner_vertex[..., 2]] = (
+        recipe.region_corners - cell.corner_vertex[..., :2] @ lattice.T)
+    at = home[star.stop_vertex[:, 2]] + star.stop_vertex[:, :2] @ lattice.T
+    for j, polygon in enumerate(recipe.region_corners):
+        stops = np.arange(star.stop_ptr[j], star.stop_ptr[j + 1])
+        assert np.array_equal(star.stop_tile[stops], np.full(len(stops), j))
+        assert np.array_equal(star.next_stop[stops], np.roll(stops, -1))
+        assert all(min(point_segment_distance(p, a, b) for a, b in zip(
+            polygon, np.roll(polygon, -1, axis=0))) <= 1e-9 for p in at[stops])
+        walked = np.linalg.norm(at[np.roll(stops, -1)] - at[stops], axis=1)
+        perimeter = np.linalg.norm(np.roll(polygon, -1, axis=0) - polygon,
+                                   axis=1)
+        assert abs(walked.sum() - perimeter.sum()) <= 1e-9
+
+
+def test_orbit_star_of_a_many_tile_supercell():
+    """Type 1's two-tile region repeated 100 times along u, a 200-tile
+    region: every region tile has the edge neighbours the generated patch
+    gives its interior translates, the sweep's lattice counts are the
+    patch counts, and the star's steps are matched in memory linear in its
+    S stops, well below one flag per pair of them."""
+    base = builtin_recipe(1, pentile.representative(1).pentagon)
+    u = np.asarray(base.u)
+    region = tuple(
+        Isometry(iso.rotation, tuple(np.asarray(iso.translation) + i * u),
+                 iso.reflect)
+        for i in range(100) for iso in base.region)
+    recipe = TilingRecipe(base.pentagon, region, tuple(100 * u), base.v)
+    cell = recipe.cell_arrangement
+    tracemalloc.start()
+    try:
+        star = orbit_star(cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stops = len(star.stop_tile)
+    assert stops == 5 * len(region) + len(cell.hit_vertex)
+    assert peak < 1000 * stops < stops * stops
+
+    r = 2.0 * recipe.pentagon.diameter + 4.0
+    patch = generate_patch(recipe, r)
+    tile = patch_rows(recipe, r, np.zeros(2))[0][:, 2]
+    inside = patch.interior_tile_ids()
+    assert len(inside) and len(set(tile[inside].tolist())) > 1
+    assert np.array_equal(np.diff(patch.tile_adjacents.indptr)[inside],
+                          star.neighbours[tile[inside]])
+    radii = r - np.array([3.0, 2.5, 0.0])
+    for counted, r in zip(limit_sweep(recipe, radii).stats, radii.tolist()):
+        assert counted == compute_stats(generate_patch(recipe, r), INTERIOR)
 
 @st.composite
 def drawn_cells(draw):

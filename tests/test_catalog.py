@@ -400,3 +400,16 @@ def test_non_finite_free_parameter_is_a_parse_error(capfd, tid, bad):
         with pytest.raises(ParseError):
             solve_instance(spec, {**spec.default_params, name: bad})
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("tid", [1, 4, 5])
+@pytest.mark.parametrize("bad", ["x", "0.9", None, True, False, np.True_,
+                                 [1.0], 10 ** 400])
+def test_non_number_free_parameter_is_a_parse_error(tid, bad):
+    """Each free parameter in turn set to a string, a numeric one too,
+    null, a boolean, numpy's included, a list or an int past float's range:
+    ParseError, and neither a string nor a boolean is read as a number."""
+    spec = get_type_spec(tid)
+    for name in spec.default_params:
+        with pytest.raises(ParseError):
+            solve_instance(spec, {**spec.default_params, name: bad})

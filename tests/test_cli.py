@@ -896,3 +896,28 @@ def test_every_command_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    """numpy.ma costs about 10 ms to import, and a plain np.unique loads
+    it: in a fresh interpreter, sweep, tile, verify and stats leave it
+    unimported."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    patch = tmp_path / "patch.json"
+    commands = [["tile", "--type", "4", "--r", "6", "--out", str(patch)]] + [
+        [*argv, "--out", str(tmp_path / "out")] for argv in (
+            ["sweep", "--type", "4", "--radii", "5,8"],
+            ["verify", "--type", "4", "--r", "6"],
+            ["verify", "--patch", str(patch)],
+            ["verify", "--recipe", str(DATA / "type5_recipe.json")],
+            ["stats", "--type", "4", "--r", "6"])]
+    script = ("import json, sys\n"
+              "from pentile.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n"
+              "    assert 'numpy.ma' not in sys.modules, argv\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

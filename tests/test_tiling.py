@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -1138,8 +1138,9 @@ def assert_same_patch(ours, theirs):
 def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
                                                                M):
     """Every disk up to the window's radius about its centre cuts from it
-    the rows and corners near_translates gives at that disk's reach, and
-    the arrays a window-free generate_patch builds, at any radii."""
+    the rows and corners near_translates gives at that disk's reach, the
+    patch rows a window-free patch_rows picks, and from them the arrays
+    generate_patch builds, at any radii."""
     window = tiling.candidate_window(recipe, max(radii), M)
     center = np.asarray(M, dtype=float)
     for r in radii:
@@ -1147,8 +1148,15 @@ def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
         cells, polys, _ = window.within(center, reach)
         scanned, corners = tiling.near_translates(recipe, center[None], reach)
         assert same_bits(cells, scanned) and same_bits(polys, corners)
-        assert_same_patch(generate_patch(recipe, r, M, window=window),
-                          generate_patch(recipe, r, M))
+        cut, polys, sizes = tiling.patch_rows(recipe, r, center, window)
+        rows = tiling.patch_rows(recipe, r, center)
+        assert same_bits(cut, rows[0]) and same_bits(polys, rows[1])
+        assert sizes == rows[2]
+        zones = np.repeat(np.array(["F1", "F2", "F3"]), sizes)
+        assert_same_patch(
+            Patch.from_cells(polys, cut, zones, recipe.cell_arrangement, r=r,
+                             center=M),
+            generate_patch(recipe, r, M))
 
 
 @pytest.mark.parametrize("radii", [(5.0, 5.5, 12.0), (5.0, 10.0, 20.0)],
@@ -1156,34 +1164,49 @@ def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
 def test_sweep_patches_are_the_window_free_patches(type_id, radii):
     """limit_sweep scans the lattice once, for its largest radius, and each
-    radius' patch equals generate_patch(recipe, r) without a window."""
+    radius' counts are the INTERIOR statistics of generate_patch(recipe, r)
+    without a window."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     recipe.cell_arrangement     # built, so its own window scans no more
-    made = []
-
-    def recorded(*args, **kwargs):
-        made.append(generate_patch(*args, **kwargs))
-        return made[-1]
-
-    with mock.patch.object(tiling, "generate_patch", recorded), \
-            mock.patch.object(tiling, "near_translates",
-                              wraps=tiling.near_translates) as near:
-        limit_sweep(recipe, radii)
+    with mock.patch.object(tiling, "near_translates",
+                           wraps=tiling.near_translates) as near:
+        limit = limit_sweep(recipe, radii)
     assert near.call_count == 1
     assert near.call_args.args[2] == tiling._flood_reach(recipe, radii[-1])[1]
-    assert [patch.r for patch in made] == list(radii)
-    for patch, r in zip(made, radii):
-        assert_same_patch(patch, generate_patch(recipe, r))
+    assert [s.r for s in limit.stats] == list(radii)
+    for counted, r in zip(limit.stats, radii):
+        assert counted == compute_stats(generate_patch(recipe, r), INTERIOR)
+
+
+@settings(max_examples=50)
+@given(sweep_and_wide_recipes, st.floats(0.01, 6.0),
+       st.lists(st.one_of(st.just(0.5), st.floats(0.01, 8.0)), max_size=3))
+@example(builtin_recipe(1, pentile.representative(1).pentagon), 1.0, [0.5])
+@example(builtin_recipe(2, pentile.representative(2).pentagon), 0.5,
+         [0.5, 7.0])
+@example(builtin_recipe(4, pentile.representative(4).pentagon), 2.0,
+         [5.0, 10.0])
+@example(builtin_recipe(5, pentile.representative(5).pentagon), 0.01,
+         [0.5, 0.5, 8.0])
+def test_lattice_counts_are_the_patch_counts(recipe, above, gaps):
+    """Radii strictly increasing from `above` past twice the tile diameter,
+    close pairs included: limit_sweep's counts, made on the lattice, are
+    the INTERIOR statistics of each radius' generated patch."""
+    radii = 2.0 * recipe.pentagon.diameter + np.cumsum([above, *gaps])
+    limit = limit_sweep(recipe, radii)
+    for counted, r in zip(limit.stats, radii.tolist()):
+        assert counted == compute_stats(generate_patch(recipe, r), INTERIOR)
 
 
 def test_window_refuses_a_wider_disk_or_another_centre():
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)
     window = tiling.candidate_window(recipe, 6.0)
-    generate_patch(recipe, 6.0, window=window)
+    center = np.zeros(2)
+    tiling.patch_rows(recipe, 6.0, center, window)
     with pytest.raises(ValueError):
-        generate_patch(recipe, 6.5, window=window)
+        tiling.patch_rows(recipe, 6.5, center, window)
     with pytest.raises(ValueError):
-        generate_patch(recipe, 5.0, (0.5, 0.0), window=window)
+        tiling.patch_rows(recipe, 5.0, np.array([0.5, 0.0]), window)
 
 
 def test_sweep_refuses_an_over_limit_radius_by_name_before_any_patch():
