@@ -12,7 +12,11 @@ vertex_tiles is the one tile-vertex incidence: a tile's vertices are the
 rows that list it. Statistics, the verifier, the writer and the renderer
 read the arrays; the tiles, vertices and edges records are built as they
 are read, so a large patch holds no object per tile, vertex or edge for the
-garbage collector to walk.
+garbage collector to walk. The eight arrangement arrays are assembled
+together on the first read of any: the verifier and the renderer read only
+the tiles, and stats.compute_stats counts a generated patch on its lattice,
+so generating, counting and verifying a patch, or verifying and rendering a
+document, builds no arrangement.
 
 The work runs on one flat array of all tile corners, with per-tile offsets so
 polygons of different corner counts can mix; corner i opens side i. One of
@@ -34,8 +38,10 @@ each side; one assembly builds every array from that.
 
 The same CellArrangement, read per vertex orbit and per region tile, is the
 tiling's `orbit_star`: each region tile's boundary stops, the tiles meeting
-each orbit and each region tile's edge neighbours. stats.limit_sweep counts
-a patch's interior on it, with no Patch built.
+each orbit and each region tile's edge neighbours. stats.compute_stats
+counts a generated patch on it in both modes, and stats.limit_sweep each
+radius, with no arrangement built: the counts are the ones the arrangement
+gives (`stats._lattice_stats`).
 
 Either way vertices are numbered by first corner occurrence and placed at
 the mean of their corners. The assembly sorts only the side hits, by
@@ -62,7 +68,13 @@ from .geometry import (
     segment_distances,
     stack_polygons,
 )
-from .tiling import COORD_LIMIT, SNAP_FACTOR, PlacedTile, near_translates
+from .tiling import (
+    COORD_LIMIT,
+    SNAP_FACTOR,
+    PlacedTile,
+    TilingRecipe,
+    near_translates,
+)
 
 # a patch document's corners have nine significant digits: two copies of
 # one corner differ by at most a unit in the ninth digit, 1e-8 |x|, per
@@ -131,6 +143,34 @@ class Records(Sequence):
         return NotImplemented
 
 
+class Arrangement(NamedTuple):
+    """A patch's vertex, edge and incidence arrays (`_assembled`)."""
+    vertex_xy: np.ndarray        # (V, 2)
+    pseudo: np.ndarray           # (V,) lies inside some incident tile's side
+    complete: np.ndarray         # (V,) every edge at it borders two tiles
+    edge_vertices: np.ndarray    # (E, 2) vertex ids, lower first
+    corner_vertices: Csr         # tile -> corner vertex ids, polygon order
+    tile_adjacents: Csr          # tile -> tiles sharing an edge with it
+    vertex_tiles: Csr            # vertex -> incident tiles
+    edge_tiles: Csr              # edge -> tiles it borders
+
+
+class Lattice(NamedTuple):
+    """Where a generated patch's tiles lie in their recipe's tiling: the
+    lookup finder reads the recipe's cell arrangement, and
+    stats.compute_stats its orbit star."""
+    rows: np.ndarray             # (N, 3) each tile's (m, n, region index)
+    recipe: TilingRecipe
+
+
+def _arranged() -> cached_property:
+    """A Patch arrangement array. All eight are assembled together on the
+    first read of any (`Patch._arrangement`)."""
+    array = cached_property(
+        lambda patch: getattr(patch._arrangement, array.attrname))
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Patch:
     """Placed tiles and their arrangement, all as arrays.
@@ -140,21 +180,49 @@ class Patch:
     corners, counter-clockwise, cells[i] its lattice cell and zones[i] its
     zone (F1, F2, F3, or "" outside a generated patch). tiles, vertices and
     edges give records made when read.
+
+    The eight arrangement arrays are assembled on the first read of any,
+    from what the patch's finder needs: a generated patch's lattice, or the
+    snapping precision of any other. A reader of the tiles alone, such as
+    verify_patch and the renderer, snaps nothing, and stats.compute_stats
+    counts a generated patch on its lattice, so generating a patch and
+    counting it in both modes builds no arrangement.
     """
     polygons: np.ndarray         # (N, K, 2), padded by each last corner
     counts: np.ndarray           # (N,) corners of each tile
     cells: np.ndarray            # (N, 2) int lattice cell (m, n)
     zones: np.ndarray            # (N,) str
-    vertex_xy: np.ndarray        # (V, 2)
-    pseudo: np.ndarray           # (V,) lies inside some incident tile's side
-    complete: np.ndarray         # (V,) every edge at it borders two tiles
-    edge_vertices: np.ndarray    # (E, 2) vertex ids, lower first
-    corner_vertices: Csr         # tile -> corner vertex ids, polygon order
-    tile_adjacents: Csr          # tile -> tiles sharing an edge with it
-    vertex_tiles: Csr            # vertex -> incident tiles
-    edge_tiles: Csr              # edge -> tiles it borders
     r: float | None = None
     center: tuple[float, float] | None = None
+    lattice: Lattice | None = None   # a generated patch's place in its tiling
+    precision: float = 0.0       # the corners' relative error, for snapping
+
+    vertex_xy = _arranged()          # (V, 2)
+    pseudo = _arranged()             # (V,) inside some incident tile's side
+    complete = _arranged()           # (V,) every edge at it borders two tiles
+    edge_vertices = _arranged()      # (E, 2) vertex ids, lower first
+    corner_vertices = _arranged()    # tile -> corner vertex ids, in order
+    tile_adjacents = _arranged()     # tile -> tiles sharing an edge with it
+    vertex_tiles = _arranged()       # vertex -> incident tiles
+    edge_tiles = _arranged()         # edge -> tiles it borders
+
+    @cached_property
+    def _arrangement(self) -> Arrangement:
+        """The arrangement, from the lookup finder on a generated patch's
+        lattice, else from the snapping finder."""
+        if not len(self.counts):
+            none = np.zeros(0, dtype=np.intp)
+            flags = none.astype(bool)
+            return Arrangement(np.zeros((0, 2)), flags, flags,
+                               none.reshape(0, 2), *[_csr(none, none, 0)] * 4)
+        points, offsets, nxt = _stacked_corners(self.polygons, self.counts)
+        if self.lattice is None:
+            incidence = _snapped_incidence(points, nxt, self.precision)
+        else:
+            rows, recipe = self.lattice
+            incidence = _looked_up_incidence(points, rows,
+                                             recipe.cell_arrangement)
+        return _assembled(self.counts, offsets, nxt, *incidence)
 
     def interior_tile_ids(self) -> np.ndarray:
         """Tiles whose whole boundary is surrounded by patch tiles: those
@@ -206,100 +274,33 @@ class Patch:
     @classmethod
     def from_tiles(cls, tiles: Sequence[PlacedTile], r: float | None = None,
                    center=None, precision: float = 0.0) -> "Patch":
-        """Stack the tiles, snap their corners into vertices and find the
-        vertices inside their sides by distance. precision: the corners'
-        relative error (DOCUMENT_PRECISION for a document's); the merge
-        distance widens to match."""
+        """Stack the tiles. Their corners are snapped into vertices, and the
+        vertices inside their sides found by distance, when the arrangement
+        is first read. precision: the corners' relative error
+        (DOCUMENT_PRECISION for a document's); the merge distance widens to
+        match."""
         tiles = tuple(tiles)
         polygons, counts = stack_polygons(
             [np.asarray(t.polygon, dtype=float) for t in tiles])
         cells = np.array([t.cell for t in tiles], dtype=np.intp).reshape(-1, 2)
         zones = np.array([t.zone for t in tiles], dtype=str)
-        center = tuple(center) if center is not None else None
-        if not len(counts):
-            none = np.zeros(0, dtype=np.intp)
-            flags, rows = none.astype(bool), _csr(none, none, 0)
-            return cls(polygons, counts, cells, zones, np.zeros((0, 2)),
-                       flags, flags, none.reshape(0, 2), *[rows] * 4, r=r,
-                       center=center)
-        points, offsets, nxt = _stacked_corners(polygons, counts)
-        return cls._assembled(polygons, counts, cells, zones, offsets, nxt,
-                              *_snapped_incidence(points, nxt, precision),
-                              r=r, center=center)
+        return cls(polygons, counts, cells, zones, r=r,
+                   center=None if center is None else tuple(center),
+                   precision=precision)
 
     @classmethod
     def from_cells(cls, corners: np.ndarray, cells: np.ndarray,
-                   zones: np.ndarray, cell: "CellArrangement",
+                   zones: np.ndarray, recipe: TilingRecipe,
                    r: float | None = None, center=None) -> "Patch":
-        """The arrangement of lattice translates of a recipe's region tiles,
-        looked up in the recipe's cell arrangement: no snapping and no
-        distances. corners is the tiles' (N, K, 2) corner stack, cells each
-        tile's (m, n, region index) and zones each tile's zone; N is at
-        least 1."""
-        counts = np.full(len(corners), corners.shape[1])
-        points, offsets, nxt = _stacked_corners(corners, counts)
-        return cls._assembled(corners, counts, cells[:, :2], zones, offsets,
-                              nxt, *_looked_up_incidence(points, cells, cell),
-                              r=r,
-                              center=None if center is None else tuple(center))
-
-    @classmethod
-    def _assembled(cls, polygons, counts, cells, zones, offsets, nxt,
-                   corner_vid, vertex_xy, hits, r, center) -> "Patch":
-        """The patch from either incidence finder: each corner's vertex id
-        and each vertex's position, and the (side, vertex, param) of every
-        vertex inside a side."""
-        n_tiles = len(counts)
-        owner = np.repeat(np.arange(n_tiles), counts)
-        n_vertices = len(vertex_xy)
-
-        # vertices sitting inside a side split it; the tile counts as
-        # incident there
-        hit_side, hit_vid, hit_param = hits
-        split_vid, split_tile = _unique_rows(hit_vid, owner[hit_side])
-        pseudo = np.zeros(n_vertices, dtype=bool)
-        pseudo[split_vid] = True
-        inc_vid, inc_tile = _unique_rows(
-            np.concatenate([corner_vid, split_vid]),
-            np.concatenate([owner, split_tile]))
-
-        # each side's stops in order: its start corner, the vertices inside
-        # it by (param, vertex), its end corner; consecutive stops bound an
-        # edge. Hit k in (side, param, vertex) order, on side s, comes after
-        # the two corners of each side before s and s's start corner
-        order = np.lexsort((hit_vid, hit_param, hit_side))
-        hit_side, hit_vid = hit_side[order], hit_vid[order]
-        n_sides = len(nxt)
-        per_side = np.bincount(hit_side, minlength=n_sides) + 2
-        end = np.cumsum(per_side) - 1
-        stop_vid = np.empty(end[-1] + 1, dtype=corner_vid.dtype)
-        stop_vid[end - per_side + 1] = corner_vid
-        stop_vid[end] = corner_vid[nxt]
-        stop_vid[np.arange(len(hit_side)) + 2 * hit_side + 1] = hit_vid
-        opens = np.ones(len(stop_vid) - 1, dtype=bool)
-        opens[end[:-1]] = False
-        v1, v2 = stop_vid[:-1][opens], stop_vid[1:][opens]
-        edge_lo, edge_hi, edge_tile = _unique_rows(
-            np.minimum(v1, v2), np.maximum(v1, v2),
-            np.repeat(owner, per_side - 1))
-        new_edge = np.concatenate([[True], (edge_lo[1:] != edge_lo[:-1])
-                                   | (edge_hi[1:] != edge_hi[:-1])])
-        edge_id = np.cumsum(new_edge) - 1
-        edge_tiles = _csr(edge_id, edge_tile, int(new_edge.sum()))
-        edge_vertices = np.column_stack([edge_lo, edge_hi])[new_edge]
-
-        # tiles surround a vertex exactly when its link closes: every edge
-        # at it borders two tiles
-        complete = np.ones(n_vertices, dtype=bool)
-        complete[edge_vertices[np.diff(edge_tiles.indptr) != 2]] = False
-
-        return cls(polygons=polygons, counts=counts, cells=cells,
-                   zones=zones, vertex_xy=vertex_xy, pseudo=pseudo,
-                   complete=complete, edge_vertices=edge_vertices,
-                   corner_vertices=Csr(offsets, corner_vid),
-                   tile_adjacents=_sharing(edge_tiles, n_tiles),
-                   vertex_tiles=_csr(inc_vid, inc_tile, n_vertices),
-                   edge_tiles=edge_tiles, r=r, center=center)
+        """Lattice translates of the recipe's region tiles, whose
+        arrangement is looked up in its cell arrangement when first read:
+        no snapping and no distances. corners is the tiles' (N, K, 2)
+        corner stack, cells each tile's (m, n, region index) and zones each
+        tile's zone; N is at least 1."""
+        return cls(corners, np.full(len(corners), corners.shape[1]),
+                   cells[:, :2], zones, r=r,
+                   center=None if center is None else tuple(center),
+                   lattice=Lattice(cells, recipe))
 
     def to_json_dict(self) -> dict:
         return {
@@ -320,6 +321,62 @@ class Patch:
                       for ends, tiles in zip(self.edge_vertices.tolist(),
                                              self.edge_tiles.rows())],
         }
+
+
+def _assembled(counts, offsets, nxt, corner_vid, vertex_xy,
+               hits) -> Arrangement:
+    """The arrangement from either incidence finder: each corner's vertex
+    id and each vertex's position, and the (side, vertex, param) of every
+    vertex inside a side."""
+    n_tiles = len(counts)
+    owner = np.repeat(np.arange(n_tiles), counts)
+    n_vertices = len(vertex_xy)
+
+    # vertices sitting inside a side split it; the tile counts as
+    # incident there
+    hit_side, hit_vid, hit_param = hits
+    split_vid, split_tile = _unique_rows(hit_vid, owner[hit_side])
+    pseudo = np.zeros(n_vertices, dtype=bool)
+    pseudo[split_vid] = True
+    inc_vid, inc_tile = _unique_rows(
+        np.concatenate([corner_vid, split_vid]),
+        np.concatenate([owner, split_tile]))
+
+    # each side's stops in order: its start corner, the vertices inside
+    # it by (param, vertex), its end corner; consecutive stops bound an
+    # edge. Hit k in (side, param, vertex) order, on side s, comes after
+    # the two corners of each side before s and s's start corner
+    order = np.lexsort((hit_vid, hit_param, hit_side))
+    hit_side, hit_vid = hit_side[order], hit_vid[order]
+    n_sides = len(nxt)
+    per_side = np.bincount(hit_side, minlength=n_sides) + 2
+    end = np.cumsum(per_side) - 1
+    stop_vid = np.empty(end[-1] + 1, dtype=corner_vid.dtype)
+    stop_vid[end - per_side + 1] = corner_vid
+    stop_vid[end] = corner_vid[nxt]
+    stop_vid[np.arange(len(hit_side)) + 2 * hit_side + 1] = hit_vid
+    opens = np.ones(len(stop_vid) - 1, dtype=bool)
+    opens[end[:-1]] = False
+    v1, v2 = stop_vid[:-1][opens], stop_vid[1:][opens]
+    edge_lo, edge_hi, edge_tile = _unique_rows(
+        np.minimum(v1, v2), np.maximum(v1, v2),
+        np.repeat(owner, per_side - 1))
+    new_edge = np.concatenate([[True], (edge_lo[1:] != edge_lo[:-1])
+                               | (edge_hi[1:] != edge_hi[:-1])])
+    edge_id = np.cumsum(new_edge) - 1
+    edge_tiles = _csr(edge_id, edge_tile, int(new_edge.sum()))
+    edge_vertices = np.column_stack([edge_lo, edge_hi])[new_edge]
+
+    # tiles surround a vertex exactly when its link closes: every edge
+    # at it borders two tiles
+    complete = np.ones(n_vertices, dtype=bool)
+    complete[edge_vertices[np.diff(edge_tiles.indptr) != 2]] = False
+    return Arrangement(
+        vertex_xy=vertex_xy, pseudo=pseudo, complete=complete,
+        edge_vertices=edge_vertices, corner_vertices=Csr(offsets, corner_vid),
+        tile_adjacents=_sharing(edge_tiles, n_tiles),
+        vertex_tiles=_csr(inc_vid, inc_tile, n_vertices),
+        edge_tiles=edge_tiles)
 
 
 def _stacked_corners(polygons, counts):
@@ -427,7 +484,9 @@ def cell_arrangement(recipe) -> CellArrangement:
     tile whose centroid lies within two tile radii (`TilingRecipe.radius`)
     plus the merge distance of some region tile's centroid. Those include
     all the tiles meeting a region tile, so every vertex of a region tile
-    and every vertex inside its sides is in the window.
+    and every vertex inside its sides is in the window. near_translates
+    pairs the translates with more than `tiling.FEW_CENTRES` centroids by a
+    grid search, so the memory grows with the window, not with k².
 
     The lattice acts on the window's vertex ids: corner c of window tile
     (m, n, j) is the vertex of region corner (j, c) moved by (m, n). The
@@ -457,14 +516,7 @@ def cell_arrangement(recipe) -> CellArrangement:
     step = np.concatenate([step, -step])
     roots, orbit = np.unique(component_labels(len(vertex_xy), a, b),
                              return_inverse=True)
-    # walk out from each orbit's root, one link further per pass
-    shift = np.zeros((len(vertex_xy), 2), dtype=np.intp)
-    known = np.isin(np.arange(len(vertex_xy)), roots)
-    while not known.all():
-        ahead = known[a] & ~known[b]
-        new, at = np.unique(b[ahead], return_index=True)
-        shift[new] = shift[a[ahead][at]] + step[ahead][at]
-        known[new] = True
+    shift = _walked(a, b, step, np.isin(np.arange(len(vertex_xy)), roots))
     placed = np.column_stack([shift, orbit])
 
     on_region = side < count * k
@@ -477,6 +529,20 @@ def cell_arrangement(recipe) -> CellArrangement:
         hit_param=param[on_region][order])
 
 
+def _walked(a, b, step, known) -> np.ndarray:
+    """Each node's (m, n) offset along the links a -> b, node b lying at
+    node a's offset plus step, walked out from the known nodes, at (0, 0),
+    one link further per pass; a node no walk reaches stays at (0, 0)."""
+    shift = np.zeros((len(known), 2), dtype=np.intp)
+    while True:
+        ahead = known[a] & ~known[b]
+        if not ahead.any():
+            return shift
+        new, at = np.unique(b[ahead], return_index=True)
+        shift[new] = shift[a[ahead][at]] + step[ahead][at]
+        known[new] = True
+
+
 class OrbitStar(NamedTuple):
     """A periodic tiling's incidence per vertex orbit and per region tile,
     read off its CellArrangement (`orbit_star`).
@@ -484,20 +550,35 @@ class OrbitStar(NamedTuple):
     A stop is a vertex key (Δm, Δn, orbit) on a region tile's boundary,
     from the tile's own cell. Rows stop_ptr[j]:stop_ptr[j + 1] are region
     tile j's stops in boundary order: corner c, then the vertices inside
-    the side it opens by hit_param. A stop and next_stop of it bound an
-    edge. Row o of star lists the stops at orbit o: vertex (0, 0, o) is met
-    by each of their region tiles moved by minus its (Δm, Δn), so a row's
-    length is the orbit's valence. neighbours[j] counts the tiles sharing
-    an edge with region tile j. No stop is more than reach cells away in m
-    or in n.
+    the side it opens by hit_param; corner marks the corners. A stop and
+    next_stop of it bound an edge. Row o of star lists the stops at orbit
+    o: vertex (0, 0, o) is met by each of their region tiles moved by minus
+    its (Δm, Δn), so a row's length is the orbit's valence. Rows
+    neighbour_ptr[j]:neighbour_ptr[j + 1] of neighbour are the tiles
+    (Δm, Δn, j') sharing an edge with region tile j, from its own cell, and
+    neighbours[j] counts them.
+
+    stats._lattice_stats counts on moved cells: tile_cell[j] moves region
+    tile j, and some cell each orbit's vertex (0, 0, o), so that each stop
+    lies step cells from its tile. However far apart the recipe lists its
+    region tiles, and a stop's Δ can then be thousands, step is a few. No
+    step is more than reach cells in m or in n.
     """
     stop_ptr: np.ndarray         # (k + 1,)
     stop_tile: np.ndarray        # (S,) region tile of each stop
     stop_vertex: np.ndarray      # (S, 3) vertex key (Δm, Δn, orbit)
+    corner: np.ndarray           # (S,) the stop is its tile's corner
     next_stop: np.ndarray        # (S,)
     star: Csr                    # orbit -> stop rows
-    neighbours: np.ndarray       # (k,)
+    neighbour_ptr: np.ndarray    # (k + 1,)
+    neighbour: np.ndarray        # (A, 3) tile key (Δm, Δn, j')
     reach: int
+    tile_cell: np.ndarray        # (k, 2)
+    step: np.ndarray             # (S, 2)
+
+    @property
+    def neighbours(self) -> np.ndarray:
+        return np.diff(self.neighbour_ptr)
 
 
 def orbit_star(cell: CellArrangement) -> OrbitStar:
@@ -509,7 +590,11 @@ def orbit_star(cell: CellArrangement) -> OrbitStar:
     by some (Δm, Δn), a step q -> p of another. Keyed by (orbit of p, orbit
     of q, Δq - Δp) as `_row_key` rows, the steps and the same steps
     reversed join in one sort, so the cost grows with the stops, not with
-    their pairs.
+    their pairs. The moved cells come from one walk over the links between
+    tiles and the orbits of their stops, from region tile 0, which sets
+    each stop it walks to 0 cells from its tile; they are kept when they
+    bring the farthest stop nearer than the cells as listed do, which
+    cannot be when it is one cell away.
     """
     k, corners = cell.corner_vertex.shape[:2]
     per_tile = np.diff(cell.hit_ptr)
@@ -517,8 +602,9 @@ def orbit_star(cell: CellArrangement) -> OrbitStar:
                 + cell.hit_corner)
     sides = np.arange(k * corners)
     stop_vertex = np.empty((len(sides) + len(hit_side), 3), dtype=np.intp)
-    stop_vertex[sides + np.searchsorted(hit_side, sides)] = \
-        cell.corner_vertex.reshape(-1, 3)
+    corner = np.zeros(len(stop_vertex), dtype=bool)
+    corner[sides + np.searchsorted(hit_side, sides)] = True
+    stop_vertex[corner] = cell.corner_vertex.reshape(-1, 3)
     stop_vertex[hit_side + np.arange(len(hit_side)) + 1] = cell.hit_vertex
     stop_ptr = np.arange(k + 1) * corners + cell.hit_ptr
     stop_tile = np.repeat(np.arange(k), corners + per_tile)
@@ -540,14 +626,27 @@ def orbit_star(cell: CellArrangement) -> OrbitStar:
     t = by_back[np.arange(len(s))
                 + np.repeat(lo - np.cumsum(found) + found, found)]
     shift = p[s, :2] - q[t, :2]
-    tile = _unique_rows(stop_tile[s], shift[:, 0], shift[:, 1],
-                        stop_tile[t])[0]
+    tile, *neighbour = _unique_rows(stop_tile[s], shift[:, 0], shift[:, 1],
+                                    stop_tile[t])
+    moved, step = np.zeros((k, 2), dtype=np.intp), p[:, :2]
+    reach = int(np.abs(step).max())
+    if reach > 1:
+        known = np.zeros(k + cell.orbits, dtype=bool)
+        known[0] = True
+        walked = _walked(np.concatenate([stop_tile, k + orbit]),
+                         np.concatenate([k + orbit, stop_tile]),
+                         np.concatenate([-step, step]), known)
+        nearer = step + walked[k + orbit] - walked[stop_tile]
+        if np.abs(nearer).max() < reach:
+            moved, step = walked[:k], nearer
+            reach = int(np.abs(step).max())
     return OrbitStar(
         stop_ptr=stop_ptr, stop_tile=stop_tile, stop_vertex=stop_vertex,
-        next_stop=next_stop,
+        corner=corner, next_stop=next_stop,
         star=_csr(orbit[at_orbit], at_orbit, cell.orbits),
-        neighbours=np.bincount(tile, minlength=k),
-        reach=int(np.abs(stop_vertex[:, :2]).max()))
+        neighbour_ptr=np.searchsorted(tile, np.arange(k + 1)),
+        neighbour=np.column_stack(neighbour),
+        reach=reach, tile_cell=moved, step=step)
 
 
 def vertex_labels(cells: np.ndarray, cell: CellArrangement):

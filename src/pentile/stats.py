@@ -49,7 +49,20 @@ def compute_stats(patch, mode: str = FULL) -> PatchStats:
     full mode counts everything in the patch, rim included, and satisfies
     v - e + t = 1. interior mode keeps only tiles and vertices whose whole
     surroundings lie inside the patch, and edges between such vertices.
+
+    A generated patch is counted on its lattice (`_lattice_stats`, whose
+    docstring gives the argument), with no arrangement built; any other
+    patch is counted off its arrangement.
     """
+    if patch.lattice is not None:
+        return _lattice_stats(patch.lattice.recipe.orbit_star,
+                              patch.lattice.rows, patch.r, mode)
+    return _arrangement_stats(patch, mode)
+
+
+def _arrangement_stats(patch, mode: str) -> PatchStats:
+    """compute_stats counted off the patch's arrangement, whichever finder
+    assembles it."""
     tile_h = np.diff(patch.tile_adjacents.indptr)
     vertex_j = np.diff(patch.vertex_tiles.indptr)
     edge_count = len(patch.edge_vertices)
@@ -215,20 +228,8 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
 
     Each radius is counted on the lattice (`_lattice_stats`), from the
     recipe's orbit star, with no patch built; the counts are
-    compute_stats(generate_patch(recipe, r), INTERIOR)'s. A patch's
-    vertices are its tiles' corners, and a vertex is complete when every
-    edge at it borders two patch tiles. That holds exactly when every tile
-    of its star is present: a missing one leaves an edge at the vertex
-    with one tile, and when none is missing, the next vertex along each
-    side from it is a corner of one of the side's two tiles, both in the
-    star, so each edge at it is a tiling edge and borders both. Walking
-    each side of a tile from its start corner this way shows that its
-    patch vertices are all complete exactly when all its stops are, every
-    stop then being a corner of a present tile; the tile is then interior,
-    and its edges are tiling edges, so it has its region tile's count of
-    edge neighbours. An edge between complete vertices is a tiling edge,
-    one segment of each of its two present tiles, so e is half the
-    segments of present tiles whose two ends are complete.
+    compute_stats(generate_patch(recipe, r), INTERIOR)'s, which counts the
+    same rows with the same counter.
     """
     from .tiling import candidate_window, patch_rows
 
@@ -245,7 +246,7 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
     window = candidate_window(recipe, radii[-1])
     center, star = np.asarray(window.center), recipe.orbit_star
     stats = [_lattice_stats(star, patch_rows(recipe, r, center, window)[0],
-                            r) for r in radii]
+                            r, INTERIOR) for r in radii]
 
     v_per_t = tuple(s.v / s.t for s in stats)
     e_per_t = tuple(s.e / s.t for s in stats)
@@ -267,51 +268,116 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
         t_h_limit=t_h_limit, v_j_limit=v_j_limit)
 
 
-def _lattice_stats(star, cells: np.ndarray, r: float) -> PatchStats:
-    """INTERIOR statistics of the patch whose tiles are the translates in
-    cells, (m, n, j) rows, counted on the lattice from the recipe's orbit
-    star (`limit_sweep` gives the argument).
+def _lattice_stats(star, cells: np.ndarray, r: float | None,
+                   mode: str) -> PatchStats:
+    """compute_stats of the patch whose tiles are the translates in cells,
+    (m, n, j) rows, counted on the lattice from the recipe's orbit star: the
+    counts its arrangement (`arrangement.Patch.from_cells`) gives.
 
-    present holds one flag per translate (m, n, j) of the cells' (m, n) box
-    widened by twice the star's reach, flat, j·size + (m - m0)·width +
-    n - n0, so a step (Δm, Δn) is the one offset Δm·width + Δn. Vertex
-    (m, n, o) is complete when every tile of o's star is present: a vertex
-    nearer the box's edge than the reach reads a padding flag or, stepping
-    off its row, one of the next row's, and is left incomplete. A complete
-    stop's star holds its tile, so a tile with one is present.
+    That arrangement's vertices are the corners of its tiles, and a stop of
+    a tile, a vertex inside one of its sides included, is live when it is
+    a vertex. A vertex's valence is the count of its star's tiles present,
+    as each one present has it as a live stop. Each tile's boundary is cut
+    into one segment per live stop. Two tiles share an edge when they share
+    a segment, and a segment's two tiles are then edge neighbours in the
+    tiling: a stop inside the segment would be a corner of neither, as each
+    covers one side of it, and so of no tile. Two convex tiles share at
+    most one segment, so e is the live stops of the present tiles less
+    half their present edge neighbours, which t_h counts. So FULL mode
+    needs no edge built.
+
+    INTERIOR mode keeps the complete vertices. A vertex is complete, every
+    edge at it bordering two patch tiles, exactly when every tile of its
+    star is present: a missing one leaves an edge at the vertex with one
+    tile, and when none is missing, the next vertex along each side from it
+    is a corner of one of the side's two tiles, both in the star, so each
+    edge at it is a tiling edge and borders both. Walking each side of a
+    tile from its start corner this way shows that its patch vertices are
+    all complete exactly when all its stops are, every stop then being a
+    corner of a present tile; the tile is then interior, and its edges are
+    tiling edges, so it has its region tile's count of edge neighbours. An
+    edge between complete vertices is a tiling edge, one segment of each of
+    its two present tiles, so e is half the segments of present tiles whose
+    two ends are complete.
+
+    Each region tile and each orbit is counted on the cells the star moves
+    it to (`OrbitStar.tile_cell`, `step`), so no stop is more than pad,
+    the star's reach, cells from its tile in m or in n, nor any edge
+    neighbour twice that. present holds one flag per translate (m, n, j)
+    of the moved cells' box widened by twice pad, flat, j·size +
+    (m - m0)·width + n - n0, so a step (Δm, Δn) is the one offset
+    Δm·width + Δn. A vertex nearer the box's edge than pad reads a padding
+    flag or, stepping off its row, one of the next row's, and is left out;
+    so is no vertex of a present tile. A present tile's edge neighbours
+    lie in the box and in its row; those of an absent one, which count for
+    nothing, may lie up to 2·pad flags beyond the array, and present is
+    the middle of a buffer with that many spare flags at each end.
     """
+    k = len(star.stop_ptr) - 1
+    tile_cell = star.tile_cell
+    orbit = star.stop_vertex[:, 2]
     pad = star.reach
-    lo = cells[:, :2].min(axis=0) - 2 * pad
-    height, width = (cells[:, :2].max(axis=0) - lo + 1 + 2 * pad).tolist()
+    j = cells[:, 2]
+    m = cells[:, 0] + tile_cell[:, 0][j]
+    n = cells[:, 1] + tile_cell[:, 1][j]
+    m0, n0 = int(m.min()) - 2 * pad, int(n.min()) - 2 * pad
+    height = int(m.max()) - m0 + 1 + 2 * pad
+    width = int(n.max()) - n0 + 1 + 2 * pad
     size = height * width
-    present = np.zeros(len(star.neighbours) * size, dtype=bool)
-    present[(cells[:, 2] * height + cells[:, 0] - lo[0]) * width
-            + cells[:, 1] - lo[1]] = True
-    step = star.stop_vertex[:, 0] * width + star.stop_vertex[:, 1]
+    spare = np.zeros(k * size + 4 * pad, dtype=bool)
+    present = spare[2 * pad:2 * pad + k * size]
+    present[(j * height + m - m0) * width + n - n0] = True
+    step = star.step[:, 0] * width + star.step[:, 1]
 
-    orbits = len(star.star.indptr) - 1
-    complete = np.zeros((orbits, size), dtype=bool)
-    q = np.arange(pad * (width + 1), size - pad * (width + 1))
-    entry = star.star.indices
-    complete[:, q] = np.logical_and.reduceat(
-        present[(star.stop_tile[entry] * size - step[entry])[:, None] + q],
-        star.star.indptr[:-1], axis=0)
-    # whether each stop of each tile in the rows that may hold one is
-    # complete
-    p = np.arange(2 * pad * width, size - 2 * pad * width)
-    at_stop = complete.ravel()[
-        (star.stop_vertex[:, 2] * size + step)[:, None] + p]
-    interior = np.logical_and.reduceat(at_stop, star.stop_ptr[:-1], axis=0)
-
-    per_orbit = np.count_nonzero(complete, axis=1)
-    per_tile = np.count_nonzero(interior, axis=1)
+    # each vertex (m, n, o) in the rows that may hold one, flat q0 to
+    # size - q0: whether each tile of o's star is present there
+    q0 = pad * (width + 1)
+    entry, bounds = star.star.indices, star.star.indptr[:-1]
+    met = _windows(present, star.stop_tile[entry] * size - step[entry] + q0,
+                   size - 2 * q0)
+    vertices = np.zeros((len(bounds), size), dtype=bool)
+    # each stop of each region tile placed in the rows that may hold one,
+    # flat p0 to size - p0
+    p0 = 2 * pad * width
+    at_stop = orbit * size + step + p0
+    if mode == INTERIOR:
+        vertices[:, q0:size - q0] = np.logical_and.reduceat(met, bounds,
+                                                            axis=0)
+        valence = np.repeat(np.diff(star.star.indptr),
+                            vertices.sum(axis=1))
+        complete = _windows(vertices.ravel(), at_stop, size - 2 * p0)
+        tiles = np.logical_and.reduceat(complete, star.stop_ptr[:-1], axis=0)
+        h = np.repeat(star.neighbours, tiles.sum(axis=1))
+        e = np.count_nonzero(complete & complete[star.next_stop]) // 2
+    else:
+        vertices[:, q0:size - q0] = np.logical_or.reduceat(
+            met & star.corner[entry, None], bounds, axis=0)
+        valence = np.add.reduceat(met, bounds, axis=0)[
+            vertices[:, q0:size - q0]]
+        tiles = present.reshape(k, size)[:, p0:size - p0]
+        across = star.neighbour
+        shift = (across[:, :2] + tile_cell[across[:, 2]]
+                 - np.repeat(tile_cell, star.neighbours, axis=0))
+        h = np.add.reduceat(_windows(
+            spare, 2 * pad + across[:, 2] * size + shift[:, 0] * width
+            + shift[:, 1] + p0, size - 2 * p0),
+            star.neighbour_ptr[:-1], axis=0)[tiles]
+        live = (_windows(vertices.ravel(), at_stop, size - 2 * p0)
+                & tiles[star.stop_tile])
+        e = np.count_nonzero(live) - int(h.sum()) // 2
+    # PatchStats rejects a mode other than FULL and INTERIOR
     return PatchStats(
-        v=int(per_orbit.sum()),
-        e=np.count_nonzero(at_stop & at_stop[star.next_stop]) // 2,
-        t=int(per_tile.sum()),
-        t_h=_histogram(np.repeat(star.neighbours, per_tile)),
-        v_j=_histogram(np.repeat(np.diff(star.star.indptr), per_orbit)),
-        r=r, mode=INTERIOR)
+        v=int(np.count_nonzero(vertices)), e=int(e),
+        t=int(np.count_nonzero(tiles)), t_h=_histogram(h),
+        v_j=_histogram(valence), r=r, mode=mode)
+
+
+def _windows(flags: np.ndarray, starts: np.ndarray, length: int):
+    """flags[s:s + length] for each start s, one row each, copied from a
+    strided view of flags; every window must lie within flags."""
+    return np.lib.stride_tricks.as_strided(
+        flags, (len(flags) - length + 1, length), flags.strides * 2,
+        writeable=False)[starts]
 
 
 def per_radius_balance_residuals(limit: LimitEstimate) -> list[float]:

@@ -25,6 +25,7 @@ from .errors import (
     require_positive,
 )
 from .geometry import (
+    close_pairs,
     component_labels,
     interior_angles,
     polygon_areas,
@@ -52,6 +53,12 @@ RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
 # Type 4 at r = 300), and writing the patch's document takes more, so a
 # disk this bound admits can still need more memory than a machine has
 MAX_TRANSLATES = 2_000_000
+# near_translates measures every translate against up to this many centres
+# at once, and finds the pairs within reach of more by a grid search
+# (geometry.close_pairs). Measured on 2 vCPUs: on cell arrangement windows
+# the measuring is the faster up to 8 centres and the search from 16, and
+# with the one centre of a patch at r = 40 the search takes 7 times as long
+FEW_CENTRES = 8
 
 
 @dataclass(frozen=True)
@@ -209,6 +216,24 @@ class TilingRecipe:
 
         return orbit_star(self.cell_arrangement)
 
+    @functools.cached_property
+    def lattice_bins(self) -> tuple[np.ndarray, np.ndarray]:
+        """The region as `near_translates` scans it, made once: the matrix
+        taking a point to its lattice coefficients (a, b), and the region
+        centroids' coefficients binned by whole cells, as each bin's
+        largest a, -a, b + κ·a and -(b + κ·a), κ = (u·v)/|v|²."""
+        u, v = np.asarray(self.u), np.asarray(self.v)
+        with np.errstate(all="ignore"):
+            inv = np.linalg.inv(np.column_stack([u, v]))
+            g = self.region_centroids @ inv.T
+            g = g[np.lexsort(np.floor(g).T)]
+            cell = np.floor(g)
+            bins = np.flatnonzero(np.concatenate(
+                [[True], (cell[1:] != cell[:-1]).any(axis=1)]))
+            axis = g[:, 1] + float(u @ v) / float(v @ v) * g[:, 0]
+            return inv, np.maximum.reduceat(
+                np.column_stack([g[:, 0], -g[:, 0], axis, -axis]), bins)
+
     def cell_area(self) -> float:
         return abs(self.u[0] * self.v[1] - self.u[1] * self.v[0])
 
@@ -360,39 +385,99 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
                     reach: float):
     """The translates (m, n, j), region tile j moved by m·u + n·v, whose
     centroid lies within reach of some centre: their (N, 3) rows in
-    (m, n, j) order and their (N, K, 2) corners. Raises ParseError, before
-    anything is allocated, when the (m, n) box to scan does not fit int64
-    or holds more than MAX_TRANSLATES translates."""
+    (m, n, j) order and their (N, K, 2) corners.
+
+    Each lattice row m is scanned, for every j, over the n that the disk
+    about some centre, less some region centroid, can meet in that row, one
+    more each way for rounding, and the distance test picks from those.
+    Raises ParseError, before any translate is allocated, when the rows do
+    not fit int64 or the scan holds more than MAX_TRANSLATES translates."""
     u, v = np.asarray(recipe.u), np.asarray(recipe.v)
-    inv = np.linalg.inv(np.column_stack([u, v]))
-    # the (m, n) box: a disk of radius reach about a centre less a region
-    # centroid spans reach·|row k of inv| in lattice coefficient k; bounded
-    # in float first, where an overflow is inf and fails the test below
+    k = len(recipe.region)
+    vv = float(v @ v)
+    kappa = float(u @ v) / vv
+    det = abs(float(u[0] * v[1] - u[1] * v[0]))
+    # in lattice coefficients (s, t) about a centre less a region centroid,
+    # at (a, b), the disk is |s·u + t·v| <= reach: it spans the rows
+    # |s| <= reach·|v| / det, and row s holds t = -s·κ ±
+    # sqrt(reach²|v|² - s²det²)/|v|², widest at s = 0, κ = (u·v)/|v|².
+    # The disks about each centre less the region centroids of one bin
+    # (`TilingRecipe.lattice_bins`) are scanned together: their rows, each
+    # with the hull of their n ranges at its least |s|, about the axis
+    # t = b + κ·a - κ·m. Bounded in float first, where an overflow is inf
+    # and fails the tests below
+    inv, extent = recipe.lattice_bins
     with np.errstate(all="ignore"):
-        offsets = ((centers[:, None] - recipe.region_centroids)
-                   .reshape(-1, 2) @ inv.T)
-        slack = reach * np.linalg.norm(inv, axis=1)
-        lo = np.floor(offsets.min(axis=0) - slack)
-        hi = np.ceil(offsets.max(axis=0) + slack)
-    if not (np.abs([lo, hi]) < 2.0 ** 62).all():
-        raise ParseError(f"the lattice box within {reach:.6g} of the "
-                         f"centres does not fit int64")
-    count = float(np.prod(hi - lo + 1)) * len(recipe.region)
+        a, b = inv @ centers.T
+        a_lo = (a[:, None] - extent[:, 0]).ravel()
+        a_hi = (a[:, None] + extent[:, 1]).ravel()
+        axis = b + kappa * a
+        axis_lo = (axis[:, None] - extent[:, 2]).ravel()
+        axis_hi = (axis[:, None] + extent[:, 3]).ravel()
+        slack = reach * math.sqrt(vv) / det
+        first, last = np.floor(a_lo - slack), np.ceil(a_hi + slack)
+        spans = last - first + 1
+    if not (-2.0 ** 62 < first.min() and last.max() < 2.0 ** 62):
+        raise _scan_error(reach, "does not fit int64")
+    # each of the rows one group of disks spans scans at least one n for
+    # each j, and the floor(slack) of them within slack / 2 of one disk's
+    # centre at least sqrt(3)·reach / |v| each, the chord there
+    least = k * max(float(spans.max()),
+                    math.floor(slack) * math.sqrt(3.0 / vv) * reach)
+    if least > MAX_TRANSLATES:
+        raise _scan_error(reach, f"holds at least {least:.3g} translates, "
+                                 f"over MAX_TRANSLATES = {MAX_TRANSLATES:,}")
+    spans = spans.astype(np.intp)
+    group = np.repeat(np.arange(len(spans)), spans)
+    m = first[group] + _ranks(spans)
+    s = np.maximum(np.maximum(a_lo[group] - m, m - a_hi[group]), 0.0)
+    with np.errstate(all="ignore"):
+        half = np.sqrt(np.maximum(reach * reach * vv - s * s * det * det,
+                                  0.0)) / vv
+        lo = np.floor(axis_lo[group] - m * kappa - half) - 1.0
+        hi = np.ceil(axis_hi[group] - m * kappa + half) + 1.0
+    if not (-2.0 ** 62 < lo.min() and hi.max() < 2.0 ** 62):
+        raise _scan_error(reach, "does not fit int64")
+    # one n range per row: the hull of the groups' ranges in it
+    order = np.argsort(m, kind="stable")
+    m, lo, hi = m[order], lo[order], hi[order]
+    fresh = np.flatnonzero(np.concatenate([[True], m[1:] != m[:-1]]))
+    m = m[fresh].astype(np.intp)
+    lo = np.minimum.reduceat(lo, fresh).astype(np.intp)
+    width = np.maximum.reduceat(hi, fresh).astype(np.intp) - lo + 1
+    count = float(width.sum(dtype=float)) * k
     if count > MAX_TRANSLATES:
-        raise ParseError(f"the lattice box within {reach:.6g} of the "
-                         f"centres holds {count:.3g} translates, over "
-                         f"MAX_TRANSLATES = {MAX_TRANSLATES:,}")
-    lo, hi = lo.astype(int), hi.astype(int)
-    m, n, j = (a.ravel() for a in np.meshgrid(
-        np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1),
-        np.arange(len(recipe.region)), indexing="ij"))
+        raise _scan_error(reach, f"holds {count:.3g} translates, over "
+                                 f"MAX_TRANSLATES = {MAX_TRANSLATES:,}")
+    m, n = np.repeat(m, width), np.repeat(lo, width) + _ranks(width)
+    m, n, j = np.repeat(m, k), np.repeat(n, k), np.tile(np.arange(k), len(n))
     shifts = m[:, None] * u + n[:, None] * v
     centroids = recipe.region_centroids[j] + shifts
-    near = (np.linalg.norm(centroids[:, None] - centers, axis=2)
-            <= reach).any(axis=1)
+    if len(centers) <= FEW_CENTRES:
+        near = (np.linalg.norm(centroids[:, None] - centers, axis=2)
+                <= reach).any(axis=1)
+    else:
+        # the same test on the pairs a grid search finds, with the reach
+        # widened past its rounding, so nothing is sized translates ×
+        # centres
+        i, c = close_pairs(centroids, reach * (1.0 + 2.0 ** -30), centers)
+        near = np.zeros(len(j), dtype=bool)
+        near[i[np.linalg.norm(centroids[i] - centers[c], axis=1)
+               <= reach]] = True
     j, shifts = j[near], shifts[near]
     return (np.column_stack([m[near], n[near], j]),
             recipe.region_corners[j] + shifts[:, None, :])
+
+
+def _scan_error(reach: float, what: str) -> ParseError:
+    return ParseError(f"the lattice scan within {reach:.6g} of the centres "
+                      f"{what}")
+
+
+def _ranks(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., length - 1 for each of the lengths in turn."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths,
+                                                lengths)
 
 
 class CandidateWindow(NamedTuple):
@@ -410,10 +495,9 @@ class CandidateWindow(NamedTuple):
         """The rows, corners and farthest corner distances of the
         translates whose centroid lies within reach of the centre: those
         near_translates gives at that reach, in its (m, n, j) order, as the
-        distance is the one it measures and its (m, n) box at a smaller
-        reach lies inside the larger one and, rounded outwards to whole
-        cells, holds every translate within that reach. ValueError for
-        another centre or a larger reach."""
+        distance is the one it measures and its scan at the larger reach
+        holds every translate within it. ValueError for another centre or
+        a larger reach."""
         if tuple(center.tolist()) != self.center or not reach <= self.reach:
             raise ValueError(
                 f"the window holds the candidates within {self.reach:.6g} "
@@ -436,7 +520,7 @@ def _candidates(recipe: TilingRecipe, r: float, center: np.ndarray,
                 reach: float):
     """near_translates' rows and corners within reach of the centre, and
     each one's farthest corner distance from it; ParseError naming r when
-    the lattice box is over MAX_TRANSLATES."""
+    the lattice scan is over MAX_TRANSLATES."""
     try:
         cells, polys = near_translates(recipe, center[None], reach)
     except ParseError as exc:
@@ -463,11 +547,11 @@ def candidate_window(recipe: TilingRecipe, r: float,
 
 def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     """The patch A(r, M): tiles inside the disk, tiles meeting its boundary,
-    and tiles surrounded by those. Returns an arrangement-backed Patch.
+    and tiles surrounded by those, as a Patch on the recipe's lattice.
 
     Intended for disks larger than a single tile (r above one tile diameter);
     smaller disks still produce a patch but it may hold a tile or none.
-    Raises ParseError, naming r, when the candidates' lattice box is over
+    Raises ParseError, naming r, when the candidates' lattice scan is over
     MAX_TRANSLATES (`near_translates`), and RecipeInvalid when the recipe
     does not tile (`TilingRecipe.cell_arrangement`).
 
@@ -490,7 +574,9 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     (`Patch.from_cells`) both read these keys as `vertex_labels`, so they
     are the lattice's relations at any centre and no candidate pair is
     measured. Snapping the same tiles (`Patch.from_tiles`, which patch
-    documents need) gives the same arrays.
+    documents need) gives the same arrays. The patch keeps its (m, n, j)
+    rows and the recipe's orbit star: its arrangement is looked up when
+    first read, and stats.compute_stats counts it on the star without one.
     """
     from .arrangement import Patch
 
@@ -499,8 +585,8 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     require_finite("disk centre", center)
     cells, polys, sizes = patch_rows(recipe, r, center)
     zones = np.repeat(np.array(["F1", "F2", "F3"]), sizes)
-    return Patch.from_cells(polys, cells, zones, recipe.cell_arrangement,
-                            r=r, center=tuple(center))
+    return Patch.from_cells(polys, cells, zones, recipe, r=r,
+                            center=tuple(center))
 
 
 def patch_rows(recipe: TilingRecipe, r: float, center: np.ndarray,

@@ -325,7 +325,7 @@ def check_periodicity(recipe) -> CheckReport:
     the probe cell's longer diagonal, plus `recipe.radius` and the merge
     distance, of the cell's centre, the mean of the region centroids: every
     translate meeting the cell, and so a translate of every overlapping
-    pair. A lattice box over MAX_TRANSLATES raises ParseError. The clips of
+    pair. A lattice scan over MAX_TRANSLATES raises ParseError. The clips of
     a complete window sum to the region area for any recipe, as
     sum_t area((T + t) ∩ C) = area(T) over the lattice translations t, so
     the cell clip checks that the window is complete, the grid sample that

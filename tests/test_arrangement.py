@@ -17,13 +17,13 @@ from scipy.spatial import cKDTree
 import pentile
 from pentile.arrangement import (SNAP_FACTOR, CellArrangement, Patch,
                                  PatchEdge, PatchVertex, _row_key,
-                                 _unique_rows, orbit_star,
+                                 _unique_rows, cell_arrangement, orbit_star,
                                  patch_from_json_dict, vertex_labels)
 from pentile.geometry import close_pairs, component_labels, interior_angles
 from pentile.jsontext import dumps, patch_document
 from pentile.pentagon import pentagon_from_json_dict
-from pentile.stats import (FULL, INTERIOR, PatchStats, compute_stats,
-                           euler_residual, limit_sweep)
+from pentile.stats import (FULL, INTERIOR, PatchStats, _arrangement_stats,
+                           compute_stats, euler_residual, limit_sweep)
 from pentile.tiling import (Isometry, TilingRecipe, builtin_recipe,
                             generate_patch, patch_rows)
 
@@ -401,7 +401,8 @@ def test_orbit_star_closes_on_the_torus(type_id, ve):
     assert np.array_equal(star.stop_vertex[star.star.indices, 2],
                           np.repeat(np.arange(cell.orbits), sizes))
     assert star.neighbours.sum() == 2 * e
-    assert star.reach == np.abs(star.stop_vertex[:, :2]).max()
+    assert star.reach == np.abs(star.step).max()
+    assert star.reach <= np.abs(star.stop_vertex[:, :2]).max()
 
     lattice = np.column_stack([recipe.u, recipe.v])
     home = np.empty((cell.orbits, 2))
@@ -424,8 +425,9 @@ def test_orbit_star_of_a_many_tile_supercell():
     """Type 1's two-tile region repeated 100 times along u, a 200-tile
     region: every region tile has the edge neighbours the generated patch
     gives its interior translates, the sweep's lattice counts are the
-    patch counts, and the star's steps are matched in memory linear in its
-    S stops, well below one flag per pair of them."""
+    counts of the patch's looked-up arrangement, and the star's steps are
+    matched in memory linear in its S stops, well below one flag per pair
+    of them."""
     base = builtin_recipe(1, pentile.representative(1).pentagon)
     u = np.asarray(base.u)
     region = tuple(
@@ -453,7 +455,33 @@ def test_orbit_star_of_a_many_tile_supercell():
                           star.neighbours[tile[inside]])
     radii = r - np.array([3.0, 2.5, 0.0])
     for counted, r in zip(limit_sweep(recipe, radii).stats, radii.tolist()):
-        assert counted == compute_stats(generate_patch(recipe, r), INTERIOR)
+        assert counted == _arrangement_stats(generate_patch(recipe, r),
+                                             INTERIOR)
+
+
+def test_cell_arrangement_of_an_800_tile_region_stays_small():
+    """Type 1's two-tile region repeated 20 × 20 times, 800 region tiles:
+    the window near them is found by a grid search, not by measuring every
+    translate against every region centroid, so the cell arrangement is
+    built under 200 MB traced. It has 400 times the region's orbits."""
+    base = builtin_recipe(1, pentile.representative(1).pentagon)
+    u, v = np.asarray(base.u), np.asarray(base.v)
+    region = tuple(
+        Isometry(iso.rotation,
+                 tuple(np.asarray(iso.translation) + i * u + j * v),
+                 iso.reflect)
+        for i in range(20) for j in range(20) for iso in base.region)
+    recipe = TilingRecipe(base.pentagon, region, tuple(20 * u),
+                          tuple(20 * v))
+    tracemalloc.start()
+    try:
+        cell = cell_arrangement(recipe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 << 20
+    assert cell.orbits == 400 * base.cell_arrangement.orbits
+
 
 @st.composite
 def drawn_cells(draw):

@@ -368,7 +368,7 @@ def test_tile_rejects_non_finite_radius(capsys, radius):
 
 @pytest.mark.parametrize("argv", [
     *(f"{command} --type 4 --r {r}" for command in ("stats", "tile")
-      for r in ("1e300", "1e17", "1e9")),
+      for r in ("1e300", "1e17", "1e9", "3e5")),
     "sweep --type 4 --radii 1e5,1e6",
 ])
 def test_huge_radii_are_refused_before_any_allocation(capsys, argv):

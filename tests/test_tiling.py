@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile import arrangement, jsontext, render, tiling, verifier
+from pentile import arrangement, cli, jsontext, render, tiling, verifier
 from pentile.arrangement import Patch
 from pentile.catalog import classify, get_type_spec, solve_instance
 from pentile.errors import (
@@ -38,6 +38,7 @@ from pentile.pentagon import CORNERS, solve_edges
 from pentile.stats import (
     FULL,
     INTERIOR,
+    _arrangement_stats,
     compute_stats,
     euler_residual,
     limit_sweep,
@@ -688,14 +689,15 @@ representative_recipes = st.sampled_from(BUILTIN_SWEEP_TYPES).map(
 def test_sheared_bases_tile_alike(recipe):
     """u + k·v and v + k·u, k in [-4, 4], span the recipe's lattice: with
     either as the basis the recipe is periodic, and its disk at r = 8 has
-    the same FULL and INTERIOR statistics."""
+    the same FULL and INTERIOR statistics. The verdict is the recipe's
+    own check_periodicity, which generating the disk reads too."""
     u, v = np.asarray(recipe.u), np.asarray(recipe.v)
     expected = disk_stats(recipe)
     for k in range(-4, 5):
         for basis in ((u + k * v, v), (u, v + k * u)):
             sheared = dataclasses.replace(recipe, u=tuple(basis[0]),
                                           v=tuple(basis[1]))
-            report = check_periodicity(sheared)
+            report = sheared.periodicity
             assert report.ok, (k, basis, report.violations)
             assert disk_stats(sheared) == expected, (k, basis)
 
@@ -740,9 +742,10 @@ def test_any_basis_and_region_placement_tiles_alike(pair):
 
 def test_a_far_placed_region_tile_needs_no_more_memory():
     """Type 5 with region tile 1 moved by 3000·u: once the recipe's cell
-    arrangement is built, generating the r = 8 disk stays under 64 MiB
-    traced, and its statistics are the unmoved recipe's. Nothing in the
-    flood is sized by the (m, n) span of the region."""
+    arrangement is built, generating the r = 8 disk and counting it on the
+    lattice stay under 64 MiB traced, and its statistics are the unmoved
+    recipe's. Nothing in the flood or in the counter's box is sized by the
+    (m, n) span of the region."""
     recipe = builtin_recipe(5, pentile.representative(5).pentagon)
     region = list(recipe.region)
     region[1] = shifted(region[1], 3000 * np.asarray(recipe.u))
@@ -751,12 +754,13 @@ def test_a_far_placed_region_tile_needs_no_more_memory():
     tracemalloc.start()
     try:
         patch = generate_patch(far, 8.0)
+        counted = compute_stats(patch, FULL), compute_stats(patch, INTERIOR)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
-    assert (compute_stats(patch, FULL), compute_stats(patch, INTERIOR)) == \
-        disk_stats(recipe)
+    assert far.orbit_star.reach == 1
+    assert counted == disk_stats(recipe)
 
 
 def assert_sound_patch(patch):
@@ -899,6 +903,68 @@ def test_near_translates_is_the_brute_force_scan(recipe, M, offsets, cells):
     assert same_bits(corners, placed_corners(recipe, rows))
 
 
+def sheared(recipe, k, along_u):
+    """The recipe on the basis (u + k·v, v), or (u, v + k·u): the same
+    lattice."""
+    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
+    basis = (u + k * v, v) if along_u else (u, v + k * u)
+    return dataclasses.replace(recipe, u=tuple(basis[0]), v=tuple(basis[1]))
+
+
+@settings(max_examples=60)
+@given(st.one_of(representative_recipes, sweep_recipes()),
+       st.integers(-6, 6), st.booleans(),
+       st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+       st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                max_size=11),
+       st.floats(0.1, 12.0))
+@example(builtin_recipe(1, pentile.representative(1).pentagon), 0, True,
+         (0.0, 0.0), [], 4.0)
+@example(builtin_recipe(2, pentile.representative(2).pentagon), 6, True,
+         (-1e6, 1e6), [(3.0, -3.0)], 12.0)
+@example(builtin_recipe(4, pentile.representative(4).pentagon), -6, False,
+         (0.37, -1.21), [(0.5, 0.5), (-2.0, 1.0)], 0.1)
+@example(builtin_recipe(5, pentile.representative(5).pentagon), 3, False,
+         (1e6, 0.0), [], 7.5)
+@example(builtin_recipe(1, pentile.representative(1).pentagon), 1, True,
+         (-3.5, 2.0), [(0.25 * i, -0.5 * i) for i in range(1, 12)], 1.5)
+def test_row_scan_is_the_box_scan_on_sheared_bases(recipe, k, along_u, M,
+                                                   offsets, cells):
+    """On a basis sheared by up to six cells, whose (m, n) box is many
+    times wider than its disks, the rows scanned hold every translate
+    the box scan finds, bit for bit, for one centre or up to twelve (more
+    than FEW_CENTRES are paired by a grid search), near the origin or out
+    to 1e6."""
+    recipe = sheared(recipe, k, along_u)
+    side = math.sqrt(recipe.cell_area())
+    centers = np.asarray(M) + side * np.array([(0.0, 0.0), *offsets])
+    reach = cells * side
+    rows, corners = tiling.near_translates(recipe, centers, reach)
+    assert np.array_equal(rows, scanned_translates(recipe, centers, reach))
+    assert same_bits(corners, placed_corners(recipe, rows))
+
+
+def test_max_translates_bounds_the_rows_scanned_not_the_box():
+    """Type 2's (m, n) box at r = 40 holds over twice the translates the
+    disk keeps, and its rows scan about 1.2 times: a MAX_TRANSLATES of 1.5
+    times admits the disk, and one below the kept count refuses it."""
+    recipe = builtin_recipe(2, pentile.representative(2).pentagon)
+    center = np.zeros((1, 2))
+    reach = tiling._flood_reach(recipe, 40.0)[1]
+    kept = len(tiling.near_translates(recipe, center, reach)[0])
+    inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
+    offsets = -recipe.region_centroids @ inv.T
+    slack = reach * np.linalg.norm(inv, axis=1)
+    box = np.prod(np.ceil(offsets.max(axis=0) + slack)
+                  - np.floor(offsets.min(axis=0) - slack) + 1)
+    assert box * len(recipe.region) > 2 * kept
+    with mock.patch.object(tiling, "MAX_TRANSLATES", int(1.5 * kept)):
+        assert len(tiling.near_translates(recipe, center, reach)[0]) == kept
+    with mock.patch.object(tiling, "MAX_TRANSLATES", kept - 1), \
+            pytest.raises(ParseError, match="MAX_TRANSLATES"):
+        tiling.near_translates(recipe, center, reach)
+
+
 @st.composite
 def wide_recipes(draw):
     """Built-in recipes of the wide draws' pentagons that have one."""
@@ -965,6 +1031,70 @@ def test_the_generated_path_builds_no_placed_tile(type_id, monkeypatch):
     assert made == []
     assert tile_records(patch) == ring_seeded_tile_records(recipe, r, M)
     assert len(made) == len(patch.counts)
+
+
+@pytest.mark.parametrize("type_id", BUILTIN_SWEEP_TYPES)
+def test_the_arrangement_is_built_only_when_read(type_id, tmp_path):
+    """Generating a patch, its stats in both modes and its verification
+    assemble no arrangement, nor do verify --patch and render on its
+    document. Reading any arrangement array assembles all eight, once."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    document = tmp_path / "patch.json"
+    with mock.patch.object(arrangement, "_assembled",
+                           wraps=arrangement._assembled) as assembled:
+        patch = generate_patch(recipe, 10.0, (0.37, -1.21))
+        compute_stats(patch, FULL)
+        compute_stats(patch, INTERIOR)
+        assert verify_patch(patch).ok
+        assert assembled.call_count == 0
+        document.write_text(jsontext.dumps(jsontext.patch_document(patch)))
+        assert assembled.call_count == 1
+        # a verdict either way, not exit 2: the nine-digit corners of some
+        # Types' documents fail the overlap check
+        for command in ("verify", "render"):
+            assert cli.main([command, "--patch", str(document),
+                             "--out", str(tmp_path / command)]) in (0, 1)
+        assert assembled.call_count == 1
+        loaded = arrangement.patch_from_json_dict(
+            json.loads(document.read_text()))
+        for name in PATCH_ARRAYS + PATCH_CSRS:
+            getattr(loaded, name)
+        assert assembled.call_count == 2
+
+
+def supercell(recipe, copies):
+    """The recipe's tiling with copies of its region along u in one cell."""
+    u = np.asarray(recipe.u)
+    region = tuple(shifted(iso, i * u) for i in range(copies)
+                   for iso in recipe.region)
+    return TilingRecipe(recipe.pentagon, region, tuple(copies * u), recipe.v)
+
+
+@settings(max_examples=50)
+@given(sweep_and_wide_recipes, st.integers(-3, 3), st.booleans(),
+       st.integers(1, 3), st.floats(3.0, 12.0),
+       st.one_of(sweep_centres, st.tuples(st.floats(-1e6, 1e6),
+                                          st.floats(-1e6, 1e6))))
+@example(builtin_recipe(1, pentile.representative(1).pentagon), 0, True, 1,
+         8.0, (0.0, 0.0))
+@example(builtin_recipe(2, pentile.representative(2).pentagon), 2, False, 3,
+         5.5, (0.37, -1.21))
+@example(builtin_recipe(4, pentile.representative(4).pentagon), -3, True,
+         2, 12.0, (-1e6, 1e6))
+@example(builtin_recipe(5, pentile.representative(5).pentagon), 1, True, 1,
+         3.0, (1e6, -3.5))
+def test_lattice_stats_are_the_snapped_patch_stats(recipe, k, along_u,
+                                                   copies, r, M):
+    """A generated patch is counted on its lattice, in both modes, as the
+    arrangement of the same polygons snapped by from_tiles counts it: on
+    sheared bases, on regions repeated in a cell, and at centres out to
+    1e6."""
+    recipe = supercell(sheared(recipe, k, along_u), copies)
+    patch = generate_patch(recipe, r, M)
+    snapped = Patch.from_tiles(patch.tiles, r=r, center=M)
+    for mode in (FULL, INTERIOR):
+        assert compute_stats(patch, mode) == compute_stats(snapped, mode)
+    assert "_arrangement" not in vars(patch)
 
 
 @settings(max_examples=40)
@@ -1154,8 +1284,7 @@ def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
         assert sizes == rows[2]
         zones = np.repeat(np.array(["F1", "F2", "F3"]), sizes)
         assert_same_patch(
-            Patch.from_cells(polys, cut, zones, recipe.cell_arrangement, r=r,
-                             center=M),
+            Patch.from_cells(polys, cut, zones, recipe, r=r, center=M),
             generate_patch(recipe, r, M))
 
 
@@ -1164,8 +1293,8 @@ def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
 def test_sweep_patches_are_the_window_free_patches(type_id, radii):
     """limit_sweep scans the lattice once, for its largest radius, and each
-    radius' counts are the INTERIOR statistics of generate_patch(recipe, r)
-    without a window."""
+    radius' counts are the INTERIOR statistics of the looked-up arrangement
+    of generate_patch(recipe, r), made without a window."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     recipe.cell_arrangement     # built, so its own window scans no more
     with mock.patch.object(tiling, "near_translates",
@@ -1175,7 +1304,8 @@ def test_sweep_patches_are_the_window_free_patches(type_id, radii):
     assert near.call_args.args[2] == tiling._flood_reach(recipe, radii[-1])[1]
     assert [s.r for s in limit.stats] == list(radii)
     for counted, r in zip(limit.stats, radii):
-        assert counted == compute_stats(generate_patch(recipe, r), INTERIOR)
+        assert counted == _arrangement_stats(generate_patch(recipe, r),
+                                             INTERIOR)
 
 
 @settings(max_examples=50)
@@ -1191,11 +1321,15 @@ def test_sweep_patches_are_the_window_free_patches(type_id, radii):
 def test_lattice_counts_are_the_patch_counts(recipe, above, gaps):
     """Radii strictly increasing from `above` past twice the tile diameter,
     close pairs included: limit_sweep's counts, made on the lattice, are
-    the INTERIOR statistics of each radius' generated patch."""
+    the INTERIOR statistics of each radius' generated patch counted off
+    its looked-up arrangement, and compute_stats' FULL count of that patch
+    on the lattice is the arrangement's FULL count."""
     radii = 2.0 * recipe.pentagon.diameter + np.cumsum([above, *gaps])
     limit = limit_sweep(recipe, radii)
     for counted, r in zip(limit.stats, radii.tolist()):
-        assert counted == compute_stats(generate_patch(recipe, r), INTERIOR)
+        patch = generate_patch(recipe, r)
+        assert counted == _arrangement_stats(patch, INTERIOR)
+        assert compute_stats(patch, FULL) == _arrangement_stats(patch, FULL)
 
 
 def test_window_refuses_a_wider_disk_or_another_centre():
