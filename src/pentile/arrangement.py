@@ -12,11 +12,13 @@ vertex_tiles is the one tile-vertex incidence: a tile's vertices are the
 rows that list it. Statistics, the verifier, the writer and the renderer
 read the arrays; the tiles, vertices and edges records are built as they
 are read, so a large patch holds no object per tile, vertex or edge for the
-garbage collector to walk. The eight arrangement arrays are assembled
-together on the first read of any: the verifier and the renderer read only
-the tiles, and stats.compute_stats counts a generated patch on its lattice,
-so generating, counting and verifying a patch, or verifying and rendering a
-document, builds no arrangement.
+garbage collector to walk. A generated patch places its polygons from its
+lattice rows on their first read, and the eight arrangement arrays are
+assembled together on the first read of any: the verifier and the renderer
+read only the tiles, and stats.compute_stats counts a generated patch on
+its lattice, so generating and counting a patch places no polygon, and
+verifying it, or verifying and rendering a document, builds no
+arrangement.
 
 The work runs on one flat array of all tile corners, with per-tile offsets so
 polygons of different corner counts can mix; corner i opens side i. One of
@@ -156,9 +158,9 @@ class Arrangement(NamedTuple):
 
 
 class Lattice(NamedTuple):
-    """Where a generated patch's tiles lie in their recipe's tiling: the
-    lookup finder reads the recipe's cell arrangement, and
-    stats.compute_stats its orbit star."""
+    """Where a generated patch's tiles lie in their recipe's tiling:
+    Patch.polygons places the rows, the lookup finder reads the recipe's
+    cell arrangement, and stats.compute_stats its orbit star."""
     rows: np.ndarray             # (N, 3) each tile's (m, n, region index)
     recipe: TilingRecipe
 
@@ -181,14 +183,16 @@ class Patch:
     zone (F1, F2, F3, or "" outside a generated patch). tiles, vertices and
     edges give records made when read.
 
-    The eight arrangement arrays are assembled on the first read of any,
-    from what the patch's finder needs: a generated patch's lattice, or the
-    snapping precision of any other. A reader of the tiles alone, such as
-    verify_patch and the renderer, snaps nothing, and stats.compute_stats
-    counts a generated patch on its lattice, so generating a patch and
-    counting it in both modes builds no arrangement.
+    A generated patch is its lattice rows: its polygons are placed from
+    them (`TilingRecipe.corners`) on the first read, and any other patch
+    holds the stack it was built from. The eight arrangement arrays are
+    assembled on the first read of any, from what the patch's finder
+    needs: a generated patch's lattice, or the snapping precision of any
+    other. A reader of the tiles alone, such as verify_patch and the
+    renderer, snaps nothing, and stats.compute_stats counts a generated
+    patch on its lattice, so generating a patch and counting it in both
+    modes places no polygon and builds no arrangement.
     """
-    polygons: np.ndarray         # (N, K, 2), padded by each last corner
     counts: np.ndarray           # (N,) corners of each tile
     cells: np.ndarray            # (N, 2) int lattice cell (m, n)
     zones: np.ndarray            # (N,) str
@@ -196,6 +200,7 @@ class Patch:
     center: tuple[float, float] | None = None
     lattice: Lattice | None = None   # a generated patch's place in its tiling
     precision: float = 0.0       # the corners' relative error, for snapping
+    stack: np.ndarray | None = None  # the polygons, unless lattice places them
 
     vertex_xy = _arranged()          # (V, 2)
     pseudo = _arranged()             # (V,) inside some incident tile's side
@@ -205,6 +210,16 @@ class Patch:
     tile_adjacents = _arranged()     # tile -> tiles sharing an edge with it
     vertex_tiles = _arranged()       # vertex -> incident tiles
     edge_tiles = _arranged()         # edge -> tiles it borders
+
+    @cached_property
+    def polygons(self) -> np.ndarray:
+        """(N, K, 2), padded by each last corner: the stack, or the lattice
+        rows placed by the recipe, bit for bit the corners generate_patch
+        measures."""
+        if self.stack is not None:
+            return self.stack
+        rows, recipe = self.lattice
+        return recipe.corners(rows)
 
     @cached_property
     def _arrangement(self) -> Arrangement:
@@ -284,23 +299,22 @@ class Patch:
             [np.asarray(t.polygon, dtype=float) for t in tiles])
         cells = np.array([t.cell for t in tiles], dtype=np.intp).reshape(-1, 2)
         zones = np.array([t.zone for t in tiles], dtype=str)
-        return cls(polygons, counts, cells, zones, r=r,
+        return cls(counts, cells, zones, r=r,
                    center=None if center is None else tuple(center),
-                   precision=precision)
+                   precision=precision, stack=polygons)
 
     @classmethod
-    def from_cells(cls, corners: np.ndarray, cells: np.ndarray,
-                   zones: np.ndarray, recipe: TilingRecipe,
-                   r: float | None = None, center=None) -> "Patch":
-        """Lattice translates of the recipe's region tiles, whose
-        arrangement is looked up in its cell arrangement when first read:
-        no snapping and no distances. corners is the tiles' (N, K, 2)
-        corner stack, cells each tile's (m, n, region index) and zones each
-        tile's zone; N is at least 1."""
-        return cls(corners, np.full(len(corners), corners.shape[1]),
-                   cells[:, :2], zones, r=r,
+    def from_cells(cls, rows: np.ndarray, zones: np.ndarray,
+                   recipe: TilingRecipe, r: float | None = None,
+                   center=None) -> "Patch":
+        """Lattice translates of the recipe's region tiles, given as their
+        (m, n, region index) rows, with each tile's zone. Their polygons
+        are placed and their arrangement looked up in the recipe's cell
+        arrangement when first read: no snapping and no distances."""
+        return cls(np.full(len(rows), recipe.region_corners.shape[1]),
+                   rows[:, :2], zones, r=r,
                    center=None if center is None else tuple(center),
-                   lattice=Lattice(cells, recipe))
+                   lattice=Lattice(rows, recipe))
 
     def to_json_dict(self) -> dict:
         return {
@@ -493,13 +507,12 @@ def cell_arrangement(recipe) -> CellArrangement:
     orbits are the classes this relation joins, numbered by first region
     corner, so no coordinate is rounded.
     """
-    window, corners = near_translates(
-        recipe, recipe.region_centroids,
-        2.0 * recipe.radius + recipe.merge_distance)
+    window, _ = near_translates(recipe, recipe.region_centroids,
+                                2.0 * recipe.radius + recipe.merge_distance)
     # the region tiles (0, 0, j) first, in order, then the rest in
     # (m, n, j) order
-    first = np.argsort(window[:, :2].any(axis=1), kind="stable")
-    window, corners = window[first], corners[first]
+    window = window[np.argsort(window[:, :2].any(axis=1), kind="stable")]
+    corners = recipe.corners(window)
     count = len(recipe.region)
     points, _, nxt = _stacked_corners(
         corners, np.full(len(corners), corners.shape[1]))

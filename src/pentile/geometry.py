@@ -22,6 +22,7 @@ components of a graph given as an edge list.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -317,23 +318,42 @@ def points_in_convex_polygon(px: np.ndarray, py: np.ndarray,
 def segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray
                       ) -> np.ndarray:
     """Distances from points to segments a-b, broadcast over leading axes
-    (vectorized)."""
-    d = b - a
-    rel = points - a
-    dd = np.maximum(np.sum(d * d, axis=-1), 1e-30)
-    t = np.clip(np.sum(rel * d, axis=-1) / dd, 0.0, 1.0)
-    gap = rel - t[..., None] * d
-    return np.hypot(gap[..., 0], gap[..., 1])
+    (vectorized). Taken on x and y arrays: each 2-term dot is the sum
+    np.sum makes over a 2-long axis, in its order."""
+    points = np.asarray(points, dtype=float)
+    dx, dy = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    rx, ry = points[..., 0] - a[..., 0], points[..., 1] - a[..., 1]
+    dd = np.maximum(dx * dx + dy * dy, 1e-30)
+    t = np.clip((rx * dx + ry * dy) / dd, 0.0, 1.0)
+    return np.hypot(rx - t * dx, ry - t * dy)
 
 
 def polygon_distances(point: np.ndarray, polys: np.ndarray) -> np.ndarray:
     """Distance from a point to each of many convex ccw polygons, given as an
-    (N, n, 2) array; 0 for the polygons that contain it."""
+    (N, n, 2) array; 0 for the polygons that contain it. The least over
+    the sides is taken one side at a time, as a numpy reduction over so
+    short an axis costs several times more; a least is exact in any
+    order."""
     a = np.asarray(polys, dtype=float)
     x, y = np.asarray(point, dtype=float)
     inside = points_in_convex_polygon(x, y, a)
-    dist = segment_distances(point, a, np.roll(a, -1, axis=1)).min(axis=1)
+    dist = functools.reduce(np.minimum, segment_distances(
+        point, a, np.roll(a, -1, axis=1)).T)
     return np.where(inside, 0.0, dist)
+
+
+def farthest_distances(points: np.ndarray, polys: np.ndarray) -> np.ndarray:
+    """Each polygon's farthest corner distance from its point, the point
+    broadcast against the (..., n, 2) polygons: bit for bit
+    np.linalg.norm(polys - points[..., None, :], axis=-1).max(axis=-1).
+    That norm is the root of dx² + dy² over a 2-long axis, and the root is
+    monotone, so the largest distance is the root of the largest sum,
+    taken one corner at a time with no numpy reduction over the short
+    axes."""
+    p = np.asarray(points, dtype=float)[..., None, :]
+    dx, dy = polys[..., 0] - p[..., 0], polys[..., 1] - p[..., 1]
+    return np.sqrt(functools.reduce(np.maximum,
+                                    np.moveaxis(dx * dx + dy * dy, -1, 0)))
 
 
 def close_pairs(points: np.ndarray, reach: float, others=None

@@ -223,8 +223,9 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
     patch has an interior to count. The candidates are scanned and measured
     once, for the largest radius (`tiling.candidate_window`), and each
     radius keeps the rows that generate_patch's patch holds
-    (`tiling.patch_rows`), so a radius over `tiling.MAX_TRANSLATES` is
-    refused before any radius is counted.
+    (`tiling.patch_rows`), so a recipe that does not tile
+    (RecipeInvalid) and a radius over `tiling.MAX_TRANSLATES` are refused
+    before any radius is counted.
 
     Each radius is counted on the lattice (`_lattice_stats`), from the
     recipe's orbit star, with no patch built; the counts are
@@ -332,36 +333,35 @@ def _lattice_stats(star, cells: np.ndarray, r: float | None,
     # each vertex (m, n, o) in the rows that may hold one, flat q0 to
     # size - q0: whether each tile of o's star is present there
     q0 = pad * (width + 1)
-    entry, bounds = star.star.indices, star.star.indptr[:-1]
+    entry = star.star.indices
     met = _windows(present, star.stop_tile[entry] * size - step[entry] + q0,
                    size - 2 * q0)
-    vertices = np.zeros((len(bounds), size), dtype=bool)
+    vertices = np.zeros((len(star.star.indptr) - 1, size), dtype=bool)
     # each stop of each region tile placed in the rows that may hold one,
     # flat p0 to size - p0
     p0 = 2 * pad * width
     at_stop = orbit * size + step + p0
     if mode == INTERIOR:
-        vertices[:, q0:size - q0] = np.logical_and.reduceat(met, bounds,
-                                                            axis=0)
+        _grouped(np.logical_and, met, star.star.indptr,
+                 vertices[:, q0:size - q0])
         valence = np.repeat(np.diff(star.star.indptr),
                             vertices.sum(axis=1))
         complete = _windows(vertices.ravel(), at_stop, size - 2 * p0)
-        tiles = np.logical_and.reduceat(complete, star.stop_ptr[:-1], axis=0)
+        tiles = _grouped(np.logical_and, complete, star.stop_ptr)
         h = np.repeat(star.neighbours, tiles.sum(axis=1))
         e = np.count_nonzero(complete & complete[star.next_stop]) // 2
     else:
-        vertices[:, q0:size - q0] = np.logical_or.reduceat(
-            met & star.corner[entry, None], bounds, axis=0)
-        valence = np.add.reduceat(met, bounds, axis=0)[
+        _grouped(np.logical_or, met & star.corner[entry, None],
+                 star.star.indptr, vertices[:, q0:size - q0])
+        valence = _grouped(np.add, met, star.star.indptr)[
             vertices[:, q0:size - q0]]
         tiles = present.reshape(k, size)[:, p0:size - p0]
         across = star.neighbour
         shift = (across[:, :2] + tile_cell[across[:, 2]]
                  - np.repeat(tile_cell, star.neighbours, axis=0))
-        h = np.add.reduceat(_windows(
+        h = _grouped(np.add, _windows(
             spare, 2 * pad + across[:, 2] * size + shift[:, 0] * width
-            + shift[:, 1] + p0, size - 2 * p0),
-            star.neighbour_ptr[:-1], axis=0)[tiles]
+            + shift[:, 1] + p0, size - 2 * p0), star.neighbour_ptr)[tiles]
         live = (_windows(vertices.ravel(), at_stop, size - 2 * p0)
                 & tiles[star.stop_tile])
         e = np.count_nonzero(live) - int(h.sum()) // 2
@@ -370,6 +370,22 @@ def _lattice_stats(star, cells: np.ndarray, r: float | None,
         v=int(np.count_nonzero(vertices)), e=int(e),
         t=int(np.count_nonzero(tiles)), t_h=_histogram(h),
         v_j=_histogram(valence), r=r, mode=mode)
+
+
+def _grouped(ufunc, rows: np.ndarray, ptr: np.ndarray, out=None):
+    """ufunc.reduce over each group of rows, rows[ptr[g]:ptr[g + 1]], one
+    result row per group, into out when given. The reduceat of the same
+    groups gives the same rows, as each is reduced row by row in the same
+    order, except for an empty group: reduceat gives the row at its
+    start, this the ufunc's identity. One reduce per group costs several
+    times less than one reduceat over the first axis."""
+    bounds = ptr.tolist()
+    if out is None:
+        out = np.empty((len(bounds) - 1, rows.shape[1]),
+                       dtype=ufunc.reduce(rows[:0], axis=0).dtype)
+    for g, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        ufunc.reduce(rows[start:end], axis=0, out=out[g])
+    return out
 
 
 def _windows(flags: np.ndarray, starts: np.ndarray, length: int):

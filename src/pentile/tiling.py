@@ -27,6 +27,7 @@ from .errors import (
 from .geometry import (
     close_pairs,
     component_labels,
+    farthest_distances,
     interior_angles,
     polygon_areas,
     polygon_centroids,
@@ -59,6 +60,9 @@ MAX_TRANSLATES = 2_000_000
 # the measuring is the faster up to 8 centres and the search from 16, and
 # with the one centre of a patch at r = 40 the search takes 7 times as long
 FEW_CENTRES = 8
+# patch_rows' F1 margin on centroid distances, relative to the disk's size
+# and its centre's distance from the origin: far beyond their rounding
+BAND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -158,6 +162,17 @@ class TilingRecipe:
         """Region tiles as ccw polygons: the rows of region_corners."""
         return list(self.region_corners)
 
+    def corners(self, rows: np.ndarray) -> np.ndarray:
+        """The (N, K, 2) corners of the translates in rows, (m, n, j) each:
+        region tile j's corners moved by m·u + n·v, a shift rounded as
+        `near_translates` rounds it for the tile's centroid. The one
+        placement rule for the translates it finds."""
+        (m, n), u, v = rows[:, :2].T, np.asarray(self.u), np.asarray(self.v)
+        placed = self.region_corners.take(rows[:, 2], axis=0)
+        for a in (0, 1):
+            placed[..., a] += (m * u[a] + n * v[a])[:, None]
+        return placed
+
     @functools.cached_property
     def region_corners(self) -> np.ndarray:
         """The region tiles as one (k, 5, 2) stack of ccw polygons: the
@@ -197,15 +212,20 @@ class TilingRecipe:
 
         return check_periodicity(self)
 
-    @functools.cached_property
-    def cell_arrangement(self):
-        """The recipe's `arrangement.cell_arrangement`, built once;
-        RecipeInvalid when the recipe does not tile (`periodicity`)."""
-        from .arrangement import cell_arrangement
-
+    def require_tiling(self) -> None:
+        """RecipeInvalid, naming the checks that failed, unless the recipe
+        tiles (`periodicity`)."""
         if not self.periodicity.ok:
             raise RecipeInvalid(f"recipe does not tile: "
                                 f"{self.periodicity.violations}")
+
+    @functools.cached_property
+    def cell_arrangement(self):
+        """The recipe's `arrangement.cell_arrangement`, built once;
+        RecipeInvalid when the recipe does not tile (`require_tiling`)."""
+        from .arrangement import cell_arrangement
+
+        self.require_tiling()
         return cell_arrangement(self)
 
     @functools.cached_property
@@ -385,7 +405,9 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
                     reach: float):
     """The translates (m, n, j), region tile j moved by m·u + n·v, whose
     centroid lies within reach of some centre: their (N, 3) rows in
-    (m, n, j) order and their (N, K, 2) corners.
+    (m, n, j) order, and each one's centroid distance from the nearest
+    centre, as np.linalg.norm rounds it. `TilingRecipe.corners` places
+    them.
 
     Each lattice row m is scanned, for every j, over the n that the disk
     about some centre, less some region centroid, can meet in that row, one
@@ -451,22 +473,26 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
                                  f"MAX_TRANSLATES = {MAX_TRANSLATES:,}")
     m, n = np.repeat(m, width), np.repeat(lo, width) + _ranks(width)
     m, n, j = np.repeat(m, k), np.repeat(n, k), np.tile(np.arange(k), len(n))
-    shifts = m[:, None] * u + n[:, None] * v
-    centroids = recipe.region_centroids[j] + shifts
+    # the centroids as x and y arrays, each placed as `TilingRecipe.corners`
+    # places a corner; a distance is the root of dx² + dy², the sum
+    # np.linalg.norm makes over a 2-long axis, and the least one the root
+    # of the least sum, as the root is monotone
+    x, y = (recipe.region_centroids[j, a] + (m * u[a] + n * v[a])
+            for a in (0, 1))
     if len(centers) <= FEW_CENTRES:
-        near = (np.linalg.norm(centroids[:, None] - centers, axis=2)
-                <= reach).any(axis=1)
+        dx, dy = x[:, None] - centers[:, 0], y[:, None] - centers[:, 1]
+        gap = np.sqrt(functools.reduce(np.fmin, (dx * dx + dy * dy).T))
     else:
-        # the same test on the pairs a grid search finds, with the reach
-        # widened past its rounding, so nothing is sized translates ×
+        # the same distances for the pairs a grid search finds, with the
+        # reach widened past its rounding, so nothing is sized translates ×
         # centres
-        i, c = close_pairs(centroids, reach * (1.0 + 2.0 ** -30), centers)
-        near = np.zeros(len(j), dtype=bool)
-        near[i[np.linalg.norm(centroids[i] - centers[c], axis=1)
-               <= reach]] = True
-    j, shifts = j[near], shifts[near]
-    return (np.column_stack([m[near], n[near], j]),
-            recipe.region_corners[j] + shifts[:, None, :])
+        i, c = close_pairs(np.column_stack([x, y]),
+                           reach * (1.0 + 2.0 ** -30), centers)
+        dx, dy = x[i] - centers[c, 0], y[i] - centers[c, 1]
+        gap = np.full(len(j), np.inf)
+        np.fmin.at(gap, i, np.sqrt(dx * dx + dy * dy))
+    near = gap <= reach
+    return np.column_stack([m[near], n[near], j[near]]), gap[near]
 
 
 def _scan_error(reach: float, what: str) -> ParseError:
@@ -482,29 +508,26 @@ def _ranks(lengths: np.ndarray) -> np.ndarray:
 
 class CandidateWindow(NamedTuple):
     """generate_patch's candidates for one disk (`candidate_window`): the
-    centre, the reach, near_translates' rows and corners, and each row's
-    farthest corner distance and centroid distance from the centre."""
+    centre, the reach, and near_translates' rows and centroid distances
+    from the centre."""
     center: tuple[float, float]
     reach: float
-    cells: np.ndarray
-    polys: np.ndarray
-    d_max: np.ndarray
+    rows: np.ndarray
     gap: np.ndarray
 
     def within(self, center: np.ndarray, reach: float):
-        """The rows, corners and farthest corner distances of the
-        translates whose centroid lies within reach of the centre: those
-        near_translates gives at that reach, in its (m, n, j) order, as the
-        distance is the one it measures and its scan at the larger reach
-        holds every translate within it. ValueError for another centre or
-        a larger reach."""
+        """The rows and centroid distances of the translates whose centroid
+        lies within reach of the centre: those near_translates gives at
+        that reach, in its (m, n, j) order, as the distance is the one it
+        measures and its scan at the larger reach holds every translate
+        within it. ValueError for another centre or a larger reach."""
         if tuple(center.tolist()) != self.center or not reach <= self.reach:
             raise ValueError(
                 f"the window holds the candidates within {self.reach:.6g} "
                 f"of {self.center}, not within {reach:.6g} of "
                 f"{tuple(center.tolist())}")
         keep = self.gap <= reach
-        return self.cells[keep], self.polys[keep], self.d_max[keep]
+        return self.rows[keep], self.gap[keep]
 
 
 def _flood_reach(recipe: TilingRecipe, r: float) -> tuple[float, float]:
@@ -518,31 +541,28 @@ def _flood_reach(recipe: TilingRecipe, r: float) -> tuple[float, float]:
 
 def _candidates(recipe: TilingRecipe, r: float, center: np.ndarray,
                 reach: float):
-    """near_translates' rows and corners within reach of the centre, and
-    each one's farthest corner distance from it; ParseError naming r when
-    the lattice scan is over MAX_TRANSLATES."""
+    """near_translates' rows within reach of the centre and their centroid
+    distances from it. RecipeInvalid, before any scan, when the recipe
+    does not tile (`TilingRecipe.require_tiling`), and ParseError naming r
+    when the lattice scan is over MAX_TRANSLATES."""
+    recipe.require_tiling()
     try:
-        cells, polys = near_translates(recipe, center[None], reach)
+        return near_translates(recipe, center[None], reach)
     except ParseError as exc:
         raise ParseError(f"disk radius {r:g}: {exc}") from None
-    return cells, polys, np.linalg.norm(polys - center, axis=2).max(axis=1)
 
 
 def candidate_window(recipe: TilingRecipe, r: float,
                      M=(0.0, 0.0)) -> CandidateWindow:
     """generate_patch's candidates for the disk of radius r about M, as the
     window that the patch of any disk of radius up to r about M cuts its
-    candidates from (`patch_rows`' `window`). Raises ParseError, naming r,
-    as generate_patch does, before any patch is built."""
+    candidates from (`patch_rows`' `window`). Raises RecipeInvalid, and
+    ParseError naming r, as generate_patch does, before any patch is
+    built."""
     center = np.asarray(M, dtype=float)
     _, reach = _flood_reach(recipe, r)
-    cells, polys, d_max = _candidates(recipe, r, center, reach)
-    shifts = (cells[:, :1] * np.asarray(recipe.u)
-              + cells[:, 1:2] * np.asarray(recipe.v))
-    gap = np.linalg.norm(recipe.region_centroids[cells[:, 2]] + shifts
-                         - center, axis=1)
-    return CandidateWindow(tuple(center.tolist()), reach, cells, polys,
-                           d_max, gap)
+    return CandidateWindow(tuple(center.tolist()), reach,
+                           *_candidates(recipe, r, center, reach))
 
 
 def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
@@ -551,9 +571,9 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
 
     Intended for disks larger than a single tile (r above one tile diameter);
     smaller disks still produce a patch but it may hold a tile or none.
-    Raises ParseError, naming r, when the candidates' lattice scan is over
-    MAX_TRANSLATES (`near_translates`), and RecipeInvalid when the recipe
-    does not tile (`TilingRecipe.cell_arrangement`).
+    Raises RecipeInvalid, before any lattice scan, when the recipe does not
+    tile (`TilingRecipe.require_tiling`), and ParseError, naming r, when
+    the candidates' lattice scan is over MAX_TRANSLATES (`near_translates`).
 
     F1 and F2 lie within r + eps + diam of M (eps the merge distance, diam
     the tile diameter), and so does every tile they enclose. With
@@ -565,7 +585,10 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     `recipe.radius` from its centroid, so those lie among the translates
     whose centroid is within rho + radius of M (`near_translates`); the
     extra eps keeps the float comparison from dropping one at the bound.
-    `patch_rows` picks the tiles.
+    `patch_rows` picks the tiles. It places corners only for those near
+    the rim: a tile whose centroid lies a margin δ, far beyond rounding,
+    inside r - eps - `recipe.radius` is F1 by its centroid distance alone
+    (the `patch_rows` docstring gives the argument).
 
     Every candidate is a translate (m, n) of a region tile, so its
     vertices are integer keys (m, n, orbit) read off the recipe's cell
@@ -574,46 +597,67 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     (`Patch.from_cells`) both read these keys as `vertex_labels`, so they
     are the lattice's relations at any centre and no candidate pair is
     measured. Snapping the same tiles (`Patch.from_tiles`, which patch
-    documents need) gives the same arrays. The patch keeps its (m, n, j)
-    rows and the recipe's orbit star: its arrangement is looked up when
-    first read, and stats.compute_stats counts it on the star without one.
+    documents need) gives the same arrays. The patch is its (m, n, j)
+    rows, zones and recipe: its polygons are placed and its arrangement
+    looked up when first read, and stats.compute_stats counts it on the
+    recipe's orbit star with neither built.
     """
     from .arrangement import Patch
 
     require_positive("disk radius", r)
     center = np.asarray(M, dtype=float)
     require_finite("disk centre", center)
-    cells, polys, sizes = patch_rows(recipe, r, center)
+    rows, sizes = patch_rows(recipe, r, center)
     zones = np.repeat(np.array(["F1", "F2", "F3"]), sizes)
-    return Patch.from_cells(polys, cells, zones, recipe, r=r,
-                            center=tuple(center))
+    return Patch.from_cells(rows, zones, recipe, r=r, center=tuple(center))
 
 
 def patch_rows(recipe: TilingRecipe, r: float, center: np.ndarray,
                window: CandidateWindow | None = None):
     """The tiles of generate_patch's patch A(r, center), as near_translates
-    gives them: their (m, n, j) rows and corners, F1 first, then F2, then
-    F3, and the three zone sizes. A `window` from `candidate_window` for a
-    radius of at least r about center replaces the scan for this disk
-    alone: the candidates are its rows within this disk's reach
+    gives them: their (m, n, j) rows, F1 first, then F2, then F3, and the
+    three zone sizes. A `window` from `candidate_window` for a radius of
+    at least r about center replaces the scan for this disk alone: the
+    candidates are its rows within this disk's reach
     (`CandidateWindow.within`), the same arrays the scan gives, so several
-    radii about one centre scan and measure once."""
+    radii about one centre scan and measure once.
+
+    A tile is F1 when its farthest corner lies within r - eps of the
+    centre, eps the merge distance. That corner lies within g + radius of
+    it, g the centroid distance near_translates measures and radius
+    `recipe.radius`, so a tile with g + radius <= r - eps - δ is F1 with
+    no corner placed. The coordinates these distances are taken from, a
+    corner's and a centroid's less the centre, round with errors of a few
+    units in the last place of r + radius + |M|, under 1e-15 of it: a
+    corner and its centroid add one rounded shift, and radius is measured
+    on the region's corners less their centroids. δ, BAND_MARGIN times
+    r + radius + |M|∞, is a million times that, so no rounding puts such
+    a tile's computed farthest corner beyond r - eps. The other tiles, a
+    band along the rim, are placed (`TilingRecipe.corners`), and their
+    farthest corners, their distances from the centre and the F3 flood
+    are measured as they were on every candidate.
+    """
     eps = recipe.merge_distance
     rho, reach = _flood_reach(recipe, r)
     if window is None:
-        cells, polys, d_max = _candidates(recipe, r, center, reach)
+        rows, gap = _candidates(recipe, r, center, reach)
     else:
-        cells, polys, d_max = window.within(center, reach)
+        rows, gap = window.within(center, reach)
 
-    inner = d_max <= r - eps
-    rest = np.nonzero(~inner)[0]
-    meets = polygon_distances(center, polys[rest]) <= r + eps
-    boundary = rest[meets]
+    margin = BAND_MARGIN * (r + recipe.radius + float(np.abs(center).max()))
+    inner = gap + recipe.radius <= r - eps - margin
+    band = np.flatnonzero(~inner)
+    polys = recipe.corners(rows[band])
+    d_max = farthest_distances(center, polys)
+    near = d_max <= r - eps
+    inner[band] = near
+    rest, polys, d_max = band[~near], polys[~near], d_max[~near]
+    meets = polygon_distances(center, polys) <= r + eps
     outer = rest[~meets]
-    f3 = outer[_enclosed_tiles(cells[outer], d_max[outer] > rho, recipe)]
-    order = np.concatenate([np.nonzero(inner)[0], boundary, f3])
-    return cells[order], polys[order], (np.count_nonzero(inner),
-                                        len(boundary), len(f3))
+    f3 = outer[_enclosed_tiles(rows[outer], d_max[~meets] > rho, recipe)]
+    order = np.concatenate([np.flatnonzero(inner), rest[meets], f3])
+    return rows[order], (np.count_nonzero(inner), np.count_nonzero(meets),
+                         len(f3))
 
 
 def _enclosed_tiles(cells: np.ndarray, is_open: np.ndarray,

@@ -309,6 +309,39 @@ def test_verify_reports_a_recipe_that_does_not_tile_without_a_patch(
         "window tiles 0 and 5 overlap by 3.523e-03"]
 
 
+def far_tile_recipe_file(capsys, tmp_path) -> str:
+    """The Type 1 recipe of `tile --type 1 --r 3` with region tile 1 moved
+    to x = 1e99: its area no longer matches the cell's, and a lattice scan
+    about it would not fit int64."""
+    out = tmp_path / "tile.json"
+    assert run(capsys, "tile", "--type", "1", "--r", "3", "--out",
+               str(out))[0] == 0
+    recipe = json.loads(out.read_text())["recipe"]
+    recipe["region"][1]["tx"] = 1e99
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(recipe))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", ["tile --r 5", "stats --r 5",
+                                  "sweep --radii 5,10"])
+def test_a_recipe_is_checked_before_its_lattice_scan(capsys, tmp_path, argv):
+    """The periodicity check, which refuses the far tile by area, runs
+    before any candidates are scanned: RecipeInvalid naming that check,
+    not the scan's ParseError."""
+    path = far_tile_recipe_file(capsys, tmp_path)
+    command, *flags = argv.split()
+    code, out, err = run(capsys, command, "--recipe", path, *flags)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "RecipeInvalid"
+    assert "!= lattice cell area 2.8660254" in error["message"]
+    code, out, err = run(capsys, "verify", "--recipe", path)
+    assert (code, err) == (1, "")
+    [violation] = json.loads(out)["violations"]
+    assert violation in error["message"]
+
+
 def test_verify_checks_periodicity_once(capsys):
     """The recipe keeps the report builtin_recipe made; verify reads it."""
     tiling.builtin_recipe.cache_clear()

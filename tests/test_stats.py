@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pentile
 from pentile.arrangement import Patch
@@ -21,6 +23,7 @@ from pentile.stats import (
     FULL,
     INTERIOR,
     PatchStats,
+    _grouped,
     average_adjacents,
     average_valence,
     balance_residual,
@@ -244,3 +247,30 @@ def test_synthetic_limit_average():
     limit = synthetic_limit({3: 0.5, 4: 0.5}, {5: 1.0})
     assert limit.average_valence() == pytest.approx(3.5)
     assert limit.average_adjacents() == pytest.approx(5.0)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 64),
+       st.integers(1, 12))
+def test_grouped_reductions_are_reduceat(seed, height, width, groups):
+    """_grouped gives, for each non-empty group of rows, what reduceat
+    over the first axis gives, dtype included. An empty group differs:
+    reduceat gives the row at its start (or refuses a start past the
+    last row), _grouped the ufunc's identity. The orbit star has no empty
+    group: every orbit meets a region corner and every region tile has
+    corners and edge neighbours."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((height, width)) < 0.7
+    ptr = np.concatenate([[0], np.sort(rng.integers(0, height + 1,
+                                                    groups - 1)), [height]])
+    full = np.diff(ptr) > 0
+    for ufunc in (np.logical_and, np.logical_or, np.add):
+        ours = _grouped(ufunc, rows, ptr)
+        theirs = ufunc.reduceat(rows, ptr[:-1][full], axis=0)
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours[full], theirs)
+        assert (ours[~full] == ufunc.identity).all()
+        starts = ptr[:-1][ptr[:-1] < height]
+        empty = np.diff(np.append(starts, height)) == 0
+        assert np.array_equal(ufunc.reduceat(rows, starts, axis=0)[empty],
+                              rows[starts[empty]])

@@ -22,6 +22,7 @@ from pentile.arrangement import Patch
 from pentile.catalog import classify, get_type_spec, solve_instance
 from pentile.errors import (
     InfeasibleParams,
+    InvalidInnerRadius,
     NonConvergence,
     ParseError,
     RecipeInvalid,
@@ -30,6 +31,7 @@ from pentile.errors import (
 from pentile.geometry import (
     ccw,
     convex_overlap_areas,
+    points_in_convex_polygon,
     polygon_area,
     polygon_distances,
     segment_distances,
@@ -795,8 +797,8 @@ def test_moat_encloses_the_tiles_the_pairwise_flood_fill_encloses(
     diam = recipe.pentagon.diameter
     eps = recipe.merge_distance
     center = np.asarray(M)
-    cells, polys = tiling.near_translates(recipe, center[None],
-                                          r + 5.0 * diam)
+    cells, _ = tiling.near_translates(recipe, center[None], r + 5.0 * diam)
+    polys = placed_corners(recipe, cells)
     centroids = placed_centroids(recipe, cells)
     beyond = np.linalg.norm(centroids - center, axis=1) - r
     outer = ((polygon_distances(center, polys) > r + eps)
@@ -885,6 +887,19 @@ def scanned_translates(recipe, centers, reach):
     return np.column_stack([m, n, j])[near]
 
 
+def assert_scanned(recipe, centers, reach):
+    """near_translates' rows are scanned_translates', their corners placed
+    as generate_patch placed them, and each distance the least
+    np.linalg.norm from a centroid to a centre, bit for bit."""
+    rows, gap = tiling.near_translates(recipe, centers, reach)
+    assert np.array_equal(rows, scanned_translates(recipe, centers, reach))
+    assert same_bits(recipe.corners(rows), placed_corners(recipe, rows))
+    centroids = placed_centroids(recipe, rows)
+    assert same_bits(gap, np.array(
+        [np.linalg.norm(centroids - center, axis=1) for center in centers]
+    ).min(axis=0, initial=np.inf))
+
+
 @settings(max_examples=60)
 @given(sweep_recipes(),
        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
@@ -898,9 +913,7 @@ def test_near_translates_is_the_brute_force_scan(recipe, M, offsets, cells):
     side = math.sqrt(recipe.cell_area())
     centers = np.asarray(M) + side * np.array([(0.0, 0.0), *offsets])
     reach = cells * side
-    rows, corners = tiling.near_translates(recipe, centers, reach)
-    assert np.array_equal(rows, scanned_translates(recipe, centers, reach))
-    assert same_bits(corners, placed_corners(recipe, rows))
+    assert_scanned(recipe, centers, reach)
 
 
 def sheared(recipe, k, along_u):
@@ -939,9 +952,7 @@ def test_row_scan_is_the_box_scan_on_sheared_bases(recipe, k, along_u, M,
     side = math.sqrt(recipe.cell_area())
     centers = np.asarray(M) + side * np.array([(0.0, 0.0), *offsets])
     reach = cells * side
-    rows, corners = tiling.near_translates(recipe, centers, reach)
-    assert np.array_equal(rows, scanned_translates(recipe, centers, reach))
-    assert same_bits(corners, placed_corners(recipe, rows))
+    assert_scanned(recipe, centers, reach)
 
 
 def test_max_translates_bounds_the_rows_scanned_not_the_box():
@@ -987,8 +998,9 @@ def ring_seeded_tile_records(recipe, r, M):
     about the disk."""
     center = np.asarray(M, dtype=float)
     eps = recipe.merge_distance
-    cells, polys = tiling.near_translates(
+    cells, _ = tiling.near_translates(
         recipe, center[None], r + 5.0 * recipe.pentagon.diameter)
+    polys = placed_corners(recipe, cells)
     inner = np.linalg.norm(polys - center, axis=2).max(axis=1) <= r - eps
     rest = np.nonzero(~inner)[0]
     meets = polygon_distances(center, polys[rest]) <= r + eps
@@ -1268,24 +1280,23 @@ def assert_same_patch(ours, theirs):
 def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
                                                                M):
     """Every disk up to the window's radius about its centre cuts from it
-    the rows and corners near_translates gives at that disk's reach, the
-    patch rows a window-free patch_rows picks, and from them the arrays
-    generate_patch builds, at any radii."""
+    the rows and centroid distances near_translates gives at that disk's
+    reach, the patch rows a window-free patch_rows picks, and from them
+    the arrays generate_patch builds, at any radii."""
     window = tiling.candidate_window(recipe, max(radii), M)
     center = np.asarray(M, dtype=float)
     for r in radii:
         reach = tiling._flood_reach(recipe, r)[1]
-        cells, polys, _ = window.within(center, reach)
-        scanned, corners = tiling.near_translates(recipe, center[None], reach)
-        assert same_bits(cells, scanned) and same_bits(polys, corners)
-        cut, polys, sizes = tiling.patch_rows(recipe, r, center, window)
-        rows = tiling.patch_rows(recipe, r, center)
-        assert same_bits(cut, rows[0]) and same_bits(polys, rows[1])
-        assert sizes == rows[2]
+        cells, gap = window.within(center, reach)
+        scanned, measured = tiling.near_translates(recipe, center[None],
+                                                   reach)
+        assert same_bits(cells, scanned) and same_bits(gap, measured)
+        cut, sizes = tiling.patch_rows(recipe, r, center, window)
+        rows, free_sizes = tiling.patch_rows(recipe, r, center)
+        assert same_bits(cut, rows) and sizes == free_sizes
         zones = np.repeat(np.array(["F1", "F2", "F3"]), sizes)
-        assert_same_patch(
-            Patch.from_cells(polys, cut, zones, recipe, r=r, center=M),
-            generate_patch(recipe, r, M))
+        assert_same_patch(Patch.from_cells(cut, zones, recipe, r=r, center=M),
+                          generate_patch(recipe, r, M))
 
 
 @pytest.mark.parametrize("radii", [(5.0, 5.5, 12.0), (5.0, 10.0, 20.0)],
@@ -1349,3 +1360,140 @@ def test_sweep_refuses_an_over_limit_radius_by_name_before_any_patch():
             pytest.raises(ParseError, match=r"^disk radius 1e\+06: "):
         limit_sweep(recipe, [5.0, 1e6])
     assert made.call_count == 0
+
+
+# --- a patch is its rows: corners placed for the rim band alone --------------
+
+def full_corner_patch(recipe, r, M):
+    """generate_patch's patch by the rule that places every candidate: the
+    farthest corner of each, by np.linalg.norm, decides F1, and the
+    distance from the centre to each other tile is the least over its
+    sides of an np.sum point-to-segment distance. A Patch that holds these
+    polygons and the lattice rows, so its arrangement is looked up."""
+    center = np.asarray(M, dtype=float)
+    eps = recipe.merge_distance
+    rho, reach = tiling._flood_reach(recipe, r)
+    cells, _ = tiling.near_translates(recipe, center[None], reach)
+    polys = placed_corners(recipe, cells)
+    d_max = np.linalg.norm(polys - center, axis=2).max(axis=1)
+    inner = d_max <= r - eps
+    rest = np.nonzero(~inner)[0]
+    a = polys[rest]
+    d = np.roll(a, -1, axis=1) - a
+    rel = center - a
+    t = np.clip(np.sum(rel * d, axis=-1)
+                / np.maximum(np.sum(d * d, axis=-1), 1e-30), 0.0, 1.0)
+    gap = rel - t[..., None] * d
+    x, y = center
+    dist = np.where(points_in_convex_polygon(x, y, a), 0.0,
+                    np.hypot(gap[..., 0], gap[..., 1]).min(axis=1))
+    meets = dist <= r + eps
+    outer = rest[~meets]
+    f3 = outer[tiling._enclosed_tiles(cells[outer], d_max[outer] > rho,
+                                      recipe)]
+    order = np.concatenate([np.nonzero(inner)[0], rest[meets], f3])
+    sizes = (np.count_nonzero(inner), np.count_nonzero(meets), len(f3))
+    rows = cells[order]
+    return Patch(np.full(len(rows), 5), rows[:, :2],
+                 np.repeat(np.array(["F1", "F2", "F3"]), sizes), r=r,
+                 center=tuple(center), lattice=arrangement.Lattice(
+                     rows, recipe), stack=polys[order])
+
+
+def band_edge_disk(type_id, M, near):
+    """The representative Type's recipe, M, and an r for which r - eps is
+    the computed farthest corner distance of the candidate whose farthest
+    corner lies nearest `near` from M: a tile on the edge of F1, which the
+    rim band must decide by its corners."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    center = np.asarray(M, dtype=float)
+    cells, _ = tiling.near_translates(recipe, center[None], near + 3.0)
+    d_max = np.linalg.norm(placed_corners(recipe, cells) - center,
+                           axis=2).max(axis=1)
+    edge = float(d_max[np.argmin(np.abs(d_max - near))])
+    eps = recipe.merge_distance
+    r = edge + eps
+    while r - eps != edge:
+        r = math.nextafter(r, math.inf if r - eps < edge else -math.inf)
+    return recipe, r, M
+
+
+@st.composite
+def rim_band_disks(draw):
+    """A sweep or wide-draw recipe, r from half a tile diameter to 60, and
+    a centre whose distance from the origin is log-uniform up to 1e9."""
+    recipe = draw(sweep_and_wide_recipes)
+    low = 0.5 * recipe.pentagon.diameter
+    r = low + draw(st.floats(0.0, 1.0)) * (60.0 - low)
+    size, turn = draw(st.floats(0.0, 9.0)), draw(st.floats(0.0, 2 * math.pi))
+    return recipe, r, (10.0 ** size * math.cos(turn),
+                       10.0 ** size * math.sin(turn))
+
+
+def verdict(patch):
+    try:
+        report = verify_patch(patch)
+    except InvalidInnerRadius as exc:
+        return str(exc)
+    return report.ok, report.violations, report.metrics
+
+
+@settings(max_examples=20, deadline=None)
+@given(rim_band_disks())
+@example(band_edge_disk(1, (0.0, 0.0), 10.0))
+@example(band_edge_disk(2, (-3e8, 4e8), 59.0))
+@example(band_edge_disk(4, (0.37, -1.21), 1.5))
+@example(band_edge_disk(5, (7e5, 2e5), 30.0))
+def test_the_rim_band_patch_is_the_full_corner_patch(disk):
+    """Deciding F1 by centroid distance, and placing corners only for the
+    band the margin leaves, gives the patch that places every candidate:
+    its rows, zones and polygon bytes, its counts in both modes as its
+    looked-up arrangement gives them, its verifier report and its
+    document bytes. The examples put r - eps on a candidate's farthest
+    corner distance."""
+    recipe, r, M = disk
+    ours, theirs = generate_patch(recipe, r, M), full_corner_patch(recipe,
+                                                                    r, M)
+    assert same_bits(ours.lattice.rows, theirs.lattice.rows)
+    assert np.array_equal(ours.zones, theirs.zones)
+    assert same_bits(ours.polygons, theirs.polygons)
+    for mode in (FULL, INTERIOR):
+        assert compute_stats(ours, mode) == _arrangement_stats(theirs, mode)
+    assert verdict(ours) == verdict(theirs)
+    assert (jsontext.dumps(jsontext.patch_document(ours))
+            == jsontext.dumps(jsontext.patch_document(theirs)))
+
+
+def placements(recipe, patch, calls):
+    """How many of the calls to TilingRecipe.corners placed the recipe's
+    patch's full stack of rows."""
+    return sum(call.args[0] is recipe and np.array_equal(
+        call.args[1], patch.lattice.rows) for call in calls)
+
+
+@pytest.mark.parametrize("read", [
+    lambda patch: patch.polygons, verify_patch,
+    lambda patch: patch.to_json_dict()], ids=["polygons", "verify",
+                                              "document"])
+@pytest.mark.parametrize("type_id", BUILTIN_SWEEP_TYPES)
+def test_the_full_corner_stack_is_placed_only_when_read(type_id, read):
+    """Generating a patch and counting it in both modes places corners for
+    the rim band alone, fewer rows than the patch's; reading its polygons,
+    verifying it or writing its document places the full stack, once,
+    whichever reads it first."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    recipe.orbit_star      # its cell arrangement's window placed, untraced
+    with mock.patch.object(TilingRecipe, "corners", autospec=True,
+                           side_effect=TilingRecipe.corners) as placed:
+        patch = generate_patch(recipe, 10.0, (0.37, -1.21))
+        compute_stats(patch, FULL)
+        compute_stats(patch, INTERIOR)
+        assert placements(recipe, patch, placed.call_args_list) == 0
+        assert placed.call_count == 1
+        assert len(placed.call_args.args[1]) < len(patch.counts)
+        read(patch)
+        assert placements(recipe, patch, placed.call_args_list) == 1
+        patch.polygons
+        verify_patch(patch)
+        patch.to_json_dict()
+        assert placements(recipe, patch, placed.call_args_list) == 1
