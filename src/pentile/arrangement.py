@@ -32,11 +32,16 @@ each side; one assembly builds every array from that.
   from the side midpoints to the vertices, finds the vertices lying inside
   sides.
 - Lookup (`Patch.from_cells`, for generated patches): the recipe's
-  CellArrangement, snapped once on one lattice cell's window, gives each
-  region corner's vertex orbit and each region side's inner vertices, so a
-  tile of cell (m, n) finds them by integer key, with no distance measured.
-  `vertex_labels` turns each key into one integer label; generate_patch's
-  flood fill joins the tiles that share a label.
+  CellArrangement gives each region corner's vertex orbit and each region
+  side's inner vertices, so a tile of cell (m, n) finds them by integer
+  key, with no distance measured. `vertex_labels` turns each key into one
+  integer label; generate_patch's flood fill joins the tiles that share a
+  label. `cell_arrangement` builds it once per recipe on the lattice, from
+  the region's own corners, with no window and nothing snapped: every
+  vertex is a translate of a region corner, and it makes the snapping
+  finder's merge and side tests on coordinates placed by the one placement
+  rule, `TilingRecipe.corners`, so it finds the vertices that snapping a
+  window of translates finds.
 
 The same CellArrangement, read per vertex orbit and per region tile, is the
 tiling's `orbit_star`: each region tile's boundary stops, the tiles meeting
@@ -75,7 +80,7 @@ from .tiling import (
     SNAP_FACTOR,
     PlacedTile,
     TilingRecipe,
-    near_translates,
+    _ranks,
 )
 
 # a patch document's corners have nine significant digits: two copies of
@@ -493,53 +498,109 @@ class CellArrangement(NamedTuple):
 
 
 def cell_arrangement(recipe) -> CellArrangement:
-    """The recipe's cell arrangement, from the snapping finder run once on
-    one window: the region tiles and every translate (m, n, j) of a region
-    tile whose centroid lies within two tile radii (`TilingRecipe.radius`)
-    plus the merge distance of some region tile's centroid. Those include
-    all the tiles meeting a region tile, so every vertex of a region tile
-    and every vertex inside its sides is in the window. near_translates
-    pairs the translates with more than `tiling.FEW_CENTRES` centroids by a
-    grid search, so the memory grows with the window, not with k².
+    """The recipe's cell arrangement, from the region's own k·K corners,
+    with no window of translates placed and nothing snapped.
 
-    The lattice acts on the window's vertex ids: corner c of window tile
-    (m, n, j) is the vertex of region corner (j, c) moved by (m, n). The
-    orbits are the classes this relation joins, numbered by first region
-    corner, so no coordinate is rounded.
+    Every vertex of the tiling is a translate of a region corner. So each
+    corner is paired with the translates (m, n) of the corners whose
+    lattice coefficients lie near its own (`_lattice_join`), and a pair
+    merges when the translate lies within the merge distance of it, the
+    test two snapped corners pass. The orbits are the classes the merged
+    pairs join, chains included, numbered by their first region corner,
+    the root; each corner's (m, n) from its root is walked along the pairs
+    (`_walked`), so no coordinate is rounded to find it. Each orbit's
+    vertex lies at the mean of the corners meeting there, where snapping
+    puts it. A vertex lies inside a region side when it lies within the
+    merge distance of the side, its own end vertices excluded, by the
+    snapping finder's segment-distance test; the candidates are the
+    translates of the orbits' vertices whose coefficients fall in the
+    side's lattice box. Both tests are made on coordinates placed by the
+    one placement rule (`TilingRecipe.moved`), the rule that places the
+    window a snapping finder would snap, so they find its vertices. The
+    work grows with the corners and with the sides' lattice boxes, not
+    with k².
     """
-    window, _ = near_translates(recipe, recipe.region_centroids,
-                                2.0 * recipe.radius + recipe.merge_distance)
-    # the region tiles (0, 0, j) first, in order, then the rest in
-    # (m, n, j) order
-    window = window[np.argsort(window[:, :2].any(axis=1), kind="stable")]
-    corners = recipe.corners(window)
-    count = len(recipe.region)
-    points, _, nxt = _stacked_corners(
-        corners, np.full(len(corners), corners.shape[1]))
-    corner_vid, vertex_xy, (side, hit_vid, param) = _snapped_incidence(
-        points, nxt, 0.0)
-    k = corners.shape[1]
-    vid = corner_vid.reshape(-1, k)
+    corners = recipe.region_corners
+    count, k = corners.shape[:2]
+    points = corners.reshape(-1, 2)
+    eps = recipe.merge_distance
+    inv = recipe.lattice_bins[0]
+    g = points @ inv.T
+    # a point within eps lies within eps·|row| in each coefficient; the
+    # rest covers the rounding of g and of the placed coordinates
+    pad = 2.0 * eps * np.hypot(inv[:, 0], inv[:, 1]) + 2.0 ** -40 * (
+        1.0 + np.abs(g).max())
 
-    # region corner (j, c) links to corner c of window tile (m, n, j), (m, n)
-    # away; an orbit's smallest vertex id is its first region corner's
-    a = np.concatenate([vid[window[:, 2]].ravel(), vid.ravel()])
-    b = np.concatenate([vid.ravel(), vid[window[:, 2]].ravel()])
-    step = np.repeat(window[:, :2], k, axis=0)
-    step = np.concatenate([step, -step])
-    roots, orbit = np.unique(component_labels(len(vertex_xy), a, b),
+    i, j, shift = _lattice_join(g, g - pad, g + pad)
+    gap = points[i] - recipe.moved(points[j], *shift.T)
+    near = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1] <= eps * eps
+    # corner i is corner j moved by shift; a root, its orbit's smallest
+    # corner, sits at (0, 0)
+    a = np.concatenate([j[near], i[near]])
+    b = np.concatenate([i[near], j[near]])
+    step = np.concatenate([shift[near], -shift[near]])
+    roots, orbit = np.unique(component_labels(len(points), a, b),
                              return_inverse=True)
-    shift = _walked(a, b, step, np.isin(np.arange(len(vertex_xy)), roots))
-    placed = np.column_stack([shift, orbit])
+    known = np.zeros(len(points), dtype=bool)
+    known[roots] = True
+    vertex = np.column_stack([_walked(a, b, step, known), orbit])
+    # each orbit's vertex in cell (0, 0) where snapping places it: at the
+    # mean of the corners meeting there, each moved into that cell
+    home = recipe.moved(points.copy(), -vertex[:, 0], -vertex[:, 1])
+    mean = np.column_stack([np.bincount(orbit, home[:, c]) for c in (0, 1)])
+    mean /= np.bincount(orbit)[:, None]
 
-    on_region = side < count * k
-    order = np.lexsort((param[on_region], side[on_region]))
-    side, hit_vid = side[on_region][order], hit_vid[on_region][order]
+    nxt = _next_corners(np.arange(count + 1) * k)
+    lo, hi = np.minimum(g, g[nxt]) - pad, np.maximum(g, g[nxt]) + pad
+    side, root, shift = _lattice_join(g[roots], lo, hi)
+    key = np.column_stack([shift, root])
+    start, end = points[side], points[nxt[side]]
+    at = recipe.moved(mean[root], *shift.T)
+    on = ((key != vertex[side]).any(axis=1)
+          & (key != vertex[nxt[side]]).any(axis=1)
+          & (segment_distances(at, start, end) <= eps))
+    side, key, start, end, at = (side[on], key[on], start[on], end[on],
+                                 at[on])
+    d = end - start
+    param = np.sum((at - start) * d, axis=1) / np.sum(d * d, axis=1)
+    order = np.lexsort((param, side))
+    side = side[order]
     return CellArrangement(
-        orbits=len(roots), corner_vertex=placed[vid[:count]],
+        orbits=len(roots), corner_vertex=vertex.reshape(count, k, 3),
         hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
-        hit_corner=side % k, hit_vertex=placed[hit_vid],
-        hit_param=param[on_region][order])
+        hit_corner=side % k, hit_vertex=key[order], hit_param=param[order])
+
+
+def _lattice_join(g, lo, hi):
+    """Every (box, point, (m, n)) with g[point] + (m, n) inside the box
+    [lo[box], hi[box]], all in lattice coefficients, and some near it: the
+    pairs of a sort join on bins of whole cells. Each cell is cut into
+    B0 × B1 bins, each at least as wide as the widest box and in all at
+    most about len(g), so a box spans at most two bins each way in each
+    cell it meets. A point is keyed by its bin within its cell, and each
+    bin a box spans takes the points of its key, moved by the whole cells
+    between them. The work grows with the points in the bins the boxes
+    span, not with boxes × points."""
+    bins = np.clip(np.floor(1.0 / (hi - lo).max(axis=0)), 1.0,
+                   max(1.0, math.isqrt(len(g))))
+    at = np.floor(g * bins).astype(np.intp)
+    bins = bins.astype(np.intp)
+    key = (at[:, 0] % bins[0]) * bins[1] + at[:, 1] % bins[1]
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    first = np.floor(lo * bins).astype(np.intp)
+    spans = np.floor(hi * bins).astype(np.intp) - first + 1
+    box = np.repeat(np.arange(len(lo)), spans[:, 0] * spans[:, 1])
+    rank = _ranks(spans[:, 0] * spans[:, 1])
+    b0 = first[box, 0] + rank // spans[box, 1]
+    b1 = first[box, 1] + rank % spans[box, 1]
+    wanted = (b0 % bins[0]) * bins[1] + b1 % bins[1]
+    begin = np.searchsorted(key, wanted)
+    found = np.searchsorted(key, wanted, "right") - begin
+    point = by_key[np.repeat(begin, found) + _ranks(found)]
+    m = np.repeat(b0 // bins[0], found) - at[point, 0] // bins[0]
+    n = np.repeat(b1 // bins[1], found) - at[point, 1] // bins[1]
+    return np.repeat(box, found), point, np.column_stack([m, n])
 
 
 def _walked(a, b, step, known) -> np.ndarray:

@@ -25,7 +25,6 @@ from .errors import (
     require_positive,
 )
 from .geometry import (
-    close_pairs,
     component_labels,
     farthest_distances,
     interior_angles,
@@ -54,12 +53,6 @@ RECIPE_CACHE_SIZE = 64     # checked built-in recipes kept for reuse
 # Type 4 at r = 300), and writing the patch's document takes more, so a
 # disk this bound admits can still need more memory than a machine has
 MAX_TRANSLATES = 2_000_000
-# near_translates measures every translate against up to this many centres
-# at once, and finds the pairs within reach of more by a grid search
-# (geometry.close_pairs). Measured on 2 vCPUs: on cell arrangement windows
-# the measuring is the faster up to 8 centres and the search from 16, and
-# with the one centre of a patch at r = 40 the search takes 7 times as long
-FEW_CENTRES = 8
 # patch_rows' F1 margin on centroid distances, relative to the disk's size
 # and its centre's distance from the origin: far beyond their rounding
 BAND_MARGIN = 1e-9
@@ -164,14 +157,19 @@ class TilingRecipe:
 
     def corners(self, rows: np.ndarray) -> np.ndarray:
         """The (N, K, 2) corners of the translates in rows, (m, n, j) each:
-        region tile j's corners moved by m·u + n·v, a shift rounded as
-        `near_translates` rounds it for the tile's centroid. The one
-        placement rule for the translates it finds."""
-        (m, n), u, v = rows[:, :2].T, np.asarray(self.u), np.asarray(self.v)
-        placed = self.region_corners.take(rows[:, 2], axis=0)
+        region tile j's corners moved by m·u + n·v (`moved`)."""
+        return self.moved(self.region_corners.take(rows[:, 2], axis=0),
+                          rows[:, :1], rows[:, 1:2])
+
+    def moved(self, points: np.ndarray, m, n) -> np.ndarray:
+        """points, (..., 2), moved in place by m·u + n·v, m and n
+        broadcasting against points[..., 0]: each coordinate plus
+        m·u[a] + n·v[a], a shift rounded as `near_translates` rounds it for
+        a tile's centroid. The one placement rule for lattice translates."""
+        u, v = np.asarray(self.u), np.asarray(self.v)
         for a in (0, 1):
-            placed[..., a] += (m * u[a] + n * v[a])[:, None]
-        return placed
+            points[..., a] += m * u[a] + n * v[a]
+        return points
 
     @functools.cached_property
     def region_corners(self) -> np.ndarray:
@@ -401,16 +399,15 @@ def builtin_recipe(type_id: int, pentagon: Pentagon) -> TilingRecipe:
 
 # --- patch generation -------------------------------------------------------
 
-def near_translates(recipe: TilingRecipe, centers: np.ndarray,
+def near_translates(recipe: TilingRecipe, center: np.ndarray,
                     reach: float):
     """The translates (m, n, j), region tile j moved by m·u + n·v, whose
-    centroid lies within reach of some centre: their (N, 3) rows in
-    (m, n, j) order, and each one's centroid distance from the nearest
-    centre, as np.linalg.norm rounds it. `TilingRecipe.corners` places
-    them.
+    centroid lies within reach of the centre: their (N, 3) rows in
+    (m, n, j) order, and each one's centroid distance from the centre, as
+    np.linalg.norm rounds it. `TilingRecipe.corners` places them.
 
     Each lattice row m is scanned, for every j, over the n that the disk
-    about some centre, less some region centroid, can meet in that row, one
+    about the centre, less some region centroid, can meet in that row, one
     more each way for rounding, and the distance test picks from those.
     Raises ParseError, before any translate is allocated, when the rows do
     not fit int64 or the scan holds more than MAX_TRANSLATES translates."""
@@ -419,23 +416,21 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
     vv = float(v @ v)
     kappa = float(u @ v) / vv
     det = abs(float(u[0] * v[1] - u[1] * v[0]))
-    # in lattice coefficients (s, t) about a centre less a region centroid,
-    # at (a, b), the disk is |s·u + t·v| <= reach: it spans the rows
-    # |s| <= reach·|v| / det, and row s holds t = -s·κ ±
+    # in lattice coefficients (s, t) about the centre less a region
+    # centroid, at (a, b), the disk is |s·u + t·v| <= reach: it spans the
+    # rows |s| <= reach·|v| / det, and row s holds t = -s·κ ±
     # sqrt(reach²|v|² - s²det²)/|v|², widest at s = 0, κ = (u·v)/|v|².
-    # The disks about each centre less the region centroids of one bin
+    # The disks about the centre less the region centroids of one bin
     # (`TilingRecipe.lattice_bins`) are scanned together: their rows, each
     # with the hull of their n ranges at its least |s|, about the axis
     # t = b + κ·a - κ·m. Bounded in float first, where an overflow is inf
     # and fails the tests below
     inv, extent = recipe.lattice_bins
     with np.errstate(all="ignore"):
-        a, b = inv @ centers.T
-        a_lo = (a[:, None] - extent[:, 0]).ravel()
-        a_hi = (a[:, None] + extent[:, 1]).ravel()
+        a, b = inv @ center
+        a_lo, a_hi = a - extent[:, 0], a + extent[:, 1]
         axis = b + kappa * a
-        axis_lo = (axis[:, None] - extent[:, 2]).ravel()
-        axis_hi = (axis[:, None] + extent[:, 3]).ravel()
+        axis_lo, axis_hi = axis - extent[:, 2], axis + extent[:, 3]
         slack = reach * math.sqrt(vv) / det
         first, last = np.floor(a_lo - slack), np.ceil(a_hi + slack)
         spans = last - first + 1
@@ -475,28 +470,16 @@ def near_translates(recipe: TilingRecipe, centers: np.ndarray,
     m, n, j = np.repeat(m, k), np.repeat(n, k), np.tile(np.arange(k), len(n))
     # the centroids as x and y arrays, each placed as `TilingRecipe.corners`
     # places a corner; a distance is the root of dx² + dy², the sum
-    # np.linalg.norm makes over a 2-long axis, and the least one the root
-    # of the least sum, as the root is monotone
-    x, y = (recipe.region_centroids[j, a] + (m * u[a] + n * v[a])
-            for a in (0, 1))
-    if len(centers) <= FEW_CENTRES:
-        dx, dy = x[:, None] - centers[:, 0], y[:, None] - centers[:, 1]
-        gap = np.sqrt(functools.reduce(np.fmin, (dx * dx + dy * dy).T))
-    else:
-        # the same distances for the pairs a grid search finds, with the
-        # reach widened past its rounding, so nothing is sized translates ×
-        # centres
-        i, c = close_pairs(np.column_stack([x, y]),
-                           reach * (1.0 + 2.0 ** -30), centers)
-        dx, dy = x[i] - centers[c, 0], y[i] - centers[c, 1]
-        gap = np.full(len(j), np.inf)
-        np.fmin.at(gap, i, np.sqrt(dx * dx + dy * dy))
+    # np.linalg.norm makes over a 2-long axis
+    dx, dy = (recipe.region_centroids[j, a] + (m * u[a] + n * v[a])
+              - center[a] for a in (0, 1))
+    gap = np.sqrt(dx * dx + dy * dy)
     near = gap <= reach
     return np.column_stack([m[near], n[near], j[near]]), gap[near]
 
 
 def _scan_error(reach: float, what: str) -> ParseError:
-    return ParseError(f"the lattice scan within {reach:.6g} of the centres "
+    return ParseError(f"the lattice scan within {reach:.6g} of the centre "
                       f"{what}")
 
 
@@ -547,7 +530,7 @@ def _candidates(recipe: TilingRecipe, r: float, center: np.ndarray,
     when the lattice scan is over MAX_TRANSLATES."""
     recipe.require_tiling()
     try:
-        return near_translates(recipe, center[None], reach)
+        return near_translates(recipe, center, reach)
     except ParseError as exc:
         raise ParseError(f"disk radius {r:g}: {exc}") from None
 
@@ -592,15 +575,16 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
 
     Every candidate is a translate (m, n) of a region tile, so its
     vertices are integer keys (m, n, orbit) read off the recipe's cell
-    arrangement, snapped once per recipe near the origin. The flood fill's
-    touch graph (tiles sharing a vertex) and the patch's arrangement
-    (`Patch.from_cells`) both read these keys as `vertex_labels`, so they
-    are the lattice's relations at any centre and no candidate pair is
-    measured. Snapping the same tiles (`Patch.from_tiles`, which patch
-    documents need) gives the same arrays. The patch is its (m, n, j)
-    rows, zones and recipe: its polygons are placed and its arrangement
-    looked up when first read, and stats.compute_stats counts it on the
-    recipe's orbit star with neither built.
+    arrangement, built once per recipe from its region's corners. The
+    flood fill's touch graph (tiles sharing a vertex) and the patch's
+    arrangement (`Patch.from_cells`) both read these keys as
+    `vertex_labels`, so they are the lattice's relations at any centre and
+    no candidate pair is measured. Snapping the same tiles
+    (`Patch.from_tiles`, which patch documents need) gives the same
+    arrays. The patch is its (m, n, j) rows, zones and recipe: its
+    polygons are placed and its arrangement looked up when first read,
+    and stats.compute_stats counts it on the recipe's orbit star with
+    neither built.
     """
     from .arrangement import Patch
 

@@ -356,7 +356,7 @@ def check_periodicity(recipe) -> CheckReport:
     cell = ccw(np.array([p0, p0 + u, p0 + u + v, p0 + v]))
     reach = (max(np.linalg.norm(u + v), np.linalg.norm(u - v)) / 2.0
              + recipe.radius + recipe.merge_distance)
-    stacked = recipe.corners(near_translates(recipe, anchor[None], reach)[0])
+    stacked = recipe.corners(near_translates(recipe, anchor, reach)[0])
     counts = np.full(len(stacked), stacked.shape[1])
 
     # region tiles are congruent copies of the pentagon; measure it once

@@ -461,9 +461,9 @@ def test_orbit_star_of_a_many_tile_supercell():
 
 def test_cell_arrangement_of_an_800_tile_region_stays_small():
     """Type 1's two-tile region repeated 20 × 20 times, 800 region tiles:
-    the window near them is found by a grid search, not by measuring every
-    translate against every region centroid, so the cell arrangement is
-    built under 200 MB traced. It has 400 times the region's orbits."""
+    the corners and the sides' lattice boxes are joined on whole lattice
+    cells, not every corner against every other, so the cell arrangement
+    is built under 200 MB traced. It has 400 times the region's orbits."""
     base = builtin_recipe(1, pentile.representative(1).pentagon)
     u, v = np.asarray(base.u), np.asarray(base.v)
     region = tuple(

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import pentile
 from pentile import (
     AngleSumViolation,
     ClosureViolation,
@@ -318,3 +319,24 @@ class TestJson:
                        {"angles_deg": house, "edges": [True] * 5}):
             with pytest.raises(ParseError):
                 pentagon_from_json_dict(record)
+
+
+def corner_pair_diameter(p):
+    """The widest corner pair as np.linalg.norm measures each ordered pair."""
+    return max(float(np.linalg.norm(a - b)) for a in p.vertices
+               for b in p.vertices)
+
+
+@pytest.mark.parametrize("type_id", range(1, 16))
+def test_diameter_is_the_widest_corner_pair_of_each_labeling(type_id):
+    """Bit for bit the generator over every ordered corner pair, for each
+    Type's representative in all ten labelings."""
+    for p in pentile.representative(type_id).pentagon.labelings():
+        assert p.diameter == corner_pair_diameter(p)
+
+
+@settings(max_examples=200)
+@given(relation_pentagons())
+@example(HOUSE)
+def test_diameter_is_the_widest_corner_pair(p):
+    assert p.diameter == corner_pair_diameter(p)

@@ -30,6 +30,7 @@ from pentile.errors import (
 )
 from pentile.geometry import (
     ccw,
+    component_labels,
     convex_overlap_areas,
     points_in_convex_polygon,
     polygon_area,
@@ -300,17 +301,20 @@ def test_builtin_recipe_is_checked_once_per_pentagon(monkeypatch):
 
 
 def test_sweep_builds_the_cell_arrangement_once_per_recipe():
-    """A fresh recipe, so no earlier call has built its cell. The flood
-    fill and the arrangement lookup read the cell of one snap."""
+    """A fresh recipe, so no earlier call has built its cell. Generating a
+    patch, counting it in both modes and sweeping read the one cell built,
+    and none of them, that build included, snaps a corner."""
     built = builtin_recipe(4, pentile.representative(4).pentagon)
     recipe = TilingRecipe(built.pentagon, built.region, built.u, built.v)
     with mock.patch.object(arrangement, "cell_arrangement",
                            wraps=arrangement.cell_arrangement) as cell, \
             mock.patch.object(arrangement, "_snapped_incidence",
                               wraps=arrangement._snapped_incidence) as snap:
+        patch = generate_patch(recipe, 8.0, (0.37, -1.21))
+        compute_stats(patch, FULL), compute_stats(patch, INTERIOR)
         limit_sweep(recipe, [5.0, 10.0, 20.0])
     assert cell.call_count == 1
-    assert snap.call_count == 1
+    assert snap.call_count == 0
 
 
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
@@ -797,7 +801,7 @@ def test_moat_encloses_the_tiles_the_pairwise_flood_fill_encloses(
     diam = recipe.pentagon.diameter
     eps = recipe.merge_distance
     center = np.asarray(M)
-    cells, _ = tiling.near_translates(recipe, center[None], r + 5.0 * diam)
+    cells, _ = tiling.near_translates(recipe, center, r + 5.0 * diam)
     polys = placed_corners(recipe, cells)
     centroids = placed_centroids(recipe, cells)
     beyond = np.linalg.norm(centroids - center, axis=1) - r
@@ -865,14 +869,13 @@ def test_far_centre_invents_no_enclosed_tiles():
     assert not any(t.zone == "F3" for t in patch.tiles)
 
 
-def scanned_translates(recipe, centers, reach):
+def scanned_translates(recipe, center, reach):
     """The translates near_translates should find, by the same distance
     test over a box of (m, n) at least three cells wider each way than the
-    centres' lattice coefficients need."""
+    centre's lattice coefficients need."""
     inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
-    mid = np.round(centers[0] @ inv.T).astype(int)
-    spread = (np.abs(centers - centers[0]).max()
-              + np.abs(recipe.region_centroids).max())
+    mid = np.round(center @ inv.T).astype(int)
+    spread = np.abs(recipe.region_centroids).max()
     wide = np.ceil((reach + spread) * np.abs(inv).sum(axis=1)).astype(int) + 3
     m, n, j = (a.ravel() for a in np.meshgrid(
         np.arange(mid[0] - wide[0], mid[0] + wide[0] + 1),
@@ -881,39 +884,31 @@ def scanned_translates(recipe, centers, reach):
     shifts = (m[:, None] * np.asarray(recipe.u)
               + n[:, None] * np.asarray(recipe.v))
     centroids = recipe.region_centroids[j] + shifts
-    near = np.zeros(len(m), dtype=bool)
-    for center in centers:
-        near |= np.linalg.norm(centroids - center, axis=1) <= reach
+    near = np.linalg.norm(centroids - center, axis=1) <= reach
     return np.column_stack([m, n, j])[near]
 
 
-def assert_scanned(recipe, centers, reach):
+def assert_scanned(recipe, center, reach):
     """near_translates' rows are scanned_translates', their corners placed
-    as generate_patch placed them, and each distance the least
-    np.linalg.norm from a centroid to a centre, bit for bit."""
-    rows, gap = tiling.near_translates(recipe, centers, reach)
-    assert np.array_equal(rows, scanned_translates(recipe, centers, reach))
+    as generate_patch placed them, and each distance the np.linalg.norm
+    from a centroid to the centre, bit for bit."""
+    rows, gap = tiling.near_translates(recipe, center, reach)
+    assert np.array_equal(rows, scanned_translates(recipe, center, reach))
     assert same_bits(recipe.corners(rows), placed_corners(recipe, rows))
     centroids = placed_centroids(recipe, rows)
-    assert same_bits(gap, np.array(
-        [np.linalg.norm(centroids - center, axis=1) for center in centers]
-    ).min(axis=0, initial=np.inf))
+    assert same_bits(gap, np.linalg.norm(centroids - center, axis=1))
 
 
 @settings(max_examples=60)
 @given(sweep_recipes(),
        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
-       st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-                max_size=3),
        st.floats(0.1, 12.0))
-def test_near_translates_is_the_brute_force_scan(recipe, M, offsets, cells):
-    """Every translate whose centroid lies within reach of a centre, in
+def test_near_translates_is_the_brute_force_scan(recipe, M, cells):
+    """Every translate whose centroid lies within reach of the centre, in
     (m, n, j) order, for centres out to 1e6 and a reach from a tenth of a
     cell's side to a dozen sides."""
     side = math.sqrt(recipe.cell_area())
-    centers = np.asarray(M) + side * np.array([(0.0, 0.0), *offsets])
-    reach = cells * side
-    assert_scanned(recipe, centers, reach)
+    assert_scanned(recipe, np.asarray(M), cells * side)
 
 
 def sheared(recipe, k, along_u):
@@ -928,31 +923,25 @@ def sheared(recipe, k, along_u):
 @given(st.one_of(representative_recipes, sweep_recipes()),
        st.integers(-6, 6), st.booleans(),
        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
-       st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-                max_size=11),
        st.floats(0.1, 12.0))
 @example(builtin_recipe(1, pentile.representative(1).pentagon), 0, True,
-         (0.0, 0.0), [], 4.0)
+         (0.0, 0.0), 4.0)
 @example(builtin_recipe(2, pentile.representative(2).pentagon), 6, True,
-         (-1e6, 1e6), [(3.0, -3.0)], 12.0)
+         (-1e6, 1e6), 12.0)
 @example(builtin_recipe(4, pentile.representative(4).pentagon), -6, False,
-         (0.37, -1.21), [(0.5, 0.5), (-2.0, 1.0)], 0.1)
+         (0.37, -1.21), 0.1)
 @example(builtin_recipe(5, pentile.representative(5).pentagon), 3, False,
-         (1e6, 0.0), [], 7.5)
+         (1e6, 0.0), 7.5)
 @example(builtin_recipe(1, pentile.representative(1).pentagon), 1, True,
-         (-3.5, 2.0), [(0.25 * i, -0.5 * i) for i in range(1, 12)], 1.5)
+         (-3.5, 2.0), 1.5)
 def test_row_scan_is_the_box_scan_on_sheared_bases(recipe, k, along_u, M,
-                                                   offsets, cells):
+                                                   cells):
     """On a basis sheared by up to six cells, whose (m, n) box is many
-    times wider than its disks, the rows scanned hold every translate
-    the box scan finds, bit for bit, for one centre or up to twelve (more
-    than FEW_CENTRES are paired by a grid search), near the origin or out
-    to 1e6."""
+    times wider than its disk, the rows scanned hold every translate the
+    box scan finds, bit for bit, near the origin or out to 1e6."""
     recipe = sheared(recipe, k, along_u)
     side = math.sqrt(recipe.cell_area())
-    centers = np.asarray(M) + side * np.array([(0.0, 0.0), *offsets])
-    reach = cells * side
-    assert_scanned(recipe, centers, reach)
+    assert_scanned(recipe, np.asarray(M), cells * side)
 
 
 def test_max_translates_bounds_the_rows_scanned_not_the_box():
@@ -960,7 +949,7 @@ def test_max_translates_bounds_the_rows_scanned_not_the_box():
     disk keeps, and its rows scan about 1.2 times: a MAX_TRANSLATES of 1.5
     times admits the disk, and one below the kept count refuses it."""
     recipe = builtin_recipe(2, pentile.representative(2).pentagon)
-    center = np.zeros((1, 2))
+    center = np.zeros(2)
     reach = tiling._flood_reach(recipe, 40.0)[1]
     kept = len(tiling.near_translates(recipe, center, reach)[0])
     inv = np.linalg.inv(np.column_stack([recipe.u, recipe.v]))
@@ -999,7 +988,7 @@ def ring_seeded_tile_records(recipe, r, M):
     center = np.asarray(M, dtype=float)
     eps = recipe.merge_distance
     cells, _ = tiling.near_translates(
-        recipe, center[None], r + 5.0 * recipe.pentagon.diameter)
+        recipe, center, r + 5.0 * recipe.pentagon.diameter)
     polys = placed_corners(recipe, cells)
     inner = np.linalg.norm(polys - center, axis=2).max(axis=1) <= r - eps
     rest = np.nonzero(~inner)[0]
@@ -1109,6 +1098,149 @@ def test_lattice_stats_are_the_snapped_patch_stats(recipe, k, along_u,
     assert "_arrangement" not in vars(patch)
 
 
+def window_cell_arrangement(recipe):
+    """The cell arrangement by the snapping finder, run once on a window:
+    the region tiles, then every translate (m, n, j) whose centroid lies
+    within two tile radii plus the merge distance of a region centroid, in
+    (m, n, j) order. The orbits are the classes that the links from each
+    region corner (j, c) to corner c of each window tile (m, n, j) join,
+    numbered by first region corner, with each vertex's (m, n) walked out
+    from its orbit's first vertex."""
+    reach = 2.0 * recipe.radius + recipe.merge_distance
+    window = np.unique(np.concatenate([
+        tiling.near_translates(recipe, centroid, reach)[0]
+        for centroid in recipe.region_centroids]), axis=0)
+    window = window[np.argsort(window[:, :2].any(axis=1), kind="stable")]
+    corners = recipe.corners(window)
+    count, k = len(recipe.region), corners.shape[1]
+    points = corners.reshape(-1, 2)
+    nxt = arrangement._next_corners(np.arange(len(window) + 1) * k)
+    corner_vid, vertex_xy, (side, hit_vid, param) = (
+        arrangement._snapped_incidence(points, nxt, 0.0))
+    vid = corner_vid.reshape(-1, k)
+    a = np.concatenate([vid[window[:, 2]].ravel(), vid.ravel()])
+    b = np.concatenate([vid.ravel(), vid[window[:, 2]].ravel()])
+    step = np.repeat(window[:, :2], k, axis=0)
+    step = np.concatenate([step, -step])
+    roots, orbit = np.unique(component_labels(len(vertex_xy), a, b),
+                             return_inverse=True)
+    shift = arrangement._walked(a, b, step,
+                                np.isin(np.arange(len(vertex_xy)), roots))
+    placed = np.column_stack([shift, orbit])
+    on_region = side < count * k
+    order = np.lexsort((param[on_region], side[on_region]))
+    side, hit_vid = side[on_region][order], hit_vid[on_region][order]
+    return arrangement.CellArrangement(
+        orbits=len(roots), corner_vertex=placed[vid[:count]],
+        hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
+        hit_corner=side % k, hit_vertex=placed[hit_vid],
+        hit_param=param[on_region][order])
+
+
+def assert_same_cell(cell, reference, tolerance):
+    """The orbit count and every integer array equal, and each hit_param,
+    in the same order, within tolerance of the reference's."""
+    assert cell.orbits == reference.orbits
+    for name in ("corner_vertex", "hit_ptr", "hit_corner", "hit_vertex"):
+        assert same_bits(getattr(cell, name), getattr(reference, name)), name
+    assert cell.hit_param.shape == reference.hit_param.shape
+    assert np.abs(cell.hit_param - reference.hit_param).max(
+        initial=0.0) <= tolerance
+
+
+# a sweep draw whose corners meet only to 3.5e-13, so a vertex placed at
+# one corner and not at the mean of its corners gives a hit_param 5 units
+# in the last place from the snapped one
+LOOSE_TYPE5 = TilingRecipe(
+    pentile.Pentagon(
+        angles=(2.6179938779921925, 1.0471975511965979, 2.617993877990796,
+                1.5707963267948968, 1.570796326794897),
+        edges=(1.0000000000000009, 1.0, 1.0000000000003497,
+               0.9999999999999987, 0.9999999999996518)),
+    (Isometry(0.0, (0.0, 0.0), False),
+     Isometry(3.141592653589793, (1.500000000000002, 0.8660254037844386),
+              False)),
+    (0.5000000000000011, 0.8660254037844387),
+    (2.3570508075701815, -1.6495190528374695))
+
+
+@settings(max_examples=60)
+@given(sweep_and_wide_recipes, st.integers(-3, 3), st.booleans(),
+       st.integers(1, 3), st.integers(0, 17),
+       st.tuples(st.integers(-3000, 3000), st.integers(-3000, 3000)))
+@example(LOOSE_TYPE5, 0, False, 1, 0, (0, 0))
+@example(builtin_recipe(1, pentile.representative(1).pentagon), 0, True, 1,
+         0, (0, 0))
+@example(builtin_recipe(2, pentile.representative(2).pentagon), 0, True, 1,
+         0, (0, 0))
+@example(builtin_recipe(4, pentile.representative(4).pentagon), 0, True, 1,
+         0, (0, 0))
+@example(builtin_recipe(5, pentile.representative(5).pentagon), 0, True, 1,
+         0, (0, 0))
+def test_cell_arrangement_is_the_snapped_window_arrangement(
+        recipe, k, along_u, copies, far, move):
+    """The lattice route gives the window snapper's cell arrangement: the
+    same orbits and integer arrays, each hit_param within 4 units in the
+    last place of 1, in the same order, and the same orbit star. On a
+    basis sheared by -3..3, a region repeated 1-3 times along u and one
+    region tile moved by up to 3000 cells each way. A vertex placed that
+    far rounds to about 3000 times a unit in the last place, so the
+    hit_param tolerance grows with the move, in the pentagon's shortest
+    side."""
+    recipe = supercell(sheared(recipe, k, along_u), copies)
+    region = list(recipe.region)
+    far %= len(region)
+    moved = move[0] * np.asarray(recipe.u) + move[1] * np.asarray(recipe.v)
+    region[far] = shifted(region[far], moved)
+    recipe = dataclasses.replace(recipe, region=tuple(region))
+    cell = arrangement.cell_arrangement(recipe)
+    reference = window_cell_arrangement(recipe)
+    tolerance = 4 * np.spacing(1.0) * max(
+        1.0, float(np.abs(moved).max()) / min(recipe.pentagon.edges))
+    assert_same_cell(cell, reference, tolerance)
+    star, expected = arrangement.orbit_star(cell), arrangement.orbit_star(
+        reference)
+    for name, array in star._asdict().items():
+        other = getattr(expected, name)
+        if name == "star":
+            assert same_bits(array.indptr, other.indptr)
+            assert same_bits(array.indices, other.indices)
+        else:
+            assert np.array_equal(array, other), name
+
+
+THIN_TYPE1 = json.loads((DATA / "thin_type1.json").read_text())
+
+
+def test_thin_type1_cell_arrangement_is_the_snapped_one():
+    """The thin Type 1 pentagon, edges from 0.0013 to 2.48 and a cell of
+    area 0.025, on its hex-pair region, where snapping a window took
+    seconds and about a gigabyte. The lattice route gives the arrays
+    pinned from the window snapper, under 1 MiB traced. The recipe is
+    built from the region candidate directly, as builtin_recipe's
+    periodicity check would take seconds."""
+    spec = get_type_spec(THIN_TYPE1["type"])
+    pentagon = solve_instance(spec, THIN_TYPE1["params"])
+    first = int(np.flatnonzero(spec.table.fits(pentagon)[:, 0])[0])
+    pentagon = pentagon.relabeled(rotation=first % 5, reflect=first >= 5)
+    region, u, v = tiling._type1_region(pentagon)[-1]
+    recipe = TilingRecipe(pentagon, region, tuple(u), tuple(v))
+    recipe.lattice_bins
+    tracemalloc.start()
+    try:
+        cell = arrangement.cell_arrangement(recipe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    pinned = THIN_TYPE1["cell_arrangement"]
+    reference = arrangement.CellArrangement(
+        pinned["orbits"], *(np.array(pinned[name]) for name in (
+            "corner_vertex", "hit_ptr", "hit_corner", "hit_vertex",
+            "hit_param")))
+    assert_same_cell(cell, reference, 4 * np.spacing(1.0))
+
+
 @settings(max_examples=40)
 @given(sweep_and_wide_recipes, st.floats(3.0, 10.0), sweep_centres)
 def test_bounded_flood_matches_the_ring_seeded_flood(recipe, r, M):
@@ -1131,7 +1263,7 @@ def test_candidates_hold_every_tile_meeting_the_flood_disk(recipe, r, M):
     center = np.asarray(M, dtype=float)
     diam = recipe.pentagon.diameter
     rho = r + diam + 2.0 * recipe.merge_distance
-    scanned = scanned_translates(recipe, center[None], rho + 2.0 * diam)
+    scanned = scanned_translates(recipe, center, rho + 2.0 * diam)
     meets = polygon_distances(center, placed_corners(recipe, scanned)) <= rho
     assert set(map(tuple, scanned[meets].tolist())) <= set(
         map(tuple, candidates.tolist()))
@@ -1288,8 +1420,7 @@ def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
     for r in radii:
         reach = tiling._flood_reach(recipe, r)[1]
         cells, gap = window.within(center, reach)
-        scanned, measured = tiling.near_translates(recipe, center[None],
-                                                   reach)
+        scanned, measured = tiling.near_translates(recipe, center, reach)
         assert same_bits(cells, scanned) and same_bits(gap, measured)
         cut, sizes = tiling.patch_rows(recipe, r, center, window)
         rows, free_sizes = tiling.patch_rows(recipe, r, center)
@@ -1373,7 +1504,7 @@ def full_corner_patch(recipe, r, M):
     center = np.asarray(M, dtype=float)
     eps = recipe.merge_distance
     rho, reach = tiling._flood_reach(recipe, r)
-    cells, _ = tiling.near_translates(recipe, center[None], reach)
+    cells, _ = tiling.near_translates(recipe, center, reach)
     polys = placed_corners(recipe, cells)
     d_max = np.linalg.norm(polys - center, axis=2).max(axis=1)
     inner = d_max <= r - eps
@@ -1407,7 +1538,7 @@ def band_edge_disk(type_id, M, near):
     rim band must decide by its corners."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     center = np.asarray(M, dtype=float)
-    cells, _ = tiling.near_translates(recipe, center[None], near + 3.0)
+    cells, _ = tiling.near_translates(recipe, center, near + 3.0)
     d_max = np.linalg.norm(placed_corners(recipe, cells) - center,
                            axis=2).max(axis=1)
     edge = float(d_max[np.argmin(np.abs(d_max - near))])
