@@ -808,6 +808,16 @@ GOLDEN_STDOUT = {
         "108e83bed5300a5cb81d99deea336a086570779dfced1e14c40cfad398ca8301",
     "tile --type 5 --r 20":
         "bfec4883ce1f5d7bd5ae89d44616d34ce43c712e774525e6f8ee33db5d62b960",
+    "verify --type 1":
+        "ddf5828e6b42c0de32afdeebff3c24e02257d77eb9b8cd63ca98be3427fdc199",
+    "verify --type 2":
+        "70da408accc38a2384d14074acf600ad4162bcafba5aa3a1e8f89d5eb355b4d1",
+    "verify --type 4":
+        "b34f2566f04516d1ed6cc672288b1d2c66b845530f1fc4d5bd7f7392f7205351",
+    "verify --type 5":
+        "62d6021715a1e720a83ac5fc7e23ed1a3a415f21a8f3d1ae2514f2181d42fc68",
+    "verify --recipe tests/data/type5_recipe.json":
+        "62d6021715a1e720a83ac5fc7e23ed1a3a415f21a8f3d1ae2514f2181d42fc68",
     "verify --type 4 --r 10":
         "93cbae44476cc5486d15f420593edede90aa9d20956ba0ab20bde3e002ca9f1d",
     "stats --type 4 --r 10 --mode interior":
@@ -893,7 +903,10 @@ GOLDEN_STDOUT = {
 
 @pytest.mark.parametrize("command", GOLDEN_STDOUT)
 def test_stdout_matches_the_recorded_bytes(capsys, command):
-    code, out, _ = run(capsys, *command.split())
+    """A path in the command is taken from the repository root."""
+    argv = [str(DATA.parent.parent / arg) if arg.startswith("tests/") else arg
+            for arg in command.split()]
+    code, out, _ = run(capsys, *argv)
     assert code == 0, command
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN_STDOUT[command], f"stdout of {command!r} changed"
