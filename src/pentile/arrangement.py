@@ -544,11 +544,7 @@ def cell_arrangement(recipe) -> CellArrangement:
     known = np.zeros(len(points), dtype=bool)
     known[roots] = True
     vertex = np.column_stack([_walked(a, b, step, known), orbit])
-    # each orbit's vertex in cell (0, 0) where snapping places it: at the
-    # mean of the corners meeting there, each moved into that cell
-    home = recipe.moved(points.copy(), -vertex[:, 0], -vertex[:, 1])
-    mean = np.column_stack([np.bincount(orbit, home[:, c]) for c in (0, 1)])
-    mean /= np.bincount(orbit)[:, None]
+    mean = orbit_vertices(recipe, vertex)[1]
 
     nxt = _next_corners(np.arange(count + 1) * k)
     lo, hi = np.minimum(g, g[nxt]) - pad, np.maximum(g, g[nxt]) + pad
@@ -569,6 +565,19 @@ def cell_arrangement(recipe) -> CellArrangement:
         orbits=len(roots), corner_vertex=vertex.reshape(count, k, 3),
         hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
         hit_corner=side % k, hit_vertex=key[order], hit_param=param[order])
+
+
+def orbit_vertices(recipe, vertex):
+    """Each region corner moved back by its cell shift into cell (0, 0),
+    given each corner's vertex key (m, n, orbit) in region order, and each
+    orbit's vertex there, where snapping places it: at the mean of the
+    corners meeting there."""
+    home = recipe.moved(recipe.region_corners.reshape(-1, 2).copy(),
+                        -vertex[:, 0], -vertex[:, 1])
+    orbit = vertex[:, 2]
+    mean = np.column_stack([np.bincount(orbit, home[:, c]) for c in (0, 1)])
+    mean /= np.bincount(orbit)[:, None]
+    return home, mean
 
 
 def _lattice_join(g, lo, hi):
@@ -627,7 +636,9 @@ class OrbitStar(NamedTuple):
     the side it opens by hit_param; corner marks the corners. A stop and
     next_stop of it bound an edge. Row o of star lists the stops at orbit
     o: vertex (0, 0, o) is met by each of their region tiles moved by minus
-    its (Δm, Δn), so a row's length is the orbit's valence. Rows
+    its (Δm, Δn), so a row's length is the orbit's valence. paired[s]
+    counts the steps of other tiles that run back along the step from stop
+    s to next_stop[s], the edge's other side. Rows
     neighbour_ptr[j]:neighbour_ptr[j + 1] of neighbour are the tiles
     (Δm, Δn, j') sharing an edge with region tile j, from its own cell, and
     neighbours[j] counts them.
@@ -644,6 +655,7 @@ class OrbitStar(NamedTuple):
     corner: np.ndarray           # (S,) the stop is its tile's corner
     next_stop: np.ndarray        # (S,)
     star: Csr                    # orbit -> stop rows
+    paired: np.ndarray           # (S,) reversed steps meeting each step
     neighbour_ptr: np.ndarray    # (k + 1,)
     neighbour: np.ndarray        # (A, 3) tile key (Δm, Δn, j')
     reach: int
@@ -717,7 +729,7 @@ def orbit_star(cell: CellArrangement) -> OrbitStar:
     return OrbitStar(
         stop_ptr=stop_ptr, stop_tile=stop_tile, stop_vertex=stop_vertex,
         corner=corner, next_stop=next_stop,
-        star=_csr(orbit[at_orbit], at_orbit, cell.orbits),
+        star=_csr(orbit[at_orbit], at_orbit, cell.orbits), paired=found,
         neighbour_ptr=np.searchsorted(tile, np.arange(k + 1)),
         neighbour=np.column_stack(neighbour),
         reach=reach, tile_cell=moved, step=step)

@@ -186,6 +186,16 @@ class TilingRecipe:
         return placed
 
     @functools.cached_property
+    def region_area(self) -> float:
+        """The region tiles' total area. Each tile's shoelace sum is taken
+        about its own first corner, so it rounds at the tile's size however
+        far out the recipe places the tile."""
+        corners = self.region_corners
+        return sum(np.abs(polygon_areas(
+            corners - corners[:, :1],
+            np.full(len(corners), corners.shape[1]))).tolist())
+
+    @functools.cached_property
     def region_centroids(self) -> np.ndarray:
         """Centroid of each region tile, (k, 2)."""
         return polygon_centroids(self.region_corners)
@@ -220,10 +230,15 @@ class TilingRecipe:
     @functools.cached_property
     def cell_arrangement(self):
         """The recipe's `arrangement.cell_arrangement`, built once;
-        RecipeInvalid when the recipe does not tile (`require_tiling`)."""
+        RecipeInvalid when the region area is not the cell area
+        (`verifier.area_mismatch`), as such a cell can need an unbounded
+        lattice join. The rest of the periodicity check reads it."""
         from .arrangement import cell_arrangement
+        from .verifier import area_mismatch
 
-        self.require_tiling()
+        mismatch = area_mismatch(self)
+        if mismatch:
+            raise RecipeInvalid(f"recipe does not tile: {[mismatch]}")
         return cell_arrangement(self)
 
     @functools.cached_property

@@ -16,6 +16,7 @@ from .errors import DegenerateTile, InvalidInnerRadius
 from .geometry import (
     ccw,
     close_pairs,
+    corner_angles,
     convex_overlap_areas,
     farthest_distances,
     largest_inscribed_circle,
@@ -392,6 +393,85 @@ def check_periodicity(recipe) -> CheckReport:
                    sample_points=tested, sample_misses=missed)
     return CheckReport(name="periodicity",
                        ok=ok_overlap and ok_cell and not missed,
+                       violations=violations, metrics=metrics)
+
+
+def area_mismatch(recipe) -> str | None:
+    """The area test: None when the region area (`TilingRecipe.region_area`)
+    is the lattice cell area to AREA_TOL of the cell, else the
+    violation."""
+    region, cell = recipe.region_area, recipe.cell_area()
+    if abs(region - cell) <= AREA_TOL * cell:
+        return None
+    return (f"region area {region:.9g} != lattice cell area {cell:.9g}; "
+            f"tiles not glued")
+
+
+def check_gluing(recipe) -> CheckReport:
+    """The area test, then the gluing certificate read off the recipe's
+    cell arrangement and orbit star."""
+    from .arrangement import orbit_vertices
+
+    metrics = {"region_area": recipe.region_area,
+               "cell_area": recipe.cell_area()}
+    mismatch = area_mismatch(recipe)
+    if mismatch:
+        return CheckReport(name="periodicity", ok=False,
+                           violations=[mismatch], metrics=metrics)
+    cell, star = recipe.cell_arrangement, recipe.orbit_star
+    corners = recipe.region_corners
+    count, k = corners.shape[:2]
+    edges = np.asarray(recipe.pentagon.edges)
+    area = abs(polygon_area(recipe.pentagon.vertices))
+    gap_tol = AREA_TOL * area / (2.0 * edges.max())
+    angle_tol = 2.0 * AREA_TOL * area / edges.min() ** 2
+
+    unpaired = int(np.count_nonzero(star.paired != 1))
+
+    flat = corners.reshape(-1, 2)
+    nxt = np.roll(np.arange(count * k).reshape(count, k), -1, axis=1).ravel()
+    angle = np.full(len(star.stop_tile), math.pi)
+    angle[star.corner] = corner_angles(flat[nxt] - flat, nxt)
+    turn = np.bincount(star.stop_vertex[:, 2], angle,
+                       minlength=cell.orbits) - 2.0 * math.pi
+    worst_turn = int(np.argmax(np.abs(turn)))
+
+    vertex = cell.corner_vertex.reshape(-1, 3)
+    home, mean = orbit_vertices(recipe, vertex)
+    spread = np.hypot(*(home - mean[vertex[:, 2]]).T)
+    worst_corner = int(np.argmax(spread))
+
+    side = (np.repeat(np.arange(count), np.diff(cell.hit_ptr)) * k
+            + cell.hit_corner)
+    start, d = flat[side], flat[nxt[side]] - flat[side]
+    at = recipe.moved(mean[cell.hit_vertex[:, 2]], cell.hit_vertex[:, 0],
+                      cell.hit_vertex[:, 1]) - start
+    gap = np.abs(d[:, 0] * at[:, 1] - d[:, 1] * at[:, 0]) / np.hypot(*d.T)
+    inside = (cell.hit_param > 0.0) & (cell.hit_param < 1.0)
+
+    metrics.update(unpaired_steps=unpaired,
+                   max_angle_residual=float(abs(turn[worst_turn])),
+                   max_corner_spread=float(spread[worst_corner]),
+                   max_side_gap=float(gap.max(initial=0.0)))
+    violations = []
+    if unpaired:
+        violations.append(f"{unpaired} of {len(star.paired)} boundary "
+                          f"steps lack exactly one reversed partner")
+    if not abs(turn[worst_turn]) <= angle_tol:
+        violations.append(
+            f"vertex orbit {worst_turn}'s angles sum to 2pi "
+            f"{turn[worst_turn]:+.3e}, over {angle_tol:.3e}")
+    if not spread[worst_corner] <= gap_tol:
+        violations.append(
+            f"region corner {divmod(worst_corner, k)} lies "
+            f"{spread[worst_corner]:.3e} from its vertex, over {gap_tol:.3e}")
+    if not (gap <= gap_tol).all() or not inside.all():
+        h = int(np.argmax(np.where(inside, gap, np.inf)))
+        violations.append(
+            f"vertex {tuple(cell.hit_vertex[h].tolist())} lies "
+            f"{gap[h]:.3e} off the side it splits, at {cell.hit_param[h]:.9g} "
+            f"along it, over {gap_tol:.3e} or outside (0, 1)")
+    return CheckReport(name="periodicity", ok=not violations,
                        violations=violations, metrics=metrics)
 
 

@@ -32,6 +32,7 @@ from pentile.geometry import (
     ccw,
     component_labels,
     convex_overlap_areas,
+    largest_inscribed_circle,
     points_in_convex_polygon,
     polygon_area,
     polygon_distances,
@@ -607,6 +608,59 @@ def full_clip_pairwise_overlap(stacked, counts):
     return float(areas[k]), (int(i[k]), int(j[k]))
 
 
+def window_periodicity(recipe, pairwise=verifier._pairwise_overlap):
+    """Reference for check_periodicity: the window of translates route it
+    took before the gluing certificate. The region area, each tile's
+    shoelace sum on its placed corners, must equal the cell area; then
+    every translate whose centroid lies within half the cell's longer
+    diagonal, plus the tile radius and the merge distance, of the region
+    centroids' mean is clipped against the cell about that mean, and the
+    clips must sum to the cell area; no two window tiles may overlap by
+    more than AREA_TOL of a tile (pairwise); and the cell's points on a
+    grid at a quarter of the tile inradius must lie in some tile. Returns
+    the verdict and the violations, worded as that route worded them."""
+    tol = verifier.AREA_TOL
+    cell_area = recipe.cell_area()
+    corners = recipe.region_corners
+    region_area = sum(abs(polygon_area(p)) for p in corners)
+    if not abs(region_area - cell_area) <= tol * cell_area:
+        return False, [f"region area {region_area:.9g} != lattice cell area "
+                       f"{cell_area:.9g}; window not checked"]
+    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
+    anchor = recipe.region_centroids.mean(axis=0)
+    p0 = anchor - (u + v) / 2.0
+    cell = ccw(np.array([p0, p0 + u, p0 + u + v, p0 + v]))
+    reach = (max(np.linalg.norm(u + v), np.linalg.norm(u - v)) / 2.0
+             + recipe.radius + recipe.merge_distance)
+    stacked = recipe.corners(tiling.near_translates(recipe, anchor, reach)[0])
+    counts = np.full(len(stacked), stacked.shape[1])
+    tile = recipe.pentagon.vertices
+    worst, pair = pairwise(stacked, counts)
+    clipped = sum(convex_overlap_areas(
+        stacked, counts, np.broadcast_to(cell, (len(stacked), 4, 2))).tolist())
+    pitch = largest_inscribed_circle(tile)[1] / verifier.SAMPLE_DIVISOR
+    eps = 1e-9 * math.sqrt(cell_area)
+    lo, hi = cell.min(axis=0), cell.max(axis=0)
+    px, py = (g.ravel() for g in np.meshgrid(
+        np.arange(lo[0], hi[0] + pitch, pitch),
+        np.arange(lo[1], hi[1] + pitch, pitch)))
+    inside = points_in_convex_polygon(px, py, cell, eps=-eps)
+    px, py = px[inside], py[inside]
+    covered = functools.reduce(np.logical_or, (
+        points_in_convex_polygon(px, py, poly, eps=eps) for poly in stacked))
+    violations = []
+    if not worst <= tol * abs(polygon_area(tile)):
+        violations.append(
+            f"window tiles {pair[0]} and {pair[1]} overlap by {worst:.3e}")
+    if not abs(clipped - cell_area) <= tol * cell_area:
+        violations.append(f"window covers {clipped:.9g} of the central cell, "
+                          f"expected {cell_area:.9g}")
+    if not covered.all():
+        violations.append(f"{np.count_nonzero(~covered)} of {len(px)} cell "
+                          f"sample points uncovered")
+    return not violations, violations
+
+
 def assert_candidates_match_full_clip(type_id, pentagon):
     """Every candidate builtin_recipe tries gets, from check_periodicity,
     the verdict and the violations it gets with every pair clipped.
@@ -976,6 +1030,92 @@ def wide_recipes(draw):
 
 
 sweep_and_wide_recipes = st.one_of(sweep_recipes(), wide_recipes())
+
+
+
+def mutated(recipe, kind, s, j=0, turn=1.0):
+    """The recipe mutated at scale s, a length: region tile j shifted by s
+    in the direction of the angle turn ("shift"), or turned about its
+    centroid by s over the tile radius, signed as turn, so that no corner
+    moves further ("turn"); u lengthened by s times the sign of turn
+    ("stretch"); or v sheared along u by s times that sign ("shear"),
+    which keeps the cell area."""
+    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
+    region = list(recipe.region)
+    if kind == "shift":
+        region[j] = shifted(region[j], s * np.array([math.cos(turn),
+                                                     math.sin(turn)]))
+    elif kind == "turn":
+        region[j] = Isometry.rotation_about(
+            math.copysign(s / recipe.radius, turn),
+            recipe.region_centroids[j]).compose(region[j])
+    elif kind == "stretch":
+        u = u * (1.0 + math.copysign(s, turn) / np.linalg.norm(u))
+    else:
+        v = v + math.copysign(s, turn) / np.linalg.norm(u) * u
+    return dataclasses.replace(recipe, region=tuple(region), u=tuple(u),
+                               v=tuple(v))
+
+
+@st.composite
+def mutated_recipes(draw):
+    """A built-in recipe, of a representative or of a pentagon drawn at the
+    sweep or the wide ranges, mutated at a scale s from 1e-12 to 1e-1 of
+    its mean edge (`mutated`). Returns the mutated recipe and s."""
+    recipe = draw(st.one_of(representative_recipes, sweep_and_wide_recipes))
+    s = 10.0 ** draw(st.floats(-12.0, -1.0)) * recipe.pentagon.mean_edge()
+    kind = draw(st.sampled_from(["shift", "turn", "stretch", "shear"]))
+    j = draw(st.integers(0, len(recipe.region) - 1))
+    return mutated(recipe, kind, s, j, draw(st.floats(-math.pi, math.pi))), s
+
+
+def representative_recipe(type_id):
+    return builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+
+
+def mutated_representative(type_id, kind, scale, j=0, turn=1.0):
+    """A representative's recipe mutated at scale times its mean edge."""
+    recipe = representative_recipe(type_id)
+    s = scale * recipe.pentagon.mean_edge()
+    return mutated(recipe, kind, s, j, turn), s
+
+
+@settings(max_examples=60)
+@given(mutated_recipes())
+@example(mutated_representative(4, "shift", 1e-9, 1, 0.3))
+@example(mutated_representative(5, "turn", 1e-12, 2))
+@example(mutated_representative(2, "turn", 1e-7, 3, -1.0))
+@example(mutated_representative(1, "stretch", 1e-1))
+@example(mutated_representative(1, "shear", 1e-1))
+@example(mutated_representative(2, "shear", 1e-4, turn=-1.0))
+@example(mutated_representative(5, "shift", 1e-2, 4, 2.0))
+def test_the_gluing_certificate_agrees_with_the_window_route(case):
+    """The gluing certificate's verdict is the window route's
+    (`window_periodicity`) outside a band about its tolerance, and inside
+    it the certificate may refuse a recipe the window route passes, never
+    the reverse.
+
+    The certificate bounds a corner's distance from its vertex, and a
+    stop's from its side line, by tau = AREA_TOL·A / (2·L), A the tile
+    area and L its longest side. A mutation at scale s moves a corner at
+    most s from its place (the stretch and the shear s per cell between
+    the corners of an orbit, which lie a cell or two apart). Below tau / 10
+    both routes pass: the corners lie within 2·s·(cells) < tau of their
+    vertex, and an overlap is at most a strip 2·s·L < AREA_TOL·A. Above
+    100·tau both refuse: the window route's bound in s, where the overlap
+    reaches AREA_TOL of a tile, lies a few L / l from tau (l the shortest
+    side), and the certificate's lies within its span of cells of tau. The
+    area test, common to both, refuses a stretch past 1e-9 of the cell. A
+    shear along the rows of a Type 1 row pair keeps the tiling, and both
+    pass it."""
+    recipe, s = case
+    report = verifier.check_gluing(recipe)
+    ok, violations = window_periodicity(recipe)
+    assert ok or not report.ok, (report.metrics, violations)
+    area = abs(polygon_area(recipe.pentagon.vertices))
+    tau = verifier.AREA_TOL * area / (2.0 * max(recipe.pentagon.edges))
+    if not tau / 10.0 < s < 100.0 * tau:
+        assert report.ok == ok, (s / tau, report.violations, violations)
 
 
 def ring_seeded_tile_records(recipe, r, M):
