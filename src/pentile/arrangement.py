@@ -638,7 +638,8 @@ class OrbitStar(NamedTuple):
     o: vertex (0, 0, o) is met by each of their region tiles moved by minus
     its (Δm, Δn), so a row's length is the orbit's valence. paired[s]
     counts the steps of other tiles that run back along the step from stop
-    s to next_stop[s], the edge's other side. Rows
+    s to next_stop[s], the edge's other side, and partner[s] is one of
+    them, -1 when there is none. Rows
     neighbour_ptr[j]:neighbour_ptr[j + 1] of neighbour are the tiles
     (Δm, Δn, j') sharing an edge with region tile j, from its own cell, and
     neighbours[j] counts them.
@@ -656,6 +657,7 @@ class OrbitStar(NamedTuple):
     next_stop: np.ndarray        # (S,)
     star: Csr                    # orbit -> stop rows
     paired: np.ndarray           # (S,) reversed steps meeting each step
+    partner: np.ndarray          # (S,) one of them, or -1
     neighbour_ptr: np.ndarray    # (k + 1,)
     neighbour: np.ndarray        # (A, 3) tile key (Δm, Δn, j')
     reach: int
@@ -711,6 +713,8 @@ def orbit_star(cell: CellArrangement) -> OrbitStar:
     s = np.repeat(np.arange(len(p)), found)
     t = by_back[np.arange(len(s))
                 + np.repeat(lo - np.cumsum(found) + found, found)]
+    partner = np.full(len(p), -1)
+    partner[s] = t
     shift = p[s, :2] - q[t, :2]
     tile, *neighbour = _unique_rows(stop_tile[s], shift[:, 0], shift[:, 1],
                                     stop_tile[t])
@@ -730,6 +734,7 @@ def orbit_star(cell: CellArrangement) -> OrbitStar:
         stop_ptr=stop_ptr, stop_tile=stop_tile, stop_vertex=stop_vertex,
         corner=corner, next_stop=next_stop,
         star=_csr(orbit[at_orbit], at_orbit, cell.orbits), paired=found,
+        partner=partner,
         neighbour_ptr=np.searchsorted(tile, np.arange(k + 1)),
         neighbour=np.column_stack(neighbour),
         reach=reach, tile_cell=moved, step=step)

@@ -1,8 +1,12 @@
 """Checks that a recipe or a generated patch really is a tiling.
 
-Overlap, coverage and periodicity are each checked two ways where practical:
+A patch's overlap and coverage are each checked two ways where practical:
 an exact area computation and an independent point-sampling route, so a bug
-in one route cannot silently pass the other.
+in one route cannot silently pass the other. A recipe's periodicity is its
+area test and a gluing certificate read off its cell arrangement and orbit
+star, with no window of translates placed (`check_periodicity` gives the
+argument and each tolerance). Each check names its metrics, and merging two
+reports refuses a name both hold.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import numpy as np
 
 from .errors import DegenerateTile, InvalidInnerRadius
 from .geometry import (
-    ccw,
     close_pairs,
     corner_angles,
     convex_overlap_areas,
@@ -26,7 +29,6 @@ from .geometry import (
     polygon_disk_overlap_areas,
     smallest_enclosing_circle,
 )
-from .tiling import near_translates
 
 AREA_TOL = 1e-9          # relative to a tile / disk / cell area
 SAMPLE_DIVISOR = 4.0     # grid pitch = tile inradius / SAMPLE_DIVISOR
@@ -46,6 +48,12 @@ class CheckReport:
         self.ok = bool(self.ok)  # numpy comparisons give numpy.bool_
 
     def merge(self, other: "CheckReport") -> "CheckReport":
+        """Both reports in one; ValueError when both hold a metric of one
+        name, which one would overwrite."""
+        shared = sorted(self.metrics.keys() & other.metrics.keys())
+        if shared:
+            raise ValueError(f"reports {self.name} and {other.name} both "
+                             f"hold the metrics {shared}")
         return CheckReport(name=f"{self.name}+{other.name}",
                            ok=self.ok and other.ok,
                            violations=self.violations + other.violations,
@@ -168,33 +176,35 @@ def check_no_overlap(patch) -> CheckReport:
                                 "max_overlap_fraction": worst / ref})
 
 
-def _grid_cover_check(stacked, region_mask, lo, hi, pitch, eps):
-    """Sampling route: every grid point passing region_mask must lie in a
-    tile. Returns (#tested, #missed, the first miss in row-major order or
-    None).
+def _grid_cover_check(stacked, r_inner, pitch, eps):
+    """Sampling route: every point of the grid of this pitch from -r_inner
+    to r_inner on both axes that lies within r_inner - eps of the origin,
+    as np.linalg.norm measures it (`_in_disk`), must lie in a tile. Returns (#tested,
+    #missed, the first miss in row-major order or None).
 
-    The grid is held only as its axes xs and ys: region_mask(px, py) takes
-    the row xs (1, nx) against the column ys (ny, 1), and no point array is
-    built. Each tile runs points_in_convex_polygon(..., eps) on the grid
-    points of its index box, as a column ys[iy] (B, wy, 1) against a row
-    xs[ix] (B, 1, wx). The box runs from ceil(min' - 1/2) to
-    floor(max' + 1/2), min' and max' being the corners' extremes in
-    indices (padding repeats corners, so it moves no box). The eps band
-    reaches eps / sin(theta / 2) past a corner of angle theta; with the
-    checks' eps, 1e-9 of the tile or cell size, that is far less than half
-    an index. So the box holds every point the tile can, and the covered
-    set is the union of that test over all tiles. Hits are scattered by
-    flat index iy * nx + ix, and a pass holds about 64 K box points."""
-    xs = np.arange(lo[0], hi[0] + pitch, pitch)
-    ys = np.arange(lo[1], hi[1] + pitch, pitch)
-    wanted = region_mask(xs[None, :], ys[:, None])
+    The grid is held only as its axes xs and ys: the disk test takes the
+    row xs (1, nx) against the column ys (ny, 1), and no point array is
+    built. Each tile runs
+    points_in_convex_polygon(..., eps) on the grid points of its index
+    box, as a column ys[iy] (B, wy, 1) against a row xs[ix] (B, 1, wx). The
+    box runs from ceil(min' - 1/2) to floor(max' + 1/2), min' and max'
+    being the corners' extremes in indices (padding repeats corners, so it
+    moves no box). The eps band reaches eps / sin(theta / 2) past a corner
+    of angle theta; with the check's eps, 1e-9 of the tile size, that is
+    far less than half an index. So the box holds every point the tile
+    can, and the covered set is the union of that test over all tiles.
+    Hits are scattered by flat index iy * nx + ix, and a pass holds about
+    64 K box points."""
+    xs = np.arange(-r_inner, r_inner + pitch, pitch)
+    ys = np.arange(-r_inner, r_inner + pitch, pitch)
+    wanted = _in_disk(xs[None, :], ys[:, None], r_inner - eps)
     size = np.array([len(xs), len(ys)])
     # the extremes one corner at a time: a numpy reduction over so short an
     # axis costs several times more
     corners = stacked.transpose(1, 0, 2)
-    first = np.ceil((functools.reduce(np.minimum, corners) - lo) / pitch
+    first = np.ceil((functools.reduce(np.minimum, corners) + r_inner) / pitch
                     - 0.5)
-    last = np.floor((functools.reduce(np.maximum, corners) - lo) / pitch
+    last = np.floor((functools.reduce(np.maximum, corners) + r_inner) / pitch
                     + 0.5)
     meets = np.all((last >= 0) & (first < size), axis=1)
     polys = stacked[meets]
@@ -288,9 +298,8 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
     ok_tiles_area = tiles_area >= disk_area
     tested, missed, example = 0, 0, None
     if ok_tiles_area:
-        tested, missed, example = _grid_cover_check(
-            stacked, functools.partial(_in_disk, radius=r_inner - eps),
-            np.full(2, -r_inner), np.full(2, r_inner), pitch, eps)
+        tested, missed, example = _grid_cover_check(stacked, r_inner, pitch,
+                                                    eps)
     if example is not None:
         example = tuple((center + example).tolist())
     ok_grid = missed == 0
@@ -323,93 +332,66 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
                  "sample_points": tested, "sample_misses": missed})
 
 
-def check_periodicity(recipe) -> CheckReport:
-    """A recipe tiles the plane iff the region tiles one lattice cell.
-
-    The region area must equal the cell area; only then is the window built,
-    as a cell the region does not fill can need an unbounded one. The window
-    (`near_translates`) is every translate whose centroid lies within half
-    the probe cell's longer diagonal, plus `recipe.radius` and the merge
-    distance, of the cell's centre, the mean of the region centroids: every
-    translate meeting the cell, and so a translate of every overlapping
-    pair. A lattice scan over MAX_TRANSLATES raises ParseError. The clips of
-    a complete window sum to the region area for any recipe, as
-    sum_t area((T + t) ∩ C) = area(T) over the lattice translations t, so
-    the cell clip checks that the window is complete, the grid sample that
-    the cell is covered, and the overlap check that no two tiles overlap.
-    """
-    cell_area = recipe.cell_area()
-    corners = recipe.region_corners
-    region_area = sum(np.abs(polygon_areas(
-        corners, np.full(len(corners), corners.shape[1]))).tolist())
-    metrics = {"region_area": region_area, "cell_area": cell_area,
-               "max_overlap_area": 0.0, "central_cell_covered": 0.0,
-               "sample_points": 0, "sample_misses": 0}
-    if not abs(region_area - cell_area) <= AREA_TOL * cell_area:
-        return CheckReport(
-            name="periodicity", ok=False, metrics=metrics, violations=[
-                f"region area {region_area:.9g} != lattice cell area "
-                f"{cell_area:.9g}; window not checked"])
-
-    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
-    anchor = recipe.region_centroids.mean(axis=0)
-    p0 = anchor - (u + v) / 2.0
-    cell = ccw(np.array([p0, p0 + u, p0 + u + v, p0 + v]))
-    reach = (max(np.linalg.norm(u + v), np.linalg.norm(u - v)) / 2.0
-             + recipe.radius + recipe.merge_distance)
-    stacked = recipe.corners(near_translates(recipe, anchor, reach)[0])
-    counts = np.full(len(stacked), stacked.shape[1])
-
-    # region tiles are congruent copies of the pentagon; measure it once
-    tile = recipe.pentagon.vertices
-    worst, pair = _pairwise_overlap(stacked, counts)
-    ok_overlap = worst <= AREA_TOL * abs(polygon_area(tile))
-    clipped = sum(convex_overlap_areas(
-        stacked, counts, np.broadcast_to(cell, (len(stacked), 4, 2))).tolist())
-    ok_cell = abs(clipped - cell_area) <= AREA_TOL * cell_area
-
-    pitch = largest_inscribed_circle(tile)[1] / SAMPLE_DIVISOR
-    eps = 1e-9 * math.sqrt(cell_area)
-
-    def in_cell(px, py):
-        return points_in_convex_polygon(px, py, cell, eps=-eps)
-
-    tested, missed, example = _grid_cover_check(
-        stacked, in_cell, cell.min(axis=0), cell.max(axis=0), pitch, eps)
-
-    violations = []
-    if not ok_overlap:
-        violations.append(
-            f"window tiles {pair[0]} and {pair[1]} overlap by {worst:.3e}")
-    if not ok_cell:
-        violations.append(
-            f"window covers {clipped:.9g} of the central cell, "
-            f"expected {cell_area:.9g}")
-    if missed:
-        violations.append(
-            f"{missed} of {tested} cell sample points uncovered, "
-            f"first at {example}")
-    metrics.update(max_overlap_area=worst, central_cell_covered=clipped,
-                   sample_points=tested, sample_misses=missed)
-    return CheckReport(name="periodicity",
-                       ok=ok_overlap and ok_cell and not missed,
-                       violations=violations, metrics=metrics)
-
-
 def area_mismatch(recipe) -> str | None:
     """The area test: None when the region area (`TilingRecipe.region_area`)
-    is the lattice cell area to AREA_TOL of the cell, else the
-    violation."""
+    is the lattice cell area to AREA_TOL of the cell, else the violation.
+    The rest of check_periodicity reads the recipe's cell arrangement,
+    which a cell the region does not fill can make unbounded."""
     region, cell = recipe.region_area, recipe.cell_area()
     if abs(region - cell) <= AREA_TOL * cell:
         return None
     return (f"region area {region:.9g} != lattice cell area {cell:.9g}; "
-            f"tiles not glued")
+            f"gluing not checked")
 
 
-def check_gluing(recipe) -> CheckReport:
-    """The area test, then the gluing certificate read off the recipe's
-    cell arrangement and orbit star."""
+def check_periodicity(recipe) -> CheckReport:
+    """A recipe tiles the plane iff its region tiles glue into one copy of
+    the torus R²/<u, v>: the area test (`area_mismatch`), then a
+    certificate read off the recipe's cell arrangement and orbit star.
+
+    Glue the region tiles along the boundary steps the star pairs (a step
+    runs between two stops of a tile's boundary, a stop being a corner or
+    a vertex inside a side). Suppose every step has exactly one reversed
+    partner, a step of some other tile moved by a lattice vector, lying
+    along it; every vertex orbit's corner angles, plus pi for each stop
+    inside a side, sum to 2pi; and every orbit's corners, moved back by
+    their cell shifts, coincide. Then the glued tiles form a closed flat
+    surface with no cone point, and placing each tile by its isometry maps
+    it onto the torus by a local isometry, hence a covering. Its degree is
+    the region area over the cell area, so the area test makes it 1: the
+    lattice translates of the region cover the plane once (Thurston,
+    Three-Dimensional Geometry and Topology I, 1997; Grünbaum & Shephard,
+    Tilings and Patterns, 1987, ch. 3).
+
+    Each test has a tolerance drawn from the bound check_no_overlap puts
+    on two tiles, AREA_TOL of the tile area A; L is the longest side and l
+    the shortest:
+
+    - unpaired_steps counts the steps whose reversed partners
+      (`OrbitStar.paired`) are not exactly one; it must be 0.
+    - max_seam_gap, the farthest end of a glued step from its partner's
+      side line (a stop inside a side placed at its hit_param along it),
+      is at most tau = AREA_TOL·A / L. Two steps so glued differ by a
+      strip at most tau wide and L long: AREA_TOL·A.
+    - max_angle_residual, the largest |angle sum - 2pi| over the orbits,
+      is at most 2·AREA_TOL·A / l². A residual alpha at a vertex opens or
+      overlaps a wedge between two sides at least l long, which holds
+      l²·alpha / 2 of area.
+    - max_corner_spread, the farthest corner from its orbit's mean, is at
+      most sigma = sqrt(AREA_TOL·A / (2·pi)). The seam test already bounds
+      corners across their sides; along them, corners apart by less than
+      the merge distance are one vertex of the arrangement, as where two
+      vertices of a tiling lie that close. The tiles' corners then leave,
+      near the vertex, a gap or overlap inside the disk of radius sigma
+      about the mean: pi·sigma² = AREA_TOL·A / 2.
+    - Each stop inside a side lies strictly inside it: hit_param in
+      (0, 1). The seam test bounds its distance from the side's line.
+
+    With paired steps and coinciding corners each angle sum is a whole
+    number of turns, so the angle test tells one turn from none or two.
+    region_area and cell_area are reported with the four residuals; when
+    the area test fails, they alone are, and nothing is glued.
+    """
     from .arrangement import orbit_vertices
 
     metrics = {"region_area": recipe.region_area,
@@ -422,55 +404,76 @@ def check_gluing(recipe) -> CheckReport:
     corners = recipe.region_corners
     count, k = corners.shape[:2]
     edges = np.asarray(recipe.pentagon.edges)
-    area = abs(polygon_area(recipe.pentagon.vertices))
-    gap_tol = AREA_TOL * area / (2.0 * edges.max())
+    # the region tiles are congruent, and their areas the cell's
+    area = recipe.region_area / count
+    tau = AREA_TOL * area / edges.max()
     angle_tol = 2.0 * AREA_TOL * area / edges.min() ** 2
+    sigma = math.sqrt(AREA_TOL * area / (2.0 * math.pi))
 
     unpaired = int(np.count_nonzero(star.paired != 1))
 
     flat = corners.reshape(-1, 2)
-    nxt = np.roll(np.arange(count * k).reshape(count, k), -1, axis=1).ravel()
+    nxt = np.arange(1, count * k + 1)
+    nxt[k - 1::k] -= k
+    side = flat[nxt] - flat
     angle = np.full(len(star.stop_tile), math.pi)
-    angle[star.corner] = corner_angles(flat[nxt] - flat, nxt)
-    turn = np.bincount(star.stop_vertex[:, 2], angle,
-                       minlength=cell.orbits) - 2.0 * math.pi
-    worst_turn = int(np.argmax(np.abs(turn)))
+    angle[star.corner] = corner_angles(side, nxt)
+    residual = np.abs(np.bincount(star.stop_vertex[:, 2], angle)
+                      - 2.0 * math.pi)
+    orbit = int(np.argmax(residual))
+
+    # each stop placed on its tile's boundary, and each glued step's
+    # partner's ends measured from the step's side line
+    on = np.cumsum(star.corner) - 1
+    at = np.empty((len(on), 2))
+    at[star.corner] = flat
+    inside = on[~star.corner]
+    at[~star.corner] = flat[inside] + cell.hit_param[:, None] * side[inside]
+    step = np.flatnonzero(star.paired == 1)
+    partner = star.partner[step]
+    shift = (star.stop_vertex[step, :2]
+             - star.stop_vertex[star.next_stop[partner], :2])
+    ends = recipe.moved(np.stack([at[partner], at[star.next_stop[partner]]],
+                                 axis=1), shift[:, :1], shift[:, 1:])
+    ends -= flat[on[step], None]
+    normal = side[on[step]] / np.hypot(*side[on[step]].T)[:, None]
+    seam = np.abs(ends[..., 0] * normal[:, 1, None]
+                  - ends[..., 1] * normal[:, 0, None]).max(axis=1)
+    worst = int(np.argmax(seam)) if len(seam) else 0
 
     vertex = cell.corner_vertex.reshape(-1, 3)
     home, mean = orbit_vertices(recipe, vertex)
     spread = np.hypot(*(home - mean[vertex[:, 2]]).T)
-    worst_corner = int(np.argmax(spread))
-
-    side = (np.repeat(np.arange(count), np.diff(cell.hit_ptr)) * k
-            + cell.hit_corner)
-    start, d = flat[side], flat[nxt[side]] - flat[side]
-    at = recipe.moved(mean[cell.hit_vertex[:, 2]], cell.hit_vertex[:, 0],
-                      cell.hit_vertex[:, 1]) - start
-    gap = np.abs(d[:, 0] * at[:, 1] - d[:, 1] * at[:, 0]) / np.hypot(*d.T)
-    inside = (cell.hit_param > 0.0) & (cell.hit_param < 1.0)
+    far = int(np.argmax(spread))
+    split = (cell.hit_param > 0.0) & (cell.hit_param < 1.0)
 
     metrics.update(unpaired_steps=unpaired,
-                   max_angle_residual=float(abs(turn[worst_turn])),
-                   max_corner_spread=float(spread[worst_corner]),
-                   max_side_gap=float(gap.max(initial=0.0)))
+                   max_seam_gap=float(seam.max(initial=0.0)),
+                   max_angle_residual=float(residual[orbit]),
+                   max_corner_spread=float(spread[far]))
     violations = []
     if unpaired:
-        violations.append(f"{unpaired} of {len(star.paired)} boundary "
-                          f"steps lack exactly one reversed partner")
-    if not abs(turn[worst_turn]) <= angle_tol:
+        violations.append(f"{unpaired} of {len(star.paired)} boundary steps "
+                          f"glue to no reversed step or to several")
+    if not seam.max(initial=0.0) <= tau:
+        j, c = divmod(int(on[step[worst]]), k)
         violations.append(
-            f"vertex orbit {worst_turn}'s angles sum to 2pi "
-            f"{turn[worst_turn]:+.3e}, over {angle_tol:.3e}")
-    if not spread[worst_corner] <= gap_tol:
+            f"a step along side {c} of region tile {j} and the step glued "
+            f"to it lie {seam[worst]:.3e} apart, over {tau:.3e}")
+    if not residual[orbit] <= angle_tol:
         violations.append(
-            f"region corner {divmod(worst_corner, k)} lies "
-            f"{spread[worst_corner]:.3e} from its vertex, over {gap_tol:.3e}")
-    if not (gap <= gap_tol).all() or not inside.all():
-        h = int(np.argmax(np.where(inside, gap, np.inf)))
+            f"the angles at vertex orbit {orbit} miss 2pi by "
+            f"{residual[orbit]:.3e}, over {angle_tol:.3e}")
+    if not spread[far] <= sigma:
         violations.append(
-            f"vertex {tuple(cell.hit_vertex[h].tolist())} lies "
-            f"{gap[h]:.3e} off the side it splits, at {cell.hit_param[h]:.9g} "
-            f"along it, over {gap_tol:.3e} or outside (0, 1)")
+            f"corner {far % k} of region tile {far // k} lies "
+            f"{spread[far]:.3e} from its vertex, over {sigma:.3e}")
+    if not split.all():
+        h = int(np.argmin(split))
+        j, c = divmod(int(inside[h]), k)
+        violations.append(
+            f"vertex {tuple(cell.hit_vertex[h].tolist())} splits side {c} of "
+            f"region tile {j} at {cell.hit_param[h]:.9g}, outside (0, 1)")
     return CheckReport(name="periodicity", ok=not violations,
                        violations=violations, metrics=metrics)
 

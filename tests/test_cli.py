@@ -197,8 +197,8 @@ def test_verify_rejects_malformed_recipe_fields(capsys, tmp_path, field,
 
 
 def test_verify_recipe_with_a_huge_lattice_fails_its_area(capsys, tmp_path):
-    """One tile in a cell of 1e12: the area test fails and the cell is not
-    grid-sampled, which would ask for hundreds of TiB."""
+    """One tile in a cell of 1e12: the area test fails, and nothing is
+    glued or sampled; the report holds the two areas alone."""
     document = json.loads((DATA / "type5_recipe.json").read_text())
     document.update(region=document["region"][:1],
                     lattice=[[1e6, 0], [0, 1e6]])
@@ -208,8 +208,8 @@ def test_verify_recipe_with_a_huge_lattice_fails_its_area(capsys, tmp_path):
     assert (code, err) == (1, "")
     report = json.loads(out)
     assert report["pass"] is False
-    assert report["metrics"]["sample_points"] == 0
-    assert report["violations"][0].endswith("; window not checked")
+    assert sorted(report["metrics"]) == ["cell_area", "region_area"]
+    assert report["violations"][0].endswith("; gluing not checked")
 
 
 # edits of the Type 5 recipe file, and the error each must end in
@@ -287,6 +287,13 @@ def turned_recipe_file(tmp_path) -> str:
     return str(path)
 
 
+# the periodicity check's violations for turned_recipe_file: the turned
+# tile's steps find no partners, and its vertices no full turn
+TURNED_VIOLATIONS = [
+    "10 of 20 boundary steps glue to no reversed step or to several",
+    "the angles at vertex orbit 5 miss 2pi by 4.712e+00, over 1.762e-08"]
+
+
 @pytest.mark.parametrize("argv", ["tile --r 5", "stats --r 5",
                                   "sweep --radii 5,10", "render --r 5"])
 def test_a_recipe_that_does_not_tile_generates_nothing(capsys, tmp_path,
@@ -297,7 +304,7 @@ def test_a_recipe_that_does_not_tile_generates_nothing(capsys, tmp_path,
     assert (code, out) == (2, "")
     error = json.loads(err)
     assert error["error"] == "RecipeInvalid"
-    assert "window tiles 0 and 5 overlap by 3.523e-03" in error["message"]
+    assert TURNED_VIOLATIONS[0] in error["message"]
 
 
 def test_verify_reports_a_recipe_that_does_not_tile_without_a_patch(
@@ -305,8 +312,7 @@ def test_verify_reports_a_recipe_that_does_not_tile_without_a_patch(
     code, out, err = run(capsys, "verify", "--recipe",
                          turned_recipe_file(tmp_path), "--r", "5")
     assert (code, err) == (1, "")
-    assert json.loads(out)["violations"] == [
-        "window tiles 0 and 5 overlap by 3.523e-03"]
+    assert json.loads(out)["violations"] == TURNED_VIOLATIONS
 
 
 def far_tile_recipe_file(capsys, tmp_path) -> str:
@@ -340,6 +346,18 @@ def test_a_recipe_is_checked_before_its_lattice_scan(capsys, tmp_path, argv):
     assert (code, err) == (1, "")
     [violation] = json.loads(out)["violations"]
     assert violation in error["message"]
+
+
+def test_verify_reports_the_recipe_and_the_patch_metrics(capsys):
+    """verify --type 4 --r 10 prints the periodicity certificate's metrics
+    beside the overlap and coverage checks', none hiding another."""
+    code, out, _ = run(capsys, "verify", "--type", "4", "--r", "10")
+    assert code == 0
+    assert sorted(json.loads(out)["metrics"]) == sorted([
+        "region_area", "cell_area", "unpaired_steps", "max_angle_residual",
+        "max_corner_spread", "max_seam_gap", "max_overlap_area",
+        "max_overlap_fraction", "r_inner", "area_gap", "area_gap_fraction",
+        "sample_points", "sample_misses"])
 
 
 def test_verify_checks_periodicity_once(capsys):
@@ -809,17 +827,17 @@ GOLDEN_STDOUT = {
     "tile --type 5 --r 20":
         "bfec4883ce1f5d7bd5ae89d44616d34ce43c712e774525e6f8ee33db5d62b960",
     "verify --type 1":
-        "ddf5828e6b42c0de32afdeebff3c24e02257d77eb9b8cd63ca98be3427fdc199",
+        "6c95f1a3b900310943af472dcef68ba21c47cbb85ee25be74ce0941fcb5d9c3e",
     "verify --type 2":
-        "70da408accc38a2384d14074acf600ad4162bcafba5aa3a1e8f89d5eb355b4d1",
+        "ed923bb11f04e1f47cbda63ef51390cb2e9da176856776c2a5cceace651f6ed7",
     "verify --type 4":
-        "b34f2566f04516d1ed6cc672288b1d2c66b845530f1fc4d5bd7f7392f7205351",
+        "23dce895fd3731716144f7aac60b8d56ec5231f693870af5dcef5da26a355bb8",
     "verify --type 5":
-        "62d6021715a1e720a83ac5fc7e23ed1a3a415f21a8f3d1ae2514f2181d42fc68",
+        "cf6274a0bd6248ee4be10e0c261bebcbcd6faf5b5407b87c88385bc572bae21a",
     "verify --recipe tests/data/type5_recipe.json":
-        "62d6021715a1e720a83ac5fc7e23ed1a3a415f21a8f3d1ae2514f2181d42fc68",
+        "cf6274a0bd6248ee4be10e0c261bebcbcd6faf5b5407b87c88385bc572bae21a",
     "verify --type 4 --r 10":
-        "93cbae44476cc5486d15f420593edede90aa9d20956ba0ab20bde3e002ca9f1d",
+        "c1b03506f3102dab74163579df6d753ce19d7f64818dc2e96132964904a13d6c",
     "stats --type 4 --r 10 --mode interior":
         "6b9fe74f3cff11748eb441887ed425644546ed92f9fa102ae87a5f6d4582fa9d",
     "stats --type 4 --r 10":

@@ -662,20 +662,20 @@ def window_periodicity(recipe, pairwise=verifier._pairwise_overlap):
 
 
 def assert_candidates_match_full_clip(type_id, pentagon):
-    """Every candidate builtin_recipe tries gets, from check_periodicity,
-    the verdict and the violations it gets with every pair clipped.
-    Returns the verdicts and whether an overlap was reported."""
+    """Every candidate builtin_recipe tries gets from check_periodicity the
+    verdict the window route gives (`window_periodicity`), and the window
+    route gets the same verdict and violations with every pair clipped as
+    with _pairwise_overlap's certified pairs. Returns the verdicts and
+    whether the window route reported an overlap."""
     seen = []
 
     def compared(recipe):
         report = check_periodicity(recipe)
-        with mock.patch.object(verifier, "_pairwise_overlap",
-                               full_clip_pairwise_overlap):
-            reference = check_periodicity(recipe)
-        assert (report.ok, report.violations) == \
-            (reference.ok, reference.violations)
-        seen.append((report.ok, any("overlap" in v
-                                    for v in report.violations)))
+        window = window_periodicity(recipe)
+        assert window == window_periodicity(recipe,
+                                            full_clip_pairwise_overlap)
+        assert report.ok == window[0], (report.violations, window)
+        seen.append((report.ok, any("overlap" in v for v in window[1])))
         return report
 
     with mock.patch.object(verifier, "check_periodicity", compared):
@@ -706,22 +706,32 @@ def test_failing_type1_row_pairs_report_the_full_clip_overlap():
     assert seen == [(False, False), (False, False), (True, False)]
 
 
-def test_a_turned_region_tile_fails_by_the_full_clip_overlap():
-    """Type 4 with region tile 1 turned 1 degree about its centroid: the
-    areas still agree, so the window is built and clipped, and it reports
-    the overlap that every pair clipped gives."""
+def turned_type4_recipe():
+    """The Type 4 recipe with region tile 1 turned 1 degree about its
+    centroid."""
     recipe = builtin_recipe(4, pentile.representative(4).pentagon)
     region = list(recipe.region)
     region[1] = Isometry.rotation_about(
         math.radians(1.0), recipe.region_centroids[1]).compose(region[1])
-    turned = dataclasses.replace(recipe, region=tuple(region))
+    return dataclasses.replace(recipe, region=tuple(region))
+
+
+def test_a_turned_region_tile_fails_by_the_full_clip_overlap():
+    """Type 4 with region tile 1 turned 1 degree about its centroid: the
+    areas still agree, so the tiles are glued, and half of their boundary
+    steps find no partner. The window route reports the overlap that every
+    pair clipped gives."""
+    turned = turned_type4_recipe()
     report = check_periodicity(turned)
-    with mock.patch.object(verifier, "_pairwise_overlap",
-                           full_clip_pairwise_overlap):
-        reference = check_periodicity(turned)
     assert not report.ok
-    assert report.violations == reference.violations == [
-        "window tiles 0 and 5 overlap by 3.523e-03"]
+    assert report.violations == [
+        "10 of 20 boundary steps glue to no reversed step or to several",
+        "the angles at vertex orbit 5 miss 2pi by 4.712e+00, over "
+        "1.762e-08"]
+    assert report.metrics["unpaired_steps"] == 10
+    assert window_periodicity(turned) == window_periodicity(
+        turned, full_clip_pairwise_overlap) == (
+        False, ["window tiles 0 and 5 overlap by 3.523e-03"])
 
 
 @settings(max_examples=30)
@@ -798,6 +808,23 @@ def test_any_basis_and_region_placement_tiles_alike(pair):
     report = check_periodicity(relisted)
     assert report.ok, report.violations
     assert disk_stats(relisted) == disk_stats(recipe)
+
+
+def test_a_region_tile_thirty_thousand_cells_out_tiles_alike():
+    """Type 5 with region tile 1 moved by 30 000·u: each tile's area is
+    taken about its own first corner, so the area test passes where a
+    shoelace sum on the placed coordinates gave 9.03233772 against the
+    cell's 9.03233777; the tiles glue, and the r = 8 disk has the unmoved
+    recipe's statistics."""
+    recipe = builtin_recipe(5, pentile.representative(5).pentagon)
+    region = list(recipe.region)
+    region[1] = shifted(region[1], 30_000 * np.asarray(recipe.u))
+    far = dataclasses.replace(recipe, region=tuple(region))
+    report = check_periodicity(far)
+    assert report.ok, report.violations
+    assert abs(report.metrics["region_area"] - recipe.cell_area()) <= (
+        1e-12 * recipe.cell_area())
+    assert disk_stats(far) == disk_stats(recipe)
 
 
 def test_a_far_placed_region_tile_needs_no_more_memory():
@@ -1095,25 +1122,26 @@ def test_the_gluing_certificate_agrees_with_the_window_route(case):
     it the certificate may refuse a recipe the window route passes, never
     the reverse.
 
-    The certificate bounds a corner's distance from its vertex, and a
-    stop's from its side line, by tau = AREA_TOL·A / (2·L), A the tile
-    area and L its longest side. A mutation at scale s moves a corner at
-    most s from its place (the stretch and the shear s per cell between
-    the corners of an orbit, which lie a cell or two apart). Below tau / 10
-    both routes pass: the corners lie within 2·s·(cells) < tau of their
-    vertex, and an overlap is at most a strip 2·s·L < AREA_TOL·A. Above
-    100·tau both refuse: the window route's bound in s, where the overlap
-    reaches AREA_TOL of a tile, lies a few L / l from tau (l the shortest
-    side), and the certificate's lies within its span of cells of tau. The
-    area test, common to both, refuses a stretch past 1e-9 of the cell. A
-    shear along the rows of a Type 1 row pair keeps the tiling, and both
-    pass it."""
+    The certificate's tightest bound, tau = AREA_TOL·A / L (A the tile
+    area, L its longest side), is on how far a glued step's ends lie from
+    its partner's side line; its corner spread and angle bounds are wider.
+    A mutation at scale s moves a corner at most s from its place, and the
+    stretch and the shear s per cell between the tiles of a seam, which
+    lie a cell or two apart. Below tau / 10 both routes pass: a seam parts
+    by at most 2·s < tau, so an overlap is a strip under AREA_TOL·A, and
+    no angle changes. Above 100·tau both refuse: the window route does
+    once an overlap passes AREA_TOL of a tile, which a seam gap makes
+    within a few L / l of tau (l the shortest side), and past the merge
+    distance the moved corners leave their vertex and their steps find no
+    partner. The area test, common to both, refuses a stretch past 1e-9
+    of the cell. A shear along the rows of a Type 1 row pair keeps the
+    tiling, and both pass it."""
     recipe, s = case
-    report = verifier.check_gluing(recipe)
+    report = check_periodicity(recipe)
     ok, violations = window_periodicity(recipe)
     assert ok or not report.ok, (report.metrics, violations)
     area = abs(polygon_area(recipe.pentagon.vertices))
-    tau = verifier.AREA_TOL * area / (2.0 * max(recipe.pentagon.edges))
+    tau = verifier.AREA_TOL * area / max(recipe.pentagon.edges)
     if not tau / 10.0 < s < 100.0 * tau:
         assert report.ok == ok, (s / tau, report.violations, violations)
 
@@ -1354,31 +1382,31 @@ THIN_TYPE1 = json.loads((DATA / "thin_type1.json").read_text())
 
 def test_thin_type1_cell_arrangement_is_the_snapped_one():
     """The thin Type 1 pentagon, edges from 0.0013 to 2.48 and a cell of
-    area 0.025, on its hex-pair region, where snapping a window took
-    seconds and about a gigabyte. The lattice route gives the arrays
-    pinned from the window snapper, under 1 MiB traced. The recipe is
-    built from the region candidate directly, as builtin_recipe's
-    periodicity check would take seconds."""
+    area 0.025, where a window route's periodicity check took seconds and
+    snapping a window about a gigabyte: builtin_recipe checks its
+    candidates and returns the hex pair under 1 MiB traced, and the cell
+    arrangement its check built is the arrays pinned from the window
+    snapper."""
     spec = get_type_spec(THIN_TYPE1["type"])
     pentagon = solve_instance(spec, THIN_TYPE1["params"])
     first = int(np.flatnonzero(spec.table.fits(pentagon)[:, 0])[0])
-    pentagon = pentagon.relabeled(rotation=first % 5, reflect=first >= 5)
-    region, u, v = tiling._type1_region(pentagon)[-1]
-    recipe = TilingRecipe(pentagon, region, tuple(u), tuple(v))
-    recipe.lattice_bins
+    hex_pair = tiling._type1_region(
+        pentagon.relabeled(rotation=first % 5, reflect=first >= 5))[-1][0]
     tracemalloc.start()
     try:
-        cell = arrangement.cell_arrangement(recipe)
+        recipe = builtin_recipe.__wrapped__(spec.id, pentagon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert recipe.region == hex_pair
+    assert recipe.periodicity.ok
     pinned = THIN_TYPE1["cell_arrangement"]
     reference = arrangement.CellArrangement(
         pinned["orbits"], *(np.array(pinned[name]) for name in (
             "corner_vertex", "hit_ptr", "hit_corner", "hit_vertex",
             "hit_param")))
-    assert_same_cell(cell, reference, 4 * np.spacing(1.0))
+    assert_same_cell(recipe.cell_arrangement, reference, 4 * np.spacing(1.0))
 
 
 @settings(max_examples=40)
@@ -1505,7 +1533,8 @@ def test_far_centre_patch_keeps_euler_and_edge_invariants(type_id):
 
 def assert_region_stack_is_per_isometry(recipe):
     """region_corners, region_centroids and the periodicity check's region
-    area, bit for bit as one isometry at a time builds and measures them."""
+    area, bit for bit as one isometry at a time builds and measures them,
+    each tile's area about its own first corner."""
     base = recipe.pentagon.vertices
     polys = np.array([ccw(iso.apply(base)) for iso in recipe.region])
     assert same_bits(recipe.region_corners, polys)
@@ -1513,7 +1542,7 @@ def assert_region_stack_is_per_isometry(recipe):
                      np.array([polygon_centroid(p) for p in polys]))
     assert all(same_bits(a, b)
                for a, b in zip(recipe.region_polygons(), polys))
-    area = sum(abs(polygon_area(p)) for p in polys)
+    area = sum(abs(polygon_area(p - p[0])) for p in polys)
     assert check_periodicity(recipe).metrics["region_area"] == area
 
 

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile import geometry, verifier
+from pentile import arrangement, geometry, verifier
 from pentile.arrangement import Patch, patch_from_json_dict
-from pentile.errors import DegenerateTile, InvalidInnerRadius
+from pentile.errors import DegenerateTile, InvalidInnerRadius, RecipeInvalid
 from pentile.geometry import (
     convex_overlap_areas,
     largest_inscribed_circle,
@@ -412,71 +412,64 @@ def loop_grid_cover_check(polys, region_mask, lo, hi, pitch, eps):
     return len(pts), missed, example
 
 
+def loop_disk_cover_check(polys, r_inner, pitch, eps):
+    """loop_grid_cover_check on the disk _grid_cover_check samples: the
+    grid from -r_inner to r_inner on both axes, and its points within
+    r_inner - eps of the origin."""
+    def in_disk(px, py):
+        return np.sqrt(px * px + py * py) <= r_inner - eps
+
+    return loop_grid_cover_check(polys, in_disk, np.full(2, -r_inner),
+                                 np.full(2, r_inner), pitch, eps)
+
+
 @pytest.mark.parametrize("drop", [0, 1, 3])
 def test_grid_route_matches_tile_by_tile_scan(t4_patch, drop):
     """The same count, misses and first miss, with the drop innermost
-    tiles taken out."""
+    tiles taken out; the tiles are moved so that the disk's centre is the
+    origin."""
     center, r_inner = np.asarray(t4_patch.center), 6.0
-    polys = sorted((t.polygon for t in t4_patch.tiles),
-                   key=lambda p: np.linalg.norm(p.mean(axis=0) - center))
+    polys = sorted((t.polygon - center for t in t4_patch.tiles),
+                   key=lambda p: np.linalg.norm(p.mean(axis=0)))
     polys = polys[drop:]
-
-    def in_disk(px, py):
-        dx, dy = px - center[0], py - center[1]
-        return np.sqrt(dx * dx + dy * dy) <= r_inner
-
-    args = (in_disk, center - r_inner, center + r_inner, 0.1, 1e-9)
+    args = (r_inner, 0.1, 1e-9)
     found = _grid_cover_check(stack_polygons(polys)[0], *args)
-    assert found == loop_grid_cover_check(polys, *args)
+    assert found == loop_disk_cover_check(polys, *args)
     assert (found[1] > 0) == (drop > 0)
 
 
 @functools.lru_cache(maxsize=None)
 def small_patch_polygons(type_id):
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
-    return recipe, [t.polygon for t in generate_patch(recipe, 4.0).tiles]
+    return [t.polygon for t in generate_patch(recipe, 4.0).tiles]
 
 
 def disk_case(polys, center, radius, pitch, eps=1e-9):
-    """A grid_cover_cases case sampling the disk about center."""
+    """A grid_cover_cases case sampling the disk about center: the tiles
+    moved so that center is the origin, and _grid_cover_check's radius,
+    pitch and eps."""
     center = np.asarray(center, dtype=float)
-
-    def in_disk(px, py):
-        dx, dy = px - center[0], py - center[1]
-        return np.sqrt(dx * dx + dy * dy) <= radius - eps
-
-    return polys, (in_disk, center - radius, center + radius, pitch, eps)
+    return [p - center for p in polys], (radius, pitch, eps)
 
 
 @st.composite
 def grid_cover_cases(draw):
     """Tiles of a Type 1, 2, 4 or 5 patch with up to 3 dropped, a pitch from
     a twentieth of a unit to two (tiles 1.3 to 1.9 wide, so boxes down to
-    one or two indices a side), and a disk or, as check_periodicity
-    samples, a lattice cell, either of which may hang past the tiles."""
-    recipe, polys = small_patch_polygons(draw(st.sampled_from([1, 2, 4, 5])))
+    one or two indices a side), and a disk that may hang past the
+    tiles."""
+    polys = small_patch_polygons(draw(st.sampled_from([1, 2, 4, 5])))
     dropped = draw(st.sets(st.integers(0, len(polys) - 1), max_size=3))
     polys = [p for i, p in enumerate(polys) if i not in dropped]
     pitch = draw(st.floats(0.05, 2.0))
     center = np.array(draw(st.tuples(st.floats(-3.0, 3.0),
                                      st.floats(-3.0, 3.0))))
-    eps = 1e-9
-    if draw(st.booleans()):
-        return disk_case(polys, center, draw(st.floats(0.5, 6.0)), pitch, eps)
-    u, v = np.asarray(recipe.u), np.asarray(recipe.v)
-    p0 = center - (u + v) / 2.0
-    cell = np.array([p0, p0 + u, p0 + u + v, p0 + v])
-    if polygon_area(cell) < 0:
-        cell = cell[::-1]
-
-    def in_cell(px, py):
-        return points_in_convex_polygon(px, py, cell, eps=-eps)
-
-    return polys, (in_cell, cell.min(axis=0), cell.max(axis=0), pitch, eps)
+    return disk_case(polys, center, draw(st.floats(0.5, 6.0)), pitch)
 
 
-# a house whose corners lie on grid columns and rows: the grid about (1, 1),
-# radius 2 and pitch 1/2 runs from -1 in exact halves
+# a house whose corners lie on grid columns and rows: moved so that (1, 1)
+# is the origin, the grid of radius 2 and pitch 1/2 runs from -2 in exact
+# halves
 GRID_HOUSE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 2.0],
                        [0.0, 1.0]])
 
@@ -497,7 +490,7 @@ def test_grid_route_matches_tile_by_tile_scan_anywhere(case):
     by k-d tree radius, not by boxes."""
     polys, args = case
     assert _grid_cover_check(stack_polygons(polys)[0], *args) == \
-        loop_grid_cover_check(polys, *args)
+        loop_disk_cover_check(polys, *args)
 
 
 def scalar_points_in_convex_polygon(x, y, poly, eps):
@@ -516,8 +509,7 @@ def scalar_points_in_convex_polygon(x, y, poly, eps):
 def kernel_cases(draw):
     """One to three convex polygons of 3 to 8 corners; x and y values drawn freely or from the polygons' corners and
     side midpoints, so that points fall on sides and at corners; and a
-    band eps of 0, of either sign (check_periodicity's cell mask takes a
-    negative one), or 0.1 wide."""
+    band eps of 0, of either sign, or 0.1 wide."""
     polys = draw(st.lists(convex_polygons(), min_size=1, max_size=3))
     marks = np.concatenate(
         [np.concatenate([p, (p + np.roll(p, -1, axis=0)) / 2.0])
@@ -812,22 +804,23 @@ def test_stretched_lattice_fails_periodicity():
 
 @pytest.mark.parametrize("scale", [0.03, 0.01, 0.003])
 def test_a_cell_the_region_does_not_fill_builds_no_window(scale):
-    """One Type 5 tile in a shrunken cell: a window holding every translate
-    that meets the tile would grow as 1 / scale squared, and its pairs as
-    the fourth power, so the area fails alone and no window is built."""
+    """One Type 5 tile in a shrunken cell: the lattice join behind a cell
+    arrangement grows as 1 / scale squared, so the area fails alone, no
+    arrangement is built, and only the two areas are reported."""
     recipe = builtin_recipe(5, pentile.representative(5).pentagon)
     shrunk = dataclasses.replace(recipe, region=recipe.region[:1],
                                  u=tuple(scale * np.asarray(recipe.u)),
                                  v=tuple(scale * np.asarray(recipe.v)))
-    with mock.patch.object(verifier, "near_translates",
-                           side_effect=AssertionError("window built")):
+    with mock.patch.object(arrangement, "cell_arrangement",
+                           side_effect=AssertionError("arrangement built")):
         report = check_periodicity(shrunk)
     assert not report.ok
     assert len(report.violations) == 1
     assert report.violations[0].startswith("region area ")
-    assert report.violations[0].endswith("; window not checked")
-    assert report.metrics["sample_points"] == 0
-    assert report.metrics["max_overlap_area"] == 0.0
+    assert report.violations[0].endswith("; gluing not checked")
+    assert sorted(report.metrics) == ["cell_area", "region_area"]
+    with pytest.raises(RecipeInvalid, match="gluing not checked"):
+        shrunk.cell_arrangement
 
 
 def test_periodicity_passing_recipe_verifies_at_several_radii():
@@ -992,3 +985,11 @@ def test_report_merge_combines_names_and_violations():
     assert merged.violations == ["boom"]
     assert merged.metrics == {"x": 1, "y": 2}
     assert "one" in merged.name and "two" in merged.name
+
+
+def test_report_merge_refuses_a_metric_both_reports_hold():
+    """Neither report's value of a shared metric may hide the other's."""
+    a = CheckReport(name="one", ok=True, metrics={"x": 1, "y": 2})
+    b = CheckReport(name="two", ok=True, metrics={"y": 3, "z": 4})
+    with pytest.raises(ValueError, match=r"one and two both hold .*'y'"):
+        a.merge(b)
