@@ -46,7 +46,7 @@ class TypeMismatch(PentileError):
 
 
 class RecipeInvalid(PentileError):
-    """Recipe fails structural or window verification."""
+    """Recipe fails structural or periodicity verification."""
 
 
 class DegenerateTile(PentileError):

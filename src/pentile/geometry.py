@@ -40,11 +40,6 @@ def polygon_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def ccw(poly: np.ndarray) -> np.ndarray:
-    """The polygon, reversed if its corners run clockwise."""
-    return poly if polygon_area(poly) >= 0 else poly[::-1]
-
-
 def polygon_centroids(stacked: np.ndarray) -> np.ndarray:
     """Centroid of each of N polygons of K corners, (N, K, 2) -> (N, 2), by
     the shoelace formula: each row's terms are added by np.sum over K-long

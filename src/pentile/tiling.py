@@ -176,7 +176,7 @@ class TilingRecipe:
         """The region tiles as one (k, 5, 2) stack of ccw polygons: the
         pentagon times every isometry's transposed matrix in one matmul,
         plus the translations. Reflected placements come out clockwise and
-        are reversed, as `ccw` reverses them."""
+        are reversed."""
         turns = np.array([iso.matrix() for iso in self.region])
         shifts = np.array([iso.translation for iso in self.region])
         placed = (np.matmul(self.pentagon.vertices, turns.transpose(0, 2, 1))
@@ -219,13 +219,6 @@ class TilingRecipe:
         from .verifier import check_periodicity
 
         return check_periodicity(self)
-
-    def require_tiling(self) -> None:
-        """RecipeInvalid, naming the checks that failed, unless the recipe
-        tiles (`periodicity`)."""
-        if not self.periodicity.ok:
-            raise RecipeInvalid(f"recipe does not tile: "
-                                f"{self.periodicity.violations}")
 
     @functools.cached_property
     def cell_arrangement(self):
@@ -540,10 +533,13 @@ def _flood_reach(recipe: TilingRecipe, r: float) -> tuple[float, float]:
 def _candidates(recipe: TilingRecipe, r: float, center: np.ndarray,
                 reach: float):
     """near_translates' rows within reach of the centre and their centroid
-    distances from it. RecipeInvalid, before any scan, when the recipe
-    does not tile (`TilingRecipe.require_tiling`), and ParseError naming r
-    when the lattice scan is over MAX_TRANSLATES."""
-    recipe.require_tiling()
+    distances from it. RecipeInvalid, naming the checks that failed,
+    before any scan, when the recipe does not tile
+    (`TilingRecipe.periodicity`), and ParseError naming r when the lattice
+    scan is over MAX_TRANSLATES."""
+    if not recipe.periodicity.ok:
+        raise RecipeInvalid(f"recipe does not tile: "
+                            f"{recipe.periodicity.violations}")
     try:
         return near_translates(recipe, center, reach)
     except ParseError as exc:
@@ -570,7 +566,7 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     Intended for disks larger than a single tile (r above one tile diameter);
     smaller disks still produce a patch but it may hold a tile or none.
     Raises RecipeInvalid, before any lattice scan, when the recipe does not
-    tile (`TilingRecipe.require_tiling`), and ParseError, naming r, when
+    tile (`TilingRecipe.periodicity`), and ParseError, naming r, when
     the candidates' lattice scan is over MAX_TRANSLATES (`near_translates`).
 
     F1 and F2 lie within r + eps + diam of M (eps the merge distance, diam

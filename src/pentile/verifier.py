@@ -178,13 +178,12 @@ def check_no_overlap(patch) -> CheckReport:
 
 def _grid_cover_check(stacked, r_inner, pitch, eps):
     """Sampling route: every point of the grid of this pitch from -r_inner
-    to r_inner on both axes that lies within r_inner - eps of the origin,
-    as np.linalg.norm measures it (`_in_disk`), must lie in a tile. Returns (#tested,
-    #missed, the first miss in row-major order or None).
+    to r_inner on both axes that lies within r_inner - eps of the origin
+    (`_in_disk`) must lie in a tile. Returns (#tested, #missed, the first
+    miss in row-major order or None).
 
     The grid is held only as its axes xs and ys: the disk test takes the
-    row xs (1, nx) against the column ys (ny, 1), and no point array is
-    built. Each tile runs
+    row xs (1, nx) against the column ys (ny, 1). Each tile runs
     points_in_convex_polygon(..., eps) on the grid points of its index
     box, as a column ys[iy] (B, wy, 1) against a row xs[ix] (B, 1, wx). The
     box runs from ceil(min' - 1/2) to floor(max' + 1/2), min' and max'
@@ -333,10 +332,8 @@ def check_coverage(patch, r_inner: float | None = None) -> CheckReport:
 
 
 def area_mismatch(recipe) -> str | None:
-    """The area test: None when the region area (`TilingRecipe.region_area`)
-    is the lattice cell area to AREA_TOL of the cell, else the violation.
-    The rest of check_periodicity reads the recipe's cell arrangement,
-    which a cell the region does not fill can make unbounded."""
+    """None when the region area (`TilingRecipe.region_area`) is the cell
+    area to AREA_TOL of it, else the violation."""
     region, cell = recipe.region_area, recipe.cell_area()
     if abs(region - cell) <= AREA_TOL * cell:
         return None
@@ -349,48 +346,34 @@ def check_periodicity(recipe) -> CheckReport:
     the torus R²/<u, v>: the area test (`area_mismatch`), then a
     certificate read off the recipe's cell arrangement and orbit star.
 
-    Glue the region tiles along the boundary steps the star pairs (a step
-    runs between two stops of a tile's boundary, a stop being a corner or
-    a vertex inside a side). Suppose every step has exactly one reversed
-    partner, a step of some other tile moved by a lattice vector, lying
-    along it; every vertex orbit's corner angles, plus pi for each stop
-    inside a side, sum to 2pi; and every orbit's corners, moved back by
-    their cell shifts, coincide. Then the glued tiles form a closed flat
-    surface with no cone point, and placing each tile by its isometry maps
-    it onto the torus by a local isometry, hence a covering. Its degree is
-    the region area over the cell area, so the area test makes it 1: the
-    lattice translates of the region cover the plane once (Thurston,
+    Glue the region tiles along the boundary steps the star pairs. If each
+    step has exactly one reversed partner, a step of a lattice translate
+    of a tile lying along it, each vertex orbit's corner angles, plus pi
+    per stop inside a side, sum to 2pi, and each orbit's corners coincide,
+    the glued tiles form a closed flat surface with no cone point. Placing
+    the tiles maps it onto the torus by a local isometry, a covering of
+    degree region area / cell area, which the area test makes 1 (Thurston,
     Three-Dimensional Geometry and Topology I, 1997; Grünbaum & Shephard,
-    Tilings and Patterns, 1987, ch. 3).
+    Tilings and Patterns, 1987, ch. 3). Each test's tolerance comes from
+    the bound check_no_overlap puts on two tiles, AREA_TOL of the tile
+    area A, with L the longest side and l the shortest:
 
-    Each test has a tolerance drawn from the bound check_no_overlap puts
-    on two tiles, AREA_TOL of the tile area A; L is the longest side and l
-    the shortest:
+    - unpaired_steps, the steps whose `OrbitStar.paired` is not 1: none;
+    - max_seam_gap, the farthest end of a glued step's partner from the
+      step's side line (a stop inside a side sits at its hit_param), at
+      most tau = AREA_TOL·A / L: the two differ by a strip tau wide and at
+      most L long;
+    - max_angle_residual, the largest |angle sum - 2pi|, at most
+      2·AREA_TOL·A / l², where a wedge between two sides l long holds
+      AREA_TOL·A;
+    - max_corner_spread, the farthest corner from its orbit's mean, at
+      most sigma = sqrt(AREA_TOL·A / (2·pi)), whose disk holds half of
+      AREA_TOL·A. Across their sides the seam test bounds the corners; the
+      arrangement merges vertices that lie apart along them by less than
+      the merge distance, as a pentagon drawn near a Type's default has;
+    - each stop inside a side has its hit_param in (0, 1).
 
-    - unpaired_steps counts the steps whose reversed partners
-      (`OrbitStar.paired`) are not exactly one; it must be 0.
-    - max_seam_gap, the farthest end of a glued step from its partner's
-      side line (a stop inside a side placed at its hit_param along it),
-      is at most tau = AREA_TOL·A / L. Two steps so glued differ by a
-      strip at most tau wide and L long: AREA_TOL·A.
-    - max_angle_residual, the largest |angle sum - 2pi| over the orbits,
-      is at most 2·AREA_TOL·A / l². A residual alpha at a vertex opens or
-      overlaps a wedge between two sides at least l long, which holds
-      l²·alpha / 2 of area.
-    - max_corner_spread, the farthest corner from its orbit's mean, is at
-      most sigma = sqrt(AREA_TOL·A / (2·pi)). The seam test already bounds
-      corners across their sides; along them, corners apart by less than
-      the merge distance are one vertex of the arrangement, as where two
-      vertices of a tiling lie that close. The tiles' corners then leave,
-      near the vertex, a gap or overlap inside the disk of radius sigma
-      about the mean: pi·sigma² = AREA_TOL·A / 2.
-    - Each stop inside a side lies strictly inside it: hit_param in
-      (0, 1). The seam test bounds its distance from the side's line.
-
-    With paired steps and coinciding corners each angle sum is a whole
-    number of turns, so the angle test tells one turn from none or two.
-    region_area and cell_area are reported with the four residuals; when
-    the area test fails, they alone are, and nothing is glued.
+    When the area test fails, only region_area and cell_area are reported.
     """
     from .arrangement import orbit_vertices
 
@@ -401,26 +384,14 @@ def check_periodicity(recipe) -> CheckReport:
         return CheckReport(name="periodicity", ok=False,
                            violations=[mismatch], metrics=metrics)
     cell, star = recipe.cell_arrangement, recipe.orbit_star
-    corners = recipe.region_corners
-    count, k = corners.shape[:2]
-    edges = np.asarray(recipe.pentagon.edges)
-    # the region tiles are congruent, and their areas the cell's
-    area = recipe.region_area / count
-    tau = AREA_TOL * area / edges.max()
-    angle_tol = 2.0 * AREA_TOL * area / edges.min() ** 2
-    sigma = math.sqrt(AREA_TOL * area / (2.0 * math.pi))
-
-    unpaired = int(np.count_nonzero(star.paired != 1))
-
-    flat = corners.reshape(-1, 2)
+    count, k = recipe.region_corners.shape[:2]
+    flat = recipe.region_corners.reshape(-1, 2)
     nxt = np.arange(1, count * k + 1)
     nxt[k - 1::k] -= k
     side = flat[nxt] - flat
     angle = np.full(len(star.stop_tile), math.pi)
     angle[star.corner] = corner_angles(side, nxt)
-    residual = np.abs(np.bincount(star.stop_vertex[:, 2], angle)
-                      - 2.0 * math.pi)
-    orbit = int(np.argmax(residual))
+    turn = np.abs(np.bincount(star.stop_vertex[:, 2], angle) - 2.0 * math.pi)
 
     # each stop placed on its tile's boundary, and each glued step's
     # partner's ends measured from the step's side line
@@ -430,50 +401,48 @@ def check_periodicity(recipe) -> CheckReport:
     inside = on[~star.corner]
     at[~star.corner] = flat[inside] + cell.hit_param[:, None] * side[inside]
     step = np.flatnonzero(star.paired == 1)
-    partner = star.partner[step]
+    t = star.partner[step]
     shift = (star.stop_vertex[step, :2]
-             - star.stop_vertex[star.next_stop[partner], :2])
-    ends = recipe.moved(np.stack([at[partner], at[star.next_stop[partner]]],
-                                 axis=1), shift[:, :1], shift[:, 1:])
-    ends -= flat[on[step], None]
-    normal = side[on[step]] / np.hypot(*side[on[step]].T)[:, None]
-    seam = np.abs(ends[..., 0] * normal[:, 1, None]
-                  - ends[..., 1] * normal[:, 0, None]).max(axis=1)
-    worst = int(np.argmax(seam)) if len(seam) else 0
+             - star.stop_vertex[star.next_stop[t], :2])
+    ends = recipe.moved(np.stack([at[t], at[star.next_stop[t]]], axis=1),
+                        shift[:, :1], shift[:, 1:]) - flat[on[step], None]
+    line = side[on[step]] / np.hypot(*side[on[step]].T)[:, None]
+    seam = np.abs(ends[..., 0] * line[:, 1, None]
+                  - ends[..., 1] * line[:, 0, None]).max(axis=1)
 
     vertex = cell.corner_vertex.reshape(-1, 3)
     home, mean = orbit_vertices(recipe, vertex)
     spread = np.hypot(*(home - mean[vertex[:, 2]]).T)
-    far = int(np.argmax(spread))
-    split = (cell.hit_param > 0.0) & (cell.hit_param < 1.0)
 
-    metrics.update(unpaired_steps=unpaired,
-                   max_seam_gap=float(seam.max(initial=0.0)),
-                   max_angle_residual=float(residual[orbit]),
-                   max_corner_spread=float(spread[far]))
-    violations = []
-    if unpaired:
-        violations.append(f"{unpaired} of {len(star.paired)} boundary steps "
-                          f"glue to no reversed step or to several")
-    if not seam.max(initial=0.0) <= tau:
-        j, c = divmod(int(on[step[worst]]), k)
-        violations.append(
-            f"a step along side {c} of region tile {j} and the step glued "
-            f"to it lie {seam[worst]:.3e} apart, over {tau:.3e}")
-    if not residual[orbit] <= angle_tol:
-        violations.append(
-            f"the angles at vertex orbit {orbit} miss 2pi by "
-            f"{residual[orbit]:.3e}, over {angle_tol:.3e}")
-    if not spread[far] <= sigma:
-        violations.append(
-            f"corner {far % k} of region tile {far // k} lies "
-            f"{spread[far]:.3e} from its vertex, over {sigma:.3e}")
+    unpaired = int(np.count_nonzero(star.paired != 1))
+    metrics["unpaired_steps"] = unpaired
+    violations = [f"{unpaired} of {len(star.paired)} boundary steps glue to "
+                  f"no reversed step or to several"] if unpaired else []
+    # the region tiles are congruent, and their areas the cell's
+    area, edges = recipe.region_area / count, recipe.pentagon.edges
+    for name, residual, bound, worst in (
+            ("max_seam_gap", seam, AREA_TOL * area / max(edges),
+             lambda i: f"a step along side {on[step[i]] % k} of region "
+                       f"tile {on[step[i]] // k} and the step glued to it "
+                       f"lie apart by"),
+            ("max_angle_residual", turn, 2.0 * AREA_TOL * area
+             / min(edges) ** 2,
+             lambda i: f"the angles at vertex orbit {i} miss 2pi by"),
+            ("max_corner_spread", spread,
+             math.sqrt(AREA_TOL * area / (2.0 * math.pi)),
+             lambda i: f"corner {i % k} of region tile {i // k} lies off "
+                       f"its vertex by")):
+        metrics[name] = float(residual.max(initial=0.0))
+        if not metrics[name] <= bound:
+            violations.append(f"{worst(int(np.argmax(residual)))} "
+                              f"{metrics[name]:.3e}, over {bound:.3e}")
+    split = (cell.hit_param > 0.0) & (cell.hit_param < 1.0)
     if not split.all():
         h = int(np.argmin(split))
-        j, c = divmod(int(inside[h]), k)
         violations.append(
-            f"vertex {tuple(cell.hit_vertex[h].tolist())} splits side {c} of "
-            f"region tile {j} at {cell.hit_param[h]:.9g}, outside (0, 1)")
+            f"vertex {tuple(cell.hit_vertex[h].tolist())} splits side "
+            f"{inside[h] % k} of region tile {inside[h] // k} at "
+            f"{cell.hit_param[h]:.9g}, outside (0, 1)")
     return CheckReport(name="periodicity", ok=not violations,
                        violations=violations, metrics=metrics)
 

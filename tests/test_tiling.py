@@ -29,7 +29,6 @@ from pentile.errors import (
     TypeMismatch,
 )
 from pentile.geometry import (
-    ccw,
     component_labels,
     convex_overlap_areas,
     largest_inscribed_circle,
@@ -72,6 +71,11 @@ def isometries():
 def house():
     return pentile.pentagon_from_json_dict(
         json.loads((DATA / "house.json").read_text()))
+
+
+def ccw(poly):
+    """The polygon, reversed if its corners run clockwise."""
+    return poly if polygon_area(poly) >= 0 else poly[::-1]
 
 
 def polygon_centroid(poly):
