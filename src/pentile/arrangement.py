@@ -77,6 +77,7 @@ from .geometry import (
 )
 from .tiling import (
     COORD_LIMIT,
+    MAX_TRANSLATES,
     SNAP_FACTOR,
     PlacedTile,
     TilingRecipe,
@@ -589,16 +590,27 @@ def _lattice_join(g, lo, hi):
     cell it meets. A point is keyed by its bin within its cell, and each
     bin a box spans takes the points of its key, moved by the whole cells
     between them. The work grows with the points in the bins the boxes
-    span, not with boxes × points."""
+    span, not with boxes × points. ParseError, before their rows are
+    made, when the boxes span or the pairs number more than
+    MAX_TRANSLATES, as on a basis sheared so far that a side crosses
+    millions of cells."""
+    def bound(count, what):
+        if not count <= MAX_TRANSLATES:
+            raise ParseError(f"the cell arrangement's lattice join holds "
+                             f"{count:.3g} {what}, over MAX_TRANSLATES = "
+                             f"{MAX_TRANSLATES:,}")
+
     bins = np.clip(np.floor(1.0 / (hi - lo).max(axis=0)), 1.0,
                    max(1.0, math.isqrt(len(g))))
+    first, last = np.floor(lo * bins), np.floor(hi * bins)
+    bound(float(np.prod(last - first + 1.0, axis=1).sum()), "bins")
     at = np.floor(g * bins).astype(np.intp)
     bins = bins.astype(np.intp)
     key = (at[:, 0] % bins[0]) * bins[1] + at[:, 1] % bins[1]
     by_key = np.argsort(key, kind="stable")
     key = key[by_key]
-    first = np.floor(lo * bins).astype(np.intp)
-    spans = np.floor(hi * bins).astype(np.intp) - first + 1
+    first = first.astype(np.intp)
+    spans = last.astype(np.intp) - first + 1
     box = np.repeat(np.arange(len(lo)), spans[:, 0] * spans[:, 1])
     rank = _ranks(spans[:, 0] * spans[:, 1])
     b0 = first[box, 0] + rank // spans[box, 1]
@@ -606,6 +618,7 @@ def _lattice_join(g, lo, hi):
     wanted = (b0 % bins[0]) * bins[1] + b1 % bins[1]
     begin = np.searchsorted(key, wanted)
     found = np.searchsorted(key, wanted, "right") - begin
+    bound(float(found.sum()), "pairs")
     point = by_key[np.repeat(begin, found) + _ranks(found)]
     m = np.repeat(b0 // bins[0], found) - at[point, 0] // bins[0]
     n = np.repeat(b1 // bins[1], found) - at[point, 1] // bins[1]

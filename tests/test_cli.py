@@ -274,6 +274,33 @@ def test_a_region_tile_moved_three_cells_tiles_alike(capsys, tmp_path):
         assert moved == unmoved
 
 
+@pytest.mark.parametrize("shear", [10**5, 10**7])
+def test_a_basis_sheared_past_max_translates_is_refused(capsys, tmp_path,
+                                                        shear):
+    """The Type 5 recipe file on the basis (u, v + shear·u), the same
+    lattice: the cell arrangement's lattice join would pair each region
+    side with the corners of about shear cells, so verify refuses the
+    recipe with a ParseError naming MAX_TRANSLATES, under 128 MiB traced,
+    before its rows are made."""
+    document = json.loads((DATA / "type5_recipe.json").read_text())
+    (ux, uy), (vx, vy) = document["lattice"]
+    document["lattice"][1] = [vx + shear * ux, vy + shear * uy]
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(document))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--recipe", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert "lattice join" in error["message"]
+    assert "MAX_TRANSLATES" in error["message"]
+    assert peak < 128 << 20, f"{peak / 2**20:.1f} MiB"
+
+
 def turned_recipe_file(tmp_path) -> str:
     """The Type 4 recipe with region tile 1 turned 1 degree about its
     centroid, which does not tile, written at full precision."""
