@@ -622,7 +622,8 @@ def window_periodicity(recipe, pairwise=verifier._pairwise_overlap):
     clips must sum to the cell area; no two window tiles may overlap by
     more than AREA_TOL of a tile (pairwise); and the cell's points on a
     grid at a quarter of the tile inradius must lie in some tile. Returns
-    the verdict and the violations, worded as that route worded them."""
+    the verdict and the violations, worded as that route worded them (a
+    grid miss without its first point)."""
     tol = verifier.AREA_TOL
     cell_area = recipe.cell_area()
     corners = recipe.region_corners
@@ -710,22 +711,16 @@ def test_failing_type1_row_pairs_report_the_full_clip_overlap():
     assert seen == [(False, False), (False, False), (True, False)]
 
 
-def turned_type4_recipe():
-    """The Type 4 recipe with region tile 1 turned 1 degree about its
-    centroid."""
-    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
-    region = list(recipe.region)
-    region[1] = Isometry.rotation_about(
-        math.radians(1.0), recipe.region_centroids[1]).compose(region[1])
-    return dataclasses.replace(recipe, region=tuple(region))
-
-
 def test_a_turned_region_tile_fails_by_the_full_clip_overlap():
     """Type 4 with region tile 1 turned 1 degree about its centroid: the
     areas still agree, so the tiles are glued, and half of their boundary
     steps find no partner. The window route reports the overlap that every
     pair clipped gives."""
-    turned = turned_type4_recipe()
+    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
+    region = list(recipe.region)
+    region[1] = Isometry.rotation_about(
+        math.radians(1.0), recipe.region_centroids[1]).compose(region[1])
+    turned = dataclasses.replace(recipe, region=tuple(region))
     report = check_periodicity(turned)
     assert not report.ok
     assert report.violations == [
