@@ -1145,6 +1145,25 @@ def test_the_gluing_certificate_agrees_with_the_window_route(case):
         assert report.ok == ok, (s / tau, report.violations, violations)
 
 
+def test_merged_vertices_of_a_near_default_pentagon_still_glue():
+    """Type 1 with side a 1e-7 longer than the default's: its hex pair
+    tiles exactly, but two of its straight-angle vertices lie about 1e-7
+    apart along a side, closer than the merge distance, and the cell
+    arrangement merges them. Their corners lie some 30 seam tolerances
+    from their mean, along the sides they share, so the seams still glue
+    and the recipe passes, as it passes the window route."""
+    spec = get_type_spec(1)
+    params = dict(spec.default_params, a=spec.default_params["a"] * 1.0000001)
+    recipe = builtin_recipe(1, solve_instance(spec, params))
+    report = recipe.periodicity
+    assert report.ok, report.violations
+    area = recipe.region_area / len(recipe.region)
+    tau = verifier.AREA_TOL * area / max(recipe.pentagon.edges)
+    assert report.metrics["max_corner_spread"] > 10.0 * tau
+    assert report.metrics["max_seam_gap"] < 1e-3 * tau
+    assert window_periodicity(recipe)[0]
+
+
 def ring_seeded_tile_records(recipe, r, M):
     """The tile records of A(r, M) by a wider, ring-seeded rule: the
     candidates are the translates whose centroid lies within r + 5 tile
