@@ -802,6 +802,19 @@ def test_stretched_lattice_fails_periodicity():
     assert report.violations
 
 
+def test_a_side_stop_at_its_side_end_is_reported_as_a_split():
+    """A fresh Type 1 recipe whose first side stop is planted at 1, the
+    side's end: the certificate names the vertex, the side and the
+    parameter."""
+    built = builtin_recipe(1, pentile.representative(1).pentagon)
+    recipe = dataclasses.replace(built)
+    recipe.cell_arrangement.hit_param[0] = 1.0
+    report = check_periodicity(recipe)
+    assert not report.ok
+    assert ("vertex (0, -1, 3) splits side 3 of region tile 0 at 1, "
+            "outside (0, 1)") in report.violations
+
+
 @pytest.mark.parametrize("scale", [0.03, 0.01, 0.003])
 def test_a_cell_the_region_does_not_fill_builds_no_window(scale):
     """One Type 5 tile in a shrunken cell: the lattice join behind a cell
