@@ -32,23 +32,24 @@ each side; one assembly builds every array from that.
   from the side midpoints to the vertices, finds the vertices lying inside
   sides.
 - Lookup (`Patch.from_cells`, for generated patches): the recipe's
-  CellArrangement gives each region corner's vertex orbit and each region
-  side's inner vertices, so a tile of cell (m, n) finds them by integer
-  key, with no distance measured. `vertex_labels` turns each key into one
-  integer label; generate_patch's flood fill joins the tiles that share a
-  label. `cell_arrangement` builds it once per recipe on the lattice, from
+  OrbitStar, the one record of its tiling's lattice cell, lists each region
+  tile's boundary stops, its corners' vertex keys and the vertices inside
+  its sides, so a tile of cell (m, n) finds them by integer key, with no
+  distance measured. `vertex_labels` turns each key into one integer
+  label; generate_patch's flood fill joins the tiles that share a label.
+  `cell_arrangement` builds the star once per recipe on the lattice, from
   the region's own corners, with no window and nothing snapped: every
   vertex is a translate of a region corner, and it makes the snapping
   finder's merge and side tests on coordinates placed by the one placement
   rule, `TilingRecipe.corners`, so it finds the vertices that snapping a
   window of translates finds.
 
-The same CellArrangement, read per vertex orbit and per region tile, is the
-tiling's `orbit_star`: each region tile's boundary stops, the tiles meeting
-each orbit and each region tile's edge neighbours. stats.compute_stats
-counts a generated patch on it in both modes, and stats.limit_sweep each
+The same stops, read per vertex orbit, give the tiles meeting each orbit
+and each region tile's edge neighbours (`orbit_star`). stats.compute_stats
+counts a generated patch on them in both modes, and stats.limit_sweep each
 radius, with no arrangement built: the counts are the ones the arrangement
-gives (`stats._lattice_stats`).
+gives (`stats._lattice_stats`). The periodicity certificate reads the same
+stops and their places along the sides.
 
 Either way vertices are numbered by first corner occurrence and placed at
 the mean of their corners. The assembly sorts only the side hits, by
@@ -165,8 +166,8 @@ class Arrangement(NamedTuple):
 
 class Lattice(NamedTuple):
     """Where a generated patch's tiles lie in their recipe's tiling:
-    Patch.polygons places the rows, the lookup finder reads the recipe's
-    cell arrangement, and stats.compute_stats its orbit star."""
+    Patch.polygons places the rows, and the lookup finder and
+    stats.compute_stats read the recipe's orbit star."""
     rows: np.ndarray             # (N, 3) each tile's (m, n, region index)
     recipe: TilingRecipe
 
@@ -241,8 +242,7 @@ class Patch:
             incidence = _snapped_incidence(points, nxt, self.precision)
         else:
             rows, recipe = self.lattice
-            incidence = _looked_up_incidence(points, rows,
-                                             recipe.cell_arrangement)
+            incidence = _looked_up_incidence(points, rows, recipe.orbit_star)
         return _assembled(self.counts, offsets, nxt, *incidence)
 
     def interior_tile_ids(self) -> np.ndarray:
@@ -315,8 +315,8 @@ class Patch:
                    center=None) -> "Patch":
         """Lattice translates of the recipe's region tiles, given as their
         (m, n, region index) rows, with each tile's zone. Their polygons
-        are placed and their arrangement looked up in the recipe's cell
-        arrangement when first read: no snapping and no distances."""
+        are placed and their arrangement looked up in the recipe's orbit
+        star when first read: no snapping and no distances."""
         return cls(np.full(len(rows), recipe.region_corners.shape[1]),
                    rows[:, :2], zones, r=r,
                    center=None if center is None else tuple(center),
@@ -354,7 +354,7 @@ def _assembled(counts, offsets, nxt, corner_vid, vertex_xy,
 
     # vertices sitting inside a side split it; the tile counts as
     # incident there
-    hit_side, hit_vid, hit_param = hits
+    hit_side, hit_vid, param = hits
     split_vid, split_tile = _unique_rows(hit_vid, owner[hit_side])
     pseudo = np.zeros(n_vertices, dtype=bool)
     pseudo[split_vid] = True
@@ -366,7 +366,7 @@ def _assembled(counts, offsets, nxt, corner_vid, vertex_xy,
     # it by (param, vertex), its end corner; consecutive stops bound an
     # edge. Hit k in (side, param, vertex) order, on side s, comes after
     # the two corners of each side before s and s's start corner
-    order = np.lexsort((hit_vid, hit_param, hit_side))
+    order = np.lexsort((hit_vid, param, hit_side))
     hit_side, hit_vid = hit_side[order], hit_vid[order]
     n_sides = len(nxt)
     per_side = np.bincount(hit_side, minlength=n_sides) + 2
@@ -479,28 +479,11 @@ def _side_interior_incidence(points, nxt, side_lengths, corner_vid,
     return sid, vid, param
 
 
-class CellArrangement(NamedTuple):
-    """A periodic tiling's arrangement reduced to one lattice cell.
-
-    Vertex (m, n, o) is vertex orbit o moved by m·u + n·v. Corner c of
-    region tile i placed in cell (m, n) is vertex (m, n, 0) +
-    corner_vertex[i, c]. Rows hit_ptr[i]:hit_ptr[i + 1] of the hit arrays
-    are the vertices inside region tile i's sides: the side opened by
-    corner hit_corner holds vertex (m, n, 0) + hit_vertex at hit_param
-    along it. Two placed tiles touch exactly when they share a vertex,
-    as corner or side split.
-    """
-    orbits: int
-    corner_vertex: np.ndarray    # (k, K, 3)
-    hit_ptr: np.ndarray          # (k + 1,)
-    hit_corner: np.ndarray       # (H,)
-    hit_vertex: np.ndarray       # (H, 3)
-    hit_param: np.ndarray        # (H,)
-
-
-def cell_arrangement(recipe) -> CellArrangement:
-    """The recipe's cell arrangement, from the region's own k·K corners,
-    with no window of translates placed and nothing snapped.
+def cell_arrangement(recipe) -> OrbitStar:
+    """The recipe's tiling reduced to one lattice cell, as its `orbit_star`:
+    each region corner's vertex key and each vertex inside a region side,
+    found from the region's own k·K corners, with no window of translates
+    placed and nothing snapped.
 
     Every vertex of the tiling is a translate of a region corner. So each
     corner is paired with the translates (m, n) of the corners whose
@@ -561,11 +544,8 @@ def cell_arrangement(recipe) -> CellArrangement:
     d = end - start
     param = np.sum((at - start) * d, axis=1) / np.sum(d * d, axis=1)
     order = np.lexsort((param, side))
-    side = side[order]
-    return CellArrangement(
-        orbits=len(roots), corner_vertex=vertex.reshape(count, k, 3),
-        hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
-        hit_corner=side % k, hit_vertex=key[order], hit_param=param[order])
+    return orbit_star(vertex.reshape(count, k, 3), side[order], key[order],
+                      param[order])
 
 
 def orbit_vertices(recipe, vertex):
@@ -640,15 +620,20 @@ def _walked(a, b, step, known) -> np.ndarray:
 
 
 class OrbitStar(NamedTuple):
-    """A periodic tiling's incidence per vertex orbit and per region tile,
-    read off its CellArrangement (`orbit_star`).
+    """A periodic tiling reduced to one lattice cell: its incidence per
+    region tile and per vertex orbit (`orbit_star`).
 
-    A stop is a vertex key (Δm, Δn, orbit) on a region tile's boundary,
-    from the tile's own cell. Rows stop_ptr[j]:stop_ptr[j + 1] are region
-    tile j's stops in boundary order: corner c, then the vertices inside
-    the side it opens by hit_param; corner marks the corners. A stop and
-    next_stop of it bound an edge. Row o of star lists the stops at orbit
-    o: vertex (0, 0, o) is met by each of their region tiles moved by minus
+    Vertex (m, n, o) is vertex orbit o moved by m·u + n·v. A stop is a
+    vertex key (Δm, Δn, orbit) on a region tile's boundary, from the tile's
+    own cell: region tile j placed in cell (m, n) meets vertex (m, n, 0) +
+    stop_vertex[s] there. Rows stop_ptr[j]:stop_ptr[j + 1] are region tile
+    j's stops in boundary order: corner c, then the vertices inside the
+    side it opens by stop_param, their place along it (0 at a corner).
+    corner marks the corners, so stop_vertex[corner] is every region
+    corner's key in region order. Two placed tiles touch exactly when they
+    share a vertex, as corner or side split. A stop and next_stop of it
+    bound an edge. Row o of star lists the stops at orbit o, one of orbits:
+    vertex (0, 0, o) is met by each of their region tiles moved by minus
     its (Δm, Δn), so a row's length is the orbit's valence. paired[s]
     counts the steps of other tiles that run back along the step from stop
     s to next_stop[s], the edge's other side, and partner[s] is one of
@@ -667,7 +652,9 @@ class OrbitStar(NamedTuple):
     stop_tile: np.ndarray        # (S,) region tile of each stop
     stop_vertex: np.ndarray      # (S, 3) vertex key (Δm, Δn, orbit)
     corner: np.ndarray           # (S,) the stop is its tile's corner
+    stop_param: np.ndarray       # (S,) place along its side, 0 at a corner
     next_stop: np.ndarray        # (S,)
+    orbits: int
     star: Csr                    # orbit -> stop rows
     paired: np.ndarray           # (S,) reversed steps meeting each step
     partner: np.ndarray          # (S,) one of them, or -1
@@ -682,35 +669,37 @@ class OrbitStar(NamedTuple):
         return np.diff(self.neighbour_ptr)
 
 
-def orbit_star(cell: CellArrangement) -> OrbitStar:
-    """The cell's stops, its star and each region tile's edge neighbours.
+def orbit_star(corner_key, side, side_key, param) -> OrbitStar:
+    """The cell's stops, its star and each region tile's edge neighbours,
+    from each region corner's vertex key, (k, K, 3) in region order, and
+    the side hits: hit h lies inside the side that flat corner side[h]
+    opens, as vertex side_key[h] at param[h] along it. The hits come sorted
+    by side, then param, so the h-th, on side g, follows g + 1 corners and
+    h hits.
 
-    The hits are sorted by side, then param, so the h-th hit, on side g,
-    follows g + 1 corners and h hits. Two tiles share an edge exactly when
-    their stops run along it in turn: a step p -> q of one tile and, moved
-    by some (Δm, Δn), a step q -> p of another. Keyed by (orbit of p, orbit
-    of q, Δq - Δp) as `_row_key` rows, the steps and the same steps
-    reversed join in one sort, so the cost grows with the stops, not with
-    their pairs. The moved cells come from one walk over the links between
-    tiles and the orbits of their stops, from region tile 0, which sets
-    each stop it walks to 0 cells from its tile; they are kept when they
-    bring the farthest stop nearer than the cells as listed do, which
-    cannot be when it is one cell away.
+    Two tiles share an edge exactly when their stops run along it in turn:
+    a step p -> q of one tile and, moved by some (Δm, Δn), a step q -> p of
+    another. Keyed by (orbit of p, orbit of q, Δq - Δp) as `_row_key` rows,
+    the steps and the same steps reversed join in one sort, so the cost
+    grows with the stops, not with their pairs. The moved cells come from
+    one walk over the links between tiles and the orbits of their stops,
+    from region tile 0, which sets each stop it walks to 0 cells from its
+    tile; they are kept when they bring the farthest stop nearer than the
+    cells as listed do, which cannot be when it is one cell away.
     """
-    k, corners = cell.corner_vertex.shape[:2]
-    per_tile = np.diff(cell.hit_ptr)
-    hit_side = (np.repeat(np.arange(k), per_tile) * corners
-                + cell.hit_corner)
-    sides = np.arange(k * corners)
-    stop_vertex = np.empty((len(sides) + len(hit_side), 3), dtype=np.intp)
-    corner = np.zeros(len(stop_vertex), dtype=bool)
-    corner[sides + np.searchsorted(hit_side, sides)] = True
-    stop_vertex[corner] = cell.corner_vertex.reshape(-1, 3)
-    stop_vertex[hit_side + np.arange(len(hit_side)) + 1] = cell.hit_vertex
-    stop_ptr = np.arange(k + 1) * corners + cell.hit_ptr
-    stop_tile = np.repeat(np.arange(k), corners + per_tile)
+    k, corners = corner_key.shape[:2]
+    corner = np.ones(k * corners + len(side), dtype=bool)
+    corner[side + np.arange(len(side)) + 1] = False
+    stop_vertex = np.empty((len(corner), 3), dtype=np.intp)
+    stop_vertex[corner] = corner_key.reshape(-1, 3)
+    stop_vertex[~corner] = side_key
+    stop_param = np.zeros(len(corner))
+    stop_param[~corner] = param
+    stop_tile = (np.cumsum(corner) - 1) // corners
+    stop_ptr = np.searchsorted(stop_tile, np.arange(k + 1))
     next_stop = _next_corners(stop_ptr)
     orbit = stop_vertex[:, 2]
+    orbits = int(orbit.max()) + 1
     at_orbit = np.argsort(orbit, kind="stable")
 
     p, q = stop_vertex, stop_vertex[next_stop]
@@ -734,7 +723,7 @@ def orbit_star(cell: CellArrangement) -> OrbitStar:
     moved, step = np.zeros((k, 2), dtype=np.intp), p[:, :2]
     reach = int(np.abs(step).max())
     if reach > 1:
-        known = np.zeros(k + cell.orbits, dtype=bool)
+        known = np.zeros(k + orbits, dtype=bool)
         known[0] = True
         walked = _walked(np.concatenate([stop_tile, k + orbit]),
                          np.concatenate([k + orbit, stop_tile]),
@@ -745,55 +734,50 @@ def orbit_star(cell: CellArrangement) -> OrbitStar:
             reach = int(np.abs(step).max())
     return OrbitStar(
         stop_ptr=stop_ptr, stop_tile=stop_tile, stop_vertex=stop_vertex,
-        corner=corner, next_stop=next_stop,
-        star=_csr(orbit[at_orbit], at_orbit, cell.orbits), paired=found,
-        partner=partner,
+        corner=corner, stop_param=stop_param, next_stop=next_stop,
+        orbits=orbits, star=_csr(orbit[at_orbit], at_orbit, orbits),
+        paired=found, partner=partner,
         neighbour_ptr=np.searchsorted(tile, np.arange(k + 1)),
         neighbour=np.column_stack(neighbour),
         reach=reach, tile_cell=moved, step=step)
 
 
-def vertex_labels(cells: np.ndarray, cell: CellArrangement):
+def vertex_labels(cells: np.ndarray, star: OrbitStar):
     """One integer label per vertex key (m, n, orbit) of the translates in
-    cells, given as (m, n, region index) rows: the corner labels in tile
-    order, then the labels of the vertices inside their sides. Returns the
-    labels, each label's tile and each side hit's row in the cell's hit
-    arrays.
+    cells, given as (m, n, region index) rows: each tile's stops in
+    boundary order, tile by tile. Returns the labels, each label's tile
+    and its stop's row in the star.
 
     A label is ((m - lo_m)·width + n - lo_n)·orbits + orbit over the keys'
     own (m, n) box, so labels are non-negative and two are equal exactly
     when their keys are."""
     idx = cells[:, 2]
-    per_tile = np.diff(cell.hit_ptr)[idx]
-    tiles = np.arange(len(cells))
-    row = np.arange(per_tile.sum()) + np.repeat(
-        cell.hit_ptr[idx] - np.cumsum(per_tile) + per_tile, per_tile)
-    tile = np.concatenate([np.repeat(tiles, cell.corner_vertex.shape[1]),
-                           np.repeat(tiles, per_tile)])
-    key = np.concatenate([cell.corner_vertex[idx].reshape(-1, 3),
-                          cell.hit_vertex[row]])
+    per_tile = np.diff(star.stop_ptr)[idx]
+    tile = np.repeat(np.arange(len(cells)), per_tile)
+    row = np.arange(len(tile)) + np.repeat(
+        star.stop_ptr[idx] - np.cumsum(per_tile) + per_tile, per_tile)
+    key = star.stop_vertex[row]
     m = cells[tile, 0] + key[:, 0]
     n = cells[tile, 1] + key[:, 1]
     m, n = m - m.min(), n - n.min()
-    return (m * (n.max() + 1) + n) * cell.orbits + key[:, 2], tile, row
+    return (m * (n.max() + 1) + n) * star.orbits + key[:, 2], tile, row
 
 
-def _looked_up_incidence(points, cells, cell: CellArrangement):
+def _looked_up_incidence(points, cells, star: OrbitStar):
     """The lookup finder: each corner's vertex is a `vertex_labels` label
-    read off the cell arrangement, and a cell hit counts when its vertex is
-    a corner of some tile too. Returns what the snapping finder does, with
-    vertices numbered and placed the same way."""
-    labels, tile, row = vertex_labels(cells, cell)
-    n_corners = len(points)
-    corner_vid, vertex_xy, distinct, rank = _vertices(labels[:n_corners],
-                                                      points)
-    hit_label = labels[n_corners:]
+    read off the orbit star, and a stop inside a side counts when its
+    vertex is a corner of some tile too. Returns what the snapping finder
+    does, with vertices numbered and placed the same way."""
+    labels, _, row = vertex_labels(cells, star)
+    corner = star.corner[row]
+    corner_vid, vertex_xy, distinct, rank = _vertices(labels[corner], points)
+    # a stop inside a side follows the corner that opens it
+    side = (np.cumsum(corner) - 1)[~corner]
+    hit_label, row = labels[~corner], row[~corner]
     at = np.minimum(np.searchsorted(distinct, hit_label), len(distinct) - 1)
     found = distinct[at] == hit_label
-    row = row[found]
-    return corner_vid, vertex_xy, (
-        tile[n_corners:][found] * cell.corner_vertex.shape[1]
-        + cell.hit_corner[row], rank[at[found]], cell.hit_param[row])
+    return corner_vid, vertex_xy, (side[found], rank[at[found]],
+                                   star.stop_param[row[found]])
 
 
 def _fresh(ordered):

@@ -221,9 +221,9 @@ class TilingRecipe:
         return check_periodicity(self)
 
     @functools.cached_property
-    def cell_arrangement(self):
-        """The recipe's `arrangement.cell_arrangement`, built once;
-        RecipeInvalid when the region area is not the cell area
+    def orbit_star(self):
+        """The recipe's one lattice cell, `arrangement.cell_arrangement`,
+        built once; RecipeInvalid when the region area is not the cell area
         (`verifier.area_mismatch`), as such a cell can need an unbounded
         lattice join. The rest of the periodicity check reads it."""
         from .arrangement import cell_arrangement
@@ -233,14 +233,6 @@ class TilingRecipe:
         if mismatch:
             raise RecipeInvalid(f"recipe does not tile: {[mismatch]}")
         return cell_arrangement(self)
-
-    @functools.cached_property
-    def orbit_star(self):
-        """The `arrangement.orbit_star` of the recipe's cell arrangement,
-        built once."""
-        from .arrangement import orbit_star
-
-        return orbit_star(self.cell_arrangement)
 
     @functools.cached_property
     def lattice_bins(self) -> tuple[np.ndarray, np.ndarray]:
@@ -668,7 +660,7 @@ def _enclosed_tiles(cells: np.ndarray, is_open: np.ndarray,
 
     if not len(cells):
         return np.zeros(0, dtype=int)
-    labels, tile, _ = vertex_labels(cells, recipe.cell_arrangement)
+    labels, tile, _ = vertex_labels(cells, recipe.orbit_star)
     order = np.argsort(labels)
     labels, tile = labels[order], tile[order]
     same = labels[1:] == labels[:-1]

@@ -3,9 +3,9 @@
 A patch's overlap and coverage are each checked two ways where practical:
 an exact area computation and an independent point-sampling route, so a bug
 in one route cannot silently pass the other. A recipe's periodicity is its
-area test and a gluing certificate read off its cell arrangement and orbit
-star, with no window of translates placed (`check_periodicity` gives the
-argument and each tolerance). Each check names its metrics, and merging two
+area test and a gluing certificate read off its orbit star, the one
+record of its lattice cell, with no window of translates placed
+(`check_periodicity` gives the argument and each tolerance). Each check names its metrics, and merging two
 reports refuses a name both hold.
 """
 from __future__ import annotations
@@ -344,7 +344,7 @@ def area_mismatch(recipe) -> str | None:
 def check_periodicity(recipe) -> CheckReport:
     """A recipe tiles the plane iff its region tiles glue into one copy of
     the torus R²/<u, v>: the area test (`area_mismatch`), then a
-    certificate read off the recipe's cell arrangement and orbit star.
+    certificate read off the recipe's orbit star.
 
     Glue the region tiles along the boundary steps the star pairs. If each
     step has exactly one reversed partner, a step of a lattice translate
@@ -360,7 +360,7 @@ def check_periodicity(recipe) -> CheckReport:
 
     - unpaired_steps, the steps whose `OrbitStar.paired` is not 1: none;
     - max_seam_gap, the farthest end of a glued step's partner from the
-      step's side line (a stop inside a side sits at its hit_param), at
+      step's side line (a stop inside a side sits at its stop_param), at
       most tau = AREA_TOL·A / L: the two differ by a strip tau wide and at
       most L long;
     - max_angle_residual, the largest |angle sum - 2pi|, at most
@@ -371,11 +371,11 @@ def check_periodicity(recipe) -> CheckReport:
       AREA_TOL·A. Across their sides the seam test bounds the corners; the
       arrangement merges vertices that lie apart along them by less than
       the merge distance, as a pentagon drawn near a Type's default has;
-    - each stop inside a side has its hit_param in (0, 1).
+    - each stop inside a side has its stop_param in (0, 1).
 
     When the area test fails, only region_area and cell_area are reported.
     """
-    from .arrangement import orbit_vertices
+    from .arrangement import _next_corners, orbit_vertices
 
     metrics = {"region_area": recipe.region_area,
                "cell_area": recipe.cell_area()}
@@ -383,11 +383,10 @@ def check_periodicity(recipe) -> CheckReport:
     if mismatch:
         return CheckReport(name="periodicity", ok=False,
                            violations=[mismatch], metrics=metrics)
-    cell, star = recipe.cell_arrangement, recipe.orbit_star
+    star = recipe.orbit_star
     count, k = recipe.region_corners.shape[:2]
     flat = recipe.region_corners.reshape(-1, 2)
-    nxt = np.arange(1, count * k + 1)
-    nxt[k - 1::k] -= k
+    nxt = _next_corners(np.arange(count + 1) * k)
     side = flat[nxt] - flat
     angle = np.full(len(star.stop_tile), math.pi)
     angle[star.corner] = corner_angles(side, nxt)
@@ -396,10 +395,7 @@ def check_periodicity(recipe) -> CheckReport:
     # each stop placed on its tile's boundary, and each glued step's
     # partner's ends measured from the step's side line
     on = np.cumsum(star.corner) - 1
-    at = np.empty((len(on), 2))
-    at[star.corner] = flat
-    inside = on[~star.corner]
-    at[~star.corner] = flat[inside] + cell.hit_param[:, None] * side[inside]
+    at = flat[on] + star.stop_param[:, None] * side[on]
     step = np.flatnonzero(star.paired == 1)
     t = star.partner[step]
     shift = (star.stop_vertex[step, :2]
@@ -410,7 +406,7 @@ def check_periodicity(recipe) -> CheckReport:
     seam = np.abs(ends[..., 0] * line[:, 1, None]
                   - ends[..., 1] * line[:, 0, None]).max(axis=1)
 
-    vertex = cell.corner_vertex.reshape(-1, 3)
+    vertex = star.stop_vertex[star.corner]
     home, mean = orbit_vertices(recipe, vertex)
     spread = np.hypot(*(home - mean[vertex[:, 2]]).T)
 
@@ -436,13 +432,13 @@ def check_periodicity(recipe) -> CheckReport:
         if not metrics[name] <= bound:
             violations.append(f"{worst(int(np.argmax(residual)))} "
                               f"{metrics[name]:.3e}, over {bound:.3e}")
-    split = (cell.hit_param > 0.0) & (cell.hit_param < 1.0)
+    split = star.corner | (star.stop_param > 0.0) & (star.stop_param < 1.0)
     if not split.all():
         h = int(np.argmin(split))
         violations.append(
-            f"vertex {tuple(cell.hit_vertex[h].tolist())} splits side "
-            f"{inside[h] % k} of region tile {inside[h] // k} at "
-            f"{cell.hit_param[h]:.9g}, outside (0, 1)")
+            f"vertex {tuple(star.stop_vertex[h].tolist())} splits side "
+            f"{on[h] % k} of region tile {on[h] // k} at "
+            f"{star.stop_param[h]:.9g}, outside (0, 1)")
     return CheckReport(name="periodicity", ok=not violations,
                        violations=violations, metrics=metrics)
 

@@ -15,10 +15,10 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import pentile
-from pentile.arrangement import (SNAP_FACTOR, CellArrangement, Patch,
-                                 PatchEdge, PatchVertex, _row_key,
-                                 _unique_rows, cell_arrangement, orbit_star,
-                                 patch_from_json_dict, vertex_labels)
+from pentile.arrangement import (SNAP_FACTOR, Patch, PatchEdge, PatchVertex,
+                                 _row_key, _unique_rows, cell_arrangement,
+                                 orbit_star, patch_from_json_dict,
+                                 vertex_labels)
 from pentile.geometry import close_pairs, component_labels, interior_angles
 from pentile.jsontext import dumps, patch_document
 from pentile.pentagon import pentagon_from_json_dict
@@ -362,20 +362,21 @@ def test_cell_arrangement_closes_on_the_torus(type_id, tve):
     two tiles, with v - e + t = 0. The corners of one orbit, moved back by
     their shifts, are one point."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
-    cell = recipe.cell_arrangement
+    star = recipe.orbit_star
     t = len(recipe.region)
-    e, odd = divmod(5 * t + len(cell.hit_vertex), 2)
+    e, odd = divmod(5 * t + np.count_nonzero(~star.corner), 2)
     assert odd == 0
-    assert (t, cell.orbits, e) == tve
-    assert cell.orbits - e + t == 0
-    assert cell.hit_ptr[-1] == len(cell.hit_vertex)
+    assert (t, star.orbits, e) == tve
+    assert star.orbits - e + t == 0
+    assert star.stop_ptr[-1] == len(star.corner)
+    assert not star.stop_param[star.corner].any()
 
     lattice = np.column_stack([recipe.u, recipe.v])
-    home = (recipe.region_corners
-            - cell.corner_vertex[..., :2] @ lattice.T).reshape(-1, 2)
-    orbit = cell.corner_vertex[..., 2].ravel()
-    assert sorted(set(orbit.tolist())) == list(range(cell.orbits))
-    for o in range(cell.orbits):
+    key = star.stop_vertex[star.corner]
+    home = recipe.region_corners.reshape(-1, 2) - key[:, :2] @ lattice.T
+    orbit = key[:, 2]
+    assert sorted(set(orbit.tolist())) == list(range(star.orbits))
+    for o in range(star.orbits):
         spread = home[orbit == o] - home[orbit == o][0]
         assert np.abs(spread).max() <= 1e-9
 
@@ -389,25 +390,26 @@ def test_orbit_star_closes_on_the_torus(type_id, ve):
     stops lie on its boundary and walk it once round, and each edge has a
     neighbour on its other side."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
-    cell, star = recipe.cell_arrangement, recipe.orbit_star
+    star = recipe.orbit_star
     k = len(recipe.region)
     sizes = np.diff(star.star.indptr)
-    assert len(sizes) == cell.orbits
-    assert sizes.sum() == 5 * k + len(cell.hit_vertex)
+    assert len(sizes) == star.orbits
+    assert sizes.sum() == 5 * k + np.count_nonzero(~star.corner)
     e, odd = divmod(int(sizes.sum()), 2)
     assert odd == 0
-    assert (cell.orbits, e) == ve
-    assert cell.orbits - e + k == 0
+    assert (star.orbits, e) == ve
+    assert star.orbits - e + k == 0
     assert np.array_equal(star.stop_vertex[star.star.indices, 2],
-                          np.repeat(np.arange(cell.orbits), sizes))
+                          np.repeat(np.arange(star.orbits), sizes))
     assert star.neighbours.sum() == 2 * e
     assert star.reach == np.abs(star.step).max()
     assert star.reach <= np.abs(star.stop_vertex[:, :2]).max()
 
     lattice = np.column_stack([recipe.u, recipe.v])
-    home = np.empty((cell.orbits, 2))
-    home[cell.corner_vertex[..., 2]] = (
-        recipe.region_corners - cell.corner_vertex[..., :2] @ lattice.T)
+    key = star.stop_vertex[star.corner]
+    home = np.empty((star.orbits, 2))
+    home[key[:, 2]] = (recipe.region_corners.reshape(-1, 2)
+                       - key[:, :2] @ lattice.T)
     at = home[star.stop_vertex[:, 2]] + star.stop_vertex[:, :2] @ lattice.T
     for j, polygon in enumerate(recipe.region_corners):
         stops = np.arange(star.stop_ptr[j], star.stop_ptr[j + 1])
@@ -427,7 +429,8 @@ def test_orbit_star_of_a_many_tile_supercell():
     gives its interior translates, the sweep's lattice counts are the
     counts of the patch's looked-up arrangement, and the star's steps are
     matched in memory linear in its S stops, well below one flag per pair
-    of them."""
+    of them: the star is laid out again from the corner keys and side
+    stops read back off it."""
     base = builtin_recipe(1, pentile.representative(1).pentagon)
     u = np.asarray(base.u)
     region = tuple(
@@ -435,16 +438,20 @@ def test_orbit_star_of_a_many_tile_supercell():
                  iso.reflect)
         for i in range(100) for iso in base.region)
     recipe = TilingRecipe(base.pentagon, region, tuple(100 * u), base.v)
-    cell = recipe.cell_arrangement
+    built, inside = recipe.orbit_star, ~recipe.orbit_star.corner
+    read_back = (built.stop_vertex[built.corner].reshape(len(region), 5, 3),
+                 (np.cumsum(built.corner) - 1)[inside],
+                 built.stop_vertex[inside], built.stop_param[inside])
     tracemalloc.start()
     try:
-        star = orbit_star(cell)
+        star = orbit_star(*read_back)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     stops = len(star.stop_tile)
-    assert stops == 5 * len(region) + len(cell.hit_vertex)
+    assert stops == 5 * len(region) + np.count_nonzero(inside)
     assert peak < 1000 * stops < stops * stops
+    assert np.array_equal(star.neighbour, built.neighbour)
 
     r = 2.0 * recipe.pentagon.diameter + 4.0
     patch = generate_patch(recipe, r)
@@ -463,7 +470,8 @@ def test_cell_arrangement_of_an_800_tile_region_stays_small():
     """Type 1's two-tile region repeated 20 × 20 times, 800 region tiles:
     the corners and the sides' lattice boxes are joined on whole lattice
     cells, not every corner against every other, so the cell arrangement
-    is built under 200 MB traced. It has 400 times the region's orbits."""
+    is built under 200 MB traced, its orbit star included. It has 400
+    times the region's orbits."""
     base = builtin_recipe(1, pentile.representative(1).pentagon)
     u, v = np.asarray(base.u), np.asarray(base.v)
     region = tuple(
@@ -475,54 +483,53 @@ def test_cell_arrangement_of_an_800_tile_region_stays_small():
                           tuple(20 * v))
     tracemalloc.start()
     try:
-        cell = cell_arrangement(recipe)
+        star = cell_arrangement(recipe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 200 << 20
-    assert cell.orbits == 400 * base.cell_arrangement.orbits
+    assert star.orbits == 400 * base.orbit_star.orbits
 
 
 @st.composite
 def drawn_cells(draw):
-    """A CellArrangement of up to three region tiles of three corners and
-    up to two side hits each, every key a step in [-2, 2]² to one of up to
-    three orbits; and distinct translates (m, n, region index) of it."""
+    """The orbit star of up to three region tiles of three corners and up
+    to twice as many stops inside their sides, every key a step in [-2, 2]²
+    to one of up to three orbits, with the corner keys drawn; and distinct
+    translates (m, n, region index) of it."""
     orbits, count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     key = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
                     st.integers(0, orbits - 1))
     corner_vertex = np.array(draw(st.lists(key, min_size=3 * count,
                                            max_size=3 * count)))
-    per_tile = draw(st.lists(st.integers(0, 2), min_size=count,
-                             max_size=count))
-    hits = sum(per_tile)
-    hit_vertex = np.array(draw(st.lists(key, min_size=hits, max_size=hits)),
+    hit_side = np.sort(np.array(draw(st.lists(
+        st.integers(0, 3 * count - 1), max_size=2 * count)), dtype=np.intp))
+    hit_vertex = np.array(draw(st.lists(key, min_size=len(hit_side),
+                                        max_size=len(hit_side))),
                           dtype=int).reshape(-1, 3)
-    cell = CellArrangement(
-        orbits, corner_vertex.reshape(count, 3, 3),
-        np.concatenate([[0], np.cumsum(per_tile)]),
-        np.zeros(hits, dtype=int), hit_vertex, np.full(hits, 0.5))
+    star = orbit_star(corner_vertex.reshape(count, 3, 3), hit_side,
+                      hit_vertex, np.full(len(hit_side), 0.5))
     cells = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
                                     st.integers(0, count - 1)),
                           min_size=1, unique=True))
-    return np.array(cells), cell
+    return np.array(cells), star, corner_vertex.reshape(count, 3, 3)
 
 
 @given(drawn_cells())
 def test_vertex_labels_are_equal_exactly_when_keys_are(drawn):
-    """Each tile's corner keys in order, then its side hits' rows; two
-    labels are equal exactly when their keys (m, n, orbit) are."""
-    cells, cell = drawn
-    labels, tile, row = vertex_labels(cells, cell)
-    corners = 3 * len(cells)
-    assert np.array_equal(tile[:corners], np.repeat(np.arange(len(cells)), 3))
-    hits = [np.arange(cell.hit_ptr[j], cell.hit_ptr[j + 1])
-            for j in cells[:, 2]]
-    assert np.array_equal(tile[corners:], np.repeat(
-        np.arange(len(cells)), [len(h) for h in hits]))
-    assert np.array_equal(row, np.concatenate(hits))
-    keys = np.concatenate([cell.corner_vertex[cells[:, 2]].reshape(-1, 3),
-                           cell.hit_vertex[row]])
+    """Each tile's stops in boundary order, tile by tile, their corners
+    the drawn corner keys in order; two labels are equal exactly when their
+    keys (m, n, orbit) are."""
+    cells, star, corner_vertex = drawn
+    labels, tile, row = vertex_labels(cells, star)
+    stops = [np.arange(star.stop_ptr[j], star.stop_ptr[j + 1])
+             for j in cells[:, 2]]
+    assert np.array_equal(tile, np.repeat(np.arange(len(cells)),
+                                          [len(s) for s in stops]))
+    assert np.array_equal(row, np.concatenate(stops))
+    keys = star.stop_vertex[row]
+    assert np.array_equal(keys[star.corner[row]],
+                          corner_vertex[cells[:, 2]].reshape(-1, 3))
     keys[:, :2] += cells[tile, :2]
     distinct = len(np.unique(keys, axis=0))
     assert len(np.unique(labels)) == distinct

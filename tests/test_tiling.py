@@ -327,7 +327,7 @@ def test_generated_patch_snaps_no_corners(monkeypatch, type_id):
     """Once the recipe's cell is built, a generated patch looks its
     incidence up: no neighbour search and no snapping graph."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
-    recipe.cell_arrangement
+    recipe.orbit_star
 
     def refuse(*args, **kwargs):
         raise AssertionError("generate_patch measured corner distances")
@@ -516,8 +516,7 @@ def reference_enclosed_tiles(is_open, pairs):
 def label_touch_pairs(cells, recipe):
     """The pairs (a, b), a < b, of the translates in cells that share a
     `vertex_labels` label, as corner or side split."""
-    labels, tile, _ = arrangement.vertex_labels(cells,
-                                                recipe.cell_arrangement)
+    labels, tile, _ = arrangement.vertex_labels(cells, recipe.orbit_star)
     at = {}
     for label, t in zip(labels.tolist(), tile.tolist()):
         at.setdefault(label, set()).add(t)
@@ -836,7 +835,7 @@ def test_a_far_placed_region_tile_needs_no_more_memory():
     region = list(recipe.region)
     region[1] = shifted(region[1], 3000 * np.asarray(recipe.u))
     far = dataclasses.replace(recipe, region=tuple(region))
-    assert far.cell_arrangement.orbits    # built, and checked, untraced
+    assert far.orbit_star.orbits    # built, and checked, untraced
     tracemalloc.start()
     try:
         patch = generate_patch(far, 8.0)
@@ -1285,7 +1284,7 @@ def test_lattice_stats_are_the_snapped_patch_stats(recipe, k, along_u,
 
 
 def window_cell_arrangement(recipe):
-    """The cell arrangement by the snapping finder, run once on a window:
+    """The orbit star by the snapping finder, run once on a window:
     the region tiles, then every translate (m, n, j) whose centroid lies
     within two tile radii plus the merge distance of a region centroid, in
     (m, n, j) order. The orbits are the classes that the links from each
@@ -1315,27 +1314,31 @@ def window_cell_arrangement(recipe):
     placed = np.column_stack([shift, orbit])
     on_region = side < count * k
     order = np.lexsort((param[on_region], side[on_region]))
-    side, hit_vid = side[on_region][order], hit_vid[on_region][order]
-    return arrangement.CellArrangement(
-        orbits=len(roots), corner_vertex=placed[vid[:count]],
-        hit_ptr=np.searchsorted(side // k, np.arange(count + 1)),
-        hit_corner=side % k, hit_vertex=placed[hit_vid],
-        hit_param=param[on_region][order])
+    return arrangement.orbit_star(
+        placed[vid[:count]], side[on_region][order],
+        placed[hit_vid[on_region][order]], param[on_region][order])
 
 
-def assert_same_cell(cell, reference, tolerance):
-    """The orbit count and every integer array equal, and each hit_param,
-    in the same order, within tolerance of the reference's."""
-    assert cell.orbits == reference.orbits
-    for name in ("corner_vertex", "hit_ptr", "hit_corner", "hit_vertex"):
-        assert same_bits(getattr(cell, name), getattr(reference, name)), name
-    assert cell.hit_param.shape == reference.hit_param.shape
-    assert np.abs(cell.hit_param - reference.hit_param).max(
-        initial=0.0) <= tolerance
+def assert_same_star(star, reference, tolerance):
+    """The orbit count, reach and every integer array equal, array for
+    array, and each stop_param, in the same order, within tolerance of the
+    reference's."""
+    for name, array in star._asdict().items():
+        other = getattr(reference, name)
+        if name == "star":
+            assert same_bits(array.indptr, other.indptr)
+            assert same_bits(array.indices, other.indices)
+        elif name == "stop_param":
+            assert array.shape == other.shape
+            assert np.abs(array - other).max(initial=0.0) <= tolerance
+        elif isinstance(array, np.ndarray):
+            assert same_bits(array, other), name
+        else:
+            assert array == other, name
 
 
 # a sweep draw whose corners meet only to 3.5e-13, so a vertex placed at
-# one corner and not at the mean of its corners gives a hit_param 5 units
+# one corner and not at the mean of its corners gives a stop_param 5 units
 # in the last place from the snapped one
 LOOSE_TYPE5 = TilingRecipe(
     pentile.Pentagon(
@@ -1365,13 +1368,13 @@ LOOSE_TYPE5 = TilingRecipe(
          0, (0, 0))
 def test_cell_arrangement_is_the_snapped_window_arrangement(
         recipe, k, along_u, copies, far, move):
-    """The lattice route gives the window snapper's cell arrangement: the
-    same orbits and integer arrays, each hit_param within 4 units in the
-    last place of 1, in the same order, and the same orbit star. On a
+    """The lattice route gives the window snapper's orbit star: the same
+    orbits and integer arrays, array for array, and each stop_param within
+    4 units in the last place of 1, in the same order. On a
     basis sheared by -3..3, a region repeated 1-3 times along u and one
     region tile moved by up to 3000 cells each way. A vertex placed that
     far rounds to about 3000 times a unit in the last place, so the
-    hit_param tolerance grows with the move, in the pentagon's shortest
+    stop_param tolerance grows with the move, in the pentagon's shortest
     side."""
     recipe = supercell(sheared(recipe, k, along_u), copies)
     region = list(recipe.region)
@@ -1379,20 +1382,10 @@ def test_cell_arrangement_is_the_snapped_window_arrangement(
     moved = move[0] * np.asarray(recipe.u) + move[1] * np.asarray(recipe.v)
     region[far] = shifted(region[far], moved)
     recipe = dataclasses.replace(recipe, region=tuple(region))
-    cell = arrangement.cell_arrangement(recipe)
-    reference = window_cell_arrangement(recipe)
     tolerance = 4 * np.spacing(1.0) * max(
         1.0, float(np.abs(moved).max()) / min(recipe.pentagon.edges))
-    assert_same_cell(cell, reference, tolerance)
-    star, expected = arrangement.orbit_star(cell), arrangement.orbit_star(
-        reference)
-    for name, array in star._asdict().items():
-        other = getattr(expected, name)
-        if name == "star":
-            assert same_bits(array.indptr, other.indptr)
-            assert same_bits(array.indices, other.indices)
-        else:
-            assert np.array_equal(array, other), name
+    assert_same_star(arrangement.cell_arrangement(recipe),
+                     window_cell_arrangement(recipe), tolerance)
 
 
 THIN_TYPE1 = json.loads((DATA / "thin_type1.json").read_text())
@@ -1402,9 +1395,9 @@ def test_thin_type1_cell_arrangement_is_the_snapped_one():
     """The thin Type 1 pentagon, edges from 0.0013 to 2.48 and a cell of
     area 0.025, where a window route's periodicity check took seconds and
     snapping a window about a gigabyte: builtin_recipe checks its
-    candidates and returns the hex pair under 1 MiB traced, and the cell
-    arrangement its check built is the arrays pinned from the window
-    snapper."""
+    candidates and returns the hex pair under 1 MiB traced, and the corner
+    keys and side stops read back off the orbit star its check built are
+    the arrays pinned from the window snapper."""
     spec = get_type_spec(THIN_TYPE1["type"])
     pentagon = solve_instance(spec, THIN_TYPE1["params"])
     first = int(np.flatnonzero(spec.table.fits(pentagon)[:, 0])[0])
@@ -1420,11 +1413,18 @@ def test_thin_type1_cell_arrangement_is_the_snapped_one():
     assert recipe.region == hex_pair
     assert recipe.periodicity.ok
     pinned = THIN_TYPE1["cell_arrangement"]
-    reference = arrangement.CellArrangement(
-        pinned["orbits"], *(np.array(pinned[name]) for name in (
-            "corner_vertex", "hit_ptr", "hit_corner", "hit_vertex",
-            "hit_param")))
-    assert_same_cell(recipe.cell_arrangement, reference, 4 * np.spacing(1.0))
+    star, count = recipe.orbit_star, len(recipe.region)
+    inside = ~star.corner
+    side = (np.cumsum(star.corner) - 1)[inside]
+    read_back = {
+        "orbits": star.orbits,
+        "corner_vertex": star.stop_vertex[star.corner].reshape(count, 5, 3),
+        "hit_ptr": np.searchsorted(side // 5, np.arange(count + 1)),
+        "hit_corner": side % 5, "hit_vertex": star.stop_vertex[inside]}
+    for name, array in read_back.items():
+        assert np.array_equal(array, pinned[name]), name
+    assert np.abs(star.stop_param[inside] - pinned["hit_param"]).max() <= (
+        4 * np.spacing(1.0))
 
 
 @settings(max_examples=40)
@@ -1625,7 +1625,7 @@ def test_sweep_patches_are_the_window_free_patches(type_id, radii):
     radius' counts are the INTERIOR statistics of the looked-up arrangement
     of generate_patch(recipe, r), made without a window."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
-    recipe.cell_arrangement     # built, so its own window scans no more
+    recipe.orbit_star     # built, so its own window scans no more
     with mock.patch.object(tiling, "near_translates",
                            wraps=tiling.near_translates) as near:
         limit = limit_sweep(recipe, radii)

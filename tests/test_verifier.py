@@ -808,7 +808,7 @@ def test_a_side_stop_at_its_side_end_is_reported_as_a_split():
     parameter."""
     built = builtin_recipe(1, pentile.representative(1).pentagon)
     recipe = dataclasses.replace(built)
-    recipe.cell_arrangement.hit_param[0] = 1.0
+    recipe.orbit_star.stop_param[np.argmin(recipe.orbit_star.corner)] = 1.0
     report = check_periodicity(recipe)
     assert not report.ok
     assert ("vertex (0, -1, 3) splits side 3 of region tile 0 at 1, "
@@ -833,7 +833,7 @@ def test_a_cell_the_region_does_not_fill_builds_no_window(scale):
     assert report.violations[0].endswith("; gluing not checked")
     assert sorted(report.metrics) == ["cell_area", "region_area"]
     with pytest.raises(RecipeInvalid, match="gluing not checked"):
-        shrunk.cell_arrangement
+        shrunk.orbit_star
 
 
 def test_periodicity_passing_recipe_verifies_at_several_radii():
