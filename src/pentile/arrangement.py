@@ -832,11 +832,12 @@ def _sharing(rows: Csr, n: int) -> Csr:
 
 def patch_from_json_dict(document: dict) -> Patch:
     """Rebuild a Patch from its JSON export; the arrangement is recomputed
-    from the polygons. Raises ParseError unless r is positive, the centre is
-    two numbers, every tile's cell and zone are as `_document_tile` says,
-    and every polygon is at least 3 points that turn strictly
-    counter-clockwise at every corner, once around; every number is finite
-    and at most COORD_LIMIT in magnitude."""
+    from the polygons, stacked once for their checks and the patch alike.
+    Raises ParseError unless r is positive, the centre is two numbers,
+    every tile's cell and zone are as `_document_tile` says, and every
+    polygon is at least 3 points that turn strictly counter-clockwise at
+    every corner, once around; every number is finite and at most
+    COORD_LIMIT in magnitude."""
     try:
         tiles = [_document_tile(record) for record in document["tiles"]]
         r, center = document.get("r"), document.get("center")
@@ -853,12 +854,14 @@ def patch_from_json_dict(document: dict) -> Patch:
         raise ParseError(f"patch centre must be two numbers in "
                          f"[-{COORD_LIMIT:g}, {COORD_LIMIT:g}], "
                          f"got {list(center)}")
-    polys = [tile.polygon for tile in tiles]
+    cells, polys, zones = zip(*tiles) if tiles else ((), (), ())
     bad = [p for p in polys if p.ndim != 2 or p.shape[1] != 2 or len(p) < 3]
+    if not bad:
+        stack, counts = stack_polygons(polys)
     if polys and not bad:
         # every angle in (0, pi) and the corners wind once around, as the
         # arrangement's angles and the verifier's clipping assume
-        points, offsets, nxt = _stacked_corners(*stack_polygons(polys))
+        points, offsets, nxt = _stacked_corners(stack, counts)
         # corners past COORD_LIMIT may overflow here; the bound fails them
         with np.errstate(over="ignore", invalid="ignore"):
             angles = corner_angles(points[nxt] - points, nxt)
@@ -873,14 +876,16 @@ def patch_from_json_dict(document: dict) -> Patch:
                          f"with coordinates in [-{COORD_LIMIT:g}, "
                          f"{COORD_LIMIT:g}], in convex counter-clockwise "
                          f"order, got {bad[0].tolist()}")
-    return Patch.from_tiles(tiles, r=r, center=center,
-                            precision=DOCUMENT_PRECISION)
+    return Patch(counts, np.array(cells, dtype=np.intp).reshape(-1, 2),
+                 np.array(zones, dtype=str), r=r, center=center,
+                 precision=DOCUMENT_PRECISION, stack=stack)
 
 
-def _document_tile(record) -> PlacedTile:
-    """A patch document's tile record as a PlacedTile. TypeError unless its
-    cell is two JSON integers (a float or a boolean is none) that fit int64
-    and its zone a string; each defaults as in a hand-built tile."""
+def _document_tile(record) -> tuple:
+    """A patch document's tile record as its (cell, polygon, zone).
+    TypeError unless its cell is two JSON integers (a float or a boolean is
+    none) that fit int64 and its zone a string; each defaults as in a
+    hand-built tile."""
     cell, zone = record.get("cell", [0, 0]), record.get("zone", "")
     if not (isinstance(cell, list) and len(cell) == 2 and all(
             type(k) is int and -INT64_MAX - 1 <= k <= INT64_MAX
@@ -888,6 +893,5 @@ def _document_tile(record) -> PlacedTile:
         raise TypeError(f"tile cell {cell!r} is not two int64 integers")
     if not isinstance(zone, str):
         raise TypeError(f"tile zone {zone!r} is not a string")
-    return PlacedTile(tuple(cell), np.array([list(map(number, point))
-                                             for point in record["polygon"]]),
-                      zone)
+    return tuple(cell), np.array([list(map(number, point))
+                                  for point in record["polygon"]]), zone

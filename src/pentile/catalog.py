@@ -30,7 +30,6 @@ from .pentagon import (
     CORNERS,
     EDGES,
     FIT_TOL,
-    LABELINGS,
     VARIABLES,
     ConstraintTable,
     LinearEquation,
@@ -81,11 +80,6 @@ class TypeSpec:
     def residuals(self, pentagon: Pentagon) -> np.ndarray:
         values = np.concatenate([pentagon.angles, pentagon.edges])
         return self.table.residuals(values[None])[0]
-
-    def satisfied_by(self, pentagon: Pentagon, tol: float = FIT_TOL) -> bool:
-        """True when every constraint row holds, edge rows relative to scale;
-        ParseError unless tol is finite and positive."""
-        return bool(self.table.fits(pentagon, tol, LABELINGS[:1])[0, 0])
 
 
 @dataclass(frozen=True)

@@ -669,10 +669,10 @@ def _enclosed_tiles(cells: np.ndarray, is_open: np.ndarray,
     return np.nonzero(~flooded)[0]
 
 
-def congruence_defect(tile: PlacedTile, pentagon: Pentagon) -> float:
-    """Largest deviation of the placed tile's edge lengths and angles from
-    the recipe pentagon's, as multisets."""
-    edges = np.sort(polygon_edge_lengths(tile.polygon))
-    angles = np.sort(interior_angles(tile.polygon))
+def congruence_defect(polygon: np.ndarray, pentagon: Pentagon) -> float:
+    """Largest deviation of a placed tile polygon's edge lengths and angles
+    from the recipe pentagon's, as multisets."""
+    edges = np.sort(polygon_edge_lengths(polygon))
+    angles = np.sort(interior_angles(polygon))
     return max(float(np.max(np.abs(edges - np.sort(pentagon.edges)))),
                float(np.max(np.abs(angles - np.sort(pentagon.angles)))))

@@ -19,7 +19,16 @@ from pentile import stats, tiling, verifier
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # read by perfbench's run.py, checks.py and test_checks.py
 ALSO_READ = (("arrangement", "Patch.from_polygons"),
-             ("tiling", "TilingRecipe.region_polygons"))
+             ("arrangement", "Patch.to_json_dict"),
+             ("catalog", "get_type_spec"),
+             ("catalog", "representative"),
+             ("cli", "main"),
+             ("pentagon", "pentagon_from_json_dict"),
+             ("stats", "LimitEstimate.to_json_dict"),
+             ("stats", "balance_residual"),
+             ("stats", "per_radius_balance_residuals"),
+             ("tiling", "TilingRecipe.region_polygons"),
+             ("tiling", "TilingRecipe.to_json_dict"))
 SWEEP_RADII = (5.0, 10.0, 20.0)   # the family-sweep workload's radii
 
 

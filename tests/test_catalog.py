@@ -32,7 +32,7 @@ from pentile import (
 )
 from pentile import catalog
 from pentile.catalog import TYPE_IDS, TypeSpec
-from pentile.pentagon import CORNERS, FIT_TOL, LinearEquation
+from pentile.pentagon import CORNERS, FIT_TOL, LABELINGS, LinearEquation
 
 DEG = math.pi / 180.0
 
@@ -251,8 +251,8 @@ def row_residual(eq, x):
 
 
 def scalar_satisfied(spec, pentagon, tol):
-    """satisfied_by one row at a time: each angle row to tol, each edge row
-    to tol times the mean edge."""
+    """The table's fit under the identity labeling, one row at a time: each
+    angle row to tol, each edge row to tol times the mean edge."""
     x = np.concatenate([pentagon.angles, pentagon.edges])
     scale = pentagon.mean_edge()
     return not any(
@@ -270,7 +270,8 @@ def scalar_classify(pentagon, tol=FIT_TOL):
 
 def assert_table_is_the_scalar_rows(pentagon):
     """Every Type's residuals under every labeling bit for bit, and classify
-    and satisfied_by as the row loops give them, at three tolerances."""
+    and each Type's fit under the identity labeling as the row loops give
+    them, at three tolerances."""
     table = catalog._catalog_table()
     values = np.array([np.concatenate([q.angles, q.edges])
                        for q in pentagon.labelings()])
@@ -283,8 +284,8 @@ def assert_table_is_the_scalar_rows(pentagon):
                                for eq in spec.constraint_rows])
             assert stacked[k, table.groups == tid].tobytes() == scalar.tobytes()
             assert spec.residuals(q).tobytes() == scalar.tobytes()
-            assert spec.satisfied_by(q) == scalar_satisfied(spec, q,
-                                                            FIT_TOL)
+            fits = spec.table.fits(q, FIT_TOL, LABELINGS[:1])
+            assert bool(fits[0, 0]) == scalar_satisfied(spec, q, FIT_TOL)
     for tol in (FIT_TOL, 1e-9, 1e-3):
         assert classify(pentagon, tol) == scalar_classify(pentagon, tol)
 
@@ -338,12 +339,12 @@ def test_classify_is_the_scalar_loop_near_the_tolerance(tid, turn, stretch,
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
-def test_classify_and_satisfied_by_refuse_a_bad_tolerance(tol):
+def test_classify_and_the_table_fit_refuse_a_bad_tolerance(tol):
     p = representative(4).pentagon
     with pytest.raises(ParseError):
         classify(p, tol=tol)
     with pytest.raises(ParseError):
-        get_type_spec(4).satisfied_by(p, tol)
+        get_type_spec(4).table.fits(p, tol, LABELINGS[:1])
 
 
 # sha256 of the repr((angles, edges)) of each solved instance, or of the

@@ -232,7 +232,8 @@ def test_builtin_recipe_type4_has_four_tiles():
 def test_placed_tiles_congruent_to_recipe_pentagon(type_id):
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     patch = generate_patch(recipe, 6.0)
-    worst = max(congruence_defect(t, recipe.pentagon) for t in patch.tiles)
+    worst = max(congruence_defect(t.polygon, recipe.pentagon)
+                for t in patch.tiles)
     assert worst <= 1e-9
 
 
