@@ -748,19 +748,22 @@ def vertex_labels(cells: np.ndarray, star: OrbitStar):
     boundary order, tile by tile. Returns the labels, each label's tile
     and its stop's row in the star.
 
-    A label is ((m - lo_m)·width + n - lo_n)·orbits + orbit over the keys'
-    own (m, n) box, so labels are non-negative and two are equal exactly
-    when their keys are."""
+    A label is ((m - lo_m)·width + n - lo_n)·orbits + orbit over the cells'
+    (m, n) box widened by the stops' (Δm, Δn), so labels are non-negative
+    and two are equal exactly when their keys are. It is a part per cell
+    plus a part per stop, each made once."""
     idx = cells[:, 2]
     per_tile = np.diff(star.stop_ptr)[idx]
     tile = np.repeat(np.arange(len(cells)), per_tile)
     row = np.arange(len(tile)) + np.repeat(
         star.stop_ptr[idx] - np.cumsum(per_tile) + per_tile, per_tile)
-    key = star.stop_vertex[row]
-    m = cells[tile, 0] + key[:, 0]
-    n = cells[tile, 1] + key[:, 1]
-    m, n = m - m.min(), n - n.min()
-    return (m * (n.max() + 1) + n) * star.orbits + key[:, 2], tile, row
+    key = star.stop_vertex
+    lo = cells[:, :2].min(axis=0) + key[:, :2].min(axis=0)
+    width = cells[:, 1].max() + key[:, 1].max() - lo[1] + 1
+    at_cell = ((cells[:, 0] - lo[0]) * width + cells[:, 1] - lo[1]) * (
+        star.orbits)
+    at_stop = (key[:, 0] * width + key[:, 1]) * star.orbits + key[:, 2]
+    return at_cell[tile] + at_stop[row], tile, row
 
 
 def _looked_up_incidence(points, cells, star: OrbitStar):
