@@ -339,7 +339,9 @@ def test_classify_is_the_scalar_loop_near_the_tolerance(tid, turn, stretch,
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
-def test_classify_and_the_table_fit_refuse_a_bad_tolerance(tol):
+def test_classify_and_satisfied_by_refuse_a_bad_tolerance(tol):
+    """classify, and a Type's table fit under the identity labeling, refuse
+    a tolerance that is not finite and positive."""
     p = representative(4).pentagon
     with pytest.raises(ParseError):
         classify(p, tol=tol)
