@@ -85,7 +85,10 @@ def stack_polygons(polys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _following(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """values[:, k + 1] beside each column k, wrapping at each row's count."""
+    """values[:, k + 1] beside each column k, wrapping at each row's count:
+    a roll when every row has all its columns."""
+    if (counts == values.shape[1]).all():
+        return np.roll(values, -1, axis=1)
     k = np.arange(values.shape[1])
     nxt = np.where(k + 1 < counts[:, None], k + 1, 0)
     return np.take_along_axis(values, nxt, axis=1)
@@ -170,7 +173,8 @@ def _sectors(u: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
 def _disk_segment_terms(a: np.ndarray, b: np.ndarray, ra: np.ndarray,
                         rb: np.ndarray, r: float) -> np.ndarray:
     """Signed area of disk(0, r) intersected with each triangle (0, a, b),
-    for (P, 2) corners a and b at math.hypot distances ra and rb.
+    for (P, 2) corners a and b at distances ra and rb from the origin, each
+    on the side of r that math.hypot's distance is.
 
     The side p(t) = a + t (b - a) is clipped to the circle; what lies inside
     is a triangle with the origin, what lies outside a sector. Masks send
@@ -218,7 +222,10 @@ def polygon_disk_overlap_areas(stacked: np.ndarray, counts: np.ndarray,
     terms. np.hypot may round a corner's distance otherwise than math.hypot,
     so that test keeps a relative margin no rounding crosses. The other
     polygons, at the rim, take every side's term in one _disk_segment_terms
-    pass, with math.hypot distances.
+    pass. Their corners' distances only decide whether a side's triangle is
+    whole, by distance <= r, so they are np.hypot's, and math.hypot's within
+    1e-12·r of the circle, the same margin: np.hypot's rounding, an ulp or
+    two, cannot carry a corner across r from farther out.
     """
     rel = stacked - np.asarray(center, dtype=float)
     x, y = rel[..., 0], rel[..., 1]
@@ -229,7 +236,9 @@ def polygon_disk_overlap_areas(stacked: np.ndarray, counts: np.ndarray,
     row = np.flatnonzero(~inside)[row]
     nxt = np.where(col + 1 < counts[row], col + 1, 0)
     a = rel[row, col]
-    ra = np.array([math.hypot(*p) for p in a.tolist()], dtype=float)
+    ra = np.hypot(a[:, 0], a[:, 1])
+    near = np.flatnonzero(np.abs(ra - r) <= 1e-12 * r)
+    ra[near] = [math.hypot(*p) for p in a[near].tolist()]
     rb = ra[np.arange(len(col)) - col + nxt]
     terms[row, col] = _disk_segment_terms(a, rel[row, nxt], ra, rb, r)
     total = np.zeros(len(stacked))
