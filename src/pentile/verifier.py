@@ -35,6 +35,7 @@ SAMPLE_DIVISOR = 4.0     # grid pitch = tile inradius / SAMPLE_DIVISOR
 GRID_POINTS_PER_TILE = 1024  # coverage grid bound; past it the pitch widens
 CHUNK = 1024             # rows per stacked pass, to bound its scratch memory
 SLACK = 1e-12            # separating-axis slack, per unit of a mean side
+COVER_MARGIN = 1e-9      # coverage runs' margin, per unit of the grid's extent
 
 
 @dataclass
@@ -176,28 +177,111 @@ def check_no_overlap(patch) -> CheckReport:
                                 "max_overlap_fraction": worst / ref})
 
 
+def _run_bounds(polys, r_inner, pitch, delta):
+    """Each side's bound, in grid indices, on the grid points δ inside it.
+    Side k of a tile runs from a to a + d; on the ideal grid X = -r_inner +
+    ix·pitch, Y = -r_inner + iy·pitch its value s = dx(Y - ay) - dy(X - ax)
+    is at least δ·|d| where dy·ix <= dx·iy + h / pitch, with h = dx(-r_inner
+    - ay) - dy(-r_inner - ax) - δ·|d|. On row iy that is ix >= slope·iy +
+    offset for dy < 0 and ix <= for dy > 0: (slope, offset) of the lower
+    and of the upper bounds, each (K, N), 0 and ∓inf for the other sides.
+    A side with dy = 0 is constant along a row, and bounds the rows
+    instead: iy >= or <= -h / (pitch·dx) for dx > 0 or < 0, the rows' least
+    and greatest (N,). A side of zero length, the padding's, has s and h
+    0, and bounds nothing."""
+    d = np.roll(polys, -1, axis=1) - polys
+    dx, dy = d[..., 0].T, d[..., 1].T
+    h = (dx * (-r_inner - polys[..., 1].T) - dy * (-r_inner - polys[..., 0].T)
+         - delta * np.hypot(dx, dy))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope, offset, row = dx / dy, h / (pitch * dy), -h / (pitch * dx)
+    flat = dy == 0.0
+    return (np.where(dy < 0.0, slope, 0.0),
+            np.where(dy < 0.0, offset, -np.inf),
+            np.where(dy > 0.0, slope, 0.0),
+            np.where(dy > 0.0, offset, np.inf),
+            np.where(flat & (dx > 0.0), row, -np.inf).max(axis=0),
+            np.where(flat & (dx < 0.0), row, np.inf).min(axis=0))
+
+
+def _run_points(at, n):
+    """The flat indices at[i], at[i] + 1, ..., at[i] + n[i] - 1 of each run,
+    in order."""
+    return np.repeat(at - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
+def _left_columns(first, last, rows, span_lo, span_hi):
+    """On the rows first + rows (T, R) of the index boxes first..last (T, 2),
+    the columns of each box from its row's first left point to its last:
+    the rows, clipped to the box, the first column and the column count, 0
+    past the box's last row or where the row has no left point."""
+    iy = first[:, 1:] + rows
+    inside = iy <= last[:, 1:]
+    iy = np.minimum(iy, last[:, 1:])
+    ix = np.maximum(span_lo[iy], first[:, :1])
+    n = np.minimum(span_hi[iy], last[:, :1]) - ix + 1
+    return iy, ix, np.where(inside, np.maximum(n, 0), 0)
+
+
 def _grid_cover_check(stacked, r_inner, pitch, eps):
     """Sampling route: every point of the grid of this pitch from -r_inner
     to r_inner on both axes that lies within r_inner - eps of the origin
-    (`_in_disk`) must lie in a tile. Returns (#tested, #missed, the first
-    miss in row-major order or None).
+    (`_in_disk`) must lie in a tile by points_in_convex_polygon(..., eps),
+    eps >= 0. Returns (#tested, #missed, the first miss in row-major order
+    or None).
 
-    The grid is held only as its axes xs and ys: the disk test takes the
-    row xs (1, nx) against the column ys (ny, 1). Each tile runs
-    points_in_convex_polygon(..., eps) on the grid points of its index
-    box, as a column ys[iy] (B, wy, 1) against a row xs[ix] (B, 1, wx). The
-    box runs from ceil(min' - 1/2) to floor(max' + 1/2), min' and max'
-    being the corners' extremes in indices (padding repeats corners, so it
-    moves no box). The eps band reaches eps / sin(theta / 2) past a corner
-    of angle theta; with the check's eps, 1e-9 of the tile size, that is
-    far less than half an index. So the box holds every point the tile
-    can, and the covered set is the union of that test over all tiles.
-    Hits are scattered by flat index iy * nx + ix, and a pass holds about
-    64 K box points."""
+    The grid is held as its axes xs and ys and one bool per point for the
+    disk and for the covered set; the disk's norms are taken a band of rows
+    at a time. A tile's index box runs from ceil(min' - 1/2) to
+    floor(max' + 1/2), min' and max' being the corners' extremes in indices
+    (padding repeats corners, so it moves no box). The eps band reaches
+    eps / sin(theta / 2) past a corner of angle theta; with the check's
+    eps, 1e-9 of the tile size, that is far less than half an index. So
+    the box holds every point the tile's test can pass, and the covered
+    set is the union of that test over the tiles' boxes.
+
+    Most of it is certified by rows, by scan conversion (Foley, van Dam,
+    Feiner & Hughes, Computer Graphics, 2nd ed., 1990, §3.6): on each row
+    of a tile's box, the run of columns δ inside every side (`_run_bounds`)
+    is marked covered, a pass of tiles at a time, each tile's rows padded
+    to the tallest box's. δ is COVER_MARGIN × S, with S = r_inner + pitch +
+    the largest |coordinate|, and u below is the unit roundoff, 1.1e-16.
+    Every point of a run passes the test:
+
+    - the test takes s on the float xs[ix] and ys[iy] in a few roundings,
+      each under 2u·|d|·S, against a band -eps·|d| <= 0;
+    - np.arange makes xs[i] as -r_inner + i·step', step' within u·r_inner
+      of the pitch, so the axes stray from the ideal grid by at most
+      (n + 3)·u·S on a grid of n points a side;
+    - a bound's slope·iy + offset, taken back to s by pitch·|dy|, rounds by
+      a few u·|d|·S however small dy is; ceil and floor are exact.
+
+    On a grid under 10⁶ points a side that moves s by less than a quarter of
+    δ·|d| (1e-9·|d|·S), so every point of a run lies inside the tile, in its
+    box, and passes. A bound that is not a number (a side too short for its
+    quotients to be finite) leaves its run empty.
+
+    The wanted points no run covers, the holes and the points within δ of a
+    side, are left: on each row, the span from the first left point to the
+    last. The tiles whose box meets a row's span on that row are found
+    first; then each such box's columns within the span (`_left_columns`)
+    take points_in_convex_polygon(..., eps) against that tile, point by
+    point. The test is elementwise, so each point gets the bits the box
+    scan gave it, and every box holding a left point takes part: the
+    covered wanted points, and the returned triple, are those the test on
+    every box gives. Passes hold about 64 K box-row sides, 64 K points of
+    runs or 16 K points of the exact test.
+    """
     xs = np.arange(-r_inner, r_inner + pitch, pitch)
     ys = np.arange(-r_inner, r_inner + pitch, pitch)
-    wanted = _in_disk(xs[None, :], ys[:, None], r_inner - eps)
-    size = np.array([len(xs), len(ys)])
+    nx = len(xs)
+    # the disk a band of rows at a time, as its norms are floats
+    wanted = np.empty((len(ys), nx), dtype=bool)
+    band = max(1, 64 * CHUNK // nx)
+    for start in range(0, len(ys), band):
+        wanted[start:start + band] = _in_disk(
+            xs[None, :], ys[start:start + band, None], r_inner - eps)
+    size = np.array([nx, len(ys)])
     # the extremes one corner at a time: a numpy reduction over so short an
     # axis costs several times more
     corners = stacked.transpose(1, 0, 2)
@@ -210,22 +294,79 @@ def _grid_cover_check(stacked, r_inner, pitch, eps):
     first = np.clip(first[meets], 0, size - 1).astype(np.intp)
     last = np.clip(last[meets], 0, size - 1).astype(np.intp)
     covered = np.zeros(wanted.size, dtype=bool)
-    # boxes padded to the largest, whose padding retests grid points
-    wx, wy = (last - first).max(axis=0, initial=0) + 1
-    step = max(1, 64 * CHUNK // (wx * wy))
+
+    delta = COVER_MARGIN * (r_inner + pitch
+                            + float(np.abs(polys).max(initial=0.0)))
+    lo_slope, lo_offset, hi_slope, hi_offset, row_lo, row_hi = _run_bounds(
+        polys, r_inner, pitch, delta)
+    bottom = np.maximum(first[:, 1], row_lo)
+    top = np.minimum(last[:, 1], row_hi)
+    # each tile's rows padded to the tallest box's, as its own first rows
+    # plus 0, 1, ...
+    rows = np.arange((last - first)[:, 1].max(initial=0) + 1)
+    sides = range(polys.shape[1])
+    step = max(1, 64 * CHUNK // (len(rows) * len(sides)))
     for start in range(0, len(polys), step):
-        box_lo = first[start:start + step]
-        ix = np.minimum(box_lo[:, None, :1] + np.arange(wx), size[0] - 1)
-        iy = np.minimum(box_lo[:, 1:, None] + np.arange(wy)[:, None],
-                        size[1] - 1)
-        hit = points_in_convex_polygon(
-            xs[ix], ys[iy], polys[start:start + step, None, None], eps=eps)
-        covered[(iy * len(xs) + ix)[hit]] = True
-    miss = wanted & ~covered.reshape(wanted.shape)
-    missed = int(np.count_nonzero(miss))
-    row, col = divmod(int(np.argmax(miss)), len(xs))
+        part = slice(start, start + step)
+        y = (first[part, 1:] + rows).astype(float)
+        with np.errstate(invalid="ignore"):
+            lo = functools.reduce(np.maximum, (
+                lo_slope[k, part, None] * y + lo_offset[k, part, None]
+                for k in sides))
+            hi = functools.reduce(np.minimum, (
+                hi_slope[k, part, None] * y + hi_offset[k, part, None]
+                for k in sides))
+        lo = np.maximum(np.ceil(lo), 0.0)
+        hi = np.minimum(np.floor(hi), nx - 1.0)
+        run = (lo <= hi) & (bottom[part, None] <= y) & (y <= top[part, None])
+        lo = lo[run].astype(np.intp)
+        n = hi[run].astype(np.intp) - lo + 1
+        at = y[run].astype(np.intp) * nx + lo
+        # written about 64 K points at a time, as a long thin tile's runs
+        # hold many points for few box-row sides
+        cuts = np.searchsorted(np.cumsum(n), np.arange(
+            64 * CHUNK, n.sum(), 64 * CHUNK), side="right")
+        for a, b in zip([0, *cuts], [*cuts, len(n)]):
+            covered[_run_points(at[a:b], n[a:b])] = True
+
+    # the wanted points become the left ones, in place, and each row's span
+    # of them runs from its first to its last, a band of rows at a time
+    tested = int(np.count_nonzero(wanted))
+    covered = covered.reshape(wanted.shape)
+    left = np.greater(wanted, covered, out=wanted)
+    span_lo = np.full(len(ys), nx)
+    span_hi = np.full(len(ys), -1)
+    for start in range(0, len(ys), band):
+        part = left[start:start + band]
+        has = part.any(axis=1)
+        span_lo[start:start + band][has] = part[has].argmax(axis=1)
+        span_hi[start:start + band][has] = nx - 1 - part[has, ::-1].argmax(
+            axis=1)
+    if (span_hi >= 0).any():
+        step = max(1, 64 * CHUNK // len(rows))
+        need = np.zeros(len(polys), dtype=bool)
+        for start in range(0, len(polys), step):
+            part = slice(start, start + step)
+            need[part] = (_left_columns(first[part], last[part], rows,
+                                        span_lo, span_hi)[2] > 0).any(axis=1)
+        polys, first, last = polys[need], first[need], last[need]
+        wx, wy = (last - first).max(axis=0, initial=0) + 1
+        rows = np.arange(wy)
+        step = max(1, 16 * CHUNK // (wx * wy))
+        for start in range(0, len(polys), step):
+            part = slice(start, start + step)
+            iy, ix, n = _left_columns(first[part], last[part], rows, span_lo,
+                                      span_hi)
+            tile = np.repeat(np.arange(start, start + len(n)), n.sum(axis=1))
+            at = _run_points((iy * nx + ix).ravel(), n.ravel())
+            hit = points_in_convex_polygon(xs[at % nx], ys[at // nx],
+                                           polys[tile], eps=eps)
+            covered.flat[at[hit]] = True
+        np.greater(left, covered, out=left)
+    missed = int(np.count_nonzero(left))
+    row, col = divmod(int(np.argmax(left)), nx)
     example = (float(xs[col]), float(ys[row])) if missed else None
-    return int(np.count_nonzero(wanted)), missed, example
+    return tested, missed, example
 
 
 def _in_disk(px, py, radius):

@@ -423,6 +423,39 @@ def loop_disk_cover_check(polys, r_inner, pitch, eps):
                                  np.full(2, r_inner), pitch, eps)
 
 
+def box_grid_cover_check(stacked, r_inner, pitch, eps):
+    """Reference box scan: each tile runs points_in_convex_polygon(...,
+    eps) on every grid point of its index box, ceil(min' - 1/2) to
+    floor(max' + 1/2) in indices, padded to the largest box; the covered
+    set is the union of the hits."""
+    xs = np.arange(-r_inner, r_inner + pitch, pitch)
+    ys = np.arange(-r_inner, r_inner + pitch, pitch)
+    wanted = _in_disk(xs[None, :], ys[:, None], r_inner - eps)
+    size = np.array([len(xs), len(ys)])
+    first = np.ceil((stacked.min(axis=1) + r_inner) / pitch - 0.5)
+    last = np.floor((stacked.max(axis=1) + r_inner) / pitch + 0.5)
+    meets = np.all((last >= 0) & (first < size), axis=1)
+    polys = stacked[meets]
+    first = np.clip(first[meets], 0, size - 1).astype(np.intp)
+    last = np.clip(last[meets], 0, size - 1).astype(np.intp)
+    covered = np.zeros(wanted.size, dtype=bool)
+    wx, wy = (last - first).max(axis=0, initial=0) + 1
+    step = max(1, 64 * 1024 // (wx * wy))
+    for start in range(0, len(polys), step):
+        box_lo = first[start:start + step]
+        ix = np.minimum(box_lo[:, None, :1] + np.arange(wx), size[0] - 1)
+        iy = np.minimum(box_lo[:, 1:, None] + np.arange(wy)[:, None],
+                        size[1] - 1)
+        hit = points_in_convex_polygon(
+            xs[ix], ys[iy], polys[start:start + step, None, None], eps=eps)
+        covered[(iy * len(xs) + ix)[hit]] = True
+    miss = wanted & ~covered.reshape(wanted.shape)
+    missed = int(np.count_nonzero(miss))
+    row, col = divmod(int(np.argmax(miss)), len(xs))
+    example = (float(xs[col]), float(ys[row])) if missed else None
+    return int(np.count_nonzero(wanted)), missed, example
+
+
 @pytest.mark.parametrize("drop", [0, 1, 3])
 def test_grid_route_matches_tile_by_tile_scan(t4_patch, drop):
     """The same count, misses and first miss, with the drop innermost
@@ -474,23 +507,120 @@ GRID_HOUSE = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 2.0],
                        [0.0, 1.0]])
 
 
+# unit squares on the grid of pitch 1/2 about (1, 1): sides on grid rows and
+# columns (dx = 0 and dy = 0), with grid points on every side
+GRID_SQUARES = [np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+                + (i, j) for i in (0, 1) for j in (0, 1)]
+# a Type 4 tile of the small patch, and its longest side's length
+T4_TILE = small_patch_polygons(4)[0]
+T4_EDGE = float(np.hypot(*np.diff(T4_TILE, axis=0).T).max())
+
+
 @given(grid_cover_cases())
 @example(case=disk_case([GRID_HOUSE], (1.0, 1.0), 2.0, 0.5))
 @example(case=disk_case([GRID_HOUSE + 0.5e-12], (1.0, 1.0), 2.0, 0.5))
 @example(case=disk_case([GRID_HOUSE - 0.5e-12], (1.0, 1.0), 2.0, 0.5))
 @example(case=disk_case([GRID_HOUSE, 0.1 * GRID_HOUSE + (2.1, 0.1)],
                         (1.0, 1.0), 2.0, 0.5))
+@example(case=disk_case(GRID_SQUARES, (1.0, 1.0), 1.5, 0.5))
+@example(case=disk_case(GRID_SQUARES[:3], (1.0, 1.0), 1.5, 0.25))
+@example(case=disk_case(GRID_SQUARES[1:] + [GRID_HOUSE - (1.0, 1.0)],
+                        (1.0, 1.0), 2.0, 0.5))
+@example(case=disk_case(GRID_SQUARES, (1.0, 1.0), 1.5, 0.5, eps=0.0))
+@example(case=disk_case(small_patch_polygons(4), (0.3, -0.2), 3.0, 0.1,
+                        eps=0.0))
+@example(case=disk_case(small_patch_polygons(4) + [T4_TILE + 1e-12 * T4_EDGE],
+                        T4_TILE.mean(axis=0), 3.0, 0.1))
+@example(case=disk_case(small_patch_polygons(4) + [T4_TILE + 1e-1 * T4_EDGE],
+                        T4_TILE.mean(axis=0), 3.0, 0.1))
 def test_grid_route_matches_tile_by_tile_scan_anywhere(case):
-    """Drawn cases, and four at the box edges: a tile whose corners lie on
-    grid points; the same tile moved by 1e-12 of a pitch up and down, which
-    leaves those points in its eps band, where a box edge without its
-    half-index margin would drop a corner's column or row; and beside it a
-    tile a fifth of a pitch wide between two columns and two rows, whose
-    box holds grid points and covers none. The reference finds its points
-    by k-d tree radius, not by boxes."""
+    """Drawn cases, and these at the box edges and at the runs' margin:
+    - a tile whose corners lie on grid points; the same tile moved by 1e-12
+      of a pitch up and down, which leaves those points in its eps band,
+      where a box edge without its half-index margin would drop a corner's
+      column or row; and beside it a tile a fifth of a pitch wide between
+      two columns and two rows, whose box holds grid points and covers
+      none;
+    - unit squares whose sides lie on grid rows and columns, all four, one
+      dropped, and three beside the house (4- and 5-corner tiles in one
+      stack, whose padding sides have zero length);
+    - eps 0;
+    - a duplicate tile shifted by 1e-12 and by 1e-1 of an edge.
+    Two references: the box scan, each tile's kernel on every point of its
+    box, and a k-d tree radius search, with no boxes at all."""
     polys, args = case
-    assert _grid_cover_check(stack_polygons(polys)[0], *args) == \
-        loop_disk_cover_check(polys, *args)
+    found = _grid_cover_check(stack_polygons(polys)[0], *args)
+    assert found == box_grid_cover_check(stack_polygons(polys)[0], *args)
+    assert found == loop_disk_cover_check(polys, *args)
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 4, 5])
+def test_exact_kernel_sees_only_the_boxes_around_a_hole(type_id,
+                                                        monkeypatch):
+    """Coverage runs decide every sample point of an honest r = 20 patch,
+    and the exact kernel sees no tile. With its innermost tile dropped, the
+    kernel sees only tiles whose box, a half-pitch past the corners, meets
+    the hole's box. A scan of every box shows the kernel every tile."""
+    recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
+    patch = generate_patch(recipe, 20.0, (0.3, -0.2))
+    seen = []
+
+    def counted(px, py, poly, eps=0.0):
+        seen.append(np.unique(poly.reshape(-1, *poly.shape[-2:]), axis=0))
+        return points_in_convex_polygon(px, py, poly, eps=eps)
+
+    monkeypatch.setattr(verifier, "points_in_convex_polygon", counted)
+    assert check_coverage(patch).ok
+    assert seen == []
+
+    polys = [t.polygon for t in patch.tiles]
+    hole = min(polys, key=lambda p: np.hypot(*(p.mean(axis=0) - patch.center)))
+    dropped = Patch.from_polygons(
+        [p for p in polys if p is not hole], r=patch.r, center=patch.center)
+    report = check_coverage(dropped)
+    assert not report.ok and report.metrics["sample_misses"] > 0
+    tiles = np.concatenate(seen) + np.asarray(patch.center)
+    pitch = largest_inscribed_circle(polys[0])[1] / 4.0
+    assert 0 < len(tiles) < 12
+    for tile in tiles:
+        assert np.all(tile.min(axis=0) - pitch <= hole.max(axis=0))
+        assert np.all(hole.min(axis=0) <= tile.max(axis=0) + pitch)
+
+
+@pytest.mark.parametrize("turned", [False, True])
+def test_thin_pentagon_coverage_grid_is_chunked(turned):
+    """check_coverage's tracemalloc peak on the thin Type 1 pentagon at r = 3
+    (3 485 tiles, 1 917 631 sample points) stays under 16 MiB. A box scan,
+    with the disk's norms as one float per grid point, peaks at 21.6 MiB
+    here and takes seconds, as each tile's box spans hundreds of rows and
+    thousands of columns. Turned so that a tile's farthest corners lie on a
+    grid row, each box spans a few rows, and a few box-row sides hold
+    runs of thousands of points: written all at once, a pass's runs peak
+    at 42 MiB."""
+    from pentile.catalog import get_type_spec, solve_instance
+
+    thin = json.loads((Path(__file__).parent / "data"
+                       / "thin_type1.json").read_text())
+    pentagon = solve_instance(get_type_spec(1), thin["params"])
+    patch = generate_patch(builtin_recipe(1, pentagon), 3.0)
+    if turned:
+        polys = [t.polygon - patch.center for t in patch.tiles]
+        a, b = max(itertools.combinations(polys[0], 2),
+                   key=lambda ab: np.hypot(*(ab[1] - ab[0])))
+        angle = math.atan2(b[1] - a[1], b[0] - a[0])
+        c, s = math.cos(angle), math.sin(angle)
+        patch = Patch.from_polygons(
+            [p @ np.array([[c, -s], [s, c]]) for p in polys], r=patch.r,
+            center=(0.0, 0.0))
+    tracemalloc.start()
+    try:
+        report = check_coverage(patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.violations
+    assert report.metrics["sample_points"] == 1917631
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def scalar_points_in_convex_polygon(x, y, poly, eps):
