@@ -25,7 +25,9 @@ polygons of different corner counts can mix; corner i opens side i. One of
 two finders says which vertex each corner is and which vertices lie inside
 each side; one assembly builds every array from that.
 
-- Snapping (`Patch.from_tiles`, for documents and hand-built polygons):
+- Snapping (`Patch.from_tiles` for hand-built polygons, and
+  `patch_from_json_dict` for documents, whose nine-digit corners widen the
+  merge distance to DOCUMENT_PRECISION of their largest coordinate):
   corners within eps of each other, chains included, are the connected
   components (`geometry.component_labels`) of the close pairs a grid
   neighbour search finds (`geometry.close_pairs`), and one more search,
@@ -294,12 +296,10 @@ class Patch:
 
     @classmethod
     def from_tiles(cls, tiles: Sequence[PlacedTile], r: float | None = None,
-                   center=None, precision: float = 0.0) -> "Patch":
+                   center=None) -> "Patch":
         """Stack the tiles. Their corners are snapped into vertices, and the
         vertices inside their sides found by distance, when the arrangement
-        is first read. precision: the corners' relative error
-        (DOCUMENT_PRECISION for a document's); the merge distance widens to
-        match."""
+        is first read."""
         tiles = tuple(tiles)
         polygons, counts = stack_polygons(
             [np.asarray(t.polygon, dtype=float) for t in tiles])
@@ -307,7 +307,7 @@ class Patch:
         zones = np.array([t.zone for t in tiles], dtype=str)
         return cls(counts, cells, zones, r=r,
                    center=None if center is None else tuple(center),
-                   precision=precision, stack=polygons)
+                   stack=polygons)
 
     @classmethod
     def from_cells(cls, rows: np.ndarray, zones: np.ndarray,

@@ -120,11 +120,6 @@ class Pentagon:
         return make_pentagon(tuple(self.angles[i] for i in corners),
                              tuple(self.edges[i] for i in edges))
 
-    def labelings(self) -> list["Pentagon"]:
-        """The ten relabelings, in LABELINGS order."""
-        return [self.relabeled(rotation=k % 5, reflect=k >= 5)
-                for k in range(len(LABELINGS))]
-
     def to_json_dict(self) -> dict:
         return {"angles_deg": [math.degrees(a) for a in self.angles],
                 "edges": list(self.edges)}

@@ -220,10 +220,9 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
     """Sweep origin-centered patches over radii; extrapolate interior ratios.
 
     Radii must increase and start above twice the tile diameter so every
-    patch has an interior to count. The candidates are scanned and measured
-    once, for the largest radius (`tiling.candidate_window`), and each
-    radius keeps the rows that generate_patch's patch holds
-    (`tiling.patch_rows`), so a recipe that does not tile
+    patch has an interior to count. `tiling.patch_rows` gives every
+    radius' rows, the ones generate_patch's patch holds, from one lattice
+    scan at the largest radius, so a recipe that does not tile
     (RecipeInvalid) and a radius over `tiling.MAX_TRANSLATES` are refused
     before any radius is counted.
 
@@ -232,7 +231,7 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
     compute_stats(generate_patch(recipe, r), INTERIOR)'s, which counts the
     same rows with the same counter.
     """
-    from .tiling import candidate_window, patch_rows
+    from .tiling import patch_rows
 
     radii = [float(r) for r in radii]
     require_positive("radii", radii)
@@ -244,10 +243,9 @@ def limit_sweep(recipe, radii: Sequence[float]) -> LimitEstimate:
             f"smallest radius {radii[0]} must exceed twice the tile "
             f"diameter {diam:.6g}")
 
-    window = candidate_window(recipe, radii[-1])
-    center, star = np.asarray(window.center), recipe.orbit_star
-    stats = [_lattice_stats(star, patch_rows(recipe, r, center, window)[0],
-                            r, INTERIOR) for r in radii]
+    patches = patch_rows(recipe, radii, np.zeros(2))
+    stats = [_lattice_stats(recipe.orbit_star, rows, r, INTERIOR)
+             for r, (rows, _) in zip(radii, patches)]
 
     v_per_t = tuple(s.v / s.t for s in stats)
     e_per_t = tuple(s.e / s.t for s in stats)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -489,30 +489,6 @@ def _ranks(lengths: np.ndarray) -> np.ndarray:
                                                 lengths)
 
 
-class CandidateWindow(NamedTuple):
-    """generate_patch's candidates for one disk (`candidate_window`): the
-    centre, the reach, and near_translates' rows and centroid distances
-    from the centre."""
-    center: tuple[float, float]
-    reach: float
-    rows: np.ndarray
-    gap: np.ndarray
-
-    def within(self, center: np.ndarray, reach: float):
-        """The rows and centroid distances of the translates whose centroid
-        lies within reach of the centre: those near_translates gives at
-        that reach, in its (m, n, j) order, as the distance is the one it
-        measures and its scan at the larger reach holds every translate
-        within it. ValueError for another centre or a larger reach."""
-        if tuple(center.tolist()) != self.center or not reach <= self.reach:
-            raise ValueError(
-                f"the window holds the candidates within {self.reach:.6g} "
-                f"of {self.center}, not within {reach:.6g} of "
-                f"{tuple(center.tolist())}")
-        keep = self.gap <= reach
-        return self.rows[keep], self.gap[keep]
-
-
 def _flood_reach(recipe: TilingRecipe, r: float) -> tuple[float, float]:
     """rho = r + diam + 2·eps, beyond which a tile's corner makes it open,
     and rho + radius + eps, how far the centroids of the tiles meeting the
@@ -520,35 +496,6 @@ def _flood_reach(recipe: TilingRecipe, r: float) -> tuple[float, float]:
     eps = recipe.merge_distance
     rho = r + recipe.pentagon.diameter + 2.0 * eps
     return rho, rho + recipe.radius + eps
-
-
-def _candidates(recipe: TilingRecipe, r: float, center: np.ndarray,
-                reach: float):
-    """near_translates' rows within reach of the centre and their centroid
-    distances from it. RecipeInvalid, naming the checks that failed,
-    before any scan, when the recipe does not tile
-    (`TilingRecipe.periodicity`), and ParseError naming r when the lattice
-    scan is over MAX_TRANSLATES."""
-    if not recipe.periodicity.ok:
-        raise RecipeInvalid(f"recipe does not tile: "
-                            f"{recipe.periodicity.violations}")
-    try:
-        return near_translates(recipe, center, reach)
-    except ParseError as exc:
-        raise ParseError(f"disk radius {r:g}: {exc}") from None
-
-
-def candidate_window(recipe: TilingRecipe, r: float,
-                     M=(0.0, 0.0)) -> CandidateWindow:
-    """generate_patch's candidates for the disk of radius r about M, as the
-    window that the patch of any disk of radius up to r about M cuts its
-    candidates from (`patch_rows`' `window`). Raises RecipeInvalid, and
-    ParseError naming r, as generate_patch does, before any patch is
-    built."""
-    center = np.asarray(M, dtype=float)
-    _, reach = _flood_reach(recipe, r)
-    return CandidateWindow(tuple(center.tolist()), reach,
-                           *_candidates(recipe, r, center, reach))
 
 
 def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
@@ -583,31 +530,35 @@ def generate_patch(recipe: TilingRecipe, r: float, M=(0.0, 0.0)):
     arrangement (`Patch.from_cells`) both read these keys as
     `vertex_labels`, so they are the lattice's relations at any centre and
     no candidate pair is measured. Snapping the same tiles
-    (`Patch.from_tiles`, which patch documents need) gives the same
-    arrays. The patch is its (m, n, j) rows, zones and recipe: its
-    polygons are placed and its arrangement looked up when first read,
-    and stats.compute_stats counts it on the recipe's orbit star with
-    neither built.
+    (`Patch.from_tiles`) gives the same arrays. The patch is its (m, n, j)
+    rows, zones and recipe: its polygons are placed and its arrangement
+    looked up when first read, and stats.compute_stats counts it on the
+    recipe's orbit star with neither built.
     """
     from .arrangement import Patch
 
     require_positive("disk radius", r)
     center = np.asarray(M, dtype=float)
     require_finite("disk centre", center)
-    rows, sizes = patch_rows(recipe, r, center)
+    [(rows, sizes)] = patch_rows(recipe, [r], center)
     zones = np.repeat(np.array(["F1", "F2", "F3"]), sizes)
     return Patch.from_cells(rows, zones, recipe, r=r, center=tuple(center))
 
 
-def patch_rows(recipe: TilingRecipe, r: float, center: np.ndarray,
-               window: CandidateWindow | None = None):
-    """The tiles of generate_patch's patch A(r, center), as near_translates
-    gives them: their (m, n, j) rows, F1 first, then F2, then F3, and the
-    three zone sizes. A `window` from `candidate_window` for a radius of
-    at least r about center replaces the scan for this disk alone: the
-    candidates are its rows within this disk's reach
-    (`CandidateWindow.within`), the same arrays the scan gives, so several
-    radii about one centre scan and measure once.
+def patch_rows(recipe: TilingRecipe, radii: Sequence[float],
+               center: np.ndarray) -> list[tuple[np.ndarray, tuple]]:
+    """The tiles of generate_patch's patch A(r, center) for each r in
+    radii, in the order given: their (m, n, j) rows, in near_translates'
+    order, F1 first, then F2, then F3, and the three zone sizes.
+
+    Raises RecipeInvalid, naming the checks that failed, before any scan,
+    when the recipe does not tile (`TilingRecipe.periodicity`). Then the
+    lattice is scanned once, at the flood reach of the largest radius, and
+    ParseError naming that radius refuses a scan over MAX_TRANSLATES
+    (`near_translates`). The largest radius takes the scan as it is; each
+    smaller one keeps the rows whose centroid distance is within its own
+    reach, the rows and distances near_translates gives at that reach, as
+    the distance is the one it measures.
 
     A tile is F1 when its farthest corner lies within r - eps of the
     centre, eps the merge distance. That corner lies within g + radius of
@@ -624,27 +575,40 @@ def patch_rows(recipe: TilingRecipe, r: float, center: np.ndarray,
     farthest corners, their distances from the centre and the F3 flood
     are measured as they were on every candidate.
     """
-    eps = recipe.merge_distance
-    rho, reach = _flood_reach(recipe, r)
-    if window is None:
-        rows, gap = _candidates(recipe, r, center, reach)
-    else:
-        rows, gap = window.within(center, reach)
+    if not recipe.periodicity.ok:
+        raise RecipeInvalid(f"recipe does not tile: "
+                            f"{recipe.periodicity.violations}")
+    top = max(radii)
+    try:
+        scanned, gaps = near_translates(recipe, center,
+                                        _flood_reach(recipe, top)[1])
+    except ParseError as exc:
+        raise ParseError(f"disk radius {top:g}: {exc}") from None
 
-    margin = BAND_MARGIN * (r + recipe.radius + float(np.abs(center).max()))
-    inner = gap + recipe.radius <= r - eps - margin
-    band = np.flatnonzero(~inner)
-    polys = recipe.corners(rows[band])
-    d_max = farthest_distances(center, polys)
-    near = d_max <= r - eps
-    inner[band] = near
-    rest, polys, d_max = band[~near], polys[~near], d_max[~near]
-    meets = polygon_distances(center, polys) <= r + eps
-    outer = rest[~meets]
-    f3 = outer[_enclosed_tiles(rows[outer], d_max[~meets] > rho, recipe)]
-    order = np.concatenate([np.flatnonzero(inner), rest[meets], f3])
-    return rows[order], (np.count_nonzero(inner), np.count_nonzero(meets),
-                         len(f3))
+    eps = recipe.merge_distance
+    patches = []
+    for r in radii:
+        rho, reach = _flood_reach(recipe, r)
+        rows, gap = scanned, gaps
+        if r < top:
+            keep = gaps <= reach
+            rows, gap = scanned[keep], gaps[keep]
+        margin = BAND_MARGIN * (r + recipe.radius
+                                + float(np.abs(center).max()))
+        inner = gap + recipe.radius <= r - eps - margin
+        band = np.flatnonzero(~inner)
+        polys = recipe.corners(rows[band])
+        d_max = farthest_distances(center, polys)
+        near = d_max <= r - eps
+        inner[band] = near
+        rest, polys, d_max = band[~near], polys[~near], d_max[~near]
+        meets = polygon_distances(center, polys) <= r + eps
+        outer = rest[~meets]
+        f3 = outer[_enclosed_tiles(rows[outer], d_max[~meets] > rho, recipe)]
+        order = np.concatenate([np.flatnonzero(inner), rest[meets], f3])
+        patches.append((rows[order], (np.count_nonzero(inner),
+                                      np.count_nonzero(meets), len(f3))))
+    return patches
 
 
 def _enclosed_tiles(cells: np.ndarray, is_open: np.ndarray,

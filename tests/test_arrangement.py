@@ -455,7 +455,7 @@ def test_orbit_star_of_a_many_tile_supercell():
 
     r = 2.0 * recipe.pentagon.diameter + 4.0
     patch = generate_patch(recipe, r)
-    tile = patch_rows(recipe, r, np.zeros(2))[0][:, 2]
+    tile = patch_rows(recipe, [r], np.zeros(2))[0][0][:, 2]
     inside = patch.interior_tile_ids()
     assert len(inside) and len(set(tile[inside].tolist())) > 1
     assert np.array_equal(np.diff(patch.tile_adjacents.indptr)[inside],

@@ -1597,24 +1597,17 @@ def assert_same_patch(ours, theirs):
 @given(sweep_recipes(),
        st.lists(st.floats(3.0, 15.0), min_size=1, max_size=4, unique=True),
        sweep_centres)
-def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
-                                                               M):
-    """Every disk up to the window's radius about its centre cuts from it
-    the rows and centroid distances near_translates gives at that disk's
-    reach, the patch rows a window-free patch_rows picks, and from them
-    the arrays generate_patch builds, at any radii."""
-    window = tiling.candidate_window(recipe, max(radii), M)
+def test_patch_rows_over_radii_are_the_single_radius_rows(recipe, radii, M):
+    """Each radius of one patch_rows call, in any order, gets bit for bit
+    the rows and sizes a call for it alone gives, and from them the
+    arrays generate_patch builds."""
     center = np.asarray(M, dtype=float)
-    for r in radii:
-        reach = tiling._flood_reach(recipe, r)[1]
-        cells, gap = window.within(center, reach)
-        scanned, measured = tiling.near_translates(recipe, center, reach)
-        assert same_bits(cells, scanned) and same_bits(gap, measured)
-        cut, sizes = tiling.patch_rows(recipe, r, center, window)
-        rows, free_sizes = tiling.patch_rows(recipe, r, center)
-        assert same_bits(cut, rows) and sizes == free_sizes
+    patches = tiling.patch_rows(recipe, radii, center)
+    for r, (rows, sizes) in zip(radii, patches):
+        [(alone, alone_sizes)] = tiling.patch_rows(recipe, [r], center)
+        assert same_bits(rows, alone) and sizes == alone_sizes
         zones = np.repeat(np.array(["F1", "F2", "F3"]), sizes)
-        assert_same_patch(Patch.from_cells(cut, zones, recipe, r=r, center=M),
+        assert_same_patch(Patch.from_cells(rows, zones, recipe, r=r, center=M),
                           generate_patch(recipe, r, M))
 
 
@@ -1624,7 +1617,7 @@ def test_patches_cut_from_a_window_are_the_window_free_patches(recipe, radii,
 def test_sweep_patches_are_the_window_free_patches(type_id, radii):
     """limit_sweep scans the lattice once, for its largest radius, and each
     radius' counts are the INTERIOR statistics of the looked-up arrangement
-    of generate_patch(recipe, r), made without a window."""
+    of generate_patch(recipe, r), made with a scan of its own."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     recipe.orbit_star     # built, so its own window scans no more
     with mock.patch.object(tiling, "near_translates",
@@ -1660,17 +1653,6 @@ def test_lattice_counts_are_the_patch_counts(recipe, above, gaps):
         patch = generate_patch(recipe, r)
         assert counted == _arrangement_stats(patch, INTERIOR)
         assert compute_stats(patch, FULL) == _arrangement_stats(patch, FULL)
-
-
-def test_window_refuses_a_wider_disk_or_another_centre():
-    recipe = builtin_recipe(4, pentile.representative(4).pentagon)
-    window = tiling.candidate_window(recipe, 6.0)
-    center = np.zeros(2)
-    tiling.patch_rows(recipe, 6.0, center, window)
-    with pytest.raises(ValueError):
-        tiling.patch_rows(recipe, 6.5, center, window)
-    with pytest.raises(ValueError):
-        tiling.patch_rows(recipe, 5.0, np.array([0.5, 0.0]), window)
 
 
 def test_sweep_refuses_an_over_limit_radius_by_name_before_any_patch():
