@@ -18,7 +18,7 @@ import sys
 
 from . import arrangement, jsontext, render, stats, tiling, verifier
 from .catalog import TYPE_IDS, get_type_spec, representative
-from .errors import ParseError
+from .errors import ParseError, require_positive
 from .pentagon import (
     Pentagon,
     pentagon_from_json_dict,
@@ -133,8 +133,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_theorem1(args) -> int:
     pentagon = _resolve_pentagon(args)
-    tol = math.radians(args.tol_deg)
-    hits = satisfied_relations(pentagon, tol=tol)
+    require_positive("--tol-deg", args.tol_deg)
+    hits = satisfied_relations(pentagon, tol=math.radians(args.tol_deg))
     _emit({"satisfied": list(hits),
            "holds": bool(hits),
            "tol_deg": args.tol_deg}, args.out)

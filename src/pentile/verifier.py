@@ -3,10 +3,10 @@
 A patch's overlap and coverage are each checked two ways where practical:
 an exact area computation and an independent point-sampling route, so a bug
 in one route cannot silently pass the other. A recipe's periodicity is its
-area test and a gluing certificate read off its orbit star, the one
-record of its lattice cell, with no window of translates placed
-(`check_periodicity` gives the argument and each tolerance). Each check names its metrics, and merging two
-reports refuses a name both hold.
+area test and a gluing certificate read off its orbit star, the one record
+of its lattice cell, with no window of translates placed
+(`check_periodicity` gives the argument and each tolerance). Each check
+names its metrics, and merging two reports refuses a name both hold.
 """
 from __future__ import annotations
 
@@ -210,17 +210,13 @@ def _run_points(at, n):
     return np.repeat(at - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
-def _left_columns(first, last, rows, span_lo, span_hi):
-    """On the rows first + rows (T, R) of the index boxes first..last (T, 2),
-    the columns of each box from its row's first left point to its last:
-    the rows, clipped to the box, the first column and the column count, 0
-    past the box's last row or where the row has no left point."""
-    iy = first[:, 1:] + rows
-    inside = iy <= last[:, 1:]
-    iy = np.minimum(iy, last[:, 1:])
-    ix = np.maximum(span_lo[iy], first[:, :1])
-    n = np.minimum(span_hi[iy], last[:, :1]) - ix + 1
-    return iy, ix, np.where(inside, np.maximum(n, 0), 0)
+def _passes(n, size):
+    """Slices of the runs of n[i] points, in order, each of about size
+    points: a pass ends with the last run done by the next multiple of
+    size, so it holds at most size points past its first run's."""
+    cuts = np.searchsorted(np.cumsum(n), np.arange(size, n.sum(), size),
+                           side="right")
+    return map(slice, [0, *cuts], [*cuts, len(n)])
 
 
 def _grid_cover_check(stacked, r_inner, pitch, eps):
@@ -230,15 +226,14 @@ def _grid_cover_check(stacked, r_inner, pitch, eps):
     eps >= 0. Returns (#tested, #missed, the first miss in row-major order
     or None).
 
-    The grid is held as its axes xs and ys and one bool per point for the
-    disk and for the covered set; the disk's norms are taken a band of rows
-    at a time. A tile's index box runs from ceil(min' - 1/2) to
-    floor(max' + 1/2), min' and max' being the corners' extremes in indices
-    (padding repeats corners, so it moves no box). The eps band reaches
-    eps / sin(theta / 2) past a corner of angle theta; with the check's
-    eps, 1e-9 of the tile size, that is far less than half an index. So
-    the box holds every point the tile's test can pass, and the covered
-    set is the union of that test over the tiles' boxes.
+    The grid is held as its axes xs and ys and one bool per point, set
+    where a run covers it. A tile's index box runs from ceil(min' - 1/2)
+    to floor(max' + 1/2), min' and max' being the corners' extremes in
+    indices (padding repeats corners, so it moves no box). The eps band
+    reaches eps / sin(theta / 2) past a corner of angle theta; with the
+    check's eps, 1e-9 of the tile size, that is far less than half an
+    index. So the box holds every point the tile's test can pass, and the
+    covered set is the union of that test over the tiles' boxes.
 
     Most of it is certified by rows, by scan conversion (Foley, van Dam,
     Feiner & Hughes, Computer Graphics, 2nd ed., 1990, §3.6): on each row
@@ -261,26 +256,21 @@ def _grid_cover_check(stacked, r_inner, pitch, eps):
     box, and passes. A bound that is not a number (a side too short for its
     quotients to be finite) leaves its run empty.
 
-    The wanted points no run covers, the holes and the points within δ of a
-    side, are left: on each row, the span from the first left point to the
-    last. The tiles whose box meets a row's span on that row are found
-    first; then each such box's columns within the span (`_left_columns`)
-    take points_in_convex_polygon(..., eps) against that tile, point by
-    point. The test is elementwise, so each point gets the bits the box
-    scan gave it, and every box holding a left point takes part: the
-    covered wanted points, and the returned triple, are those the test on
-    every box gives. Passes hold about 64 K box-row sides, 64 K points of
-    runs or 16 K points of the exact test.
+    Then one pass over bands of rows: a band's disk points that no run
+    covers, the holes and the points within δ of a side, are left. Each is
+    joined to the tiles whose box holds it, a box row's left points being
+    one searchsorted slice of the band's sorted flat indices, and takes
+    points_in_convex_polygon(..., eps) against each. The test is
+    elementwise, so each point gets the bits the box scan gave it, and
+    every box holding a left point takes part: the returned triple is the
+    one the test on every box gives, and the first band holding a miss
+    gives the first miss. Passes hold about 64 K box-row sides, 64 K
+    points of runs, 64 K points of a band or 16 K points of the exact
+    test.
     """
     xs = np.arange(-r_inner, r_inner + pitch, pitch)
     ys = np.arange(-r_inner, r_inner + pitch, pitch)
     nx = len(xs)
-    # the disk a band of rows at a time, as its norms are floats
-    wanted = np.empty((len(ys), nx), dtype=bool)
-    band = max(1, 64 * CHUNK // nx)
-    for start in range(0, len(ys), band):
-        wanted[start:start + band] = _in_disk(
-            xs[None, :], ys[start:start + band, None], r_inner - eps)
     size = np.array([nx, len(ys)])
     # the extremes one corner at a time: a numpy reduction over so short an
     # axis costs several times more
@@ -293,7 +283,7 @@ def _grid_cover_check(stacked, r_inner, pitch, eps):
     polys = stacked[meets]
     first = np.clip(first[meets], 0, size - 1).astype(np.intp)
     last = np.clip(last[meets], 0, size - 1).astype(np.intp)
-    covered = np.zeros(wanted.size, dtype=bool)
+    covered = np.zeros(len(ys) * nx, dtype=bool)
 
     delta = COVER_MARGIN * (r_inner + pitch
                             + float(np.abs(polys).max(initial=0.0)))
@@ -322,50 +312,42 @@ def _grid_cover_check(stacked, r_inner, pitch, eps):
         lo = lo[run].astype(np.intp)
         n = hi[run].astype(np.intp) - lo + 1
         at = y[run].astype(np.intp) * nx + lo
-        # written about 64 K points at a time, as a long thin tile's runs
-        # hold many points for few box-row sides
-        cuts = np.searchsorted(np.cumsum(n), np.arange(
-            64 * CHUNK, n.sum(), 64 * CHUNK), side="right")
-        for a, b in zip([0, *cuts], [*cuts, len(n)]):
-            covered[_run_points(at[a:b], n[a:b])] = True
+        # a long thin tile's runs hold many points for few box-row sides
+        for runs in _passes(n, 64 * CHUNK):
+            covered[_run_points(at[runs], n[runs])] = True
 
-    # the wanted points become the left ones, in place, and each row's span
-    # of them runs from its first to its last, a band of rows at a time
-    tested = int(np.count_nonzero(wanted))
-    covered = covered.reshape(wanted.shape)
-    left = np.greater(wanted, covered, out=wanted)
-    span_lo = np.full(len(ys), nx)
-    span_hi = np.full(len(ys), -1)
+    tested, missed, example = 0, 0, None
+    band = max(1, 64 * CHUNK // nx)
     for start in range(0, len(ys), band):
-        part = left[start:start + band]
-        has = part.any(axis=1)
-        span_lo[start:start + band][has] = part[has].argmax(axis=1)
-        span_hi[start:start + band][has] = nx - 1 - part[has, ::-1].argmax(
-            axis=1)
-    if (span_hi >= 0).any():
-        step = max(1, 64 * CHUNK // len(rows))
-        need = np.zeros(len(polys), dtype=bool)
-        for start in range(0, len(polys), step):
-            part = slice(start, start + step)
-            need[part] = (_left_columns(first[part], last[part], rows,
-                                        span_lo, span_hi)[2] > 0).any(axis=1)
-        polys, first, last = polys[need], first[need], last[need]
-        wx, wy = (last - first).max(axis=0, initial=0) + 1
-        rows = np.arange(wy)
-        step = max(1, 16 * CHUNK // (wx * wy))
-        for start in range(0, len(polys), step):
-            part = slice(start, start + step)
-            iy, ix, n = _left_columns(first[part], last[part], rows, span_lo,
-                                      span_hi)
-            tile = np.repeat(np.arange(start, start + len(n)), n.sum(axis=1))
-            at = _run_points((iy * nx + ix).ravel(), n.ravel())
-            hit = points_in_convex_polygon(xs[at % nx], ys[at // nx],
-                                           polys[tile], eps=eps)
-            covered.flat[at[hit]] = True
-        np.greater(left, covered, out=left)
-    missed = int(np.count_nonzero(left))
-    row, col = divmod(int(np.argmax(left)), nx)
-    example = (float(xs[col]), float(ys[row])) if missed else None
+        stop = start + band
+        # the disk a band of rows at a time, as its norms are floats
+        disk = _in_disk(xs[None, :], ys[start:stop, None],
+                        r_inner - eps).ravel()
+        tested += int(np.count_nonzero(disk))
+        left = start * nx + np.flatnonzero(
+            np.greater(disk, covered[start * nx:stop * nx], out=disk))
+        if not len(left):
+            continue
+        # the rows of each box within the band, and each row's left points
+        tile = np.flatnonzero((first[:, 1] < stop) & (last[:, 1] >= start))
+        low = np.maximum(first[tile, 1], start)
+        height = np.minimum(last[tile, 1], stop - 1) - low + 1
+        tile = np.repeat(tile, height)
+        row = _run_points(low, height) * nx
+        at = np.searchsorted(left, row + first[tile, 0])
+        n = np.searchsorted(left, row + last[tile, 0], side="right") - at
+        hit = np.zeros(len(left), dtype=bool)
+        for part in _passes(n, 16 * CHUNK):
+            k = _run_points(at[part], n[part])
+            inside = points_in_convex_polygon(
+                xs[left[k] % nx], ys[left[k] // nx],
+                polys[np.repeat(tile[part], n[part])], eps=eps)
+            hit[k[inside]] = True
+        miss = left[~hit]
+        if len(miss) and example is None:
+            iy, ix = divmod(int(miss[0]), nx)
+            example = (float(xs[ix]), float(ys[iy]))
+        missed += len(miss)
     return tested, missed, example
 
 

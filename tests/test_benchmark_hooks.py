@@ -11,10 +11,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pentile
-from pentile import stats, tiling, verifier
+from pentile import arrangement, stats, tiling, verifier
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # read by perfbench's run.py, checks.py and test_checks.py
@@ -95,7 +96,9 @@ def test_calls_inside_the_library_are_traced():
 @pytest.mark.parametrize("type_id", [1, 2, 4, 5])
 def test_benchmark_checks_pass_on_library_outputs(type_id):
     """The checks the benchmark applies to each operation's result pass on
-    a representative's patch, verifier report, recipe and limit sweep."""
+    a representative's patch, verifier report, recipe and limit sweep, and
+    its defect gates on the reports of the patch with a tile dropped and
+    with one doubled."""
     checks = load_perfbench("checks")
     recipe = tiling.builtin_recipe(type_id,
                                    pentile.representative(type_id).pentagon)
@@ -109,3 +112,16 @@ def test_benchmark_checks_pass_on_library_outputs(type_id):
         verifier.check_periodicity(recipe), recipe) == []
     limit = stats.limit_sweep(recipe, SWEEP_RADII)
     assert checks.check_limit(limit, stats.balance_residual(limit)) == []
+    # the verify workload's defects: an inner tile dropped, and one doubled
+    # and shifted a quarter inradius
+    polys = [tile.polygon for tile in patch.tiles]
+    inner = min(range(len(polys)),
+                key=lambda i: np.hypot(*polys[i].mean(axis=0)))
+    shift = np.array([checks.inradius(polys[inner]) / 4.0, 0.0])
+    dropped = arrangement.Patch.from_polygons(
+        polys[:inner] + polys[inner + 1:], r=patch.r, center=patch.center)
+    doubled = arrangement.Patch.from_polygons(
+        polys + [polys[inner] + shift], r=patch.r, center=patch.center)
+    assert checks.check_dropped_tile_caught(
+        verifier.verify_patch(dropped)) == []
+    assert checks.check_duplicate_caught(verifier.verify_patch(doubled)) == []

@@ -468,11 +468,20 @@ def test_huge_radii_are_refused_before_any_allocation(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     "theorem1 --type 5 --tol-deg=nan",
+    "theorem1 --type 5 --tol-deg=-1",
+    "theorem1 --type 5 --tol-deg=0",
+    "theorem1 --type 5 --tol-deg=inf",
 ])
 def test_non_finite_or_non_positive_tolerances_rejected(capsys, argv):
+    """The message quotes the tolerance in degrees, as it was given, not
+    turned into radians."""
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == "ParseError"
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    given = float(argv.rpartition("=")[2])
+    assert error["message"] == (f"--tol-deg must be positive and finite, "
+                                f"got {given}")
 
 
 # one valid patch document and, by name, the edits that break it

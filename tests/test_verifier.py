@@ -558,9 +558,11 @@ def test_grid_route_matches_tile_by_tile_scan_anywhere(case):
 def test_exact_kernel_sees_only_the_boxes_around_a_hole(type_id,
                                                         monkeypatch):
     """Coverage runs decide every sample point of an honest r = 20 patch,
-    and the exact kernel sees no tile. With its innermost tile dropped, the
-    kernel sees only tiles whose box, a half-pitch past the corners, meets
-    the hole's box. A scan of every box shows the kernel every tile."""
+    and the exact kernel sees no tile. With its innermost tile dropped, or
+    that tile and the one about 5 units to its right, two holes on the same
+    grid rows, the kernel sees only tiles whose box, a half-pitch past the
+    corners, meets a hole's box: not the boxes between the holes. A scan of
+    every box shows the kernel every tile."""
     recipe = builtin_recipe(type_id, pentile.representative(type_id).pentagon)
     patch = generate_patch(recipe, 20.0, (0.3, -0.2))
     seen = []
@@ -574,17 +576,25 @@ def test_exact_kernel_sees_only_the_boxes_around_a_hole(type_id,
     assert seen == []
 
     polys = [t.polygon for t in patch.tiles]
-    hole = min(polys, key=lambda p: np.hypot(*(p.mean(axis=0) - patch.center)))
-    dropped = Patch.from_polygons(
-        [p for p in polys if p is not hole], r=patch.r, center=patch.center)
-    report = check_coverage(dropped)
-    assert not report.ok and report.metrics["sample_misses"] > 0
-    tiles = np.concatenate(seen) + np.asarray(patch.center)
     pitch = largest_inscribed_circle(polys[0])[1] / 4.0
-    assert 0 < len(tiles) < 12
-    for tile in tiles:
-        assert np.all(tile.min(axis=0) - pitch <= hole.max(axis=0))
-        assert np.all(hole.min(axis=0) <= tile.max(axis=0) + pitch)
+    inner = min(polys, key=lambda p: np.hypot(*(p.mean(axis=0)
+                                                 - patch.center)))
+    right = min(polys, key=lambda p: np.hypot(*(p.mean(axis=0)
+                                                 - inner.mean(axis=0)
+                                                 - (5.0, 0.0))))
+    for holes in ([inner], [inner, right]):
+        seen.clear()
+        dropped = Patch.from_polygons(
+            [p for p in polys if not any(p is h for h in holes)],
+            r=patch.r, center=patch.center)
+        report = check_coverage(dropped)
+        assert not report.ok and report.metrics["sample_misses"] > 0
+        tiles = np.concatenate(seen) + np.asarray(patch.center)
+        assert 0 < len(tiles) < 12 * len(holes)
+        for tile in tiles:
+            assert any(np.all(tile.min(axis=0) - pitch <= hole.max(axis=0))
+                       and np.all(hole.min(axis=0) <= tile.max(axis=0)
+                                  + pitch) for hole in holes)
 
 
 @pytest.mark.parametrize("turned", [False, True])
@@ -596,31 +606,38 @@ def test_thin_pentagon_coverage_grid_is_chunked(turned):
     thousands of columns. Turned so that a tile's farthest corners lie on a
     grid row, each box spans a few rows, and a few box-row sides hold
     runs of thousands of points: written all at once, a pass's runs peak
-    at 42 MiB."""
+    at 42 MiB. Unturned, the patch is also checked with its three innermost
+    tiles dropped: 33 438 points are left, each in the boxes of many
+    tiles, and joined to them all at once they peak at 116 MiB."""
     from pentile.catalog import get_type_spec, solve_instance
 
     thin = json.loads((Path(__file__).parent / "data"
                        / "thin_type1.json").read_text())
     pentagon = solve_instance(get_type_spec(1), thin["params"])
     patch = generate_patch(builtin_recipe(1, pentagon), 3.0)
+    polys = [t.polygon - patch.center for t in patch.tiles]
+    cases = [(polys, 0)]
     if turned:
-        polys = [t.polygon - patch.center for t in patch.tiles]
         a, b = max(itertools.combinations(polys[0], 2),
                    key=lambda ab: np.hypot(*(ab[1] - ab[0])))
         angle = math.atan2(b[1] - a[1], b[0] - a[0])
         c, s = math.cos(angle), math.sin(angle)
-        patch = Patch.from_polygons(
-            [p @ np.array([[c, -s], [s, c]]) for p in polys], r=patch.r,
-            center=(0.0, 0.0))
-    tracemalloc.start()
-    try:
-        report = check_coverage(patch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok, report.violations
-    assert report.metrics["sample_points"] == 1917631
-    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+        cases = [([p @ np.array([[c, -s], [s, c]]) for p in polys], 0)]
+    else:
+        cases.append((sorted(polys, key=lambda p: np.hypot(*p.mean(axis=0)))
+                      [3:], 33438))
+    for polys, misses in cases:
+        patch = Patch.from_polygons(polys, r=patch.r, center=(0.0, 0.0))
+        tracemalloc.start()
+        try:
+            report = check_coverage(patch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok == (misses == 0), report.violations
+        assert report.metrics["sample_points"] == 1917631
+        assert report.metrics["sample_misses"] == misses
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def scalar_points_in_convex_polygon(x, y, poly, eps):
