@@ -31,8 +31,8 @@ each side; one assembly builds every array from that.
   corners within eps of each other, chains included, are the connected
   components (`geometry.component_labels`) of the close pairs a grid
   neighbour search finds (`geometry.close_pairs`), and one more search,
-  from the side midpoints to the vertices, finds the vertices lying inside
-  sides.
+  from the side midpoints to the vertices, finds the candidates for the
+  side test, `_on_sides`.
 - Lookup (`Patch.from_cells`, for generated patches): the recipe's
   OrbitStar, the one record of its tiling's lattice cell, lists each region
   tile's boundary stops, its corners' vertex keys and the vertices inside
@@ -42,9 +42,9 @@ each side; one assembly builds every array from that.
   `cell_arrangement` builds the star once per recipe on the lattice, from
   the region's own corners, with no window and nothing snapped: every
   vertex is a translate of a region corner, and it makes the snapping
-  finder's merge and side tests on coordinates placed by the one placement
-  rule, `TilingRecipe.corners`, so it finds the vertices that snapping a
-  window of translates finds.
+  finder's merge test, and the same side test, `_on_sides`, on coordinates
+  placed by the one placement rule, `TilingRecipe.moved`, so it finds the
+  vertices that snapping a window of translates finds.
 
 The same stops, read per vertex orbit, give the tiles meeting each orbit
 and each region tile's edge neighbours (`orbit_star`). stats.compute_stats
@@ -419,16 +419,37 @@ def _next_corners(offsets):
 def _snapped_incidence(points, nxt, precision):
     """The snapping finder: corners within eps of each other merge, chains
     included, and a vertex within eps of a side, ends excluded, lies inside
-    it. Returns each corner's vertex id, each vertex's position and the
-    (side, vertex, param) hits."""
-    side = points[nxt] - points
-    side_lengths = np.linalg.norm(side, axis=1)
+    it (`_on_sides`). Side i runs from corner i to corner nxt[i]. Returns
+    each corner's vertex id, each vertex's position and the (side, vertex,
+    param) of each hit, param running from 0 at the side's start to 1 at
+    its end."""
+    ends = points[nxt]
+    side_lengths = np.linalg.norm(ends - points, axis=1)
     slack = precision * float(np.abs(points).max()) if precision else 0.0
     eps = max(SNAP_FACTOR * float(side_lengths.mean()), slack)
     corner_vid, vertex_xy = _vertices(
         component_labels(len(points), *close_pairs(points, eps)), points)[:2]
-    return corner_vid, vertex_xy, _side_interior_incidence(
-        points, nxt, side_lengths, corner_vid, vertex_xy, eps)
+    # candidates: vertices within half a side (plus slack) of its midpoint
+    reach = side_lengths / 2.0 + 2 * eps
+    mid = (points + ends) / 2.0
+    sid, vid = close_pairs(mid, float(reach.max()), vertex_xy)
+    # rounded as close_pairs and a k-d tree round it, not as np.hypot
+    gap = mid[sid] - vertex_xy[vid]
+    dist = np.sqrt(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1])
+    keep = ((dist <= reach[sid]) & (vid != corner_vid[sid])
+            & (vid != corner_vid[nxt[sid]]))
+    sid, vid = sid[keep], vid[keep]
+    on, param = _on_sides(vertex_xy[vid], points[sid], ends[sid], eps)
+    return corner_vid, vertex_xy, (sid[on], vid[on], param)
+
+
+def _on_sides(p, a, b, eps):
+    """The side test both finders make: which points p lie within eps of
+    their sides a-b, and each such point's param along its side, 0 at a
+    and 1 at b."""
+    on = segment_distances(p, a, b) <= eps
+    p, a, d = p[on], a[on], b[on] - a[on]
+    return on, np.sum((p - a) * d, axis=1) / np.sum(d * d, axis=1)
 
 
 def _vertices(label, points):
@@ -452,33 +473,6 @@ def _vertices(label, points):
     return corner_vid, vertex_xy, labels, rank
 
 
-def _side_interior_incidence(points, nxt, side_lengths, corner_vid,
-                             vertex_xy, eps):
-    """Find vertices lying strictly inside a tile side.
-
-    Side i runs from corner i to corner nxt[i]. Returns the (side, vertex,
-    param) of each hit, param running from 0 at the side's start to 1 at
-    its end.
-    """
-    ends = points[nxt]
-    # candidates: vertices within half a side (plus slack) of its midpoint
-    reach = side_lengths / 2.0 + 2 * eps
-    mid = (points + ends) / 2.0
-    sid, vid = close_pairs(mid, float(reach.max()), vertex_xy)
-    # rounded as close_pairs and a k-d tree round it, not as np.hypot
-    gap = mid[sid] - vertex_xy[vid]
-    dist = np.sqrt(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1])
-    keep = ((dist <= reach[sid]) & (vid != corner_vid[sid])
-            & (vid != corner_vid[nxt[sid]]))
-    vid, sid = vid[keep], sid[keep]
-    a, b, p = points[sid], ends[sid], vertex_xy[vid]
-    on = segment_distances(p, a, b) <= eps
-    vid, sid, a, b, p = vid[on], sid[on], a[on], b[on], p[on]
-    d = b - a
-    param = np.sum((p - a) * d, axis=1) / np.sum(d * d, axis=1)
-    return sid, vid, param
-
-
 def cell_arrangement(recipe) -> OrbitStar:
     """The recipe's tiling reduced to one lattice cell, as its `orbit_star`:
     each region corner's vertex key and each vertex inside a region side,
@@ -495,10 +489,11 @@ def cell_arrangement(recipe) -> OrbitStar:
     (`_walked`), so no coordinate is rounded to find it. Each orbit's
     vertex lies at the mean of the corners meeting there, where snapping
     puts it. A vertex lies inside a region side when it lies within the
-    merge distance of the side, its own end vertices excluded, by the
-    snapping finder's segment-distance test; the candidates are the
+    merge distance of the side, its own end vertices excluded, by the side
+    test the snapping finder makes, `_on_sides`; the candidates are the
     translates of the orbits' vertices whose coefficients fall in the
-    side's lattice box. Both tests are made on coordinates placed by the
+    side's lattice box, less the side's own ends, which are dropped by key
+    before any is placed. Both tests are made on coordinates placed by the
     one placement rule (`TilingRecipe.moved`), the rule that places the
     window a snapping finder would snap, so they find its vertices. The
     work grows with the corners and with the sides' lattice boxes, not
@@ -534,15 +529,12 @@ def cell_arrangement(recipe) -> OrbitStar:
     lo, hi = np.minimum(g, g[nxt]) - pad, np.maximum(g, g[nxt]) + pad
     side, root, shift = _lattice_join(g[roots], lo, hi)
     key = np.column_stack([shift, root])
-    start, end = points[side], points[nxt[side]]
-    at = recipe.moved(mean[root], *shift.T)
-    on = ((key != vertex[side]).any(axis=1)
-          & (key != vertex[nxt[side]]).any(axis=1)
-          & (segment_distances(at, start, end) <= eps))
-    side, key, start, end, at = (side[on], key[on], start[on], end[on],
-                                 at[on])
-    d = end - start
-    param = np.sum((at - start) * d, axis=1) / np.sum(d * d, axis=1)
+    inner = ((key != vertex[side]).any(axis=1)
+             & (key != vertex[nxt[side]]).any(axis=1))
+    side, key = side[inner], key[inner]
+    on, param = _on_sides(recipe.moved(mean[key[:, 2]], *key[:, :2].T),
+                          points[side], points[nxt[side]], eps)
+    side, key = side[on], key[on]
     order = np.lexsort((param, side))
     return orbit_star(vertex.reshape(count, k, 3), side[order], key[order],
                       param[order])

@@ -209,8 +209,8 @@ class TilingRecipe:
     def radius(self) -> float:
         """How far a region tile reaches from its centroid: the largest
         corner distance over the region tiles."""
-        polys, centroids = self.region_corners, self.region_centroids
-        return float(np.linalg.norm(polys - centroids[:, None], axis=2).max())
+        return float(farthest_distances(self.region_centroids,
+                                        self.region_corners).max())
 
     @functools.cached_property
     def periodicity(self):
@@ -330,30 +330,24 @@ def _type2_region(p: Pentagon):
     v = np.asarray(doubled.translation)
     return [(region, u, v)]
 
-def _type4_region(p: Pentagon):
-    """Four tiles around the right-angle corner A; C corners pivot likewise."""
+def _pivot_region(p: Pentagon, around_a: int, around_c: int):
+    """around_a tiles turned about corner A, of angle 2π / around_a; the
+    C corners, of angle 2π / around_c, pivot likewise, so u and v are
+    (I - R(±2π / around_c))·(C - A). Type 4 puts four tiles about a right
+    angle, Type 5 six about 60 degrees."""
     vv = p.vertices
-    region = tuple(Isometry.rotation_about(k * math.pi / 2, vv[0])
-                   for k in range(4))
+    region = tuple(Isometry.rotation_about(k * 2 * math.pi / around_a, vv[0])
+                   for k in range(around_a))
     c_rel = vv[2] - vv[0]
     eye = np.eye(2)
-    u = (eye - rot_matrix(math.pi / 2)) @ c_rel
-    v = (eye - rot_matrix(-math.pi / 2)) @ c_rel
+    u, v = ((eye - rot_matrix(turn * 2 * math.pi / around_c)) @ c_rel
+            for turn in (1, -1))
     return [(region, u, v)]
 
-def _type5_region(p: Pentagon):
-    """Six tiles around the 60-degree corner A; 120-degree C corners pivot."""
-    vv = p.vertices
-    region = tuple(Isometry.rotation_about(k * math.pi / 3, vv[0])
-                   for k in range(6))
-    c_rel = vv[2] - vv[0]
-    eye = np.eye(2)
-    u = (eye - rot_matrix(2 * math.pi / 3)) @ c_rel
-    v = (eye - rot_matrix(-2 * math.pi / 3)) @ c_rel
-    return [(region, u, v)]
-
-_REGION_BUILDERS = {1: _type1_region, 2: _type2_region,
-                    4: _type4_region, 5: _type5_region}
+_REGION_BUILDERS = {
+    1: _type1_region, 2: _type2_region,
+    4: functools.partial(_pivot_region, around_a=4, around_c=4),
+    5: functools.partial(_pivot_region, around_a=6, around_c=3)}
 
 BUILTIN_RECIPE_TYPES = tuple(sorted(_REGION_BUILDERS))
 

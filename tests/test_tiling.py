@@ -35,6 +35,7 @@ from pentile.geometry import (
     points_in_convex_polygon,
     polygon_area,
     polygon_distances,
+    rot_matrix,
     segment_distances,
 )
 from pentile.pentagon import CORNERS, solve_edges
@@ -582,10 +583,11 @@ sweep_centres = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
 
 
 @st.composite
-def type_params(draw, degrees, fraction):
-    """A Type of 1, 2, 4 and 5 and free parameters whose angles lie within
-    degrees and edges within fraction of the catalog defaults."""
-    spec = get_type_spec(draw(st.sampled_from(BUILTIN_SWEEP_TYPES)))
+def type_params(draw, degrees, fraction, types=BUILTIN_SWEEP_TYPES):
+    """A Type of types, 1, 2, 4 and 5 unless given, and free parameters
+    whose angles lie within degrees and edges within fraction of the
+    catalog defaults."""
+    spec = get_type_spec(draw(st.sampled_from(types)))
     params = {}
     for name, value in sorted(spec.default_params.items()):
         x = draw(st.floats(-1.0, 1.0))
@@ -1582,6 +1584,56 @@ def test_region_stack_reverses_the_reflected_placements():
     assert [iso.reflect for iso in recipe.region] == [False, True, True,
                                                        False]
     assert_region_stack_is_per_isometry(recipe)
+
+
+def type4_region(p):
+    """Four tiles around the right-angle corner A; C corners pivot likewise."""
+    vv = p.vertices
+    region = tuple(Isometry.rotation_about(k * math.pi / 2, vv[0])
+                   for k in range(4))
+    c_rel = vv[2] - vv[0]
+    eye = np.eye(2)
+    u = (eye - rot_matrix(math.pi / 2)) @ c_rel
+    v = (eye - rot_matrix(-math.pi / 2)) @ c_rel
+    return [(region, u, v)]
+
+
+def type5_region(p):
+    """Six tiles around the 60-degree corner A; 120-degree C corners pivot."""
+    vv = p.vertices
+    region = tuple(Isometry.rotation_about(k * math.pi / 3, vv[0])
+                   for k in range(6))
+    c_rel = vv[2] - vv[0]
+    eye = np.eye(2)
+    u = (eye - rot_matrix(2 * math.pi / 3)) @ c_rel
+    v = (eye - rot_matrix(-2 * math.pi / 3)) @ c_rel
+    return [(region, u, v)]
+
+
+@settings(max_examples=40)
+@given(type_params(40.0, 0.6, types=(4, 5)))
+def test_pivot_regions_are_the_per_type_regions(drawn):
+    """The Type 4 and 5 builders, one pivot construction, place every
+    region tile and give u and v bit for bit as the Type's own builder
+    did, on each of the ten relabelings of pentagons drawn five times wider
+    than the sweep's, which the golden hashes' representatives do not
+    reach."""
+    spec, params = drawn
+    try:
+        pentagon = solve_instance(spec, params)
+    except (InfeasibleParams, NonConvergence):
+        reject()
+    reference = {4: type4_region, 5: type5_region}[spec.id]
+    for k in range(10):
+        q = pentagon.relabeled(k % 5, k >= 5)
+        [(region, u, v)] = tiling._REGION_BUILDERS[spec.id](q)
+        [(want, want_u, want_v)] = reference(q)
+        assert [iso.reflect for iso in region] == [
+            iso.reflect for iso in want]
+        assert same_bits(
+            np.array([(iso.rotation, *iso.translation) for iso in region]),
+            np.array([(iso.rotation, *iso.translation) for iso in want]))
+        assert same_bits(u, want_u) and same_bits(v, want_v)
 
 
 def assert_same_patch(ours, theirs):

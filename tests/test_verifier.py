@@ -608,36 +608,41 @@ def test_thin_pentagon_coverage_grid_is_chunked(turned):
     runs of thousands of points: written all at once, a pass's runs peak
     at 42 MiB. Unturned, the patch is also checked with its three innermost
     tiles dropped: 33 438 points are left, each in the boxes of many
-    tiles, and joined to them all at once they peak at 116 MiB."""
+    tiles, and joined to them all at once they peak at 116 MiB. At r = 5
+    (8 314 tiles, 6 677 281 sample points) the peak stays under 12.5 MiB,
+    turned or not: the exact disk areas of all the tiles at once peak at
+    14.1 MiB."""
     from pentile.catalog import get_type_spec, solve_instance
 
     thin = json.loads((Path(__file__).parent / "data"
                        / "thin_type1.json").read_text())
     pentagon = solve_instance(get_type_spec(1), thin["params"])
-    patch = generate_patch(builtin_recipe(1, pentagon), 3.0)
-    polys = [t.polygon - patch.center for t in patch.tiles]
-    cases = [(polys, 0)]
-    if turned:
-        a, b = max(itertools.combinations(polys[0], 2),
-                   key=lambda ab: np.hypot(*(ab[1] - ab[0])))
-        angle = math.atan2(b[1] - a[1], b[0] - a[0])
-        c, s = math.cos(angle), math.sin(angle)
-        cases = [([p @ np.array([[c, -s], [s, c]]) for p in polys], 0)]
-    else:
-        cases.append((sorted(polys, key=lambda p: np.hypot(*p.mean(axis=0)))
-                      [3:], 33438))
-    for polys, misses in cases:
-        patch = Patch.from_polygons(polys, r=patch.r, center=(0.0, 0.0))
-        tracemalloc.start()
-        try:
-            report = check_coverage(patch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.ok == (misses == 0), report.violations
-        assert report.metrics["sample_points"] == 1917631
-        assert report.metrics["sample_misses"] == misses
-        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+    for r, points, bound in ((3.0, 1917631, 16), (5.0, 6677281, 12.5)):
+        patch = generate_patch(builtin_recipe(1, pentagon), r)
+        polys = [t.polygon - patch.center for t in patch.tiles]
+        cases = [(polys, 0)]
+        if turned:
+            a, b = max(itertools.combinations(polys[0], 2),
+                       key=lambda ab: np.hypot(*(ab[1] - ab[0])))
+            angle = math.atan2(b[1] - a[1], b[0] - a[0])
+            c, s = math.cos(angle), math.sin(angle)
+            cases = [([p @ np.array([[c, -s], [s, c]]) for p in polys], 0)]
+        elif r == 3.0:
+            cases.append((sorted(polys,
+                                 key=lambda p: np.hypot(*p.mean(axis=0)))[3:],
+                          33438))
+        for polys, misses in cases:
+            patch = Patch.from_polygons(polys, r=r, center=(0.0, 0.0))
+            tracemalloc.start()
+            try:
+                report = check_coverage(patch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.ok == (misses == 0), report.violations
+            assert report.metrics["sample_points"] == points
+            assert report.metrics["sample_misses"] == misses
+            assert peak < bound * 2**20, f"r = {r}: {peak / 2**20:.1f} MiB"
 
 
 def scalar_points_in_convex_polygon(x, y, poly, eps):
